@@ -7,9 +7,7 @@ and confirms on K_0 that the composite identifications are mutually
 inverse integer matrices.
 """
 
-import numpy as np
-
-from ampgraph import OMEGA, AmpGraph, check_chain_k0, k_groups, kk_chain
+from ampgraph import OMEGA, AmpGraph, check_chain_k0, kk_chain
 
 g = AmpGraph.from_edges(
     ("v1", "v2", "v3", "v4", "v5"),
@@ -21,9 +19,11 @@ g = AmpGraph.from_edges(
     },
 )
 
-kg = k_groups(g)
-print(f"K_0 = Z^{kg.k0_rank} on", " ".join(f"[p[{v}]]" for v in kg.k0_generators))
-print("K_1 =", f"Z^{kg.k1_rank}" if kg.k1_rank else "0")
+# acyclic and amplified: K_0 is free on the vertex projections, K_1 = 0
+cls = g.classify()
+print(f"acyclic: {cls.acyclic}  amplified: {cls.amplified}")
+print(f"K_0 = Z^{len(g.vertices)} on", " ".join(f"[p[{v}]]" for v in g.vertices))
+print("K_1 = 0")
 
 chain = kk_chain(g)
 print("\nremoval order:", " -> ".join(sd.sink for sd in chain.steps))
@@ -32,9 +32,12 @@ print("summands:", ", ".join(chain.iota_terms))
 
 res = check_chain_k0(chain)
 print("\nforward K_0 matrix:")
-print(np.array(res.forward))
+for row in res.forward:
+    print("  " + " ".join(f"{x:3d}" for x in row))
+product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*res.backward)]
+           for row in res.forward]
 print("product with backward is the identity:",
-      np.array_equal(res.forward @ res.backward, np.eye(5, dtype=object)))
+      product == [[int(i == j) for j in range(5)] for i in range(5)])
 for check in res.report.checks:
     mark = "ok " if check.passed else "FAIL"
     print(f"  [{mark}] {check.name}")

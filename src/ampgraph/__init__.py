@@ -18,7 +18,6 @@ from .algebra import (
     Path,
     VerificationReport,
     compose,
-    is_subprojection,
     projection_word,
     verify_ck_family,
     word_mul,
@@ -39,13 +38,9 @@ from .splitting import (
 from .ktheory import (
     K0ChainCheck,
     K0SplitCheck,
-    KGroups,
     check_chain_k0,
     check_split_exact_k0,
-    determinant,
     induced_k0,
-    intmat,
-    k_groups,
     kernel_basis,
     smith_normal_form,
     unimodular_inverse,
@@ -82,7 +77,6 @@ __all__ = [
     "Path",
     "VerificationReport",
     "compose",
-    "is_subprojection",
     "projection_word",
     "verify_ck_family",
     "word_mul",
@@ -99,13 +93,9 @@ __all__ = [
     "verify_split_exact",
     "K0ChainCheck",
     "K0SplitCheck",
-    "KGroups",
     "check_chain_k0",
     "check_split_exact_k0",
-    "determinant",
     "induced_k0",
-    "intmat",
-    "k_groups",
     "kernel_basis",
     "smith_normal_form",
     "unimodular_inverse",

@@ -293,15 +293,6 @@ def _check_edge(graph: AmpGraph, e: EdgeRef) -> None:
         )
 
 
-def is_subprojection(sub: CKElement, sup: CKElement) -> bool:
-    """Whether ``sub <= sup`` as projections, i.e. ``sup * sub == sub``."""
-    if not sub.is_projection():
-        raise ValueError(f"not a projection: {sub}")
-    if not sup.is_projection():
-        raise ValueError(f"not a projection: {sup}")
-    return sup * sub == sub
-
-
 # ---------------------------------------------------------------------------
 # generator maps
 

@@ -19,13 +19,11 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
-
 from .coxeter import DynkinSpec, MAX_RANK, flag_graph
 from .cw import cw_kk_summary
 from .graphio import graph_to_dict, load_graph
 from .graphs import AmpGraph
-from .ktheory import check_chain_k0, check_split_exact_k0, k_groups
+from .ktheory import check_chain_k0, check_split_exact_k0
 from .splitting import (
     VerificationFailure,
     build_splitting,
@@ -75,10 +73,6 @@ def _checks_json(report: VerificationReport) -> list[dict]:
         {"name": c.name, "passed": c.passed, "detail": c.detail, "required": c.required}
         for c in report.checks
     ]
-
-
-def _matrix_json(m: np.ndarray) -> list[list[int]]:
-    return [[int(x) for x in row] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +146,8 @@ def _cmd_split(ns) -> tuple[bool, dict]:
         k0 = check_split_exact_k0(sd)
         result["checks"] = _checks_json(report)
         result["k0"] = {
-            "q": _matrix_json(k0.q),
-            "s": _matrix_json(k0.s),
+            "q": k0.q,
+            "s": k0.s,
             "checks": _checks_json(k0.report),
         }
         return bool(report.ok and k0.report.ok), result
@@ -179,8 +173,8 @@ def _cmd_chain(ns) -> tuple[bool, dict]:
         "pi": list(chain.pi_terms),
         "terminal": list(chain.terminal.vertices),
         "k0": {
-            "forward": _matrix_json(k0.forward),
-            "backward": _matrix_json(k0.backward),
+            "forward": k0.forward,
+            "backward": k0.backward,
             "checks": _checks_json(k0.report),
         },
     }
@@ -189,11 +183,15 @@ def _cmd_chain(ns) -> tuple[bool, dict]:
 
 def _cmd_ktheory(ns) -> tuple[bool, dict]:
     g = load_graph(ns.file)
-    kg = k_groups(g)
+    cls = g.classify()
+    if not cls.amplified:
+        raise ValueError("ktheory requires an amplified graph")
+    if not cls.acyclic:
+        raise ValueError("ktheory requires an acyclic graph")
     return True, {
-        "k0_rank": kg.k0_rank,
-        "k0_generators": list(kg.k0_generators),
-        "k1_rank": kg.k1_rank,
+        "k0_rank": len(g.vertices),
+        "k0_generators": list(g.vertices),
+        "k1_rank": 0,
     }
 
 
@@ -361,13 +359,17 @@ _HANDLERS = {
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of one command: echoed argv, payload or error, exit status."""
+    """Outcome of one command: echoed argv, payload or error, exit status.
+
+    ``as_json`` records whether the command asked for ``--json`` output.
+    """
 
     command: tuple[str, ...]
     ok: bool
     result: dict | None
     error: str | None
     exit_code: int
+    as_json: bool
 
     def to_json(self) -> dict:
         doc: dict[str, Any] = {"command": list(self.command), "ok": self.ok}
@@ -387,8 +389,31 @@ class Report:
         return "\n".join(lines)
 
 
+class _UsageError(ValueError):
+    """A malformed command line, raised where argparse would print and exit."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _json_requested(argv: list[str]) -> bool:
+    """Whether a command line that failed to parse still asked for ``--json``.
+
+    Reads only the ``--json`` flag, with argparse's own prefix matching, so
+    ``--js`` counts as it does for a command line that parses.
+    """
+    pre = _Parser(add_help=False)
+    pre.add_argument("--json", action="store_true")
+    try:
+        return pre.parse_known_args(argv)[0].json
+    except _UsageError:
+        return False
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ampgraph",
         description="Construct and verify splittings of amplified graph algebras.",
     )
@@ -440,31 +465,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str]) -> Report:
-    """Execute one command line and return its report without printing."""
+    """Execute one command line and return its report without printing.
+
+    A malformed command line gives an error report with exit status 1;
+    only ``--help`` prints (the help text) and raises ``SystemExit(0)``.
+    """
     command = tuple(argv)
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return Report(command=command, ok=False, result=None, error=str(exc),
+                      exit_code=1, as_json=_json_requested(argv))
     try:
         ok, result = _HANDLERS[ns.cmd](ns)
     except VerificationFailure as exc:
-        return Report(command=command, ok=False, result=None, error=str(exc), exit_code=2)
+        return Report(command=command, ok=False, result=None, error=str(exc),
+                      exit_code=2, as_json=ns.json)
     except (ValueError, OSError) as exc:
-        return Report(command=command, ok=False, result=None, error=str(exc), exit_code=1)
+        return Report(command=command, ok=False, result=None, error=str(exc),
+                      exit_code=1, as_json=ns.json)
     return Report(command=command, ok=ok, result=result, error=None,
-                  exit_code=0 if ok else 2)
+                  exit_code=0 if ok else 2, as_json=ns.json)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         report = run_command(args)
-    except SystemExit as exc:
-        # argparse exits with its own codes; the contract reserves 2 for
-        # verification failures, so every usage problem maps to 1.
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
-    wants_json = "--json" in args
-    if wants_json:
+    except SystemExit as exc:  # --help printed its text
+        return 1 if exc.code else 0
+    if report.as_json:
         print(report.dumps())
     elif report.error is not None:
         print(report.render(), file=sys.stderr)

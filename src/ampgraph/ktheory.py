@@ -7,186 +7,155 @@ module extracts those matrices from generator maps, and provides the exact
 integer linear algebra (Smith normal form, kernels, unimodular inverses)
 needed to certify that a split extension really decomposes K_0.
 
-Matrices are dense ``numpy`` arrays with ``dtype=object`` holding Python
-ints, so arithmetic never overflows; it either stays exact or raises.
+A matrix is a tuple of rows, each a tuple of Python ints, so arithmetic is
+exact and the matrices serialise to JSON as they are.  A matrix with no rows
+is ``()`` and does not record its column count; functions that need it take
+it as an argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import Check, GeneratorMap, VerificationReport, word_mul
-from .graphs import AmpGraph
 from .splitting import KKChain, SplitData
 
-
-def intmat(rows) -> np.ndarray:
-    """Copy ``rows`` into an exact integer matrix (object dtype)."""
-    arr = np.array(rows, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError("expected a two-dimensional matrix")
-    for x in arr.flat:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"non-integer matrix entry {x!r}")
-    return arr
+Matrix = tuple[tuple[int, ...], ...]
 
 
-def _eye(n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+def _eye(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def determinant(a: np.ndarray) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n, m = a.shape
-    if n != m:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    work = [[int(x) for x in row] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            for i in range(k + 1, n):
-                if work[i][k] != 0:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    """``a b``, skipping the zero entries of ``a`` (K_0 matrices are sparse)."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b, strict=True):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
-def smith_normal_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose ``U @ a @ V = D`` with unimodular U, V and diagonal D.
+def _hstack(*blocks: Matrix) -> Matrix:
+    """Join matrices with equal row counts side by side."""
+    return tuple(sum(parts, ()) for parts in zip(*blocks, strict=True))
 
-    The diagonal is nonnegative and each entry divides the next.  Pivoting is
-    deterministic: the candidate of smallest nonzero absolute value wins,
-    ties broken leftmost then topmost, so equal inputs give equal outputs.
+
+def smith_normal_form(a: Matrix, cols: int) -> tuple[Matrix, Matrix, Matrix]:
+    """Decompose ``U a V = D`` with unimodular U, V and diagonal D.
+
+    ``a`` has ``cols`` columns.  The diagonal is nonnegative and each entry
+    divides the next.  Pivoting is deterministic: the candidate of smallest
+    nonzero absolute value wins, ties broken leftmost then topmost, so equal
+    inputs give equal outputs.
     """
-    d = np.array(a, dtype=object)
-    if d.ndim != 2:
-        raise ValueError("expected a two-dimensional matrix")
-    rows, cols = d.shape
-    u = _eye(rows)
-    v = _eye(cols)
+    d = [list(row) for row in a]
+    if any(len(row) != cols for row in d):
+        raise ValueError(f"expected a matrix with {cols} columns")
+    rows = len(d)
+    u = [list(row) for row in _eye(rows)]
+    v = [list(row) for row in _eye(cols)]
     t = 0
     while t < min(rows, cols):
         pivot = None
         for j in range(t, cols):
             for i in range(t, rows):
-                x = d[i, j]
+                x = d[i][j]
                 if x != 0:
                     key = (abs(x), j, i)
-                    if pivot is None or key < pivot[0]:
-                        pivot = (key, i, j)
+                    if pivot is None or key < pivot:
+                        pivot = key
         if pivot is None:
             break
-        _, pi, pj = pivot
+        _, pj, pi = pivot
         if pi != t:
-            d[[t, pi], :] = d[[pi, t], :]
-            u[[t, pi], :] = u[[pi, t], :]
+            d[t], d[pi] = d[pi], d[t]
+            u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            d[:, [t, pj]] = d[:, [pj, t]]
-            v[:, [t, pj]] = v[:, [pj, t]]
-        if d[t, t] < 0:
-            d[t, :] = -d[t, :]
-            u[t, :] = -u[t, :]
+            for row in d:
+                row[t], row[pj] = row[pj], row[t]
+            for row in v:
+                row[t], row[pj] = row[pj], row[t]
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        hold = d[t][t]
         dirty = False
         for i in range(t + 1, rows):
-            if d[i, t] != 0:
-                q = d[i, t] // d[t, t]
+            if d[i][t] != 0:
+                q = d[i][t] // hold
                 if q:
-                    d[i, :] -= q * d[t, :]
-                    u[i, :] -= q * u[t, :]
-                if d[i, t] != 0:
+                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                if d[i][t] != 0:
                     dirty = True
         for j in range(t + 1, cols):
-            if d[t, j] != 0:
-                q = d[t, j] // d[t, t]
+            if d[t][j] != 0:
+                q = d[t][j] // hold
                 if q:
-                    d[:, j] -= q * d[:, t]
-                    v[:, j] -= q * v[:, t]
-                if d[t, j] != 0:
+                    for row in d:
+                        row[j] -= q * row[t]
+                    for row in v:
+                        row[j] -= q * row[t]
+                if d[t][j] != 0:
                     dirty = True
         if dirty:
             continue
-        hold = d[t, t]
-        culprit = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i, j] % hold != 0:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
+        culprit = next(
+            (
+                i
+                for i in range(t + 1, rows)
+                if any(d[i][j] % hold != 0 for j in range(t + 1, cols))
+            ),
+            None,
+        )
         if culprit is not None:
-            d[t, :] += d[culprit, :]
-            u[t, :] += u[culprit, :]
+            d[t] = [x + y for x, y in zip(d[t], d[culprit])]
+            u[t] = [x + y for x, y in zip(u[t], u[culprit])]
             continue
         t += 1
-    return u, d, v
+    return tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(map(tuple, v))
 
 
-def diagonal_of(d: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(d[i, i]) for i in range(min(d.shape)))
+def diagonal_of(d: Matrix) -> tuple[int, ...]:
+    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
 
 
-def kernel_basis(a: np.ndarray) -> np.ndarray:
-    """Columns spanning the integer kernel of ``a`` (a saturated sublattice)."""
-    u, d, v = smith_normal_form(a)
+def kernel_basis(a: Matrix, cols: int) -> Matrix:
+    """Columns spanning the integer kernel of ``a`` (a saturated sublattice).
+
+    ``a`` has ``cols`` columns; the result has ``cols`` rows.
+    """
+    _, d, v = smith_normal_form(a, cols)
     rank = sum(1 for x in diagonal_of(d) if x != 0)
-    return v[:, rank:]
+    return tuple(row[rank:] for row in v)
 
 
-def unimodular_inverse(m: np.ndarray) -> np.ndarray:
-    """Exact inverse of a unimodular integer matrix, via its normal form."""
-    rows, cols = m.shape
-    if rows != cols:
+def unimodular_inverse(m: Matrix) -> Matrix:
+    """Exact inverse of a square unimodular integer matrix, via its normal form."""
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("only square matrices can be unimodular")
-    u, d, v = smith_normal_form(m)
-    if diagonal_of(d) != (1,) * rows:
+    u, d, v = smith_normal_form(m, n)
+    if diagonal_of(d) != (1,) * n:
         raise ValueError("matrix is not unimodular")
-    return v @ u
+    return _matmul(v, u)
 
 
-@dataclass(frozen=True)
-class KGroups:
-    """K-groups of an acyclic amplified graph algebra: free K_0, zero K_1."""
-
-    k0_rank: int
-    k0_generators: tuple[str, ...]
-    k1_rank: int = 0
-
-
-def k_groups(g: AmpGraph) -> KGroups:
-    cls = g.classify()
-    if not cls.amplified:
-        raise ValueError("k_groups requires an amplified graph")
-    if not cls.acyclic:
-        raise ValueError("k_groups requires an acyclic graph")
-    return KGroups(k0_rank=len(g.vertices), k0_generators=g.vertices)
-
-
-def induced_k0(m: GeneratorMap) -> np.ndarray:
+def induced_k0(m: GeneratorMap) -> Matrix:
     """The matrix of ``m`` on K_0 in the vertex bases (columns = source).
 
     Requires every vertex image to be zero or a sum of pairwise-orthogonal
     range projections ``s_alpha s_alpha*`` with coefficient one; anything
     else has no evident K_0 class and is refused.
     """
-    rows = len(m.target.vertices)
-    out = np.zeros((rows, len(m.source.vertices)), dtype=object)
+    out = [[0] * len(m.source.vertices) for _ in m.target.vertices]
     for col, v in enumerate(m.source.vertices):
         img = m.vertex_images[v]
         words = [w for w, _ in img.terms]
@@ -204,8 +173,8 @@ def induced_k0(m: GeneratorMap) -> np.ndarray:
                         f"{w1.render()} and {w2.render()}"
                     )
         for w, _ in img.terms:
-            out[m.target.index(w.alpha.range), col] += 1
-    return out
+            out[m.target.index(w.alpha.range)][col] += 1
+    return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)
@@ -213,9 +182,9 @@ class K0SplitCheck:
     """K_0 data of one split extension plus the checklist that certifies it."""
 
     sink: str
-    q: np.ndarray
-    s: np.ndarray
-    inclusion: np.ndarray
+    q: Matrix
+    s: Matrix
+    inclusion: Matrix
     report: VerificationReport
 
 
@@ -230,47 +199,41 @@ def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
     q = induced_k0(sd.quotient_map)
     s = induced_k0(sd.sigma)
     n = len(sd.working.vertices)
-    inc = np.zeros((n, 1), dtype=object)
-    inc[sd.working.index(sd.sink), 0] = 1
-    checks = []
-    qs = q @ s
-    checks.append(
-        Check(
-            "k0-section",
-            bool((qs == _eye(n - 1)).all()),
-            "Q S = identity on the quotient K_0",
-        )
-    )
-    checks.append(
+    k = sd.working.index(sd.sink)
+    e_sink = tuple(int(i == k) for i in range(n))
+    section_ok = _matmul(q, s) == _eye(n - 1)
+    ker = kernel_basis(q, n)
+    rank = len(ker[0])
+    line = tuple(row[0] for row in ker) if rank == 1 else None
+    kernel_ok = line in (e_sink, tuple(-x for x in e_sink))
+    checks = (
+        Check("k0-section", section_ok, "Q S = identity on the quotient K_0"),
         Check(
             "k0-ideal-killed",
-            bool((q @ inc == np.zeros((n - 1, 1), dtype=object)).all()),
+            all(row[k] == 0 for row in q),
             "Q annihilates the ideal class",
-        )
-    )
-    ker = kernel_basis(q)
-    ok_rank = ker.shape[1] == 1
-    ok_span = ok_rank and (
-        (ker[:, 0] == inc[:, 0]).all() or (ker[:, 0] == -inc[:, 0]).all()
-    )
-    checks.append(
+        ),
         Check(
             "k0-kernel",
-            bool(ok_rank and ok_span),
+            kernel_ok,
             "ker Q is the copy of Z at the sink"
-            if ok_span
-            else f"kernel rank {ker.shape[1]}, expected the sink line",
-        )
-    )
-    checks.append(
+            if kernel_ok
+            else f"kernel rank {rank}, expected the sink line",
+        ),
         Check(
             "k0-decomposition",
-            True,
-            f"K_0 = Z^{n} splits as Z (+) Z^{n - 1}",
-        )
+            section_ok and kernel_ok,
+            f"K_0 = Z^{n} splits as Z (+) Z^{n - 1}"
+            if section_ok and kernel_ok
+            else "needs k0-section and k0-kernel",
+        ),
     )
     return K0SplitCheck(
-        sink=sd.sink, q=q, s=s, inclusion=inc, report=VerificationReport(tuple(checks))
+        sink=sd.sink,
+        q=q,
+        s=s,
+        inclusion=tuple((x,) for x in e_sink),
+        report=VerificationReport(checks),
     )
 
 
@@ -284,8 +247,8 @@ class K0ChainCheck:
     equivalence onto a sum of scalars.
     """
 
-    forward: np.ndarray
-    backward: np.ndarray
+    forward: Matrix
+    backward: Matrix
     report: VerificationReport
 
 
@@ -295,52 +258,43 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     rows = []
     prefix = _eye(n)
     qprefix = _eye(n)
-    checks = []
     for sd in chain.steps:
         working = sd.working
-        m = len(working.vertices)
+        k = working.index(sd.sink)
+        e_sink = tuple((int(i == k),) for i in range(len(working.vertices)))
         s = induced_k0(sd.sigma)
         q = induced_k0(sd.quotient_map)
-        e_sink = np.zeros((m, 1), dtype=object)
-        e_sink[working.index(sd.sink), 0] = 1
-        block = np.concatenate([e_sink, s], axis=1)
         try:
-            inv = unimodular_inverse(block)
+            inv = unimodular_inverse(_hstack(e_sink, s))
         except ValueError:
-            checks.append(
-                Check(
-                    "k0-step-unimodular",
-                    False,
-                    f"step at {sd.sink!r}: [e_sink | S] is not unimodular",
-                )
+            check = Check(
+                "k0-step-unimodular",
+                False,
+                f"step at {sd.sink!r}: [e_sink | S] is not unimodular",
             )
             return K0ChainCheck(
-                forward=_eye(0), backward=_eye(0),
-                report=VerificationReport(tuple(checks)),
+                forward=(), backward=(), report=VerificationReport((check,))
             )
-        cols.append(prefix @ e_sink)
-        rows.append(inv[0:1, :] @ qprefix)
-        prefix = prefix @ s
-        qprefix = q @ qprefix
-    cols.append(prefix)
-    rows.append(qprefix)
-    backward = np.concatenate(cols, axis=1)
-    forward = np.concatenate(rows, axis=0)
+        cols.append(_matmul(prefix, e_sink))
+        rows.append(_matmul(inv[:1], qprefix))
+        prefix = _matmul(prefix, s)
+        qprefix = _matmul(q, qprefix)
+    backward = _hstack(*cols, prefix)
+    forward = sum(rows, ()) + qprefix
     eye = _eye(n)
-    checks.append(
-        Check("k0-chain-left-inverse", bool((forward @ backward == eye).all()), "")
-    )
-    checks.append(
-        Check("k0-chain-right-inverse", bool((backward @ forward == eye).all()), "")
-    )
-    groups = k_groups(chain.ambient)
-    checks.append(
+    cls = chain.ambient.classify()
+    free = cls.amplified and cls.acyclic
+    checks = (
+        Check("k0-chain-left-inverse", _matmul(forward, backward) == eye, ""),
+        Check("k0-chain-right-inverse", _matmul(backward, forward) == eye, ""),
         Check(
             "k0-rank",
-            groups.k0_rank == n and groups.k1_rank == 0,
-            f"K_0 = Z^{n}, K_1 = 0",
-        )
+            free,
+            f"K_0 = Z^{n}, K_1 = 0"
+            if free
+            else "ambient graph is not acyclic and amplified",
+        ),
     )
     return K0ChainCheck(
-        forward=forward, backward=backward, report=VerificationReport(tuple(checks))
+        forward=forward, backward=backward, report=VerificationReport(checks)
     )

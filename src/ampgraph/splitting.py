@@ -115,26 +115,23 @@ def _splitting_map(working: AmpGraph, sink: str, star: str | None) -> GeneratorM
     return GeneratorMap(source, working, vimgs, eimgs)
 
 
-def _section_checks(sd: SplitData) -> list[Check]:
-    """``quotient_map . sigma`` must fix every generator of the quotient graph."""
-    src = sd.sigma.source
-    q, s = sd.quotient_map, sd.sigma
+def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str | None:
+    """The first generator of ``section.source`` that ``quot . section`` moves.
+
+    Edge families are tested at two indices, 0 and 1, so an image that
+    depends on the index shows.  ``None`` when every generator is fixed.
+    """
+    src = section.source
     for v in src.vertices:
         p = CKElement.projection(src, v)
-        if q.apply(s.apply(p)) != p:
-            return [Check("section-identity", False, f"q(sigma(p[{v}])) != p[{v}]")]
+        if quot.apply(section.apply(p)) != p:
+            return f"p[{v}]"
     for a, b, _ in src.families():
         for idx in (0, 1):
             x = CKElement.edge(src, a, b, idx)
-            if q.apply(s.apply(x)) != x:
-                return [
-                    Check(
-                        "section-identity",
-                        False,
-                        f"q(sigma(s[{a}>{b}#{idx}])) != s[{a}>{b}#{idx}]",
-                    )
-                ]
-    return [Check("section-identity", True)]
+            if quot.apply(section.apply(x)) != x:
+                return f"s[{a}>{b}#{idx}]"
+    return None
 
 
 def build_splitting(
@@ -203,7 +200,14 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
             "" if q_report.ok else q_report.render(),
         )
     )
-    checks.extend(_section_checks(sd))
+    moved = _section_identity_failure(sd.sigma, sd.quotient_map)
+    checks.append(
+        Check(
+            "section-identity",
+            moved is None,
+            "" if moved is None else f"q(sigma({moved})) != {moved}",
+        )
+    )
     kind = sd.ideal_kind
     what = "the compacts" if kind == "K" else "C (sink is an isolated vertex)"
     checks.append(Check("ideal", True, f"ideal at {sd.sink} is {what}"))
@@ -242,16 +246,21 @@ def prefer_source_star(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | 
 
 
 def explicit_steps(pairs: Sequence[tuple[str, str | None]]) -> StarPolicy:
-    """A policy that replays a fixed ``(sink, star)`` list."""
-    queue = list(pairs)
+    """A policy that replays a fixed ``(sink, star)`` list.
+
+    Each call takes the first listed pair whose sink is still a vertex of
+    the graph, so the policy keeps no state and can drive any number of
+    chains.
+    """
+    steps = tuple(pairs)
 
     def policy(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | None]:
-        if not queue:
-            raise ValueError("ran out of prescribed (sink, star) steps")
-        sink, star = queue.pop(0)
-        if sink not in sinks:
-            raise ValueError(f"{sink!r} is not a sink of the remaining graph")
-        return sink, star
+        for sink, star in steps:
+            if sink in g.vertices:
+                if sink not in sinks:
+                    raise ValueError(f"{sink!r} is not a sink of the remaining graph")
+                return sink, star
+        raise ValueError("ran out of prescribed (sink, star) steps")
 
     return policy
 
@@ -422,18 +431,9 @@ def multi_sink_splitting(
             raise VerificationFailure(
                 "composite section failed verification:\n" + report.render()
             )
-        quot = chain.composite_quotient()
-        term = chain.terminal
-        for v in term.vertices:
-            p = CKElement.projection(term, v)
-            if quot.apply(section.apply(p)) != p:
-                raise VerificationFailure(f"composite section identity fails at p[{v}]")
-        for a, b, _ in term.families():
-            x = CKElement.edge(term, a, b, 0)
-            if quot.apply(section.apply(x)) != x:
-                raise VerificationFailure(
-                    f"composite section identity fails at s[{a}>{b}#0]"
-                )
+        moved = _section_identity_failure(section, chain.composite_quotient())
+        if moved is not None:
+            raise VerificationFailure(f"composite section identity fails at {moved}")
     return chain
 
 

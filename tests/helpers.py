@@ -123,6 +123,47 @@ def all_words(g: AmpGraph, max_len: int, indices=(0, 1)) -> list[CKWord]:
 
 # ---------------------------------------------------------------------------
 # exact linear algebra oracles
+#
+# The library holds a matrix as a tuple of integer rows; one with no rows is
+# ``()`` and its column count travels separately.  numpy object arrays of
+# Python ints serve here as independent reference arithmetic.
+
+
+def as_array(m, cols: int) -> np.ndarray:
+    """A tuple-of-rows matrix with ``cols`` columns as a numpy object array."""
+    return np.array(m, dtype=object).reshape(len(m), cols)
+
+
+def is_identity(a: np.ndarray) -> bool:
+    rows, cols = a.shape
+    return rows == cols and np.array_equal(a, np.eye(rows, dtype=int))
+
+
+def determinant(m) -> int:
+    """Exact determinant of a square tuple-of-rows matrix, by Bareiss elimination."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    work = [[int(x) for x in row] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            for i in range(k + 1, n):
+                if work[i][k] != 0:
+                    work[k], work[i] = work[i], work[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
+            work[i][k] = 0
+        prev = work[k][k]
+    return sign * work[n - 1][n - 1]
 
 
 def det_oracle(a: np.ndarray) -> int:
@@ -222,9 +263,12 @@ def snf_diag_oracle(a: np.ndarray) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def random_int_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> np.ndarray:
-    data = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-    return np.array(data, dtype=object)
+def random_int_matrix(
+    rng: random.Random, rows: int, cols: int, bound: int = 9
+) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(rng.randint(-bound, bound) for _ in range(cols)) for _ in range(rows)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,44 @@ def test_no_arguments_maps_to_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "COMMAND" in capsys.readouterr().out
+    assert main(["split", "--help", "--json"]) == 0
+    assert "--sink" in capsys.readouterr().out
+
+
+def test_json_mode_comes_from_the_parsed_flag(capsys):
+    # argparse accepts the unambiguous prefix --js for --json
+    assert main(["stars", EXAMPLE, "--sink", "v4", "--js"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == {"sink": "v4", "stars": ["v1", "v2", "v3"]}
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["split", EXAMPLE, "--json"], "--sink"),
+        (["frobnicate", "--json"], "frobnicate"),
+        (["flag", "--rank", "three", "--tag", "1", "--json"], "--rank"),
+        (["split", EXAMPLE, "--sink", "v4", "--star", "v2", "--embed", "--json"], "--embed"),
+        (["classify", EXAMPLE, "--json", "extra"], "extra"),
+    ],
+    ids=["missing-option", "unknown-command", "bad-int", "exclusive", "extra-argument"],
+)
+def test_usage_error_under_json_is_a_json_report(capsys, argv, needle):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.count("\n") == 1
+    doc = json.loads(out.out)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["command"] == argv and doc["ok"] is False
+    assert needle in doc["error"]
+
+
+def test_usage_error_without_json_goes_to_stderr(capsys):
+    assert main(["split", EXAMPLE]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--sink" in out.err
 
 
 def test_star_and_embed_are_mutually_exclusive(capsys):
@@ -200,6 +238,23 @@ def test_chain_reports_all_steps():
     assert [s["sink"] for s in report.result["steps"]] == ["v4", "v2", "v5", "v3"]
     assert report.result["terminal"] == ["v1"]
     assert all(c["passed"] for c in report.result["k0"]["checks"])
+
+
+@pytest.mark.parametrize(
+    "edges, needle",
+    [
+        ([{"src": "a", "dst": "b", "mult": "inf"}, {"src": "b", "dst": "a", "mult": "inf"}],
+         "acyclic"),
+        ([{"src": "a", "dst": "b", "mult": 1}], "amplified"),
+    ],
+    ids=["cyclic", "finite"],
+)
+def test_ktheory_rejects_out_of_scope_graphs(tmp_path, edges, needle):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}))
+    report = run_command(["ktheory", str(path)])
+    assert report.exit_code == 1
+    assert report.error == f"ktheory requires an {needle} graph"
 
 
 def test_ktheory_human_output(capsys):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from ampgraph import (
@@ -10,8 +9,8 @@ from ampgraph import (
     skeleton_filtration,
     summarize_filtration,
 )
-from ampgraph.ktheory import intmat
 
+from helpers import as_array, is_identity
 from test_coxeter import all_specs
 
 
@@ -88,10 +87,9 @@ def test_grassmannian_summary():
 def test_summary_chain_k0_is_invertible():
     summary = cw_kk_summary(GR)
     res = check_chain_k0(summary.chain)
-    n = 6
-    eye = intmat([[int(i == j) for j in range(n)] for i in range(n)])
-    assert np.array_equal(res.forward @ res.backward, eye)
-    assert np.array_equal(res.backward @ res.forward, eye)
+    forward, backward = as_array(res.forward, 6), as_array(res.backward, 6)
+    assert is_identity(forward @ backward)
+    assert is_identity(backward @ forward)
 
 
 def test_single_point_tower():

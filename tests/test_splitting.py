@@ -4,6 +4,7 @@ import pytest
 
 from ampgraph import (
     AmpGraph,
+    KKChain,
     CKElement,
     GeneratorMap,
     OMEGA,
@@ -189,6 +190,30 @@ def test_explicit_steps_policy_validation():
     g = example_graph()
     with pytest.raises(ValueError, match="ran out"):
         kk_chain(g, policy=explicit_steps([("v4", "v1")]))
+
+
+def test_explicit_steps_policy_is_reusable():
+    g = example_graph()
+    policy = explicit_steps([("v4", "v1"), ("v5", None), ("v2", "v3"), ("v3", "v1")])
+    first = kk_chain(g, policy)
+    second = kk_chain(g, policy)
+    assert [(sd.sink, sd.star) for sd in first.steps] == [
+        ("v4", "v1"), ("v5", None), ("v2", "v3"), ("v3", "v1")
+    ]
+    assert second == first
+
+
+def test_composite_section_identity_failure_is_reported(monkeypatch):
+    healthy = KKChain.composite_quotient
+
+    def moved(chain):
+        quot = healthy(chain)
+        vimgs = dict(quot.vertex_images, v3=CKElement.projection(quot.target, "v2"))
+        return GeneratorMap(quot.source, quot.target, vimgs, quot.edge_images)
+
+    monkeypatch.setattr(KKChain, "composite_quotient", moved)
+    with pytest.raises(VerificationFailure, match=r"identity fails at p\[v3\]"):
+        multi_sink_splitting(example_graph(), ["v4", "v5"])
 
 
 @pytest.mark.parametrize("seed", range(10))
