@@ -80,6 +80,10 @@ class AmpGraph:
     vertices: tuple[str, ...]
     mult: tuple[tuple[Mult, ...], ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    #: Reach masks, filled on first use by :meth:`_reach_masks`.
+    _reach: tuple[int, ...] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
@@ -182,8 +186,13 @@ class AmpGraph:
             for i in range(n)
         ]
 
-    def _reach_masks(self) -> list[int]:
-        """Bit ``j`` of entry ``i``: a directed path of length >= 1 from i to j."""
+    def _reach_masks(self) -> tuple[int, ...]:
+        """Bit ``j`` of entry ``i``: a directed path of length >= 1 from i to j.
+
+        Computed once per graph; every path query reads the same tuple.
+        """
+        if self._reach is not None:
+            return self._reach
         succ = self._succ_masks()
         reach: list[int] = []
         for i in range(len(self.vertices)):
@@ -196,7 +205,8 @@ class AmpGraph:
                     step |= succ[j]
                 frontier = step & ~seen
             reach.append(seen)
-        return reach
+        object.__setattr__(self, "_reach", tuple(reach))
+        return self._reach
 
     def classify(self) -> GraphClass:
         """Classify the graph: amplification, acyclicity, sinks and sources."""

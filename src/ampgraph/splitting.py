@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Sequence
 from .algebra import (
     Check,
     CKElement,
-    EdgeRef,
     GeneratorMap,
     VerificationReport,
     compose,
@@ -54,15 +53,13 @@ def valid_stars(g: AmpGraph, sink: str) -> list[str]:
     cls = g.classify()
     if sink not in cls.sinks:
         raise ValueError(f"{sink!r} is not a sink")
-    reach = {v: set(g.reachable_set(v)) for v in g.vertices}
-    out = []
-    for v in g.vertices:
-        if v == sink:
-            continue
-        preds = g.predecessors(v)
-        if all(sink in reach[w] for w in preds):
-            out.append(v)
-    return out
+    reach = g._reach_masks()
+    bit = 1 << g.index(sink)
+    return [
+        v for v in g.vertices
+        if v != sink
+        and all(reach[g.index(w)] & bit for w in g.predecessors(v))
+    ]
 
 
 @dataclass(frozen=True)
@@ -118,19 +115,20 @@ def _splitting_map(working: AmpGraph, sink: str, star: str | None) -> GeneratorM
 def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str | None:
     """The first generator of ``section.source`` that ``quot . section`` moves.
 
-    Edge families are tested at two indices, 0 and 1, so an image that
-    depends on the index shows.  ``None`` when every generator is fixed.
+    The composite is compared with the identity generator by generator:
+    each vertex image against its projection, each edge template against
+    the family itself.  A template is index-uniform, so one comparison
+    covers every index; a moved family is reported at index 0.  ``None``
+    when every generator is fixed.
     """
     src = section.source
+    both = compose(quot, section)
     for v in src.vertices:
-        p = CKElement.projection(src, v)
-        if quot.apply(section.apply(p)) != p:
+        if both.vertex_images[v] != CKElement.projection(src, v):
             return f"p[{v}]"
     for a, b, _ in src.families():
-        for idx in (0, 1):
-            x = CKElement.edge(src, a, b, idx)
-            if quot.apply(section.apply(x)) != x:
-                return f"s[{a}>{b}#{idx}]"
+        if both.edge_images[(a, b)] != ((1, (a, b)),):
+            return f"s[{a}>{b}#0]"
     return None
 
 
@@ -188,7 +186,9 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
 
     Runs the Cuntz-Krieger checks on the section (unitality demanded only
     when a star was used), the same for the quotient map, the section
-    identity on every generator, and records which ideal was split off.
+    identity on every generator, and checks that the ideal is the one of a
+    sink: ``sink`` is a sink of the working graph and the quotient graph
+    keeps every other vertex.
     """
     report = verify_ck_family(sd.sigma, require_unital=sd.star is not None)
     checks = list(report.checks)
@@ -210,7 +210,12 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
     )
     kind = sd.ideal_kind
     what = "the compacts" if kind == "K" else "C (sink is an isolated vertex)"
-    checks.append(Check("ideal", True, f"ideal at {sd.sink} is {what}"))
+    kept = tuple(v for v in sd.working.vertices if v != sd.sink)
+    ideal = (
+        sd.sink in sd.working.classify().sinks
+        and sd.quotient_graph.vertices == kept
+    )
+    checks.append(Check("ideal", ideal, f"ideal at {sd.sink} is {what}"))
     return VerificationReport(tuple(checks))
 
 
@@ -421,6 +426,9 @@ def multi_sink_splitting(
     else:
         if len(stars) != len(sinks):
             raise ValueError("sinks and stars must have equal length")
+        for sink in sinks:
+            if sink not in g:
+                raise ValueError(f"{sink!r} is not a sink of the remaining graph")
         plan = _plan(g, explicit_steps(list(zip(sinks, stars))), n_steps=len(sinks))
     chain = _run_chain(g, plan)
     if chain.steps:

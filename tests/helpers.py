@@ -1,8 +1,9 @@
 """Independent oracles and random corpora shared by the test modules.
 
 Everything here recomputes expected answers by deliberately naive means:
-generic rewriting of generator strings, exhaustive subset or subword search,
-gcds of minors, permutations enumerated wholesale.  None of it shares code
+generic rewriting of generator strings, Cuntz-Krieger relations multiplied
+out word by word, exhaustive subset or subword search, gcds of minors,
+permutations enumerated wholesale.  None of it shares code
 with the fast implementations under test, so agreement is meaningful.
 """
 
@@ -15,7 +16,16 @@ from math import gcd
 import numpy as np
 
 from ampgraph import OMEGA, AmpGraph
-from ampgraph.algebra import CKWord, EdgeRef, Path, projection_word
+from ampgraph.algebra import (
+    Check,
+    CKElement,
+    CKWord,
+    EdgeRef,
+    GeneratorMap,
+    Path,
+    VerificationReport,
+    projection_word,
+)
 
 
 def example_graph() -> AmpGraph:
@@ -119,6 +129,149 @@ def all_words(g: AmpGraph, max_len: int, indices=(0, 1)) -> list[CKWord]:
     return [
         CKWord(a, b) for group in by_range.values() for a in group for b in group
     ]
+
+
+# ---------------------------------------------------------------------------
+# word-level Cuntz-Krieger checking: every relation multiplied out in the
+# word algebra, at one shared and one distinct concrete edge index
+
+
+def _family_images(m: GeneratorMap, index: int) -> dict[tuple[str, str], CKElement]:
+    return {
+        (src, dst): m.edge_image(EdgeRef(src, dst, index))
+        for src, dst, _ in m.source.families()
+    }
+
+
+def verify_ck_family_oracle(m: GeneratorMap, require_unital: bool = True) -> VerificationReport:
+    """The report of :func:`ampgraph.verify_ck_family`, from element products.
+
+    Every pair of families is multiplied out at indices (0, 0) and (0, 1),
+    so the check names, verdicts and detail strings come from the word
+    algebra alone.
+    """
+    checks: list[Check] = []
+    verts = m.source.vertices
+    vimg = {v: m.vertex_images[v] for v in verts}
+
+    bad = [v for v in verts if not vimg[v].is_projection()]
+    checks.append(
+        Check(
+            "vertex-projections",
+            not bad,
+            "" if not bad else f"image of p[{bad[0]}] is not a projection",
+        )
+    )
+
+    bad_pair = None
+    for i, v in enumerate(verts):
+        for w in verts[i + 1 :]:
+            if not (vimg[v] * vimg[w]).is_zero:
+                bad_pair = (v, w)
+                break
+        if bad_pair:
+            break
+    checks.append(
+        Check(
+            "vertex-orthogonality",
+            bad_pair is None,
+            "" if bad_pair is None else
+            f"images of p[{bad_pair[0]}] and p[{bad_pair[1]}] are not orthogonal",
+        )
+    )
+
+    img0 = _family_images(m, 0)
+    img1 = _family_images(m, 1)
+    fams = sorted(img0)
+
+    bad_fam = None
+    for fam in fams:
+        a = img0[fam]
+        if a * a.adjoint() * a != a:
+            bad_fam = fam
+            break
+    checks.append(
+        Check(
+            "adjoint-compatibility",
+            bad_fam is None,
+            "" if bad_fam is None else
+            f"image of s[{bad_fam[0]}>{bad_fam[1]}#i] is not a partial isometry",
+        )
+    )
+
+    ck1_fail = None
+    zero = CKElement.zero(m.target)
+    for f1 in fams:
+        for f2 in fams:
+            for x, y, same in ((img0[f1], img0[f2], True), (img0[f1], img1[f2], False)):
+                want = vimg[f1[1]] if same and f1 == f2 else zero
+                got = x.adjoint() * y
+                if got != want:
+                    ck1_fail = (f1, f2, same)
+                    break
+            if ck1_fail:
+                break
+        if ck1_fail:
+            break
+    checks.append(
+        Check(
+            "ck1",
+            ck1_fail is None,
+            "" if ck1_fail is None else
+            f"m(s)* m(s') defect for families {ck1_fail[0]} , {ck1_fail[1]} "
+            f"({'same' if ck1_fail[2] else 'distinct'} index)",
+        )
+    )
+
+    ck2_fail = None
+    for fam in fams:
+        a = img0[fam]
+        dom = a * a.adjoint()
+        if not dom.is_projection() or vimg[fam[0]] * dom != dom:
+            ck2_fail = fam
+            break
+    checks.append(
+        Check(
+            "ck2",
+            ck2_fail is None,
+            "" if ck2_fail is None else
+            f"m(s) m(s)* not under m(p[{ck2_fail[0]}]) for family {ck2_fail}",
+        )
+    )
+
+    total = CKElement.zero(m.target)
+    for v in verts:
+        total = total + vimg[v]
+    unital = total == CKElement.unit(m.target)
+    checks.append(
+        Check(
+            "unital",
+            unital,
+            "" if unital else "vertex images do not sum to the target unit",
+            required=require_unital,
+        )
+    )
+
+    gauge_bad = None
+    for v in verts:
+        if not vimg[v].is_zero and vimg[v].gauge_degree() != 0:
+            gauge_bad = f"p[{v}]"
+            break
+    if gauge_bad is None:
+        for fam in fams:
+            a = img0[fam]
+            if not a.is_zero and a.gauge_degree() != 1:
+                gauge_bad = f"s[{fam[0]}>{fam[1]}#i]"
+                break
+    checks.append(
+        Check(
+            "gauge-homogeneity",
+            gauge_bad is None,
+            "" if gauge_bad is None else f"image of {gauge_bad} is not homogeneous",
+        )
+    )
+
+    return VerificationReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------

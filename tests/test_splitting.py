@@ -186,6 +186,16 @@ def test_multi_sink_splitting_with_explicit_stars():
         multi_sink_splitting(g, ["v1"], ["v2"])
 
 
+def test_multi_sink_splitting_rejects_unknown_sink():
+    g = example_graph()
+    with pytest.raises(ValueError, match="'nope' is not a sink of the remaining graph"):
+        multi_sink_splitting(g, ["nope"], [None])
+    with pytest.raises(ValueError, match="'nope' is not a sink of the remaining graph"):
+        multi_sink_splitting(g, ["v4", "nope"], ["v1", None])
+    with pytest.raises(ValueError, match="'nope' is not a sink of the remaining graph"):
+        multi_sink_splitting(g, ["nope"])
+
+
 def test_explicit_steps_policy_validation():
     g = example_graph()
     with pytest.raises(ValueError, match="ran out"):
