@@ -47,11 +47,9 @@ from .ktheory import (
 )
 from .coxeter import (
     DynkinSpec,
-    bruhat_leq,
     canonical_reduced_word,
     flag_graph,
     minimal_coset_reps,
-    weyl_group,
     word_label,
 )
 from .cw import (
@@ -100,11 +98,9 @@ __all__ = [
     "smith_normal_form",
     "unimodular_inverse",
     "DynkinSpec",
-    "bruhat_leq",
     "canonical_reduced_word",
     "flag_graph",
     "minimal_coset_reps",
-    "weyl_group",
     "word_label",
     "CWRecord",
     "CWSummary",

@@ -435,12 +435,15 @@ class GeneratorMap:
             acc[w] = coeff
         return CKElement._make(self.target, acc)
 
-    def _path_image(self, p: Path) -> CKElement:
-        if not p.edges:
-            return self.vertex_images[p.base]
-        out = self.edge_image(p.edges[0])
-        for e in p.edges[1:]:
-            out = out * self.edge_image(e)
+    def _word_image(self, w: CKWord) -> CKElement:
+        """The product of the letter images of ``w``; ``m(p_v)`` only for a vertex word."""
+        if w.is_vertex:
+            return self.vertex_images[w.alpha.base]
+        letters = [self.edge_image(e) for e in w.alpha.edges]
+        letters += [self.edge_image(e).adjoint() for e in reversed(w.beta.edges)]
+        out = letters[0]
+        for y in letters[1:]:
+            out = out * y
         return out
 
     def apply(self, x: CKElement) -> CKElement:
@@ -449,7 +452,7 @@ class GeneratorMap:
             raise ValueError("element does not live over the map's source graph")
         acc: dict[CKWord, int] = {}
         for w, c in x.terms:
-            img = self._path_image(w.alpha) * self._path_image(w.beta).adjoint()
+            img = self._word_image(w)
             for wz, cz in img.terms:
                 acc[wz] = acc.get(wz, 0) + cz * c
         return CKElement._make(self.target, acc)

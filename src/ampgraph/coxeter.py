@@ -16,16 +16,26 @@ are the minimal-length coset representatives, i.e. the elements with no
 untagged right descent; a representative of length k plays the role of a
 2k-cell.  Edges connect representatives one letter apart in the subword
 (Bruhat) order, so the graph is graded by word length.
+
+The tagged nodes cut the positions ``1 .. n+1`` into blocks, position i
+ending a block when node i is tagged.  Having no untagged right descent
+means increasing inside every block, so a representative is a choice of
+value set for each block, and there are ``(n+1)! / prod(size!)`` of them:
+
+>>> [r.element for r in minimal_coset_reps(DynkinSpec(2, frozenset({1})))]
+[(1, 2, 3), (2, 1, 3), (3, 1, 2)]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import combinations
+from math import factorial, prod
+from typing import Iterable
 
 from .graphs import AmpGraph
 
-#: Ranks above this make the Weyl group unreasonably large to enumerate.
+#: The largest accepted rank; fully tagged, rank 8 already gives 362,880 vertices.
 MAX_RANK = 8
 
 Perm = tuple[int, ...]
@@ -131,14 +141,15 @@ def canonical_reduced_word(p: Perm) -> tuple[int, ...]:
         p = left_mult(i, p)
 
 
-def weyl_group(rank: int, max_rank: int = MAX_RANK) -> list[tuple[Perm, int]]:
+def weyl_group(rank: int) -> list[tuple[Perm, int]]:
     """All elements of the rank-``rank`` Weyl group with their lengths.
 
     Breadth-first from the identity, so the length is both the BFS depth and
-    the inversion count.  Sorted by (length, one-line form).
+    the inversion count.  Sorted by (length, one-line form).  A brute-force
+    reference: the flag-graph construction never enumerates the group.
     """
-    if not 1 <= rank <= max_rank:
-        raise ValueError(f"rank must be between 1 and {max_rank}, got {rank}")
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {rank}")
     e = identity_perm(rank)
     seen: dict[Perm, int] = {e: 0}
     frontier = [e]
@@ -181,52 +192,29 @@ def coset_minimize(p: Perm, untagged: frozenset[int]) -> Perm:
         p = right_mult(p, desc[0])
 
 
+def _block_sizes(spec: DynkinSpec) -> list[int]:
+    """Lengths of the runs of positions between consecutive tagged nodes."""
+    cuts = [0, *sorted(spec.tagged), spec.rank + 1]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
+
+
 def minimal_coset_reps(spec: DynkinSpec) -> list[CosetRep]:
-    """Minimal-length representatives of the parabolic cosets, by descents.
+    """Minimal-length representatives of the parabolic cosets, block by block.
 
-    An element represents its coset minimally exactly when every untagged
-    generator lengthens it on the right; no coset enumeration is needed.
-    Sorted by length then lexicographic canonical word.
+    An element represents its coset minimally exactly when it has no
+    untagged right descent, i.e. its one-line form increases inside each
+    block of positions between tagged nodes.  Choosing the value set of
+    every block yields each representative once, so the work is
+    proportional to the output.  Sorted by length then lexicographic
+    canonical word.
     """
-    untagged = spec.untagged
-    reps = []
-    for p, length in weyl_group(spec.rank):
-        if all(
-            inversions(right_mult(p, i)) > length for i in sorted(untagged)
-        ):
-            reps.append(CosetRep(p, length, canonical_reduced_word(p)))
+    # (one-line prefix, values not yet placed), one block at a time
+    forms: list[tuple[Perm, Perm]] = [((), identity_perm(spec.rank))]
+    for size in _block_sizes(spec):
+        forms = [(head + block, tuple(v for v in rest if v not in block))
+                 for head, rest in forms for block in combinations(rest, size)]
+    reps = [CosetRep(p, inversions(p), canonical_reduced_word(p)) for p, _ in forms]
     return sorted(reps, key=lambda r: (r.length, r.word))
-
-
-def flag_vertices_alt(spec: DynkinSpec) -> list[Perm]:
-    """Flag vertices characterised through reduced-word endings.
-
-    The identity together with the elements all of whose reduced words end
-    (rightmost letter, the one acting first) in a tagged node; equivalently
-    the right-descent set, read off the one-line form, is contained in the
-    tagged set.
-    """
-    out = []
-    for p, _ in weyl_group(spec.rank):
-        if right_descents(p) <= spec.tagged:
-            out.append(p)
-    return sorted(out, key=lambda p: (inversions(p), canonical_reduced_word(p)))
-
-
-def bruhat_leq(u: Perm, w: Perm) -> bool:
-    """Subword (Bruhat) order via the prefix-dominance criterion.
-
-    ``u <= w`` iff for every i the increasing sort of the first i entries of
-    ``u`` is entrywise at most that of ``w``.
-    """
-    if len(u) != len(w):
-        raise ValueError("cannot compare permutations of different sizes")
-    n = len(u)
-    for i in range(1, n):
-        for a, b in zip(sorted(u[:i]), sorted(w[:i])):
-            if a > b:
-                return False
-    return True
 
 
 def word_label(word: tuple[int, ...]) -> str:
@@ -246,16 +234,21 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
     representative covering it in the subword order.  Covers are found by
     single-letter deletion from the canonical word of the longer element
     followed by coset minimisation, which the strong exchange property makes
-    exhaustive.  The vertex set is cross-checked against the reduced-word
-    characterisation before the graph is assembled.
+    exhaustive.  Before the graph is assembled, the vertices are checked to
+    be the descent-characterised set: distinct permutations, each with right
+    descents among the tagged nodes, as many as the multinomial count.
     """
     reps = minimal_coset_reps(spec)
-    alt = flag_vertices_alt(spec)
-    if [r.element for r in reps] != alt:
+    by_element = {r.element: r for r in reps}
+    ident = identity_perm(spec.rank)
+    count = factorial(spec.rank + 1) // prod(factorial(k) for k in _block_sizes(spec))
+    if len(by_element) != len(reps) or len(reps) != count or any(
+        tuple(sorted(p)) != ident or not right_descents(p) <= spec.tagged
+        for p in by_element
+    ):
         raise RuntimeError(
             "flag vertex characterisations disagree; this is a bug"
         )
-    by_element = {r.element: r for r in reps}
     labels = {r.element: word_label(r.word) for r in reps}
     untagged = spec.untagged
     edges = []

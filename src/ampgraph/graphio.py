@@ -65,6 +65,8 @@ def graph_from_dict(data: Any) -> AmpGraph:
         except KeyError as exc:
             raise ValueError(f"edge #{i} is missing the {exc.args[0]!r} key") from None
         for end in (src, dst):
+            if not isinstance(end, str):
+                raise ValueError(f"edge #{i} endpoints must be strings, got {end!r}")
             if end not in known:
                 raise ValueError(f"edge #{i} refers to unknown vertex {end!r}")
         if (src, dst) in seen:

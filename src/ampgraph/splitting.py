@@ -93,8 +93,9 @@ class SplitData:
         return f"[iota_{self.sink}]"
 
 
-def _splitting_map(working: AmpGraph, sink: str, star: str | None) -> GeneratorMap:
-    source = working.quotient((sink,))
+def _splitting_map(working: AmpGraph, source: AmpGraph, sink: str,
+                   star: str | None) -> GeneratorMap:
+    """The section out of ``source``, the quotient of ``working`` by ``sink``."""
     if star is None:
         return GeneratorMap.inclusion(source, working)
     vimgs = {}
@@ -161,8 +162,8 @@ def build_splitting(
             if g.multiplicity(v, star) != 0 and g.multiplicity(v, sink) == 0:
                 working = working.amplify_transitive_edges(v, sink)
                 augmented.append((v, sink))
-    sigma = _splitting_map(working, sink, star)
     qmap = GeneratorMap.quotient(working, (sink,))
+    sigma = _splitting_map(working, qmap.target, sink, star)
     sd = SplitData(
         original=g,
         working=working,

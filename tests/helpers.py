@@ -531,3 +531,35 @@ def bruhat_leq_oracle(u: tuple[int, ...], w_word: tuple[int, ...], rank: int) ->
         if q == u:
             return True
     return False
+
+
+def flag_vertices_alt(spec) -> list[tuple[int, ...]]:
+    """Flag vertices characterised through reduced-word endings.
+
+    The identity together with the elements all of whose reduced words end
+    (rightmost letter, the one acting first) in a tagged node; equivalently
+    the right-descent set, read off the one-line form, is contained in the
+    tagged set.  Searched over the whole symmetric group.
+    """
+    n = spec.rank + 1
+    out = [
+        p for p in permutations(range(1, n + 1))
+        if {i for i in range(1, n) if p[i - 1] > p[i]} <= spec.tagged
+    ]
+    return sorted(out, key=lambda p: (_inv_count(p), p))
+
+
+def bruhat_leq(u: tuple[int, ...], w: tuple[int, ...]) -> bool:
+    """Subword (Bruhat) order via the prefix-dominance criterion.
+
+    ``u <= w`` iff for every i the increasing sort of the first i entries of
+    ``u`` is entrywise at most that of ``w``.
+    """
+    if len(u) != len(w):
+        raise ValueError("cannot compare permutations of different sizes")
+    n = len(u)
+    for i in range(1, n):
+        for a, b in zip(sorted(u[:i]), sorted(w[:i])):
+            if a > b:
+                return False
+    return True

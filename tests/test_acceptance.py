@@ -30,7 +30,6 @@ from ampgraph import (
 )
 from ampgraph.coxeter import (
     canonical_reduced_word,
-    flag_vertices_alt,
     weyl_group,
     word_to_perm,
 )
@@ -41,6 +40,7 @@ from helpers import (
     as_array,
     determinant,
     example_graph,
+    flag_vertices_alt,
     hereditary_subsets_oracle,
     invariant_factors_by_minors,
     is_identity,

@@ -168,19 +168,38 @@ def test_inclusion_is_injective_on_generators_but_not_unital():
     assert not unital.passed and not unital.required
 
 
+def negated_vertex_map(g: AmpGraph, v: str) -> GeneratorMap:
+    """The identity of ``g`` except m(p_v) = -p_v, which is not a projection."""
+    ident = GeneratorMap.identity(g)
+    images = dict(ident.vertex_images)
+    images[v] = -images[v]
+    return GeneratorMap(g, g, images, ident.edge_images)
+
+
 def test_compose_matches_pointwise_application():
     g = example_graph()
     q1 = GeneratorMap.quotient(g, ("v4",))
     q2 = GeneratorMap.quotient(q1.target, ("v5",))
-    both = compose(q2, q1)
-    assert verify_ck_family(both).ok
-    for v in g.vertices:
-        p = CKElement.projection(g, v)
-        assert both.apply(p) == q2.apply(q1.apply(p))
-    for a, b, _ in g.families():
-        for i in (0, 1):
-            x = CKElement.edge(g, a, b, i)
-            assert both.apply(x) == q2.apply(q1.apply(x))
+    assert verify_ck_family(compose(q2, q1)).ok
+    h = AmpGraph.from_edges(("a", "b"), [("a", "b")])
+    pairs = [(q2, q1)]
+    for v in h.vertices:
+        pairs.append((GeneratorMap.identity(h), negated_vertex_map(h, v)))
+        pairs.append((negated_vertex_map(h, v), GeneratorMap.identity(h)))
+    for outer, inner in pairs:
+        both = compose(outer, inner)
+        src = inner.source
+        for v in src.vertices:
+            p = CKElement.projection(src, v)
+            assert both.apply(p) == outer.apply(inner.apply(p)) == both.vertex_images[v]
+        for a, b, _ in src.families():
+            for i in (0, 1):
+                x = CKElement.edge(src, a, b, i)
+                assert (both.apply(x) == outer.apply(inner.apply(x))
+                        == both.edge_image(EdgeRef(a, b, i)))
+    neg_a, neg_b = (negated_vertex_map(h, v) for v in h.vertices)
+    assert neg_a.apply(CKElement.projection(h, "a")) == -CKElement.projection(h, "a")
+    assert neg_b.apply(CKElement.edge(h, "a", "b")) == CKElement.edge(h, "a", "b")
     assert compose(GeneratorMap.identity(q1.target), q1) == q1
     assert compose(q1, GeneratorMap.identity(g)) == q1
 

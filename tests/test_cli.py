@@ -135,6 +135,20 @@ def test_malformed_json_is_exit_1(tmp_path):
     assert "bad.json" in report.error
 
 
+@pytest.mark.parametrize("doc", [
+    '{"vertices":["a"],"edges":[{"src":["a"],"dst":"a"}]}',
+    '{"vertices":["a"],"edges":[{"src":"a","dst":{"v":"a"}}]}',
+])
+def test_non_string_edge_endpoint_is_exit_1(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    assert main(["classify", str(bad), "--json"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert not report["ok"] and "must be strings" in report["error"]
+
+
 def test_non_hereditary_quotient_is_exit_1():
     report = run_command(["quotient", EXAMPLE, "--remove", "v2"])
     assert report.exit_code == 1

@@ -4,29 +4,31 @@ import pytest
 
 from ampgraph import (
     DynkinSpec,
-    bruhat_leq,
     canonical_reduced_word,
     flag_graph,
     minimal_coset_reps,
-    weyl_group,
     word_label,
 )
+from ampgraph import coxeter
 from ampgraph.coxeter import (
+    CosetRep,
     coset_minimize,
-    flag_vertices_alt,
     identity_perm,
     inversions,
     left_descents,
     left_mult,
     right_descents,
     right_mult,
+    weyl_group,
     word_to_perm,
 )
 
 from helpers import (
     _inv_count,
+    bruhat_leq,
     bruhat_leq_oracle,
     coset_reps_oracle,
+    flag_vertices_alt,
     lex_least_reduced_word_oracle,
     subgroup_oracle,
 )
@@ -114,7 +116,7 @@ def test_coset_minimize_strips_untagged_descents():
     assert coset_minimize(word_to_perm((1,), 2), untagged) == word_to_perm((1,), 2)
 
 
-@pytest.mark.parametrize("spec", all_specs(), ids=str)
+@pytest.mark.parametrize("spec", all_specs(5), ids=str)
 def test_minimal_coset_reps_match_brute_force(spec):
     reps = minimal_coset_reps(spec)
     assert {r.element for r in reps} == coset_reps_oracle(spec.rank, spec.tagged)
@@ -127,7 +129,7 @@ def test_minimal_coset_reps_match_brute_force(spec):
     assert len(reps) == order // len(subgroup_oracle(spec.rank, set(spec.untagged)))
 
 
-@pytest.mark.parametrize("spec", all_specs(), ids=str)
+@pytest.mark.parametrize("spec", all_specs(5), ids=str)
 def test_flag_vertex_characterisations_agree(spec):
     reps = {r.element for r in minimal_coset_reps(spec)}
     assert set(flag_vertices_alt(spec)) == reps
@@ -170,16 +172,45 @@ def test_flag_graph_projective_spaces_are_paths(rank):
     ]
 
 
-@pytest.mark.parametrize("spec", all_specs(), ids=str)
+@pytest.mark.parametrize("spec", all_specs() + [DynkinSpec(8, frozenset({4}))], ids=str)
 def test_flag_graph_edges_are_graded(spec):
     g = flag_graph(spec)
-    reps = {word_label(r.word): r.length for r in minimal_coset_reps(spec)}
-    assert set(g.vertices) == set(reps)
+    reps = minimal_coset_reps(spec)
+    lengths = {word_label(r.word): r.length for r in reps}
+    assert set(g.vertices) == set(lengths)
     for a, b, _ in g.families():
-        assert reps[b] == reps[a] + 1
+        assert lengths[b] == lengths[a] + 1
+    # the families are exactly the Bruhat covers among the representatives
+    assert {(a, b) for a, b, _ in g.families()} == {
+        (word_label(u.word), word_label(w.word))
+        for u in reps
+        for w in reps
+        if w.length == u.length + 1 and bruhat_leq(u.element, w.element)
+    }
     cls = g.classify()
     assert cls.amplified and cls.acyclic
     assert cls.sources == ("e",)
+
+
+def test_flag_graph_gr_4_9():
+    # grading, covers and the source e: test_flag_graph_edges_are_graded
+    spec = DynkinSpec(8, frozenset({4}))
+    assert len(flag_graph(spec).vertices) == 126
+    assert max(r.length for r in minimal_coset_reps(spec)) == 20
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda reps: reps[:-1], id="drop"),
+    pytest.param(lambda reps: reps + reps[-1:], id="duplicate"),
+    # s1 is an untagged right descent of (2, 1, 3, 4)
+    pytest.param(lambda reps: reps[:-1] + [CosetRep((2, 1, 3, 4), 1, (1,))], id="replace"),
+])
+def test_flag_graph_rejects_a_wrong_vertex_set(monkeypatch, corrupt):
+    spec = DynkinSpec(3, frozenset({2}))
+    reps = minimal_coset_reps(spec)
+    monkeypatch.setattr(coxeter, "minimal_coset_reps", lambda s: corrupt(reps))
+    with pytest.raises(RuntimeError, match="characterisations disagree"):
+        flag_graph(spec)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
