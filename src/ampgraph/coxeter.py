@@ -47,12 +47,9 @@ class DynkinSpec:
 
     rank: int
     tagged: frozenset[int]
-    series: str = "A"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tagged", frozenset(self.tagged))
-        if self.series != "A":
-            raise ValueError(f"only series 'A' diagrams are supported, got {self.series!r}")
         if not 1 <= self.rank <= MAX_RANK:
             raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {self.rank}")
         if not self.tagged:
@@ -263,7 +260,4 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
                     targets.add(lower.element)
         for p in targets:
             edges.append((labels[p], labels[r.element]))
-    vertices = [labels[r.element] for r in reps]
-    order = {v: k for k, v in enumerate(vertices)}
-    edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
-    return AmpGraph.from_edges(vertices, edges)
+    return AmpGraph.from_edges([labels[r.element] for r in reps], edges)

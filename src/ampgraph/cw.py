@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import DynkinSpec, flag_graph, minimal_coset_reps, word_label
+from .coxeter import DynkinSpec, flag_graph
 from .graphs import AmpGraph
 from .ktheory import check_chain_k0, check_split_exact_k0
 from .splitting import KKChain, multi_sink_splitting
@@ -42,10 +42,15 @@ def skeleton_filtration(spec: DynkinSpec) -> Filtration:
 
     Level k keeps the representatives of length at most k.  Hereditariness
     of the discarded set is checked by the quotient itself, not assumed.
+    Lengths are read off the graph: the vertices are sorted by length from
+    ``e``, and every family goes up exactly one length, so a row-major pass
+    over the families meets each source after its own length is known.
     """
     full = flag_graph(spec)
-    reps = minimal_coset_reps(spec)
-    lengths = {word_label(r.word): r.length for r in reps}
+    found = {full.vertices[0]: 0}
+    for src, dst, _ in full.families():
+        found[dst] = found[src] + 1
+    lengths = {v: found[v] for v in full.vertices}
     top = max(lengths.values())
     levels = []
     for k in range(top + 1):
@@ -119,11 +124,11 @@ def summarize_filtration(full: AmpGraph, levels: tuple[AmpGraph, ...],
             current = sd.quotient_graph
             removed += 1
         skel = levels[k - 1]
-        match = current.vertices == skel.vertices and all(
-            current.multiplicity(a, b) == skel.multiplicity(a, b)
-            or ((a, b) in added and skel.multiplicity(a, b) == 0)
-            for a in current.vertices
-            for b in current.vertices
+        ours, theirs = set(current.families()), set(skel.families())
+        match = (
+            current.vertices == skel.vertices
+            and theirs <= ours
+            and all((a, b) in added for a, b, _ in ours - theirs)
         )
         checks.append(
             Check(

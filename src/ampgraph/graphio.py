@@ -31,10 +31,7 @@ def _mult_from_json(raw: Any, where: str) -> Mult:
 
 def graph_to_dict(g: AmpGraph) -> dict:
     edges = [
-        {"src": a, "dst": b, "mult": _mult_to_json(g.multiplicity(a, b))}
-        for a in g.vertices
-        for b in g.vertices
-        if g.multiplicity(a, b) != 0
+        {"src": a, "dst": b, "mult": _mult_to_json(m)} for a, b, m in g.families()
     ]
     return {"vertices": list(g.vertices), "edges": edges}
 
@@ -72,9 +69,8 @@ def graph_from_dict(data: Any) -> AmpGraph:
         if (src, dst) in seen:
             raise ValueError(f"edge #{i} repeats the pair {src!r} -> {dst!r}")
         seen.add((src, dst))
-        mult = _mult_from_json(item.get("mult", "inf"), f"edge #{i} ({src!r} -> {dst!r})")
-        if mult != 0:
-            edges.append((src, dst, mult))
+        where = f"edge #{i} ({src!r} -> {dst!r})"
+        edges.append((src, dst, _mult_from_json(item.get("mult", "inf"), where)))
     return AmpGraph.from_edges(tuple(raw_vertices), edges)
 
 

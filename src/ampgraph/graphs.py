@@ -3,9 +3,11 @@
 Vertices are string labels kept in a fixed declaration order.  Each ordered
 pair of vertices carries a multiplicity: ``0`` (no edges), a positive integer
 (finitely many parallel edges), or :data:`OMEGA` (countably infinitely many).
-A graph is *amplified* when every multiplicity is ``0`` or ``OMEGA``; the
-symbolic machinery in the sibling modules requires amplified input and
-rejects anything else.
+A graph stores only its edge families, the pairs of nonzero multiplicity,
+so its size is that of its vertex and family lists, never the square of the
+vertex count.  A graph is *amplified* when every family has multiplicity
+``OMEGA``; the symbolic machinery in the sibling modules requires amplified
+input and rejects anything else.
 
 All values are immutable and all operations are pure: they return new graphs
 and never mutate shared state.  Vertex-set results are emitted as tuples
@@ -73,13 +75,21 @@ class GraphClass:
 class AmpGraph:
     """A finite directed graph with family-level edge multiplicities.
 
-    ``mult[i][j]`` is the multiplicity of the edge family from ``vertices[i]``
-    to ``vertices[j]``.  The matrix is square and indexed in vertex order.
+    ``edges`` lists the edge families ``(src, dst, mult)`` of nonzero
+    multiplicity in row-major vertex order: by the position of ``src``, then
+    of ``dst``.  A pair it does not list has multiplicity 0.  The constructor
+    accepts the families in any order, drops those of multiplicity 0 and
+    rejects unknown endpoints, invalid multiplicities and a pair given twice,
+    so equal graphs compare and hash equal.
     """
 
     vertices: tuple[str, ...]
-    mult: tuple[tuple[Mult, ...], ...]
+    edges: tuple[tuple[str, str, Mult], ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    #: ``(src, dst) -> mult`` for every listed family.
+    _mult: dict = field(init=False, repr=False, compare=False)
+    #: Bit ``j`` of entry ``i``: a family from vertex i to vertex j.
+    _succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
     #: Reach masks, filled on first use by :meth:`_reach_masks`.
     _reach: tuple[int, ...] | None = field(
         init=False, repr=False, compare=False, default=None
@@ -95,49 +105,52 @@ class AmpGraph:
             if v in index:
                 raise ValueError(f"duplicate vertex label {v!r}")
             index[v] = len(index)
-        rows = tuple(tuple(row) for row in self.mult)
-        n = len(verts)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError(f"multiplicity matrix must be {n}x{n}")
-        for row in rows:
-            for m in row:
-                _check_mult(m)
-        object.__setattr__(self, "mult", rows)
-        object.__setattr__(self, "_index", index)
-
-    @classmethod
-    def from_edges(
-        cls,
-        vertices: Iterable[str],
-        edges: Iterable[tuple] = (),
-        default: Mult = OMEGA,
-    ) -> "AmpGraph":
-        """Build a graph from vertex labels and ``(src, dst[, mult])`` tuples.
-
-        Omitted multiplicities default to OMEGA, which covers every amplified
-        graph in this package.
-        """
-        verts = tuple(vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        grid: list[list[Mult]] = [[0] * len(verts) for _ in verts]
-        for edge in edges:
-            if len(edge) == 2:
-                src, dst = edge
-                m = default
-            else:
-                src, dst, m = edge
+        given: dict[tuple[str, str], Mult] = {}
+        for src, dst, m in self.edges:
             if src not in index:
                 raise ValueError(f"unknown edge source {src!r}")
             if dst not in index:
                 raise ValueError(f"unknown edge range {dst!r}")
-            grid[index[src]][index[dst]] = m
-        return cls(verts, tuple(tuple(row) for row in grid))
+            _check_mult(m)
+            if (src, dst) in given:
+                raise ValueError(f"repeated edge family {src!r} -> {dst!r}")
+            given[(src, dst)] = m
+        edges = sorted(
+            ((src, dst, m) for (src, dst), m in given.items() if m != 0),
+            key=lambda e: (index[e[0]], index[e[1]]),
+        )
+        succ = [0] * len(verts)
+        for src, dst, _ in edges:
+            succ[index[src]] |= 1 << index[dst]
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_mult", {(a, b): m for a, b, m in edges})
+        object.__setattr__(self, "_succ", tuple(succ))
+
+    @classmethod
+    def from_edges(
+        cls, vertices: Iterable[str], edges: Iterable[tuple] = ()
+    ) -> "AmpGraph":
+        """Build a graph from vertex labels and ``(src, dst[, mult])`` tuples.
+
+        Omitted multiplicities default to OMEGA, which covers every amplified
+        graph in this package.  A pair listed more than once takes its last
+        multiplicity, so a later 0 deletes an earlier family.
+        """
+        last: dict[tuple[str, str], Mult] = {}
+        for edge in edges:
+            if len(edge) == 2:
+                src, dst = edge
+                m = OMEGA
+            else:
+                src, dst, m = edge
+            last[(src, dst)] = m
+        return cls(tuple(vertices), tuple((a, b, m) for (a, b), m in last.items()))
 
     # -- basic queries ---------------------------------------------------
 
     def __repr__(self) -> str:
-        fams = sum(1 for _ in self.families())
-        return f"AmpGraph({list(self.vertices)!r}, {fams} families)"
+        return f"AmpGraph({list(self.vertices)!r}, {len(self.edges)} families)"
 
     def __contains__(self, v: str) -> bool:
         return v in self._index
@@ -149,42 +162,26 @@ class AmpGraph:
             raise ValueError(f"unknown vertex {v!r}") from None
 
     def multiplicity(self, src: str, dst: str) -> Mult:
-        return self.mult[self.index(src)][self.index(dst)]
+        self.index(src)
+        self.index(dst)
+        return self._mult.get((src, dst), 0)
 
     def families(self) -> Iterator[tuple[str, str, Mult]]:
         """Yield the nonzero edge families in row-major (vertex) order."""
-        for i, src in enumerate(self.vertices):
-            for j, dst in enumerate(self.vertices):
-                m = self.mult[i][j]
-                if m != 0:
-                    yield src, dst, m
+        return iter(self.edges)
 
     def successors(self, v: str) -> tuple[str, ...]:
-        i = self.index(v)
-        return tuple(
-            w for j, w in enumerate(self.vertices) if self.mult[i][j] != 0
-        )
+        return self._labels(self._succ[self.index(v)])
 
     def predecessors(self, v: str) -> tuple[str, ...]:
-        j = self.index(v)
-        return tuple(
-            w for i, w in enumerate(self.vertices) if self.mult[i][j] != 0
-        )
+        self.index(v)
+        return tuple(src for src, dst, _ in self.edges if dst == v)
 
     @property
     def is_amplified(self) -> bool:
-        return all(
-            m == 0 or m is OMEGA for row in self.mult for m in row
-        )
+        return all(m is OMEGA for _, _, m in self.edges)
 
     # -- path structure --------------------------------------------------
-
-    def _succ_masks(self) -> list[int]:
-        n = len(self.vertices)
-        return [
-            sum(1 << j for j in range(n) if self.mult[i][j] != 0)
-            for i in range(n)
-        ]
 
     def _reach_masks(self) -> tuple[int, ...]:
         """Bit ``j`` of entry ``i``: a directed path of length >= 1 from i to j.
@@ -193,7 +190,7 @@ class AmpGraph:
         """
         if self._reach is not None:
             return self._reach
-        succ = self._succ_masks()
+        succ = self._succ
         reach: list[int] = []
         for i in range(len(self.vertices)):
             seen = 0
@@ -210,17 +207,15 @@ class AmpGraph:
 
     def classify(self) -> GraphClass:
         """Classify the graph: amplification, acyclicity, sinks and sources."""
-        n = len(self.vertices)
-        sinks = tuple(
-            v for i, v in enumerate(self.vertices)
-            if all(self.mult[i][j] == 0 for j in range(n))
-        )
+        entered = 0
+        for mask in self._succ:
+            entered |= mask
+        sinks = tuple(v for v, mask in zip(self.vertices, self._succ) if not mask)
         sources = tuple(
-            v for j, v in enumerate(self.vertices)
-            if all(self.mult[i][j] == 0 for i in range(n))
+            v for j, v in enumerate(self.vertices) if not (entered >> j) & 1
         )
         reach = self._reach_masks()
-        acyclic = all(not (reach[i] >> i) & 1 for i in range(n))
+        acyclic = all(not (reach[i] >> i) & 1 for i in range(len(self.vertices)))
         return GraphClass(self.is_amplified, acyclic, sinks, sources)
 
     def reachable_set(self, v: str) -> tuple[str, ...]:
@@ -306,10 +301,11 @@ class AmpGraph:
                 f"{sorted(removed)!r} is not hereditary: not a valid ideal"
             )
         drop = set(removed)
-        keep = [i for i, v in enumerate(self.vertices) if v not in drop]
-        verts = tuple(self.vertices[i] for i in keep)
-        rows = tuple(tuple(self.mult[i][j] for j in keep) for i in keep)
-        return AmpGraph(verts, rows)
+        verts = tuple(v for v in self.vertices if v not in drop)
+        edges = tuple(
+            e for e in self.edges if e[0] not in drop and e[1] not in drop
+        )
+        return AmpGraph(verts, edges)
 
     # -- path-preserving edge addition ------------------------------------
 
@@ -324,15 +320,12 @@ class AmpGraph:
         if not self.is_amplified:
             raise ValueError("edge amplification requires an amplified graph")
         i, j = self.index(src), self.index(dst)
-        if self.mult[i][j] != 0:
+        if (src, dst) in self._mult:
             raise ValueError(f"direct edges {src!r} -> {dst!r} already exist")
         reach = self._reach_masks()
-        succ = self._succ_masks()
         via = 0
-        for k in _bits(succ[i]):
+        for k in _bits(self._succ[i]):
             via |= reach[k]
         if not (via >> j) & 1:
             raise ValueError(f"no path of length >= 2 from {src!r} to {dst!r}")
-        rows = [list(row) for row in self.mult]
-        rows[i][j] = OMEGA
-        return AmpGraph(self.vertices, tuple(tuple(row) for row in rows))
+        return AmpGraph(self.vertices, self.edges + ((src, dst, OMEGA),))

@@ -55,11 +55,8 @@ def valid_stars(g: AmpGraph, sink: str) -> list[str]:
         raise ValueError(f"{sink!r} is not a sink")
     reach = g._reach_masks()
     bit = 1 << g.index(sink)
-    return [
-        v for v in g.vertices
-        if v != sink
-        and all(reach[g.index(w)] & bit for w in g.predecessors(v))
-    ]
+    blocked = {dst for src, dst, _ in g.families() if not reach[g.index(src)] & bit}
+    return [v for v in g.vertices if v != sink and v not in blocked]
 
 
 @dataclass(frozen=True)
@@ -133,16 +130,25 @@ def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str 
     return None
 
 
-def build_splitting(
-    g: AmpGraph, sink: str, star: str | None, *, verify: bool = True
-) -> SplitData:
-    """Construct the splitting of the extension that removes ``sink``.
+def _missing_families(g: AmpGraph, sink: str, star: str) -> list[tuple[str, str]]:
+    """The families ``v -> sink`` the section at ``(sink, star)`` needs and ``g`` lacks.
+
+    One for each in-neighbour ``v`` of ``star`` without a family into
+    ``sink``, in vertex order.
+    """
+    into_star = g.predecessors(star)
+    into_sink = set(g.predecessors(sink))
+    return [(v, sink) for v in into_star if v not in into_sink]
+
+
+def build_splitting(g: AmpGraph, sink: str, star: str | None) -> SplitData:
+    """Construct and verify the splitting of the extension that removes ``sink``.
 
     With a star vertex the section is unital and the working graph gains the
     edge families the section formula needs; with ``star=None`` the working
     graph is ``g`` itself and the section is the non-unital embedding.
-    Construction-time verification failures signal an implementation bug and
-    raise :class:`VerificationFailure`.
+    Every construction runs :func:`verify_split_exact`; a failure signals an
+    implementation bug and raises :class:`VerificationFailure`.
     """
     cls = g.classify()
     if not cls.amplified:
@@ -158,10 +164,9 @@ def build_splitting(
                 f"{star!r} is not a valid choice of star for sink {sink!r}; "
                 f"valid stars: {stars}"
             )
-        for v in g.vertices:
-            if g.multiplicity(v, star) != 0 and g.multiplicity(v, sink) == 0:
-                working = working.amplify_transitive_edges(v, sink)
-                augmented.append((v, sink))
+        for v, w in _missing_families(g, sink, star):
+            working = working.amplify_transitive_edges(v, w)
+            augmented.append((v, w))
     qmap = GeneratorMap.quotient(working, (sink,))
     sigma = _splitting_map(working, qmap.target, sink, star)
     sd = SplitData(
@@ -173,12 +178,11 @@ def build_splitting(
         quotient_map=qmap,
         augmented=tuple(augmented),
     )
-    if verify:
-        report = verify_split_exact(sd)
-        if not report.ok:
-            raise VerificationFailure(
-                "splitting construction failed verification:\n" + report.render()
-            )
+    report = verify_split_exact(sd)
+    if not report.ok:
+        raise VerificationFailure(
+            "splitting construction failed verification:\n" + report.render()
+        )
     return sd
 
 
@@ -370,14 +374,9 @@ def _stabilize(g: AmpGraph, plan: Sequence[tuple[str, str | None]]) -> tuple[Amp
         current = ambient
         for sink, star in plan:
             if star is not None:
-                for v in current.vertices:
-                    if (
-                        current.multiplicity(v, star) != 0
-                        and current.multiplicity(v, sink) == 0
-                    ):
-                        pair = (v, sink)
-                        if pair not in wanted:
-                            wanted.append(pair)
+                for pair in _missing_families(current, sink, star):
+                    if pair not in wanted:
+                        wanted.append(pair)
             current = current.quotient((sink,))
         if not wanted:
             return ambient, tuple(added)

@@ -454,6 +454,80 @@ def random_amplified_dag(rng: random.Random, n: int, p: float = 0.5) -> AmpGraph
     return AmpGraph.from_edges(labels, edges)
 
 
+class DenseGraph:
+    """Reference model of a graph as a dense n x n multiplicity matrix.
+
+    Reads ``from_edges`` input by the documented rule: a 2-tuple means
+    OMEGA, a repeated pair takes its last multiplicity and 0 means no
+    family.  Every query scans the matrix.
+    """
+
+    def __init__(self, vertices, edges=()) -> None:
+        self.vertices = tuple(vertices)
+        self.pos = {v: i for i, v in enumerate(self.vertices)}
+        n = len(self.vertices)
+        self.mult = [[0] * n for _ in range(n)]
+        for edge in edges:
+            src, dst, m = edge if len(edge) == 3 else (*edge, OMEGA)
+            self.mult[self.pos[src]][self.pos[dst]] = m
+
+    def multiplicity(self, src: str, dst: str):
+        return self.mult[self.pos[src]][self.pos[dst]]
+
+    def families(self) -> list[tuple]:
+        return [(a, b, self.multiplicity(a, b)) for a in self.vertices
+                for b in self.vertices if self.multiplicity(a, b) != 0]
+
+    def successors(self, v: str) -> tuple[str, ...]:
+        return tuple(w for w in self.vertices if self.multiplicity(v, w) != 0)
+
+    def predecessors(self, v: str) -> tuple[str, ...]:
+        return tuple(w for w in self.vertices if self.multiplicity(w, v) != 0)
+
+    def is_amplified(self) -> bool:
+        return all(m == 0 or m is OMEGA for row in self.mult for m in row)
+
+    def reachable_set(self, v: str) -> tuple[str, ...]:
+        seen: set[str] = set()
+        todo = list(self.successors(v))
+        while todo:
+            w = todo.pop()
+            if w not in seen:
+                seen.add(w)
+                todo.extend(self.successors(w))
+        return tuple(w for w in self.vertices if w in seen)
+
+    def classify(self) -> tuple:
+        """``(amplified, acyclic, sinks, sources)``."""
+        return (
+            self.is_amplified(),
+            all(v not in self.reachable_set(v) for v in self.vertices),
+            tuple(v for v in self.vertices if not self.successors(v)),
+            tuple(v for v in self.vertices if not self.predecessors(v)),
+        )
+
+    def quotient(self, removed) -> "DenseGraph":
+        keep = [v for v in self.vertices if v not in set(removed)]
+        return DenseGraph(keep, [(a, b, self.multiplicity(a, b))
+                                 for a in keep for b in keep])
+
+    def amplify(self, src: str, dst: str) -> "DenseGraph":
+        return DenseGraph(self.vertices, self.families() + [(src, dst, OMEGA)])
+
+
+def random_edge_list(rng: random.Random, vertices, count: int) -> list[tuple]:
+    """Random ``from_edges`` input: loops, repeated pairs, explicit zeros, 2-tuples."""
+    out = []
+    for _ in range(count):
+        src, dst = rng.choice(vertices), rng.choice(vertices)
+        kind = rng.randrange(5)
+        if kind == 0:
+            out.append((src, dst))
+        else:
+            out.append((src, dst, (0, 1, 3, OMEGA)[kind - 1]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # symmetric group oracles (one-line permutations of 1..n+1)
 

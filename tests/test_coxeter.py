@@ -54,8 +54,6 @@ def test_dynkin_spec_validation():
         DynkinSpec(2, frozenset())
     with pytest.raises(ValueError):
         DynkinSpec(2, frozenset({3}))
-    with pytest.raises(ValueError):
-        DynkinSpec(2, frozenset({1}), series="B")
 
 
 def test_generator_algebra():

@@ -1,6 +1,8 @@
 import pytest
 
+from ampgraph import coxeter, cw
 from ampgraph import (
+    OMEGA,
     AmpGraph,
     DynkinSpec,
     check_chain_k0,
@@ -8,6 +10,7 @@ from ampgraph import (
     flag_graph,
     skeleton_filtration,
     summarize_filtration,
+    word_label,
 )
 
 from helpers import as_array, is_identity
@@ -51,6 +54,26 @@ def test_filtration_consistency(spec):
         assert upper.quotient(removed) == filt.level(k)
 
 
+def test_filtration_builds_representatives_once(monkeypatch):
+    original = coxeter.minimal_coset_reps
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    # every module binding the filtration could call it through
+    for module in (coxeter, cw):
+        monkeypatch.setattr(module, "minimal_coset_reps", counted, raising=False)
+    for spec in all_specs(4):
+        calls.clear()
+        filt = skeleton_filtration(spec)
+        assert calls == [spec]
+        want = {word_label(r.word): r.length for r in original(spec)}
+        assert filt.lengths == want
+        assert list(filt.lengths) == list(want)
+
+
 @pytest.mark.parametrize(
     "rank, texts",
     [
@@ -90,6 +113,23 @@ def test_summary_chain_k0_is_invertible():
     forward, backward = as_array(res.forward, 6), as_array(res.backward, 6)
     assert is_identity(forward @ backward)
     assert is_identity(backward @ forward)
+
+
+@pytest.mark.parametrize("corrupt", ["missing", "extra", "finite"])
+def test_skeleton_match_negative_control(corrupt):
+    filt = skeleton_filtration(GR)
+    x2 = filt.level(2)
+    fams = list(x2.families())
+    if corrupt == "missing":
+        fams.pop(0)
+    elif corrupt == "extra":
+        fams.append(("e", "s1s2", OMEGA))
+    else:
+        fams[0] = (*fams[0][:2], 1)
+    levels = list(filt.levels)
+    levels[2] = AmpGraph.from_edges(x2.vertices, fams)
+    summary = summarize_filtration(filt.full, tuple(levels))
+    assert [c.name for c in summary.report.checks if not c.passed] == ["skeleton-match-2"]
 
 
 def test_single_point_tower():

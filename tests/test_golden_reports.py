@@ -1,0 +1,90 @@
+"""Byte identity of ``--json`` reports against committed digests.
+
+A fixed mix of command lines runs in process through ``run_command``; the
+sha256 of each canonical report and its exit code must match
+``golden_reports.json``, keyed by command line.  The mix covers every
+fixture with every subcommand, every sink with every other vertex as a
+star, ``--embed``, each with and without ``--verify``, ``flag`` on every
+spec of rank at most 5 and ``cw`` on the small ladder specs.  Fixture paths
+are relative to the repository root, which the test makes the working
+directory, so the echoed command is the same on every machine.
+
+To regenerate the digests after a deliberate change of report contents::
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+
+from ampgraph.cli import BOUND_ENV, run_command
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_reports.json"
+
+CW_SPECS = [("3", "2"), ("4", "2"), ("5", "3"), ("3", "1,2,3"), ("4", "1,3")]
+
+
+def _fixture_commands(path: str) -> list[list[str]]:
+    doc = json.loads((ROOT / path).read_text())
+    vertices = doc["vertices"]
+    has_out = {e["src"] for e in doc["edges"]}
+    sinks = [v for v in vertices if v not in has_out]
+    cmds = [
+        ["classify", path],
+        ["hereditary", path],
+        ["chain", path],
+        ["chain", path, "--policy", "source"],
+        ["ktheory", path],
+    ]
+    for v in vertices:
+        cmds.append(["hereditary", path, "--closure", v])
+    for sink in sinks:
+        cmds.append(["quotient", path, "--remove", sink])
+        cmds.append(["stars", path, "--sink", sink])
+        modes = [[], ["--embed"]] + [["--star", v] for v in vertices if v != sink]
+        for mode in modes:
+            for verify in ([], ["--verify"]):
+                cmds.append(["split", path, "--sink", sink, *mode, *verify])
+    return cmds
+
+
+def commands() -> list[list[str]]:
+    cmds = []
+    for fixture in sorted((ROOT / "fixtures").glob("*.json")):
+        cmds.extend(_fixture_commands(f"fixtures/{fixture.name}"))
+    for rank in range(1, 6):
+        for bits in range(1, 1 << rank):
+            tags = ",".join(str(i) for i in range(1, rank + 1) if bits >> (i - 1) & 1)
+            cmds.append(["flag", "--rank", str(rank), "--tag", tags])
+    for rank, tags in CW_SPECS:
+        cmds.append(["cw", "--rank", rank, "--tag", tags])
+    return [cmd + ["--json"] for cmd in cmds]
+
+
+def digests() -> dict:
+    """Command line -> [sha256 of the JSON report line, exit code]."""
+    out = {}
+    for argv in commands():
+        report = run_command(argv)
+        line = report.dumps().encode()
+        out[" ".join(argv)] = [hashlib.sha256(line).hexdigest(), report.exit_code]
+    return out
+
+
+def test_reports_match_golden_digests(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv(BOUND_ENV, raising=False)
+    golden = json.loads(GOLDEN.read_text())
+    actual = digests()
+    assert actual.keys() == golden.keys()
+    changed = [cmd for cmd in golden if actual[cmd] != golden[cmd]]
+    assert not changed, f"{len(changed)} reports differ, first: {changed[:5]}"
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    os.environ.pop(BOUND_ENV, None)
+    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")

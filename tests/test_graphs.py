@@ -4,7 +4,13 @@ import pytest
 
 from ampgraph import OMEGA, AmpGraph
 
-from helpers import example_graph, hereditary_subsets_oracle, random_amplified_dag
+from helpers import (
+    DenseGraph,
+    example_graph,
+    hereditary_subsets_oracle,
+    random_amplified_dag,
+    random_edge_list,
+)
 
 
 def test_classify_example():
@@ -38,17 +44,32 @@ def test_classify_omega_loop_is_amplified():
 
 @pytest.mark.parametrize("bad", [-1, 1.5, True, "inf", None])
 def test_invalid_multiplicities_rejected(bad):
-    with pytest.raises(ValueError):
-        AmpGraph(("a", "b"), ((0, bad), (0, 0)))
+    with pytest.raises(ValueError, match="invalid multiplicity"):
+        AmpGraph(("a", "b"), (("a", "b", bad),))
 
 
 def test_vertex_label_validation():
-    with pytest.raises(ValueError):
-        AmpGraph(("a", "a"), ((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        AmpGraph(("a", ""), ((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        AmpGraph(("a",), ((0, 0),))
+    with pytest.raises(ValueError, match="duplicate vertex label"):
+        AmpGraph(("a", "a"), ())
+    with pytest.raises(ValueError, match="nonempty strings"):
+        AmpGraph(("a", ""), ())
+
+
+def test_constructor_rejects_unknown_endpoints_and_repeated_pairs():
+    with pytest.raises(ValueError, match="unknown edge source 'z'"):
+        AmpGraph(("a", "b"), (("z", "a", OMEGA),))
+    with pytest.raises(ValueError, match="unknown edge range 'z'"):
+        AmpGraph(("a", "b"), (("a", "z", OMEGA),))
+    with pytest.raises(ValueError, match="repeated edge family 'a' -> 'b'"):
+        AmpGraph(("a", "b"), (("a", "b", OMEGA), ("a", "b", OMEGA)))
+    with pytest.raises(ValueError, match="repeated edge family 'a' -> 'b'"):
+        AmpGraph(("a", "b"), (("a", "b", 0), ("a", "b", 2)))
+
+
+def test_constructor_sorts_families_and_drops_zeros():
+    g = AmpGraph(("a", "b"), (("b", "a", 2), ("a", "b", 0), ("a", "a", OMEGA)))
+    assert g.edges == (("a", "a", OMEGA), ("b", "a", 2))
+    assert g == AmpGraph.from_edges(("a", "b"), [("a", "a"), ("b", "a", 2)])
 
 
 def test_from_edges_unknown_vertex():
@@ -185,3 +206,57 @@ def test_amplify_preserves_path_relation(seed):
         g = g.amplify_transitive_edges(a, b)
     after = {v: g.reachable_set(v) for v in g.vertices}
     assert before == after
+
+
+def _assert_matches_model(g: AmpGraph, model: DenseGraph) -> None:
+    assert g.vertices == model.vertices
+    for a in g.vertices:
+        for b in g.vertices:
+            assert g.multiplicity(a, b) == model.multiplicity(a, b)
+    assert list(g.families()) == model.families()
+    assert g.edges == tuple(model.families())
+    for v in g.vertices:
+        assert g.successors(v) == model.successors(v)
+        assert g.predecessors(v) == model.predecessors(v)
+        assert g.reachable_set(v) == model.reachable_set(v)
+    assert g.is_amplified == model.is_amplified()
+    cls = g.classify()
+    assert (cls.amplified, cls.acyclic, cls.sinks, cls.sources) == model.classify()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_graph_matches_dense_model(seed):
+    rng = random.Random(7000 + seed)
+    labels = tuple(f"u{i}" for i in range(rng.randint(1, 8)))
+    edges = random_edge_list(rng, labels, rng.randint(0, 24))
+    g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+    _assert_matches_model(g, model)
+    # the same families in another order build an equal, equally hashed graph
+    fams = model.families()
+    rng.shuffle(fams)
+    h = AmpGraph.from_edges(labels, fams)
+    assert h == g and hash(h) == hash(g)
+    assert AmpGraph(labels, fams) == g
+    hereditary = sorted(hereditary_subsets_oracle(g))
+    for subset in rng.sample(hereditary, min(3, len(hereditary))):
+        _assert_matches_model(g.quotient(subset), model.quotient(subset))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_amplify_matches_dense_model(seed):
+    rng = random.Random(8000 + seed)
+    labels = tuple(f"u{i}" for i in range(rng.randint(2, 7)))
+    edges = [e[:2] for e in random_edge_list(rng, labels, rng.randint(1, 14))]
+    g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+    for a in labels:
+        for b in labels:
+            legal = model.multiplicity(a, b) == 0 and any(
+                b in model.reachable_set(m) for m in model.successors(a)
+            )
+            if legal:
+                _assert_matches_model(
+                    g.amplify_transitive_edges(a, b), model.amplify(a, b)
+                )
+            else:
+                with pytest.raises(ValueError):
+                    g.amplify_transitive_edges(a, b)
