@@ -41,9 +41,6 @@ from .ktheory import (
     check_chain_k0,
     check_split_exact_k0,
     induced_k0,
-    kernel_basis,
-    smith_normal_form,
-    unimodular_inverse,
 )
 from .coxeter import (
     DynkinSpec,
@@ -94,9 +91,6 @@ __all__ = [
     "check_chain_k0",
     "check_split_exact_k0",
     "induced_k0",
-    "kernel_basis",
-    "smith_normal_form",
-    "unimodular_inverse",
     "DynkinSpec",
     "canonical_reduced_word",
     "flag_graph",

@@ -104,9 +104,11 @@ def summarize_filtration(full: AmpGraph, levels: tuple[AmpGraph, ...],
                 )
             )
     chain_k0 = check_chain_k0(chain)
+    failed = [c.name for c in chain_k0.report.checks if not c.passed]
     checks.append(
         Check("k0-chain", chain_k0.report.ok,
-              "chain K_0 matrices are mutually inverse")
+              "chain K_0 matrices are mutually inverse" if chain_k0.report.ok
+              else "chain K_0 checks failed: " + ", ".join(failed))
     )
     # The graph remaining after each level's sinks must be that skeleton,
     # except for families the chain added toward sinks it has yet to remove;
@@ -134,7 +136,9 @@ def summarize_filtration(full: AmpGraph, levels: tuple[AmpGraph, ...],
             Check(
                 f"skeleton-match-{k - 1}",
                 match,
-                f"chain quotient equals the level-{k - 1} skeleton",
+                f"chain quotient equals the level-{k - 1} skeleton"
+                if match
+                else f"chain quotient differs from the level-{k - 1} skeleton",
             )
         )
         if k - 1 == 0:

@@ -216,11 +216,15 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
     kind = sd.ideal_kind
     what = "the compacts" if kind == "K" else "C (sink is an isolated vertex)"
     kept = tuple(v for v in sd.working.vertices if v != sd.sink)
-    ideal = (
-        sd.sink in sd.working.classify().sinks
-        and sd.quotient_graph.vertices == kept
+    if sd.sink not in sd.working.classify().sinks:
+        failure = f"{sd.sink} is not a sink of the working graph"
+    elif sd.quotient_graph.vertices != kept:
+        failure = f"the quotient graph is not the working graph without {sd.sink}"
+    else:
+        failure = None
+    checks.append(
+        Check("ideal", failure is None, failure or f"ideal at {sd.sink} is {what}")
     )
-    checks.append(Check("ideal", ideal, f"ideal at {sd.sink} is {what}"))
     return VerificationReport(tuple(checks))
 
 

@@ -10,6 +10,7 @@ with the fast implementations under test, so agreement is meaningful.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -26,6 +27,7 @@ from ampgraph.algebra import (
     VerificationReport,
     projection_word,
 )
+from ampgraph.ktheory import K0ChainCheck, K0SplitCheck, induced_k0, smith_normal_form
 
 
 def example_graph() -> AmpGraph:
@@ -422,6 +424,146 @@ def random_int_matrix(
     return tuple(
         tuple(rng.randint(-bound, bound) for _ in range(cols)) for _ in range(rows)
     )
+
+
+# ---------------------------------------------------------------------------
+# K_0 oracles: the Smith-normal-form path that ampgraph.ktheory replaced with
+# a left-inverse certificate.  Dense tuple-of-rows matrices throughout.  They
+# read the K_0 columns through the library's ``induced_k0``: what they check
+# independently is the certificate and the chain assembly, not the extraction.
+
+
+def dense(cols, rows: int) -> tuple[tuple[int, ...], ...]:
+    """Sparse K_0 columns (dicts row -> entry) as ``rows`` dense rows."""
+    return tuple(tuple(col.get(i, 0) for col in cols) for i in range(rows))
+
+
+def _eye(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    width = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(x * brow[j] for x, brow in zip(row, b, strict=True)) for j in range(width))
+        for row in a
+    )
+
+
+def _hstack(*blocks):
+    return tuple(sum(parts, ()) for parts in zip(*blocks, strict=True))
+
+
+def diagonal_of(d) -> tuple[int, ...]:
+    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
+
+
+def kernel_basis(a, cols: int):
+    """Columns spanning the integer kernel of ``a`` (a saturated sublattice).
+
+    ``a`` has ``cols`` columns; the result has ``cols`` rows.
+    """
+    _, d, v = smith_normal_form(a, cols)
+    rank = sum(1 for x in diagonal_of(d) if x != 0)
+    return tuple(row[rank:] for row in v)
+
+
+def unimodular_inverse(m):
+    """Exact inverse of a square unimodular integer matrix, via its normal form."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("only square matrices can be unimodular")
+    u, d, v = smith_normal_form(m, n)
+    if diagonal_of(d) != (1,) * n:
+        raise ValueError("matrix is not unimodular")
+    return matmul(v, u)
+
+
+def _dense_k0(m: GeneratorMap):
+    return dense(induced_k0(m), len(m.target.vertices))
+
+
+def check_split_exact_k0_oracle(sd) -> K0SplitCheck:
+    """``check_split_exact_k0`` with the kernel of Q found by a Smith form."""
+    q = _dense_k0(sd.quotient_map)
+    s = _dense_k0(sd.sigma)
+    n = len(sd.working.vertices)
+    k = sd.working.index(sd.sink)
+    e_sink = tuple(int(i == k) for i in range(n))
+    section_ok = matmul(q, s) == _eye(n - 1)
+    ker = kernel_basis(q, n)
+    rank = len(ker[0])
+    line = tuple(row[0] for row in ker) if rank == 1 else None
+    kernel_ok = line in (e_sink, tuple(-x for x in e_sink))
+    checks = (
+        Check("k0-section", section_ok),
+        Check("k0-ideal-killed", all(row[k] == 0 for row in q)),
+        Check(
+            "k0-kernel",
+            kernel_ok,
+            "ker Q is the copy of Z at the sink"
+            if kernel_ok
+            else f"kernel rank {rank}, expected the sink line",
+        ),
+        Check("k0-decomposition", section_ok and kernel_ok),
+    )
+    return K0SplitCheck(
+        sink=sd.sink, q=q, s=s, inclusion=tuple((x,) for x in e_sink),
+        report=VerificationReport(checks),
+    )
+
+
+def check_chain_k0_oracle(chain) -> K0ChainCheck:
+    """``check_chain_k0`` with each step inverted by a Smith form.
+
+    A step whose ``[e_sink | S]`` is not unimodular ends the check with that
+    one failure and empty matrices.  ``k0-chain-inverse`` demands both
+    products to be identities.
+    """
+    n = len(chain.ambient.vertices)
+    cols = []
+    rows = []
+    prefix = _eye(n)
+    qprefix = _eye(n)
+    for sd in chain.steps:
+        k = sd.working.index(sd.sink)
+        e_sink = tuple((int(i == k),) for i in range(len(sd.working.vertices)))
+        s = _dense_k0(sd.sigma)
+        q = _dense_k0(sd.quotient_map)
+        try:
+            inv = unimodular_inverse(_hstack(e_sink, s))
+        except ValueError:
+            check = Check("k0-step-unimodular", False, f"step at {sd.sink!r}")
+            return K0ChainCheck(forward=(), backward=(), report=VerificationReport((check,)))
+        cols.append(matmul(prefix, e_sink))
+        rows.append(matmul(inv[:1], qprefix))
+        prefix = matmul(prefix, s)
+        qprefix = matmul(q, qprefix)
+    backward = _hstack(*cols, prefix)
+    forward = sum(rows, ()) + qprefix
+    eye = _eye(n)
+    cls = chain.ambient.classify()
+    checks = (
+        Check(
+            "k0-chain-inverse",
+            matmul(forward, backward) == eye and matmul(backward, forward) == eye,
+        ),
+        Check("k0-rank", cls.amplified and cls.acyclic),
+    )
+    return K0ChainCheck(forward=forward, backward=backward, report=VerificationReport(checks))
+
+
+def forbid_smith_normal_form(monkeypatch) -> None:
+    """Make every ampgraph binding of ``smith_normal_form`` raise when called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("smith_normal_form ran on the runtime path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "ampgraph" or name.startswith("ampgraph."):
+            for attr, value in list(vars(module).items()):
+                if value is smith_normal_form:
+                    monkeypatch.setattr(module, attr, refuse)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
+import dataclasses
+
 import pytest
 
 from ampgraph import coxeter, cw
 from ampgraph import (
     OMEGA,
     AmpGraph,
+    CKElement,
     DynkinSpec,
+    GeneratorMap,
     check_chain_k0,
     cw_kk_summary,
     flag_graph,
+    multi_sink_splitting,
     skeleton_filtration,
     summarize_filtration,
     word_label,
@@ -130,6 +135,29 @@ def test_skeleton_match_negative_control(corrupt):
     levels[2] = AmpGraph.from_edges(x2.vertices, fams)
     summary = summarize_filtration(filt.full, tuple(levels))
     assert [c.name for c in summary.report.checks if not c.passed] == ["skeleton-match-2"]
+    assert summary.report.check("skeleton-match-2").detail == (
+        "chain quotient differs from the level-2 skeleton"
+    )
+
+
+def test_k0_chain_negative_control(monkeypatch):
+    # the chain's first quotient map forgets one vertex class
+    def corrupted(*args):
+        chain = multi_sink_splitting(*args)
+        first = chain.steps[0]
+        m = first.quotient_map
+        images = dict(m.vertex_images, e=CKElement.zero(m.target))
+        bad = dataclasses.replace(
+            first, quotient_map=GeneratorMap(m.source, m.target, images, m.edge_images)
+        )
+        return dataclasses.replace(chain, steps=(bad,) + chain.steps[1:])
+
+    monkeypatch.setattr(cw, "multi_sink_splitting", corrupted)
+    report = cw_kk_summary(GR).report
+    assert [c.name for c in report.checks if not c.passed] == ["k0-step", "k0-chain"]
+    assert report.check("k0-chain").detail == (
+        "chain K_0 checks failed: k0-step-unimodular, k0-chain-inverse"
+    )
 
 
 def test_single_point_tower():

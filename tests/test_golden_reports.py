@@ -21,6 +21,8 @@ import pathlib
 
 from ampgraph.cli import BOUND_ENV, run_command
 
+from helpers import forbid_smith_normal_form
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_reports.json"
 
@@ -77,6 +79,8 @@ def digests() -> dict:
 def test_reports_match_golden_digests(monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv(BOUND_ENV, raising=False)
+    # every K_0 check in the mix is certified without a Smith normal form
+    forbid_smith_normal_form(monkeypatch)
     golden = json.loads(GOLDEN.read_text())
     actual = digests()
     assert actual.keys() == golden.keys()

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,29 +12,45 @@ import pytest
 from ampgraph import (
     AmpGraph,
     CKElement,
+    DynkinSpec,
     GeneratorMap,
     build_splitting,
     check_chain_k0,
     check_split_exact_k0,
+    cw_kk_summary,
+    first_sink_first_star,
     induced_k0,
-    kernel_basis,
     kk_chain,
+    load_graph,
     multi_sink_splitting,
-    smith_normal_form,
-    unimodular_inverse,
+    prefer_source_star,
+    valid_stars,
 )
-from ampgraph.ktheory import diagonal_of
+from ampgraph import ktheory
+from ampgraph.ktheory import smith_normal_form
 
 from helpers import (
     as_array,
+    check_chain_k0_oracle,
+    check_split_exact_k0_oracle,
     det_oracle,
     determinant,
+    dense,
+    diagonal_of,
     example_graph,
     invariant_factors_by_minors,
     is_identity,
+    forbid_smith_normal_form,
+    kernel_basis,
+    matmul,
+    random_amplified_dag,
     random_int_matrix,
     snf_diag_oracle,
+    unimodular_inverse,
 )
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def eye(n):
@@ -106,6 +123,17 @@ def test_snf_certificate_and_minors(seed):
     assert tuple(nonzero) == snf_diag_oracle(a)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_matches_smith_normal_form(seed):
+    # the rank decides k0-kernel when a step has no left-inverse certificate
+    rng = random.Random(500 + seed)
+    rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+    a = random_int_matrix(rng, rows, cols, bound=rng.choice((1, 3, 9)))
+    columns = tuple({i: a[i][j] for i in range(rows) if a[i][j]} for j in range(cols))
+    _, d, _ = smith_normal_form(a, cols)
+    assert ktheory._rank(columns) == sum(1 for x in diagonal_of(d) if x)
+
+
 def test_kernel_basis():
     a = ((1, 1), (1, 1))
     k = kernel_basis(a, 2)
@@ -135,28 +163,33 @@ def test_unimodular_inverse():
 
 def test_induced_k0_identity_and_quotient():
     g = example_graph()
-    assert induced_k0(GeneratorMap.identity(g)) == eye(5)
+    assert induced_k0(GeneratorMap.identity(g)) == tuple({i: 1} for i in range(5))
     q = GeneratorMap.quotient(g, ("v4",))
     # rows v1,v2,v3,v5 and columns v1..v5; the v4 column is killed
-    assert list(map(list, induced_k0(q))) == [
-        [1, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0],
-        [0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 1],
-    ]
+    assert induced_k0(q) == ({0: 1}, {1: 1}, {2: 1}, {}, {3: 1})
 
 
 def test_induced_k0_section_star_v2():
     sd = build_splitting(example_graph(), "v4", "v2")
     s = induced_k0(sd.sigma)
     # columns v1,v2,v3,v5; the v2 column carries the extra sink class
-    assert list(map(list, s)) == [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ]
+    assert dense(s, 5) == (
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 0, 1, 0),
+        (0, 1, 0, 0),
+        (0, 0, 0, 1),
+    )
+
+
+def test_induced_k0_counts_projections_onto_one_vertex():
+    # two range projections of the amplified family v1 -> v2: class 2 [p_v2]
+    g = example_graph()
+    ident = GeneratorMap.identity(g)
+    e0, e1 = (CKElement.edge(g, "v1", "v2", index=i) for i in (0, 1))
+    images = dict(ident.vertex_images, v2=e0 * e0.adjoint() + e1 * e1.adjoint())
+    cols = induced_k0(GeneratorMap(g, g, images, ident.edge_images))
+    assert cols[1] == {1: 2}
 
 
 def test_induced_k0_rejects_non_projection_images():
@@ -258,8 +291,7 @@ K0_NEGATIVE_CONTROLS = {
     "k0-kernel": lambda: _split_report(None, quotient_map={"v4": "v5"}),
     "k0-decomposition": lambda: _split_report(sigma={"v3": "v5"}),
     "k0-step-unimodular": lambda: _chain_report(sigma={"v3": "v2"}),
-    "k0-chain-left-inverse": lambda: _chain_report(quotient_map={"v5": None}),
-    "k0-chain-right-inverse": lambda: _chain_report(quotient_map={"v5": None}),
+    "k0-chain-inverse": lambda: _chain_report(quotient_map={"v5": None}),
     "k0-rank": _cyclic_chain_report,
 }
 
@@ -274,6 +306,245 @@ def test_k0_check_fails_on_corrupted_input(name):
     report = K0_NEGATIVE_CONTROLS[name]()
     assert not report.check(name).passed
     assert not report.ok
+
+
+def test_failing_k0_checks_say_what_failed():
+    healthy = {c.name: c.detail for c in _split_report().checks + _chain_report().checks}
+    for name, control in K0_NEGATIVE_CONTROLS.items():
+        failed = control().check(name)
+        assert failed.detail and failed.detail != healthy.get(name), name
+
+
+def test_k0_kernel_detail_counts_the_kernel():
+    # Q moves the sink class onto p[v5]: the kernel is a line, not the sink's
+    moved = _split_report(None, quotient_map={"v4": "v5"}).check("k0-kernel")
+    assert moved.detail == "kernel rank 1, expected the sink line"
+    # Q also kills p[v5]: the kernel is a plane
+    plane = _split_report(quotient_map={"v5": None}).check("k0-kernel")
+    assert plane.detail == "kernel rank 2, expected the sink line"
+
+
+def test_failed_step_names_the_half_that_failed():
+    detail = _chain_report(sigma={"v3": "v2"}).check("k0-step-unimodular").detail
+    assert detail == (
+        "step at 'v4': no left inverse certifies [e_sink | S]: Q S is not the identity"
+    )
+    moved = _chain_report(quotient_map={"v4": "v5"}).check("k0-step-unimodular")
+    assert moved.detail.endswith(
+        ": Q S is not the identity and Q does not kill the sink class"
+    )
+
+
+def test_failed_step_still_assembles_the_chain():
+    report = _chain_report(sigma={"v3": "v2"})
+    assert [c.name for c in report.checks] == [
+        "k0-step-unimodular", "k0-chain-inverse", "k0-rank",
+    ]
+    assert report.check("k0-rank").passed
+
+
+# ---------------------------------------------------------------------------
+# the certificate against the Smith-normal-form path it replaced
+
+
+def _outcome(check, arg):
+    """The check's result, or the message of the ValueError it raised."""
+    try:
+        return check(arg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _verdicts(report):
+    return [(c.name, c.passed) for c in report.checks]
+
+
+def _assert_split_matches_oracle(sd):
+    new = _outcome(check_split_exact_k0, sd)
+    old = _outcome(check_split_exact_k0_oracle, sd)
+    if isinstance(new, str) or isinstance(old, str):
+        assert new == old
+        return
+    assert _verdicts(new.report) == _verdicts(old.report)
+    assert new.report.check("k0-kernel").detail == old.report.check("k0-kernel").detail
+    assert (new.q, new.s, new.inclusion) == (old.q, old.s, old.inclusion)
+
+
+def _certified(sd) -> bool:
+    """Q S = I and Q e_sink = 0, recomputed on dense matrices."""
+    q = dense(induced_k0(sd.quotient_map), len(sd.quotient_graph.vertices))
+    s = dense(induced_k0(sd.sigma), len(sd.working.vertices))
+    k = sd.working.index(sd.sink)
+    return matmul(q, s) == eye(len(q)) and all(row[k] == 0 for row in q)
+
+
+def _compare_chain_with_oracle(chain) -> str:
+    """Assert the new chain check agrees with the Smith oracle; name the case.
+
+    The two agree exactly when every step has a left-inverse certificate.
+    They may differ only through the stricter step check: the first step
+    whose Q S is not the identity, or whose Q does not kill the sink class,
+    fails ``k0-step-unimodular`` even when ``[e_sink | S]`` is unimodular,
+    which the Smith path accepts.
+    """
+    new = _outcome(check_chain_k0, chain)
+    old = _outcome(check_chain_k0_oracle, chain)
+    if isinstance(old, str):
+        assert new == old
+        return "refused"
+    if isinstance(new, str):
+        # Smith stopped at a failed step before reaching the refused maps
+        refusals = [_outcome(_step_columns, sd) for sd in chain.steps]
+        refused = next(i for i, r in enumerate(refusals) if isinstance(r, str))
+        assert refusals[refused] == new
+        assert _oracle_failed_step(chain, old) < refused
+        return "refused"
+    for sd in chain.steps:
+        _assert_split_matches_oracle(sd)
+    names = [c.name for c in new.report.checks]
+    if "k0-step-unimodular" not in names:
+        assert all(_certified(sd) for sd in chain.steps)
+        assert _verdicts(new.report) == _verdicts(old.report)
+        assert (new.forward, new.backward) == (old.forward, old.backward)
+        return "agree"
+    n = len(chain.ambient.vertices)
+    assert names == ["k0-step-unimodular", "k0-chain-inverse", "k0-rank"]
+    assert len(new.forward) == len(new.backward) == n
+    first = next(i for i, sd in enumerate(chain.steps) if not _certified(sd))
+    detail = new.report.check("k0-step-unimodular").detail
+    assert detail.startswith(f"step at {chain.steps[first].sink!r}: ")
+    cls = chain.ambient.classify()
+    assert new.report.check("k0-rank").passed == (cls.amplified and cls.acyclic)
+    if any(c.name == "k0-step-unimodular" for c in old.report.checks):
+        # a step that is not unimodular has no certificate: Smith stops at or
+        # after the first uncertified step
+        assert _oracle_failed_step(chain, old) >= first
+        return "both-fail-step"
+    return "stricter-step"
+
+
+def _step_columns(sd):
+    return induced_k0(sd.sigma), induced_k0(sd.quotient_map)
+
+
+def _oracle_failed_step(chain, old) -> int:
+    """The index of the step at which the Smith oracle stopped."""
+    (check,) = old.report.checks
+    assert check.name == "k0-step-unimodular"
+    return next(i for i, sd in enumerate(chain.steps) if check.detail == f"step at {sd.sink!r}")
+
+
+#: Gr(2,4), Gr(2,5), Gr(3,6), Gr(3,7), full A3 and A4 {1,3}: the benchmark's cw ladder
+CW_LADDER = [
+    DynkinSpec(rank, frozenset(tags))
+    for rank, tags in ((3, {2}), (4, {2}), (5, {3}), (6, {3}), (3, {1, 2, 3}), (4, {1, 3}))
+]
+
+
+def _golden_chains():
+    """The removal chains of the golden report mix: fixtures and cw specs."""
+    chains = []
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        g = load_graph(path)
+        for policy in (first_sink_first_star, prefer_source_star):
+            chains.append(kk_chain(g, policy))
+    for spec in CW_LADDER:
+        chains.append(cw_kk_summary(spec).chain)
+    return chains
+
+
+def test_k0_checks_match_smith_oracle_on_golden_mix():
+    for chain in _golden_chains():
+        assert _compare_chain_with_oracle(chain) == "agree"
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        g = load_graph(path)
+        for sink in g.classify().sinks:
+            for star in (None, *valid_stars(g, sink)):
+                _assert_split_matches_oracle(build_splitting(g, sink, star))
+
+
+def _random_chain(rng):
+    g = random_amplified_dag(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7)))
+    return kk_chain(g, rng.choice((first_sink_first_star, prefer_source_star)))
+
+
+def test_k0_checks_match_smith_oracle_on_random_chains():
+    rng = random.Random(20261018)
+    for _ in range(120):
+        assert _compare_chain_with_oracle(_random_chain(rng)) == "agree"
+
+
+def _scaled_image(m: GeneratorMap, v: str) -> CKElement:
+    """An image of ``p[v]`` with twice the K_0 class, where the target allows it.
+
+    Two range projections of one amplified family into a vertex of the
+    image double that class.  Without such a family the image is doubled as
+    an element, which both paths refuse alike.
+    """
+    img = m.vertex_images[v]
+    ranges = {w.alpha.range for w, _ in img.terms}
+    fam = next(((a, b) for a, b, mult in m.target.families() if b in ranges and mult != 1), None)
+    if fam is None:
+        return 2 * img
+    e0, e1 = (CKElement.edge(m.target, *fam, index=i) for i in (0, 1))
+    return e0 * e0.adjoint() + e1 * e1.adjoint()
+
+
+def _corrupt(m: GeneratorMap, kind: str, rng) -> GeneratorMap:
+    vimgs = dict(m.vertex_images)
+    v = rng.choice(m.source.vertices)
+    if kind == "scaled":
+        vimgs[v] = _scaled_image(m, v)
+    elif kind == "dropped":
+        terms = vimgs[v].terms
+        vimgs[v] = CKElement.from_terms(m.target, terms[:-1])
+    elif kind == "swapped":
+        w = rng.choice(m.source.vertices)
+        vimgs[v], vimgs[w] = vimgs[w], vimgs[v]
+    else:
+        vimgs[v] = CKElement.zero(m.target)
+    return GeneratorMap(m.source, m.target, vimgs, m.edge_images)
+
+
+def test_k0_checks_match_smith_oracle_on_corrupted_chains():
+    rng = random.Random(6)
+    seen = Counter()
+    for trial in range(400):
+        chain = _random_chain(rng)
+        steps = list(chain.steps)
+        # one or two damaged steps: the report must name the first
+        for at in rng.sample(range(len(steps)), min(len(steps), rng.choice((1, 2)))):
+            field = rng.choice(("sigma", "quotient_map"))
+            m = getattr(steps[at], field)
+            if m.source.vertices:
+                kind = rng.choice(("scaled", "dropped", "swapped", "zeroed"))
+                steps[at] = dataclasses.replace(steps[at], **{field: _corrupt(m, kind, rng)})
+        if steps != list(chain.steps):
+            bad = dataclasses.replace(chain, steps=tuple(steps))
+            seen[_compare_chain_with_oracle(bad)] += 1
+    # every kind of agreement and disagreement is reached
+    assert set(seen) == {"agree", "refused", "both-fail-step", "stricter-step"}, seen
+
+
+# ---------------------------------------------------------------------------
+# Smith normal forms stay off the runtime path
+
+
+def test_k0_checks_run_without_smith_normal_form(monkeypatch):
+    forbid_smith_normal_form(monkeypatch)
+    for spec in CW_LADDER:
+        assert cw_kk_summary(spec).report.ok
+    one = check_split_exact_k0(build_splitting(AmpGraph.from_edges(("v",)), "v", None))
+    assert one.report.ok
+    for name, control in K0_NEGATIVE_CONTROLS.items():
+        assert not control().check(name).passed
+
+
+def test_forbidding_smith_reaches_every_binding(monkeypatch):
+    forbid_smith_normal_form(monkeypatch)
+    with pytest.raises(AssertionError, match="runtime path"):
+        ktheory.smith_normal_form(((1,),), 1)
+    assert smith_normal_form(((2,),), 1)[1] == ((2,),)
 
 
 def test_import_does_not_load_numpy():

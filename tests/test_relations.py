@@ -189,6 +189,14 @@ def test_ck1_reports_the_least_failing_pair():
     )
 
 
+def test_ideal_names_what_failed():
+    assert _split(lambda sd: {"sink": "v1"}).check("ideal").detail == (
+        "v1 is not a sink of the working graph"
+    )
+    kept = _split(lambda sd: {"sigma": GeneratorMap.identity(sd.working)}).check("ideal")
+    assert kept.detail == "the quotient graph is not the working graph without v4"
+
+
 def test_section_identity_names_the_moved_generator():
     assert _split(_swap_sigma).check("section-identity").detail == (
         "q(sigma(p[v3])) != p[v3]"
