@@ -8,6 +8,15 @@ derived from the same structure and never carries extra information.
 
 Exit status: 0 when every check passed, 1 for input errors (bad files, bad
 flags, precondition violations), 2 when a mathematical verification failed.
+
+Each handler imports the layers it runs, inside its own body, and nothing at
+the top of this module loads one: a fresh process pays only for the modules
+its subcommand uses.  ``classify``, ``hereditary``, ``quotient``, ``stars``
+and ``ktheory`` load :mod:`~ampgraph.graphs` and :mod:`~ampgraph.graphio`;
+``flag`` adds :mod:`~ampgraph.coxeter`; ``split`` and ``chain`` add the
+algebra, splitting and K-theory layers; ``cw`` loads every layer except
+graph I/O.  The imports bind at call time, so a wrapper installed on a
+module attribute is what the handler calls.
 """
 
 from __future__ import annotations
@@ -17,30 +26,21 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .coxeter import DynkinSpec, MAX_RANK, flag_graph
-from .cw import cw_kk_summary
-from .graphio import graph_to_dict, load_graph
-from .graphs import AmpGraph
-from .ktheory import check_chain_k0, check_split_exact_k0
-from .splitting import (
-    VerificationFailure,
-    build_splitting,
-    first_sink_first_star,
-    kk_chain,
-    prefer_source_star,
-    valid_stars,
-    verify_split_exact,
-)
-from .algebra import VerificationReport
+from . import MAX_RANK
+
+if TYPE_CHECKING:
+    from .algebra import VerificationReport
+    from .coxeter import DynkinSpec
 
 DEFAULT_HEREDITARY_BOUND = 20
 BOUND_ENV = "CK_SPLIT_MAX_VERTICES"
 
+#: ``--policy`` value -> the star policy's name in :mod:`ampgraph.splitting`.
 _POLICIES = {
-    "first": first_sink_first_star,
-    "source": prefer_source_star,
+    "first": "first_sink_first_star",
+    "source": "prefer_source_star",
 }
 
 
@@ -80,6 +80,8 @@ def _checks_json(report: VerificationReport) -> list[dict]:
 
 
 def _cmd_classify(ns) -> tuple[bool, dict]:
+    from .graphio import load_graph
+
     g = load_graph(ns.file)
     cls = g.classify()
     return True, {
@@ -91,6 +93,8 @@ def _cmd_classify(ns) -> tuple[bool, dict]:
 
 
 def _cmd_hereditary(ns) -> tuple[bool, dict]:
+    from .graphio import load_graph
+
     g = load_graph(ns.file)
     if ns.closure is not None:
         given = _split_labels(ns.closure)
@@ -108,6 +112,8 @@ def _cmd_hereditary(ns) -> tuple[bool, dict]:
 
 
 def _cmd_quotient(ns) -> tuple[bool, dict]:
+    from .graphio import graph_to_dict, load_graph
+
     g = load_graph(ns.file)
     removed = _split_labels(ns.remove)
     q = g.quotient(removed)
@@ -118,11 +124,18 @@ def _cmd_quotient(ns) -> tuple[bool, dict]:
 
 
 def _cmd_stars(ns) -> tuple[bool, dict]:
+    from .graphio import load_graph
+    from .graphs import valid_stars
+
     g = load_graph(ns.file)
     return True, {"sink": ns.sink, "stars": list(valid_stars(g, ns.sink))}
 
 
 def _cmd_split(ns) -> tuple[bool, dict]:
+    from .graphio import load_graph
+    from .graphs import valid_stars
+    from .splitting import build_splitting, verify_split_exact
+
     g = load_graph(ns.file)
     if ns.embed:
         star = None
@@ -142,6 +155,8 @@ def _cmd_split(ns) -> tuple[bool, dict]:
         "section": sd.sigma.render_table(),
     }
     if ns.verify:
+        from .ktheory import check_split_exact_k0
+
         report = verify_split_exact(sd)
         k0 = check_split_exact_k0(sd)
         result["checks"] = _checks_json(report)
@@ -155,8 +170,12 @@ def _cmd_split(ns) -> tuple[bool, dict]:
 
 
 def _cmd_chain(ns) -> tuple[bool, dict]:
+    from . import splitting
+    from .graphio import load_graph
+    from .ktheory import check_chain_k0
+
     g = load_graph(ns.file)
-    chain = kk_chain(g, policy=_POLICIES[ns.policy])
+    chain = splitting.kk_chain(g, policy=getattr(splitting, _POLICIES[ns.policy]))
     k0 = check_chain_k0(chain)
     result = {
         "policy": ns.policy,
@@ -182,6 +201,8 @@ def _cmd_chain(ns) -> tuple[bool, dict]:
 
 
 def _cmd_ktheory(ns) -> tuple[bool, dict]:
+    from .graphio import load_graph
+
     g = load_graph(ns.file)
     cls = g.classify()
     if not cls.amplified:
@@ -196,15 +217,22 @@ def _cmd_ktheory(ns) -> tuple[bool, dict]:
 
 
 def _flag_spec(ns) -> DynkinSpec:
+    from .coxeter import DynkinSpec
+
     return DynkinSpec(rank=ns.rank, tagged=_parse_tags(ns.tag))
 
 
 def _cmd_flag(ns) -> tuple[bool, dict]:
+    from .coxeter import flag_graph
+    from .graphio import graph_to_dict
+
     g = flag_graph(_flag_spec(ns))
     return True, graph_to_dict(g)
 
 
 def _cmd_cw(ns) -> tuple[bool, dict]:
+    from .cw import cw_kk_summary
+
     summary = cw_kk_summary(_flag_spec(ns))
     result = {
         "summary": str(summary),
@@ -464,6 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_verification_failure(exc: BaseException) -> bool:
+    """Whether ``exc`` is a :class:`~ampgraph.splitting.VerificationFailure`.
+
+    Only :mod:`ampgraph.splitting` defines and raises it, so when that module
+    was never loaded no verification can have failed.
+    """
+    splitting = sys.modules.get("ampgraph.splitting")
+    return splitting is not None and isinstance(exc, splitting.VerificationFailure)
+
+
 def run_command(argv: list[str]) -> Report:
     """Execute one command line and return its report without printing.
 
@@ -478,12 +516,14 @@ def run_command(argv: list[str]) -> Report:
                       exit_code=1, as_json=_json_requested(argv))
     try:
         ok, result = _HANDLERS[ns.cmd](ns)
-    except VerificationFailure as exc:
-        return Report(command=command, ok=False, result=None, error=str(exc),
-                      exit_code=2, as_json=ns.json)
     except (ValueError, OSError) as exc:
         return Report(command=command, ok=False, result=None, error=str(exc),
                       exit_code=1, as_json=ns.json)
+    except RuntimeError as exc:
+        if not _is_verification_failure(exc):
+            raise
+        return Report(command=command, ok=False, result=None, error=str(exc),
+                      exit_code=2, as_json=ns.json)
     return Report(command=command, ok=ok, result=result, error=None,
                   exit_code=0 if ok else 2, as_json=ns.json)
 

@@ -33,10 +33,8 @@ from itertools import combinations
 from math import factorial, prod
 from typing import Iterable
 
+from . import MAX_RANK
 from .graphs import AmpGraph
-
-#: The largest accepted rank; fully tagged, rank 8 already gives 362,880 vertices.
-MAX_RANK = 8
 
 Perm = tuple[int, ...]
 

@@ -329,3 +329,18 @@ class AmpGraph:
         if not (via >> j) & 1:
             raise ValueError(f"no path of length >= 2 from {src!r} to {dst!r}")
         return AmpGraph(self.vertices, self.edges + ((src, dst, OMEGA),))
+
+
+def valid_stars(g: AmpGraph, sink: str) -> list[str]:
+    """All admissible star vertices for splitting off ``sink``.
+
+    A vertex ``v != sink`` qualifies when it is a source, or when every
+    vertex with an edge family into it also has a path to ``sink``.
+    """
+    cls = g.classify()
+    if sink not in cls.sinks:
+        raise ValueError(f"{sink!r} is not a sink")
+    reach = g._reach_masks()
+    bit = 1 << g.index(sink)
+    blocked = {dst for src, dst, _ in g.families() if not reach[g.index(src)] & bit}
+    return [v for v in g.vertices if v != sink and v not in blocked]

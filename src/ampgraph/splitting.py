@@ -37,26 +37,11 @@ from .algebra import (
     compose,
     verify_ck_family,
 )
-from .graphs import AmpGraph
+from .graphs import AmpGraph, valid_stars
 
 
 class VerificationFailure(RuntimeError):
     """A symbolic check that should hold by construction did not."""
-
-
-def valid_stars(g: AmpGraph, sink: str) -> list[str]:
-    """All admissible star vertices for splitting off ``sink``.
-
-    A vertex ``v != sink`` qualifies when it is a source, or when every
-    vertex with an edge family into it also has a path to ``sink``.
-    """
-    cls = g.classify()
-    if sink not in cls.sinks:
-        raise ValueError(f"{sink!r} is not a sink")
-    reach = g._reach_masks()
-    bit = 1 << g.index(sink)
-    blocked = {dst for src, dst, _ in g.families() if not reach[g.index(src)] & bit}
-    return [v for v in g.vertices if v != sink and v not in blocked]
 
 
 @dataclass(frozen=True)

@@ -213,13 +213,33 @@ def test_star_and_embed_are_mutually_exclusive(capsys):
     capsys.readouterr()
 
 
-def test_verification_failure_maps_to_2(monkeypatch, capsys):
+# command line -> the module attribute its handler resolves when it runs
+VERIFYING_COMMANDS = [
+    pytest.param(["chain", EXAMPLE], "ampgraph.splitting.kk_chain", id="chain"),
+    pytest.param(["split", EXAMPLE, "--sink", "v4", "--star", "v2", "--verify"],
+                 "ampgraph.splitting.verify_split_exact", id="split-verify"),
+    pytest.param(["cw", "--rank", "3", "--tag", "2"], "ampgraph.cw.cw_kk_summary", id="cw"),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv, target", VERIFYING_COMMANDS)
+def test_verification_failure_maps_to_2(monkeypatch, capsys, argv, target, as_json):
     def boom(*args, **kwargs):
         raise VerificationFailure("section-identity: forced failure")
 
-    monkeypatch.setattr(cli, "kk_chain", boom)
-    assert main(["chain", EXAMPLE]) == 2
-    assert "forced failure" in capsys.readouterr().err
+    monkeypatch.setattr(target, boom)
+    argv = argv + ["--json"] if as_json else argv
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    if as_json:
+        assert out.err == ""
+        doc = json.loads(out.out)
+        jsonschema.validate(doc, REPORT_SCHEMA)
+        assert doc == {"command": argv, "ok": False, "error": "section-identity: forced failure"}
+    else:
+        assert out.out == ""
+        assert out.err == "error: section-identity: forced failure\n"
 
 
 def test_split_default_star_is_first_valid():
