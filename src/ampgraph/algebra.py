@@ -32,6 +32,7 @@ they are checked on the templates, without multiplying words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -124,7 +125,15 @@ class CKWord:
         return " ".join(out)
 
 
+@lru_cache(maxsize=1 << 14)
 def projection_word(v: str) -> CKWord:
+    """The vertex word ``p_v``, one shared value per label.
+
+    Words are immutable and do not depend on a graph, so every caller may
+    hold the same one.  The cache keeps at most 16,384 labels, more than
+    any graph whose chain can be verified in practice; past that bound the
+    least recently used words are simply built again.
+    """
     p = Path(v)
     return CKWord(p, p)
 
@@ -418,44 +427,17 @@ class GeneratorMap:
         return self.vertex_images[v]
 
     def family_template(self, src: str, dst: str) -> EdgeTemplate:
-        try:
-            return self.edge_images[(src, dst)]
-        except KeyError:
-            raise ValueError(f"no source family {src!r} -> {dst!r}") from None
+        return _family_template(self, src, dst)
 
     def edge_image(self, e: EdgeRef) -> CKElement:
         """Instantiate the family template of ``e`` at its concrete index."""
-        tpl = self.family_template(e.src, e.dst)
-        if e.index < 0:
-            raise ValueError(f"negative edge index in {e!r}")
-        # Templates were validated at construction; skip re-validation here.
-        acc: dict[CKWord, int] = {}
-        for coeff, (src, dst) in tpl:
-            w = CKWord(Path(src, (EdgeRef(src, dst, e.index),)), Path(dst))
-            acc[w] = coeff
-        return CKElement._make(self.target, acc)
-
-    def _word_image(self, w: CKWord) -> CKElement:
-        """The product of the letter images of ``w``; ``m(p_v)`` only for a vertex word."""
-        if w.is_vertex:
-            return self.vertex_images[w.alpha.base]
-        letters = [self.edge_image(e) for e in w.alpha.edges]
-        letters += [self.edge_image(e).adjoint() for e in reversed(w.beta.edges)]
-        out = letters[0]
-        for y in letters[1:]:
-            out = out * y
-        return out
+        return _edge_image(self, e)
 
     def apply(self, x: CKElement) -> CKElement:
         """Push an element through the map, multiplying out letter images."""
         if x.graph != self.source:
             raise ValueError("element does not live over the map's source graph")
-        acc: dict[CKWord, int] = {}
-        for w, c in x.terms:
-            img = self._word_image(w)
-            for wz, cz in img.terms:
-                acc[wz] = acc.get(wz, 0) + cz * c
-        return CKElement._make(self.target, acc)
+        return _push(self, x.terms)
 
     def render_table(self) -> dict[str, str]:
         """Generator-by-generator rendering, symbolic in the family index."""
@@ -475,19 +457,83 @@ class GeneratorMap:
         return rows
 
 
-def compose(outer: GeneratorMap, inner: GeneratorMap) -> GeneratorMap:
-    """The composite ``outer . inner`` as a single generator map."""
+class _Tables(NamedTuple):
+    """The generator tables of a map, in :class:`GeneratorMap`'s field order.
+
+    What :func:`compose_tables` returns; ``GeneratorMap(*tables)`` validates
+    them into a map.
+    """
+
+    source: AmpGraph
+    target: AmpGraph
+    vertex_images: dict
+    edge_images: dict
+
+
+def _family_template(m, src: str, dst: str) -> EdgeTemplate:
+    try:
+        return m.edge_images[(src, dst)]
+    except KeyError:
+        raise ValueError(f"no source family {src!r} -> {dst!r}") from None
+
+
+def _edge_image(m, e: EdgeRef) -> CKElement:
+    """``m(s_e)``: the family template of ``e`` at its index, over ``m.target``."""
+    tpl = _family_template(m, e.src, e.dst)
+    if e.index < 0:
+        raise ValueError(f"negative edge index in {e!r}")
+    acc: dict[CKWord, int] = {}
+    for coeff, (src, dst) in tpl:
+        acc[CKWord(Path(src, (EdgeRef(src, dst, e.index),)), Path(dst))] = coeff
+    return CKElement._make(m.target, acc)
+
+
+def _push(m, terms: Iterable[tuple[CKWord, int]]) -> CKElement:
+    """``sum c m(w)`` over ``terms``, for the generator tables ``m``.
+
+    A vertex word goes to ``m(p_v)`` itself; any other word to the product
+    of its letter images.
+    """
+    acc: dict[CKWord, int] = {}
+    for w, c in terms:
+        if w.is_vertex:
+            img = m.vertex_images[w.alpha.base]
+        else:
+            letters = [_edge_image(m, e) for e in w.alpha.edges]
+            letters += [_edge_image(m, e).adjoint() for e in reversed(w.beta.edges)]
+            img = letters[0]
+            for y in letters[1:]:
+                img = img * y
+        for wz, cz in img.terms:
+            acc[wz] = acc.get(wz, 0) + cz * c
+    return CKElement._make(m.target, acc)
+
+
+def compose_tables(outer, inner) -> _Tables:
+    """The generator tables of ``outer . inner``, built without a map.
+
+    ``outer`` and ``inner`` are generator maps or tables.  Each vertex image
+    of ``inner`` is pushed through ``outer`` and each template of ``inner``
+    is substituted into ``outer``'s templates, so the result is valid
+    whenever both inputs are.
+    """
     if inner.target != outer.source:
         raise ValueError("maps do not compose: inner target differs from outer source")
-    vimgs = {v: outer.apply(img) for v, img in inner.vertex_images.items()}
-    eimgs: dict[tuple[str, str], EdgeTemplate] = {}
-    for fam, tpl in inner.edge_images.items():
-        entries: list[tuple[int, tuple[str, str]]] = []
-        for coeff, mid in tpl:
-            for c2, out_fam in outer.edge_images[mid]:
-                entries.append((coeff * c2, out_fam))
-        eimgs[fam] = _normalize_template(entries)
-    return GeneratorMap(inner.source, outer.target, vimgs, eimgs)
+    vimgs = {v: _push(outer, img.terms) for v, img in inner.vertex_images.items()}
+    eimgs = {
+        fam: _normalize_template(
+            (coeff * c2, out_fam)
+            for coeff, mid in tpl
+            for c2, out_fam in outer.edge_images[mid]
+        )
+        for fam, tpl in inner.edge_images.items()
+    }
+    return _Tables(inner.source, outer.target, vimgs, eimgs)
+
+
+def compose(outer: GeneratorMap, inner: GeneratorMap) -> GeneratorMap:
+    """The composite ``outer . inner`` as a single generator map."""
+    return GeneratorMap(*compose_tables(outer, inner))
 
 
 # ---------------------------------------------------------------------------

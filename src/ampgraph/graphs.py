@@ -94,6 +94,10 @@ class AmpGraph:
     _reach: tuple[int, ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    #: Shape facts, filled on first use by :meth:`classify`.
+    _class: GraphClass | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
@@ -179,7 +183,7 @@ class AmpGraph:
 
     @property
     def is_amplified(self) -> bool:
-        return all(m is OMEGA for _, _, m in self.edges)
+        return self.classify().amplified
 
     # -- path structure --------------------------------------------------
 
@@ -206,7 +210,12 @@ class AmpGraph:
         return self._reach
 
     def classify(self) -> GraphClass:
-        """Classify the graph: amplification, acyclicity, sinks and sources."""
+        """Classify the graph: amplification, acyclicity, sinks and sources.
+
+        Computed once per graph; every later call returns the same value.
+        """
+        if self._class is not None:
+            return self._class
         entered = 0
         for mask in self._succ:
             entered |= mask
@@ -216,7 +225,11 @@ class AmpGraph:
         )
         reach = self._reach_masks()
         acyclic = all(not (reach[i] >> i) & 1 for i in range(len(self.vertices)))
-        return GraphClass(self.is_amplified, acyclic, sinks, sources)
+        amplified = all(m is OMEGA for _, _, m in self.edges)
+        object.__setattr__(
+            self, "_class", GraphClass(amplified, acyclic, sinks, sources)
+        )
+        return self._class
 
     def reachable_set(self, v: str) -> tuple[str, ...]:
         """All vertices reachable from ``v`` by a directed path of length >= 1."""

@@ -15,7 +15,9 @@ square integer matrix with an integer left inverse is unimodular, so
 when it fails is the kernel of Q decided by an exact rank.
 
 K_0 maps are held as sparse columns: column j is a dict from row index to
-the nonzero entries of that column.  Reports expose dense matrices, tuples
+the nonzero entries of that column.  A step's columns are extracted from its
+maps once and kept on its :class:`~ampgraph.splitting.SplitData`; both checks
+read them and neither writes to them.  Reports expose dense matrices, tuples
 of rows of Python ints, which serialise to JSON as they are.  A dense matrix
 with no rows is ``()`` and does not record its column count.
 """
@@ -89,6 +91,13 @@ def _certificate_failure(q: Columns, s: Columns, k: int) -> str | None:
     return " and ".join(failed) or None
 
 
+def _step_columns(sd: SplitData) -> tuple[Columns, Columns]:
+    """The step's K_0 columns ``(Q, S)``, extracted on first use and kept on ``sd``."""
+    if sd._k0 is None:
+        object.__setattr__(sd, "_k0", (induced_k0(sd.quotient_map), induced_k0(sd.sigma)))
+    return sd._k0
+
+
 def induced_k0(m: GeneratorMap) -> Columns:
     """The matrix of ``m`` on K_0 in the vertex bases, as sparse columns.
 
@@ -142,8 +151,7 @@ def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
     ``Z (+) Z^(N-1)``.  The first two make the left-inverse certificate, which
     proves the third; only without it is the kernel decided by the rank of Q.
     """
-    q = induced_k0(sd.quotient_map)
-    s = induced_k0(sd.sigma)
+    q, s = _step_columns(sd)
     n = len(sd.working.vertices)
     k = sd.working.index(sd.sink)
     section_ok = _is_left_inverse(q, s)
@@ -222,8 +230,7 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     failure = None
     for step, sd in enumerate(chain.steps):
         k = sd.working.index(sd.sink)
-        s = induced_k0(sd.sigma)
-        q = induced_k0(sd.quotient_map)
+        q, s = _step_columns(sd)
         what = _certificate_failure(q, s, k)
         if what is not None and failure is None:
             failure = Check(

@@ -26,7 +26,8 @@ on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -34,7 +35,7 @@ from .algebra import (
     CKElement,
     GeneratorMap,
     VerificationReport,
-    compose,
+    compose_tables,
     verify_ck_family,
 )
 from .graphs import AmpGraph, valid_stars
@@ -60,6 +61,9 @@ class SplitData:
     sigma: GeneratorMap
     quotient_map: GeneratorMap
     augmented: tuple[tuple[str, str], ...]
+    #: The K_0 columns ``(Q, S)`` of ``quotient_map`` and ``sigma``, filled
+    #: on first use by :mod:`ampgraph.ktheory` and never mutated.
+    _k0: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     @property
     def quotient_graph(self) -> AmpGraph:
@@ -98,14 +102,14 @@ def _splitting_map(working: AmpGraph, source: AmpGraph, sink: str,
 def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str | None:
     """The first generator of ``section.source`` that ``quot . section`` moves.
 
-    The composite is compared with the identity generator by generator:
-    each vertex image against its projection, each edge template against
-    the family itself.  A template is index-uniform, so one comparison
-    covers every index; a moved family is reported at index 0.  ``None``
-    when every generator is fixed.
+    The composite is formed on the generator tables and compared with the
+    identity generator by generator: each vertex image against its
+    projection, each edge template against the family itself.  A template
+    is index-uniform, so one comparison covers every index; a moved family
+    is reported at index 0.  ``None`` when every generator is fixed.
     """
     src = section.source
-    both = compose(quot, section)
+    both = compose_tables(quot, section)
     for v in src.vertices:
         if both.vertex_images[v] != CKElement.projection(src, v):
             return f"p[{v}]"
@@ -290,22 +294,28 @@ class KKChain:
         return tuple(sd.sink for sd in self.steps)
 
     def composite_section(self) -> GeneratorMap:
-        """``sigma_1 . sigma_2 . ... `` from the terminal algebra upward."""
+        """``sigma_1 . sigma_2 . ...`` from the terminal algebra upward.
+
+        The steps' sections are composed on their generator tables, left to
+        right, and only the result is validated into a map; a one-step
+        chain's composite is its section.
+        """
         if not self.steps:
             return GeneratorMap.identity(self.ambient)
-        out = self.steps[0].sigma
-        for sd in self.steps[1:]:
-            out = compose(out, sd.sigma)
-        return out
+        if len(self.steps) == 1:
+            return self.steps[0].sigma
+        return GeneratorMap(*reduce(compose_tables, (sd.sigma for sd in self.steps)))
 
     def composite_quotient(self) -> GeneratorMap:
-        """``q_k . ... . q_1`` from the ambient algebra down to the terminal."""
+        """``q_k . ... . q_1`` from the ambient algebra down to the terminal.
+
+        Each step's quotient map is the quotient by its sink, so the
+        composite is the quotient by every removed sink at once, built as
+        one map; the sinks of a chain form a hereditary set.
+        """
         if not self.steps:
             return GeneratorMap.identity(self.ambient)
-        out = self.steps[0].quotient_map
-        for sd in self.steps[1:]:
-            out = compose(sd.quotient_map, out)
-        return out
+        return GeneratorMap.quotient(self.ambient, self.sinks)
 
     @property
     def iota_terms(self) -> tuple[str, ...]:

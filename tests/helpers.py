@@ -9,6 +9,7 @@ with the fast implementations under test, so agreement is meaningful.
 
 from __future__ import annotations
 
+import pathlib
 import random
 import sys
 from itertools import combinations, permutations, product
@@ -16,7 +17,16 @@ from math import gcd
 
 import numpy as np
 
-from ampgraph import OMEGA, AmpGraph
+from ampgraph import (
+    OMEGA,
+    AmpGraph,
+    DynkinSpec,
+    cw_kk_summary,
+    first_sink_first_star,
+    kk_chain,
+    load_graph,
+    prefer_source_star,
+)
 from ampgraph.algebra import (
     Check,
     CKElement,
@@ -25,9 +35,13 @@ from ampgraph.algebra import (
     GeneratorMap,
     Path,
     VerificationReport,
+    compose,
     projection_word,
 )
 from ampgraph.ktheory import K0ChainCheck, K0SplitCheck, induced_k0, smith_normal_form
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def example_graph() -> AmpGraph:
@@ -564,6 +578,120 @@ def forbid_smith_normal_form(monkeypatch) -> None:
             for attr, value in list(vars(module).items()):
                 if value is smith_normal_form:
                     monkeypatch.setattr(module, attr, refuse)
+
+
+# ---------------------------------------------------------------------------
+# chain corpora and composite oracles
+#
+# The composite oracles fold validated maps, one ``compose`` per step, where
+# ``KKChain`` folds generator tables and builds one map.  They share the
+# element arithmetic of ``compose``; what they check independently is the
+# fold, and the quotient by every sink at once against the steps' quotients.
+
+
+#: Gr(2,4), Gr(2,5), Gr(3,6), Gr(3,7), full A3 and A4 {1,3}: the benchmark's cw ladder
+CW_LADDER = [
+    DynkinSpec(rank, frozenset(tags))
+    for rank, tags in ((3, {2}), (4, {2}), (5, {3}), (6, {3}), (3, {1, 2, 3}), (4, {1, 3}))
+]
+
+
+def golden_chains():
+    """The removal chains of the golden report mix: fixtures and cw specs."""
+    chains = []
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        g = load_graph(path)
+        for policy in (first_sink_first_star, prefer_source_star):
+            chains.append(kk_chain(g, policy))
+    for spec in CW_LADDER:
+        chains.append(cw_kk_summary(spec).chain)
+    return chains
+
+
+def random_chain(rng: random.Random):
+    g = random_amplified_dag(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7)))
+    return kk_chain(g, rng.choice((first_sink_first_star, prefer_source_star)))
+
+
+def composite_section_oracle(chain) -> GeneratorMap:
+    """``sigma_1 . sigma_2 . ...``, one validated map per step."""
+    if not chain.steps:
+        return GeneratorMap.identity(chain.ambient)
+    out = chain.steps[0].sigma
+    for sd in chain.steps[1:]:
+        out = compose(out, sd.sigma)
+    return out
+
+
+def composite_quotient_oracle(chain) -> GeneratorMap:
+    """``q_k . ... . q_1``, one validated map per step."""
+    if not chain.steps:
+        return GeneratorMap.identity(chain.ambient)
+    out = chain.steps[0].quotient_map
+    for sd in chain.steps[1:]:
+        out = compose(sd.quotient_map, out)
+    return out
+
+
+def section_identity_failure_oracle(section: GeneratorMap, quot: GeneratorMap) -> str | None:
+    """The first generator of ``section.source`` that ``quot . section`` moves.
+
+    Each generator is pushed through both maps as an element, ``p[v]`` and
+    ``s[a>b#0]``, and compared with itself; nothing is composed.
+    """
+    src = section.source
+    for v in src.vertices:
+        x = CKElement.projection(src, v)
+        if quot.apply(section.apply(x)) != x:
+            return f"p[{v}]"
+    for a, b, _ in src.families():
+        x = CKElement.edge(src, a, b, 0)
+        if quot.apply(section.apply(x)) != x:
+            return f"s[{a}>{b}#0]"
+    return None
+
+
+def with_images(m: GeneratorMap, vimgs=None, eimgs=None) -> GeneratorMap:
+    return GeneratorMap(
+        m.source,
+        m.target,
+        dict(m.vertex_images, **(vimgs or {})),
+        {**m.edge_images, **(eimgs or {})},
+    )
+
+
+def map_corruptions(m: GeneratorMap, rng: random.Random) -> list[GeneratorMap]:
+    """One variant per kind of damage the map admits."""
+    out = []
+    live = [f for f in sorted(m.edge_images) if m.edge_images[f]]
+    if live:
+        f = rng.choice(live)
+        tpl = list(m.edge_images[f])
+        k = rng.randrange(len(tpl))
+        c, t = tpl[k]
+        scaled = tpl[:k] + [(c * rng.choice((-1, 2, 3)), t)] + tpl[k + 1 :]
+        out.append(with_images(m, eimgs={f: tuple(scaled)}))
+        out.append(with_images(m, eimgs={f: tuple(tpl[:k] + tpl[k + 1 :])}))
+        shared = [
+            (g, t) for g in live if g != f for _, t in m.edge_images[g]
+        ]
+        if shared:
+            _, t = rng.choice(shared)
+            out.append(with_images(m, eimgs={f: tuple(tpl) + ((1, t),)}))
+        # vertex images with edge words exercise the multiplied-out paths
+        s_t = CKElement.edge(m.target, *t)
+        v = rng.choice(m.source.vertices)
+        out.append(with_images(m, vimgs={v: m.vertex_images[v] + s_t * s_t.adjoint()}))
+        out.append(with_images(m, vimgs={v: s_t}))
+    verts = m.source.vertices
+    img = m.vertex_images
+    if len(verts) > 1:
+        v, w = rng.sample(verts, 2)
+        out.append(with_images(m, vimgs={v: img[w], w: img[v]}))
+    if len(verts) > 2:
+        v, *rest = rng.sample(verts, 3)
+        out.append(with_images(m, vimgs={w: img[v] for w in rest}))
+    return out
 
 
 # ---------------------------------------------------------------------------

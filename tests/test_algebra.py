@@ -60,6 +60,12 @@ def test_word_mul_matches_rewriting_oracle_exhaustively():
             assert word_mul(x, y) == oracle_word_mul(x, y), (x.render(), y.render())
 
 
+def test_projection_word_is_one_bounded_value_per_label():
+    assert projection_word("b") is projection_word("b")
+    assert projection_word("b") == CKWord(Path("b"), Path("b"))
+    assert projection_word.cache_info().maxsize is not None
+
+
 def test_word_mul_known_cases():
     g = line_graph()
     e = EdgeRef("a", "b", 0)

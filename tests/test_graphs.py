@@ -21,6 +21,15 @@ def test_classify_example():
     assert cls.sources == ("v1",)
 
 
+def test_classify_is_computed_once():
+    g = example_graph()
+    first = g.classify()
+    assert g.classify() is first
+    assert g.is_amplified is first.amplified
+    # the kept class is not part of the value
+    assert AmpGraph(g.vertices, g.edges) == g
+
+
 def test_classify_single_vertex():
     g = AmpGraph.from_edges(("v",))
     cls = g.classify()

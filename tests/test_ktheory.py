@@ -12,13 +12,11 @@ import pytest
 from ampgraph import (
     AmpGraph,
     CKElement,
-    DynkinSpec,
     GeneratorMap,
     build_splitting,
     check_chain_k0,
     check_split_exact_k0,
     cw_kk_summary,
-    first_sink_first_star,
     induced_k0,
     kk_chain,
     load_graph,
@@ -30,6 +28,7 @@ from ampgraph import ktheory
 from ampgraph.ktheory import smith_normal_form
 
 from helpers import (
+    CW_LADDER,
     as_array,
     check_chain_k0_oracle,
     check_split_exact_k0_oracle,
@@ -41,9 +40,10 @@ from helpers import (
     invariant_factors_by_minors,
     is_identity,
     forbid_smith_normal_form,
+    golden_chains,
     kernel_basis,
     matmul,
-    random_amplified_dag,
+    random_chain,
     random_int_matrix,
     snf_diag_oracle,
     unimodular_inverse,
@@ -206,6 +206,34 @@ def test_induced_k0_rejects_non_projection_images():
     overlapping = GeneratorMap(g, g, images, ident.edge_images)
     with pytest.raises(ValueError, match="non-orthogonal"):
         induced_k0(overlapping)
+
+
+def test_cw_kk_summary_extracts_each_step_map_once(monkeypatch):
+    original = ktheory.induced_k0
+    seen = []
+
+    def counted(m):
+        seen.append(m)
+        return original(m)
+
+    monkeypatch.setattr(ktheory, "induced_k0", counted)
+    for spec in CW_LADDER[:3]:
+        seen.clear()
+        summary = cw_kk_summary(spec)
+        assert summary.report.ok
+        # both K_0 checks read the columns of each step's two maps
+        assert len(seen) == 2 * len(summary.chain.steps)
+
+
+def test_k0_checks_leave_the_step_columns_unchanged():
+    for chain in (kk_chain(example_graph(), prefer_source_star), cw_kk_summary(CW_LADDER[0]).chain):
+        before = [check_split_exact_k0(sd) for sd in chain.steps]
+        chain_k0 = check_chain_k0(chain)
+        assert [check_split_exact_k0(sd) for sd in chain.steps] == before
+        assert check_chain_k0(chain) == chain_k0
+        # the kept columns are still what the step's maps induce
+        for sd in chain.steps:
+            assert sd._k0 == (induced_k0(sd.quotient_map), induced_k0(sd.sigma))
 
 
 @pytest.mark.parametrize("star", ["v1", "v2", "v3", None])
@@ -434,27 +462,8 @@ def _oracle_failed_step(chain, old) -> int:
     return next(i for i, sd in enumerate(chain.steps) if check.detail == f"step at {sd.sink!r}")
 
 
-#: Gr(2,4), Gr(2,5), Gr(3,6), Gr(3,7), full A3 and A4 {1,3}: the benchmark's cw ladder
-CW_LADDER = [
-    DynkinSpec(rank, frozenset(tags))
-    for rank, tags in ((3, {2}), (4, {2}), (5, {3}), (6, {3}), (3, {1, 2, 3}), (4, {1, 3}))
-]
-
-
-def _golden_chains():
-    """The removal chains of the golden report mix: fixtures and cw specs."""
-    chains = []
-    for path in sorted((ROOT / "fixtures").glob("*.json")):
-        g = load_graph(path)
-        for policy in (first_sink_first_star, prefer_source_star):
-            chains.append(kk_chain(g, policy))
-    for spec in CW_LADDER:
-        chains.append(cw_kk_summary(spec).chain)
-    return chains
-
-
 def test_k0_checks_match_smith_oracle_on_golden_mix():
-    for chain in _golden_chains():
+    for chain in golden_chains():
         assert _compare_chain_with_oracle(chain) == "agree"
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         g = load_graph(path)
@@ -463,15 +472,10 @@ def test_k0_checks_match_smith_oracle_on_golden_mix():
                 _assert_split_matches_oracle(build_splitting(g, sink, star))
 
 
-def _random_chain(rng):
-    g = random_amplified_dag(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7)))
-    return kk_chain(g, rng.choice((first_sink_first_star, prefer_source_star)))
-
-
 def test_k0_checks_match_smith_oracle_on_random_chains():
     rng = random.Random(20261018)
     for _ in range(120):
-        assert _compare_chain_with_oracle(_random_chain(rng)) == "agree"
+        assert _compare_chain_with_oracle(random_chain(rng)) == "agree"
 
 
 def _scaled_image(m: GeneratorMap, v: str) -> CKElement:
@@ -510,7 +514,7 @@ def test_k0_checks_match_smith_oracle_on_corrupted_chains():
     rng = random.Random(6)
     seen = Counter()
     for trial in range(400):
-        chain = _random_chain(rng)
+        chain = random_chain(rng)
         steps = list(chain.steps)
         # one or two damaged steps: the report must name the first
         for at in rng.sample(range(len(steps)), min(len(steps), rng.choice((1, 2)))):

@@ -20,7 +20,13 @@ from ampgraph import (
     verify_split_exact,
 )
 
-from helpers import example_graph, random_amplified_dag, verify_ck_family_oracle
+from helpers import (
+    example_graph,
+    map_corruptions,
+    random_amplified_dag,
+    verify_ck_family_oracle,
+    with_images,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -49,49 +55,6 @@ def _corpus() -> list[tuple[str, GeneratorMap]]:
     return out
 
 
-def _with(m: GeneratorMap, vimgs=None, eimgs=None) -> GeneratorMap:
-    return GeneratorMap(
-        m.source,
-        m.target,
-        dict(m.vertex_images, **(vimgs or {})),
-        {**m.edge_images, **(eimgs or {})},
-    )
-
-
-def _corruptions(m: GeneratorMap, rng: random.Random) -> list[GeneratorMap]:
-    """One variant per kind of damage the map admits."""
-    out = []
-    live = [f for f in sorted(m.edge_images) if m.edge_images[f]]
-    if live:
-        f = rng.choice(live)
-        tpl = list(m.edge_images[f])
-        k = rng.randrange(len(tpl))
-        c, t = tpl[k]
-        scaled = tpl[:k] + [(c * rng.choice((-1, 2, 3)), t)] + tpl[k + 1 :]
-        out.append(_with(m, eimgs={f: tuple(scaled)}))
-        out.append(_with(m, eimgs={f: tuple(tpl[:k] + tpl[k + 1 :])}))
-        shared = [
-            (g, t) for g in live if g != f for _, t in m.edge_images[g]
-        ]
-        if shared:
-            _, t = rng.choice(shared)
-            out.append(_with(m, eimgs={f: tuple(tpl) + ((1, t),)}))
-        # vertex images with edge words exercise the multiplied-out paths
-        s_t = CKElement.edge(m.target, *t)
-        v = rng.choice(m.source.vertices)
-        out.append(_with(m, vimgs={v: m.vertex_images[v] + s_t * s_t.adjoint()}))
-        out.append(_with(m, vimgs={v: s_t}))
-    verts = m.source.vertices
-    img = m.vertex_images
-    if len(verts) > 1:
-        v, w = rng.sample(verts, 2)
-        out.append(_with(m, vimgs={v: img[w], w: img[v]}))
-    if len(verts) > 2:
-        v, *rest = rng.sample(verts, 3)
-        out.append(_with(m, vimgs={w: img[v] for w in rest}))
-    return out
-
-
 def test_template_checker_matches_word_level_oracle():
     rng = random.Random(20261018)
     corpus = _corpus()
@@ -102,7 +65,7 @@ def test_template_checker_matches_word_level_oracle():
         # the oracle's cost grows with the square of the family count
         if len(m.edge_images) > 24:
             continue
-        for k, bad in enumerate(_corruptions(m, rng)):
+        for k, bad in enumerate(map_corruptions(m, rng)):
             want = verify_ck_family_oracle(bad)
             assert verify_ck_family(bad) == want, (name, k, want.render())
             failing += not want.ok
@@ -123,7 +86,7 @@ def _ck_report(g: AmpGraph, vimgs=None, eimgs=None):
     ident = GeneratorMap.identity(g)
     vimgs = {v: CKElement.projection(g, w) if isinstance(w, str) else w
              for v, w in (vimgs or {}).items()}
-    return verify_ck_family(_with(ident, vimgs, eimgs))
+    return verify_ck_family(with_images(ident, vimgs, eimgs))
 
 
 def _split(change):
@@ -134,12 +97,12 @@ def _split(change):
 def _swap_sigma(sd):
     m = sd.sigma
     img = m.vertex_images
-    return {"sigma": _with(m, vimgs={"v3": img["v5"], "v5": img["v3"]})}
+    return {"sigma": with_images(m, vimgs={"v3": img["v5"], "v5": img["v3"]})}
 
 
 def _collapse_quotient(sd):
     m = sd.quotient_map
-    return {"quotient_map": _with(m, vimgs={"v5": m.vertex_images["v3"]})}
+    return {"quotient_map": with_images(m, vimgs={"v5": m.vertex_images["v3"]})}
 
 
 RELATION_NEGATIVE_CONTROLS = {
@@ -204,7 +167,7 @@ def test_section_identity_names_the_moved_generator():
 
     def moved_edge(sd):
         m = sd.sigma
-        return {"sigma": _with(m, eimgs={("v1", "v3"): ((1, ("v1", "v2")),)})}
+        return {"sigma": with_images(m, eimgs={("v1", "v3"): ((1, ("v1", "v2")),)})}
 
     assert _split(moved_edge).check("section-identity").detail == (
         "q(sigma(s[v1>v3#0])) != s[v1>v3#0]"

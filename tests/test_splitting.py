@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,20 +7,34 @@ from ampgraph import (
     AmpGraph,
     KKChain,
     CKElement,
+    DynkinSpec,
     GeneratorMap,
     OMEGA,
     VerificationFailure,
     build_splitting,
     compose,
+    cw_kk_summary,
     explicit_steps,
+    flag_graph,
     kk_chain,
     multi_sink_splitting,
     prefer_source_star,
     valid_stars,
+    verify_ck_family,
     verify_split_exact,
 )
+from ampgraph import splitting
 
-from helpers import example_graph, random_amplified_dag
+from helpers import (
+    composite_quotient_oracle,
+    composite_section_oracle,
+    example_graph,
+    golden_chains,
+    map_corruptions,
+    random_amplified_dag,
+    random_chain,
+    section_identity_failure_oracle,
+)
 
 
 def test_valid_stars_example():
@@ -237,3 +252,100 @@ def test_random_chains_verify(seed):
     section = chain.composite_section()
     quot = chain.composite_quotient()
     assert compose(quot, section) == GeneratorMap.identity(chain.terminal)
+
+
+def test_composite_section_ck_failure_is_reported(monkeypatch):
+    healthy = KKChain.composite_section
+
+    def doubled(chain):
+        section = healthy(chain)
+        v = section.source.vertices[0]
+        vimgs = dict(section.vertex_images, **{v: 2 * section.vertex_images[v]})
+        return GeneratorMap(section.source, section.target, vimgs, section.edge_images)
+
+    monkeypatch.setattr(KKChain, "composite_section", doubled)
+    with pytest.raises(VerificationFailure, match="composite section failed verification"):
+        multi_sink_splitting(example_graph(), ["v4", "v5"])
+
+
+# ---------------------------------------------------------------------------
+# each verified map is built once
+
+
+@pytest.mark.parametrize("rank, tags", [(3, {2}), (3, {1, 2, 3}), (4, {1, 3})])
+def test_multi_sink_splitting_builds_two_maps_per_step_and_two_composites(
+    monkeypatch, rank, tags
+):
+    spec = DynkinSpec(rank, frozenset(tags))
+    g = flag_graph(spec)
+    sinks = list(cw_kk_summary(spec).chain.sinks)
+    original = GeneratorMap.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GeneratorMap, "__post_init__", counted)
+    chain = multi_sink_splitting(g, sinks)
+    steps = len(chain.steps)
+    assert steps == len(sinks) > 1
+    # a section and a quotient map per step, then each composite once
+    assert len(built) == 2 * steps + 2
+
+
+# ---------------------------------------------------------------------------
+# composites against the oracle folds of validated maps
+
+
+def _assert_composites_match_oracle(chain) -> tuple[bool, bool]:
+    """Compare the composites and both verdicts with the oracles; return the verdicts."""
+    section, quot = chain.composite_section(), chain.composite_quotient()
+    want_section, want_quot = composite_section_oracle(chain), composite_quotient_oracle(chain)
+    assert section == want_section
+    assert quot == want_quot
+    unital = all(sd.star is not None for sd in chain.steps)
+    report = verify_ck_family(section, require_unital=unital)
+    assert report == verify_ck_family(want_section, require_unital=unital)
+    moved = splitting._section_identity_failure(section, quot)
+    assert moved == section_identity_failure_oracle(want_section, want_quot)
+    return report.ok, moved is None
+
+
+def test_composites_match_oracle_on_golden_mix():
+    # the fixtures under both policies, then the six cw-ladder chains
+    for chain in golden_chains():
+        assert _assert_composites_match_oracle(chain) == (True, True)
+
+
+def test_composites_match_oracle_on_random_chains():
+    rng = random.Random(20261018)
+    for _ in range(120):
+        assert _assert_composites_match_oracle(random_chain(rng)) == (True, True)
+
+
+def test_composites_match_oracle_on_corrupted_chains():
+    """One step's section damaged; the composites and verdicts still agree.
+
+    The composite quotient is the quotient by every removed sink, built
+    from the ambient graph, so only sections are damaged here; a step's
+    quotient map is built by the same ``GeneratorMap.quotient``.
+    """
+    rng = random.Random(8)
+    verdicts = set()
+    trials = 0
+    while trials < 120:
+        chain = random_chain(rng)
+        if len(chain.steps) < 2:
+            continue
+        at = rng.randrange(len(chain.steps))
+        damaged = map_corruptions(chain.steps[at].sigma, rng)
+        if not damaged:
+            continue
+        trials += 1
+        steps = list(chain.steps)
+        steps[at] = dataclasses.replace(steps[at], sigma=rng.choice(damaged))
+        bad = dataclasses.replace(chain, steps=tuple(steps))
+        verdicts.add(_assert_composites_match_oracle(bad))
+    # the damage reaches both checks, and the CK check alone
+    assert {(False, False), (False, True)} <= verdicts, verdicts
