@@ -31,7 +31,7 @@ they are checked on the templates, without multiplying words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -309,6 +309,16 @@ def _check_edge(graph: AmpGraph, e: EdgeRef) -> None:
         )
 
 
+def _diagonal(x: CKElement) -> dict[str, int] | None:
+    """The coefficients of ``x`` on vertex projections, or None if any other word occurs."""
+    out: dict[str, int] = {}
+    for w, c in x.terms:
+        if not w.is_vertex:
+            return None
+        out[w.alpha.base] = c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # generator maps
 
@@ -319,6 +329,26 @@ EdgeTemplate = tuple[tuple[int, tuple[str, str]], ...]
 
 
 def _normalize_template(entries: Iterable[tuple[int, tuple[str, str]]]) -> EdgeTemplate:
+    """Sum repeated families, drop zero coefficients and sort by family.
+
+    A template already in that form, a tuple of ``(nonzero int, (src, dst))``
+    pairs with strictly increasing families, is returned as it is.
+    """
+    if type(entries) is tuple:
+        prev = None
+        for entry in entries:
+            if type(entry) is not tuple or len(entry) != 2:
+                break
+            c, fam = entry
+            if (
+                type(c) is not int or not c
+                or type(fam) is not tuple or len(fam) != 2
+                or (prev is not None and not prev < fam)
+            ):
+                break
+            prev = fam
+        else:
+            return entries
     acc: dict[tuple[str, str], int] = {}
     for coeff, fam in entries:
         fam = (fam[0], fam[1])
@@ -342,6 +372,10 @@ class GeneratorMap:
     target: AmpGraph
     vertex_images: dict
     edge_images: dict
+    #: ``v -> {target vertex: coefficient}`` for each vertex image that is
+    #: an integer sum of vertex projections, ``None`` for one with any
+    #: other word; the checks decide tabled images on these coefficients.
+    _diag: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.source.is_amplified or not self.target.is_amplified:
@@ -349,9 +383,11 @@ class GeneratorMap:
         vimgs = dict(self.vertex_images)
         if set(vimgs) != set(self.source.vertices):
             raise ValueError("vertex images must cover exactly the source vertices")
+        diag = {}
         for v, img in vimgs.items():
             if img.graph != self.target:
                 raise ValueError(f"image of p[{v}] lives over the wrong graph")
+            diag[v] = _diagonal(img)
         eimgs = {
             fam: _normalize_template(tpl)
             for fam, tpl in dict(self.edge_images).items()
@@ -368,6 +404,7 @@ class GeneratorMap:
                     )
         object.__setattr__(self, "vertex_images", vimgs)
         object.__setattr__(self, "edge_images", eimgs)
+        object.__setattr__(self, "_diag", diag)
 
     # -- canned maps ---------------------------------------------------------
 
@@ -509,6 +546,41 @@ def _push(m, terms: Iterable[tuple[CKWord, int]]) -> CKElement:
     return CKElement._make(m.target, acc)
 
 
+def _push_diagonal(m: GeneratorMap, diag: dict[str, int]) -> dict[str, int] | None:
+    """``sum_x d_x m(p_x)`` as a table for the table ``diag``, zeros dropped.
+
+    ``None`` when some ``m(p_x)`` has a word other than a vertex projection.
+    """
+    acc: dict[str, int] = {}
+    for x, c in diag.items():
+        img = m._diag[x]
+        if img is None:
+            return None
+        for y, d in img.items():
+            acc[y] = acc.get(y, 0) + c * d
+    return {y: c for y, c in acc.items() if c}
+
+
+def _compose_template(outer, tpl: EdgeTemplate) -> EdgeTemplate:
+    """The template ``tpl`` with each target family replaced by its ``outer`` template.
+
+    A single family with coefficient 1 gives its ``outer`` template as it
+    is; the templates of maps and tables are normalised already.
+    """
+    if len(tpl) == 1 and tpl[0][0] == 1:
+        return outer.edge_images[tpl[0][1]]
+    return _normalize_template(
+        (coeff * c2, out_fam)
+        for coeff, mid in tpl
+        for c2, out_fam in outer.edge_images[mid]
+    )
+
+
+def _check_composable(outer, inner) -> None:
+    if inner.target != outer.source:
+        raise ValueError("maps do not compose: inner target differs from outer source")
+
+
 def compose_tables(outer, inner) -> _Tables:
     """The generator tables of ``outer . inner``, built without a map.
 
@@ -517,16 +589,10 @@ def compose_tables(outer, inner) -> _Tables:
     is substituted into ``outer``'s templates, so the result is valid
     whenever both inputs are.
     """
-    if inner.target != outer.source:
-        raise ValueError("maps do not compose: inner target differs from outer source")
+    _check_composable(outer, inner)
     vimgs = {v: _push(outer, img.terms) for v, img in inner.vertex_images.items()}
     eimgs = {
-        fam: _normalize_template(
-            (coeff * c2, out_fam)
-            for coeff, mid in tpl
-            for c2, out_fam in outer.edge_images[mid]
-        )
-        for fam, tpl in inner.edge_images.items()
+        fam: _compose_template(outer, tpl) for fam, tpl in inner.edge_images.items()
     }
     return _Tables(inner.source, outer.target, vimgs, eimgs)
 
@@ -575,16 +641,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _diagonal(x: CKElement) -> dict[str, int] | None:
-    """The coefficients of ``x`` on vertex projections, or None if any other word occurs."""
-    out: dict[str, int] = {}
-    for w, c in x.terms:
-        if not w.is_vertex:
-            return None
-        out[w.alpha.base] = c
-    return out
-
-
 def _is_projection(x: CKElement, diag: dict[str, int] | None) -> bool:
     """``x`` is a projection; ``sum_x d_x p_x`` is one when every ``d_x`` is 1."""
     if diag is None:
@@ -629,20 +685,22 @@ def _range_sums(tpl: EdgeTemplate) -> dict[str, int]:
 
 
 def _ck1_defect(
-    m: GeneratorMap, vimg: dict, sums: dict
+    m: GeneratorMap, diag: dict, sums: dict
 ) -> tuple[tuple[str, str], tuple[str, str]] | None:
     """The least pair ``(f, g)`` with ``m(s_f^i)* m(s_g^i) != delta_fg m(p_r(f))``.
 
-    A pair of distinct families can only fail when both templates use some
-    target family, so an inverted index from target to source families
-    finds every candidate; its defect is a coefficient per range vertex.
+    ``m(s_f^i)* m(s_f^i)`` is the sum of vertex projections ``sums[f]``, so
+    it equals ``m(p_r(f))`` exactly when that image is tabled with the same
+    coefficients; an image with any other word never equals it.  A pair of
+    distinct families can only fail when both templates use some target
+    family, so an inverted index from target to source families finds every
+    candidate; its defect is a coefficient per range vertex.
     """
     # ``sums`` is in family order: the first diagonal failure is the least,
     # and every ``users`` list is sorted, so each pair below has f < g.
     failing = []
     for f, got in sums.items():
-        acc = {projection_word(w): c for w, c in got.items()}
-        if CKElement._make(m.target, acc) != vimg[f[1]]:
+        if got != diag[f[1]]:
             failing.append((f, f))
             break
     users: dict[tuple[str, str], list[tuple[tuple[str, str], int]]] = {}
@@ -696,14 +754,18 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
       nonzero template is a sum of single edges, always of degree 1, so
       only vertex images can fail.
 
-    A vertex image ``sum_x d_x p_x`` is checked on its coefficients: it is
-    a projection when every ``d_x`` is 1, and two such images are orthogonal
-    when no ``p_x`` occurs in both.  Any other vertex image is multiplied out.
+    A vertex image ``sum_x d_x p_x`` is decided on its coefficients, the
+    table the map keeps: it is a projection when every ``d_x`` is 1, two
+    such images are orthogonal when no ``p_x`` occurs in both, CK1 compares
+    the range sums of a family with the table of its range vertex, the map
+    is unital when the tables sum to 1 on every target vertex and 0
+    elsewhere, and such an image has gauge degree 0.  Any other vertex
+    image is multiplied out.
     """
     checks: list[Check] = []
     verts = m.source.vertices
     vimg = {v: m.vertex_images[v] for v in verts}
-    diag = {v: _diagonal(vimg[v]) for v in verts}
+    diag = m._diag
 
     bad = [v for v in verts if not _is_projection(vimg[v], diag[v])]
     checks.append(
@@ -738,7 +800,7 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
         )
     )
 
-    ck1_fail = _ck1_defect(m, vimg, sums)
+    ck1_fail = _ck1_defect(m, diag, sums)
     checks.append(
         Check(
             "ck1",
@@ -767,11 +829,20 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
         )
     )
 
-    total: dict[CKWord, int] = {}
-    for v in verts:
-        for w, c in vimg[v].terms:
-            total[w] = total.get(w, 0) + c
-    unital = CKElement._make(m.target, total) == CKElement.unit(m.target)
+    if all(diag[v] is not None for v in verts):
+        sums_at: dict[str, int] = {}
+        for v in verts:
+            for x, c in diag[v].items():
+                sums_at[x] = sums_at.get(x, 0) + c
+        unital = {x: c for x, c in sums_at.items() if c} == dict.fromkeys(
+            m.target.vertices, 1
+        )
+    else:
+        total: dict[CKWord, int] = {}
+        for v in verts:
+            for w, c in vimg[v].terms:
+                total[w] = total.get(w, 0) + c
+        unital = CKElement._make(m.target, total) == CKElement.unit(m.target)
     checks.append(
         Check(
             "unital",
@@ -784,7 +855,7 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     gauge_bad = next(
         (
             v for v in verts
-            if not vimg[v].is_zero and vimg[v].gauge_degree() != 0
+            if diag[v] is None and vimg[v].gauge_degree() != 0
         ),
         None,
     )

@@ -16,6 +16,7 @@ sorted in vertex order so that reports are reproducible bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
@@ -139,8 +140,12 @@ class AmpGraph:
 
         Omitted multiplicities default to OMEGA, which covers every amplified
         graph in this package.  A pair listed more than once takes its last
-        multiplicity, so a later 0 deletes an earlier family.
+        multiplicity, so a later 0 deletes an earlier family.  ``edges`` may
+        also be a mapping ``(src, dst) -> mult``, where a 0 likewise lists no
+        family.
         """
+        if isinstance(edges, Mapping):
+            edges = [(src, dst, m) for (src, dst), m in edges.items()]
         last: dict[tuple[str, str], Mult] = {}
         for edge in edges:
             if len(edge) == 2:

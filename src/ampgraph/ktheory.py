@@ -105,9 +105,23 @@ def induced_k0(m: GeneratorMap) -> Columns:
     indices to nonzero entries.  Requires every vertex image to be zero or a
     sum of pairwise-orthogonal range projections ``s_alpha s_alpha*`` with
     coefficient one; anything else has no evident K_0 class and is refused.
+    An image the map keeps as a table of vertex-projection coefficients
+    gives its column straight from the table: distinct vertex projections
+    are orthogonal, so only other images have their terms multiplied
+    pairwise.
     """
     cols = []
     for v in m.source.vertices:
+        diag = m._diag[v]
+        if diag is not None:
+            for x, c in diag.items():
+                if c != 1:
+                    raise ValueError(
+                        f"image of p[{v}] is not an orthogonal sum of path "
+                        f"projections: term {c}*p[{x}]"
+                    )
+            cols.append({m.target.index(x): 1 for x in diag})
+            continue
         img = m.vertex_images[v]
         words = [w for w, _ in img.terms]
         for w, c in img.terms:

@@ -35,6 +35,10 @@ from .algebra import (
     CKElement,
     GeneratorMap,
     VerificationReport,
+    _check_composable,
+    _compose_template,
+    _push,
+    _push_diagonal,
     compose_tables,
     verify_ck_family,
 )
@@ -103,18 +107,29 @@ def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str 
     """The first generator of ``section.source`` that ``quot . section`` moves.
 
     The composite is formed on the generator tables and compared with the
-    identity generator by generator: each vertex image against its
-    projection, each edge template against the family itself.  A template
-    is index-uniform, so one comparison covers every index; a moved family
-    is reported at index 0.  ``None`` when every generator is fixed.
+    identity generator by generator.  A vertex image that both maps keep as
+    a table of vertex-projection coefficients is composed on those tables
+    and compared with ``{v: 1}``; it can equal ``p_v`` only when
+    ``quot.target`` is ``section.source``.  Any other vertex image is
+    multiplied out and compared with its projection.  Each edge template is
+    compared with the family itself; a template is index-uniform, so one
+    comparison covers every index and a moved family is reported at index
+    0.  ``None`` when every generator is fixed.
     """
+    _check_composable(quot, section)
     src = section.source
-    both = compose_tables(quot, section)
+    home = quot.target == src
     for v in src.vertices:
-        if both.vertex_images[v] != CKElement.projection(src, v):
+        diag = section._diag[v]
+        got = None if diag is None else _push_diagonal(quot, diag)
+        if got is None:
+            img = _push(quot, section.vertex_images[v].terms)
+            if img != CKElement.projection(src, v):
+                return f"p[{v}]"
+        elif not home or got != {v: 1}:
             return f"p[{v}]"
     for a, b, _ in src.families():
-        if both.edge_images[(a, b)] != ((1, (a, b)),):
+        if _compose_template(quot, section.edge_images[(a, b)]) != ((1, (a, b)),):
             return f"s[{a}>{b}#0]"
     return None
 

@@ -691,6 +691,27 @@ def map_corruptions(m: GeneratorMap, rng: random.Random) -> list[GeneratorMap]:
     if len(verts) > 2:
         v, *rest = rng.sample(verts, 3)
         out.append(with_images(m, vimgs={w: img[v] for w in rest}))
+    # vertex images that stay sums of vertex projections, which the checks
+    # decide on coefficient tables
+    tabled = [
+        v for v in verts if img[v].terms and all(w.is_vertex for w, _ in img[v].terms)
+    ]
+    if tabled:
+        v = rng.choice(tabled)
+        out.append(with_images(m, vimgs={v: 2 * img[v]}))
+        out.append(with_images(m, vimgs={v: -img[v]}))
+    two_term = [v for v in tabled if len(img[v].terms) == 2]
+    if two_term:
+        v = rng.choice(two_term)
+        terms = img[v].terms
+        k = rng.randrange(2)
+        out.append(with_images(m, vimgs={v: CKElement(m.target, terms[:k] + terms[k + 1 :])}))
+    singles = [v for v in tabled if len(img[v].terms) == 1]
+    if singles and len(tabled) > 1:
+        w = rng.choice(singles)
+        v = rng.choice([x for x in tabled if x != w])
+        # p_x - p_y with p_y the image of w: the unital total at y cancels to 0
+        out.append(with_images(m, vimgs={v: img[v] - img[w]}))
     return out
 
 

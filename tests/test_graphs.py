@@ -5,6 +5,7 @@ import pytest
 from ampgraph import OMEGA, AmpGraph
 
 from helpers import (
+    ROOT,
     DenseGraph,
     example_graph,
     hereditary_subsets_oracle,
@@ -94,6 +95,30 @@ def test_from_edges_multiplicity_forms():
     assert g.multiplicity("b", "c") == 3
     assert g.multiplicity("a", "c") == 0
     assert not g.is_amplified
+
+
+def test_from_edges_reads_a_mapping_as_multiplicities():
+    labels = ("a", "b", "c")
+    g = AmpGraph.from_edges(labels, {("a", "b"): 0, ("b", "c"): 3, ("a", "c"): OMEGA})
+    assert g.multiplicity("a", "b") == 0
+    assert g.multiplicity("b", "c") == 3
+    assert g.multiplicity("a", "c") is OMEGA
+    assert g.edges == (("a", "c", OMEGA), ("b", "c", 3))
+    assert not g.is_amplified
+    assert g == AmpGraph.from_edges(labels, [("b", "c", 3), ("a", "c")])
+    assert AmpGraph.from_edges(labels, {("a", "b"): 0}).edges == ()
+
+
+def test_readme_library_snippet_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library in five lines", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert namespace["g"].edges == tuple(
+        (a, b, OMEGA) for a, b in (("v1", "v2"), ("v1", "v3"), ("v2", "v4"), ("v3", "v5"))
+    )
+    assert namespace["sd"].sink == "v4"
 
 
 def test_adjacency_queries():

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -206,6 +207,20 @@ def test_induced_k0_rejects_non_projection_images():
     overlapping = GeneratorMap(g, g, images, ident.edge_images)
     with pytest.raises(ValueError, match="non-orthogonal"):
         induced_k0(overlapping)
+
+
+@pytest.mark.parametrize("image, term", [
+    (lambda p: 2 * p["v1"], "2*p[v1]"),
+    (lambda p: -p["v1"], "-1*p[v1]"),
+    (lambda p: p["v1"] + 2 * p["v2"], "2*p[v2]"),
+])
+def test_induced_k0_refuses_a_diagonal_coefficient_other_than_one(image, term):
+    g = example_graph()
+    ident = GeneratorMap.identity(g)
+    images = dict(ident.vertex_images, v1=image(ident.vertex_images))
+    msg = f"image of p[v1] is not an orthogonal sum of path projections: term {term}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        induced_k0(GeneratorMap(g, g, images, ident.edge_images))
 
 
 def test_cw_kk_summary_extracts_each_step_map_once(monkeypatch):

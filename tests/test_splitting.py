@@ -23,7 +23,9 @@ from ampgraph import (
     verify_ck_family,
     verify_split_exact,
 )
-from ampgraph import splitting
+from ampgraph import algebra, ktheory, splitting
+from ampgraph.algebra import word_mul
+from ampgraph.ktheory import induced_k0
 
 from helpers import (
     composite_quotient_oracle,
@@ -292,6 +294,70 @@ def test_multi_sink_splitting_builds_two_maps_per_step_and_two_composites(
     assert steps == len(sinks) > 1
     # a section and a quotient map per step, then each composite once
     assert len(built) == 2 * steps + 2
+
+
+# ---------------------------------------------------------------------------
+# vertex images decided on coefficient tables
+
+
+def test_checks_build_no_elements_and_multiply_no_words(monkeypatch):
+    """Every verified map's vertex images are sums of vertex projections.
+
+    On the golden mix (fixtures and the cw-ladder specs) the relation checks,
+    the section identities and the K_0 columns read the maps' coefficient
+    tables alone: no element is built and no word is multiplied.
+    """
+    chains = golden_chains()
+    composites = [
+        (chain.composite_section(), chain.composite_quotient(),
+         all(sd.star is not None for sd in chain.steps))
+        for chain in chains if chain.steps
+    ]
+    built, products = [], []
+    init = CKElement.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_mul(x, y):
+        products.append((x, y))
+        return word_mul(x, y)
+
+    monkeypatch.setattr(CKElement, "__init__", counted_init)
+    monkeypatch.setattr(algebra, "word_mul", counted_mul)
+    monkeypatch.setattr(ktheory, "word_mul", counted_mul)
+    steps = 0
+    for chain in chains:
+        for sd in chain.steps:
+            assert verify_split_exact(sd).ok
+            induced_k0(sd.sigma)
+            induced_k0(sd.quotient_map)
+            steps += 1
+    for section, quot, unital in composites:
+        assert verify_ck_family(section, require_unital=unital).ok
+        assert splitting._section_identity_failure(section, quot) is None
+        induced_k0(section)
+        induced_k0(quot)
+    assert steps > 150
+    assert (len(built), len(products)) == (0, 0)
+
+
+def test_section_identity_against_a_foreign_quotient_reports_the_first_vertex():
+    # the quotient's tables undo the section, but it lands in a graph with
+    # one more family than the section's source, so no p[v] comes back
+    sd = build_splitting(example_graph(), "v4", "v2")
+    src, q = sd.quotient_graph, sd.quotient_map
+    wider = AmpGraph(src.vertices, src.edges + (("v5", "v1", OMEGA),))
+    foreign = GeneratorMap(
+        q.source,
+        wider,
+        {v: CKElement.from_terms(wider, img.terms) for v, img in q.vertex_images.items()},
+        q.edge_images,
+    )
+    assert splitting._section_identity_failure(sd.sigma, q) is None
+    assert splitting._section_identity_failure(sd.sigma, foreign) == "p[v1]"
+    assert section_identity_failure_oracle(sd.sigma, foreign) == "p[v1]"
 
 
 # ---------------------------------------------------------------------------
