@@ -16,6 +16,7 @@ sorted in vertex order so that reports are reproducible bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
@@ -312,18 +313,49 @@ class AmpGraph:
 
         Models passing to the quotient by the ideal the set generates; a
         non-hereditary set does not name an ideal and is rejected.
+
+        The quotient is cut from this graph's tables, not rebuilt: its
+        labels, multiplicities and pairs were checked here, and filtering
+        keeps the row-major order.  When one vertex is removed (every chain
+        step), the successor and reach masks are this graph's with that bit
+        squeezed out.  That is exact: a path between two kept vertices never
+        enters a hereditary set, since nothing leaves one.  A larger removal
+        rebuilds the successor masks from the kept families and leaves the
+        reach masks to be computed on first use.
         """
         removed = tuple(removed)
         if not self.is_hereditary(removed):
             raise ValueError(
                 f"{sorted(removed)!r} is not hereditary: not a valid ideal"
             )
-        drop = set(removed)
-        verts = tuple(v for v in self.vertices if v not in drop)
+        drop = self._mask(removed)
+        names = set(self._labels(drop))
+        verts = tuple(v for v in self.vertices if v not in names)
         edges = tuple(
-            e for e in self.edges if e[0] not in drop and e[1] not in drop
+            e for e in self.edges if e[0] not in names and e[1] not in names
         )
-        return AmpGraph(verts, edges)
+        index = {v: i for i, v in enumerate(verts)}
+        reach = None
+        if len(names) == 1:
+            k = drop.bit_length() - 1
+            low = drop - 1
+
+            def squeeze(masks: tuple[int, ...]) -> tuple[int, ...]:
+                return tuple(
+                    (m & low) | ((m >> (k + 1)) << k)
+                    for i, m in enumerate(masks)
+                    if i != k
+                )
+
+            succ = squeeze(self._succ)
+            reach = squeeze(self._reach_masks())
+        else:
+            rows = [0] * len(verts)
+            for src, dst, _ in edges:
+                rows[index[src]] |= 1 << index[dst]
+            succ = tuple(rows)
+        mult = {(a, b): m for a, b, m in edges}
+        return _derived(verts, edges, index, mult, succ, reach)
 
     # -- path-preserving edge addition ------------------------------------
 
@@ -334,6 +366,11 @@ class AmpGraph:
         path of length >= 2 joins the pair; then the move preserves the
         path-existence relation exactly and the associated algebra up to
         isomorphism.
+
+        The result shares this graph's reach masks and shape facts: the
+        move changes no path, so no reach mask, sink, source or cycle; and
+        the new family is OMEGA like every other.  The family is inserted at
+        its row-major place and the rest of the tables are copied.
         """
         if not self.is_amplified:
             raise ValueError("edge amplification requires an amplified graph")
@@ -346,7 +383,42 @@ class AmpGraph:
             via |= reach[k]
         if not (via >> j) & 1:
             raise ValueError(f"no path of length >= 2 from {src!r} to {dst!r}")
-        return AmpGraph(self.vertices, self.edges + ((src, dst, OMEGA),))
+        index = self._index
+        at = bisect_left(self.edges, (i, j), key=lambda e: (index[e[0]], index[e[1]]))
+        edges = self.edges[:at] + ((src, dst, OMEGA),) + self.edges[at:]
+        succ = list(self._succ)
+        succ[i] |= 1 << j
+        mult = dict(self._mult)
+        mult[(src, dst)] = OMEGA
+        return _derived(
+            self.vertices, edges, index, mult, tuple(succ), reach, self._class
+        )
+
+
+def _derived(
+    vertices: tuple[str, ...],
+    edges: tuple[tuple[str, str, Mult], ...],
+    index: dict,
+    mult: dict,
+    succ: tuple[int, ...],
+    reach: tuple[int, ...] | None = None,
+    shape: GraphClass | None = None,
+) -> AmpGraph:
+    """A graph assembled from tables derived from a validated parent graph.
+
+    Only :meth:`AmpGraph.quotient` and :meth:`AmpGraph.amplify_transitive_edges`
+    call this; each proves its tables equal to those the constructor would
+    build from ``vertices`` and ``edges``.
+    """
+    g = object.__new__(AmpGraph)
+    object.__setattr__(g, "vertices", vertices)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "_index", index)
+    object.__setattr__(g, "_mult", mult)
+    object.__setattr__(g, "_succ", succ)
+    object.__setattr__(g, "_reach", reach)
+    object.__setattr__(g, "_class", shape)
+    return g
 
 
 def valid_stars(g: AmpGraph, sink: str) -> list[str]:

@@ -21,7 +21,11 @@ steps may force edge additions on earlier graphs (a step's section needs its
 target families to exist); :func:`multi_sink_splitting` and :func:`kk_chain`
 therefore stabilise one ambient graph by running the augmentation demands to
 a fixed point before rebuilding every step, so consecutive sections compose
-on the nose.
+on the nose.  The sinks removed before a step form a hereditary set, so a
+step's quotient graph has the same in-neighbours at every vertex it keeps:
+the demands are read on the ambient graph, and no quotient is built to
+stabilise it.  A chain builds two quotients per step, one to plan it and one
+for its quotient map, each cut from its parent graph's tables.
 """
 
 from __future__ import annotations
@@ -369,6 +373,11 @@ def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int | None) -> list[tuple[st
         if not sinks:
             raise ValueError("graph has no sink: removal chain cannot proceed")
         sink, star = policy(current, sinks)
+        if star is not None and star not in current:
+            raise ValueError(
+                f"star {star!r} of step {len(plan) + 1} (sink {sink!r}) is not "
+                "a vertex of the remaining graph"
+            )
         plan.append((sink, star))
         current = current.quotient((sink,))
     return plan
@@ -377,21 +386,24 @@ def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int | None) -> list[tuple[st
 def _stabilize(g: AmpGraph, plan: Sequence[tuple[str, str | None]]) -> tuple[AmpGraph, tuple[tuple[str, str], ...]]:
     """Add every family any step's section will need, to a fixed point.
 
-    Each demanded pair rides on a path in a quotient graph, which lifts to
-    the ambient graph, so each addition is a legal path-preserving move; the
-    underlying check still runs and raises if that ever fails.
+    Each step's demands are read on the ambient graph itself; no quotient
+    is built.  That is exact: the sinks removed before a step form a
+    hereditary set, so every in-neighbour of a vertex still present (the
+    step's star or its sink) is still present too, and the graph at that
+    step has the same in-neighbours, in the same vertex order.  Each
+    demanded pair rides on a path in that graph, which lifts to the ambient
+    graph, so each addition is a legal path-preserving move; the underlying
+    check still runs and raises if that ever fails.
     """
     ambient = g
     added: list[tuple[str, str]] = []
     while True:
         wanted: list[tuple[str, str]] = []
-        current = ambient
         for sink, star in plan:
             if star is not None:
-                for pair in _missing_families(current, sink, star):
+                for pair in _missing_families(ambient, sink, star):
                     if pair not in wanted:
                         wanted.append(pair)
-            current = current.quotient((sink,))
         if not wanted:
             return ambient, tuple(added)
         for v, w in wanted:

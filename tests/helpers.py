@@ -651,6 +651,33 @@ def section_identity_failure_oracle(section: GeneratorMap, quot: GeneratorMap) -
     return None
 
 
+def stabilize_oracle(g: AmpGraph, plan) -> tuple[AmpGraph, tuple[tuple[str, str], ...]]:
+    """The stabilised ambient graph and its added families, step by step.
+
+    Every round rebuilds the chain of quotient graphs from the ambient graph
+    and reads each step's demands on its own quotient: a family ``v -> sink``
+    for each in-neighbour ``v`` of the star without one.  The rounds run to
+    a fixed point.
+    """
+    ambient = g
+    added: list[tuple[str, str]] = []
+    while True:
+        wanted: list[tuple[str, str]] = []
+        current = ambient
+        for sink, star in plan:
+            if star is not None:
+                into_sink = set(current.predecessors(sink))
+                for v in current.predecessors(star):
+                    if v not in into_sink and (v, sink) not in wanted:
+                        wanted.append((v, sink))
+            current = current.quotient((sink,))
+        if not wanted:
+            return ambient, tuple(added)
+        for v, w in wanted:
+            ambient = ambient.amplify_transitive_edges(v, w)
+            added.append((v, w))
+
+
 def with_images(m: GeneratorMap, vimgs=None, eimgs=None) -> GeneratorMap:
     return GeneratorMap(
         m.source,

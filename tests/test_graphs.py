@@ -294,3 +294,84 @@ def test_amplify_matches_dense_model(seed):
             else:
                 with pytest.raises(ValueError):
                     g.amplify_transitive_edges(a, b)
+
+
+# ---------------------------------------------------------------------------
+# quotients and amplifications are cut from their parent's tables
+
+
+def _assert_tables_fresh(g: AmpGraph) -> None:
+    """Every table of ``g`` equals the one the constructor builds anew."""
+    fresh = AmpGraph(g.vertices, g.edges)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert g.edges == fresh.edges
+    assert g._index == fresh._index
+    assert g._mult == fresh._mult
+    assert g._succ == fresh._succ
+    assert g._reach_masks() == fresh._reach_masks()
+    assert g.classify() == fresh.classify()
+
+
+def _peel(g: AmpGraph, model: DenseGraph, rng: random.Random) -> int:
+    """Remove one vertex at a time while one is hereditary; return how many."""
+    peeled = 0
+    while True:
+        alone = [v for v in g.vertices if g.is_hereditary((v,))]
+        if not alone:
+            return peeled
+        v = rng.choice(alone)
+        g, model = g.quotient((v,)), model.quotient((v,))
+        _assert_tables_fresh(g)
+        _assert_matches_model(g, model)
+        peeled += 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_quotients_equal_fresh_graphs(seed):
+    # loops and cycles, finite multiplicities and empty graphs all occur
+    rng = random.Random(9000 + seed)
+    labels = tuple(f"u{i}" for i in range(rng.randint(0, 8)))
+    edges = random_edge_list(rng, labels, rng.randint(0, 24)) if labels else []
+    g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+    # every hereditary set: none, one vertex (squeezed masks) or many
+    for subset in sorted(hereditary_subsets_oracle(g)):
+        q = g.quotient(subset)
+        _assert_tables_fresh(q)
+        _assert_matches_model(q, model.quotient(subset))
+    # a chain of one-vertex quotients, each cut from the last
+    _peel(g, model, rng)
+
+
+def test_quotient_derivation_covers_every_kind_of_parent():
+    cyclic = AmpGraph.from_edges(("a", "b", "c"), [("a", "b"), ("b", "a"), ("b", "c")])
+    finite = AmpGraph.from_edges(("a", "b", "c"), [("a", "b", 2), ("a", "c", 1)])
+    empty = AmpGraph((), ())
+    assert not cyclic.classify().acyclic and not finite.is_amplified
+    for g in (cyclic, finite, empty, example_graph()):
+        for subset in hereditary_subsets_oracle(g):
+            _assert_tables_fresh(g.quotient(subset))
+    rng = random.Random(1)
+    assert _peel(cyclic, DenseGraph(cyclic.vertices, cyclic.edges), rng) == 1
+    assert _peel(finite, DenseGraph(finite.vertices, finite.edges), rng) == 3
+    assert _peel(empty, DenseGraph((), ()), rng) == 0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_amplifications_equal_fresh_graphs(seed):
+    # amplified graphs, cycles and loops included; every legal move in turn
+    rng = random.Random(9500 + seed)
+    labels = tuple(f"u{i}" for i in range(rng.randint(2, 7)))
+    edges = [e[:2] for e in random_edge_list(rng, labels, rng.randint(1, 14))]
+    g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+    g.classify()
+    for a in labels:
+        for b in labels:
+            legal = model.multiplicity(a, b) == 0 and any(
+                b in model.reachable_set(m) for m in model.successors(a)
+            )
+            if legal:
+                g, model = g.amplify_transitive_edges(a, b), model.amplify(a, b)
+                _assert_tables_fresh(g)
+                _assert_matches_model(g, model)
+    # quotients of the amplified graph are cut from derived tables in turn
+    _peel(g, model, rng)

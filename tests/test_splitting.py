@@ -1,10 +1,12 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
 from ampgraph import (
     AmpGraph,
+    first_sink_first_star,
     KKChain,
     CKElement,
     DynkinSpec,
@@ -17,6 +19,7 @@ from ampgraph import (
     explicit_steps,
     flag_graph,
     kk_chain,
+    load_graph,
     multi_sink_splitting,
     prefer_source_star,
     valid_stars,
@@ -28,6 +31,8 @@ from ampgraph.algebra import word_mul
 from ampgraph.ktheory import induced_k0
 
 from helpers import (
+    CW_LADDER,
+    ROOT,
     composite_quotient_oracle,
     composite_section_oracle,
     example_graph,
@@ -36,6 +41,7 @@ from helpers import (
     random_amplified_dag,
     random_chain,
     section_identity_failure_oracle,
+    stabilize_oracle,
 )
 
 
@@ -211,6 +217,29 @@ def test_multi_sink_splitting_rejects_unknown_sink():
         multi_sink_splitting(g, ["v4", "nope"], ["v1", None])
     with pytest.raises(ValueError, match="'nope' is not a sink of the remaining graph"):
         multi_sink_splitting(g, ["nope"])
+
+
+@pytest.mark.parametrize(
+    "stars, message",
+    [
+        # v4 is the sink of step 1, so it is gone by step 2
+        (["v1", "v4"], "star 'v4' of step 2 (sink 'v5')"),
+        (["nope", None], "star 'nope' of step 1 (sink 'v4')"),
+    ],
+)
+def test_explicit_star_not_in_the_remaining_graph_is_rejected(monkeypatch, stars, message):
+    g = example_graph()
+    sinks = ["v4", "v5"]
+
+    def unreachable(*args):
+        raise AssertionError("stabilisation started")
+
+    monkeypatch.setattr(splitting, "_stabilize", unreachable)
+    message = re.escape(message + " is not a vertex of the remaining graph")
+    with pytest.raises(ValueError, match=message):
+        multi_sink_splitting(g, sinks, stars)
+    with pytest.raises(ValueError, match=message):
+        kk_chain(g, explicit_steps(list(zip(sinks, stars))))
 
 
 def test_explicit_steps_policy_validation():
@@ -415,3 +444,101 @@ def test_composites_match_oracle_on_corrupted_chains():
         verdicts.add(_assert_composites_match_oracle(bad))
     # the damage reaches both checks, and the CK check alone
     assert {(False, False), (False, True)} <= verdicts, verdicts
+
+
+# ---------------------------------------------------------------------------
+# the ambient graph stabilised without quotients
+
+
+def _random_star_policy(rng: random.Random):
+    """A random sink, then a random valid star or the embedding."""
+
+    def policy(g, sinks):
+        sink = rng.choice(sinks)
+        return sink, rng.choice(valid_stars(g, sink) + [None])
+
+    return policy
+
+
+def _plan_of(chain):
+    return [(sd.sink, sd.star) for sd in chain.steps]
+
+
+def test_stabilize_matches_quotient_chain_oracle_on_golden_mix():
+    # the fixtures under both policies, then the six cw-ladder chains
+    for chain in golden_chains():
+        got = splitting._stabilize(chain.graph, _plan_of(chain))
+        assert got == stabilize_oracle(chain.graph, _plan_of(chain))
+        assert got == (chain.ambient, chain.augmented)
+
+
+def test_stabilize_matches_quotient_chain_oracle_on_random_chains():
+    rng = random.Random(20261019)
+    augmented = 0
+    for _ in range(120):
+        g = random_amplified_dag(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7, 0.9)))
+        policy = rng.choice(
+            (first_sink_first_star, prefer_source_star, _random_star_policy(rng))
+        )
+        chain = kk_chain(g, policy)
+        got = splitting._stabilize(g, _plan_of(chain))
+        assert got == stabilize_oracle(g, _plan_of(chain))
+        assert got == (chain.ambient, chain.augmented)
+        augmented += bool(chain.augmented)
+    assert augmented >= 10
+
+
+def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatch):
+    """Quotients and reach-mask searches made by chains on the golden mix.
+
+    ``_stabilize`` builds no quotient.  ``kk_chain`` builds two per step:
+    one to plan it and one for its quotient map.  A reach mask is searched
+    for only on the input graph and on quotients by more than one vertex;
+    every other graph's masks are derived from its parent's.
+    """
+    quotient, reach_masks, stabilize = (
+        AmpGraph.quotient, AmpGraph._reach_masks, splitting._stabilize
+    )
+    made, searched, wide = [], [], []
+    stabilising = []
+
+    def counted_quotient(self, removed):
+        removed = tuple(removed)
+        made.append(bool(stabilising))
+        q = quotient(self, removed)
+        if len(set(removed)) > 1:
+            wide.append(q)
+        return q
+
+    def counted_reach(self):
+        if self._reach is None:
+            searched.append(self)
+        return reach_masks(self)
+
+    def counted_stabilize(g, plan):
+        stabilising.append(True)
+        try:
+            return stabilize(g, plan)
+        finally:
+            stabilising.pop()
+
+    monkeypatch.setattr(AmpGraph, "quotient", counted_quotient)
+    monkeypatch.setattr(AmpGraph, "_reach_masks", counted_reach)
+    monkeypatch.setattr(splitting, "_stabilize", counted_stabilize)
+    for policy in (first_sink_first_star, prefer_source_star):
+        for path in sorted((ROOT / "fixtures").glob("*.json")):
+            g = load_graph(path)
+            made.clear()
+            searched.clear()
+            chain = kk_chain(g, policy)
+            assert made == [False] * (2 * len(chain.steps))
+            assert searched == [g]
+    for spec in CW_LADDER:
+        made.clear()
+        searched.clear()
+        summary = cw_kk_summary(spec)
+        assert summary.report.ok
+        assert made and not any(made)
+        assert all(
+            h is summary.chain.graph or any(h is q for q in wide) for h in searched
+        )
