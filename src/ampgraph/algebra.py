@@ -439,23 +439,7 @@ class GeneratorMap:
     def quotient(cls, graph: AmpGraph, removed: Iterable[str]) -> "GeneratorMap":
         """The quotient map killing every generator that touches ``removed``."""
         removed = tuple(removed)
-        target = graph.quotient(removed)
-        drop = set(removed)
-        vimgs = {
-            v: (
-                CKElement.zero(target)
-                if v in drop
-                else CKElement.projection(target, v)
-            )
-            for v in graph.vertices
-        }
-        eimgs: dict[tuple[str, str], EdgeTemplate] = {}
-        for src, dst, _ in graph.families():
-            if src in drop or dst in drop:
-                eimgs[(src, dst)] = ()
-            else:
-                eimgs[(src, dst)] = ((1, (src, dst)),)
-        return cls(graph, target, vimgs, eimgs)
+        return _quotient_onto(graph, graph.quotient(removed), removed)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -492,6 +476,20 @@ class GeneratorMap:
                 parts.append(body if coeff == 1 else f"{coeff}*{body}")
             rows[f"s[{src}>{dst}#i]"] = " + ".join(parts)
         return rows
+
+
+def _quotient_onto(graph: AmpGraph, target: AmpGraph, removed: Iterable[str]) -> GeneratorMap:
+    """:meth:`GeneratorMap.quotient` onto ``target``, the quotient graph already cut."""
+    drop = set(removed)
+    vimgs = {
+        v: CKElement.zero(target) if v in drop else CKElement.projection(target, v)
+        for v in graph.vertices
+    }
+    eimgs: dict[tuple[str, str], EdgeTemplate] = {
+        (src, dst): () if src in drop or dst in drop else ((1, (src, dst)),)
+        for src, dst, _ in graph.families()
+    }
+    return GeneratorMap(graph, target, vimgs, eimgs)
 
 
 class _Tables(NamedTuple):

@@ -86,12 +86,10 @@ class CWSummary:
 def summarize_filtration(full: AmpGraph, levels: tuple[AmpGraph, ...],
                          spec: DynkinSpec | None = None) -> CWSummary:
     """Chain summary for an explicit skeleton tower; see :func:`cw_kk_summary`."""
-    sinks: list[str] = []
-    for k in range(len(levels) - 1, 0, -1):
-        upper = set(levels[k].vertices)
-        lower = set(levels[k - 1].vertices)
-        sinks.extend(sorted(upper - lower))
-    chain = multi_sink_splitting(full, sinks)
+    # each level's sinks, from the top level down
+    tops = range(len(levels) - 1, 0, -1)
+    removals = [sorted(set(levels[k].vertices) - set(levels[k - 1].vertices)) for k in tops]
+    chain = multi_sink_splitting(full, [v for level in removals for v in level])
     checks: list[Check] = []
     for sd in chain.steps:
         step_k0 = check_split_exact_k0(sd)
@@ -114,17 +112,11 @@ def summarize_filtration(full: AmpGraph, levels: tuple[AmpGraph, ...],
     # except for families the chain added toward sinks it has yet to remove;
     # those are path-preserving and disappear when their sink goes.
     added = set(chain.augmented)
-    current = chain.ambient
     removed = 0
     records: list[CWRecord] = []
-    step_iter = iter(chain.steps)
-    for k in range(len(levels) - 1, 0, -1):
-        upper = set(levels[k].vertices)
-        lower = set(levels[k - 1].vertices)
-        for _ in sorted(upper - lower):
-            sd = next(step_iter)
-            current = sd.quotient_graph
-            removed += 1
+    for k, level in zip(tops, removals):
+        removed += len(level)
+        current = chain.steps[removed - 1].quotient_graph if removed else chain.ambient
         skel = levels[k - 1]
         ours, theirs = set(current.families()), set(skel.families())
         match = (

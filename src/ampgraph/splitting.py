@@ -20,19 +20,20 @@ of compacts plus a point, one explicitly split extension per step.  Later
 steps may force edge additions on earlier graphs (a step's section needs its
 target families to exist); :func:`multi_sink_splitting` and :func:`kk_chain`
 therefore stabilise one ambient graph by running the augmentation demands to
-a fixed point before rebuilding every step, so consecutive sections compose
+a fixed point before building every step, so consecutive sections compose
 on the nose.  The sinks removed before a step form a hereditary set, so a
 step's quotient graph has the same in-neighbours at every vertex it keeps:
 the demands are read on the ambient graph, and no quotient is built to
-stabilise it.  A chain builds two quotients per step, one to plan it and one
-for its quotient map, each cut from its parent graph's tables.
+stabilise it.  One planner cuts each step's quotient graph from its
+parent's tables; the steps run on those graphs unless stabilising adds
+families, when the chain is cut once more from the ambient graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     Check,
@@ -43,6 +44,7 @@ from .algebra import (
     _compose_template,
     _push,
     _push_diagonal,
+    _quotient_onto,
     compose_tables,
     verify_ck_family,
 )
@@ -158,13 +160,21 @@ def build_splitting(g: AmpGraph, sink: str, star: str | None) -> SplitData:
     Every construction runs :func:`verify_split_exact`; a failure signals an
     implementation bug and raises :class:`VerificationFailure`.
     """
+    return _split(g, sink, star, None)
+
+
+def _split(g: AmpGraph, sink: str, star: str | None, quotient_graph: AmpGraph | None) -> SplitData:
+    """The step body of :func:`build_splitting` and of every chain step.
+
+    A chain step hands in its next graph as ``quotient_graph``, and ``g``
+    must then already hold every family the section needs.
+    """
     cls = g.classify()
     if not cls.amplified:
         raise ValueError("splitting requires an amplified graph")
     if sink not in cls.sinks:
         raise ValueError(f"{sink!r} is not a sink")
-    working = g
-    augmented: list[tuple[str, str]] = []
+    augmented: tuple[tuple[str, str], ...] = ()
     if star is not None:
         stars = valid_stars(g, sink)
         if star not in stars:
@@ -172,19 +182,24 @@ def build_splitting(g: AmpGraph, sink: str, star: str | None) -> SplitData:
                 f"{star!r} is not a valid choice of star for sink {sink!r}; "
                 f"valid stars: {stars}"
             )
-        for v, w in _missing_families(g, sink, star):
-            working = working.amplify_transitive_edges(v, w)
-            augmented.append((v, w))
-    qmap = GeneratorMap.quotient(working, (sink,))
-    sigma = _splitting_map(working, qmap.target, sink, star)
+        augmented = tuple(_missing_families(g, sink, star))
+    if augmented and quotient_graph is not None:
+        raise VerificationFailure(
+            f"ambient graph not stabilised: step {sink!r} still added {augmented}"
+        )
+    working = g
+    for v, w in augmented:
+        working = working.amplify_transitive_edges(v, w)
+    if quotient_graph is None:
+        quotient_graph = working.quotient((sink,))
     sd = SplitData(
         original=g,
         working=working,
         sink=sink,
         star=star,
-        sigma=sigma,
-        quotient_map=qmap,
-        augmented=tuple(augmented),
+        sigma=_splitting_map(working, quotient_graph, sink, star),
+        quotient_map=_quotient_onto(working, quotient_graph, (sink,)),
+        augmented=augmented,
     )
     report = verify_split_exact(sd)
     if not report.ok:
@@ -201,32 +216,22 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
     when a star was used), the same for the quotient map, the section
     identity on every generator, and checks that the ideal is the one of a
     sink: ``sink`` is a sink of the working graph and the quotient graph
-    keeps every other vertex.
+    keeps every other vertex and every family not into ``sink``.
     """
     report = verify_ck_family(sd.sigma, require_unital=sd.star is not None)
     checks = list(report.checks)
     q_report = verify_ck_family(sd.quotient_map, require_unital=True)
-    checks.append(
-        Check(
-            "quotient-map",
-            q_report.ok,
-            "" if q_report.ok else q_report.render(),
-        )
-    )
+    checks.append(Check("quotient-map", q_report.ok, "" if q_report.ok else q_report.render()))
     moved = _section_identity_failure(sd.sigma, sd.quotient_map)
-    checks.append(
-        Check(
-            "section-identity",
-            moved is None,
-            "" if moved is None else f"q(sigma({moved})) != {moved}",
-        )
-    )
+    moved_at = "" if moved is None else f"q(sigma({moved})) != {moved}"
+    checks.append(Check("section-identity", moved is None, moved_at))
     kind = sd.ideal_kind
     what = "the compacts" if kind == "K" else "C (sink is an isolated vertex)"
     kept = tuple(v for v in sd.working.vertices if v != sd.sink)
+    families = tuple(e for e in sd.working.edges if e[1] != sd.sink)
     if sd.sink not in sd.working.classify().sinks:
         failure = f"{sd.sink} is not a sink of the working graph"
-    elif sd.quotient_graph.vertices != kept:
+    elif (sd.quotient_graph.vertices, sd.quotient_graph.edges) != (kept, families):
         failure = f"the quotient graph is not the working graph without {sd.sink}"
     else:
         failure = None
@@ -245,26 +250,24 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
 StarPolicy = Callable[[AmpGraph, tuple[str, ...]], tuple[str, str | None]]
 
 
-def first_sink_first_star(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | None]:
-    """Default policy: first sink in vertex order, first valid star."""
-    sink = sinks[0]
+def _stars(g: AmpGraph, sink: str) -> list[str]:
+    """:func:`valid_stars`, raising when there is none."""
     stars = valid_stars(g, sink)
     if not stars:
         raise ValueError(f"no valid star exists for sink {sink!r}")
-    return sink, stars[0]
+    return stars
+
+
+def first_sink_first_star(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | None]:
+    """Default policy: first sink in vertex order, first valid star."""
+    return sinks[0], _stars(g, sinks[0])[0]
 
 
 def prefer_source_star(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | None]:
     """Like the default, but picks a source vertex as the star when one exists."""
-    sink = sinks[0]
-    stars = valid_stars(g, sink)
-    if not stars:
-        raise ValueError(f"no valid star exists for sink {sink!r}")
+    stars = _stars(g, sinks[0])
     sources = set(g.classify().sources)
-    for v in stars:
-        if v in sources:
-            return sink, v
-    return sink, stars[0]
+    return sinks[0], next((v for v in stars if v in sources), stars[0])
 
 
 def explicit_steps(pairs: Sequence[tuple[str, str | None]]) -> StarPolicy:
@@ -360,27 +363,27 @@ class KKChain:
         return tuple(names)
 
 
-def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int | None) -> list[tuple[str, str | None]]:
+def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int) -> tuple[list[tuple[str, str | None]], list[AmpGraph]]:
+    """The policy's ``(sink, star)`` for each step, and the graphs it cuts.
+
+    ``graphs[i]`` is ``g`` without the first ``i`` sinks.
+    """
     plan: list[tuple[str, str | None]] = []
-    current = g
-    while True:
-        if n_steps is None:
-            if len(current.vertices) <= 1:
-                break
-        elif len(plan) >= n_steps:
-            break
+    graphs = [g]
+    for step in range(1, n_steps + 1):
+        current = graphs[-1]
         sinks = current.classify().sinks
         if not sinks:
             raise ValueError("graph has no sink: removal chain cannot proceed")
         sink, star = policy(current, sinks)
         if star is not None and star not in current:
             raise ValueError(
-                f"star {star!r} of step {len(plan) + 1} (sink {sink!r}) is not "
+                f"star {star!r} of step {step} (sink {sink!r}) is not "
                 "a vertex of the remaining graph"
             )
         plan.append((sink, star))
-        current = current.quotient((sink,))
-    return plan
+        graphs.append(current.quotient((sink,)))
+    return plan, graphs
 
 
 def _stabilize(g: AmpGraph, plan: Sequence[tuple[str, str | None]]) -> tuple[AmpGraph, tuple[tuple[str, str], ...]]:
@@ -411,19 +414,19 @@ def _stabilize(g: AmpGraph, plan: Sequence[tuple[str, str | None]]) -> tuple[Amp
             added.append((v, w))
 
 
-def _run_chain(g: AmpGraph, plan: Sequence[tuple[str, str | None]]) -> KKChain:
+def _run_chain(g: AmpGraph, policy: StarPolicy, n_steps: int) -> KKChain:
+    """Plan ``n_steps`` removals, stabilise, then split each step."""
+    plan, graphs = _plan(g, policy, n_steps)
     ambient, added = _stabilize(g, plan)
-    steps: list[SplitData] = []
-    current = ambient
-    for sink, star in plan:
-        sd = build_splitting(current, sink, star)
-        if sd.augmented:
-            raise VerificationFailure(
-                f"ambient graph not stabilised: step {sink!r} still added {sd.augmented}"
-            )
-        steps.append(sd)
-        current = sd.quotient_graph
-    return KKChain(graph=g, ambient=ambient, steps=tuple(steps), augmented=added)
+    if added:
+        graphs = [ambient]
+        for sink, _ in plan:
+            graphs.append(graphs[-1].quotient((sink,)))
+    steps = tuple(
+        _split(graphs[i], sink, star, graphs[i + 1])
+        for i, (sink, star) in enumerate(plan)
+    )
+    return KKChain(graph=g, ambient=ambient, steps=steps, augmented=added)
 
 
 def multi_sink_splitting(
@@ -435,28 +438,20 @@ def multi_sink_splitting(
 
     Each listed vertex must be a sink of the graph remaining at its step.
     ``stars[i]`` may be ``None`` for the embedding section; with ``stars``
-    omitted the first valid star is chosen at every step.
+    omitted the first valid star is chosen at every step.  It plans as
+    :func:`kk_chain` does, with a policy reading step ``i`` off the lists.
     """
-    if stars is None:
-        plan = []
-        current = g
-        for sink in sinks:
-            avail = current.classify().sinks
-            if sink not in avail:
-                raise ValueError(f"{sink!r} is not a sink of the remaining graph")
-            cand = valid_stars(current, sink)
-            if not cand:
-                raise ValueError(f"no valid star exists for sink {sink!r}")
-            plan.append((sink, cand[0]))
-            current = current.quotient((sink,))
-    else:
-        if len(stars) != len(sinks):
-            raise ValueError("sinks and stars must have equal length")
-        for sink in sinks:
-            if sink not in g:
-                raise ValueError(f"{sink!r} is not a sink of the remaining graph")
-        plan = _plan(g, explicit_steps(list(zip(sinks, stars))), n_steps=len(sinks))
-    chain = _run_chain(g, plan)
+    if stars is not None and len(stars) != len(sinks):
+        raise ValueError("sinks and stars must have equal length")
+    n = len(g.vertices)
+
+    def listed(current: AmpGraph, avail: tuple[str, ...]) -> tuple[str, str | None]:
+        i = n - len(current.vertices)
+        if sinks[i] not in avail:
+            raise ValueError(f"{sinks[i]!r} is not a sink of the remaining graph")
+        return sinks[i], _stars(current, sinks[i])[0] if stars is None else stars[i]
+
+    chain = _run_chain(g, listed, len(sinks))
     if chain.steps:
         section = chain.composite_section()
         unital = all(sd.star is not None for sd in chain.steps)
@@ -486,5 +481,4 @@ def kk_chain(g: AmpGraph, policy: StarPolicy = first_sink_first_star) -> KKChain
         raise ValueError("kk_chain requires an acyclic graph")
     if not g.vertices:
         raise ValueError("kk_chain requires at least one vertex")
-    plan = _plan(g, policy, n_steps=None)
-    return _run_chain(g, plan)
+    return _run_chain(g, policy, len(g.vertices) - 1)

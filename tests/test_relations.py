@@ -105,6 +105,13 @@ def _collapse_quotient(sd):
     return {"quotient_map": with_images(m, vimgs={"v5": m.vertex_images["v3"]})}
 
 
+def _drop_quotient_family(sd):
+    # the section's source keeps every vertex but lacks the family v1 -> v2
+    q = sd.quotient_graph
+    lacking = AmpGraph(q.vertices, tuple(e for e in q.edges if e[:2] != ("v1", "v2")))
+    return {"sigma": GeneratorMap.inclusion(lacking, sd.working)}
+
+
 RELATION_NEGATIVE_CONTROLS = {
     "vertex-projections": lambda: _ck_report(
         line_graph(), {"a": 2 * CKElement.projection(line_graph(), "a")}),
@@ -123,6 +130,7 @@ RELATION_NEGATIVE_CONTROLS = {
     "quotient-map": lambda: _split(_collapse_quotient),
     "section-identity": lambda: _split(_swap_sigma),
     "ideal": lambda: _split(lambda sd: {"sink": "v1"}),
+    "ideal/families": lambda: _split(_drop_quotient_family),
 }
 
 
@@ -158,6 +166,8 @@ def test_ideal_names_what_failed():
     )
     kept = _split(lambda sd: {"sigma": GeneratorMap.identity(sd.working)}).check("ideal")
     assert kept.detail == "the quotient graph is not the working graph without v4"
+    lacking = RELATION_NEGATIVE_CONTROLS["ideal/families"]().check("ideal")
+    assert lacking.detail == kept.detail
 
 
 def test_section_identity_names_the_moved_generator():

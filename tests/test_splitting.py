@@ -176,17 +176,38 @@ def test_kk_chain_rejects_out_of_scope_graphs():
         kk_chain(AmpGraph((), ()))
 
 
-def test_chain_augments_ambient_for_later_steps():
+def _later_step_needs_a_family():
     # removing s2 second with star w forces the family x -> s2 into the
     # ambient graph before s1 is split off
     g = AmpGraph.from_edges(
         ("x", "w", "s1", "s2"), [("x", "w"), ("w", "s1"), ("w", "s2")]
     )
-    chain = kk_chain(g, policy=explicit_steps([("s1", None), ("s2", "w"), ("w", "x")]))
+    return g, explicit_steps([("s1", None), ("s2", "w"), ("w", "x")])
+
+
+def test_chain_augments_ambient_for_later_steps():
+    chain = kk_chain(*_later_step_needs_a_family())
     assert chain.augmented == (("x", "s2"),)
     assert chain.ambient.multiplicity("x", "s2") is OMEGA
     assert [sd.sink for sd in chain.steps] == ["s1", "s2", "w"]
     assert chain.steps[1].augmented == ()
+
+
+def test_unstabilised_ambient_graph_is_reported(monkeypatch):
+    monkeypatch.setattr(splitting, "_stabilize", lambda g, plan: (g, ()))
+    message = "ambient graph not stabilised: step 's2' still added (('x', 's2'),)"
+    with pytest.raises(VerificationFailure, match=re.escape(message)):
+        kk_chain(*_later_step_needs_a_family())
+
+
+def test_no_valid_star_is_reported_by_every_policy():
+    point = AmpGraph.from_edges(("v",))
+    message = "no valid star exists for sink 'v'"
+    with pytest.raises(ValueError, match=message):
+        multi_sink_splitting(point, ["v"])
+    for policy in (first_sink_first_star, prefer_source_star):
+        with pytest.raises(ValueError, match=message):
+            policy(point, ("v",))
 
 
 def test_composite_section_splits_composite_quotient():
@@ -217,6 +238,10 @@ def test_multi_sink_splitting_rejects_unknown_sink():
         multi_sink_splitting(g, ["v4", "nope"], ["v1", None])
     with pytest.raises(ValueError, match="'nope' is not a sink of the remaining graph"):
         multi_sink_splitting(g, ["nope"])
+    # a sink listed twice is gone by its second step, with or without stars
+    for stars in (None, ["v1", "v1"]):
+        with pytest.raises(ValueError, match="'v4' is not a sink of the remaining graph"):
+            multi_sink_splitting(g, ["v4", "v4"], stars)
 
 
 @pytest.mark.parametrize(
@@ -464,6 +489,15 @@ def _plan_of(chain):
     return [(sd.sink, sd.star) for sd in chain.steps]
 
 
+def _random_policy_chain(rng: random.Random):
+    """A random graph and its chain under a shipped or a random policy."""
+    g = random_amplified_dag(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7, 0.9)))
+    policy = rng.choice(
+        (first_sink_first_star, prefer_source_star, _random_star_policy(rng))
+    )
+    return g, kk_chain(g, policy)
+
+
 def test_stabilize_matches_quotient_chain_oracle_on_golden_mix():
     # the fixtures under both policies, then the six cw-ladder chains
     for chain in golden_chains():
@@ -476,11 +510,7 @@ def test_stabilize_matches_quotient_chain_oracle_on_random_chains():
     rng = random.Random(20261019)
     augmented = 0
     for _ in range(120):
-        g = random_amplified_dag(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7, 0.9)))
-        policy = rng.choice(
-            (first_sink_first_star, prefer_source_star, _random_star_policy(rng))
-        )
-        chain = kk_chain(g, policy)
+        g, chain = _random_policy_chain(rng)
         got = splitting._stabilize(g, _plan_of(chain))
         assert got == stabilize_oracle(g, _plan_of(chain))
         assert got == (chain.ambient, chain.augmented)
@@ -488,19 +518,44 @@ def test_stabilize_matches_quotient_chain_oracle_on_random_chains():
     assert augmented >= 10
 
 
-def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatch):
-    """Quotients and reach-mask searches made by chains on the golden mix.
+def _assert_steps_run_on_ambient_quotients(chain):
+    """Each step's working graph is the ambient graph without the earlier sinks."""
+    for i, sd in enumerate(chain.steps):
+        assert sd.working == sd.original == chain.ambient.quotient(chain.sinks[:i])
+        assert sd.quotient_graph == chain.ambient.quotient(chain.sinks[: i + 1])
 
-    ``_stabilize`` builds no quotient.  ``kk_chain`` builds two per step:
-    one to plan it and one for its quotient map.  A reach mask is searched
-    for only on the input graph and on quotients by more than one vertex;
-    every other graph's masks are derived from its parent's.
+
+def test_step_graphs_match_ambient_quotients_on_golden_mix():
+    for chain in golden_chains():
+        _assert_steps_run_on_ambient_quotients(chain)
+
+
+def test_step_graphs_match_ambient_quotients_on_random_chains():
+    rng = random.Random(20261020)
+    augmented = 0
+    for _ in range(120):
+        _, chain = _random_policy_chain(rng)
+        _assert_steps_run_on_ambient_quotients(chain)
+        augmented += bool(chain.augmented)
+    assert augmented >= 10
+
+
+def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatch):
+    """Quotients and reach-mask searches made by chains.
+
+    ``_stabilize`` builds no quotient.  A chain whose stabilising adds
+    nothing builds one quotient per step, the planner's, and runs its steps
+    on them; one that adds families cuts its chain once more from the
+    ambient graph, two per step.  A reach mask is searched for only on the
+    input graph and on quotients by more than one vertex; every other
+    graph's masks are derived from its parent's.
     """
-    quotient, reach_masks, stabilize = (
-        AmpGraph.quotient, AmpGraph._reach_masks, splitting._stabilize
+    quotient, reach_masks, stabilize, run_chain = (
+        AmpGraph.quotient, AmpGraph._reach_masks, splitting._stabilize, splitting._run_chain
     )
     made, searched, wide = [], [], []
     stabilising = []
+    runs = []
 
     def counted_quotient(self, removed):
         removed = tuple(removed)
@@ -522,23 +577,36 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
         finally:
             stabilising.pop()
 
+    def counted_run(*args):
+        start = len(made)
+        chain = run_chain(*args)
+        runs.append((chain, made[start:]))
+        return chain
+
     monkeypatch.setattr(AmpGraph, "quotient", counted_quotient)
     monkeypatch.setattr(AmpGraph, "_reach_masks", counted_reach)
     monkeypatch.setattr(splitting, "_stabilize", counted_stabilize)
+    monkeypatch.setattr(splitting, "_run_chain", counted_run)
     for policy in (first_sink_first_star, prefer_source_star):
         for path in sorted((ROOT / "fixtures").glob("*.json")):
             g = load_graph(path)
-            made.clear()
             searched.clear()
-            chain = kk_chain(g, policy)
-            assert made == [False] * (2 * len(chain.steps))
+            kk_chain(g, policy)
             assert searched == [g]
+    kk_chain(*_later_step_needs_a_family())
+    rng = random.Random(20261021)
+    for _ in range(40):
+        searched.clear()
+        g, _ = _random_policy_chain(rng)
+        assert searched == [g]
     for spec in CW_LADDER:
-        made.clear()
         searched.clear()
         summary = cw_kk_summary(spec)
         assert summary.report.ok
-        assert made and not any(made)
         assert all(
             h is summary.chain.graph or any(h is q for q in wide) for h in searched
         )
+    assert made and not any(made)
+    for chain, quotients in runs:
+        assert len(quotients) == len(chain.steps) * (2 if chain.augmented else 1)
+    assert {bool(chain.augmented) for chain, _ in runs} == {False, True}
