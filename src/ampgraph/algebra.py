@@ -27,10 +27,17 @@ when ``t = u`` and ``i = j`` and zero otherwise,
 A pair of distinct indices therefore never meets, and the Cuntz-Krieger
 relations for such a map are identities between template coefficients:
 they are checked on the templates, without multiplying words.
+
+Every canned map sends each generator to the one of the same label except
+the few it lists, and one builder makes them all.  A map keeps a vertex
+image that is a sum of vertex projections also as its coefficient table,
+and only this module reads those tables: the relation checks, the section
+identity and each image's K_0 class are decided here.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -410,30 +417,12 @@ class GeneratorMap:
 
     @classmethod
     def identity(cls, graph: AmpGraph) -> "GeneratorMap":
-        return cls(
-            graph,
-            graph,
-            {v: CKElement.projection(graph, v) for v in graph.vertices},
-            {
-                (src, dst): ((1, (src, dst)),)
-                for src, dst, _ in graph.families()
-            },
-        )
+        return _label_map(graph, graph, {}, {})
 
     @classmethod
     def inclusion(cls, sub: AmpGraph, graph: AmpGraph) -> "GeneratorMap":
         """The natural embedding of a subgraph algebra, generator by generator."""
-        for v in sub.vertices:
-            graph.index(v)
-        return cls(
-            sub,
-            graph,
-            {v: CKElement.projection(graph, v) for v in sub.vertices},
-            {
-                (src, dst): ((1, (src, dst)),)
-                for src, dst, _ in sub.families()
-            },
-        )
+        return _label_map(sub, graph, {}, {})
 
     @classmethod
     def quotient(cls, graph: AmpGraph, removed: Iterable[str]) -> "GeneratorMap":
@@ -442,13 +431,6 @@ class GeneratorMap:
         return _quotient_onto(graph, graph.quotient(removed), removed)
 
     # -- evaluation ------------------------------------------------------------
-
-    def vertex_image(self, v: str) -> CKElement:
-        self.source.index(v)
-        return self.vertex_images[v]
-
-    def family_template(self, src: str, dst: str) -> EdgeTemplate:
-        return _family_template(self, src, dst)
 
     def edge_image(self, e: EdgeRef) -> CKElement:
         """Instantiate the family template of ``e`` at its concrete index."""
@@ -478,18 +460,36 @@ class GeneratorMap:
         return rows
 
 
+def _label_map(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -> GeneratorMap:
+    """The map sending each generator of ``source`` to the same-label one of ``target``.
+
+    ``vertices`` and ``families`` give the vertex images and family
+    templates of the generators it moves instead.  An unmoved label that
+    ``target`` lacks is refused by the projection or by the map itself.
+    """
+    return GeneratorMap(
+        source,
+        target,
+        {
+            v: vertices[v] if v in vertices else CKElement.projection(target, v)
+            for v in source.vertices
+        },
+        {
+            (a, b): families[a, b] if (a, b) in families else ((1, (a, b)),)
+            for a, b, _ in source.families()
+        },
+    )
+
+
 def _quotient_onto(graph: AmpGraph, target: AmpGraph, removed: Iterable[str]) -> GeneratorMap:
     """:meth:`GeneratorMap.quotient` onto ``target``, the quotient graph already cut."""
     drop = set(removed)
-    vimgs = {
-        v: CKElement.zero(target) if v in drop else CKElement.projection(target, v)
-        for v in graph.vertices
-    }
-    eimgs: dict[tuple[str, str], EdgeTemplate] = {
-        (src, dst): () if src in drop or dst in drop else ((1, (src, dst)),)
-        for src, dst, _ in graph.families()
-    }
-    return GeneratorMap(graph, target, vimgs, eimgs)
+    return _label_map(
+        graph,
+        target,
+        {v: CKElement.zero(target) for v in drop},
+        {(a, b): () for a, b, _ in graph.families() if a in drop or b in drop},
+    )
 
 
 class _Tables(NamedTuple):
@@ -505,16 +505,12 @@ class _Tables(NamedTuple):
     edge_images: dict
 
 
-def _family_template(m, src: str, dst: str) -> EdgeTemplate:
-    try:
-        return m.edge_images[(src, dst)]
-    except KeyError:
-        raise ValueError(f"no source family {src!r} -> {dst!r}") from None
-
-
 def _edge_image(m, e: EdgeRef) -> CKElement:
     """``m(s_e)``: the family template of ``e`` at its index, over ``m.target``."""
-    tpl = _family_template(m, e.src, e.dst)
+    try:
+        tpl = m.edge_images[(e.src, e.dst)]
+    except KeyError:
+        raise ValueError(f"no source family {e.src!r} -> {e.dst!r}") from None
     if e.index < 0:
         raise ValueError(f"negative edge index in {e!r}")
     acc: dict[CKWord, int] = {}
@@ -598,6 +594,74 @@ def compose_tables(outer, inner) -> _Tables:
 def compose(outer: GeneratorMap, inner: GeneratorMap) -> GeneratorMap:
     """The composite ``outer . inner`` as a single generator map."""
     return GeneratorMap(*compose_tables(outer, inner))
+
+
+def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str | None:
+    """The first generator of ``section.source`` that ``quot . section`` moves.
+
+    The composite is formed on the generator tables and compared with the
+    identity generator by generator.  A vertex image that both maps keep as
+    a table of vertex-projection coefficients is composed on those tables
+    and compared with ``{v: 1}``; it can equal ``p_v`` only when
+    ``quot.target`` is ``section.source``.  Any other vertex image is
+    multiplied out and compared with its projection.  Each edge template is
+    compared with the family itself; a template is index-uniform, so one
+    comparison covers every index and a moved family is reported at index
+    0.  ``None`` when every generator is fixed.
+    """
+    _check_composable(quot, section)
+    src = section.source
+    home = quot.target == src
+    for v in src.vertices:
+        diag = section._diag[v]
+        got = None if diag is None else _push_diagonal(quot, diag)
+        if got is None:
+            img = _push(quot, section.vertex_images[v].terms)
+            if img != CKElement.projection(src, v):
+                return f"p[{v}]"
+        elif not home or got != {v: 1}:
+            return f"p[{v}]"
+    for a, b, _ in src.families():
+        if _compose_template(quot, section.edge_images[(a, b)]) != ((1, (a, b)),):
+            return f"s[{a}>{b}#0]"
+    return None
+
+
+def _range_counts(m: GeneratorMap) -> list[dict[str, int]]:
+    """For each source vertex, its image's range projections per target vertex.
+
+    That count is the K_0 class of ``m(p_v)``.  Each image must be zero or
+    a sum of pairwise-orthogonal range projections ``s_alpha s_alpha*``
+    with coefficient one; anything else is refused.  A table of ones is its
+    own count: distinct vertex projections are orthogonal, so only other
+    images have their terms multiplied pairwise.
+    """
+    out = []
+    for v in m.source.vertices:
+        diag = m._diag[v]
+        if diag is not None:
+            for c in diag.values():
+                if c != 1:
+                    break  # refused below, term by term
+            else:
+                out.append(diag)
+                continue
+        img = m.vertex_images[v]
+        for w, c in img.terms:
+            if c != 1 or w.alpha != w.beta:
+                raise ValueError(
+                    f"image of p[{v}] is not an orthogonal sum of path "
+                    f"projections: term {c}*{w.render()}"
+                )
+        words = [w for w, _ in img.terms]
+        for w1, w2 in combinations(words, 2):
+            if word_mul(w1, w2) is not None:
+                raise ValueError(
+                    f"image of p[{v}] has non-orthogonal terms "
+                    f"{w1.render()} and {w2.render()}"
+                )
+        out.append(Counter(w.alpha.range for w in words))
+    return out
 
 
 # ---------------------------------------------------------------------------

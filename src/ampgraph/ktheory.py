@@ -3,8 +3,9 @@
 For a finite acyclic amplified graph the even K-group is free on the vertex
 projection classes and the odd group vanishes, so every map this package
 constructs acts on K_0 through an integer matrix in the vertex bases.  The
-module extracts those matrices from generator maps and certifies, by
-multiplication alone, that a split extension really decomposes K_0.
+module builds those matrices from the K_0 class of each vertex image, which
+:mod:`ampgraph.algebra` reads off the map, and certifies, by multiplication
+alone, that a split extension really decomposes K_0.
 
 A sink removal gives the quotient matrix Q and the section matrix S.  When
 ``Q S = I`` and ``Q e_sink = 0``, the matrix
@@ -16,17 +17,18 @@ when it fails is the kernel of Q decided by an exact rank.
 
 K_0 maps are held as sparse columns: column j is a dict from row index to
 the nonzero entries of that column.  A step's columns are extracted from its
-maps once and kept on its :class:`~ampgraph.splitting.SplitData`; both checks
-read them and neither writes to them.  Reports expose dense matrices, tuples
-of rows of Python ints, which serialise to JSON as they are.  A dense matrix
-with no rows is ``()`` and does not record its column count.
+maps once and kept on its :class:`~ampgraph.splitting.SplitData`, with the
+two halves of its certificate; every check reads them and none writes to
+them.  Reports expose dense matrices, tuples of rows of Python ints, which
+serialise to JSON as they are.  A dense matrix with no rows is ``()`` and
+does not record its column count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Check, GeneratorMap, VerificationReport, word_mul
+from .algebra import Check, GeneratorMap, VerificationReport, _range_counts
 from .splitting import KKChain, SplitData
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -81,68 +83,24 @@ def _rank(cols: Columns) -> int:
     return len(pivots)
 
 
-def _certificate_failure(q: Columns, s: Columns, k: int) -> str | None:
-    """Which half of the left-inverse certificate fails, or None if it holds."""
-    failed = []
-    if not _is_left_inverse(q, s):
-        failed.append("Q S is not the identity")
-    if q[k]:
-        failed.append("Q does not kill the sink class")
-    return " and ".join(failed) or None
-
-
-def _step_columns(sd: SplitData) -> tuple[Columns, Columns]:
-    """The step's K_0 columns ``(Q, S)``, extracted on first use and kept on ``sd``."""
+def _step_columns(sd: SplitData) -> tuple[Columns, Columns, bool, bool]:
+    """The step's ``(Q, S, Q S = I, Q e_sink = 0)``, decided on first use and kept on ``sd``."""
     if sd._k0 is None:
-        object.__setattr__(sd, "_k0", (induced_k0(sd.quotient_map), induced_k0(sd.sigma)))
+        q, s = induced_k0(sd.quotient_map), induced_k0(sd.sigma)
+        killed = not q[sd.working.index(sd.sink)]
+        object.__setattr__(sd, "_k0", (q, s, _is_left_inverse(q, s), killed))
     return sd._k0
 
 
 def induced_k0(m: GeneratorMap) -> Columns:
     """The matrix of ``m`` on K_0 in the vertex bases, as sparse columns.
 
-    Column j belongs to the j-th source vertex and maps target vertex
-    indices to nonzero entries.  Requires every vertex image to be zero or a
-    sum of pairwise-orthogonal range projections ``s_alpha s_alpha*`` with
-    coefficient one; anything else has no evident K_0 class and is refused.
-    An image the map keeps as a table of vertex-projection coefficients
-    gives its column straight from the table: distinct vertex projections
-    are orthogonal, so only other images have their terms multiplied
-    pairwise.
+    Column j belongs to the j-th source vertex ``v`` and counts the range
+    projections of ``m(p_v)`` at each target vertex index.  An image with
+    no evident K_0 class is refused.
     """
-    cols = []
-    for v in m.source.vertices:
-        diag = m._diag[v]
-        if diag is not None:
-            for x, c in diag.items():
-                if c != 1:
-                    raise ValueError(
-                        f"image of p[{v}] is not an orthogonal sum of path "
-                        f"projections: term {c}*p[{x}]"
-                    )
-            cols.append({m.target.index(x): 1 for x in diag})
-            continue
-        img = m.vertex_images[v]
-        words = [w for w, _ in img.terms]
-        for w, c in img.terms:
-            if c != 1 or w.alpha != w.beta:
-                raise ValueError(
-                    f"image of p[{v}] is not an orthogonal sum of path "
-                    f"projections: term {c}*{w.render()}"
-                )
-        for i, w1 in enumerate(words):
-            for w2 in words[i + 1 :]:
-                if word_mul(w1, w2) is not None:
-                    raise ValueError(
-                        f"image of p[{v}] has non-orthogonal terms "
-                        f"{w1.render()} and {w2.render()}"
-                    )
-        col: Column = {}
-        for w in words:
-            row = m.target.index(w.alpha.range)
-            col[row] = col.get(row, 0) + 1
-        cols.append(col)
-    return tuple(cols)
+    index = m.target.index
+    return tuple([{index(x): c for x, c in counts.items()} for counts in _range_counts(m)])
 
 
 @dataclass(frozen=True)
@@ -165,11 +123,9 @@ def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
     ``Z (+) Z^(N-1)``.  The first two make the left-inverse certificate, which
     proves the third; only without it is the kernel decided by the rank of Q.
     """
-    q, s = _step_columns(sd)
+    q, s, section_ok, killed = _step_columns(sd)
     n = len(sd.working.vertices)
     k = sd.working.index(sd.sink)
-    section_ok = _is_left_inverse(q, s)
-    killed = not q[k]
     nullity = 1 if section_ok and killed else n - _rank(q)
     kernel_ok = killed and nullity == 1
     checks = (
@@ -244,13 +200,15 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     failure = None
     for step, sd in enumerate(chain.steps):
         k = sd.working.index(sd.sink)
-        q, s = _step_columns(sd)
-        what = _certificate_failure(q, s, k)
-        if what is not None and failure is None:
+        q, s, section_ok, killed = _step_columns(sd)
+        if not (section_ok and killed) and failure is None:
+            what = ["Q S is not the identity"] if not section_ok else []
+            if not killed:
+                what.append("Q does not kill the sink class")
             failure = Check(
                 "k0-step-unimodular",
                 False,
-                f"step at {sd.sink!r}: no left inverse certifies [e_sink | S]: {what}",
+                f"step at {sd.sink!r}: no left inverse certifies [e_sink | S]: {' and '.join(what)}",
             )
         s_row = {j: col[k] for j, col in enumerate(s) if k in col}
         row = {k: 1}

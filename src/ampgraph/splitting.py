@@ -40,11 +40,9 @@ from .algebra import (
     CKElement,
     GeneratorMap,
     VerificationReport,
-    _check_composable,
-    _compose_template,
-    _push,
-    _push_diagonal,
+    _label_map,
     _quotient_onto,
+    _section_identity_failure,
     compose_tables,
     verify_ck_family,
 )
@@ -71,8 +69,9 @@ class SplitData:
     sigma: GeneratorMap
     quotient_map: GeneratorMap
     augmented: tuple[tuple[str, str], ...]
-    #: The K_0 columns ``(Q, S)`` of ``quotient_map`` and ``sigma``, filled
-    #: on first use by :mod:`ampgraph.ktheory` and never mutated.
+    #: The K_0 columns ``(Q, S)`` of ``quotient_map`` and ``sigma``, then
+    #: whether ``Q S = I`` and ``Q e_sink = 0``; filled on first use by
+    #: :mod:`ampgraph.ktheory` and never mutated.
     _k0: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     @property
@@ -94,50 +93,12 @@ def _splitting_map(working: AmpGraph, source: AmpGraph, sink: str,
     """The section out of ``source``, the quotient of ``working`` by ``sink``."""
     if star is None:
         return GeneratorMap.inclusion(source, working)
-    vimgs = {}
-    for v in source.vertices:
-        img = CKElement.projection(working, v)
-        if v == star:
-            img = img + CKElement.projection(working, sink)
-        vimgs[v] = img
-    eimgs = {}
-    for src, dst, _ in source.families():
-        if dst == star:
-            eimgs[(src, dst)] = ((1, (src, dst)), (1, (src, sink)))
-        else:
-            eimgs[(src, dst)] = ((1, (src, dst)),)
-    return GeneratorMap(source, working, vimgs, eimgs)
-
-
-def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str | None:
-    """The first generator of ``section.source`` that ``quot . section`` moves.
-
-    The composite is formed on the generator tables and compared with the
-    identity generator by generator.  A vertex image that both maps keep as
-    a table of vertex-projection coefficients is composed on those tables
-    and compared with ``{v: 1}``; it can equal ``p_v`` only when
-    ``quot.target`` is ``section.source``.  Any other vertex image is
-    multiplied out and compared with its projection.  Each edge template is
-    compared with the family itself; a template is index-uniform, so one
-    comparison covers every index and a moved family is reported at index
-    0.  ``None`` when every generator is fixed.
-    """
-    _check_composable(quot, section)
-    src = section.source
-    home = quot.target == src
-    for v in src.vertices:
-        diag = section._diag[v]
-        got = None if diag is None else _push_diagonal(quot, diag)
-        if got is None:
-            img = _push(quot, section.vertex_images[v].terms)
-            if img != CKElement.projection(src, v):
-                return f"p[{v}]"
-        elif not home or got != {v: 1}:
-            return f"p[{v}]"
-    for a, b, _ in src.families():
-        if _compose_template(quot, section.edge_images[(a, b)]) != ((1, (a, b)),):
-            return f"s[{a}>{b}#0]"
-    return None
+    return _label_map(
+        source,
+        working,
+        {star: CKElement.projection(working, star) + CKElement.projection(working, sink)},
+        {(v, star): ((1, (v, star)), (1, (v, sink))) for v in source.predecessors(star)},
+    )
 
 
 def _missing_families(g: AmpGraph, sink: str, star: str) -> list[tuple[str, str]]:
@@ -333,11 +294,10 @@ class KKChain:
 
         Each step's quotient map is the quotient by its sink, so the
         composite is the quotient by every removed sink at once, built as
-        one map; the sinks of a chain form a hereditary set.
+        one map onto the terminal graph; the sinks of a chain form a
+        hereditary set.
         """
-        if not self.steps:
-            return GeneratorMap.identity(self.ambient)
-        return GeneratorMap.quotient(self.ambient, self.sinks)
+        return _quotient_onto(self.ambient, self.terminal, self.sinks)
 
     @property
     def iota_terms(self) -> tuple[str, ...]:

@@ -174,6 +174,16 @@ def test_inclusion_is_injective_on_generators_but_not_unital():
     assert not unital.passed and not unital.required
 
 
+def test_inclusion_refuses_a_subgraph_the_graph_lacks():
+    g = example_graph()
+    with pytest.raises(ValueError, match="unknown vertex 'x'"):
+        GeneratorMap.inclusion(AmpGraph.from_edges(("v1", "x"), [("v1", "x")]), g)
+    # every vertex is in g, but g has no family v2 -> v1
+    backward = AmpGraph.from_edges(("v1", "v2"), [("v2", "v1")])
+    with pytest.raises(ValueError, match=r"template for \('v2', 'v1'\) uses missing target family"):
+        GeneratorMap.inclusion(backward, g)
+
+
 def negated_vertex_map(g: AmpGraph, v: str) -> GeneratorMap:
     """The identity of ``g`` except m(p_v) = -p_v, which is not a projection."""
     ident = GeneratorMap.identity(g)

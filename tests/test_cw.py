@@ -160,6 +160,30 @@ def test_k0_chain_negative_control(monkeypatch):
     )
 
 
+def test_k0_step_negative_control_with_the_section_intact(monkeypatch):
+    # Q S = I still holds, but Q sends the first sink's class to its star's:
+    # only the other half of the step's certificate fails
+    first_sink = cw_kk_summary(GR).chain.steps[0].sink
+
+    def corrupted(*args):
+        chain = multi_sink_splitting(*args)
+        first = chain.steps[0]
+        q, s = first.quotient_map, first.sigma
+        q_images = dict(q.vertex_images, **{first.sink: CKElement.projection(q.target, first.star)})
+        s_images = dict(s.vertex_images, **{first.star: CKElement.projection(s.target, first.star)})
+        bad = dataclasses.replace(
+            first,
+            quotient_map=GeneratorMap(q.source, q.target, q_images, q.edge_images),
+            sigma=GeneratorMap(s.source, s.target, s_images, s.edge_images),
+        )
+        return dataclasses.replace(chain, steps=(bad,) + chain.steps[1:])
+
+    monkeypatch.setattr(cw, "multi_sink_splitting", corrupted)
+    report = cw_kk_summary(GR).report
+    assert [c.name for c in report.checks if not c.passed][0] == "k0-step"
+    assert report.check("k0-step").detail == f"K_0 split check failed at sink {first_sink!r}"
+
+
 def test_single_point_tower():
     point = AmpGraph.from_edges(("pt",))
     summary = summarize_filtration(point, (point,))

@@ -246,9 +246,11 @@ def test_k0_checks_leave_the_step_columns_unchanged():
         chain_k0 = check_chain_k0(chain)
         assert [check_split_exact_k0(sd) for sd in chain.steps] == before
         assert check_chain_k0(chain) == chain_k0
-        # the kept columns are still what the step's maps induce
+        # the kept columns are still what the step's maps induce, and both
+        # halves of the certificate hold
         for sd in chain.steps:
-            assert sd._k0 == (induced_k0(sd.quotient_map), induced_k0(sd.sigma))
+            q, s = induced_k0(sd.quotient_map), induced_k0(sd.sigma)
+            assert sd._k0 == (q, s, True, True)
 
 
 @pytest.mark.parametrize("star", ["v1", "v2", "v3", None])
@@ -308,10 +310,14 @@ def _remap(m: GeneratorMap, **images) -> GeneratorMap:
     return GeneratorMap(m.source, m.target, vimgs, m.edge_images)
 
 
-def _split_report(star="v2", **replace):
+def _corrupted_split(star="v2", **replace):
     sd = build_splitting(example_graph(), "v4", star)
     changes = {field: _remap(getattr(sd, field), **imgs) for field, imgs in replace.items()}
-    return check_split_exact_k0(dataclasses.replace(sd, **changes)).report
+    return dataclasses.replace(sd, **changes)
+
+
+def _split_report(star="v2", **replace):
+    return check_split_exact_k0(_corrupted_split(star, **replace)).report
 
 
 def _chain_report(**replace):
@@ -342,6 +348,24 @@ K0_NEGATIVE_CONTROLS = {
 def test_negative_controls_cover_every_k0_check():
     healthy = _split_report().checks + _chain_report().checks
     assert {c.name for c in healthy} | {"k0-step-unimodular"} == set(K0_NEGATIVE_CONTROLS)
+
+
+@pytest.mark.parametrize("star, replace", [
+    ("v2", {}),
+    (None, {}),
+    ("v2", {"sigma": {"v3": "v5"}}),
+    (None, {"quotient_map": {"v4": "v5"}}),
+    ("v2", {"quotient_map": {"v5": None}}),
+    ("v2", {"sigma": {"v3": "v5"}, "quotient_map": {"v4": "v5"}}),
+])
+def test_the_kept_certificate_decides_the_step_check(star, replace):
+    # what the cw summary reads for its k0-step rows
+    sd = _corrupted_split(star, **replace)
+    _, _, section_ok, killed = ktheory._step_columns(sd)
+    report = check_split_exact_k0(sd).report
+    assert section_ok == report.check("k0-section").passed
+    assert killed == report.check("k0-ideal-killed").passed
+    assert report.ok == (section_ok and killed) == (replace == {})
 
 
 @pytest.mark.parametrize("name", sorted(K0_NEGATIVE_CONTROLS))
