@@ -184,8 +184,8 @@ class AmpGraph:
         return self._labels(self._succ[self.index(v)])
 
     def predecessors(self, v: str) -> tuple[str, ...]:
-        self.index(v)
-        return tuple(src for src, dst, _ in self.edges if dst == v)
+        bit = 1 << self.index(v)
+        return tuple(u for u, mask in zip(self.vertices, self._succ) if mask & bit)
 
     @property
     def is_amplified(self) -> bool:

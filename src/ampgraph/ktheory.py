@@ -4,8 +4,9 @@ For a finite acyclic amplified graph the even K-group is free on the vertex
 projection classes and the odd group vanishes, so every map this package
 constructs acts on K_0 through an integer matrix in the vertex bases.  The
 module builds those matrices from the K_0 class of each vertex image, which
-:mod:`ampgraph.algebra` reads off the map, and certifies, by multiplication
-alone, that a split extension really decomposes K_0.
+:mod:`ampgraph.algebra` reads off the image's table of vertex-projection
+coefficients, and certifies, by multiplication alone, that a split
+extension really decomposes K_0.
 
 A sink removal gives the quotient matrix Q and the section matrix S.  When
 ``Q S = I`` and ``Q e_sink = 0``, the matrix
@@ -95,9 +96,9 @@ def _step_columns(sd: SplitData) -> tuple[Columns, Columns, bool, bool]:
 def induced_k0(m: GeneratorMap) -> Columns:
     """The matrix of ``m`` on K_0 in the vertex bases, as sparse columns.
 
-    Column j belongs to the j-th source vertex ``v`` and counts the range
-    projections of ``m(p_v)`` at each target vertex index.  An image with
-    no evident K_0 class is refused.
+    Column j belongs to the j-th source vertex ``v`` and holds the table of
+    ``m(p_v)`` at each target vertex index.  An image with a coefficient
+    other than 1 is not a sum of distinct vertex projections and is refused.
     """
     index = m.target.index
     return tuple([{index(x): c for x, c in counts.items()} for counts in _range_counts(m)])

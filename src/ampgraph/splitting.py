@@ -37,7 +37,6 @@ from typing import Callable, Sequence
 
 from .algebra import (
     Check,
-    CKElement,
     GeneratorMap,
     VerificationReport,
     _label_map,
@@ -96,7 +95,7 @@ def _splitting_map(working: AmpGraph, source: AmpGraph, sink: str,
     return _label_map(
         source,
         working,
-        {star: CKElement.projection(working, star) + CKElement.projection(working, sink)},
+        {star: {star: 1, sink: 1}},
         {(v, star): ((1, (v, star)), (1, (v, sink))) for v in source.predecessors(star)},
     )
 

@@ -91,7 +91,7 @@ def test_criterion_2_splittings_verify(capsys):
     # negative control: drop the sink summand from the star's image
     sd = build_splitting(g, "v4", "v2")
     broken_vimgs = dict(sd.sigma.vertex_images)
-    broken_vimgs["v2"] = CKElement.projection(sd.working, "v2")
+    broken_vimgs["v2"] = {"v2": 1}
     broken = GeneratorMap(sd.sigma.source, sd.sigma.target,
                           broken_vimgs, sd.sigma.edge_images)
     _expect(fail, not verify_ck_family(broken).ok,

@@ -11,7 +11,7 @@ from ampgraph.algebra import (
     word_mul,
 )
 
-from helpers import all_words, example_graph, oracle_word_mul
+from helpers import all_words, example_graph, oracle_word_mul, table_element
 
 
 def line_graph() -> AmpGraph:
@@ -187,8 +187,7 @@ def test_inclusion_refuses_a_subgraph_the_graph_lacks():
 def negated_vertex_map(g: AmpGraph, v: str) -> GeneratorMap:
     """The identity of ``g`` except m(p_v) = -p_v, which is not a projection."""
     ident = GeneratorMap.identity(g)
-    images = dict(ident.vertex_images)
-    images[v] = -images[v]
+    images = dict(ident.vertex_images, **{v: {v: -1}})
     return GeneratorMap(g, g, images, ident.edge_images)
 
 
@@ -207,7 +206,8 @@ def test_compose_matches_pointwise_application():
         src = inner.source
         for v in src.vertices:
             p = CKElement.projection(src, v)
-            assert both.apply(p) == outer.apply(inner.apply(p)) == both.vertex_images[v]
+            assert (both.apply(p) == outer.apply(inner.apply(p))
+                    == table_element(both.target, both.vertex_images[v]))
         for a, b, _ in src.families():
             for i in (0, 1):
                 x = CKElement.edge(src, a, b, i)
@@ -227,6 +227,58 @@ def test_generator_map_validates_coverage():
     del images[g.vertices[0]]
     with pytest.raises(ValueError):
         GeneratorMap(g, g, images, ident.edge_images)
+
+
+@pytest.mark.parametrize("image, message", [
+    (lambda g: CKElement.projection(g, "a"),
+     r"image of p\[a\] must be a table \{target vertex: int\}, not CKElement"),
+    (lambda g: {"x": 1}, r"image of p\[a\] names unknown vertex 'x'"),
+    (lambda g: {"a": True}, r"image of p\[a\] has coefficient True at 'a', not an int"),
+    (lambda g: {"a": 1.0}, r"image of p\[a\] has coefficient 1.0 at 'a', not an int"),
+], ids=["element", "unknown-vertex", "bool", "float"])
+def test_generator_map_refuses_an_image_that_is_not_a_vertex_table(image, message):
+    g = line_graph()
+    ident = GeneratorMap.identity(g)
+    images = dict(ident.vertex_images, a=image(g))
+    with pytest.raises(ValueError, match=message):
+        GeneratorMap(g, g, images, ident.edge_images)
+
+
+def test_generator_map_drops_zero_coefficients():
+    g = line_graph()
+    ident = GeneratorMap.identity(g)
+    m = GeneratorMap(g, g, dict(ident.vertex_images, a={"a": 1, "b": 0}), ident.edge_images)
+    assert m.vertex_images["a"] == {"a": 1}
+    assert m == ident
+
+
+def test_render_table_rows_match_element_rendering():
+    """Each vertex row is what ``CKElement.render`` writes for the same table.
+
+    Labels ``v1 .. v12`` sort differently as strings (``v10`` before
+    ``v2``) than in vertex order; the coefficients include 1, -1, 2, -3 and
+    0, which the map drops, and some tables are empty.
+    """
+    rng = random.Random(1357)
+    labels = tuple(f"v{i}" for i in range(1, 13))
+    g = AmpGraph.from_edges(labels)
+    coeffs, empty = set(), set()
+    for _ in range(200):
+        images = {
+            v: {x: rng.choice((1, -1, 2, -3, 0)) for x in rng.sample(labels, rng.randrange(5))}
+            for v in labels
+        }
+        m = GeneratorMap(g, g, images, {})
+        rows = m.render_table()
+        for v in labels:
+            want = table_element(g, images[v]).render()
+            assert rows[f"p[{v}]"] == want
+            empty.add(want == "0")
+            coeffs.update(images[v].values())
+    assert coeffs == {1, -1, 2, -3, 0}
+    assert empty == {True, False}
+    two = GeneratorMap(g, g, dict(images, v1={"v2": 1, "v10": -3}), {})
+    assert two.render_table()["p[v1]"] == "-3*p[v10] + p[v2]"
 
 
 def test_verify_catches_collapsed_vertices():

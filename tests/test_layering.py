@@ -1,9 +1,10 @@
 """Only :mod:`ampgraph.algebra` reads how a generator map stores its images.
 
-A map keeps tabled vertex images in ``_diag``, and the table-level helpers
-that compose and push maps work on that layout.  Every other module goes
-through the functions ``algebra`` provides for it, and none multiplies words
-itself, so the layout can change in one module.
+A map holds its vertex tables in ``.vertex_images`` and its family
+templates in ``.edge_images``, and the table-level helpers that compose and
+push maps work on that layout.  Every other module goes through the
+functions ``algebra`` provides for it, and none multiplies words itself, so
+the layout can change in one module.
 """
 
 import ast
@@ -13,7 +14,8 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ampgraph"
 LAYOUT = {
-    "_diag", "_push", "_push_diagonal", "_compose_template", "_check_composable", "word_mul",
+    "vertex_images", "edge_images", "_push", "_push_table", "_compose_template",
+    "_check_composable", "word_mul",
 }
 
 
@@ -40,5 +42,13 @@ def test_only_algebra_reads_a_maps_layout(path):
 
 
 def test_the_layout_scan_sees_reads_and_imports():
-    source = "from .algebra import _push, verify_ck_family\nx = m._diag[v]\n"
-    assert _layout_uses(ast.parse(source)) == ["line 1: imports _push", "line 2: reads ._diag"]
+    source = (
+        "from .algebra import _push_table, verify_ck_family\n"
+        "x = m.vertex_images[v]\n"
+        "t = m.edge_images[f]\n"
+    )
+    assert _layout_uses(ast.parse(source)) == [
+        "line 1: imports _push_table",
+        "line 2: reads .vertex_images",
+        "line 3: reads .edge_images",
+    ]

@@ -81,7 +81,6 @@ def test_build_splitting_all_stars_verify():
             "ck1",
             "ck2",
             "unital",
-            "gauge-homogeneity",
             "quotient-map",
             "section-identity",
         ):
@@ -291,7 +290,7 @@ def test_composite_section_identity_failure_is_reported(monkeypatch):
 
     def moved(chain):
         quot = healthy(chain)
-        vimgs = dict(quot.vertex_images, v3=CKElement.projection(quot.target, "v2"))
+        vimgs = dict(quot.vertex_images, v3={"v2": 1})
         return GeneratorMap(quot.source, quot.target, vimgs, quot.edge_images)
 
     monkeypatch.setattr(KKChain, "composite_quotient", moved)
@@ -318,7 +317,8 @@ def test_composite_section_ck_failure_is_reported(monkeypatch):
     def doubled(chain):
         section = healthy(chain)
         v = section.source.vertices[0]
-        vimgs = dict(section.vertex_images, **{v: 2 * section.vertex_images[v]})
+        vimgs = dict(section.vertex_images)
+        vimgs[v] = {x: 2 * c for x, c in vimgs[v].items()}
         return GeneratorMap(section.source, section.target, vimgs, section.edge_images)
 
     monkeypatch.setattr(KKChain, "composite_section", doubled)
@@ -357,18 +357,13 @@ def test_multi_sink_splitting_builds_two_maps_per_step_and_two_composites(
 
 
 def test_checks_build_no_elements_and_multiply_no_words(monkeypatch):
-    """Every verified map's vertex images are sums of vertex projections.
+    """Maps, checks and K_0 columns all work on vertex tables.
 
-    On the golden mix (fixtures and the cw-ladder specs) the relation checks,
-    the section identities and the K_0 columns read the maps' coefficient
-    tables alone: no element is built and no word is multiplied.
+    On the golden mix (fixtures and the cw-ladder specs) building each
+    chain and its composites, the relation checks, the section identities
+    and the K_0 columns read and write coefficient tables alone: no element
+    is built and no word is multiplied.
     """
-    chains = golden_chains()
-    composites = [
-        (chain.composite_section(), chain.composite_quotient(),
-         all(sd.star is not None for sd in chain.steps))
-        for chain in chains if chain.steps
-    ]
     built, products = [], []
     init = CKElement.__init__
 
@@ -382,6 +377,12 @@ def test_checks_build_no_elements_and_multiply_no_words(monkeypatch):
 
     monkeypatch.setattr(CKElement, "__init__", counted_init)
     monkeypatch.setattr(algebra, "word_mul", counted_mul)
+    chains = golden_chains()
+    composites = [
+        (chain.composite_section(), chain.composite_quotient(),
+         all(sd.star is not None for sd in chain.steps))
+        for chain in chains if chain.steps
+    ]
     steps = 0
     for chain in chains:
         for sd in chain.steps:
@@ -404,12 +405,7 @@ def test_section_identity_against_a_foreign_quotient_reports_the_first_vertex():
     sd = build_splitting(example_graph(), "v4", "v2")
     src, q = sd.quotient_graph, sd.quotient_map
     wider = AmpGraph(src.vertices, src.edges + (("v5", "v1", OMEGA),))
-    foreign = GeneratorMap(
-        q.source,
-        wider,
-        {v: CKElement.from_terms(wider, img.terms) for v, img in q.vertex_images.items()},
-        q.edge_images,
-    )
+    foreign = GeneratorMap(q.source, wider, q.vertex_images, q.edge_images)
     assert splitting._section_identity_failure(sd.sigma, q) is None
     assert splitting._section_identity_failure(sd.sigma, foreign) == "p[v1]"
     assert section_identity_failure_oracle(sd.sigma, foreign) == "p[v1]"
