@@ -36,8 +36,41 @@ image's K_0 class are decided on them, and :meth:`GeneratorMap.apply`
 turns a table back into an element when a word is pushed through the map.
 A table has gauge degree 0 and a template gauge degree 1, so every map
 that can be written down commutes with the gauge action, and no check for
-it could fail.  Every canned map sends each generator to the one of the
-same label except the few it lists, and one builder makes them all.
+it could fail.
+
+A map is stored as the identity on labels plus a *patch*: the vertex
+tables and family templates that differ from the same-label generator of
+the target.  The section of a sink removal moves only the star and the
+families into it, and the quotient map only the sink and the families into
+it, so a patch is a few entries where the map has hundreds of generators.
+The canned maps are built from their patch alone, and the constructor
+diffs full tables into one; either way one validator checks the images
+given entry by entry and the unmoved labels with one set difference of the
+two graphs' vertices and one of their families.
+
+The relation checks read only the patch and its neighbours.  An amplified
+graph has no finite emitter, so no relation sums over a vertex's families:
+each names one vertex, one family, or a pair of generators whose images
+share a target vertex or target family.  Relations among unmoved
+generators hold in the target, because each unmoved label exists there
+with the same multiplicity.  So a check can fail only at
+
+* a moved table (projection) or template (partial isometry);
+* a pair sharing a target vertex a moved table names: the moved tables
+  naming it and the unmoved vertex of that label (orthogonality);
+* a family whose range sum may differ from its range vertex's table: a
+  moved template, or an unmoved family into a moved vertex (CK1, diagonal);
+* a pair sharing a target family a moved template names: the moved
+  templates naming it and the unmoved family of that label (CK1, cross);
+* a family whose source vertex's table may not hold its own projection
+  with coefficient 1: a moved template, or an unmoved family out of a moved
+  vertex (CK2).
+
+Unitality is a count: every unmoved label adds 1 at its own target vertex,
+the moved tables add their sums, and the total must be 1 on exactly as many
+vertices as the target has.  Composition and the section identity work on
+patches too: a composite moves only what its inner map moves and what its
+outer map moves among the inner map's labels.
 """
 
 from __future__ import annotations
@@ -214,8 +247,7 @@ class CKElement:
 
     @classmethod
     def word(cls, graph: AmpGraph, w: CKWord, coeff: int = 1) -> "CKElement":
-        for e in w.alpha.edges + w.beta.edges:
-            _check_edge(graph, e)
+        _check_word(graph, w)
         return cls._make(graph, {w: coeff})
 
     @classmethod
@@ -224,8 +256,7 @@ class CKElement:
     ) -> "CKElement":
         acc: dict[CKWord, int] = {}
         for w, c in items:
-            for e in w.alpha.edges + w.beta.edges:
-                _check_edge(graph, e)
+            _check_word(graph, w)
             acc[w] = acc.get(w, 0) + c
         return cls._make(graph, acc)
 
@@ -311,6 +342,14 @@ class CKElement:
         return self.render()
 
 
+def _check_word(graph: AmpGraph, w: CKWord) -> None:
+    """Refuse a word whose base vertices or edges ``graph`` lacks."""
+    graph.index(w.alpha.base)
+    graph.index(w.beta.base)
+    for e in w.alpha.edges + w.beta.edges:
+        _check_edge(graph, e)
+
+
 def _check_edge(graph: AmpGraph, e: EdgeRef) -> None:
     if e.index < 0:
         raise ValueError(f"negative edge index in {e!r}")
@@ -379,47 +418,54 @@ def _vertex_table(target: AmpGraph, v: str, img) -> VertexTable:
     return {x: c for x, c in img.items() if c}
 
 
-@dataclass(frozen=True)
+def _check_template(target: AmpGraph, fam: tuple[str, str], tpl: EdgeTemplate) -> None:
+    """Refuse a template of ``fam`` that uses a family ``target`` lacks."""
+    for _, (src, dst) in tpl:
+        if target.multiplicity(src, dst) is not OMEGA:
+            raise ValueError(
+                f"template for {fam} uses missing target family "
+                f"{src!r} -> {dst!r}"
+            )
+
+
+@dataclass(frozen=True, init=False)
 class GeneratorMap:
     """A candidate *-homomorphism given by generator images.
 
-    ``vertex_images`` sends each source vertex to its table
-    ``{target vertex: coefficient}``, the sum of target vertex projections
-    its projection maps to; ``edge_images`` sends each source edge family
-    to a template, instantiated index-uniformly.  Nothing here promises the
-    data is an actual homomorphism; :func:`verify_ck_family` checks that.
+    The constructor takes ``vertex_images``, sending each source vertex to
+    its table ``{target vertex: coefficient}``, the sum of target vertex
+    projections its projection maps to, and ``edge_images``, sending each
+    source edge family to a template, instantiated index-uniformly.  The map
+    keeps only its *patch*: ``vertex_patch`` and ``family_patch`` hold the
+    images that differ from the same-label generator of the target, in
+    vertex and row-major family order, and every other generator goes to
+    the generator of its own label.  ``vertex_images`` and ``edge_images``
+    build the full tables on each access.  Nothing here promises the data
+    is an actual homomorphism; :func:`verify_ck_family` checks that.
     """
 
     source: AmpGraph
     target: AmpGraph
-    vertex_images: dict
-    edge_images: dict
+    vertex_patch: dict
+    family_patch: dict
 
-    def __post_init__(self) -> None:
-        if not self.source.is_amplified or not self.target.is_amplified:
-            raise ValueError("generator maps require amplified graphs")
-        vimgs = {
-            v: _vertex_table(self.target, v, img)
-            for v, img in dict(self.vertex_images).items()
-        }
-        if set(vimgs) != set(self.source.vertices):
+    def __init__(self, source: AmpGraph, target: AmpGraph, vertex_images: dict, edge_images: dict) -> None:
+        vimgs, eimgs = dict(vertex_images), dict(edge_images)
+        if vimgs.keys() != source._index.keys():
             raise ValueError("vertex images must cover exactly the source vertices")
-        eimgs = {
-            fam: _normalize_template(tpl)
-            for fam, tpl in dict(self.edge_images).items()
-        }
-        fams = {(src, dst) for src, dst, _ in self.source.families()}
-        if set(eimgs) != fams:
+        if eimgs.keys() != source._mult.keys():
             raise ValueError("edge templates must cover exactly the source families")
-        for fam, tpl in eimgs.items():
-            for _, (src, dst) in tpl:
-                if self.target.multiplicity(src, dst) is not OMEGA:
-                    raise ValueError(
-                        f"template for {fam} uses missing target family "
-                        f"{src!r} -> {dst!r}"
-                    )
-        object.__setattr__(self, "vertex_images", vimgs)
-        object.__setattr__(self, "edge_images", eimgs)
+        _fill(self, source, target, *_patch(source, target, vimgs, eimgs))
+
+    @property
+    def vertex_images(self) -> dict:
+        """Every source vertex's table, the patch's or the same-label ``{v: 1}``."""
+        return {v: _vertex_image(self, v) for v in self.source.vertices}
+
+    @property
+    def edge_images(self) -> dict:
+        """Every source family's template, the patch's or the same-label family."""
+        return {(a, b): _family_image(self, (a, b)) for a, b, _ in self.source.edges}
 
     # -- canned maps ---------------------------------------------------------
 
@@ -454,9 +500,9 @@ class GeneratorMap:
         """Generator-by-generator rendering, symbolic in the family index."""
         rows: dict[str, str] = {}
         for v in self.source.vertices:
-            rows[f"p[{v}]"] = _render_vertex_table(self.vertex_images[v])
+            rows[f"p[{v}]"] = _render_vertex_table(_vertex_image(self, v))
         for src, dst, _ in self.source.families():
-            tpl = self.edge_images[(src, dst)]
+            tpl = _family_image(self, (src, dst))
             if not tpl:
                 rows[f"s[{src}>{dst}#i]"] = "0"
                 continue
@@ -466,6 +512,26 @@ class GeneratorMap:
                 parts.append(body if coeff == 1 else f"{coeff}*{body}")
             rows[f"s[{src}>{dst}#i]"] = " + ".join(parts)
         return rows
+
+
+def _fill(m: GeneratorMap, source: AmpGraph, target: AmpGraph, vertex_patch: dict, family_patch: dict) -> None:
+    """Store a validated patch on ``m``; every map is made through here."""
+    object.__setattr__(m, "source", source)
+    object.__setattr__(m, "target", target)
+    object.__setattr__(m, "vertex_patch", vertex_patch)
+    object.__setattr__(m, "family_patch", family_patch)
+
+
+def _vertex_image(m, v: str) -> VertexTable:
+    """The table of ``m(p_v)``: the patch's, or ``{v: 1}`` when ``m`` does not move ``v``."""
+    table = m.vertex_patch.get(v)
+    return {v: 1} if table is None else table
+
+
+def _family_image(m, fam: tuple[str, str]) -> EdgeTemplate:
+    """The template of ``fam`` under ``m``: the patch's, or the family itself."""
+    tpl = m.family_patch.get(fam)
+    return ((1, fam),) if tpl is None else tpl
 
 
 def _render_vertex_table(table: VertexTable) -> str:
@@ -483,63 +549,102 @@ def _label_map(source: AmpGraph, target: AmpGraph, vertices: dict, families: dic
     """The map sending each generator of ``source`` to the same-label one of ``target``.
 
     ``vertices`` and ``families`` give the vertex images and family
-    templates of the generators it moves instead.  An unmoved label that
-    ``target`` lacks is refused by the map.
+    templates of the generators it moves instead.
     """
-    return GeneratorMap(
-        source,
-        target,
+    m = object.__new__(GeneratorMap)
+    _fill(m, source, target, *_patch(source, target, vertices, families))
+    return m
+
+
+def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -> tuple[dict, dict]:
+    """The validated patch of the images ``vertices`` and ``families``, the rest fixed.
+
+    The images given are validated one by one, and the unmoved labels with
+    one set difference of the two graphs' vertices and one of their
+    families.  A refusal names the first offending vertex in vertex order,
+    or else the first offending family in row-major order.  Images that
+    equal the same-label generator are left out of the patch.
+    """
+    if not source.is_amplified or not target.is_amplified:
+        raise ValueError("generator maps require amplified graphs")
+    index = source._index
+    errors: dict = {}
+    for v in index.keys() - target._index.keys() - vertices.keys():
+        errors[v] = ValueError(f"image of p[{v}] names unknown vertex {v!r}")
+    tables = {}
+    for v, img in vertices.items():
+        try:
+            tables[v] = _vertex_table(target, v, img)
+        except ValueError as exc:
+            errors[v] = exc
+    if errors:
+        raise errors[min(errors, key=lambda v: index.get(v, len(index)))]
+    if not tables.keys() <= index.keys():
+        raise ValueError("vertex images must cover exactly the source vertices")
+    templates = {fam: _normalize_template(tpl) for fam, tpl in families.items()}
+    if not templates.keys() <= source._mult.keys():
+        raise ValueError("edge templates must cover exactly the source families")
+    unmoved = {fam: ((1, fam),) for fam in source._mult.keys() - target._mult.keys() - templates.keys()}
+    for fam, tpl in (*unmoved.items(), *templates.items()):
+        try:
+            _check_template(target, fam, tpl)
+        except ValueError as exc:
+            errors[fam] = exc
+    row_major = lambda fam: (index[fam[0]], index[fam[1]])  # noqa: E731
+    if errors:
+        raise errors[min(errors, key=row_major)]
+    return (
+        {v: tables[v] for v in sorted(tables, key=index.__getitem__) if tables[v] != {v: 1}},
         {
-            v: vertices[v] if v in vertices else {v: 1}
-            for v in source.vertices
-        },
-        {
-            (a, b): families[a, b] if (a, b) in families else ((1, (a, b)),)
-            for a, b, _ in source.families()
+            fam: templates[fam]
+            for fam in sorted(templates, key=row_major)
+            if templates[fam] != ((1, fam),)
         },
     )
 
 
 def _quotient_onto(graph: AmpGraph, target: AmpGraph, removed: Iterable[str]) -> GeneratorMap:
-    """:meth:`GeneratorMap.quotient` onto ``target``, the quotient graph already cut."""
-    drop = set(removed)
+    """:meth:`GeneratorMap.quotient` onto ``target``, the quotient graph already cut.
+
+    The families at the removed vertices are read off their neighbours.
+    """
+    removed = tuple(removed)
     return _label_map(
         graph,
         target,
-        {v: {} for v in drop},
-        {(a, b): () for a, b, _ in graph.families() if a in drop or b in drop},
+        {v: {} for v in removed},
+        dict.fromkeys(graph.families_at(removed), ()),
     )
 
 
-class _Tables(NamedTuple):
-    """The generator tables of a map, in :class:`GeneratorMap`'s field order.
+class _Patch(NamedTuple):
+    """A map's graphs and patch, in :class:`GeneratorMap`'s field order.
 
-    What :func:`compose_tables` returns; ``GeneratorMap(*tables)`` validates
-    them into a map.
+    What :func:`compose_tables` returns; ``_label_map(*patch)`` validates
+    it into a map.
     """
 
     source: AmpGraph
     target: AmpGraph
-    vertex_images: dict
-    edge_images: dict
+    vertex_patch: dict
+    family_patch: dict
 
 
 def _edge_image(m, e: EdgeRef) -> CKElement:
     """``m(s_e)``: the family template of ``e`` at its index, over ``m.target``."""
-    try:
-        tpl = m.edge_images[(e.src, e.dst)]
-    except KeyError:
-        raise ValueError(f"no source family {e.src!r} -> {e.dst!r}") from None
+    fam = (e.src, e.dst)
+    if fam not in m.source._mult:
+        raise ValueError(f"no source family {e.src!r} -> {e.dst!r}")
     if e.index < 0:
         raise ValueError(f"negative edge index in {e!r}")
     acc: dict[CKWord, int] = {}
-    for coeff, (src, dst) in tpl:
+    for coeff, (src, dst) in _family_image(m, fam):
         acc[CKWord(Path(src, (EdgeRef(src, dst, e.index),)), Path(dst))] = coeff
     return CKElement._make(m.target, acc)
 
 
 def _push(m, terms: Iterable[tuple[CKWord, int]]) -> CKElement:
-    """``sum c m(w)`` over ``terms``, for the generator tables ``m``.
+    """``sum c m(w)`` over ``terms``, for the map or patch ``m``.
 
     A vertex word goes to the element of its table; any other word to the
     product of its letter images.
@@ -547,7 +652,7 @@ def _push(m, terms: Iterable[tuple[CKWord, int]]) -> CKElement:
     acc: dict[CKWord, int] = {}
     for w, c in terms:
         if w.is_vertex:
-            for x, d in m.vertex_images[w.alpha.base].items():
+            for x, d in _vertex_image(m, w.alpha.base).items():
                 wz = projection_word(x)
                 acc[wz] = acc.get(wz, 0) + d * c
             continue
@@ -565,7 +670,7 @@ def _push_table(m, table: VertexTable) -> VertexTable:
     """``sum_x d_x m(p_x)`` as a table, for the table ``table`` of the ``d_x``; zeros dropped."""
     acc: dict[str, int] = {}
     for x, c in table.items():
-        for y, d in m.vertex_images[x].items():
+        for y, d in _vertex_image(m, x).items():
             acc[y] = acc.get(y, 0) + c * d
     return {y: c for y, c in acc.items() if c}
 
@@ -574,14 +679,14 @@ def _compose_template(outer, tpl: EdgeTemplate) -> EdgeTemplate:
     """The template ``tpl`` with each target family replaced by its ``outer`` template.
 
     A single family with coefficient 1 gives its ``outer`` template as it
-    is; the templates of maps and tables are normalised already.
+    is; the templates of maps and patches are normalised already.
     """
     if len(tpl) == 1 and tpl[0][0] == 1:
-        return outer.edge_images[tpl[0][1]]
+        return _family_image(outer, tpl[0][1])
     return _normalize_template(
         (coeff * c2, out_fam)
         for coeff, mid in tpl
-        for c2, out_fam in outer.edge_images[mid]
+        for c2, out_fam in _family_image(outer, mid)
     )
 
 
@@ -590,61 +695,73 @@ def _check_composable(outer, inner) -> None:
         raise ValueError("maps do not compose: inner target differs from outer source")
 
 
-def compose_tables(outer, inner) -> _Tables:
-    """The generator tables of ``outer . inner``, built without a map.
+def compose_tables(outer, inner) -> _Patch:
+    """The patch of ``outer . inner``, built without a map.
 
-    ``outer`` and ``inner`` are generator maps or tables.  Each vertex image
-    of ``inner`` is pushed through ``outer`` and each template of ``inner``
-    is substituted into ``outer``'s templates, so the result is valid
-    whenever both inputs are.
+    ``outer`` and ``inner`` are generator maps or patches.  A generator
+    ``inner`` does not move goes where ``outer`` sends its label, so the
+    composite moves at most the generators ``inner`` moves, each pushed
+    through ``outer``, and those ``outer`` moves among the labels of
+    ``inner.source``.  Entries that come back to the same-label generator
+    are dropped.  The result is valid whenever both inputs are.
     """
     _check_composable(outer, inner)
-    vimgs = {v: _push_table(outer, table) for v, table in inner.vertex_images.items()}
-    eimgs = {
-        fam: _compose_template(outer, tpl) for fam, tpl in inner.edge_images.items()
-    }
-    return _Tables(inner.source, outer.target, vimgs, eimgs)
+    src = inner.source
+    vpatch = {v: _push_table(outer, table) for v, table in inner.vertex_patch.items()}
+    for v, table in outer.vertex_patch.items():
+        if v not in vpatch and v in src:
+            vpatch[v] = table
+    fpatch = {fam: _compose_template(outer, tpl) for fam, tpl in inner.family_patch.items()}
+    for fam, tpl in outer.family_patch.items():
+        if fam not in fpatch and fam in src._mult:
+            fpatch[fam] = tpl
+    return _Patch(
+        src,
+        outer.target,
+        {v: table for v, table in vpatch.items() if table != {v: 1}},
+        {fam: tpl for fam, tpl in fpatch.items() if tpl != ((1, fam),)},
+    )
 
 
 def compose(outer: GeneratorMap, inner: GeneratorMap) -> GeneratorMap:
     """The composite ``outer . inner`` as a single generator map."""
-    return GeneratorMap(*compose_tables(outer, inner))
+    return _label_map(*compose_tables(outer, inner))
 
 
 def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str | None:
     """The first generator of ``section.source`` that ``quot . section`` moves.
 
-    The composite is formed on the generator tables and compared with the
-    identity generator by generator.  Each vertex table is pushed through
-    ``quot`` and compared with ``{v: 1}``; it can equal ``p_v`` only when
-    ``quot.target`` is ``section.source``.  Each edge template is compared
-    with the family itself; a template is index-uniform, so one comparison
-    covers every index and a moved family is reported at index 0.  ``None``
-    when every generator is fixed.
+    The composite is the identity exactly when ``quot.target`` is
+    ``section.source`` and the composed patch is empty.  Otherwise the
+    first vertex of the patch in vertex order is reported, else its first
+    family in row-major order, at index 0: a template is index-uniform, so
+    one comparison covers every index.  When ``quot`` maps onto another
+    graph the first source vertex is reported.  ``None`` when every
+    generator is fixed.
     """
     _check_composable(quot, section)
     src = section.source
-    home = quot.target == src
-    for v in src.vertices:
-        if not home or _push_table(quot, section.vertex_images[v]) != {v: 1}:
-            return f"p[{v}]"
-    for a, b, _ in src.families():
-        if _compose_template(quot, section.edge_images[(a, b)]) != ((1, (a, b)),):
-            return f"s[{a}>{b}#0]"
+    if quot.target != src:
+        return f"p[{src.vertices[0]}]" if src.vertices else None
+    moved = compose_tables(quot, section)
+    if moved.vertex_patch:
+        return f"p[{min(moved.vertex_patch, key=src.index)}]"
+    if moved.family_patch:
+        a, b = min(moved.family_patch, key=lambda fam: (src.index(fam[0]), src.index(fam[1])))
+        return f"s[{a}>{b}#0]"
     return None
 
 
-def _range_counts(m: GeneratorMap) -> list[VertexTable]:
-    """For each source vertex, the K_0 class of its image per target vertex.
+def _range_counts(m: GeneratorMap) -> dict[str, VertexTable]:
+    """The K_0 classes of the vertex images ``m`` moves, by source vertex.
 
+    Every other source vertex ``v`` goes to ``p_v``, whose class is ``v``.
     An image ``sum_x d_x p_x`` is a sum of distinct, hence orthogonal,
     vertex projections exactly when every ``d_x`` is 1; its class is then
-    its table.  Any other coefficient is refused, naming the first such
-    term in label order.
+    its table.  Any other coefficient is refused, at the first such vertex
+    in vertex order, naming its first such term in label order.
     """
-    out = []
-    for v in m.source.vertices:
-        table = m.vertex_images[v]
+    for v, table in m.vertex_patch.items():
         bad = [x for x, c in table.items() if c != 1]
         if bad:
             x = min(bad)
@@ -652,8 +769,7 @@ def _range_counts(m: GeneratorMap) -> list[VertexTable]:
                 f"image of p[{v}] is not an orthogonal sum of path "
                 f"projections: term {table[x]}*p[{x}]"
             )
-        out.append(table)
-    return out
+    return dict(m.vertex_patch)
 
 
 # ---------------------------------------------------------------------------
@@ -695,23 +811,31 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _orthogonality_defect(verts: tuple[str, ...], vimg: dict) -> tuple[str, str] | None:
+def _orthogonality_defect(m: GeneratorMap) -> tuple[str, str] | None:
     """The least pair ``(v, w)``, ``v`` before ``w``, with ``m(p_v) m(p_w) != 0``.
 
     Two sums of vertex projections multiply to zero exactly when no
-    projection occurs in both, so an index from target vertex to the source
-    vertices using it finds those pairs; for each target vertex the first two
-    users are the least.
+    projection occurs in both.  Unmoved vertices go to distinct
+    projections, so a failing pair shares a target vertex ``x`` that some
+    moved table names; the users of ``x`` are those moved vertices and the
+    unmoved vertex of label ``x``, if there is one.  For each ``x`` the
+    first two users are the least.
     """
+    src, patch = m.source, m.vertex_patch
     users: dict[str, list[int]] = {}
-    for i, v in enumerate(verts):
-        for x in vimg[v]:
-            users.setdefault(x, []).append(i)
-    failing = [(us[0], us[1]) for us in users.values() if len(us) > 1]
+    for v, table in patch.items():
+        for x in table:
+            users.setdefault(x, []).append(src.index(v))
+    failing = []
+    for x, us in users.items():
+        if x in src and x not in patch:
+            us.append(src.index(x))
+        if len(us) > 1:
+            failing.append(tuple(sorted(us)[:2]))
     if not failing:
         return None
     a, b = min(failing)
-    return verts[a], verts[b]
+    return src.vertices[a], src.vertices[b]
 
 
 def _range_sums(tpl: EdgeTemplate) -> dict[str, int]:
@@ -723,30 +847,35 @@ def _range_sums(tpl: EdgeTemplate) -> dict[str, int]:
 
 
 def _ck1_defect(
-    m: GeneratorMap, sums: dict
+    m: GeneratorMap, sums: dict, into_moved: list
 ) -> tuple[tuple[str, str], tuple[str, str]] | None:
     """The least pair ``(f, g)`` with ``m(s_f^i)* m(s_g^i) != delta_fg m(p_r(f))``.
 
+    ``sums`` holds the range sums of the moved templates, and
+    ``into_moved`` the unmoved families into a moved vertex.
     ``m(s_f^i)* m(s_f^i)`` is the sum of vertex projections ``sums[f]``, so
     it equals ``m(p_r(f))`` exactly when that table has the same
-    coefficients.  A pair of distinct families can only fail when both
-    templates use some target family, so an inverted index from target to
-    source families finds every candidate; its defect is a coefficient per
-    range vertex.
+    coefficients; an unmoved family has range sum ``p_r(f)``, so it fails
+    exactly when its range vertex is moved.  A pair of distinct families
+    can only fail when both templates use some target family, which two
+    unmoved families never do.  An inverted index from each target family
+    a moved template names to its users, the moved templates and the
+    unmoved family of the same label, finds every candidate; its defect is
+    a coefficient per range vertex.
     """
-    # ``sums`` is in family order: the first diagonal failure is the least,
-    # and every ``users`` list is sorted, so each pair below has f < g.
-    failing = []
-    for f, got in sums.items():
-        if got != m.vertex_images[f[1]]:
-            failing.append((f, f))
-            break
+    failing = [(f, f) for f, got in sums.items() if got != _vertex_image(m, f[1])]
+    failing += [(f, f) for f in into_moved]
+    fpatch = m.family_patch
     users: dict[tuple[str, str], list[tuple[tuple[str, str], int]]] = {}
-    for f in sums:
-        for c, t in m.edge_images[f]:
+    for f, tpl in fpatch.items():
+        for c, t in tpl:
             users.setdefault(t, []).append((f, c))
     cross: dict[tuple, dict[str, int]] = {}
     for t, fs in users.items():
+        if t in m.source._mult and t not in fpatch:
+            fs.append((t, 1))
+        # sorted, so each pair below has f < g
+        fs.sort()
         for (f, cf), (g, cg) in combinations(fs, 2):
             acc = cross.setdefault((f, g), {})
             acc[t[1]] = acc.get(t[1], 0) + cf * cg
@@ -762,8 +891,8 @@ def _range_under(m: GeneratorMap, fam: tuple[str, str]) -> bool:
     exactly when ``d_{s(t)} = 1`` for every target family ``t`` of the
     template.
     """
-    table = m.vertex_images[fam[0]]
-    return all(table.get(t[0]) == 1 for _, t in m.edge_images[fam])
+    table = _vertex_image(m, fam[0])
+    return all(table.get(t[0]) == 1 for _, t in _family_image(m, fam))
 
 
 def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> VerificationReport:
@@ -791,21 +920,27 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     when the tables sum to 1 on every target vertex and 0 elsewhere.  No
     gauge check is made: a table has degree 0 and a template degree 1, so
     every map that can be written down is gauge-equivariant.
+
+    Only the generators that can fail are examined (see the module
+    docstring): the patch, the unmoved families at a moved vertex, and the
+    unmoved generators whose labels the patch names.  Each detail names the
+    same least pair or first generator in sorted order as a check of every
+    generator would.
     """
     checks: list[Check] = []
-    verts = m.source.vertices
-    vimg = m.vertex_images
+    src = m.source
+    vpatch, fpatch = m.vertex_patch, m.family_patch
 
-    bad = [v for v in verts if any(c != 1 for c in vimg[v].values())]
+    bad = next((v for v, table in vpatch.items() if any(c != 1 for c in table.values())), None)
     checks.append(
         Check(
             "vertex-projections",
-            not bad,
-            "" if not bad else f"image of p[{bad[0]}] is not a projection",
+            bad is None,
+            "" if bad is None else f"image of p[{bad}] is not a projection",
         )
     )
 
-    bad_pair = _orthogonality_defect(verts, vimg)
+    bad_pair = _orthogonality_defect(m)
     checks.append(
         Check(
             "vertex-orthogonality",
@@ -815,11 +950,10 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
         )
     )
 
-    fams = sorted(m.edge_images)
-    sums = {fam: _range_sums(m.edge_images[fam]) for fam in fams}
-    isometry = {fam: all(c == 1 for c in sums[fam].values()) for fam in fams}
+    sums = {fam: _range_sums(tpl) for fam, tpl in fpatch.items()}
+    isometry = {fam: all(c == 1 for c in s.values()) for fam, s in sums.items()}
 
-    bad_fam = next((fam for fam in fams if not isometry[fam]), None)
+    bad_fam = min((fam for fam, ok in isometry.items() if not ok), default=None)
     checks.append(
         Check(
             "adjoint-compatibility",
@@ -829,7 +963,9 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
         )
     )
 
-    ck1_fail = _ck1_defect(m, sums)
+    # the unmoved families at a moved vertex, each of which CK1 or CK2 may fail
+    around = [fam for fam in src.families_at(vpatch) if fam not in fpatch]
+    ck1_fail = _ck1_defect(m, sums, [fam for fam in around if fam[1] in vpatch])
     checks.append(
         Check(
             "ck1",
@@ -841,9 +977,13 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     )
 
     # m(s) m(s)* is a projection exactly when m(s) is a partial isometry.
-    ck2_fail = next(
-        (fam for fam in fams if not isometry[fam] or not _range_under(m, fam)),
-        None,
+    ck2_fail = min(
+        (
+            fam
+            for fam in (*fpatch, *around)
+            if not isometry.get(fam, True) or not _range_under(m, fam)
+        ),
+        default=None,
     )
     checks.append(
         Check(
@@ -854,11 +994,22 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
         )
     )
 
+    # each unmoved vertex adds 1 at its own label, which the target has
     sums_at: dict[str, int] = {}
-    for v in verts:
-        for x, c in vimg[v].items():
+    for table in vpatch.values():
+        for x, c in table.items():
             sums_at[x] = sums_at.get(x, 0) + c
-    unital = {x: c for x, c in sums_at.items() if c} == dict.fromkeys(m.target.vertices, 1)
+    ones = len(src.vertices) - len(vpatch)
+    unital = True
+    for x, c in sums_at.items():
+        if x in src and x not in vpatch:
+            ones -= 1
+            c += 1
+        if c == 1:
+            ones += 1
+        elif c:
+            unital = False
+    unital = unital and ones == len(m.target.vertices)
     checks.append(
         Check(
             "unital",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .coxeter import DynkinSpec, flag_graph
 from .graphs import AmpGraph
-from .ktheory import _step_columns, check_chain_k0
+from .ktheory import _step_certificate, check_chain_k0
 from .splitting import KKChain, multi_sink_splitting
 from .algebra import Check, VerificationReport
 
@@ -95,7 +95,7 @@ def summarize_filtration(full: AmpGraph, levels: tuple[AmpGraph, ...],
     checks = [
         Check("k0-step", False, f"K_0 split check failed at sink {sd.sink!r}")
         for sd in chain.steps
-        if not all(_step_columns(sd)[2:])
+        if not all(_step_certificate(sd)[2:])
     ]
     chain_k0 = check_chain_k0(chain)
     failed = [c.name for c in chain_k0.report.checks if not c.passed]

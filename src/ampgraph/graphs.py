@@ -187,6 +187,22 @@ class AmpGraph:
         bit = 1 << self.index(v)
         return tuple(u for u, mask in zip(self.vertices, self._succ) if mask & bit)
 
+    def families_at(self, subset: Iterable[str]) -> list[tuple[str, str]]:
+        """The families with an end in ``subset``, in row-major order.
+
+        Read off the successor masks: a member's whole mask, and the bits
+        of ``subset`` in every other vertex's mask.
+        """
+        mask = self._mask(subset)
+        verts = self.vertices
+        out: list[tuple[str, str]] = []
+        for i, succ in enumerate(self._succ):
+            hit = succ if mask >> i & 1 else succ & mask
+            if hit:
+                src = verts[i]
+                out += [(src, verts[j]) for j in _bits(hit)]
+        return out
+
     @property
     def is_amplified(self) -> bool:
         return self.classify().amplified
@@ -425,12 +441,16 @@ def valid_stars(g: AmpGraph, sink: str) -> list[str]:
     """All admissible star vertices for splitting off ``sink``.
 
     A vertex ``v != sink`` qualifies when it is a source, or when every
-    vertex with an edge family into it also has a path to ``sink``.
+    vertex with an edge family into it also has a path to ``sink``.  The
+    vertices it rules out are the successors of the vertices whose reach
+    misses ``sink``, read as one OR of their successor masks.
     """
     cls = g.classify()
     if sink not in cls.sinks:
         raise ValueError(f"{sink!r} is not a sink")
-    reach = g._reach_masks()
     bit = 1 << g.index(sink)
-    blocked = {dst for src, dst, _ in g.families() if not reach[g.index(src)] & bit}
-    return [v for v in g.vertices if v != sink and v not in blocked]
+    blocked = bit
+    for reach, succ in zip(g._reach_masks(), g._succ):
+        if not reach & bit:
+            blocked |= succ
+    return [v for i, v in enumerate(g.vertices) if not blocked >> i & 1]

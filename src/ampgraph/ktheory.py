@@ -16,11 +16,17 @@ square integer matrix with an integer left inverse is unimodular, so
 ``ker Q = Z e_sink``.  No elimination runs when this certificate holds; only
 when it fails is the kernel of Q decided by an exact rank.
 
-K_0 maps are held as sparse columns: column j is a dict from row index to
-the nonzero entries of that column.  A step's columns are extracted from its
-maps once and kept on its :class:`~ampgraph.splitting.SplitData`, with the
-two halves of its certificate; every check reads them and none writes to
-them.  Reports expose dense matrices, tuples of rows of Python ints, which
+A map sends every vertex it does not move to the vertex of the same label,
+so its K_0 matrix is the identity on labels except in the columns of the
+vertices it moves: a step's S differs from it in the star's column and Q in
+the sink's.  Each step keeps only those columns, as K_0 classes keyed by
+label, with the two halves of its certificate, which is decided on them
+once, on its :class:`~ampgraph.splitting.SplitData`; every check reads them
+and none writes to them.  The chain check keeps the prefix products
+``S_1 ... S_i`` as columns and ``Q_i ... Q_1`` as rows keyed by the labels
+of the current graph, and a step updates only the entries its maps move.
+Sparse columns and rows are dicts from an index to the nonzero entries.
+Reports expose dense matrices, tuples of rows of Python ints, which
 serialise to JSON as they are.  A dense matrix with no rows is ``()`` and
 does not record its column count.
 """
@@ -30,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Check, GeneratorMap, VerificationReport, _range_counts
+from .graphs import AmpGraph
 from .splitting import KKChain, SplitData
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -37,19 +44,13 @@ Column = dict[int, int]
 Columns = tuple[Column, ...]
 
 
-def _apply(cols: Columns, vec: Column) -> Column:
-    """``A x`` for ``A`` given by its columns and a sparse vector ``x``."""
-    out: Column = {}
-    for r, x in vec.items():
-        for i, y in cols[r].items():
-            out[i] = out.get(i, 0) + x * y
-    return {i: x for i, x in out.items() if x}
-
-
-def _dot(a: Column, b: Column) -> int:
-    if len(a) > len(b):
-        a, b = b, a
-    return sum(x * b.get(i, 0) for i, x in a.items())
+def _combine(vectors, coeffs: dict) -> dict:
+    """``sum_x c_x vectors[x]`` for the coefficients ``coeffs``; a vector ``vectors`` lacks is zero."""
+    out: dict = {}
+    for x, c in coeffs.items():
+        for i, y in vectors.get(x, {}).items():
+            out[i] = out.get(i, 0) + c * y
+    return {i: y for i, y in out.items() if y}
 
 
 def _dense(cols: Columns, rows: int) -> Matrix:
@@ -60,9 +61,9 @@ def _dense(cols: Columns, rows: int) -> Matrix:
     return tuple(map(tuple, out))
 
 
-def _is_left_inverse(a: Columns, b: Columns) -> bool:
-    """Whether ``A B`` is the identity with as many columns as ``B``."""
-    return all(_apply(a, col) == {j: 1} for j, col in enumerate(b))
+def _is_left_inverse(a: dict, b: Columns) -> bool:
+    """Whether ``A B`` is the identity with as many columns as ``B``; ``a`` maps a column index to its column."""
+    return all(_combine(a, col) == {j: 1} for j, col in enumerate(b))
 
 
 def _rank(cols: Columns) -> int:
@@ -84,12 +85,40 @@ def _rank(cols: Columns) -> int:
     return len(pivots)
 
 
-def _step_columns(sd: SplitData) -> tuple[Columns, Columns, bool, bool]:
-    """The step's ``(Q, S, Q S = I, Q e_sink = 0)``, decided on first use and kept on ``sd``."""
+def _section_holds(rows: tuple[str, ...], source: AmpGraph, q: dict, s: dict) -> bool:
+    """Whether ``Q S`` is the identity, column ``j`` against row ``j``.
+
+    ``q`` and ``s`` are the moved classes of the quotient map and the
+    section, ``rows`` the vertices of Q's target and ``source`` S's source
+    graph.  When ``rows`` lists the labels of ``source`` in the same order,
+    as in every step this package builds, a column neither map moves gives
+    ``Q S e_u = e_u``, so only the columns either map moves are multiplied.
+    A hand-built step whose graphs differ has every column multiplied.
+    """
+    if rows == source.vertices:
+        labels = [*s, *(x for x in q if x in source and x not in s)]
+    else:
+        labels = source.vertices
+    for u in labels:
+        j = source.index(u)
+        col = s.get(u, {u: 1})
+        got = _combine({x: q.get(x, {x: 1}) for x in col}, col)
+        if j >= len(rows) or got != {rows[j]: 1}:
+            return False
+    return True
+
+
+def _step_certificate(sd: SplitData) -> tuple[dict, dict, bool, bool]:
+    """The step's moved classes ``(Q, S)``, then ``Q S = I`` and ``Q e_sink = 0``.
+
+    Decided on first use and kept on ``sd``.  Q kills the sink class
+    exactly when the quotient map moves the sink to zero.
+    """
     if sd._k0 is None:
-        q, s = induced_k0(sd.quotient_map), induced_k0(sd.sigma)
-        killed = not q[sd.working.index(sd.sink)]
-        object.__setattr__(sd, "_k0", (q, s, _is_left_inverse(q, s), killed))
+        q, s = _range_counts(sd.quotient_map), _range_counts(sd.sigma)
+        killed = sd.sink in q and not q[sd.sink]
+        section_ok = _section_holds(sd.quotient_map.target.vertices, sd.sigma.source, q, s)
+        object.__setattr__(sd, "_k0", (q, s, section_ok, killed))
     return sd._k0
 
 
@@ -100,8 +129,11 @@ def induced_k0(m: GeneratorMap) -> Columns:
     ``m(p_v)`` at each target vertex index.  An image with a coefficient
     other than 1 is not a sum of distinct vertex projections and is refused.
     """
+    moved = _range_counts(m)
     index = m.target.index
-    return tuple([{index(x): c for x, c in counts.items()} for counts in _range_counts(m)])
+    return tuple([
+        {index(x): c for x, c in moved.get(v, {v: 1}).items()} for v in m.source.vertices
+    ])
 
 
 @dataclass(frozen=True)
@@ -123,8 +155,10 @@ def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
     together give the decomposition of K_0 of the working graph as
     ``Z (+) Z^(N-1)``.  The first two make the left-inverse certificate, which
     proves the third; only without it is the kernel decided by the rank of Q.
+    The dense Q and S of the report are built from the maps' patches.
     """
-    q, s, section_ok, killed = _step_columns(sd)
+    _, _, section_ok, killed = _step_certificate(sd)
+    q, s = induced_k0(sd.quotient_map), induced_k0(sd.sigma)
     n = len(sd.working.vertices)
     k = sd.working.index(sd.sink)
     nullity = 1 if section_ok and killed else n - _rank(q)
@@ -191,17 +225,21 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     is the first row of the step's left-inverse certificate.  A step without
     a certificate fails ``k0-step-unimodular``; the chain is still assembled
     from the same formula and checked.
+
+    The prefixes are held as columns ``S_1 ... S_i e_v`` and rows
+    ``e_v Q_i ... Q_1``, keyed by the label ``v`` of the current graph and
+    indexed by the ambient vertices.  A step recomputes only the columns of
+    the vertices its section moves and the rows its quotient map moves or
+    names, and drops the sink's; every other column and row carries over.
     """
     n = len(chain.ambient.vertices)
-    unit = tuple({i: 1} for i in range(n))
-    prefix = unit  # S_1 ... S_i: columns over the working vertices
-    qprefix = unit  # Q_i ... Q_1: columns over the ambient vertices
-    forward_cols: list[Column] = [{} for _ in range(n)]
+    cols = {v: {i: 1} for i, v in enumerate(chain.ambient.vertices)}
+    rows = dict(cols)
+    forward: list[Column] = []
     backward: list[Column] = []
     failure = None
-    for step, sd in enumerate(chain.steps):
-        k = sd.working.index(sd.sink)
-        q, s, section_ok, killed = _step_columns(sd)
+    for sd in chain.steps:
+        q, s, section_ok, killed = _step_certificate(sd)
         if not (section_ok and killed) and failure is None:
             what = ["Q S is not the identity"] if not section_ok else []
             if not killed:
@@ -211,27 +249,50 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
                 False,
                 f"step at {sd.sink!r}: no left inverse certifies [e_sink | S]: {' and '.join(what)}",
             )
-        s_row = {j: col[k] for j, col in enumerate(s) if k in col}
-        row = {k: 1}
-        for c, col in enumerate(q):
-            if x := _dot(s_row, col):
-                row[c] = row.get(c, 0) - x
-        for c, col in enumerate(qprefix):
-            if x := _dot(row, col):
-                forward_cols[c][step] = x
-        backward.append(prefix[k])
-        prefix = tuple(_apply(prefix, col) for col in s)
-        qprefix = tuple(_apply(q, col) for col in qprefix)
-    steps = len(chain.steps)
-    for c, col in enumerate(qprefix):
-        for t, x in col.items():
-            forward_cols[c][steps + t] = x
-    rows = steps + len(chain.terminal.vertices)
-    backward.extend(prefix)
+        # the rows of Q, by label: the moved classes transposed, plus 1 on
+        # the diagonal at each unmoved label
+        q_rows: dict[str, dict[str, int]] = {}
+        for x, table in q.items():
+            for y, d in table.items():
+                q_rows.setdefault(y, {})[x] = d
+
+        def q_row(u: str) -> dict[str, int]:
+            row = dict(q_rows.get(u, {}))
+            if u not in q and u in sd.working:
+                row[u] = row.get(u, 0) + 1
+            return row
+
+        # N[0] = e_sink - S[sink, :] Q, then times Q_(i-1) ... Q_1
+        first = {sd.sink: 1}
+        for u, table in s.items():
+            if c := table.get(sd.sink):
+                for x, d in q_row(u).items():
+                    first[x] = first.get(x, 0) - c * d
+        forward.append(_combine(rows, first))
+        backward.append(cols[sd.sink])
+        moved_cols = {u: _combine(cols, table) for u, table in s.items()}
+        if sd.sink not in sd.sigma.source:
+            del cols[sd.sink]
+        cols.update(moved_cols)
+        target = sd.quotient_map.target
+        moved_rows = {
+            y: _combine(rows, q_row(y))
+            for y in (*q_rows, *(x for x in q if x in target))
+        }
+        for x in q:
+            rows.pop(x, None)
+        rows.update(moved_rows)
+    terminal = chain.terminal.vertices
+    forward += [rows.get(v, {}) for v in terminal]
+    backward += [cols[v] for v in terminal]
+    forward_cols: dict[int, Column] = {}
+    for i, row in enumerate(forward):
+        for c, x in row.items():
+            forward_cols.setdefault(c, {})[i] = x
     cls = chain.ambient.classify()
     free = cls.amplified and cls.acyclic
     # F B = I gives B F = I only for square F and B
-    inverse = rows == n and _is_left_inverse(tuple(forward_cols), tuple(backward))
+    inverse = len(forward) == n and _is_left_inverse(forward_cols, tuple(backward))
     checks = (
         Check(
             "k0-chain-inverse",
@@ -251,7 +312,7 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     if failure is not None:
         checks = (failure,) + checks
     return K0ChainCheck(
-        forward=_dense(tuple(forward_cols), rows),
+        forward=tuple(tuple(row.get(c, 0) for c in range(n)) for row in forward),
         backward=_dense(tuple(backward), n),
         report=VerificationReport(checks),
     )

@@ -68,9 +68,9 @@ class SplitData:
     sigma: GeneratorMap
     quotient_map: GeneratorMap
     augmented: tuple[tuple[str, str], ...]
-    #: The K_0 columns ``(Q, S)`` of ``quotient_map`` and ``sigma``, then
-    #: whether ``Q S = I`` and ``Q e_sink = 0``; filled on first use by
-    #: :mod:`ampgraph.ktheory` and never mutated.
+    #: The K_0 classes ``(Q, S)`` of the vertex images ``quotient_map`` and
+    #: ``sigma`` move, then whether ``Q S = I`` and ``Q e_sink = 0``; filled
+    #: on first use by :mod:`ampgraph.ktheory` and never mutated.
     _k0: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     @property
@@ -278,15 +278,15 @@ class KKChain:
     def composite_section(self) -> GeneratorMap:
         """``sigma_1 . sigma_2 . ...`` from the terminal algebra upward.
 
-        The steps' sections are composed on their generator tables, left to
-        right, and only the result is validated into a map; a one-step
-        chain's composite is its section.
+        The steps' sections are composed on their patches, left to right,
+        and only the result is validated into a map; a one-step chain's
+        composite is its section.
         """
         if not self.steps:
             return GeneratorMap.identity(self.ambient)
         if len(self.steps) == 1:
             return self.steps[0].sigma
-        return GeneratorMap(*reduce(compose_tables, (sd.sigma for sd in self.steps)))
+        return _label_map(*reduce(compose_tables, (sd.sigma for sd in self.steps)))
 
     def composite_quotient(self) -> GeneratorMap:
         """``q_k . ... . q_1`` from the ambient algebra down to the terminal.

@@ -9,6 +9,7 @@ with the fast implementations under test, so agreement is meaningful.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import random
 import sys
@@ -295,6 +296,209 @@ def verify_ck_family_oracle(m: GeneratorMap, require_unital: bool = True) -> Ver
     )
 
     return VerificationReport(tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# full-table oracles: the relation checks, composition, section identity and
+# chain K_0 as they read before maps kept only their patch, every generator
+# of every map walked on the full tables ``vertex_images`` and
+# ``edge_images``
+
+
+def _push_full(m, table: dict[str, int]) -> dict[str, int]:
+    acc: dict[str, int] = {}
+    images = m.vertex_images
+    for x, c in table.items():
+        for y, d in images[x].items():
+            acc[y] = acc.get(y, 0) + c * d
+    return {y: c for y, c in acc.items() if c}
+
+
+def _template_full(templates: dict, tpl) -> tuple:
+    acc: dict[tuple[str, str], int] = {}
+    for coeff, mid in tpl:
+        for c2, fam in templates[mid]:
+            acc[fam] = acc.get(fam, 0) + coeff * c2
+    return tuple((c, fam) for fam, c in sorted(acc.items()) if c)
+
+
+def compose_tables_oracle(outer: GeneratorMap, inner: GeneratorMap):
+    """``(source, target, vertex_images, edge_images)`` of ``outer . inner``, every generator composed."""
+    if inner.target != outer.source:
+        raise ValueError("maps do not compose: inner target differs from outer source")
+    templates = outer.edge_images
+    return (
+        inner.source,
+        outer.target,
+        {v: _push_full(outer, table) for v, table in inner.vertex_images.items()},
+        {fam: _template_full(templates, tpl) for fam, tpl in inner.edge_images.items()},
+    )
+
+
+def section_identity_failure_tables_oracle(section: GeneratorMap, quot: GeneratorMap) -> str | None:
+    """The first generator of ``section.source`` that ``quot . section`` moves, table by table."""
+    if section.target != quot.source:
+        raise ValueError("maps do not compose: inner target differs from outer source")
+    src = section.source
+    home = quot.target == src
+    vimgs, eimgs, templates = section.vertex_images, section.edge_images, quot.edge_images
+    for v in src.vertices:
+        if not home or _push_full(quot, vimgs[v]) != {v: 1}:
+            return f"p[{v}]"
+    for a, b, _ in src.families():
+        if _template_full(templates, eimgs[(a, b)]) != ((1, (a, b)),):
+            return f"s[{a}>{b}#0]"
+    return None
+
+
+def verify_ck_family_tables_oracle(m: GeneratorMap, require_unital: bool = True) -> VerificationReport:
+    """The report of :func:`ampgraph.verify_ck_family`, every generator examined.
+
+    Every vertex table and every family template is read, every pair of
+    vertices and of families sharing a target is compared, and the tables
+    are summed over all source vertices.
+    """
+    checks: list[Check] = []
+    verts = m.source.vertices
+    vimg, eimg = m.vertex_images, m.edge_images
+
+    bad = [v for v in verts if any(c != 1 for c in vimg[v].values())]
+    checks.append(Check("vertex-projections", not bad,
+                        "" if not bad else f"image of p[{bad[0]}] is not a projection"))
+
+    users: dict[str, list[int]] = {}
+    for i, v in enumerate(verts):
+        for x in vimg[v]:
+            users.setdefault(x, []).append(i)
+    failing = [(us[0], us[1]) for us in users.values() if len(us) > 1]
+    pair = (verts[min(failing)[0]], verts[min(failing)[1]]) if failing else None
+    checks.append(Check("vertex-orthogonality", pair is None,
+                        "" if pair is None else
+                        f"images of p[{pair[0]}] and p[{pair[1]}] are not orthogonal"))
+
+    fams = sorted(eimg)
+    sums = {}
+    for fam in fams:
+        acc: dict[str, int] = {}
+        for c, (_, dst) in eimg[fam]:
+            acc[dst] = acc.get(dst, 0) + c * c
+        sums[fam] = acc
+    isometry = {fam: all(c == 1 for c in sums[fam].values()) for fam in fams}
+    bad_fam = next((fam for fam in fams if not isometry[fam]), None)
+    checks.append(Check("adjoint-compatibility", bad_fam is None,
+                        "" if bad_fam is None else
+                        f"image of s[{bad_fam[0]}>{bad_fam[1]}#i] is not a partial isometry"))
+
+    ck1 = [(f, f) for f in fams if sums[f] != vimg[f[1]]][:1]
+    tusers: dict[tuple[str, str], list] = {}
+    for f in fams:
+        for c, t in eimg[f]:
+            tusers.setdefault(t, []).append((f, c))
+    cross: dict[tuple, dict[str, int]] = {}
+    for t, fs in tusers.items():
+        for (f, cf), (g, cg) in combinations(fs, 2):
+            acc = cross.setdefault((f, g), {})
+            acc[t[1]] = acc.get(t[1], 0) + cf * cg
+    ck1 += [pair for pair, acc in cross.items() if any(acc.values())]
+    ck1_fail = min(ck1, default=None)
+    checks.append(Check("ck1", ck1_fail is None,
+                        "" if ck1_fail is None else
+                        f"m(s)* m(s') defect for families {ck1_fail[0]} , {ck1_fail[1]} "
+                        "(same index)"))
+
+    ck2_fail = next(
+        (f for f in fams
+         if not isometry[f] or not all(vimg[f[0]].get(t[0]) == 1 for _, t in eimg[f])),
+        None,
+    )
+    checks.append(Check("ck2", ck2_fail is None,
+                        "" if ck2_fail is None else
+                        f"m(s) m(s)* not under m(p[{ck2_fail[0]}]) for family {ck2_fail}"))
+
+    total: dict[str, int] = {}
+    for v in verts:
+        for x, c in vimg[v].items():
+            total[x] = total.get(x, 0) + c
+    unital = {x: c for x, c in total.items() if c} == dict.fromkeys(m.target.vertices, 1)
+    checks.append(Check("unital", unital,
+                        "" if unital else "vertex images do not sum to the target unit",
+                        required=require_unital))
+    return VerificationReport(tuple(checks))
+
+
+def _apply_cols(cols, vec: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for r, x in vec.items():
+        for i, y in cols[r].items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: x for i, x in out.items() if x}
+
+
+def check_chain_k0_tables_oracle(chain) -> K0ChainCheck:
+    """``check_chain_k0`` with the full prefix products, every column multiplied at every step.
+
+    Each step's Q and S are the full sparse columns of ``induced_k0``, indexed
+    by vertex position; the prefixes ``S_1 ... S_i`` and ``Q_i ... Q_1`` are
+    recomputed column by column.  A step's certificate is ``Q S = I`` and
+    ``Q e_sink = 0`` on those columns.
+    """
+    n = len(chain.ambient.vertices)
+    unit = tuple({i: 1} for i in range(n))
+    prefix, qprefix = unit, unit
+    forward_cols: list[dict[int, int]] = [{} for _ in range(n)]
+    backward: list[dict[int, int]] = []
+    failure = None
+    for step, sd in enumerate(chain.steps):
+        k = sd.working.index(sd.sink)
+        q, s = induced_k0(sd.quotient_map), induced_k0(sd.sigma)
+        section_ok = all(_apply_cols(q, col) == {j: 1} for j, col in enumerate(s))
+        killed = not q[k]
+        if not (section_ok and killed) and failure is None:
+            what = ["Q S is not the identity"] if not section_ok else []
+            if not killed:
+                what.append("Q does not kill the sink class")
+            failure = Check(
+                "k0-step-unimodular", False,
+                f"step at {sd.sink!r}: no left inverse certifies [e_sink | S]: {' and '.join(what)}",
+            )
+        s_row = {j: col[k] for j, col in enumerate(s) if k in col}
+        row = {k: 1}
+        for c, col in enumerate(q):
+            x = sum(y * col.get(i, 0) for i, y in s_row.items())
+            if x:
+                row[c] = row.get(c, 0) - x
+        for c, col in enumerate(qprefix):
+            x = sum(y * col.get(i, 0) for i, y in row.items())
+            if x:
+                forward_cols[c][step] = x
+        backward.append(prefix[k])
+        prefix = tuple(_apply_cols(prefix, col) for col in s)
+        qprefix = tuple(_apply_cols(q, col) for col in qprefix)
+    steps = len(chain.steps)
+    for c, col in enumerate(qprefix):
+        for t, x in col.items():
+            forward_cols[c][steps + t] = x
+    rows = steps + len(chain.terminal.vertices)
+    backward.extend(prefix)
+    cls = chain.ambient.classify()
+    free = cls.amplified and cls.acyclic
+    inverse = rows == n and all(
+        _apply_cols(forward_cols, col) == {j: 1} for j, col in enumerate(backward)
+    )
+    checks = (
+        Check("k0-chain-inverse", inverse,
+              "forward and backward are mutually inverse" if inverse
+              else "the product forward backward is not the identity"),
+        Check("k0-rank", free,
+              f"K_0 = Z^{n}, K_1 = 0" if free else "ambient graph is not acyclic and amplified"),
+    )
+    if failure is not None:
+        checks = (failure,) + checks
+    return K0ChainCheck(
+        forward=dense(tuple(forward_cols), rows),
+        backward=dense(tuple(backward), n),
+        report=VerificationReport(checks),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +824,57 @@ def random_chain(rng: random.Random):
     return kk_chain(g, rng.choice((first_sink_first_star, prefer_source_star)))
 
 
+def _widened_image(m: GeneratorMap, v: str) -> dict[str, int]:
+    """An image of ``p[v]`` with a larger K_0 class, where the target allows it.
+
+    A target vertex the image lacks is added to its table.  When the image
+    already holds every target vertex it is doubled instead, which both
+    paths refuse alike.
+    """
+    img = m.vertex_images[v]
+    missing = [x for x in m.target.vertices if x not in img]
+    if not missing:
+        return {x: 2 * c for x, c in img.items()}
+    return {**img, missing[0]: 1}
+
+
+def corrupt_vertex_image(m: GeneratorMap, kind: str, rng: random.Random) -> GeneratorMap:
+    """``m`` with one vertex image widened, cut by a term, swapped with another, or zeroed."""
+    vimgs = dict(m.vertex_images)
+    v = rng.choice(m.source.vertices)
+    if kind == "widened":
+        vimgs[v] = _widened_image(m, v)
+    elif kind == "dropped":
+        vimgs[v] = {x: vimgs[v][x] for x in sorted(vimgs[v])[:-1]}
+    elif kind == "swapped":
+        w = rng.choice(m.source.vertices)
+        vimgs[v], vimgs[w] = vimgs[w], vimgs[v]
+    else:
+        vimgs[v] = {}
+    return GeneratorMap(m.source, m.target, vimgs, m.edge_images)
+
+
+def corrupted_chains(seed: int = 6, trials: int = 400):
+    """Random chains with one or two steps' ``sigma`` or ``quotient_map`` damaged.
+
+    Seed 6 over 400 trials gives 306 damaged chains.
+    """
+    rng = random.Random(seed)
+    for _ in range(trials):
+        chain = random_chain(rng)
+        steps = list(chain.steps)
+        for at in rng.sample(range(len(steps)), min(len(steps), rng.choice((1, 2)))):
+            field = rng.choice(("sigma", "quotient_map"))
+            m = getattr(steps[at], field)
+            if m.source.vertices:
+                kind = rng.choice(("widened", "dropped", "swapped", "zeroed"))
+                steps[at] = dataclasses.replace(
+                    steps[at], **{field: corrupt_vertex_image(m, kind, rng)}
+                )
+        if steps != list(chain.steps):
+            yield dataclasses.replace(chain, steps=tuple(steps))
+
+
 def composite_section_oracle(chain) -> GeneratorMap:
     """``sigma_1 . sigma_2 . ...``, one validated map per step."""
     if not chain.steps:
@@ -745,11 +1000,30 @@ def map_corruptions(m: GeneratorMap, rng: random.Random) -> list[GeneratorMap]:
         for y, c in img[w].items():
             diff[y] = diff.get(y, 0) - c
         out.append(with_images(m, vimgs={v: diff}))
+    # a generator the map leaves unmoved, given another image through the
+    # constructor: a second target vertex (or zero), and a doubled family
+    still = [v for v in verts if v not in m.vertex_patch]
+    if still:
+        v, x = rng.choice(still), rng.choice(m.target.vertices)
+        out.append(with_images(m, vimgs={v: {} if x == v else {v: 1, x: 1}}))
+    fixed = [f for f in sorted(m.edge_images) if f not in m.family_patch]
+    if fixed:
+        f = rng.choice(fixed)
+        out.append(with_images(m, eimgs={f: ((2, f),)}))
     return out
 
 
 # ---------------------------------------------------------------------------
 # graph oracles and corpora
+
+
+def valid_stars_oracle(g: AmpGraph, sink: str) -> list[str]:
+    """The stars for ``sink``: every vertex but the sink and the heads of
+    families whose source has no path to the sink."""
+    reach = g._reach_masks()
+    bit = 1 << g.index(sink)
+    blocked = {dst for src, dst, _ in g.families() if not reach[g.index(src)] & bit}
+    return [v for v in g.vertices if v != sink and v not in blocked]
 
 
 def hereditary_subsets_oracle(g: AmpGraph) -> set[tuple[str, ...]]:

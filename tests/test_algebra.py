@@ -184,6 +184,18 @@ def test_inclusion_refuses_a_subgraph_the_graph_lacks():
         GeneratorMap.inclusion(backward, g)
 
 
+@pytest.mark.parametrize("build", [
+    lambda g, w: CKElement.projection(g, "zzz"),
+    lambda g, w: CKElement.word(g, w),
+    lambda g, w: CKElement.word(g, w, 3),
+    lambda g, w: CKElement.from_terms(g, [(w, 1)]),
+    lambda g, w: CKElement.from_terms(g, [(projection_word("v1"), 1), (w, -1)]),
+])
+def test_a_vertex_word_over_a_vertex_the_graph_lacks_is_refused(build):
+    with pytest.raises(ValueError, match="unknown vertex 'zzz'"):
+        build(example_graph(), projection_word("zzz"))
+
+
 def negated_vertex_map(g: AmpGraph, v: str) -> GeneratorMap:
     """The identity of ``g`` except m(p_v) = -p_v, which is not a projection."""
     ident = GeneratorMap.identity(g)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ampgraph import OMEGA, AmpGraph
+from ampgraph import OMEGA, AmpGraph, valid_stars
 
 from helpers import (
     ROOT,
@@ -11,6 +11,7 @@ from helpers import (
     hereditary_subsets_oracle,
     random_amplified_dag,
     random_edge_list,
+    valid_stars_oracle,
 )
 
 
@@ -375,3 +376,27 @@ def test_amplifications_equal_fresh_graphs(seed):
                 _assert_matches_model(g, model)
     # quotients of the amplified graph are cut from derived tables in turn
     _peel(g, model, rng)
+
+
+def test_valid_stars_on_masks_matches_the_family_scan():
+    rng = random.Random(424)
+    checked = 0
+    for _ in range(300):
+        g = random_amplified_dag(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6, 0.8)))
+        for sink in g.classify().sinks:
+            assert valid_stars(g, sink) == valid_stars_oracle(g, sink)
+            checked += 1
+    assert checked > 400
+    with pytest.raises(ValueError, match="'v1' is not a sink"):
+        valid_stars(example_graph(), "v1")
+
+
+def test_families_at_reads_the_families_touching_a_subset():
+    rng = random.Random(425)
+    for _ in range(200):
+        g = random_amplified_dag(rng, rng.randint(1, 9), rng.choice((0.3, 0.6)))
+        subset = [v for v in g.vertices if rng.random() < 0.3]
+        want = [(a, b) for a, b, _ in g.families() if a in subset or b in subset]
+        assert g.families_at(subset) == want
+    with pytest.raises(ValueError, match="unknown vertex 'x'"):
+        example_graph().families_at(["x"])

@@ -1,8 +1,9 @@
 """Only :mod:`ampgraph.algebra` reads how a generator map stores its images.
 
-A map holds its vertex tables in ``.vertex_images`` and its family
-templates in ``.edge_images``, and the table-level helpers that compose and
-push maps work on that layout.  Every other module goes through the
+A map keeps the images it moves in ``.vertex_patch`` and ``.family_patch``
+and builds its full tables ``.vertex_images`` and ``.edge_images`` on
+access, and the table-level helpers that look up, compose and push maps
+work on that layout.  Every other module goes through the
 functions ``algebra`` provides for it, and none multiplies words itself, so
 the layout can change in one module.
 """
@@ -14,8 +15,9 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ampgraph"
 LAYOUT = {
-    "vertex_images", "edge_images", "_push", "_push_table", "_compose_template",
-    "_check_composable", "word_mul",
+    "vertex_images", "edge_images", "vertex_patch", "family_patch", "_vertex_image",
+    "_family_image", "_push", "_push_table", "_compose_template", "_check_composable",
+    "word_mul",
 }
 
 

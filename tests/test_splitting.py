@@ -337,14 +337,14 @@ def test_multi_sink_splitting_builds_two_maps_per_step_and_two_composites(
     spec = DynkinSpec(rank, frozenset(tags))
     g = flag_graph(spec)
     sinks = list(cw_kk_summary(spec).chain.sinks)
-    original = GeneratorMap.__post_init__
+    original = algebra._fill
     built = []
 
-    def counted(self):
-        built.append(self)
-        original(self)
+    def counted(m, *patch):
+        built.append(m)
+        original(m, *patch)
 
-    monkeypatch.setattr(GeneratorMap, "__post_init__", counted)
+    monkeypatch.setattr(algebra, "_fill", counted)
     chain = multi_sink_splitting(g, sinks)
     steps = len(chain.steps)
     assert steps == len(sinks) > 1
