@@ -324,19 +324,7 @@ class CKElement:
         return None
 
     def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for w, c in self.terms:
-            body = w.render()
-            if c == 1:
-                text = body
-            elif c == -1:
-                text = f"-{body}"
-            else:
-                text = f"{c}*{body}"
-            parts.append(text)
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render_sum((c, w.render()) for w, c in self.terms)
 
     def __str__(self) -> str:
         return self.render()
@@ -500,17 +488,11 @@ class GeneratorMap:
         """Generator-by-generator rendering, symbolic in the family index."""
         rows: dict[str, str] = {}
         for v in self.source.vertices:
-            rows[f"p[{v}]"] = _render_vertex_table(_vertex_image(self, v))
+            table = sorted(_vertex_image(self, v).items())
+            rows[f"p[{v}]"] = _render_sum((c, f"p[{x}]") for x, c in table)
         for src, dst, _ in self.source.families():
             tpl = _family_image(self, (src, dst))
-            if not tpl:
-                rows[f"s[{src}>{dst}#i]"] = "0"
-                continue
-            parts = []
-            for coeff, (a, b) in tpl:
-                body = f"s[{a}>{b}#i]"
-                parts.append(body if coeff == 1 else f"{coeff}*{body}")
-            rows[f"s[{src}>{dst}#i]"] = " + ".join(parts)
+            rows[f"s[{src}>{dst}#i]"] = _render_sum((c, f"s[{a}>{b}#i]") for c, (a, b) in tpl)
         return rows
 
 
@@ -534,15 +516,15 @@ def _family_image(m, fam: tuple[str, str]) -> EdgeTemplate:
     return ((1, fam),) if tpl is None else tpl
 
 
-def _render_vertex_table(table: VertexTable) -> str:
-    """``sum_x d_x p_x`` as :meth:`CKElement.render` writes it: terms in label order."""
-    if not table:
-        return "0"
-    parts = []
-    for x, c in sorted(table.items()):
-        body = f"p[{x}]"
-        parts.append(body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}")
-    return " + ".join(parts).replace("+ -", "- ")
+def _render_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """The sum of ``c * body`` over ``terms``, in their order, as every rendering writes it.
+
+    A term reads ``body``, ``-body`` or ``c*body``, a negative term is joined
+    with ``-`` and an empty sum is ``0``.  :meth:`CKElement.render` and every
+    row of :meth:`GeneratorMap.render_table` are written by it.
+    """
+    text = " + ".join(body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}" for c, body in terms)
+    return text.replace("+ -", "- ") if text else "0"
 
 
 def _label_map(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -> GeneratorMap:
@@ -799,9 +781,6 @@ class VerificationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def extended(self, more: Iterable[Check]) -> "VerificationReport":
-        return VerificationReport(self.checks + tuple(more))
 
     def render(self) -> str:
         lines = []

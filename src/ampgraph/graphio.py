@@ -78,7 +78,8 @@ def load_graph(path: str) -> AmpGraph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # a document nested too deeply for the parser is refused like a malformed one
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     return graph_from_dict(data)
 

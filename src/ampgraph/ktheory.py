@@ -19,10 +19,9 @@ when it fails is the kernel of Q decided by an exact rank.
 A map sends every vertex it does not move to the vertex of the same label,
 so its K_0 matrix is the identity on labels except in the columns of the
 vertices it moves: a step's S differs from it in the star's column and Q in
-the sink's.  Each step keeps only those columns, as K_0 classes keyed by
-label, with the two halves of its certificate, which is decided on them
-once, on its :class:`~ampgraph.splitting.SplitData`; every check reads them
-and none writes to them.  The chain check keeps the prefix products
+the sink's.  A step keeps no K_0 state: each check reads those columns off
+the two patches, as K_0 classes keyed by label, and decides the step's
+certificate on them.  The chain check keeps the prefix products
 ``S_1 ... S_i`` as columns and ``Q_i ... Q_1`` as rows keyed by the labels
 of the current graph, and a step updates only the entries its maps move.
 Sparse columns and rows are dicts from an index to the nonzero entries.
@@ -86,24 +85,20 @@ def _rank(cols: Columns) -> int:
 
 
 def _section_holds(rows: tuple[str, ...], source: AmpGraph, q: dict, s: dict) -> bool:
-    """Whether ``Q S`` is the identity, column ``j`` against row ``j``.
+    """Whether ``Q S`` is the identity.
 
     ``q`` and ``s`` are the moved classes of the quotient map and the
     section, ``rows`` the vertices of Q's target and ``source`` S's source
-    graph.  When ``rows`` lists the labels of ``source`` in the same order,
-    as in every step this package builds, a column neither map moves gives
-    ``Q S e_u = e_u``, so only the columns either map moves are multiplied.
-    A hand-built step whose graphs differ has every column multiplied.
+    graph.  ``Q S = I`` is stated in the vertex bases of the two graphs, so
+    it can hold only when ``rows`` lists the labels of ``source`` in the
+    same order.  Then a column neither map moves gives ``Q S e_u = e_u``,
+    so only the columns either map moves are multiplied.
     """
-    if rows == source.vertices:
-        labels = [*s, *(x for x in q if x in source and x not in s)]
-    else:
-        labels = source.vertices
-    for u in labels:
-        j = source.index(u)
+    if rows != source.vertices:
+        return False
+    for u in (*s, *(x for x in q if x in source and x not in s)):
         col = s.get(u, {u: 1})
-        got = _combine({x: q.get(x, {x: 1}) for x in col}, col)
-        if j >= len(rows) or got != {rows[j]: 1}:
+        if _combine({x: q.get(x, {x: 1}) for x in col}, col) != {u: 1}:
             return False
     return True
 
@@ -111,15 +106,18 @@ def _section_holds(rows: tuple[str, ...], source: AmpGraph, q: dict, s: dict) ->
 def _step_certificate(sd: SplitData) -> tuple[dict, dict, bool, bool]:
     """The step's moved classes ``(Q, S)``, then ``Q S = I`` and ``Q e_sink = 0``.
 
-    Decided on first use and kept on ``sd``.  Q kills the sink class
+    A pure function of the two maps' patches.  Q kills the sink class
     exactly when the quotient map moves the sink to zero.
     """
-    if sd._k0 is None:
-        q, s = _range_counts(sd.quotient_map), _range_counts(sd.sigma)
-        killed = sd.sink in q and not q[sd.sink]
-        section_ok = _section_holds(sd.quotient_map.target.vertices, sd.sigma.source, q, s)
-        object.__setattr__(sd, "_k0", (q, s, section_ok, killed))
-    return sd._k0
+    q, s = _range_counts(sd.quotient_map), _range_counts(sd.sigma)
+    killed = sd.sink in q and not q[sd.sink]
+    return q, s, _section_holds(sd.quotient_map.target.vertices, sd.sigma.source, q, s), killed
+
+
+def _columns(m: GeneratorMap, moved: dict) -> Columns:
+    """The K_0 matrix of ``m`` as sparse columns, from the classes ``moved`` of its moved vertices."""
+    index = m.target.index
+    return tuple([{index(x): c for x, c in moved.get(v, {v: 1}).items()} for v in m.source.vertices])
 
 
 def induced_k0(m: GeneratorMap) -> Columns:
@@ -129,11 +127,7 @@ def induced_k0(m: GeneratorMap) -> Columns:
     ``m(p_v)`` at each target vertex index.  An image with a coefficient
     other than 1 is not a sum of distinct vertex projections and is refused.
     """
-    moved = _range_counts(m)
-    index = m.target.index
-    return tuple([
-        {index(x): c for x, c in moved.get(v, {v: 1}).items()} for v in m.source.vertices
-    ])
+    return _columns(m, _range_counts(m))
 
 
 @dataclass(frozen=True)
@@ -155,10 +149,10 @@ def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
     together give the decomposition of K_0 of the working graph as
     ``Z (+) Z^(N-1)``.  The first two make the left-inverse certificate, which
     proves the third; only without it is the kernel decided by the rank of Q.
-    The dense Q and S of the report are built from the maps' patches.
+    The dense Q and S of the report are built from the classes certified.
     """
-    _, _, section_ok, killed = _step_certificate(sd)
-    q, s = induced_k0(sd.quotient_map), induced_k0(sd.sigma)
+    q_moved, s_moved, section_ok, killed = _step_certificate(sd)
+    q, s = _columns(sd.quotient_map, q_moved), _columns(sd.sigma, s_moved)
     n = len(sd.working.vertices)
     k = sd.working.index(sd.sink)
     nullity = 1 if section_ok and killed else n - _rank(q)

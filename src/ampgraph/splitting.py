@@ -15,6 +15,10 @@ needs may be missing; they are first added by the path-preserving move
 graph but not the algebra.  With ``star=None`` the plain generator embedding
 is used instead: also a section, but not unital.
 
+A chosen ``(sink, star)`` reaches a verified step along one path, a single
+removal as a chain of one step: one validator (:func:`_check_step`), one
+augmenter (:func:`_stabilize`) and one builder (:func:`_split`).
+
 Iterating sink removals on an acyclic graph peels the algebra down to a sum
 of compacts plus a point, one explicitly split extension per step.  Later
 steps may force edge additions on earlier graphs (a step's section needs its
@@ -25,13 +29,15 @@ on the nose.  The sinks removed before a step form a hereditary set, so a
 step's quotient graph has the same in-neighbours at every vertex it keeps:
 the demands are read on the ambient graph, and no quotient is built to
 stabilise it.  One planner cuts each step's quotient graph from its
-parent's tables; the steps run on those graphs unless stabilising adds
-families, when the chain is cut once more from the ambient graph.
+parent's tables and validates the step on it, a verdict stabilising cannot
+change (:func:`_plan` has the argument); the steps run on those graphs
+unless stabilising adds families, when the chain is cut once more from the
+ambient graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -68,10 +74,6 @@ class SplitData:
     sigma: GeneratorMap
     quotient_map: GeneratorMap
     augmented: tuple[tuple[str, str], ...]
-    #: The K_0 classes ``(Q, S)`` of the vertex images ``quotient_map`` and
-    #: ``sigma`` move, then whether ``Q S = I`` and ``Q e_sink = 0``; filled
-    #: on first use by :mod:`ampgraph.ktheory` and never mutated.
-    _k0: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     @property
     def quotient_graph(self) -> AmpGraph:
@@ -120,21 +122,18 @@ def build_splitting(g: AmpGraph, sink: str, star: str | None) -> SplitData:
     Every construction runs :func:`verify_split_exact`; a failure signals an
     implementation bug and raises :class:`VerificationFailure`.
     """
-    return _split(g, sink, star, None)
+    _check_step(g, sink, star)
+    working, augmented = _stabilize(g, ((sink, star),))
+    return _split(g, working, working.quotient((sink,)), sink, star, augmented)
 
 
-def _split(g: AmpGraph, sink: str, star: str | None, quotient_graph: AmpGraph | None) -> SplitData:
-    """The step body of :func:`build_splitting` and of every chain step.
-
-    A chain step hands in its next graph as ``quotient_graph``, and ``g``
-    must then already hold every family the section needs.
-    """
+def _check_step(g: AmpGraph, sink: str, star: str | None) -> None:
+    """Refuse a ``(sink, star)`` that ``g`` cannot split: ``g`` not amplified, ``sink`` no sink, or a bad star."""
     cls = g.classify()
     if not cls.amplified:
         raise ValueError("splitting requires an amplified graph")
     if sink not in cls.sinks:
         raise ValueError(f"{sink!r} is not a sink")
-    augmented: tuple[tuple[str, str], ...] = ()
     if star is not None:
         stars = valid_stars(g, sink)
         if star not in stars:
@@ -142,18 +141,16 @@ def _split(g: AmpGraph, sink: str, star: str | None, quotient_graph: AmpGraph | 
                 f"{star!r} is not a valid choice of star for sink {sink!r}; "
                 f"valid stars: {stars}"
             )
-        augmented = tuple(_missing_families(g, sink, star))
-    if augmented and quotient_graph is not None:
+
+
+def _split(original: AmpGraph, working: AmpGraph, quotient_graph: AmpGraph, sink: str, star: str | None, augmented: tuple) -> SplitData:
+    """Build and verify the two maps of a checked step on its stabilised graph."""
+    if star is not None and (missing := _missing_families(working, sink, star)):
         raise VerificationFailure(
-            f"ambient graph not stabilised: step {sink!r} still added {augmented}"
+            f"ambient graph not stabilised: step {sink!r} still added {tuple(missing)}"
         )
-    working = g
-    for v, w in augmented:
-        working = working.amplify_transitive_edges(v, w)
-    if quotient_graph is None:
-        quotient_graph = working.quotient((sink,))
     sd = SplitData(
-        original=g,
+        original=original,
         working=working,
         sink=sink,
         star=star,
@@ -325,7 +322,14 @@ class KKChain:
 def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int) -> tuple[list[tuple[str, str | None]], list[AmpGraph]]:
     """The policy's ``(sink, star)`` for each step, and the graphs it cuts.
 
-    ``graphs[i]`` is ``g`` without the first ``i`` sinks.
+    ``graphs[i]`` is ``g`` without the first ``i`` sinks; :func:`_check_step`
+    refuses there each step it cannot split.  The step runs on ``graphs[i]``
+    plus the families :func:`_stabilize` adds between its vertices, with the
+    same verdict: each such family ``v -> w`` is OMEGA and shadows a path
+    ``v -> ... -> u -> w`` that ``graphs[i]`` has, so it changes no reach
+    mask, hence no sink, and no source.  Nor does it rule out a star: ``w``
+    is ruled out for a sink ``t`` by ``v`` only if ``v`` misses ``t``, and
+    then so does ``u``, which ``v`` reaches and which already rules ``w`` out.
     """
     plan: list[tuple[str, str | None]] = []
     graphs = [g]
@@ -340,6 +344,7 @@ def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int) -> tuple[list[tuple[str
                 f"star {star!r} of step {step} (sink {sink!r}) is not "
                 "a vertex of the remaining graph"
             )
+        _check_step(current, sink, star)
         plan.append((sink, star))
         graphs.append(current.quotient((sink,)))
     return plan, graphs
@@ -382,7 +387,7 @@ def _run_chain(g: AmpGraph, policy: StarPolicy, n_steps: int) -> KKChain:
         for sink, _ in plan:
             graphs.append(graphs[-1].quotient((sink,)))
     steps = tuple(
-        _split(graphs[i], sink, star, graphs[i + 1])
+        _split(graphs[i], graphs[i], graphs[i + 1], sink, star, ())
         for i, (sink, star) in enumerate(plan)
     )
     return KKChain(graph=g, ambient=ambient, steps=steps, augmented=added)

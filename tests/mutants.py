@@ -9,7 +9,7 @@ code has to update its row.  The full run is slow and stays out of tier 1:
     python tests/mutants.py            # every mutant
     python tests/mutants.py ID [ID..]  # the named ones
 
-It copies ``src``, ``tests``, ``fixtures`` and ``pyproject.toml`` to a
+It copies ``src``, ``tests``, ``fixtures``, ``schemas`` and ``pyproject.toml`` to a
 temporary directory, runs every listed test once on the unbroken copy, then
 applies one mutant at a time and runs only its tests.  It prints each
 mutant's outcome and exits 1 if any mutant survives (its tests all pass).
@@ -29,11 +29,14 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ALGEBRA = "src/ampgraph/algebra.py"
 KTHEORY = "src/ampgraph/ktheory.py"
 GRAPHS = "src/ampgraph/graphs.py"
+SPLITTING = "src/ampgraph/splitting.py"
+GRAPHIO = "src/ampgraph/graphio.py"
 
 PATCH = "tests/test_patch.py::"
 RELATIONS = "tests/test_relations.py::"
 KT = "tests/test_ktheory.py::"
 ALG = "tests/test_algebra.py::"
+SPLIT = "tests/test_splitting.py::"
 
 #: id -> (file, snippet, replacement, test node ids that must fail)
 MUTANTS = {
@@ -127,15 +130,15 @@ MUTANTS = {
     ),
     "certificate-ignores-q-patch": (
         KTHEORY,
-        "        got = _combine({x: q.get(x, {x: 1}) for x in col}, col)\n",
-        "        got = _combine({x: {x: 1} for x in col}, col)\n",
+        "        if _combine({x: q.get(x, {x: 1}) for x in col}, col) != {u: 1}:\n",
+        "        if _combine({x: {x: 1} for x in col}, col) != {u: 1}:\n",
         [KT + "test_the_kept_certificate_decides_the_step_check",
          KT + "test_k0_kernel_detail_counts_the_kernel"],
     ),
     "certificate-skips-columns-only-q-moves": (
         KTHEORY,
-        "        labels = [*s, *(x for x in q if x in source and x not in s)]\n",
-        "        labels = list(s)\n",
+        "    for u in (*s, *(x for x in q if x in source and x not in s)):\n",
+        "    for u in s:\n",
         [KT + "test_the_kept_certificate_decides_the_step_check",
          KT + "test_k0_kernel_detail_counts_the_kernel"],
     ),
@@ -190,9 +193,55 @@ MUTANTS = {
     ),
     "render-table-keeps-table-order": (
         ALGEBRA,
-        "    for x, c in sorted(table.items()):\n",
-        "    for x, c in table.items():\n",
+        "            table = sorted(_vertex_image(self, v).items())\n",
+        "            table = _vertex_image(self, v).items()\n",
         [ALG + "test_render_table_rows_match_element_rendering"],
+    ),
+    # -- one path from a chosen (sink, star) to a verified step ------------------
+    "planner-skips-check-step": (
+        SPLITTING,
+        "        _check_step(current, sink, star)\n",
+        "",
+        [SPLIT + "test_every_path_names_a_bad_star_before_stabilising"],
+    ),
+    "build-splitting-skips-stabilize": (
+        SPLITTING,
+        "    working, augmented = _stabilize(g, ((sink, star),))\n",
+        "    working, augmented = g, ()\n",
+        [SPLIT + "test_build_splitting_all_stars_verify",
+         SPLIT + "test_splitting_section_formula_star_v2"],
+    ),
+    "section-holds-accepts-another-basis": (
+        KTHEORY,
+        "    if rows != source.vertices:\n        return False\n",
+        "",
+        [KT + "test_a_quotient_onto_the_labels_in_another_order_is_no_section"],
+    ),
+    # -- refusals and rendering --------------------------------------------------
+    "load-graph-lets-recursion-error-escape": (
+        GRAPHIO,
+        "        except (json.JSONDecodeError, RecursionError) as exc:\n",
+        "        except json.JSONDecodeError as exc:\n",
+        ["tests/test_cli.py::test_too_deeply_nested_json_is_exit_1_with_a_report",
+         "tests/test_fuzz.py::test_every_fixed_text_is_refused_by_every_command"],
+    ),
+    "render-sum-writes-minus-one": (
+        ALGEBRA,
+        'body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}"',
+        'body if c == 1 else f"{c}*{body}"',
+        [ALG + "test_render_table_rows_match_element_rendering"],
+    ),
+    "render-sum-adds-a-negative-term": (
+        ALGEBRA,
+        '    return text.replace("+ -", "- ") if text else "0"\n',
+        '    return text if text else "0"\n',
+        [ALG + "test_render_table_rows_match_element_rendering"],
+    ),
+    "push-drops-later-letters": (
+        ALGEBRA,
+        "        for y in letters[1:]:\n",
+        "        for y in letters[1:1]:\n",
+        [ALG + "test_apply_multiplies_the_letter_images_of_a_word"],
     ),
 }
 
@@ -213,7 +262,7 @@ def run(ids: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="ampgraph-mutants-") as tmp:
         copy = pathlib.Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-        for name in ("src", "tests", "fixtures"):
+        for name in ("src", "tests", "fixtures", "schemas"):
             shutil.copytree(ROOT / name, copy / name, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
         listed = sorted({t for i in ids for t in MUTANTS[i][3]})

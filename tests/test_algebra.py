@@ -1,8 +1,10 @@
+import operator
 import random
+from functools import reduce
 
 import pytest
 
-from ampgraph import AmpGraph, CKElement, GeneratorMap, compose, verify_ck_family
+from ampgraph import AmpGraph, CKElement, GeneratorMap, build_splitting, compose, verify_ck_family
 from ampgraph.algebra import (
     CKWord,
     EdgeRef,
@@ -232,6 +234,42 @@ def test_compose_matches_pointwise_application():
     assert compose(q1, GeneratorMap.identity(g)) == q1
 
 
+def test_apply_multiplies_the_letter_images_of_a_word():
+    # every word of two or more letters over the quotient graph, under the
+    # sections of each star (which move a family) and under the quotient map
+    g = example_graph()
+    maps = [build_splitting(g, "v4", star).sigma for star in ("v1", "v2", "v3")]
+    maps.append(GeneratorMap.quotient(g, ("v4",)))
+    words = 0
+    for m in maps:
+        for w in all_words(m.source, 2):
+            if len(w.alpha) + len(w.beta) < 2:
+                continue
+            letters = [m.edge_image(e) for e in w.alpha.edges]
+            letters += [m.edge_image(e).adjoint() for e in reversed(w.beta.edges)]
+            assert m.apply(CKElement.word(m.source, w, 3)) == 3 * reduce(operator.mul, letters)
+            words += 1
+    assert words > 100
+
+
+def test_maps_refuse_graphs_that_are_not_amplified():
+    finite = AmpGraph.from_edges(("a", "b"), [("a", "b", 2)])
+    with pytest.raises(ValueError, match="generator maps require amplified graphs"):
+        GeneratorMap.identity(finite)
+
+
+def test_maps_that_do_not_meet_are_not_composed():
+    with pytest.raises(ValueError, match="maps do not compose: inner target differs from outer source"):
+        compose(GeneratorMap.identity(line_graph()), GeneratorMap.identity(example_graph()))
+
+
+def test_a_report_names_an_unknown_check():
+    report = verify_ck_family(GeneratorMap.identity(line_graph()))
+    assert report.check("ck1").passed
+    with pytest.raises(KeyError, match="nope"):
+        report.check("nope")
+
+
 def test_generator_map_validates_coverage():
     g = line_graph()
     ident = GeneratorMap.identity(g)
@@ -265,11 +303,12 @@ def test_generator_map_drops_zero_coefficients():
 
 
 def test_render_table_rows_match_element_rendering():
-    """Each vertex row is what ``CKElement.render`` writes for the same table.
+    """Each row is what ``CKElement.render`` writes for the same image.
 
     Labels ``v1 .. v12`` sort differently as strings (``v10`` before
-    ``v2``) than in vertex order; the coefficients include 1, -1, 2, -3 and
-    0, which the map drops, and some tables are empty.
+    ``v2``) than in vertex order; the vertex coefficients include 1, -1, 2,
+    -3 and 0, which the map drops, and some tables are empty.  The family
+    templates carry coefficients 1, -1, 2 and -3, and some are empty.
     """
     rng = random.Random(1357)
     labels = tuple(f"v{i}" for i in range(1, 13))
@@ -291,6 +330,32 @@ def test_render_table_rows_match_element_rendering():
     assert empty == {True, False}
     two = GeneratorMap(g, g, dict(images, v1={"v2": 1, "v10": -3}), {})
     assert two.render_table()["p[v1]"] == "-3*p[v10] + p[v2]"
+    # a template row is what ``CKElement.render`` writes for the family's
+    # image at index 0, with the index made symbolic
+    h = AmpGraph.from_edges(labels[:6], [(a, b) for i, a in enumerate(labels[:6]) for b in labels[i + 1:6]])
+    fams = [(a, b) for a, b, _ in h.families()]
+    fixed = {v: {v: 1} for v in h.vertices}
+    coeffs.clear()
+    empty.clear()
+    for _ in range(100):
+        templates = {
+            fam: tuple((rng.choice((1, -1, 2, -3)), t) for t in rng.sample(fams, rng.randrange(4)))
+            for fam in fams
+        }
+        m = GeneratorMap(h, h, fixed, templates)
+        rows = m.render_table()
+        for a, b in fams:
+            want = m.edge_image(EdgeRef(a, b, 0)).render().replace("#0]", "#i]")
+            assert rows[f"s[{a}>{b}#i]"] == want
+            empty.add(want == "0")
+            coeffs.update(c for c, _ in templates[(a, b)])
+    assert coeffs == {1, -1, 2, -3}
+    assert empty == {True, False}
+    signs = dict(templates)
+    signs[("v1", "v2")] = ((-1, ("v1", "v2")), (2, ("v1", "v3")), (-3, ("v2", "v3")))
+    assert GeneratorMap(h, h, fixed, signs).render_table()["s[v1>v2#i]"] == (
+        "-s[v1>v2#i] + 2*s[v1>v3#i] - 3*s[v2>v3#i]"
+    )
 
 
 def test_verify_catches_collapsed_vertices():

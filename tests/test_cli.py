@@ -1,11 +1,13 @@
 import json
 import pathlib
+import re
 
 import jsonschema
 import pytest
 
 import ampgraph.cli as cli
 from ampgraph import VerificationFailure, dumps_graph, load_graph
+from ampgraph.graphio import graph_from_dict
 from ampgraph.cli import main, run_command
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -133,6 +135,32 @@ def test_malformed_json_is_exit_1(tmp_path):
     report = run_command(["classify", str(bad)])
     assert report.exit_code == 1
     assert "bad.json" in report.error
+
+
+def test_too_deeply_nested_json_is_exit_1_with_a_report(tmp_path, capsys):
+    # the parser gives up on 1,000 nested arrays; under --json that is still
+    # one JSON report and exit 1, as for any malformed document
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"vertices": ' + "[" * 1000 + "]" * 1000 + ', "edges": []}')
+    assert main(["classify", str(deep), "--json"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert not report["ok"] and report["error"].startswith(f"{deep}: not valid JSON (")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": ["a", "b", "a"], "edges": []}, "duplicate vertices: ['a']"),
+    ({"vertices": ["a"], "edges": [{"src": "a", "dst": "x"}]}, "edge #0 refers to unknown vertex 'x'"),
+    ({"vertices": ["a", "b"], "edges": [{"src": "a", "dst": "b"}, {"src": "a", "dst": "b", "mult": 2}]},
+     "edge #1 repeats the pair 'a' -> 'b'"),
+    ({"vertices": ["a", "b"], "edges": [{"src": "a", "dst": "b", "mult": -1}]},
+     "multiplicity of edge #0 ('a' -> 'b') must be nonnegative, got -1"),
+], ids=["duplicate-vertex", "unknown-vertex", "repeated-pair", "negative-multiplicity"])
+def test_graph_documents_are_refused_with_the_offender_named(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        graph_from_dict(doc)
 
 
 @pytest.mark.parametrize("doc", [

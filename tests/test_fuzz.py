@@ -13,6 +13,7 @@ import json
 import pathlib
 
 import jsonschema
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -71,11 +72,15 @@ def _with_vertices(doc) -> tuple[str, list[str]]:
     return json.dumps(doc), [v for v in vertices if isinstance(v, str)] + ["nope"]
 
 
+#: Texts that are not graph documents; the last nests arrays deeper than
+#: the JSON parser follows.  Each also runs through every command below.
+FIXED_TEXTS = ["", "{", "[]", "null", '{"vertices": ["v0"]', "[" * 1000 + "]" * 1000]
+
 DOCUMENTS = st.one_of(
     graph_docs(acyclic=True).map(_with_vertices),
     graph_docs(acyclic=False).map(_with_vertices),
     malformed_docs().map(_with_vertices),
-    st.sampled_from(["", "{", "[]", "null", '{"vertices": ["v0"]']).map(lambda t: (t, LABELS)),
+    st.sampled_from(FIXED_TEXTS).map(lambda t: (t, LABELS)),
 )
 
 
@@ -99,6 +104,21 @@ def command_lines(draw, labels: list[str]):
     return args
 
 
+def _run_with_json(path: pathlib.Path, args: list[str]) -> int:
+    """Run ``args`` on the graph file ``path`` under ``--json`` and check the report."""
+    argv = [args[0], str(path), *args[1:], "--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert out.getvalue().count("\n") == 1
+    report = json.loads(out.getvalue())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["ok"] is (code == 0)
+    assert report["command"] == argv
+    return code
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(doc=DOCUMENTS, data=st.data())
 def test_every_command_keeps_the_exit_contract(tmp_path_factory, doc, data):
@@ -106,14 +126,15 @@ def test_every_command_keeps_the_exit_contract(tmp_path_factory, doc, data):
     args = data.draw(command_lines(labels))
     path = tmp_path_factory.getbasetemp() / "fuzz-graph.json"
     path.write_text(text)
-    argv = [args[0], str(path), *args[1:], "--json"]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    event(f"{args[0]} exit {code}")
-    assert code in (0, 1, 2)
-    assert out.getvalue().count("\n") == 1
-    report = json.loads(out.getvalue())
-    jsonschema.validate(report, REPORT_SCHEMA)
-    assert report["ok"] is (code == 0)
-    assert report["command"] == argv
+    event(f"{args[0]} exit {_run_with_json(path, args)}")
+
+
+@pytest.mark.parametrize("args", [
+    ["classify"], ["hereditary"], ["quotient", "--remove", "v0"], ["stars", "--sink", "v0"],
+    ["split", "--sink", "v0"], ["chain"], ["ktheory"],
+], ids=lambda args: args[0])
+@pytest.mark.parametrize("text", FIXED_TEXTS, ids=range(len(FIXED_TEXTS)))
+def test_every_fixed_text_is_refused_by_every_command(tmp_path, text, args):
+    path = tmp_path / "fixed.json"
+    path.write_text(text)
+    assert _run_with_json(path, args) == 1

@@ -23,6 +23,7 @@ from ampgraph import (
     multi_sink_splitting,
     prefer_source_star,
     valid_stars,
+    verify_split_exact,
 )
 from ampgraph import ktheory
 from ampgraph.ktheory import smith_normal_form
@@ -211,9 +212,10 @@ def test_cw_kk_summary_reads_each_step_patch_once_and_extracts_no_column(monkeyp
         seen.clear()
         summary = cw_kk_summary(spec)
         assert summary.report.ok
-        # both K_0 checks read the moved classes of each step's two maps,
+        # a step keeps no K_0 state: each of the two readers (the summary's
+        # step rows and the chain check) reads the step's two patches once,
         # and neither builds a full column
-        assert len(seen) == 2 * len(summary.chain.steps)
+        assert len(seen) == 4 * len(summary.chain.steps)
         assert columns == []
 
 
@@ -223,11 +225,11 @@ def test_k0_checks_leave_the_step_certificate_unchanged():
         chain_k0 = check_chain_k0(chain)
         assert [check_split_exact_k0(sd) for sd in chain.steps] == before
         assert check_chain_k0(chain) == chain_k0
-        # the kept classes are those of the star and the sink, the only
-        # vertices the step's maps move, and both halves of the certificate hold
+        # the certificate's classes are those of the star and the sink, the
+        # only vertices the step's maps move, and both of its halves hold
         for sd in chain.steps:
             star = {sd.star: {sd.star: 1, sd.sink: 1}}
-            assert sd._k0 == ({sd.sink: {}}, star, True, True)
+            assert ktheory._step_certificate(sd) == ({sd.sink: {}}, star, True, True)
 
 
 @pytest.mark.parametrize("star", ["v1", "v2", "v3", None])
@@ -341,6 +343,21 @@ def test_the_kept_certificate_decides_the_step_check(star, replace):
     assert section_ok == report.check("k0-section").passed
     assert killed == report.check("k0-ideal-killed").passed
     assert report.ok == (section_ok and killed) == (replace == {})
+
+
+def test_a_quotient_onto_the_labels_in_another_order_is_no_section():
+    # Q sends every label where the real quotient map does, but its target
+    # lists the quotient graph's vertices in reverse: Q S = I is stated in
+    # the vertex bases of the two graphs, so it fails, as the section
+    # identity does
+    sd = build_splitting(example_graph(), "v4", "v2")
+    src, q = sd.quotient_graph, sd.quotient_map
+    reordered = AmpGraph.from_edges(tuple(reversed(src.vertices)), [(a, b) for a, b, _ in src.families()])
+    bad = dataclasses.replace(sd, quotient_map=GeneratorMap(q.source, reordered, q.vertex_images, q.edge_images))
+    assert verify_split_exact(sd).ok and check_split_exact_k0(sd).report.ok
+    assert not verify_split_exact(bad).check("section-identity").passed
+    assert not check_split_exact_k0(bad).report.check("k0-section").passed
+    assert not ktheory._step_certificate(bad)[2]
 
 
 @pytest.mark.parametrize("name", sorted(K0_NEGATIVE_CONTROLS))

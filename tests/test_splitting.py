@@ -272,6 +272,28 @@ def test_explicit_steps_policy_validation():
     g = example_graph()
     with pytest.raises(ValueError, match="ran out"):
         kk_chain(g, policy=explicit_steps([("v4", "v1")]))
+    # v1 is still a vertex, but not a sink
+    with pytest.raises(ValueError, match="'v1' is not a sink of the remaining graph"):
+        kk_chain(g, policy=explicit_steps([("v1", "v2")]))
+
+
+def test_a_graph_without_a_sink_cannot_start_a_chain():
+    cycle = AmpGraph.from_edges(("a", "b"), [("a", "b"), ("b", "a")])
+    with pytest.raises(ValueError, match="graph has no sink: removal chain cannot proceed"):
+        multi_sink_splitting(cycle, ["a"])
+
+
+def test_every_path_names_a_bad_star_before_stabilising():
+    # c has a family into b but no path to s, so b is no star for s; adding
+    # the family c -> s that b would need is impossible
+    g = AmpGraph.from_edges(("a", "b", "s", "c"), [("a", "b"), ("a", "s"), ("c", "b")])
+    message = re.escape("'b' is not a valid choice of star for sink 's'; valid stars: ['a', 'c']")
+    with pytest.raises(ValueError, match=message):
+        build_splitting(g, "s", "b")
+    with pytest.raises(ValueError, match=message):
+        kk_chain(g, explicit_steps([("s", "b"), ("b", None), ("a", None)]))
+    with pytest.raises(ValueError, match=message):
+        multi_sink_splitting(g, ["s"], ["b"])
 
 
 def test_explicit_steps_policy_is_reusable():
@@ -535,6 +557,23 @@ def test_step_graphs_match_ambient_quotients_on_random_chains():
         _assert_steps_run_on_ambient_quotients(chain)
         augmented += bool(chain.augmented)
     assert augmented >= 10
+
+
+def test_stabilising_changes_no_verdict_of_the_planner():
+    """The planned graphs and the stabilised ones agree on what ``_check_step`` reads."""
+    rng = random.Random(20261022)
+    augmented = 0
+    while augmented < 40:
+        g, chain = _random_policy_chain(rng)
+        if not chain.augmented:
+            continue
+        augmented += 1
+        for i, sd in enumerate(chain.steps):
+            planned = g.quotient(chain.sinks[:i])
+            ours, theirs = planned.classify(), sd.working.classify()
+            assert (ours.sinks, ours.sources, ours.amplified) == (theirs.sinks, theirs.sources, theirs.amplified)
+            for sink in ours.sinks:
+                assert valid_stars(planned, sink) == valid_stars(sd.working, sink)
 
 
 def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatch):
