@@ -749,7 +749,7 @@ def _range_counts(m: GeneratorMap) -> dict[str, VertexTable]:
             x = min(bad)
             raise ValueError(
                 f"image of p[{v}] is not an orthogonal sum of path "
-                f"projections: term {table[x]}*p[{x}]"
+                f"projections: term {_render_sum([(table[x], f'p[{x}]')])}"
             )
     return dict(m.vertex_patch)
 

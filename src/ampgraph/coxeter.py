@@ -3,19 +3,21 @@
 The Weyl group of the rank-n series-A diagram is the symmetric group on
 n + 1 letters, generated by the adjacent transpositions ``s_1 .. s_n``.
 Elements are stored in one-line notation as tuples ``w = (w(1), .., w(n+1))``
-and words multiply left to right, the rightmost letter acting first:
+and words multiply left to right, the rightmost letter acting first, so a
+word is evaluated by swapping the positions its letters name, left to right:
 
->>> word_to_perm((1, 2, 1), 2)
-(3, 2, 1)
->>> word_to_perm((2, 1, 2), 2) == word_to_perm((1, 2, 1), 2)
-True
+>>> right_mult(right_mult(identity_perm(2), 1), 2)
+(2, 3, 1)
+>>> canonical_reduced_word((2, 3, 1))
+(1, 2)
 
 Tagging a nonempty subset of diagram nodes singles out the parabolic
 subgroup generated by the *untagged* nodes.  The vertices of the flag graph
 are the minimal-length coset representatives, i.e. the elements with no
 untagged right descent; a representative of length k plays the role of a
 2k-cell.  Edges connect representatives one letter apart in the subword
-(Bruhat) order, so the graph is graded by word length.
+(Bruhat) order, so the graph is graded by word length.  Everything is read
+off one-line forms; no word is evaluated.
 
 The tagged nodes cut the positions ``1 .. n+1`` into blocks, position i
 ending a block when node i is tagged.  Having no untagged right descent
@@ -31,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, prod
-from typing import Iterable
 
 from . import MAX_RANK
 from .graphs import AmpGraph
@@ -80,60 +81,33 @@ def right_mult(p: Perm, i: int) -> Perm:
     return tuple(q)
 
 
-def left_mult(i: int, p: Perm) -> Perm:
-    """``s_i * p``: swap the values i, i+1 wherever they sit."""
-    swap = {i: i + 1, i + 1: i}
-    return tuple(swap.get(x, x) for x in p)
-
-
-def inversions(p: Perm) -> int:
-    """Coxeter length of ``p``: the number of inversions of its one-line form.
-
-    >>> inversions((3, 2, 1))
-    3
-    """
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-
-
 def right_descents(p: Perm) -> frozenset[int]:
     """Generators ``s_i`` with ``len(p * s_i) < len(p)``: descents of one-line form."""
     return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
 
 
-def left_descents(p: Perm) -> frozenset[int]:
-    pos = {x: k for k, x in enumerate(p)}
-    return frozenset(i for i in range(1, len(p)) if pos[i] > pos[i + 1])
-
-
-def word_to_perm(word: Iterable[int], rank: int) -> Perm:
-    """Evaluate a word in the generators; the rightmost letter acts first."""
-    p = identity_perm(rank)
-    for i in word:
-        if not 1 <= i <= rank:
-            raise ValueError(f"letter {i} outside 1..{rank}")
-        p = right_mult(p, i)
-    return p
-
-
 def canonical_reduced_word(p: Perm) -> tuple[int, ...]:
     """The lexicographically smallest reduced word for ``p``.
 
-    Peels the smallest left descent at each step:
+    Peeling the smallest left descent of ``p`` at each step swaps two
+    adjacent positions of ``p^-1`` at its first descent, which is an
+    insertion sort of ``p^-1``.  Inserting its entry at position k + 1 past
+    the ``d`` earlier entries larger than it takes the letters ``k, k-1, ..,
+    k-d+1``, so the word's length is the inversion count of ``p``:
 
     >>> canonical_reduced_word((3, 2, 1))
     (1, 2, 1)
     >>> canonical_reduced_word((1, 2, 3))
     ()
     """
+    inv = [0] * len(p)
+    for pos, x in enumerate(p):
+        inv[x - 1] = pos
     word: list[int] = []
-    while True:
-        desc = left_descents(p)
-        if not desc:
-            return tuple(word)
-        i = min(desc)
-        word.append(i)
-        p = left_mult(i, p)
+    for k in range(1, len(p)):
+        d = sum(1 for x in inv[:k] if x > inv[k])
+        word.extend(range(k, k - d, -1))
+    return tuple(word)
 
 
 def weyl_group(rank: int) -> list[tuple[Perm, int]]:
@@ -174,19 +148,6 @@ class CosetRep:
     word: tuple[int, ...]
 
 
-def coset_minimize(p: Perm, untagged: frozenset[int]) -> Perm:
-    """Strip untagged right descents until none remain.
-
-    Each strip multiplies on the right by a parabolic generator, so the
-    result is the unique minimal-length element of ``p W_S``.
-    """
-    while True:
-        desc = sorted(right_descents(p) & untagged)
-        if not desc:
-            return p
-        p = right_mult(p, desc[0])
-
-
 def _block_sizes(spec: DynkinSpec) -> list[int]:
     """Lengths of the runs of positions between consecutive tagged nodes."""
     cuts = [0, *sorted(spec.tagged), spec.rank + 1]
@@ -208,7 +169,8 @@ def minimal_coset_reps(spec: DynkinSpec) -> list[CosetRep]:
     for size in _block_sizes(spec):
         forms = [(head + block, tuple(v for v in rest if v not in block))
                  for head, rest in forms for block in combinations(rest, size)]
-    reps = [CosetRep(p, inversions(p), canonical_reduced_word(p)) for p, _ in forms]
+    words = [(p, canonical_reduced_word(p)) for p, _ in forms]
+    reps = [CosetRep(p, len(word), word) for p, word in words]
     return sorted(reps, key=lambda r: (r.length, r.word))
 
 
@@ -226,36 +188,36 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
 
     Vertices are the minimal coset representatives labelled by canonical
     words; a family points from a representative to each one-letter-longer
-    representative covering it in the subword order.  Covers are found by
-    single-letter deletion from the canonical word of the longer element
-    followed by coset minimisation, which the strong exchange property makes
-    exhaustive.  Before the graph is assembled, the vertices are checked to
-    be the descent-characterised set: distinct permutations, each with right
+    representative covering it in the Bruhat order.  By Björner–Brenti,
+    *Combinatorics of Coxeter Groups*, Lemma 2.1.4, ``w`` covers exactly the
+    permutations it turns into by swapping its entries in positions i < j,
+    where ``w(i) > w(j)`` and no position between holds a value between
+    them; by their Theorem 2.5.5 the representatives are graded, so their
+    covers are the covers of the group that join two of them.  Before the
+    graph is assembled, the vertices are checked to be the
+    descent-characterised set: distinct permutations, each with right
     descents among the tagged nodes, as many as the multinomial count.
     """
     reps = minimal_coset_reps(spec)
-    by_element = {r.element: r for r in reps}
+    labels = {r.element: word_label(r.word) for r in reps}
     ident = identity_perm(spec.rank)
     count = factorial(spec.rank + 1) // prod(factorial(k) for k in _block_sizes(spec))
-    if len(by_element) != len(reps) or len(reps) != count or any(
+    if len(labels) != len(reps) or len(reps) != count or any(
         tuple(sorted(p)) != ident or not right_descents(p) <= spec.tagged
-        for p in by_element
+        for p in labels
     ):
         raise RuntimeError(
             "flag vertex characterisations disagree; this is a bug"
         )
-    labels = {r.element: word_label(r.word) for r in reps}
-    untagged = spec.untagged
     edges = []
-    for r in reps:
-        targets = set()
-        for cut in range(len(r.word)):
-            sub = r.word[:cut] + r.word[cut + 1 :]
-            p = coset_minimize(word_to_perm(sub, spec.rank), untagged)
-            if inversions(p) == r.length - 1:
-                lower = by_element.get(p)
-                if lower is not None:
-                    targets.add(lower.element)
-        for p in targets:
-            edges.append((labels[p], labels[r.element]))
-    return AmpGraph.from_edges([labels[r.element] for r in reps], edges)
+    for w, label in labels.items():
+        for i, a in enumerate(w):
+            floor = 0
+            for j in range(i + 1, len(w)):
+                b = w[j]
+                if floor < b < a:
+                    floor = b
+                    u = w[:i] + (b,) + w[i + 1 : j] + (a,) + w[j + 1 :]
+                    if u in labels:
+                        edges.append((labels[u], label))
+    return AmpGraph.from_edges(labels.values(), edges)

@@ -279,9 +279,9 @@ class AmpGraph:
         return self._labels(closed)
 
     def is_hereditary(self, subset: Iterable[str]) -> bool:
-        reach = self._reach_masks()
+        """Whether no path leaves ``subset``: exactly when no family does."""
         mask = self._mask(subset)
-        return all(reach[j] & ~mask == 0 for j in _bits(mask))
+        return all(self._succ[j] & ~mask == 0 for j in _bits(mask))
 
     def enumerate_hereditary(self, max_vertices: int = 20) -> list[tuple[str, ...]]:
         """All hereditary vertex subsets, sorted by size then vertex order.
@@ -333,11 +333,11 @@ class AmpGraph:
         The quotient is cut from this graph's tables, not rebuilt: its
         labels, multiplicities and pairs were checked here, and filtering
         keeps the row-major order.  When one vertex is removed (every chain
-        step), the successor and reach masks are this graph's with that bit
-        squeezed out.  That is exact: a path between two kept vertices never
-        enters a hereditary set, since nothing leaves one.  A larger removal
-        rebuilds the successor masks from the kept families and leaves the
-        reach masks to be computed on first use.
+        step), the successor masks, and the reach masks if this graph holds
+        them, are this graph's with that bit squeezed out.  That is exact: a
+        path between two kept vertices never enters a hereditary set, since
+        nothing leaves one.  A larger removal rebuilds the successor masks;
+        reach masks not derived here are computed on first use.
         """
         removed = tuple(removed)
         if not self.is_hereditary(removed):
@@ -364,7 +364,7 @@ class AmpGraph:
                 )
 
             succ = squeeze(self._succ)
-            reach = squeeze(self._reach_masks())
+            reach = None if self._reach is None else squeeze(self._reach)
         else:
             rows = [0] * len(verts)
             for src, dst, _ in edges:

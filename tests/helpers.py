@@ -1147,6 +1147,38 @@ def _inv_count(p: tuple[int, ...]) -> int:
     )
 
 
+def word_to_perm_oracle(word: tuple[int, ...], rank: int) -> tuple[int, ...]:
+    """Evaluate a word in the generators; the rightmost letter acts first."""
+    p = tuple(range(1, rank + 2))
+    for i in word:
+        p = _apply_gen(p, i)
+    return p
+
+
+def left_mult_oracle(i: int, p: tuple[int, ...]) -> tuple[int, ...]:
+    """``s_i * p``: swap the values i, i+1 wherever they sit."""
+    swap = {i: i + 1, i + 1: i}
+    return tuple(swap.get(x, x) for x in p)
+
+
+def left_descents_oracle(p: tuple[int, ...]) -> frozenset[int]:
+    """Generators ``s_i`` with ``len(s_i * p) < len(p)``: i + 1 sits before i."""
+    pos = {x: k for k, x in enumerate(p)}
+    return frozenset(i for i in range(1, len(p)) if pos[i] > pos[i + 1])
+
+
+def peeled_reduced_word_oracle(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced word found by peeling the smallest left descent at each step."""
+    word: list[int] = []
+    while True:
+        desc = left_descents_oracle(p)
+        if not desc:
+            return tuple(word)
+        i = min(desc)
+        word.append(i)
+        p = left_mult_oracle(i, p)
+
+
 def subgroup_oracle(rank: int, gens: set[int]) -> set[tuple[int, ...]]:
     ident = tuple(range(1, rank + 2))
     seen = {ident}

@@ -31,12 +31,14 @@ KTHEORY = "src/ampgraph/ktheory.py"
 GRAPHS = "src/ampgraph/graphs.py"
 SPLITTING = "src/ampgraph/splitting.py"
 GRAPHIO = "src/ampgraph/graphio.py"
+COXETER = "src/ampgraph/coxeter.py"
 
 PATCH = "tests/test_patch.py::"
 RELATIONS = "tests/test_relations.py::"
 KT = "tests/test_ktheory.py::"
 ALG = "tests/test_algebra.py::"
 SPLIT = "tests/test_splitting.py::"
+COX = "tests/test_coxeter.py::"
 
 #: id -> (file, snippet, replacement, test node ids that must fail)
 MUTANTS = {
@@ -242,6 +244,32 @@ MUTANTS = {
         "        for y in letters[1:]:\n",
         "        for y in letters[1:1]:\n",
         [ALG + "test_apply_multiplies_the_letter_images_of_a_word"],
+    ),
+    # -- flag graphs from one-line permutations -----------------------------------
+    "cover-scan-skips-the-between-test": (
+        COXETER,
+        "                    floor = b\n",
+        "",
+        [COX + "test_flag_graph_edges_are_graded"],
+    ),
+    "insertion-emits-increasing-letters": (
+        COXETER,
+        "        word.extend(range(k, k - d, -1))\n",
+        "        word.extend(range(k - d + 1, k + 1))\n",
+        [COX + "test_canonical_reduced_word_is_the_descent_peeling_word",
+         COX + "test_canonical_reduced_word_is_lex_least"],
+    ),
+    "coset-rep-length-is-not-the-word-length": (
+        COXETER,
+        "    reps = [CosetRep(p, len(word), word) for p, word in words]\n",
+        "    reps = [CosetRep(p, len(set(word)), word) for p, word in words]\n",
+        [COX + "test_minimal_coset_reps_match_brute_force"],
+    ),
+    "is-hereditary-skips-the-last-vertex": (
+        GRAPHS,
+        "        return all(self._succ[j] & ~mask == 0 for j in _bits(mask))\n",
+        "        return all(self._succ[j] & ~mask == 0 for j in list(_bits(mask))[:-1])\n",
+        ["tests/test_graphs.py::test_is_hereditary_matches_brute_force_on_every_subset"],
     ),
 }
 

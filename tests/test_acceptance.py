@@ -10,6 +10,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from functools import reduce
 
 import numpy as np
 
@@ -30,8 +31,9 @@ from ampgraph import (
 )
 from ampgraph.coxeter import (
     canonical_reduced_word,
+    identity_perm,
+    right_mult,
     weyl_group,
-    word_to_perm,
 )
 from ampgraph.ktheory import check_chain_k0, smith_normal_form
 
@@ -233,10 +235,17 @@ def test_criterion_7_property_suites(capsys):
             _expect(fail, before == after,
                     f"adding {u}->{w} changes the path relation")
 
-    _expect(fail, word_to_perm((1, 2, 1), 2) == word_to_perm((2, 1, 2), 2),
+    def evaluate(word, rank):
+        return reduce(right_mult, word, identity_perm(rank))
+
+    _expect(fail, evaluate((1, 2, 1), 2) == evaluate((2, 1, 2), 2),
             "braid relation fails in rank 2")
-    _expect(fail, word_to_perm((1, 1), 2) == word_to_perm((), 2),
+    _expect(fail, evaluate((1, 1), 2) == evaluate((), 2),
             "involutivity fails in rank 2")
+    _expect(fail, all(
+        len(canonical_reduced_word(p)) == length and evaluate(canonical_reduced_word(p), 3) == p
+        for p, length in weyl_group(3)
+    ), "a canonical rank-3 word is not a reduced word of its element")
     longest = max(weyl_group(2), key=lambda pair: pair[1])[0]
     _expect(fail, canonical_reduced_word(longest) == (1, 2, 1),
             "canonical word of the longest rank-2 element")

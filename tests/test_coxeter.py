@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import permutations
 
 import pytest
@@ -12,15 +13,10 @@ from ampgraph import (
 from ampgraph import coxeter
 from ampgraph.coxeter import (
     CosetRep,
-    coset_minimize,
     identity_perm,
-    inversions,
-    left_descents,
-    left_mult,
     right_descents,
     right_mult,
     weyl_group,
-    word_to_perm,
 )
 
 from helpers import (
@@ -29,8 +25,12 @@ from helpers import (
     bruhat_leq_oracle,
     coset_reps_oracle,
     flag_vertices_alt,
+    left_descents_oracle,
+    left_mult_oracle,
     lex_least_reduced_word_oracle,
+    peeled_reduced_word_oracle,
     subgroup_oracle,
+    word_to_perm_oracle,
 )
 
 
@@ -61,23 +61,23 @@ def test_generator_algebra():
     s1 = right_mult(e, 1)
     assert s1 == (2, 1, 3, 4)
     assert right_mult(s1, 1) == e
+
+    def word(*letters):
+        return reduce(right_mult, letters, e)
+
     # braid and commutation relations acting on the identity
-    assert word_to_perm((1, 2, 1), 3) == word_to_perm((2, 1, 2), 3)
-    assert word_to_perm((1, 3), 3) == word_to_perm((3, 1), 3)
-    assert word_to_perm((1, 2, 1), 3) != word_to_perm((1, 2), 3)
-    assert left_mult(1, e) == s1
-    with pytest.raises(ValueError):
-        word_to_perm((4,), 3)
+    assert word(1, 2, 1) == word(2, 1, 2)
+    assert word(1, 3) == word(3, 1)
+    assert word(1, 2, 1) != word(1, 2)
 
 
 def test_inversions_and_descents_against_enumeration():
     for p in permutations(range(1, 5)):
-        assert inversions(p) == _inv_count(p)
         assert right_descents(p) == frozenset(
-            i for i in range(1, 4) if inversions(right_mult(p, i)) < inversions(p)
+            i for i in range(1, 4) if _inv_count(right_mult(p, i)) < _inv_count(p)
         )
-        assert left_descents(p) == frozenset(
-            i for i in range(1, 4) if inversions(left_mult(i, p)) < inversions(p)
+        assert left_descents_oracle(p) == frozenset(
+            i for i in range(1, 4) if _inv_count(left_mult_oracle(i, p)) < _inv_count(p)
         )
 
 
@@ -89,7 +89,7 @@ def test_weyl_group_order(rank, order):
     assert lengths == sorted(lengths)
     assert group[0] == (identity_perm(rank), 0)
     for p, length in group:
-        assert inversions(p) == length
+        assert _inv_count(p) == length
 
 
 def test_weyl_group_guard():
@@ -102,16 +102,14 @@ def test_canonical_reduced_word_is_lex_least(rank):
     for p, length in weyl_group(rank):
         word = canonical_reduced_word(p)
         assert len(word) == length
-        assert word_to_perm(word, rank) == p
+        assert word_to_perm_oracle(word, rank) == p
         assert word == lex_least_reduced_word_oracle(p)
 
 
-def test_coset_minimize_strips_untagged_descents():
-    # A2 with node 1 tagged: s2 and s1s2 collapse onto their coset floor
-    untagged = frozenset({2})
-    assert coset_minimize(word_to_perm((2,), 2), untagged) == identity_perm(2)
-    assert coset_minimize(word_to_perm((1, 2), 2), untagged) == word_to_perm((1,), 2)
-    assert coset_minimize(word_to_perm((1,), 2), untagged) == word_to_perm((1,), 2)
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_canonical_reduced_word_is_the_descent_peeling_word(rank):
+    for p, _ in weyl_group(rank):
+        assert canonical_reduced_word(p) == peeled_reduced_word_oracle(p)
 
 
 @pytest.mark.parametrize("spec", all_specs(5), ids=str)
@@ -121,8 +119,8 @@ def test_minimal_coset_reps_match_brute_force(spec):
     keys = [(r.length, r.word) for r in reps]
     assert keys == sorted(keys)
     for r in reps:
-        assert inversions(r.element) == r.length
-        assert word_to_perm(r.word, spec.rank) == r.element
+        assert _inv_count(r.element) == r.length
+        assert word_to_perm_oracle(r.word, spec.rank) == r.element
     order = len(list(permutations(range(1, spec.rank + 2))))
     assert len(reps) == order // len(subgroup_oracle(spec.rank, set(spec.untagged)))
 
@@ -170,7 +168,7 @@ def test_flag_graph_projective_spaces_are_paths(rank):
     ]
 
 
-@pytest.mark.parametrize("spec", all_specs() + [DynkinSpec(8, frozenset({4}))], ids=str)
+@pytest.mark.parametrize("spec", all_specs(5) + [DynkinSpec(8, frozenset({4}))], ids=str)
 def test_flag_graph_edges_are_graded(spec):
     g = flag_graph(spec)
     reps = minimal_coset_reps(spec)

@@ -19,6 +19,7 @@ from ampgraph import (
 
 from helpers import as_array, is_identity
 from test_coxeter import all_specs
+from test_graphs import _assert_tables_fresh
 
 
 GR = DynkinSpec(3, frozenset({2}))
@@ -45,6 +46,30 @@ def test_skeleton_filtration_grassmannian():
 def test_top_cell_quotient_is_next_skeleton():
     filt = skeleton_filtration(GR)
     assert filt.full.quotient(("s2s1s3s2",)) == filt.level(3)
+
+
+def test_a_filtration_searches_no_reach_mask(monkeypatch):
+    """Each level is a quotient of the flag graph, which needs no path search.
+
+    ``is_hereditary`` reads successor masks, and a one-vertex quotient of a
+    graph that holds no reach masks leaves its own to first use, so neither
+    the levels nor the flag graph search for one.
+    """
+    reach_masks = AmpGraph._reach_masks
+    searched = []
+
+    def counted_reach(self):
+        if self._reach is None:
+            searched.append(self)
+        return reach_masks(self)
+
+    monkeypatch.setattr(AmpGraph, "_reach_masks", counted_reach)
+    filt = skeleton_filtration(DynkinSpec(7, frozenset({2, 5})))
+    assert searched == []
+    # the level below the top drops one vertex, through the one-vertex squeeze
+    assert len(filt.levels[-2].vertices) == len(filt.full.vertices) - 1
+    for level in filt.levels:
+        _assert_tables_fresh(level)
 
 
 @pytest.mark.parametrize("spec", all_specs(), ids=str)

@@ -5,7 +5,8 @@ sha256 of each canonical report and its exit code must match
 ``golden_reports.json``, keyed by command line.  The mix covers every
 fixture with every subcommand, every sink with every other vertex as a
 star, ``--embed``, each with and without ``--verify``, ``flag`` on every
-spec of rank at most 5 and ``cw`` on the small ladder specs.  Fixture paths
+spec of rank at most 5 and on the large specs the benchmark times, and
+``cw`` on the small ladder specs and the full A4 flag graph.  Fixture paths
 are relative to the repository root, which the test makes the working
 directory, so the echoed command is the same on every machine.
 
@@ -26,7 +27,9 @@ from helpers import forbid_smith_normal_form
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_reports.json"
 
-CW_SPECS = [("3", "2"), ("4", "2"), ("5", "3"), ("3", "1,2,3"), ("4", "1,3")]
+CW_SPECS = [("3", "2"), ("4", "2"), ("5", "3"), ("3", "1,2,3"), ("4", "1,3"),
+            ("4", "1,2,3,4")]
+LARGE_FLAG_SPECS = [("7", "4"), ("7", "1,7"), ("7", "2,5"), ("8", "4")]
 
 
 def _fixture_commands(path: str) -> list[list[str]]:
@@ -61,6 +64,8 @@ def commands() -> list[list[str]]:
         for bits in range(1, 1 << rank):
             tags = ",".join(str(i) for i in range(1, rank + 1) if bits >> (i - 1) & 1)
             cmds.append(["flag", "--rank", str(rank), "--tag", tags])
+    for rank, tags in LARGE_FLAG_SPECS:
+        cmds.append(["flag", "--rank", rank, "--tag", tags])
     for rank, tags in CW_SPECS:
         cmds.append(["cw", "--rank", rank, "--tag", tags])
     return [cmd + ["--json"] for cmd in cmds]

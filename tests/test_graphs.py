@@ -167,6 +167,24 @@ def test_enumerate_hereditary_matches_brute_force(seed):
     assert set(g.enumerate_hereditary(max_vertices=12)) == hereditary_subsets_oracle(g)
 
 
+def test_is_hereditary_matches_brute_force_on_every_subset():
+    # loops, cycles and finite multiplicities included; no path leaves a
+    # subset exactly when no family does
+    rng = random.Random(1100)
+    cyclic = 0
+    for _ in range(40):
+        labels = tuple(f"u{i}" for i in range(rng.randint(0, 7)))
+        edges = random_edge_list(rng, labels, rng.randint(0, 20)) if labels else []
+        g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+        hereditary = hereditary_subsets_oracle(g)
+        for bits in range(1 << len(labels)):
+            subset = tuple(v for i, v in enumerate(labels) if bits >> i & 1)
+            closed = all(set(model.reachable_set(v)) <= set(subset) for v in subset)
+            assert g.is_hereditary(subset) is (subset in hereditary) is closed
+        cyclic += not g.classify().acyclic
+    assert cyclic > 10
+
+
 def test_enumerate_hereditary_bound():
     g = random_amplified_dag(random.Random(0), 6)
     with pytest.raises(ValueError, match="enumeration bound"):

@@ -186,7 +186,7 @@ def test_induced_k0_section_star_v2():
 
 @pytest.mark.parametrize("image, term", [
     ({"v1": 2}, "2*p[v1]"),
-    ({"v1": -1}, "-1*p[v1]"),
+    ({"v1": -1}, "-p[v1]"),
     ({"v1": 1, "v2": 2}, "2*p[v2]"),
 ])
 def test_induced_k0_refuses_a_diagonal_coefficient_other_than_one(image, term):
