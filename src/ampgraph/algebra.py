@@ -357,26 +357,7 @@ EdgeTemplate = tuple[tuple[int, tuple[str, str]], ...]
 
 
 def _normalize_template(entries: Iterable[tuple[int, tuple[str, str]]]) -> EdgeTemplate:
-    """Sum repeated families, drop zero coefficients and sort by family.
-
-    A template already in that form, a tuple of ``(nonzero int, (src, dst))``
-    pairs with strictly increasing families, is returned as it is.
-    """
-    if type(entries) is tuple:
-        prev = None
-        for entry in entries:
-            if type(entry) is not tuple or len(entry) != 2:
-                break
-            c, fam = entry
-            if (
-                type(c) is not int or not c
-                or type(fam) is not tuple or len(fam) != 2
-                or (prev is not None and not prev < fam)
-            ):
-                break
-            prev = fam
-        else:
-            return entries
+    """Sum repeated families, drop zero coefficients and sort by family."""
     acc: dict[tuple[str, str], int] = {}
     for coeff, fam in entries:
         fam = (fam[0], fam[1])
@@ -658,13 +639,7 @@ def _push_table(m, table: VertexTable) -> VertexTable:
 
 
 def _compose_template(outer, tpl: EdgeTemplate) -> EdgeTemplate:
-    """The template ``tpl`` with each target family replaced by its ``outer`` template.
-
-    A single family with coefficient 1 gives its ``outer`` template as it
-    is; the templates of maps and patches are normalised already.
-    """
-    if len(tpl) == 1 and tpl[0][0] == 1:
-        return _family_image(outer, tpl[0][1])
+    """The template ``tpl`` with each target family replaced by its ``outer`` template."""
     return _normalize_template(
         (coeff * c2, out_fam)
         for coeff, mid in tpl

@@ -38,7 +38,7 @@ class Filtration:
 
 
 def skeleton_filtration(spec: DynkinSpec) -> Filtration:
-    """All skeleta of the flag graph, each cut out as a verified quotient.
+    """All skeleta of the flag graph, each a verified quotient sharing its tables.
 
     Level k keeps the representatives of length at most k.  Hereditariness
     of the discarded set is checked by the quotient itself, not assumed.

@@ -9,6 +9,12 @@ vertex count.  A graph is *amplified* when every family has multiplicity
 ``OMEGA``; the symbolic machinery in the sibling modules requires amplified
 input and rejects anything else.
 
+A graph is validated tables read through a mask of the vertices it keeps.
+A quotient by a hereditary set shares its parent's tables and clears the
+set's bits, so a removal chain or a skeleton filtration copies no table.
+That is exact: nothing leaves a hereditary set, so a family, a path or an
+in-neighbour of a kept vertex stays among the kept vertices.
+
 All values are immutable and all operations are pure: they return new graphs
 and never mutate shared state.  Vertex-set results are emitted as tuples
 sorted in vertex order so that reports are reproducible bit for bit.
@@ -18,7 +24,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Union
 
 
@@ -51,9 +58,7 @@ def _check_mult(m: Mult) -> None:
         return
     if isinstance(m, int) and not isinstance(m, bool) and m >= 0:
         return
-    raise ValueError(
-        f"invalid multiplicity {m!r}: expected 0, a positive integer, or OMEGA"
-    )
+    raise ValueError(f"invalid multiplicity {m!r}: expected 0, a positive integer, or OMEGA")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -61,6 +66,22 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _built:
+    """An attribute built on first read, then kept in the instance dict."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __get__(self, g: "AmpGraph | None", owner: type):
+        if g is None:
+            return self
+        value = g.__dict__[self.build.__name__] = self.build(g)
+        return value
 
 
 @dataclass(frozen=True)
@@ -73,7 +94,68 @@ class GraphClass:
     sources: tuple[str, ...]
 
 
-@dataclass(frozen=True, repr=False)
+class _Tables:
+    """The validated tables of one vertex list and row-major family list.
+
+    ``heads[k]`` is the position of family ``k``'s range; ``finite`` has the
+    range bit of each family that is not OMEGA; bit ``j`` of ``succ[i]`` is a
+    family from i to j.  Predecessor and reach masks are built on first use.
+    """
+
+    __slots__ = ("labels", "pos", "edges", "heads", "succ", "finite", "_pred", "_reach")
+
+    def __init__(self, labels: tuple[str, ...], pos: dict[str, int], edges: tuple) -> None:
+        succ, heads, finite = [0] * len(labels), [], 0
+        for src, dst, m in edges:
+            j = pos[dst]
+            heads.append(j)
+            succ[pos[src]] |= 1 << j
+            if m is not OMEGA:
+                finite |= 1 << j
+        self.labels, self.pos, self.edges, self.heads = labels, pos, edges, tuple(heads)
+        self.succ, self.finite = tuple(succ), finite
+        self._pred = self._reach = None
+
+    def plus(self, i: int, j: int) -> "_Tables":
+        """These tables plus an OMEGA family from i to j, sharing the reach masks."""
+        pos, src, dst = self.pos, self.labels[i], self.labels[j]
+        at = bisect_left(self.edges, (i, j), key=lambda e: (pos[e[0]], pos[e[1]]))
+        t = object.__new__(_Tables)
+        t.labels, t.pos, t.finite, t._reach = self.labels, pos, self.finite, self._reach
+        t.edges = self.edges[:at] + ((src, dst, OMEGA),) + self.edges[at:]
+        t.heads = self.heads[:at] + (j,) + self.heads[at:]
+        t.succ = self.succ[:i] + (self.succ[i] | 1 << j,) + self.succ[i + 1:]
+        t._pred = self._pred and self._pred[:j] + (self._pred[j] | 1 << i,) + self._pred[j + 1:]
+        return t
+
+    def pred(self) -> tuple[int, ...]:
+        """Bit ``i`` of entry ``j``: a family from i to j."""
+        if self._pred is None:
+            pred = [0] * len(self.labels)
+            for (src, _, _), j in zip(self.edges, self.heads):
+                pred[j] |= 1 << self.pos[src]
+            self._pred = tuple(pred)
+        return self._pred
+
+    def reach(self) -> tuple[int, ...]:
+        """Bit ``j`` of entry ``i``: a directed path of length >= 1 from i to j."""
+        if self._reach is None:
+            succ = self.succ
+            reach: list[int] = []
+            for i in range(len(self.labels)):
+                seen = 0
+                frontier = succ[i]
+                while frontier:
+                    seen |= frontier
+                    step = 0
+                    for j in _bits(frontier):
+                        step |= succ[j]
+                    frontier = step & ~seen
+                reach.append(seen)
+            self._reach = tuple(reach)
+        return self._reach
+
+
 class AmpGraph:
     """A finite directed graph with family-level edge multiplicities.
 
@@ -83,27 +165,13 @@ class AmpGraph:
     accepts the families in any order, drops those of multiplicity 0 and
     rejects unknown endpoints, invalid multiplicities and a pair given twice,
     so equal graphs compare and hash equal.
+
+    A constructed graph keeps every vertex of its tables, a quotient fewer;
+    ``vertices``, ``edges`` and the lookup dicts are built when first read.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, Mult], ...]
-    _index: dict = field(init=False, repr=False, compare=False)
-    #: ``(src, dst) -> mult`` for every listed family.
-    _mult: dict = field(init=False, repr=False, compare=False)
-    #: Bit ``j`` of entry ``i``: a family from vertex i to vertex j.
-    _succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    #: Reach masks, filled on first use by :meth:`_reach_masks`.
-    _reach: tuple[int, ...] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    #: Shape facts, filled on first use by :meth:`classify`.
-    _class: GraphClass | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-
-    def __post_init__(self) -> None:
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Mult]]) -> None:
+        verts = tuple(vertices)
         index: dict[str, int] = {}
         for v in verts:
             if not isinstance(v, str) or not v:
@@ -112,7 +180,7 @@ class AmpGraph:
                 raise ValueError(f"duplicate vertex label {v!r}")
             index[v] = len(index)
         given: dict[tuple[str, str], Mult] = {}
-        for src, dst, m in self.edges:
+        for src, dst, m in edges:
             if src not in index:
                 raise ValueError(f"unknown edge source {src!r}")
             if dst not in index:
@@ -121,22 +189,13 @@ class AmpGraph:
             if (src, dst) in given:
                 raise ValueError(f"repeated edge family {src!r} -> {dst!r}")
             given[(src, dst)] = m
-        edges = sorted(
-            ((src, dst, m) for (src, dst), m in given.items() if m != 0),
-            key=lambda e: (index[e[0]], index[e[1]]),
-        )
-        succ = [0] * len(verts)
-        for src, dst, _ in edges:
-            succ[index[src]] |= 1 << index[dst]
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_mult", {(a, b): m for a, b, m in edges})
-        object.__setattr__(self, "_succ", tuple(succ))
+        fams = tuple(sorted(((src, dst, m) for (src, dst), m in given.items() if m != 0),
+                            key=lambda e: (index[e[0]], index[e[1]])))
+        self.__dict__.update(_t=_Tables(verts, index, fams), _keep=(1 << len(verts)) - 1,
+                             vertices=verts, edges=fams, _index=index)
 
     @classmethod
-    def from_edges(
-        cls, vertices: Iterable[str], edges: Iterable[tuple] = ()
-    ) -> "AmpGraph":
+    def from_edges(cls, vertices: Iterable[str], edges: Iterable[tuple] = ()) -> "AmpGraph":
         """Build a graph from vertex labels and ``(src, dst[, mult])`` tuples.
 
         Omitted multiplicities default to OMEGA, which covers every amplified
@@ -157,13 +216,73 @@ class AmpGraph:
             last[(src, dst)] = m
         return cls(tuple(vertices), tuple((a, b, m) for (a, b), m in last.items()))
 
+    @staticmethod
+    def _on(t: _Tables, keep: int, **known) -> "AmpGraph":
+        """The graph that reads ``t`` through ``keep``, a mask closed under families."""
+        g = object.__new__(AmpGraph)
+        g.__dict__.update(_t=t, _keep=keep, **known)
+        return g
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"AmpGraph is immutable: cannot set {name!r}")
+
+    # -- the kept vertices and families, built when read -------------------
+
+    def _flags(self, mask: int) -> bytes:
+        """Byte ``i`` is 1 when bit ``i`` of ``mask`` is set, else 0."""
+        return f"{mask:0{len(self._t.labels)}b}"[::-1].encode().translate(_ZERO_ONE)
+
+    @_built
+    def _kept_bytes(self) -> bytes:
+        """Byte ``i`` is 1 when position ``i`` is kept."""
+        return self._flags(self._keep)
+
+    def _kept(self) -> Iterator[int]:
+        """The kept positions, in vertex order."""
+        return compress(range(len(self._t.labels)), self._kept_bytes)
+
+    @_built
+    def vertices(self) -> tuple[str, ...]:
+        return tuple(compress(self._t.labels, self._kept_bytes))
+
+    @_built
+    def edges(self) -> tuple[tuple[str, str, Mult], ...]:
+        # a family is kept exactly when its range is
+        return tuple(compress(self._t.edges, map(self._kept_bytes.__getitem__, self._t.heads)))
+
+    @_built
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self.vertices, range(len(self.vertices))))
+
+    @_built
+    def _mult(self) -> dict[tuple[str, str], Mult]:
+        """``(src, dst) -> mult`` for every listed family."""
+        return {(a, b): m for a, b, m in self.edges}
+
     # -- basic queries ---------------------------------------------------
 
     def __repr__(self) -> str:
         return f"AmpGraph({list(self.vertices)!r}, {len(self.edges)} families)"
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AmpGraph):
+            return NotImplemented
+        if self._t is other._t:
+            return self._keep == other._keep
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
     def __contains__(self, v: str) -> bool:
         return v in self._index
+
+    def _at(self, v: str) -> int:
+        """The table position of the kept vertex ``v``."""
+        i = self._t.pos.get(v)
+        if i is None or not self._keep >> i & 1:
+            raise ValueError(f"unknown vertex {v!r}")
+        return i
 
     def index(self, v: str) -> int:
         try:
@@ -181,26 +300,25 @@ class AmpGraph:
         return iter(self.edges)
 
     def successors(self, v: str) -> tuple[str, ...]:
-        return self._labels(self._succ[self.index(v)])
+        return self._labels(self._t.succ[self._at(v)] & self._keep)
 
     def predecessors(self, v: str) -> tuple[str, ...]:
-        bit = 1 << self.index(v)
-        return tuple(u for u, mask in zip(self.vertices, self._succ) if mask & bit)
+        return self._labels(self._t.pred()[self._at(v)] & self._keep)
 
     def families_at(self, subset: Iterable[str]) -> list[tuple[str, str]]:
-        """The families with an end in ``subset``, in row-major order.
-
-        Read off the successor masks: a member's whole mask, and the bits
-        of ``subset`` in every other vertex's mask.
-        """
+        """The families with an end in ``subset``, in row-major order: a
+        member's kept successors, and the bits of ``subset`` in each row into it."""
+        t, keep = self._t, self._keep
         mask = self._mask(subset)
-        verts = self.vertices
+        pred = t.pred()
+        rows = mask
+        for j in _bits(mask):
+            rows |= pred[j]
         out: list[tuple[str, str]] = []
-        for i, succ in enumerate(self._succ):
-            hit = succ if mask >> i & 1 else succ & mask
-            if hit:
-                src = verts[i]
-                out += [(src, verts[j]) for j in _bits(hit)]
+        for i in _bits(rows):
+            hit = t.succ[i] & (keep if mask >> i & 1 else mask)
+            src = t.labels[i]
+            out += [(src, t.labels[j]) for j in _bits(hit)]
         return out
 
     @property
@@ -209,79 +327,56 @@ class AmpGraph:
 
     # -- path structure --------------------------------------------------
 
-    def _reach_masks(self) -> tuple[int, ...]:
-        """Bit ``j`` of entry ``i``: a directed path of length >= 1 from i to j.
-
-        Computed once per graph; every path query reads the same tuple.
-        """
-        if self._reach is not None:
-            return self._reach
-        succ = self._succ
-        reach: list[int] = []
-        for i in range(len(self.vertices)):
-            seen = 0
-            frontier = succ[i]
-            while frontier:
-                seen |= frontier
-                step = 0
-                for j in _bits(frontier):
-                    step |= succ[j]
-                frontier = step & ~seen
-            reach.append(seen)
-        object.__setattr__(self, "_reach", tuple(reach))
-        return self._reach
-
     def classify(self) -> GraphClass:
         """Classify the graph: amplification, acyclicity, sinks and sources.
 
         Computed once per graph; every later call returns the same value.
         """
-        if self._class is not None:
-            return self._class
-        entered = 0
-        for mask in self._succ:
-            entered |= mask
-        sinks = tuple(v for v, mask in zip(self.vertices, self._succ) if not mask)
-        sources = tuple(
-            v for j, v in enumerate(self.vertices) if not (entered >> j) & 1
+        return self._shape
+
+    @_built
+    def _shape(self) -> GraphClass:
+        t, keep = self._t, self._keep
+        kept = list(self._kept())
+        pred, reach = t.pred(), t.reach()
+        return GraphClass(
+            amplified=not t.finite & keep,
+            acyclic=not any(reach[i] >> i & 1 for i in kept),
+            sinks=tuple(t.labels[i] for i in kept if not t.succ[i] & keep),
+            sources=tuple(t.labels[i] for i in kept if not pred[i] & keep),
         )
-        reach = self._reach_masks()
-        acyclic = all(not (reach[i] >> i) & 1 for i in range(len(self.vertices)))
-        amplified = all(m is OMEGA for _, _, m in self.edges)
-        object.__setattr__(
-            self, "_class", GraphClass(amplified, acyclic, sinks, sources)
-        )
-        return self._class
 
     def reachable_set(self, v: str) -> tuple[str, ...]:
         """All vertices reachable from ``v`` by a directed path of length >= 1."""
-        mask = self._reach_masks()[self.index(v)]
-        return self._labels(mask)
+        return self._labels(self._t.reach()[self._at(v)] & self._keep)
 
     def _labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.vertices[j] for j in _bits(mask))
+        return tuple(map(self._t.labels.__getitem__, _bits(mask)))
 
     def _mask(self, subset: Iterable[str]) -> int:
         mask = 0
         for v in subset:
-            mask |= 1 << self.index(v)
+            mask |= 1 << self._at(v)
         return mask
 
     # -- hereditary subsets and ideals ------------------------------------
 
     def hereditary_closure(self, subset: Iterable[str]) -> tuple[str, ...]:
         """The smallest hereditary set containing ``subset``."""
-        reach = self._reach_masks()
-        mask = self._mask(subset)
-        closed = mask
+        reach = self._t.reach()
+        closed = mask = self._mask(subset)
         for j in _bits(mask):
             closed |= reach[j]
-        return self._labels(closed)
+        return self._labels(closed & self._keep)
+
+    def _closed(self, mask: int) -> bool:
+        """Whether no kept family leaves ``mask``: exactly when no path does."""
+        succ, out = self._t.succ, self._keep & ~mask
+        return not any(succ[j] & out for j in _bits(mask))
 
     def is_hereditary(self, subset: Iterable[str]) -> bool:
         """Whether no path leaves ``subset``: exactly when no family does."""
-        mask = self._mask(subset)
-        return all(self._succ[j] & ~mask == 0 for j in _bits(mask))
+        return self._closed(self._mask(subset))
 
     def enumerate_hereditary(self, max_vertices: int = 20) -> list[tuple[str, ...]]:
         """All hereditary vertex subsets, sorted by size then vertex order.
@@ -291,22 +386,20 @@ class AmpGraph:
         decision tree with closure propagation, so the cost is proportional
         to the output size rather than 2^N; the bound guards memory.
         """
-        n = len(self.vertices)
-        if n > max_vertices:
-            raise ValueError(
-                f"vertex count {n} exceeds enumeration bound {max_vertices}"
-            )
-        reach = self._reach_masks()
-        down = [reach[i] | (1 << i) for i in range(n)]
-        up = [1 << i for i in range(n)]
-        for i in range(n):
-            for j in _bits(reach[i]):
+        t, keep = self._t, self._keep
+        kept = list(self._kept())
+        if len(kept) > max_vertices:
+            raise ValueError(f"vertex count {len(kept)} exceeds enumeration bound {max_vertices}")
+        reach = t.reach()
+        down = {i: (reach[i] | 1 << i) & keep for i in kept}
+        up = {i: 1 << i for i in kept}
+        for i in kept:
+            for j in _bits(reach[i] & keep):
                 up[j] |= 1 << i
-        full = (1 << n) - 1
         found: list[int] = []
 
         def walk(decided: int, included: int) -> None:
-            rest = full & ~decided
+            rest = keep & ~decided
             if not rest:
                 found.append(included)
                 return
@@ -319,10 +412,8 @@ class AmpGraph:
                 walk(decided | down[b], included | down[b])
 
         walk(0, 0)
-        keyed = sorted(
-            (bin(mask).count("1"), tuple(_bits(mask))) for mask in found
-        )
-        return [tuple(self.vertices[j] for j in idxs) for _, idxs in keyed]
+        keyed = sorted((mask.bit_count(), tuple(_bits(mask))) for mask in found)
+        return [tuple(t.labels[j] for j in idxs) for _, idxs in keyed]
 
     def quotient(self, removed: Iterable[str]) -> "AmpGraph":
         """Delete a hereditary vertex set along with every incident family.
@@ -330,48 +421,15 @@ class AmpGraph:
         Models passing to the quotient by the ideal the set generates; a
         non-hereditary set does not name an ideal and is rejected.
 
-        The quotient is cut from this graph's tables, not rebuilt: its
-        labels, multiplicities and pairs were checked here, and filtering
-        keeps the row-major order.  When one vertex is removed (every chain
-        step), the successor masks, and the reach masks if this graph holds
-        them, are this graph's with that bit squeezed out.  That is exact: a
-        path between two kept vertices never enters a hereditary set, since
-        nothing leaves one.  A larger removal rebuilds the successor masks;
-        reach masks not derived here are computed on first use.
+        The quotient reads this graph's tables through its mask less the
+        bits of ``removed``; nothing is copied.  That is exact because
+        nothing leaves a hereditary set (see the module docstring).
         """
         removed = tuple(removed)
-        if not self.is_hereditary(removed):
-            raise ValueError(
-                f"{sorted(removed)!r} is not hereditary: not a valid ideal"
-            )
         drop = self._mask(removed)
-        names = set(self._labels(drop))
-        verts = tuple(v for v in self.vertices if v not in names)
-        edges = tuple(
-            e for e in self.edges if e[0] not in names and e[1] not in names
-        )
-        index = {v: i for i, v in enumerate(verts)}
-        reach = None
-        if len(names) == 1:
-            k = drop.bit_length() - 1
-            low = drop - 1
-
-            def squeeze(masks: tuple[int, ...]) -> tuple[int, ...]:
-                return tuple(
-                    (m & low) | ((m >> (k + 1)) << k)
-                    for i, m in enumerate(masks)
-                    if i != k
-                )
-
-            succ = squeeze(self._succ)
-            reach = None if self._reach is None else squeeze(self._reach)
-        else:
-            rows = [0] * len(verts)
-            for src, dst, _ in edges:
-                rows[index[src]] |= 1 << index[dst]
-            succ = tuple(rows)
-        mult = {(a, b): m for a, b, m in edges}
-        return _derived(verts, edges, index, mult, succ, reach)
+        if not self._closed(drop):
+            raise ValueError(f"{sorted(removed)!r} is not hereditary: not a valid ideal")
+        return AmpGraph._on(self._t, self._keep & ~drop)
 
     # -- path-preserving edge addition ------------------------------------
 
@@ -383,58 +441,23 @@ class AmpGraph:
         path-existence relation exactly and the associated algebra up to
         isomorphism.
 
-        The result shares this graph's reach masks and shape facts: the
-        move changes no path, so no reach mask, sink, source or cycle; and
-        the new family is OMEGA like every other.  The family is inserted at
-        its row-major place and the rest of the tables are copied.
+        The result reads new tables through this graph's mask, sharing its
+        reach masks and shape facts: the move changes no path, so no reach
+        mask, sink, source or cycle, and the new family is OMEGA.
         """
         if not self.is_amplified:
             raise ValueError("edge amplification requires an amplified graph")
-        i, j = self.index(src), self.index(dst)
-        if (src, dst) in self._mult:
+        i, j = self._at(src), self._at(dst)
+        t = self._t
+        if t.succ[i] >> j & 1:
             raise ValueError(f"direct edges {src!r} -> {dst!r} already exist")
-        reach = self._reach_masks()
+        reach = t.reach()
         via = 0
-        for k in _bits(self._succ[i]):
+        for k in _bits(t.succ[i] & self._keep):
             via |= reach[k]
         if not (via >> j) & 1:
             raise ValueError(f"no path of length >= 2 from {src!r} to {dst!r}")
-        index = self._index
-        at = bisect_left(self.edges, (i, j), key=lambda e: (index[e[0]], index[e[1]]))
-        edges = self.edges[:at] + ((src, dst, OMEGA),) + self.edges[at:]
-        succ = list(self._succ)
-        succ[i] |= 1 << j
-        mult = dict(self._mult)
-        mult[(src, dst)] = OMEGA
-        return _derived(
-            self.vertices, edges, index, mult, tuple(succ), reach, self._class
-        )
-
-
-def _derived(
-    vertices: tuple[str, ...],
-    edges: tuple[tuple[str, str, Mult], ...],
-    index: dict,
-    mult: dict,
-    succ: tuple[int, ...],
-    reach: tuple[int, ...] | None = None,
-    shape: GraphClass | None = None,
-) -> AmpGraph:
-    """A graph assembled from tables derived from a validated parent graph.
-
-    Only :meth:`AmpGraph.quotient` and :meth:`AmpGraph.amplify_transitive_edges`
-    call this; each proves its tables equal to those the constructor would
-    build from ``vertices`` and ``edges``.
-    """
-    g = object.__new__(AmpGraph)
-    object.__setattr__(g, "vertices", vertices)
-    object.__setattr__(g, "edges", edges)
-    object.__setattr__(g, "_index", index)
-    object.__setattr__(g, "_mult", mult)
-    object.__setattr__(g, "_succ", succ)
-    object.__setattr__(g, "_reach", reach)
-    object.__setattr__(g, "_class", shape)
-    return g
+        return AmpGraph._on(t.plus(i, j), self._keep, _shape=self.classify())
 
 
 def valid_stars(g: AmpGraph, sink: str) -> list[str]:
@@ -448,9 +471,10 @@ def valid_stars(g: AmpGraph, sink: str) -> list[str]:
     cls = g.classify()
     if sink not in cls.sinks:
         raise ValueError(f"{sink!r} is not a sink")
-    bit = 1 << g.index(sink)
+    t, reach = g._t, g._t.reach()
+    bit = 1 << t.pos[sink]
     blocked = bit
-    for reach, succ in zip(g._reach_masks(), g._succ):
-        if not reach & bit:
-            blocked |= succ
-    return [v for i, v in enumerate(g.vertices) if not blocked >> i & 1]
+    for i in g._kept():
+        if not reach[i] & bit:
+            blocked |= t.succ[i]
+    return list(compress(t.labels, g._flags(g._keep & ~blocked)))

@@ -28,11 +28,11 @@ a fixed point before building every step, so consecutive sections compose
 on the nose.  The sinks removed before a step form a hereditary set, so a
 step's quotient graph has the same in-neighbours at every vertex it keeps:
 the demands are read on the ambient graph, and no quotient is built to
-stabilise it.  One planner cuts each step's quotient graph from its
-parent's tables and validates the step on it, a verdict stabilising cannot
-change (:func:`_plan` has the argument); the steps run on those graphs
-unless stabilising adds families, when the chain is cut once more from the
-ambient graph.
+stabilise it.  One planner takes each step's quotient graph, its parent's
+tables under a smaller mask, and validates the step on it, a verdict
+stabilising cannot change (:func:`_plan` has the argument); the steps run
+on those graphs unless stabilising adds families, when the chain is cut
+once more from the ambient graph's tables.
 """
 
 from __future__ import annotations
@@ -172,8 +172,9 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
     Runs the Cuntz-Krieger checks on the section (unitality demanded only
     when a star was used), the same for the quotient map, the section
     identity on every generator, and checks that the ideal is the one of a
-    sink: ``sink`` is a sink of the working graph and the quotient graph
-    keeps every other vertex and every family not into ``sink``.
+    sink: ``sink`` is a sink of the working graph and the quotient graph is
+    the working graph's quotient by ``sink``, which keeps every other vertex
+    and every family not into ``sink``.
     """
     report = verify_ck_family(sd.sigma, require_unital=sd.star is not None)
     checks = list(report.checks)
@@ -184,11 +185,9 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
     checks.append(Check("section-identity", moved is None, moved_at))
     kind = sd.ideal_kind
     what = "the compacts" if kind == "K" else "C (sink is an isolated vertex)"
-    kept = tuple(v for v in sd.working.vertices if v != sd.sink)
-    families = tuple(e for e in sd.working.edges if e[1] != sd.sink)
     if sd.sink not in sd.working.classify().sinks:
         failure = f"{sd.sink} is not a sink of the working graph"
-    elif (sd.quotient_graph.vertices, sd.quotient_graph.edges) != (kept, families):
+    elif sd.quotient_graph != sd.working.quotient((sd.sink,)):
         failure = f"the quotient graph is not the working graph without {sd.sink}"
     else:
         failure = None
@@ -322,10 +321,11 @@ class KKChain:
 def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int) -> tuple[list[tuple[str, str | None]], list[AmpGraph]]:
     """The policy's ``(sink, star)`` for each step, and the graphs it cuts.
 
-    ``graphs[i]`` is ``g`` without the first ``i`` sinks; :func:`_check_step`
-    refuses there each step it cannot split.  The step runs on ``graphs[i]``
-    plus the families :func:`_stabilize` adds between its vertices, with the
-    same verdict: each such family ``v -> w`` is OMEGA and shadows a path
+    ``graphs[i]`` is ``g`` without the first ``i`` sinks, ``g``'s tables
+    under a mask; :func:`_check_step` refuses there each step it cannot
+    split.  The step runs on ``graphs[i]`` plus the families
+    :func:`_stabilize` adds between its vertices, with the same verdict:
+    each such family ``v -> w`` is OMEGA and shadows a path
     ``v -> ... -> u -> w`` that ``graphs[i]`` has, so it changes no reach
     mask, hence no sink, and no source.  Nor does it rule out a star: ``w``
     is ruled out for a sink ``t`` by ``v`` only if ``v`` misses ``t``, and
@@ -353,8 +353,8 @@ def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int) -> tuple[list[tuple[str
 def _stabilize(g: AmpGraph, plan: Sequence[tuple[str, str | None]]) -> tuple[AmpGraph, tuple[tuple[str, str], ...]]:
     """Add every family any step's section will need, to a fixed point.
 
-    Each step's demands are read on the ambient graph itself; no quotient
-    is built.  That is exact: the sinks removed before a step form a
+    Each step's demands are read on the ambient graph itself, with no mask
+    for the sinks removed before it.  That is exact: those sinks form a
     hereditary set, so every in-neighbour of a vertex still present (the
     step's star or its sink) is still present too, and the graph at that
     step has the same in-neighbours, in the same vertex order.  Each

@@ -1020,9 +1020,7 @@ def map_corruptions(m: GeneratorMap, rng: random.Random) -> list[GeneratorMap]:
 def valid_stars_oracle(g: AmpGraph, sink: str) -> list[str]:
     """The stars for ``sink``: every vertex but the sink and the heads of
     families whose source has no path to the sink."""
-    reach = g._reach_masks()
-    bit = 1 << g.index(sink)
-    blocked = {dst for src, dst, _ in g.families() if not reach[g.index(src)] & bit}
+    blocked = {dst for src, dst, _ in g.families() if sink not in g.reachable_set(src)}
     return [v for v in g.vertices if v != sink and v not in blocked]
 
 

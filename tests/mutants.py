@@ -38,6 +38,7 @@ RELATIONS = "tests/test_relations.py::"
 KT = "tests/test_ktheory.py::"
 ALG = "tests/test_algebra.py::"
 SPLIT = "tests/test_splitting.py::"
+GRAPH = "tests/test_graphs.py::"
 COX = "tests/test_coxeter.py::"
 
 #: id -> (file, snippet, replacement, test node ids that must fail)
@@ -152,8 +153,8 @@ MUTANTS = {
     ),
     "families-at-misses-families-out": (
         GRAPHS,
-        "            hit = succ if mask >> i & 1 else succ & mask\n",
-        "            hit = succ & mask\n",
+        "            hit = t.succ[i] & (keep if mask >> i & 1 else mask)\n",
+        "            hit = t.succ[i] & mask\n",
         ["tests/test_graphs.py::test_families_at_reads_the_families_touching_a_subset"],
     ),
     "vertex-word-base-unchecked": (
@@ -267,9 +268,36 @@ MUTANTS = {
     ),
     "is-hereditary-skips-the-last-vertex": (
         GRAPHS,
-        "        return all(self._succ[j] & ~mask == 0 for j in _bits(mask))\n",
-        "        return all(self._succ[j] & ~mask == 0 for j in list(_bits(mask))[:-1])\n",
+        "        return not any(succ[j] & out for j in _bits(mask))\n",
+        "        return not any(succ[j] & out for j in list(_bits(mask))[:-1])\n",
         ["tests/test_graphs.py::test_is_hereditary_matches_brute_force_on_every_subset"],
+    ),
+    # -- a quotient is its parent's tables plus a kept-vertex mask ---------------
+    "quotient-keeps-a-removed-bit": (
+        GRAPHS,
+        "        return AmpGraph._on(self._t, self._keep & ~drop)\n",
+        "        return AmpGraph._on(self._t, self._keep & ~drop | drop & -drop)\n",
+        [GRAPH + "test_quotients_equal_fresh_graphs",
+         GRAPH + "test_a_quotient_of_a_quotient_is_one_quotient_by_the_union"],
+    ),
+    "classify-sink-test-ignores-the-mask": (
+        GRAPHS,
+        "            sinks=tuple(t.labels[i] for i in kept if not t.succ[i] & keep),\n",
+        "            sinks=tuple(t.labels[i] for i in kept if not t.succ[i]),\n",
+        [GRAPH + "test_quotients_equal_fresh_graphs"],
+    ),
+    "edges-keep-families-into-removed-vertices": (
+        GRAPHS,
+        "        return tuple(compress(self._t.edges, map(self._kept_bytes.__getitem__, self._t.heads)))\n",
+        "        return tuple(e for e in self._t.edges if e[0] in self)\n",
+        [GRAPH + "test_quotients_equal_fresh_graphs",
+         "tests/test_cw.py::test_filtration_levels_share_the_flag_graphs_tables"],
+    ),
+    "equality-ignores-the-mask": (
+        GRAPHS,
+        "            return self._keep == other._keep\n",
+        "            return True\n",
+        [GRAPH + "test_quotients_compare_by_the_vertices_they_keep"],
     ),
 }
 

@@ -17,9 +17,11 @@ from ampgraph import (
     word_label,
 )
 
-from helpers import as_array, is_identity
+from ampgraph.graphs import _Tables
+
+from helpers import DenseGraph, as_array, is_identity
 from test_coxeter import all_specs
-from test_graphs import _assert_tables_fresh
+from test_graphs import _assert_matches_model, _assert_tables_fresh
 
 
 GR = DynkinSpec(3, frozenset({2}))
@@ -51,25 +53,48 @@ def test_top_cell_quotient_is_next_skeleton():
 def test_a_filtration_searches_no_reach_mask(monkeypatch):
     """Each level is a quotient of the flag graph, which needs no path search.
 
-    ``is_hereditary`` reads successor masks, and a one-vertex quotient of a
-    graph that holds no reach masks leaves its own to first use, so neither
-    the levels nor the flag graph search for one.
+    ``quotient`` checks a cut on successor masks and copies no table, so
+    neither the levels nor the flag graph search for a reach mask.
     """
-    reach_masks = AmpGraph._reach_masks
+    reach = _Tables.reach
     searched = []
 
     def counted_reach(self):
         if self._reach is None:
             searched.append(self)
-        return reach_masks(self)
+        return reach(self)
 
-    monkeypatch.setattr(AmpGraph, "_reach_masks", counted_reach)
+    monkeypatch.setattr(_Tables, "reach", counted_reach)
     filt = skeleton_filtration(DynkinSpec(7, frozenset({2, 5})))
     assert searched == []
-    # the level below the top drops one vertex, through the one-vertex squeeze
+    monkeypatch.undo()
+    # the level below the top drops one vertex
     assert len(filt.levels[-2].vertices) == len(filt.full.vertices) - 1
     for level in filt.levels:
         _assert_tables_fresh(level)
+
+
+def test_filtration_levels_share_the_flag_graphs_tables():
+    """A level is the flag graph's tables and a mask: no level builds its
+    family tuple until it is read, and then it is the skeleton's."""
+    filt = skeleton_filtration(DynkinSpec(7, frozenset({2, 5})))
+    assert all(level._t is filt.full._t for level in filt.levels)
+    assert not any("edges" in vars(level) for level in filt.levels)
+    for k, level in enumerate(filt.levels):
+        assert level.edges == tuple(
+            e for e in filt.full.edges if filt.lengths[e[1]] <= k
+        )
+
+
+@pytest.mark.parametrize("spec", all_specs(5), ids=str)
+def test_every_level_equals_the_fresh_graph_and_the_dense_model(spec):
+    filt = skeleton_filtration(spec)
+    full = DenseGraph(filt.full.vertices, filt.full.edges) if spec.rank <= 4 else None
+    for k, level in enumerate(filt.levels):
+        _assert_tables_fresh(level)
+        if full is not None:
+            removed = [v for v in full.vertices if filt.lengths[v] > k]
+            _assert_matches_model(level, full.quotient(removed))
 
 
 @pytest.mark.parametrize("spec", all_specs(), ids=str)

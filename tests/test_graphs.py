@@ -316,19 +316,23 @@ def test_amplify_matches_dense_model(seed):
 
 
 # ---------------------------------------------------------------------------
-# quotients and amplifications are cut from their parent's tables
+# quotients share their parent's tables; amplifications keep the caller's mask
 
 
 def _assert_tables_fresh(g: AmpGraph) -> None:
-    """Every table of ``g`` equals the one the constructor builds anew."""
+    """``g`` answers every query as the graph built anew from its lists does."""
     fresh = AmpGraph(g.vertices, g.edges)
     assert g == fresh and hash(g) == hash(fresh)
     assert g.edges == fresh.edges
-    assert g._index == fresh._index
-    assert g._mult == fresh._mult
-    assert g._succ == fresh._succ
-    assert g._reach_masks() == fresh._reach_masks()
     assert g.classify() == fresh.classify()
+    for v in g.vertices:
+        assert g.index(v) == fresh.index(v)
+        assert g.successors(v) == fresh.successors(v)
+        assert g.predecessors(v) == fresh.predecessors(v)
+        assert g.reachable_set(v) == fresh.reachable_set(v)
+        assert g.families_at((v,)) == fresh.families_at((v,))
+    for sink in fresh.classify().sinks:
+        assert valid_stars(g, sink) == valid_stars(fresh, sink)
 
 
 def _peel(g: AmpGraph, model: DenseGraph, rng: random.Random) -> int:
@@ -352,7 +356,7 @@ def test_quotients_equal_fresh_graphs(seed):
     labels = tuple(f"u{i}" for i in range(rng.randint(0, 8)))
     edges = random_edge_list(rng, labels, rng.randint(0, 24)) if labels else []
     g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
-    # every hereditary set: none, one vertex (squeezed masks) or many
+    # every hereditary set: none, one vertex or many
     for subset in sorted(hereditary_subsets_oracle(g)):
         q = g.quotient(subset)
         _assert_tables_fresh(q)
@@ -376,6 +380,43 @@ def test_quotient_derivation_covers_every_kind_of_parent():
 
 
 @pytest.mark.parametrize("seed", range(30))
+def test_quotients_compare_by_the_vertices_they_keep(seed):
+    # two quotients of one graph are equal exactly when they remove the same
+    # set, and each compares and hashes equal to the graph built anew
+    rng = random.Random(9200 + seed)
+    labels = tuple(f"u{i}" for i in range(rng.randint(1, 7)))
+    g = AmpGraph.from_edges(labels, random_edge_list(rng, labels, rng.randint(0, 20)))
+    subsets = sorted(hereditary_subsets_oracle(g))
+    quotients = [g.quotient(subset) for subset in subsets]
+    for a, qa in zip(subsets, quotients):
+        fresh = AmpGraph(qa.vertices, qa.edges)
+        assert qa == fresh and fresh == qa and hash(qa) == hash(fresh)
+        assert qa == g.quotient(reversed(a))
+        for b, qb in zip(subsets, quotients):
+            assert (qa == qb) == (a == b)
+            assert (qa == AmpGraph(qb.vertices, qb.edges)) == (a == b)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_a_quotient_of_a_quotient_is_one_quotient_by_the_union(seed):
+    rng = random.Random(9300 + seed)
+    labels = tuple(f"u{i}" for i in range(rng.randint(1, 7)))
+    edges = random_edge_list(rng, labels, rng.randint(0, 20))
+    g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+    for first in sorted(hereditary_subsets_oracle(g)):
+        q = g.quotient(first)
+        for second in sorted(hereditary_subsets_oracle(q)):
+            twice = q.quotient(second)
+            assert twice == g.quotient(first + second)
+            _assert_tables_fresh(twice)
+            _assert_matches_model(twice, model.quotient(first + second))
+        if first:
+            # a removed vertex is no longer there to remove
+            with pytest.raises(ValueError, match="unknown vertex"):
+                q.quotient(first[:1])
+
+
+@pytest.mark.parametrize("seed", range(30))
 def test_amplifications_equal_fresh_graphs(seed):
     # amplified graphs, cycles and loops included; every legal move in turn
     rng = random.Random(9500 + seed)
@@ -392,7 +433,7 @@ def test_amplifications_equal_fresh_graphs(seed):
                 g, model = g.amplify_transitive_edges(a, b), model.amplify(a, b)
                 _assert_tables_fresh(g)
                 _assert_matches_model(g, model)
-    # quotients of the amplified graph are cut from derived tables in turn
+    # quotients of the amplified graph read its new tables in turn
     _peel(g, model, rng)
 
 

@@ -28,10 +28,12 @@ from ampgraph import (
 )
 from ampgraph import algebra, splitting
 from ampgraph.algebra import word_mul
+from ampgraph.graphs import _Tables
 from ampgraph.ktheory import induced_k0
 
 from helpers import (
     CW_LADDER,
+    DenseGraph,
     ROOT,
     composite_quotient_oracle,
     composite_section_oracle,
@@ -43,6 +45,7 @@ from helpers import (
     section_identity_failure_oracle,
     stabilize_oracle,
 )
+from test_graphs import _assert_matches_model, _assert_tables_fresh
 
 
 def test_valid_stars_example():
@@ -559,6 +562,30 @@ def test_step_graphs_match_ambient_quotients_on_random_chains():
     assert augmented >= 10
 
 
+def _assert_step_graphs_read_as_fresh(chain):
+    """Both graphs of every step equal the graph built anew and the dense model."""
+    model = DenseGraph(chain.ambient.vertices, chain.ambient.edges)
+    for i, sd in enumerate(chain.steps):
+        for graph, removed in ((sd.working, chain.sinks[:i]), (sd.quotient_graph, chain.sinks[: i + 1])):
+            _assert_tables_fresh(graph)
+            _assert_matches_model(graph, model.quotient(removed))
+
+
+def test_step_graphs_equal_fresh_graphs_on_golden_mix():
+    for chain in golden_chains():
+        _assert_step_graphs_read_as_fresh(chain)
+
+
+def test_step_graphs_equal_fresh_graphs_on_random_chains():
+    rng = random.Random(20261023)
+    augmented = 0
+    for _ in range(120):
+        _, chain = _random_policy_chain(rng)
+        _assert_step_graphs_read_as_fresh(chain)
+        augmented += bool(chain.augmented)
+    assert augmented >= 10
+
+
 def test_stabilising_changes_no_verdict_of_the_planner():
     """The planned graphs and the stabilised ones agree on what ``_check_step`` reads."""
     rng = random.Random(20261022)
@@ -582,29 +609,26 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
     ``_stabilize`` builds no quotient.  A chain whose stabilising adds
     nothing builds one quotient per step, the planner's, and runs its steps
     on them; one that adds families cuts its chain once more from the
-    ambient graph, two per step.  A reach mask is searched for only on the
-    input graph and on quotients by more than one vertex; every other
-    graph's masks are derived from its parent's.
+    ambient graph, two per step.  Each step's ``ideal`` check cuts one
+    more, to compare with its quotient graph.  Every graph of a chain reads the input
+    graph's tables or the stabilised ones, which share its reach masks, so
+    a chain searches for reach masks once, on the input graph's tables.
     """
-    quotient, reach_masks, stabilize, run_chain = (
-        AmpGraph.quotient, AmpGraph._reach_masks, splitting._stabilize, splitting._run_chain
+    quotient, reach, stabilize, run_chain = (
+        AmpGraph.quotient, _Tables.reach, splitting._stabilize, splitting._run_chain
     )
-    made, searched, wide = [], [], []
+    made, searched = [], []
     stabilising = []
     runs = []
 
     def counted_quotient(self, removed):
-        removed = tuple(removed)
         made.append(bool(stabilising))
-        q = quotient(self, removed)
-        if len(set(removed)) > 1:
-            wide.append(q)
-        return q
+        return quotient(self, removed)
 
     def counted_reach(self):
         if self._reach is None:
             searched.append(self)
-        return reach_masks(self)
+        return reach(self)
 
     def counted_stabilize(g, plan):
         stabilising.append(True)
@@ -620,29 +644,32 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
         return chain
 
     monkeypatch.setattr(AmpGraph, "quotient", counted_quotient)
-    monkeypatch.setattr(AmpGraph, "_reach_masks", counted_reach)
+    monkeypatch.setattr(_Tables, "reach", counted_reach)
     monkeypatch.setattr(splitting, "_stabilize", counted_stabilize)
     monkeypatch.setattr(splitting, "_run_chain", counted_run)
+
+    def assert_searched_once(chain):
+        assert searched == [chain.graph._t]
+        assert chain.ambient._t.reach() is chain.graph._t.reach()
+        for sd in chain.steps:
+            assert sd.working._t is sd.quotient_graph._t is chain.ambient._t
+
     for policy in (first_sink_first_star, prefer_source_star):
         for path in sorted((ROOT / "fixtures").glob("*.json")):
-            g = load_graph(path)
             searched.clear()
-            kk_chain(g, policy)
-            assert searched == [g]
+            assert_searched_once(kk_chain(load_graph(path), policy))
     kk_chain(*_later_step_needs_a_family())
     rng = random.Random(20261021)
     for _ in range(40):
         searched.clear()
-        g, _ = _random_policy_chain(rng)
-        assert searched == [g]
+        _, chain = _random_policy_chain(rng)
+        assert_searched_once(chain)
     for spec in CW_LADDER:
         searched.clear()
         summary = cw_kk_summary(spec)
         assert summary.report.ok
-        assert all(
-            h is summary.chain.graph or any(h is q for q in wide) for h in searched
-        )
+        assert_searched_once(summary.chain)
     assert made and not any(made)
     for chain, quotients in runs:
-        assert len(quotients) == len(chain.steps) * (2 if chain.augmented else 1)
+        assert len(quotients) == len(chain.steps) * (3 if chain.augmented else 2)
     assert {bool(chain.augmented) for chain, _ in runs} == {False, True}
