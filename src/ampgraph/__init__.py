@@ -1,11 +1,14 @@
 """Symbolic splittings and removal chains for amplified graph algebras.
 
 The package builds finite directed graphs with amplified edge families,
-manipulates their algebras through exact normal-form arithmetic on
-Cuntz-Krieger words, constructs the explicit section maps that split off a
-sink as a copy of the compacts, and verifies every construction at both the
-relation level and the K_0 level.  Flag graphs of tagged A-series diagrams
-and their skeleton filtrations supply the worked geometric examples.
+constructs the explicit section maps that split off a sink as a copy of the
+compacts, and verifies every construction at both the relation level and
+the K_0 level.  A map is given by its generator images: vertex images as
+tables of vertex-projection coefficients and family images as templates of
+target families, on which the Cuntz-Krieger relations are decided exactly;
+normal-form words remain for pushing elements through a map.  Flag graphs
+of tagged A-series diagrams and their skeleton filtrations supply the
+worked geometric examples.
 
 ``import ampgraph`` loads no submodule.  Each name in :data:`__all__` is
 looked up in its defining module on every access (PEP 562), so the first

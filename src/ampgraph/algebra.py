@@ -45,8 +45,9 @@ families into it, and the quotient map only the sink and the families into
 it, so a patch is a few entries where the map has hundreds of generators.
 The canned maps are built from their patch alone, and the constructor
 diffs full tables into one; either way one validator checks the images
-given entry by entry and the unmoved labels with one set difference of the
-two graphs' vertices and one of their families.
+given entry by entry and the unmoved labels by what the target lacks of
+the source: on a removal chain, whose graphs share their tables, the bits
+of the removed vertices and the families at them.
 
 The relation checks read only the patch and its neighbours.  An amplified
 graph has no finite emitter, so no relation sums over a vertex's families:
@@ -420,9 +421,9 @@ class GeneratorMap:
 
     def __init__(self, source: AmpGraph, target: AmpGraph, vertex_images: dict, edge_images: dict) -> None:
         vimgs, eimgs = dict(vertex_images), dict(edge_images)
-        if vimgs.keys() != source._index.keys():
+        if vimgs.keys() != set(source.vertices):
             raise ValueError("vertex images must cover exactly the source vertices")
-        if eimgs.keys() != source._mult.keys():
+        if eimgs.keys() != {(a, b) for a, b, _ in source.edges}:
             raise ValueError("edge templates must cover exactly the source families")
         _fill(self, source, target, *_patch(source, target, vimgs, eimgs))
 
@@ -522,18 +523,18 @@ def _label_map(source: AmpGraph, target: AmpGraph, vertices: dict, families: dic
 def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -> tuple[dict, dict]:
     """The validated patch of the images ``vertices`` and ``families``, the rest fixed.
 
-    The images given are validated one by one, and the unmoved labels with
-    one set difference of the two graphs' vertices and one of their
-    families.  A refusal names the first offending vertex in vertex order,
-    or else the first offending family in row-major order.  Images that
-    equal the same-label generator are left out of the patch.
+    The images given are validated one by one, and the unmoved labels by
+    the vertices and families of ``source`` that ``target`` lacks, a mask
+    difference when the two graphs share their tables.  A refusal names the
+    first offending vertex in vertex order, or else the first offending
+    family in row-major order.  Images that equal the same-label generator
+    are left out of the patch.
     """
     if not source.is_amplified or not target.is_amplified:
         raise ValueError("generator maps require amplified graphs")
-    index = source._index
-    errors: dict = {}
-    for v in index.keys() - target._index.keys() - vertices.keys():
-        errors[v] = ValueError(f"image of p[{v}] names unknown vertex {v!r}")
+    gone, lost = source.lacks(target)
+    errors: dict = {v: ValueError(f"image of p[{v}] names unknown vertex {v!r}")
+                    for v in gone if v not in vertices}
     tables = {}
     for v, img in vertices.items():
         try:
@@ -541,23 +542,23 @@ def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -
         except ValueError as exc:
             errors[v] = exc
     if errors:
-        raise errors[min(errors, key=lambda v: index.get(v, len(index)))]
-    if not tables.keys() <= index.keys():
+        raise errors[min(errors, key=lambda v: source.index(v) if v in source else len(source))]
+    if not all(map(source.__contains__, tables)):
         raise ValueError("vertex images must cover exactly the source vertices")
     templates = {fam: _normalize_template(tpl) for fam, tpl in families.items()}
-    if not templates.keys() <= source._mult.keys():
+    if not all(source.has_family(*fam) for fam in templates):
         raise ValueError("edge templates must cover exactly the source families")
-    unmoved = {fam: ((1, fam),) for fam in source._mult.keys() - target._mult.keys() - templates.keys()}
+    unmoved = {fam: ((1, fam),) for fam in lost if fam not in templates}
     for fam, tpl in (*unmoved.items(), *templates.items()):
         try:
             _check_template(target, fam, tpl)
         except ValueError as exc:
             errors[fam] = exc
-    row_major = lambda fam: (index[fam[0]], index[fam[1]])  # noqa: E731
+    row_major = lambda fam: (source.index(fam[0]), source.index(fam[1]))  # noqa: E731
     if errors:
         raise errors[min(errors, key=row_major)]
     return (
-        {v: tables[v] for v in sorted(tables, key=index.__getitem__) if tables[v] != {v: 1}},
+        {v: tables[v] for v in sorted(tables, key=source.index) if tables[v] != {v: 1}},
         {
             fam: templates[fam]
             for fam in sorted(templates, key=row_major)
@@ -596,7 +597,7 @@ class _Patch(NamedTuple):
 def _edge_image(m, e: EdgeRef) -> CKElement:
     """``m(s_e)``: the family template of ``e`` at its index, over ``m.target``."""
     fam = (e.src, e.dst)
-    if fam not in m.source._mult:
+    if not m.source.has_family(*fam):
         raise ValueError(f"no source family {e.src!r} -> {e.dst!r}")
     if e.index < 0:
         raise ValueError(f"negative edge index in {e!r}")
@@ -670,7 +671,7 @@ def compose_tables(outer, inner) -> _Patch:
             vpatch[v] = table
     fpatch = {fam: _compose_template(outer, tpl) for fam, tpl in inner.family_patch.items()}
     for fam, tpl in outer.family_patch.items():
-        if fam not in fpatch and fam in src._mult:
+        if fam not in fpatch and src.has_family(*fam):
             fpatch[fam] = tpl
     return _Patch(
         src,
@@ -826,7 +827,7 @@ def _ck1_defect(
             users.setdefault(t, []).append((f, c))
     cross: dict[tuple, dict[str, int]] = {}
     for t, fs in users.items():
-        if t in m.source._mult and t not in fpatch:
+        if m.source.has_family(*t) and t not in fpatch:
             fs.append((t, 1))
         # sorted, so each pair below has f < g
         fs.sort()
@@ -953,7 +954,7 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     for table in vpatch.values():
         for x, c in table.items():
             sums_at[x] = sums_at.get(x, 0) + c
-    ones = len(src.vertices) - len(vpatch)
+    ones = len(src) - len(vpatch)
     unital = True
     for x, c in sums_at.items():
         if x in src and x not in vpatch:
@@ -963,7 +964,7 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
             ones += 1
         elif c:
             unital = False
-    unital = unital and ones == len(m.target.vertices)
+    unital = unital and ones == len(m.target)
     checks.append(
         Check(
             "unital",

@@ -13,7 +13,9 @@ A graph is validated tables read through a mask of the vertices it keeps.
 A quotient by a hereditary set shares its parent's tables and clears the
 set's bits, so a removal chain or a skeleton filtration copies no table.
 That is exact: nothing leaves a hereditary set, so a family, a path or an
-in-neighbour of a kept vertex stays among the kept vertices.
+in-neighbour of a kept vertex stays among the kept vertices.  Every lookup
+reads the tables under the mask, so a quotient builds its vertex and family
+lists only when they are read.
 
 All values are immutable and all operations are pure: they return new graphs
 and never mutate shared state.  Vertex-set results are emitted as tuples
@@ -97,14 +99,15 @@ class GraphClass:
 class _Tables:
     """The validated tables of one vertex list and row-major family list.
 
+    ``mult`` maps each family ``(src, dst)`` to its multiplicity;
     ``heads[k]`` is the position of family ``k``'s range; ``finite`` has the
     range bit of each family that is not OMEGA; bit ``j`` of ``succ[i]`` is a
     family from i to j.  Predecessor and reach masks are built on first use.
     """
 
-    __slots__ = ("labels", "pos", "edges", "heads", "succ", "finite", "_pred", "_reach")
+    __slots__ = ("labels", "pos", "edges", "mult", "heads", "succ", "finite", "_pred", "_reach")
 
-    def __init__(self, labels: tuple[str, ...], pos: dict[str, int], edges: tuple) -> None:
+    def __init__(self, labels: tuple[str, ...], pos: dict[str, int], edges: tuple, mult: dict) -> None:
         succ, heads, finite = [0] * len(labels), [], 0
         for src, dst, m in edges:
             j = pos[dst]
@@ -112,7 +115,7 @@ class _Tables:
             succ[pos[src]] |= 1 << j
             if m is not OMEGA:
                 finite |= 1 << j
-        self.labels, self.pos, self.edges, self.heads = labels, pos, edges, tuple(heads)
+        self.labels, self.pos, self.edges, self.mult, self.heads = labels, pos, edges, mult, tuple(heads)
         self.succ, self.finite = tuple(succ), finite
         self._pred = self._reach = None
 
@@ -123,6 +126,7 @@ class _Tables:
         t = object.__new__(_Tables)
         t.labels, t.pos, t.finite, t._reach = self.labels, pos, self.finite, self._reach
         t.edges = self.edges[:at] + ((src, dst, OMEGA),) + self.edges[at:]
+        t.mult = {**self.mult, (src, dst): OMEGA}
         t.heads = self.heads[:at] + (j,) + self.heads[at:]
         t.succ = self.succ[:i] + (self.succ[i] | 1 << j,) + self.succ[i + 1:]
         t._pred = self._pred and self._pred[:j] + (self._pred[j] | 1 << i,) + self._pred[j + 1:]
@@ -166,8 +170,10 @@ class AmpGraph:
     rejects unknown endpoints, invalid multiplicities and a pair given twice,
     so equal graphs compare and hash equal.
 
-    A constructed graph keeps every vertex of its tables, a quotient fewer;
-    ``vertices``, ``edges`` and the lookup dicts are built when first read.
+    A constructed graph keeps every vertex of its tables, a quotient fewer.
+    Every lookup (``v in g``, ``len``, ``index``, ``multiplicity``,
+    ``has_family``, ``lacks``) reads the tables under the mask; ``vertices``
+    and ``edges`` are built only when read.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Mult]]) -> None:
@@ -189,10 +195,11 @@ class AmpGraph:
             if (src, dst) in given:
                 raise ValueError(f"repeated edge family {src!r} -> {dst!r}")
             given[(src, dst)] = m
-        fams = tuple(sorted(((src, dst, m) for (src, dst), m in given.items() if m != 0),
+        mult = {fam: m for fam, m in given.items() if m != 0}
+        fams = tuple(sorted(((src, dst, m) for (src, dst), m in mult.items()),
                             key=lambda e: (index[e[0]], index[e[1]])))
-        self.__dict__.update(_t=_Tables(verts, index, fams), _keep=(1 << len(verts)) - 1,
-                             vertices=verts, edges=fams, _index=index)
+        self.__dict__.update(_t=_Tables(verts, index, fams, mult), _keep=(1 << len(verts)) - 1,
+                             vertices=verts, edges=fams)
 
     @classmethod
     def from_edges(cls, vertices: Iterable[str], edges: Iterable[tuple] = ()) -> "AmpGraph":
@@ -250,15 +257,6 @@ class AmpGraph:
         # a family is kept exactly when its range is
         return tuple(compress(self._t.edges, map(self._kept_bytes.__getitem__, self._t.heads)))
 
-    @_built
-    def _index(self) -> dict[str, int]:
-        return dict(zip(self.vertices, range(len(self.vertices))))
-
-    @_built
-    def _mult(self) -> dict[tuple[str, str], Mult]:
-        """``(src, dst) -> mult`` for every listed family."""
-        return {(a, b): m for a, b, m in self.edges}
-
     # -- basic queries ---------------------------------------------------
 
     def __repr__(self) -> str:
@@ -274,8 +272,12 @@ class AmpGraph:
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
 
+    def __len__(self) -> int:
+        return self._keep.bit_count()
+
     def __contains__(self, v: str) -> bool:
-        return v in self._index
+        i = self._t.pos.get(v)
+        return i is not None and bool(self._keep >> i & 1)
 
     def _at(self, v: str) -> int:
         """The table position of the kept vertex ``v``."""
@@ -285,15 +287,29 @@ class AmpGraph:
         return i
 
     def index(self, v: str) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise ValueError(f"unknown vertex {v!r}") from None
+        """The position of ``v`` among the kept vertices: the kept bits below its own."""
+        return (self._keep & (1 << self._at(v)) - 1).bit_count()
 
     def multiplicity(self, src: str, dst: str) -> Mult:
-        self.index(src)
-        self.index(dst)
-        return self._mult.get((src, dst), 0)
+        self._at(src)
+        self._at(dst)
+        return self._t.mult.get((src, dst), 0)
+
+    def has_family(self, src: str, dst: str) -> bool:
+        # a family is kept exactly when its range is
+        return (src, dst) in self._t.mult and dst in self
+
+    def lacks(self, other: "AmpGraph") -> tuple[tuple[str, ...], list[tuple[str, str]]]:
+        """The vertices of this graph that ``other`` lacks, then its families ``other`` lacks.
+
+        On shared tables they are the bits this mask keeps and ``other``'s
+        does not, and the families at them; otherwise labels are compared.
+        """
+        if self._t is other._t:
+            gone = self._labels(self._keep & ~other._keep)
+            return gone, self.families_at(gone)
+        return (tuple(v for v in self.vertices if v not in other),
+                [(a, b) for a, b, _ in self.edges if not other.has_family(a, b)])
 
     def families(self) -> Iterator[tuple[str, str, Mult]]:
         """Yield the nonzero edge families in row-major (vertex) order."""

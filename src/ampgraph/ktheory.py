@@ -26,13 +26,15 @@ certificate on them.  The chain check keeps the prefix products
 of the current graph, and a step updates only the entries its maps move.
 Sparse columns and rows are dicts from an index to the nonzero entries.
 Reports expose dense matrices, tuples of rows of Python ints, which
-serialise to JSON as they are.  A dense matrix with no rows is ``()`` and
-does not record its column count.
+serialise to JSON as they are; a step's dense Q and S are built only when
+read, so a caller that reads only the verdicts pays for none.  A dense
+matrix with no rows is ``()`` and does not record its column count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import Check, GeneratorMap, VerificationReport, _range_counts
 from .graphs import AmpGraph
@@ -84,17 +86,18 @@ def _rank(cols: Columns) -> int:
     return len(pivots)
 
 
-def _section_holds(rows: tuple[str, ...], source: AmpGraph, q: dict, s: dict) -> bool:
+def _section_holds(target: AmpGraph, source: AmpGraph, q: dict, s: dict) -> bool:
     """Whether ``Q S`` is the identity.
 
     ``q`` and ``s`` are the moved classes of the quotient map and the
-    section, ``rows`` the vertices of Q's target and ``source`` S's source
-    graph.  ``Q S = I`` is stated in the vertex bases of the two graphs, so
-    it can hold only when ``rows`` lists the labels of ``source`` in the
-    same order.  Then a column neither map moves gives ``Q S e_u = e_u``,
-    so only the columns either map moves are multiplied.
+    section, ``target`` Q's target graph and ``source`` S's source graph.
+    ``Q S = I`` is stated in the vertex bases of the two graphs, so it can
+    hold only when they list the same labels in the same order; on a chain
+    they are one graph, whose lists are not built.  Then a column neither
+    map moves gives ``Q S e_u = e_u``, so only the columns either map moves
+    are multiplied.
     """
-    if rows != source.vertices:
+    if target is not source and target.vertices != source.vertices:
         return False
     for u in (*s, *(x for x in q if x in source and x not in s)):
         col = s.get(u, {u: 1})
@@ -111,7 +114,7 @@ def _step_certificate(sd: SplitData) -> tuple[dict, dict, bool, bool]:
     """
     q, s = _range_counts(sd.quotient_map), _range_counts(sd.sigma)
     killed = sd.sink in q and not q[sd.sink]
-    return q, s, _section_holds(sd.quotient_map.target.vertices, sd.sigma.source, q, s), killed
+    return q, s, _section_holds(sd.quotient_map.target, sd.sigma.source, q, s), killed
 
 
 def _columns(m: GeneratorMap, moved: dict) -> Columns:
@@ -130,15 +133,36 @@ def induced_k0(m: GeneratorMap) -> Columns:
     return _columns(m, _range_counts(m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class K0SplitCheck:
-    """K_0 data of one split extension plus the checklist that certifies it."""
+    """K_0 data of one split extension plus the checklist that certifies it.
+
+    The dense ``q``, ``s`` and ``inclusion`` are built from ``step`` and
+    the moved ``classes`` of its quotient map and section when first read;
+    two checks are equal when their sink, report, q, s and inclusion are.
+    """
 
     sink: str
-    q: Matrix
-    s: Matrix
-    inclusion: Matrix
     report: VerificationReport
+    step: SplitData = field(repr=False)
+    classes: tuple[dict, dict] = field(repr=False)
+
+    @cached_property
+    def q(self) -> Matrix:
+        return _dense(_columns(self.step.quotient_map, self.classes[0]), len(self.step.quotient_map.target))
+
+    @cached_property
+    def s(self) -> Matrix:
+        return _dense(_columns(self.step.sigma, self.classes[1]), len(self.step.working))
+
+    @cached_property
+    def inclusion(self) -> Matrix:
+        k = self.step.working.index(self.sink)
+        return tuple((int(i == k),) for i in range(len(self.step.working)))
+
+    def __eq__(self, other: object) -> bool:
+        attrs = lambda c: (c.sink, c.q, c.s, c.inclusion, c.report)  # noqa: E731
+        return isinstance(other, K0SplitCheck) and attrs(self) == attrs(other)
 
 
 def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
@@ -149,13 +173,11 @@ def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
     together give the decomposition of K_0 of the working graph as
     ``Z (+) Z^(N-1)``.  The first two make the left-inverse certificate, which
     proves the third; only without it is the kernel decided by the rank of Q.
-    The dense Q and S of the report are built from the classes certified.
+    The dense Q and S are built from the classes certified when first read.
     """
     q_moved, s_moved, section_ok, killed = _step_certificate(sd)
-    q, s = _columns(sd.quotient_map, q_moved), _columns(sd.sigma, s_moved)
-    n = len(sd.working.vertices)
-    k = sd.working.index(sd.sink)
-    nullity = 1 if section_ok and killed else n - _rank(q)
+    n = len(sd.working)
+    nullity = 1 if section_ok and killed else n - _rank(_columns(sd.quotient_map, q_moved))
     kernel_ok = killed and nullity == 1
     checks = (
         Check(
@@ -187,13 +209,7 @@ def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
             else "needs k0-section and k0-kernel",
         ),
     )
-    return K0SplitCheck(
-        sink=sd.sink,
-        q=_dense(q, len(sd.quotient_map.target.vertices)),
-        s=_dense(s, n),
-        inclusion=tuple((int(i == k),) for i in range(n)),
-        report=VerificationReport(checks),
-    )
+    return K0SplitCheck(sd.sink, VerificationReport(checks), sd, (q_moved, s_moved))
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,7 @@ def explicit_steps(pairs: Sequence[tuple[str, str | None]]) -> StarPolicy:
 
     def policy(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | None]:
         for sink, star in steps:
-            if sink in g.vertices:
+            if sink in g:
                 if sink not in sinks:
                     raise ValueError(f"{sink!r} is not a sink of the remaining graph")
                 return sink, star
@@ -407,10 +407,10 @@ def multi_sink_splitting(
     """
     if stars is not None and len(stars) != len(sinks):
         raise ValueError("sinks and stars must have equal length")
-    n = len(g.vertices)
+    n = len(g)
 
     def listed(current: AmpGraph, avail: tuple[str, ...]) -> tuple[str, str | None]:
-        i = n - len(current.vertices)
+        i = n - len(current)
         if sinks[i] not in avail:
             raise ValueError(f"{sinks[i]!r} is not a sink of the remaining graph")
         return sinks[i], _stars(current, sinks[i])[0] if stars is None else stars[i]
@@ -443,6 +443,6 @@ def kk_chain(g: AmpGraph, policy: StarPolicy = first_sink_first_star) -> KKChain
         raise ValueError("kk_chain requires an amplified graph")
     if not cls.acyclic:
         raise ValueError("kk_chain requires an acyclic graph")
-    if not g.vertices:
+    if not len(g):
         raise ValueError("kk_chain requires at least one vertex")
-    return _run_chain(g, policy, len(g.vertices) - 1)
+    return _run_chain(g, policy, len(g) - 1)

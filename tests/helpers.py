@@ -39,7 +39,7 @@ from ampgraph.algebra import (
     compose,
     projection_word,
 )
-from ampgraph.ktheory import K0ChainCheck, K0SplitCheck, induced_k0, smith_normal_form
+from ampgraph.ktheory import K0ChainCheck, induced_k0, smith_normal_form
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -708,7 +708,18 @@ def _dense_k0(m: GeneratorMap):
     return dense(induced_k0(m), len(m.target.vertices))
 
 
-def check_split_exact_k0_oracle(sd) -> K0SplitCheck:
+@dataclasses.dataclass(frozen=True)
+class K0SplitRecord:
+    """The five attributes of a ``K0SplitCheck``, every one computed up front."""
+
+    sink: str
+    q: tuple
+    s: tuple
+    inclusion: tuple
+    report: VerificationReport
+
+
+def check_split_exact_k0_oracle(sd) -> K0SplitRecord:
     """``check_split_exact_k0`` with the kernel of Q found by a Smith form."""
     q = _dense_k0(sd.quotient_map)
     s = _dense_k0(sd.sigma)
@@ -732,7 +743,7 @@ def check_split_exact_k0_oracle(sd) -> K0SplitCheck:
         ),
         Check("k0-decomposition", section_ok and kernel_ok),
     )
-    return K0SplitCheck(
+    return K0SplitRecord(
         sink=sd.sink, q=q, s=s, inclusion=tuple((x,) for x in e_sink),
         report=VerificationReport(checks),
     )

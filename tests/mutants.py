@@ -60,7 +60,7 @@ MUTANTS = {
     ),
     "ck1-cross-ignores-unmoved-same-label-family": (
         ALGEBRA,
-        "        if t in m.source._mult and t not in fpatch:\n            fs.append((t, 1))\n",
+        "        if m.source.has_family(*t) and t not in fpatch:\n            fs.append((t, 1))\n",
         "",
         [PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map",
          RELATIONS + "test_template_checker_matches_word_level_oracle"],
@@ -74,27 +74,27 @@ MUTANTS = {
     ),
     "unital-count-off-by-one": (
         ALGEBRA,
-        "    ones = len(src.vertices) - len(vpatch)\n",
-        "    ones = len(src.vertices) - len(vpatch) - 1\n",
+        "    ones = len(src) - len(vpatch)\n",
+        "    ones = len(src) - len(vpatch) - 1\n",
         [PATCH + "test_patch_checks_match_full_tables_on_golden_mix"],
     ),
     "unmoved-vertex-set-check-dropped": (
         ALGEBRA,
-        "    for v in index.keys() - target._index.keys() - vertices.keys():\n",
-        "    for v in ():\n",
+        "                    for v in gone if v not in vertices}\n",
+        "                    for v in () if v not in vertices}\n",
         [PATCH + "test_refusals_name_the_first_offender_as_the_full_tables_do",
          ALG + "test_inclusion_refuses_a_subgraph_the_graph_lacks"],
     ),
     "unmoved-family-set-check-dropped": (
         ALGEBRA,
-        "    unmoved = {fam: ((1, fam),) for fam in source._mult.keys() - target._mult.keys() - templates.keys()}\n",
+        "    unmoved = {fam: ((1, fam),) for fam in lost if fam not in templates}\n",
         "    unmoved = {}\n",
         [PATCH + "test_an_unmoved_family_the_target_lacks_is_refused"],
     ),
     "patch-keeps-identity-entries": (
         ALGEBRA,
-        "        {v: tables[v] for v in sorted(tables, key=index.__getitem__) if tables[v] != {v: 1}},\n",
-        "        {v: tables[v] for v in sorted(tables, key=index.__getitem__)},\n",
+        "        {v: tables[v] for v in sorted(tables, key=source.index) if tables[v] != {v: 1}},\n",
+        "        {v: tables[v] for v in sorted(tables, key=source.index)},\n",
         [PATCH + "test_canned_maps_keep_only_what_they_move"],
     ),
     "composite-drops-outer-vertex-moves": (
@@ -106,7 +106,7 @@ MUTANTS = {
     ),
     "composite-drops-outer-family-moves": (
         ALGEBRA,
-        "        if fam not in fpatch and fam in src._mult:\n",
+        "        if fam not in fpatch and src.has_family(*fam):\n",
         "        if False:\n",
         [PATCH + "test_patch_checks_match_full_tables_on_random_chains",
          PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
@@ -178,7 +178,7 @@ MUTANTS = {
     ),
     "unital-ignores-uncovered-target-vertices": (
         ALGEBRA,
-        "    unital = unital and ones == len(m.target.vertices)\n",
+        "    unital = unital and ones == len(m.target)\n",
         "",
         [ALG + "test_inclusion_is_injective_on_generators_but_not_unital"],
     ),
@@ -216,7 +216,7 @@ MUTANTS = {
     ),
     "section-holds-accepts-another-basis": (
         KTHEORY,
-        "    if rows != source.vertices:\n        return False\n",
+        "    if target is not source and target.vertices != source.vertices:\n        return False\n",
         "",
         [KT + "test_a_quotient_onto_the_labels_in_another_order_is_no_section"],
     ),
@@ -298,6 +298,57 @@ MUTANTS = {
         "            return self._keep == other._keep\n",
         "            return True\n",
         [GRAPH + "test_quotients_compare_by_the_vertices_they_keep"],
+    ),
+    # -- one way to look up a graph: its tables under its mask -------------------
+    "lacks-by-masks-swaps-the-graphs": (
+        GRAPHS,
+        "            gone = self._labels(self._keep & ~other._keep)\n",
+        "            gone = self._labels(other._keep & ~self._keep)\n",
+        [GRAPH + "test_lacks_by_masks_matches_lacks_by_labels",
+         ALG + "test_inclusion_refuses_a_subgraph_the_graph_lacks"],
+    ),
+    "lacks-compares-labels-on-shared-tables": (
+        GRAPHS,
+        "        if self._t is other._t:\n            gone = ",
+        "        if False:\n            gone = ",
+        [SPLIT + "test_chains_and_their_k0_checks_list_no_step_graph"],
+    ),
+    "contains-ignores-the-mask": (
+        GRAPHS,
+        "        return i is not None and bool(self._keep >> i & 1)\n",
+        "        return i is not None\n",
+        [GRAPH + "test_quotients_equal_fresh_graphs"],
+    ),
+    "index-counts-removed-bits": (
+        GRAPHS,
+        "        return (self._keep & (1 << self._at(v)) - 1).bit_count()\n",
+        "        return self._at(v)\n",
+        [GRAPH + "test_quotients_equal_fresh_graphs"],
+    ),
+    "has-family-ignores-the-mask": (
+        GRAPHS,
+        "        return (src, dst) in self._t.mult and dst in self\n",
+        "        return (src, dst) in self._t.mult\n",
+        [GRAPH + "test_quotients_equal_fresh_graphs"],
+    ),
+    "plus-leaves-the-new-family-out-of-mult": (
+        GRAPHS,
+        "        t.mult = {**self.mult, (src, dst): OMEGA}\n",
+        "        t.mult = self.mult\n",
+        [GRAPH + "test_amplifications_equal_fresh_graphs"],
+    ),
+    "section-holds-lists-the-same-graph": (
+        KTHEORY,
+        "    if target is not source and target.vertices != source.vertices:\n",
+        "    if target.vertices != source.vertices:\n",
+        [SPLIT + "test_chains_and_their_k0_checks_list_no_step_graph"],
+    ),
+    "split-check-builds-dense-matrices-for-its-report": (
+        KTHEORY,
+        "    return K0SplitCheck(sd.sink, VerificationReport(checks), sd, (q_moved, s_moved))\n",
+        "    res = K0SplitCheck(sd.sink, VerificationReport(checks), sd, (q_moved, s_moved))\n"
+        "    res.q, res.s\n    return res\n",
+        [KT + "test_a_split_check_read_for_its_report_builds_no_dense_matrix"],
     ),
 }
 

@@ -22,6 +22,7 @@ from ampgraph.graphs import _Tables
 from helpers import DenseGraph, as_array, is_identity
 from test_coxeter import all_specs
 from test_graphs import _assert_matches_model, _assert_tables_fresh
+from test_splitting import _listed
 
 
 GR = DynkinSpec(3, frozenset({2}))
@@ -84,6 +85,20 @@ def test_filtration_levels_share_the_flag_graphs_tables():
         assert level.edges == tuple(
             e for e in filt.full.edges if filt.lengths[e[1]] <= k
         )
+
+
+def test_a_summary_lists_only_the_step_graphs_it_reads():
+    """Of the 120 step graphs of full A4, the summary lists 11: the ambient
+    graph, and the graph left after each of the ten levels it compares with
+    a skeleton, the last of them the terminal graph."""
+    summary = cw_kk_summary(DynkinSpec(4, frozenset({1, 2, 3, 4})))
+    chain = summary.chain
+    graphs = {id(g): g for sd in chain.steps for g in (sd.working, sd.quotient_graph)}
+    listed = {i for i, g in graphs.items() if _listed(g)}
+    read = {id(chain.steps[r.compacts - 1].quotient_graph) for r in summary.records if r.level is not None}
+    assert len(graphs) == 120 and len(read) == 10
+    assert listed == read | {id(chain.ambient)}
+    assert id(chain.terminal) in read
 
 
 @pytest.mark.parametrize("spec", all_specs(5), ids=str)

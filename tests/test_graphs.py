@@ -319,6 +319,15 @@ def test_amplify_matches_dense_model(seed):
 # quotients share their parent's tables; amplifications keep the caller's mask
 
 
+def _error(query, *args) -> str | None:
+    """The message of the ValueError ``query(*args)`` raises, or None."""
+    try:
+        query(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _assert_tables_fresh(g: AmpGraph) -> None:
     """``g`` answers every query as the graph built anew from its lists does."""
     fresh = AmpGraph(g.vertices, g.edges)
@@ -333,6 +342,23 @@ def _assert_tables_fresh(g: AmpGraph) -> None:
         assert g.families_at((v,)) == fresh.families_at((v,))
     for sink in fresh.classify().sinks:
         assert valid_stars(g, sink) == valid_stars(fresh, sink)
+    # lookups read the parent's tables under the mask
+    labels = g._t.labels
+    assert len(g) == len(fresh) == len(g.vertices)
+    assert [v in g for v in labels] == [v in fresh for v in labels]
+    for v in labels:
+        if v not in fresh:
+            w = g.vertices[0] if g.vertices else v
+            for graph in (g, fresh):
+                errors = {_error(graph.index, v), _error(graph.multiplicity, v, v),
+                          _error(graph.multiplicity, v, w), _error(graph.multiplicity, w, v)}
+                assert errors == {f"unknown vertex {v!r}"}
+    # every label pair, or on a large graph every family of the tables both ways round
+    pairs = [(a, b) for a in labels for b in labels] if len(labels) <= 40 else [
+        pair for a, b, _ in g._t.edges for pair in ((a, b), (b, a))]
+    assert [g.has_family(*pair) for pair in pairs] == [fresh.has_family(*pair) for pair in pairs]
+    kept = [(a, b) for a, b in pairs if a in fresh and b in fresh]
+    assert [g.multiplicity(*pair) for pair in kept] == [fresh.multiplicity(*pair) for pair in kept]
 
 
 def _peel(g: AmpGraph, model: DenseGraph, rng: random.Random) -> int:
@@ -395,6 +421,25 @@ def test_quotients_compare_by_the_vertices_they_keep(seed):
         for b, qb in zip(subsets, quotients):
             assert (qa == qb) == (a == b)
             assert (qa == AmpGraph(qb.vertices, qb.edges)) == (a == b)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lacks_by_masks_matches_lacks_by_labels(seed):
+    # every ordered pair of hereditary quotients: shared tables compare masks,
+    # the graphs built anew compare labels, and both name the set differences
+    rng = random.Random(9400 + seed)
+    labels = tuple(f"u{i}" for i in range(rng.randint(1, 7)))
+    g = AmpGraph.from_edges(labels, random_edge_list(rng, labels, rng.randint(0, 20)))
+    quotients = [g.quotient(subset) for subset in sorted(hereditary_subsets_oracle(g))]
+    fresh = [AmpGraph(q.vertices, q.edges) for q in quotients]
+    for qa, fa in zip(quotients, fresh):
+        for qb, fb in zip(quotients, fresh):
+            got = qa.lacks(qb)
+            assert got == fa.lacks(fb)
+            assert got == (
+                tuple(v for v in qa.vertices if v not in qb.vertices),
+                [(a, b) for a, b, _ in qa.edges if (a, b) not in {e[:2] for e in qb.edges}],
+            )
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -232,6 +232,24 @@ def test_k0_checks_leave_the_step_certificate_unchanged():
             assert ktheory._step_certificate(sd) == ({sd.sink: {}}, star, True, True)
 
 
+def test_a_split_check_read_for_its_report_builds_no_dense_matrix(monkeypatch):
+    chains = [kk_chain(example_graph()), kk_chain(example_graph(), prefer_source_star),
+              cw_kk_summary(CW_LADDER[0]).chain]
+
+    def forbidden(*args):
+        raise AssertionError("a K_0 matrix was built for a report")
+
+    monkeypatch.setattr(ktheory, "_dense", forbidden)
+    monkeypatch.setattr(ktheory, "_columns", forbidden)
+    results = [check_split_exact_k0(sd) for chain in chains for sd in chain.steps]
+    assert all(res.report.ok for res in results)
+    monkeypatch.undo()
+    # read afterwards, the matrices are built, and they are the oracle's
+    for res in results:
+        old = check_split_exact_k0_oracle(res.step)
+        assert (res.sink, res.q, res.s, res.inclusion) == (old.sink, old.q, old.s, old.inclusion)
+
+
 @pytest.mark.parametrize("star", ["v1", "v2", "v3", None])
 def test_check_split_exact_k0(star):
     sd = build_splitting(example_graph(), "v4", star)

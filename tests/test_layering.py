@@ -1,4 +1,4 @@
-"""Only :mod:`ampgraph.algebra` reads how a generator map stores its images.
+"""Only one module reads how a generator map, or a graph, is stored.
 
 A map keeps the images it moves in ``.vertex_patch`` and ``.family_patch``
 and builds its full tables ``.vertex_images`` and ``.edge_images`` on
@@ -6,6 +6,11 @@ access, and the table-level helpers that look up, compose and push maps
 work on that layout.  Every other module goes through the
 functions ``algebra`` provides for it, and none multiplies words itself, so
 the layout can change in one module.
+
+Likewise a graph is its shared tables under a mask of the vertices it
+keeps, and only :mod:`ampgraph.graphs` reads them: every other module asks
+``v in g``, ``len(g)``, ``index``, ``multiplicity``, ``has_family`` or
+``lacks``.
 """
 
 import ast
@@ -19,28 +24,39 @@ LAYOUT = {
     "_family_image", "_push", "_push_table", "_compose_template", "_check_composable",
     "word_mul",
 }
+STORAGE = {
+    "_t", "_keep", "_Tables", "_on", "_at", "_mask", "_labels", "_kept", "_flags", "_shape",
+    "_index", "_mult",
+}
 
 
-def _layout_uses(tree: ast.AST) -> list[str]:
+def _uses(tree: ast.AST, names: set[str]) -> list[str]:
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in LAYOUT:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             found.append(f"line {node.lineno}: reads .{node.attr}")
         elif isinstance(node, ast.ImportFrom):
             found += [
                 f"line {node.lineno}: imports {alias.name}"
-                for alias in node.names if alias.name in LAYOUT
+                for alias in node.names if alias.name in names
             ]
     return found
 
 
-@pytest.mark.parametrize(
-    "path",
-    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "algebra.py"],
-    ids=lambda p: p.name,
-)
+def _modules_but(name: str):
+    return pytest.mark.parametrize(
+        "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != name], ids=lambda p: p.name
+    )
+
+
+@_modules_but("algebra.py")
 def test_only_algebra_reads_a_maps_layout(path):
-    assert _layout_uses(ast.parse(path.read_text(), str(path))) == []
+    assert _uses(ast.parse(path.read_text(), str(path)), LAYOUT) == []
+
+
+@_modules_but("graphs.py")
+def test_only_graphs_reads_a_graphs_storage(path):
+    assert _uses(ast.parse(path.read_text(), str(path)), STORAGE) == []
 
 
 def test_the_layout_scan_sees_reads_and_imports():
@@ -49,8 +65,23 @@ def test_the_layout_scan_sees_reads_and_imports():
         "x = m.vertex_images[v]\n"
         "t = m.edge_images[f]\n"
     )
-    assert _layout_uses(ast.parse(source)) == [
+    assert _uses(ast.parse(source), LAYOUT) == [
         "line 1: imports _push_table",
         "line 2: reads .vertex_images",
         "line 3: reads .edge_images",
+    ]
+
+
+def test_the_storage_scan_sees_reads_and_imports():
+    source = (
+        "from .graphs import _Tables, AmpGraph\n"
+        "i = g._index[v]\n"
+        "keep = g._keep & ~h._keep\n"
+        "ok = v in g and g.has_family(v, w)\n"
+    )
+    assert _uses(ast.parse(source), STORAGE) == [
+        "line 1: imports _Tables",
+        "line 2: reads ._index",
+        "line 3: reads ._keep",
+        "line 3: reads ._keep",
     ]

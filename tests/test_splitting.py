@@ -29,7 +29,7 @@ from ampgraph import (
 from ampgraph import algebra, splitting
 from ampgraph.algebra import word_mul
 from ampgraph.graphs import _Tables
-from ampgraph.ktheory import induced_k0
+from ampgraph.ktheory import check_chain_k0, check_split_exact_k0, induced_k0
 
 from helpers import (
     CW_LADDER,
@@ -673,3 +673,30 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
     for chain, quotients in runs:
         assert len(quotients) == len(chain.steps) * (3 if chain.augmented else 2)
     assert {bool(chain.augmented) for chain, _ in runs} == {False, True}
+
+
+def _listed(g: AmpGraph) -> bool:
+    """Whether ``g`` has built its vertex or family list."""
+    return "vertices" in g.__dict__ or "edges" in g.__dict__
+
+
+def test_chains_and_their_k0_checks_list_no_step_graph():
+    """No step graph builds its vertex or family list: every lookup reads masks.
+
+    Only the input, ambient and terminal graphs may be listed:
+    ``check_chain_k0`` reads the ambient and terminal vertex lists.
+    """
+    chains = [
+        kk_chain(load_graph(path), policy)
+        for policy in (first_sink_first_star, prefer_source_star)
+        for path in sorted((ROOT / "fixtures").glob("*.json"))
+    ]
+    rng = random.Random(20261024)
+    chains += [_random_policy_chain(rng)[1] for _ in range(40)]
+    assert any(chain.augmented for chain in chains)
+    for chain in chains:
+        assert check_chain_k0(chain).report.ok
+        assert all(check_split_exact_k0(sd).report.ok for sd in chain.steps)
+        allowed = {id(chain.graph), id(chain.ambient), id(chain.terminal)}
+        graphs = {id(g): g for sd in chain.steps for g in (sd.working, sd.quotient_graph)}
+        assert [len(g) for i, g in graphs.items() if i not in allowed and _listed(g)] == []
