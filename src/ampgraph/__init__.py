@@ -6,7 +6,8 @@ compacts, and verifies every construction at both the relation level and
 the K_0 level.  A map is given by its generator images: vertex images as
 tables of vertex-projection coefficients and family images as templates of
 target families, on which the Cuntz-Krieger relations are decided exactly;
-normal-form words remain for pushing elements through a map.  Flag graphs
+the normal-form word arithmetic of :mod:`ampgraph.words` remains for
+pushing elements through a map, and no command loads it.  Flag graphs
 of tagged A-series diagrams and their skeleton filtrations supply the
 worked geometric examples.
 
@@ -23,22 +24,48 @@ import importlib
 #: command-line parser can name it without loading that module.
 MAX_RANK = 8
 
+
+class _Frozen:
+    """An immutable record compared, hashed and shown by the attributes :attr:`_fields` names.
+
+    A subclass stores its attributes once, through ``__init__``; assigning
+    or deleting one later raises AttributeError.  Two records are equal
+    when they are of one class and their ``_fields`` are equal.  Defined
+    here, not in a layer, so every layer's records share it without loading
+    another layer, or :mod:`dataclasses`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, **attrs) -> None:
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 #: Submodule -> the public names it defines, in :data:`__all__` order.
 _EXPORTS = {
     "graphs": ("OMEGA", "AmpGraph", "GraphClass", "Mult", "valid_stars"),
-    "algebra": (
-        "CKElement",
-        "CKWord",
-        "Check",
-        "EdgeRef",
-        "GeneratorMap",
-        "Path",
-        "VerificationReport",
-        "compose",
-        "projection_word",
-        "verify_ck_family",
-        "word_mul",
-    ),
+    "algebra": ("Check", "GeneratorMap", "VerificationReport", "compose", "verify_ck_family"),
+    "words": ("CKElement", "CKWord", "EdgeRef", "Path", "projection_word", "word_mul"),
     "splitting": (
         "KKChain",
         "SplitData",

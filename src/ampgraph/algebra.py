@@ -1,19 +1,4 @@
-"""Exact normal-form arithmetic in the *-algebra of an amplified graph.
-
-The dense *-subalgebra of a graph algebra is spanned by words
-``s_alpha s_beta*`` over paths ``alpha``, ``beta`` sharing a range vertex;
-vertex projections are the words with two empty paths.  The product of two
-such words is again zero or a single word, so integer combinations form a
-ring we can compute in exactly:
-
-* ``(s_a s_b*)(s_c s_d*) = s_{a c''} s_d*``  when ``c = b . c''``,
-* ``(s_a s_b*)(s_c s_d*) = s_a s_{d b''}*``  when ``b = c . b''``,
-* zero otherwise.
-
-Empty paths carry their base vertex, so the same two clauses silently
-implement projection insertion: ``p_v . s_c = s_c`` exactly when ``v`` is the
-source of ``c``, and ``s_e s_f*`` collapses to zero whenever the ranges of
-``e`` and ``f`` differ, because such a word cannot be formed at all.
+"""Generator maps between amplified graph algebras and their relation checks.
 
 *-homomorphisms between graph algebras are modelled by their images on
 generators.  Images of an edge family are *uniform in the parallel-edge
@@ -32,8 +17,9 @@ A vertex image is a table ``{target vertex: coefficient}``, the integer sum
 ``sum_x d_x p_x`` of vertex projections: every section and quotient map of
 a sink removal sends a vertex projection to such a sum.  Only this module
 reads those tables.  The relation checks, the section identity and each
-image's K_0 class are decided on them, and :meth:`GeneratorMap.apply`
-turns a table back into an element when a word is pushed through the map.
+image's K_0 class are decided on them.  Only :meth:`GeneratorMap.apply`
+turns a table back into an element, when a word is pushed through the map;
+it alone loads the word arithmetic of :mod:`ampgraph.words`.
 A table has gauge degree 0 and a template gauge degree 1, so every map
 that can be written down commutes with the gauge action, and no check for
 it could fail.
@@ -76,276 +62,23 @@ outer map moves among the inner map's labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from . import _EXPORTS, _Frozen
 from .graphs import OMEGA, AmpGraph
 
-
-class EdgeRef(NamedTuple):
-    """One concrete edge: the ``index``-th arrow of the family ``src -> dst``."""
-
-    src: str
-    dst: str
-    index: int
+if TYPE_CHECKING:
+    from .words import CKElement, CKWord, EdgeRef
 
 
-@dataclass(frozen=True, slots=True)
-class Path:
-    """A finite directed path; ``base`` is its source even when empty."""
+def __getattr__(name: str):
+    """The word layer's public names, from :mod:`ampgraph.words`, loaded on first access."""
+    if name in _EXPORTS["words"]:
+        from . import words
 
-    base: str
-    edges: tuple[EdgeRef, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(self.edges))
-        at = self.base
-        for e in self.edges:
-            if e.src != at:
-                raise ValueError(f"path breaks at {e!r}: expected source {at!r}")
-            at = e.dst
-
-    @property
-    def source(self) -> str:
-        return self.base
-
-    @property
-    def range(self) -> str:
-        return self.edges[-1].dst if self.edges else self.base
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def concat(self, other: "Path") -> "Path":
-        if self.range != other.base:
-            raise ValueError(
-                f"cannot compose path ending at {self.range!r} with one "
-                f"starting at {other.base!r}"
-            )
-        return Path(self.base, self.edges + other.edges)
-
-
-def _strip_prefix(p: Path, q: Path) -> Path | None:
-    """The remainder of ``q`` after its prefix ``p``, or None if not a prefix."""
-    if p.base != q.base:
-        return None
-    k = len(p.edges)
-    if k > len(q.edges) or q.edges[:k] != p.edges:
-        return None
-    return Path(p.range, q.edges[k:])
-
-
-@dataclass(frozen=True, slots=True)
-class CKWord:
-    """A normal-form word ``s_alpha s_beta*`` with matching range vertices."""
-
-    alpha: Path
-    beta: Path
-
-    def __post_init__(self) -> None:
-        if self.alpha.range != self.beta.range:
-            raise ValueError(
-                f"word ranges differ: {self.alpha.range!r} vs {self.beta.range!r}"
-            )
-
-    @property
-    def is_vertex(self) -> bool:
-        return not self.alpha.edges and not self.beta.edges
-
-    @property
-    def degree(self) -> int:
-        """Gauge degree |alpha| - |beta|."""
-        return len(self.alpha.edges) - len(self.beta.edges)
-
-    def adjoint(self) -> "CKWord":
-        return CKWord(self.beta, self.alpha)
-
-    def render(self) -> str:
-        if self.is_vertex:
-            return f"p[{self.alpha.base}]"
-        out = [f"s[{e.src}>{e.dst}#{e.index}]" for e in self.alpha.edges]
-        out += [f"s[{e.src}>{e.dst}#{e.index}]*" for e in reversed(self.beta.edges)]
-        return " ".join(out)
-
-
-@lru_cache(maxsize=1 << 14)
-def projection_word(v: str) -> CKWord:
-    """The vertex word ``p_v``, one shared value per label.
-
-    Words are immutable and do not depend on a graph, so every caller may
-    hold the same one.  The cache keeps at most 16,384 labels, more than
-    any graph whose chain can be verified in practice; past that bound the
-    least recently used words are simply built again.
-    """
-    p = Path(v)
-    return CKWord(p, p)
-
-
-def word_mul(x: CKWord, y: CKWord) -> CKWord | None:
-    """Multiply two normal-form words; ``None`` encodes the zero product."""
-    rem = _strip_prefix(x.beta, y.alpha)
-    if rem is not None:
-        return CKWord(x.alpha.concat(rem), y.beta)
-    rem = _strip_prefix(y.alpha, x.beta)
-    if rem is not None:
-        return CKWord(x.alpha, y.beta.concat(rem))
-    return None
-
-
-def _path_key(p: Path) -> tuple:
-    return (p.base, p.edges)
-
-
-def _word_key(w: CKWord) -> tuple:
-    return (_path_key(w.alpha), _path_key(w.beta))
-
-
-@dataclass(frozen=True)
-class CKElement:
-    """An integer combination of normal-form words over a fixed graph.
-
-    Terms are stored sorted with zero coefficients dropped, so structural
-    equality is exactly equality in the *-algebra.
-    """
-
-    graph: AmpGraph
-    terms: tuple[tuple[CKWord, int], ...]
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def _make(cls, graph: AmpGraph, acc: dict[CKWord, int]) -> "CKElement":
-        items = tuple(
-            sorted(
-                ((w, c) for w, c in acc.items() if c != 0),
-                key=lambda wc: _word_key(wc[0]),
-            )
-        )
-        return cls(graph, items)
-
-    @classmethod
-    def zero(cls, graph: AmpGraph) -> "CKElement":
-        return cls(graph, ())
-
-    @classmethod
-    def projection(cls, graph: AmpGraph, v: str) -> "CKElement":
-        graph.index(v)
-        return cls(graph, ((projection_word(v), 1),))
-
-    @classmethod
-    def edge(cls, graph: AmpGraph, src: str, dst: str, index: int = 0) -> "CKElement":
-        """The generator ``s^index_{src,dst}`` as an element."""
-        e = EdgeRef(src, dst, index)
-        _check_edge(graph, e)
-        w = CKWord(Path(src, (e,)), Path(dst))
-        return cls(graph, ((w, 1),))
-
-    @classmethod
-    def unit(cls, graph: AmpGraph) -> "CKElement":
-        return cls._make(graph, {projection_word(v): 1 for v in graph.vertices})
-
-    @classmethod
-    def word(cls, graph: AmpGraph, w: CKWord, coeff: int = 1) -> "CKElement":
-        _check_word(graph, w)
-        return cls._make(graph, {w: coeff})
-
-    @classmethod
-    def from_terms(
-        cls, graph: AmpGraph, items: Iterable[tuple[CKWord, int]]
-    ) -> "CKElement":
-        acc: dict[CKWord, int] = {}
-        for w, c in items:
-            _check_word(graph, w)
-            acc[w] = acc.get(w, 0) + c
-        return cls._make(graph, acc)
-
-    # -- ring structure ----------------------------------------------------
-
-    def _check_peer(self, other: "CKElement") -> None:
-        if self.graph != other.graph:
-            raise ValueError("elements live over different ambient graphs")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "CKElement") -> "CKElement":
-        self._check_peer(other)
-        acc = dict(self.terms)
-        for w, c in other.terms:
-            acc[w] = acc.get(w, 0) + c
-        return CKElement._make(self.graph, acc)
-
-    def __neg__(self) -> "CKElement":
-        return CKElement(self.graph, tuple((w, -c) for w, c in self.terms))
-
-    def __sub__(self, other: "CKElement") -> "CKElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return CKElement.zero(self.graph)
-            return CKElement(
-                self.graph, tuple((w, c * other) for w, c in self.terms)
-            )
-        self._check_peer(other)
-        acc: dict[CKWord, int] = {}
-        for wx, cx in self.terms:
-            for wy, cy in other.terms:
-                wz = word_mul(wx, wy)
-                if wz is not None:
-                    acc[wz] = acc.get(wz, 0) + cx * cy
-        return CKElement._make(self.graph, acc)
-
-    def __rmul__(self, scalar: int) -> "CKElement":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return self * scalar
-
-    def adjoint(self) -> "CKElement":
-        acc = {w.adjoint(): c for w, c in self.terms}
-        return CKElement._make(self.graph, acc)
-
-    # -- predicates ---------------------------------------------------------
-
-    def is_projection(self) -> bool:
-        """Idempotent and self-adjoint; the zero element counts."""
-        return self.adjoint() == self and self * self == self
-
-    def gauge_degree(self) -> int | None:
-        """Common gauge degree of all terms, or None for a mixed element."""
-        if self.is_zero:
-            raise ValueError("gauge degree of the zero element is undefined")
-        degrees = {w.degree for w, _ in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
-    def render(self) -> str:
-        return _render_sum((c, w.render()) for w, c in self.terms)
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def _check_word(graph: AmpGraph, w: CKWord) -> None:
-    """Refuse a word whose base vertices or edges ``graph`` lacks."""
-    graph.index(w.alpha.base)
-    graph.index(w.beta.base)
-    for e in w.alpha.edges + w.beta.edges:
-        _check_edge(graph, e)
-
-
-def _check_edge(graph: AmpGraph, e: EdgeRef) -> None:
-    if e.index < 0:
-        raise ValueError(f"negative edge index in {e!r}")
-    if graph.multiplicity(e.src, e.dst) is not OMEGA:
-        raise ValueError(
-            f"family {e.src!r} -> {e.dst!r} is not an OMEGA family of the graph"
-        )
+        return getattr(words, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +131,7 @@ def _check_template(target: AmpGraph, fam: tuple[str, str], tpl: EdgeTemplate) -
             )
 
 
-@dataclass(frozen=True, init=False)
-class GeneratorMap:
+class GeneratorMap(_Frozen):
     """A candidate *-homomorphism given by generator images.
 
     The constructor takes ``vertex_images``, sending each source vertex to
@@ -412,12 +144,11 @@ class GeneratorMap:
     the generator of its own label.  ``vertex_images`` and ``edge_images``
     build the full tables on each access.  Nothing here promises the data
     is an actual homomorphism; :func:`verify_ck_family` checks that.
+    Maps are equal when their graphs and patches are; a map is immutable
+    and, holding dicts, unhashable.
     """
 
-    source: AmpGraph
-    target: AmpGraph
-    vertex_patch: dict
-    family_patch: dict
+    __slots__ = _fields = ("source", "target", "vertex_patch", "family_patch")
 
     def __init__(self, source: AmpGraph, target: AmpGraph, vertex_images: dict, edge_images: dict) -> None:
         vimgs, eimgs = dict(vertex_images), dict(edge_images)
@@ -480,10 +211,7 @@ class GeneratorMap:
 
 def _fill(m: GeneratorMap, source: AmpGraph, target: AmpGraph, vertex_patch: dict, family_patch: dict) -> None:
     """Store a validated patch on ``m``; every map is made through here."""
-    object.__setattr__(m, "source", source)
-    object.__setattr__(m, "target", target)
-    object.__setattr__(m, "vertex_patch", vertex_patch)
-    object.__setattr__(m, "family_patch", family_patch)
+    _Frozen.__init__(m, source=source, target=target, vertex_patch=vertex_patch, family_patch=family_patch)
 
 
 def _vertex_image(m, v: str) -> VertexTable:
@@ -502,8 +230,8 @@ def _render_sum(terms: Iterable[tuple[int, str]]) -> str:
     """The sum of ``c * body`` over ``terms``, in their order, as every rendering writes it.
 
     A term reads ``body``, ``-body`` or ``c*body``, a negative term is joined
-    with ``-`` and an empty sum is ``0``.  :meth:`CKElement.render` and every
-    row of :meth:`GeneratorMap.render_table` are written by it.
+    with ``-`` and an empty sum is ``0``.  :meth:`ampgraph.words.CKElement.render`
+    and every row of :meth:`GeneratorMap.render_table` are written by it.
     """
     text = " + ".join(body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}" for c, body in terms)
     return text.replace("+ -", "- ") if text else "0"
@@ -596,6 +324,8 @@ class _Patch(NamedTuple):
 
 def _edge_image(m, e: EdgeRef) -> CKElement:
     """``m(s_e)``: the family template of ``e`` at its index, over ``m.target``."""
+    from .words import CKElement, CKWord, EdgeRef, Path
+
     fam = (e.src, e.dst)
     if not m.source.has_family(*fam):
         raise ValueError(f"no source family {e.src!r} -> {e.dst!r}")
@@ -613,6 +343,8 @@ def _push(m, terms: Iterable[tuple[CKWord, int]]) -> CKElement:
     A vertex word goes to the element of its table; any other word to the
     product of its letter images.
     """
+    from .words import CKElement, projection_word
+
     acc: dict[CKWord, int] = {}
     for w, c in terms:
         if w.is_vertex:
@@ -734,8 +466,7 @@ def _range_counts(m: GeneratorMap) -> dict[str, VertexTable]:
 # verification
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verification item; optional items never veto the report."""
 
     name: str
@@ -744,8 +475,7 @@ class Check:
     required: bool = True
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property

@@ -11,12 +11,20 @@ flags, precondition violations), 2 when a mathematical verification failed.
 
 Each handler imports the layers it runs, inside its own body, and nothing at
 the top of this module loads one: a fresh process pays only for the modules
-its subcommand uses.  ``classify``, ``hereditary``, ``quotient``, ``stars``
-and ``ktheory`` load :mod:`~ampgraph.graphs` and :mod:`~ampgraph.graphio`;
-``flag`` adds :mod:`~ampgraph.coxeter`; ``split`` and ``chain`` add the
-algebra, splitting and K-theory layers; ``cw`` loads every layer except
-graph I/O.  The imports bind at call time, so a wrapper installed on a
-module attribute is what the handler calls.
+its subcommand uses.
+
+* ``classify``, ``hereditary``, ``quotient``, ``stars`` and ``ktheory``
+  load :mod:`~ampgraph.graphs` and :mod:`~ampgraph.graphio`;
+* ``flag`` adds :mod:`~ampgraph.coxeter`;
+* ``split`` adds :mod:`~ampgraph.algebra` and :mod:`~ampgraph.splitting`,
+  and with ``--verify`` :mod:`~ampgraph.ktheory`;
+* ``chain`` adds those three;
+* ``cw`` loads every layer except :mod:`~ampgraph.graphio`.
+
+No subcommand loads :mod:`~ampgraph.words`, nor :mod:`dataclasses` and the
+:mod:`inspect` it imports: the package's records are named tuples or small
+classes.  The imports bind at call time, so a wrapper installed on a module
+attribute is what the handler calls.
 """
 
 from __future__ import annotations
@@ -25,8 +33,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import MAX_RANK
 
@@ -69,10 +76,7 @@ def _parse_tags(raw: str) -> frozenset[int]:
 
 
 def _checks_json(report: VerificationReport) -> list[dict]:
-    return [
-        {"name": c.name, "passed": c.passed, "detail": c.detail, "required": c.required}
-        for c in report.checks
-    ]
+    return [c._asdict() for c in report.checks]
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +88,7 @@ def _cmd_classify(ns) -> tuple[bool, dict]:
 
     g = load_graph(ns.file)
     cls = g.classify()
-    return True, {
-        "amplified": cls.amplified,
-        "acyclic": cls.acyclic,
-        "sinks": list(cls.sinks),
-        "sources": list(cls.sources),
-    }
+    return True, dict(cls._asdict(), sinks=list(cls.sinks), sources=list(cls.sources))
 
 
 def _cmd_hereditary(ns) -> tuple[bool, dict]:
@@ -236,15 +235,7 @@ def _cmd_cw(ns) -> tuple[bool, dict]:
     summary = cw_kk_summary(_flag_spec(ns))
     result = {
         "summary": str(summary),
-        "records": [
-            {
-                "text": r.text,
-                "compacts": r.compacts,
-                "level": r.level,
-                "vertices": list(r.vertices),
-            }
-            for r in summary.records
-        ],
+        "records": [dict(r._asdict(), vertices=list(r.vertices)) for r in summary.records],
         "sinks": list(summary.chain.sinks),
         "iota": list(summary.chain.iota_terms),
         "pi": list(summary.chain.pi_terms),
@@ -385,8 +376,7 @@ _HANDLERS = {
 }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Outcome of one command: echoed argv, payload or error, exit status.
 
     ``as_json`` records whether the command asked for ``--json`` output.

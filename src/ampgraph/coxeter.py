@@ -30,33 +30,32 @@ value set for each block, and there are ``(n+1)! / prod(size!)`` of them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, prod
+from typing import NamedTuple
 
-from . import MAX_RANK
+from . import MAX_RANK, _Frozen
 from .graphs import AmpGraph
 
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DynkinSpec:
+class DynkinSpec(_Frozen):
     """A series-A diagram of the given rank with a nonempty tagged node set."""
 
-    rank: int
-    tagged: frozenset[int]
+    __slots__ = _fields = ("rank", "tagged")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tagged", frozenset(self.tagged))
-        if not 1 <= self.rank <= MAX_RANK:
-            raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {self.rank}")
-        if not self.tagged:
+    def __init__(self, rank: int, tagged: frozenset[int]) -> None:
+        tagged = frozenset(tagged)
+        if not 1 <= rank <= MAX_RANK:
+            raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {rank}")
+        if not tagged:
             raise ValueError("at least one node must be tagged")
-        if not self.tagged <= set(range(1, self.rank + 1)):
+        if not tagged <= set(range(1, rank + 1)):
             raise ValueError(
-                f"tagged nodes {sorted(self.tagged)} outside 1..{self.rank}"
+                f"tagged nodes {sorted(tagged)} outside 1..{rank}"
             )
+        super().__init__(rank=rank, tagged=tagged)
 
     @property
     def untagged(self) -> frozenset[int]:
@@ -139,8 +138,7 @@ def weyl_group(rank: int) -> list[tuple[Perm, int]]:
 # -- coset representatives ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetRep:
+class CosetRep(NamedTuple):
     """A minimal-length coset representative with its canonical word."""
 
     element: Perm

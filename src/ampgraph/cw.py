@@ -11,7 +11,7 @@ algebras the way the chain of equivalences reads on paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coxeter import DynkinSpec, flag_graph
 from .graphs import AmpGraph
@@ -20,8 +20,7 @@ from .splitting import KKChain, multi_sink_splitting
 from .algebra import Check, VerificationReport
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(NamedTuple):
     """Skeleton graphs of a flag spec, indexed by maximal cell length."""
 
     spec: DynkinSpec
@@ -59,8 +58,7 @@ def skeleton_filtration(spec: DynkinSpec) -> Filtration:
     return Filtration(spec=spec, full=full, levels=tuple(levels), lengths=dict(lengths))
 
 
-@dataclass(frozen=True)
-class CWRecord:
+class CWRecord(NamedTuple):
     """One line of the chain summary: compacts so far plus a skeleton algebra."""
 
     text: str
@@ -72,8 +70,7 @@ class CWRecord:
         return self.text
 
 
-@dataclass(frozen=True)
-class CWSummary:
+class CWSummary(NamedTuple):
     spec: DynkinSpec | None
     records: tuple[CWRecord, ...]
     chain: KKChain

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 
 class _Omega:
@@ -86,8 +85,7 @@ class _built:
         return value
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     """Shape facts that theorem preconditions read off a graph."""
 
     amplified: bool
@@ -494,3 +492,16 @@ def valid_stars(g: AmpGraph, sink: str) -> list[str]:
         if not reach[i] & bit:
             blocked |= t.succ[i]
     return list(compress(t.labels, g._flags(g._keep & ~blocked)))
+
+
+def is_star(g: AmpGraph, sink: str, v: str) -> bool:
+    """Whether ``v`` is one of :func:`valid_stars` for the sink ``sink``, read off ``v``'s in-neighbours.
+
+    ``v`` qualifies when it is a vertex other than ``sink`` whose every
+    in-neighbour reaches ``sink``; a source qualifies vacuously.
+    """
+    if v == sink or v not in g:
+        return False
+    t = g._t
+    bit, reach = 1 << t.pos[sink], t.reach()
+    return all(reach[i] & bit for i in _bits(t.pred()[t.pos[v]] & g._keep))

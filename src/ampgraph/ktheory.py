@@ -26,16 +26,17 @@ certificate on them.  The chain check keeps the prefix products
 of the current graph, and a step updates only the entries its maps move.
 Sparse columns and rows are dicts from an index to the nonzero entries.
 Reports expose dense matrices, tuples of rows of Python ints, which
-serialise to JSON as they are; a step's dense Q and S are built only when
-read, so a caller that reads only the verdicts pays for none.  A dense
-matrix with no rows is ``()`` and does not record its column count.
+serialise to JSON as they are; a step's dense Q and S, and a chain's
+forward and backward, are built only when read, so a caller that reads
+only the verdicts pays for none.  A dense matrix with no rows is ``()``
+and does not record its column count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import _Frozen
 from .algebra import Check, GeneratorMap, VerificationReport, _range_counts
 from .graphs import AmpGraph
 from .splitting import KKChain, SplitData
@@ -133,19 +134,20 @@ def induced_k0(m: GeneratorMap) -> Columns:
     return _columns(m, _range_counts(m))
 
 
-@dataclass(frozen=True, eq=False)
-class K0SplitCheck:
+class K0SplitCheck(_Frozen):
     """K_0 data of one split extension plus the checklist that certifies it.
 
     The dense ``q``, ``s`` and ``inclusion`` are built from ``step`` and
     the moved ``classes`` of its quotient map and section when first read;
-    two checks are equal when their sink, report, q, s and inclusion are.
+    two checks are equal when their sink, q, s, inclusion and report are.
+    A check is immutable and unhashable.
     """
 
-    sink: str
-    report: VerificationReport
-    step: SplitData = field(repr=False)
-    classes: tuple[dict, dict] = field(repr=False)
+    _fields = ("sink", "q", "s", "inclusion", "report")
+    __hash__ = None
+
+    def __init__(self, sink: str, report: VerificationReport, step: SplitData, classes: tuple[dict, dict]) -> None:
+        super().__init__(sink=sink, report=report, step=step, classes=classes)
 
     @cached_property
     def q(self) -> Matrix:
@@ -160,9 +162,8 @@ class K0SplitCheck:
         k = self.step.working.index(self.sink)
         return tuple((int(i == k),) for i in range(len(self.step.working)))
 
-    def __eq__(self, other: object) -> bool:
-        attrs = lambda c: (c.sink, c.q, c.s, c.inclusion, c.report)  # noqa: E731
-        return isinstance(other, K0SplitCheck) and attrs(self) == attrs(other)
+    def __repr__(self) -> str:
+        return f"K0SplitCheck(sink={self.sink!r}, report={self.report!r})"
 
 
 def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
@@ -212,19 +213,29 @@ def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
     return K0SplitCheck(sd.sink, VerificationReport(checks), sd, (q_moved, s_moved))
 
 
-@dataclass(frozen=True)
-class K0ChainCheck:
+class K0ChainCheck(_Frozen):
     """K_0 of a whole removal chain: mutually inverse square matrices.
 
     ``backward`` columns push each split-off ideal class (and the terminal
     class) up into the ambient K_0; ``forward`` compresses the other way.
     Their products being identities is the K_0 shadow of the chain being an
-    equivalence onto a sum of scalars.
+    equivalence onto a sum of scalars.  The dense matrices are built from
+    their sparse ``columns`` and row counts ``rows`` when first read; two
+    checks are equal when their forward, backward and report are.
     """
 
-    forward: Matrix
-    backward: Matrix
-    report: VerificationReport
+    _fields = ("forward", "backward", "report")
+
+    def __init__(self, report: VerificationReport, columns: tuple[Columns, Columns], rows: tuple[int, int]) -> None:
+        super().__init__(report=report, columns=columns, rows=rows)
+
+    @cached_property
+    def forward(self) -> Matrix:
+        return _dense(self.columns[0], self.rows[0])
+
+    @cached_property
+    def backward(self) -> Matrix:
+        return _dense(self.columns[1], self.rows[1])
 
 
 def check_chain_k0(chain: KKChain) -> K0ChainCheck:
@@ -321,11 +332,8 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     )
     if failure is not None:
         checks = (failure,) + checks
-    return K0ChainCheck(
-        forward=tuple(tuple(row.get(c, 0) for c in range(n)) for row in forward),
-        backward=_dense(tuple(backward), n),
-        report=VerificationReport(checks),
-    )
+    columns = (tuple(forward_cols.get(c, {}) for c in range(n)), tuple(backward))
+    return K0ChainCheck(VerificationReport(checks), columns, (len(forward), n))
 
 
 def smith_normal_form(a: Matrix, cols: int) -> tuple[Matrix, Matrix, Matrix]:

@@ -37,9 +37,8 @@ once more from the ambient graph's tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
     Check,
@@ -51,15 +50,14 @@ from .algebra import (
     compose_tables,
     verify_ck_family,
 )
-from .graphs import AmpGraph, valid_stars
+from .graphs import AmpGraph, is_star, valid_stars
 
 
 class VerificationFailure(RuntimeError):
     """A symbolic check that should hold by construction did not."""
 
 
-@dataclass(frozen=True)
-class SplitData:
+class SplitData(NamedTuple):
     """One split sink-removal extension, with both maps in hand.
 
     ``sigma`` maps the quotient-graph algebra into the working-graph algebra
@@ -128,19 +126,21 @@ def build_splitting(g: AmpGraph, sink: str, star: str | None) -> SplitData:
 
 
 def _check_step(g: AmpGraph, sink: str, star: str | None) -> None:
-    """Refuse a ``(sink, star)`` that ``g`` cannot split: ``g`` not amplified, ``sink`` no sink, or a bad star."""
+    """Refuse a ``(sink, star)`` that ``g`` cannot split: ``g`` not amplified, ``sink`` no sink, or a bad star.
+
+    The star is decided on its own in-neighbours; the valid stars are
+    listed only to name them in a refusal.
+    """
     cls = g.classify()
     if not cls.amplified:
         raise ValueError("splitting requires an amplified graph")
     if sink not in cls.sinks:
         raise ValueError(f"{sink!r} is not a sink")
-    if star is not None:
-        stars = valid_stars(g, sink)
-        if star not in stars:
-            raise ValueError(
-                f"{star!r} is not a valid choice of star for sink {sink!r}; "
-                f"valid stars: {stars}"
-            )
+    if star is not None and not is_star(g, sink, star):
+        raise ValueError(
+            f"{star!r} is not a valid choice of star for sink {sink!r}; "
+            f"valid stars: {valid_stars(g, sink)}"
+        )
 
 
 def _split(original: AmpGraph, working: AmpGraph, quotient_graph: AmpGraph, sink: str, star: str | None, augmented: tuple) -> SplitData:
@@ -246,8 +246,7 @@ def explicit_steps(pairs: Sequence[tuple[str, str | None]]) -> StarPolicy:
     return policy
 
 
-@dataclass(frozen=True)
-class KKChain:
+class KKChain(NamedTuple):
     """A verified chain of split sink removals.
 
     ``ambient`` is the input graph plus every edge family the chain's

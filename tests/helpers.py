@@ -39,7 +39,7 @@ from ampgraph.algebra import (
     compose,
     projection_word,
 )
-from ampgraph.ktheory import K0ChainCheck, induced_k0, smith_normal_form
+from ampgraph.ktheory import induced_k0, smith_normal_form
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -434,7 +434,7 @@ def _apply_cols(cols, vec: dict[int, int]) -> dict[int, int]:
     return {i: x for i, x in out.items() if x}
 
 
-def check_chain_k0_tables_oracle(chain) -> K0ChainCheck:
+def check_chain_k0_tables_oracle(chain) -> K0ChainRecord:
     """``check_chain_k0`` with the full prefix products, every column multiplied at every step.
 
     Each step's Q and S are the full sparse columns of ``induced_k0``, indexed
@@ -494,7 +494,7 @@ def check_chain_k0_tables_oracle(chain) -> K0ChainCheck:
     )
     if failure is not None:
         checks = (failure,) + checks
-    return K0ChainCheck(
+    return K0ChainRecord(
         forward=dense(tuple(forward_cols), rows),
         backward=dense(tuple(backward), n),
         report=VerificationReport(checks),
@@ -719,6 +719,25 @@ class K0SplitRecord:
     report: VerificationReport
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class K0ChainRecord:
+    """The three attributes of a ``K0ChainCheck``, every one computed up front.
+
+    It equals any value with the same ``forward``, ``backward`` and
+    ``report``, so a ``K0ChainCheck`` compares equal to it from either side.
+    """
+
+    forward: tuple
+    backward: tuple
+    report: VerificationReport
+
+    def __eq__(self, other: object) -> bool:
+        attrs = ("forward", "backward", "report")
+        if not all(hasattr(other, a) for a in attrs):
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in attrs)
+
+
 def check_split_exact_k0_oracle(sd) -> K0SplitRecord:
     """``check_split_exact_k0`` with the kernel of Q found by a Smith form."""
     q = _dense_k0(sd.quotient_map)
@@ -749,7 +768,7 @@ def check_split_exact_k0_oracle(sd) -> K0SplitRecord:
     )
 
 
-def check_chain_k0_oracle(chain) -> K0ChainCheck:
+def check_chain_k0_oracle(chain) -> K0ChainRecord:
     """``check_chain_k0`` with each step inverted by a Smith form.
 
     A step whose ``[e_sink | S]`` is not unimodular ends the check with that
@@ -770,7 +789,7 @@ def check_chain_k0_oracle(chain) -> K0ChainCheck:
             inv = unimodular_inverse(_hstack(e_sink, s))
         except ValueError:
             check = Check("k0-step-unimodular", False, f"step at {sd.sink!r}")
-            return K0ChainCheck(forward=(), backward=(), report=VerificationReport((check,)))
+            return K0ChainRecord(forward=(), backward=(), report=VerificationReport((check,)))
         cols.append(matmul(prefix, e_sink))
         rows.append(matmul(inv[:1], qprefix))
         prefix = matmul(prefix, s)
@@ -786,7 +805,7 @@ def check_chain_k0_oracle(chain) -> K0ChainCheck:
         ),
         Check("k0-rank", cls.amplified and cls.acyclic),
     )
-    return K0ChainCheck(forward=forward, backward=backward, report=VerificationReport(checks))
+    return K0ChainRecord(forward=forward, backward=backward, report=VerificationReport(checks))
 
 
 def forbid_smith_normal_form(monkeypatch) -> None:
@@ -879,11 +898,11 @@ def corrupted_chains(seed: int = 6, trials: int = 400):
             m = getattr(steps[at], field)
             if m.source.vertices:
                 kind = rng.choice(("widened", "dropped", "swapped", "zeroed"))
-                steps[at] = dataclasses.replace(
-                    steps[at], **{field: corrupt_vertex_image(m, kind, rng)}
+                steps[at] = steps[at]._replace(
+                    **{field: corrupt_vertex_image(m, kind, rng)}
                 )
         if steps != list(chain.steps):
-            yield dataclasses.replace(chain, steps=tuple(steps))
+            yield chain._replace(steps=tuple(steps))
 
 
 def composite_section_oracle(chain) -> GeneratorMap:

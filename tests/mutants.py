@@ -32,6 +32,8 @@ GRAPHS = "src/ampgraph/graphs.py"
 SPLITTING = "src/ampgraph/splitting.py"
 GRAPHIO = "src/ampgraph/graphio.py"
 COXETER = "src/ampgraph/coxeter.py"
+WORDS = "src/ampgraph/words.py"
+PACKAGE = "src/ampgraph/__init__.py"
 
 PATCH = "tests/test_patch.py::"
 RELATIONS = "tests/test_relations.py::"
@@ -40,6 +42,7 @@ ALG = "tests/test_algebra.py::"
 SPLIT = "tests/test_splitting.py::"
 GRAPH = "tests/test_graphs.py::"
 COX = "tests/test_coxeter.py::"
+RECORDS = "tests/test_records.py::"
 
 #: id -> (file, snippet, replacement, test node ids that must fail)
 MUTANTS = {
@@ -158,7 +161,7 @@ MUTANTS = {
         ["tests/test_graphs.py::test_families_at_reads_the_families_touching_a_subset"],
     ),
     "vertex-word-base-unchecked": (
-        ALGEBRA,
+        WORDS,
         "    graph.index(w.alpha.base)\n    graph.index(w.beta.base)\n",
         "",
         [ALG + "test_a_vertex_word_over_a_vertex_the_graph_lacks_is_refused"],
@@ -349,6 +352,51 @@ MUTANTS = {
         "    res = K0SplitCheck(sd.sink, VerificationReport(checks), sd, (q_moved, s_moved))\n"
         "    res.q, res.s\n    return res\n",
         [KT + "test_a_split_check_read_for_its_report_builds_no_dense_matrix"],
+    ),
+    # -- one star query per step, lazy chain matrices, records without dataclasses
+    "star-query-admits-the-sink": (
+        GRAPHS,
+        "    if v == sink or v not in g:\n",
+        "    if v not in g:\n",
+        [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it"],
+    ),
+    "star-query-ignores-the-sink-bit": (
+        GRAPHS,
+        "    return all(reach[i] & bit for i in _bits(t.pred()[t.pos[v]] & g._keep))\n",
+        "    return all(reach[i] for i in _bits(t.pred()[t.pos[v]] & g._keep))\n",
+        [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it",
+         SPLIT + "test_every_path_names_a_bad_star_before_stabilising"],
+    ),
+    "step-lists-valid-stars-to-decide-a-star": (
+        SPLITTING,
+        "    if star is not None and not is_star(g, sink, star):\n",
+        "    if star is not None and star not in valid_stars(g, sink):\n",
+        [SPLIT + "test_a_step_lists_its_valid_stars_at_most_once"],
+    ),
+    "chain-check-builds-dense-matrices-for-its-report": (
+        KTHEORY,
+        "    return K0ChainCheck(VerificationReport(checks), columns, (len(forward), n))\n",
+        "    res = K0ChainCheck(VerificationReport(checks), columns, (len(forward), n))\n"
+        "    res.forward, res.backward\n    return res\n",
+        [KT + "test_a_chain_check_read_for_its_report_builds_no_dense_matrix"],
+    ),
+    "chain-check-forward-reads-the-backward-columns": (
+        KTHEORY,
+        "        return _dense(self.columns[0], self.rows[0])\n",
+        "        return _dense(self.columns[1], self.rows[0])\n",
+        [KT + "test_a_chain_check_read_for_its_report_builds_no_dense_matrix"],
+    ),
+    "record-equality-reads-only-the-first-field": (
+        PACKAGE,
+        "        return tuple(getattr(self, name) for name in self._fields)\n",
+        "        return tuple(getattr(self, name) for name in self._fields[:1])\n",
+        [RECORDS + "test_a_record_is_frozen_and_compares_by_its_fields"],
+    ),
+    "frozen-record-allows-assignment": (
+        PACKAGE,
+        "        raise AttributeError(f\"cannot assign to field {name!r}\")\n",
+        "        object.__setattr__(self, name, value)\n",
+        [RECORDS + "test_a_record_is_frozen_and_compares_by_its_fields"],
     ),
 }
 

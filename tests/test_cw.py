@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from ampgraph import coxeter, cw
@@ -211,10 +209,10 @@ def test_k0_chain_negative_control(monkeypatch):
         first = chain.steps[0]
         m = first.quotient_map
         images = dict(m.vertex_images, e={})
-        bad = dataclasses.replace(
-            first, quotient_map=GeneratorMap(m.source, m.target, images, m.edge_images)
+        bad = first._replace(
+            quotient_map=GeneratorMap(m.source, m.target, images, m.edge_images)
         )
-        return dataclasses.replace(chain, steps=(bad,) + chain.steps[1:])
+        return chain._replace(steps=(bad,) + chain.steps[1:])
 
     monkeypatch.setattr(cw, "multi_sink_splitting", corrupted)
     report = cw_kk_summary(GR).report
@@ -235,12 +233,11 @@ def test_k0_step_negative_control_with_the_section_intact(monkeypatch):
         q, s = first.quotient_map, first.sigma
         q_images = dict(q.vertex_images, **{first.sink: {first.star: 1}})
         s_images = dict(s.vertex_images, **{first.star: {first.star: 1}})
-        bad = dataclasses.replace(
-            first,
+        bad = first._replace(
             quotient_map=GeneratorMap(q.source, q.target, q_images, q.edge_images),
             sigma=GeneratorMap(s.source, s.target, s_images, s.edge_images),
         )
-        return dataclasses.replace(chain, steps=(bad,) + chain.steps[1:])
+        return chain._replace(steps=(bad,) + chain.steps[1:])
 
     monkeypatch.setattr(cw, "multi_sink_splitting", corrupted)
     report = cw_kk_summary(GR).report

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ampgraph import OMEGA, AmpGraph, valid_stars
+from ampgraph import OMEGA, AmpGraph, load_graph, valid_stars
+from ampgraph.graphs import is_star
 
 from helpers import (
     ROOT,
@@ -493,6 +494,27 @@ def test_valid_stars_on_masks_matches_the_family_scan():
     assert checked > 400
     with pytest.raises(ValueError, match="'v1' is not a sink"):
         valid_stars(example_graph(), "v1")
+
+
+def test_is_star_decides_each_vertex_as_the_oracle_lists_it():
+    """Every sink and every label (and one unknown label) of every fixture,
+    every quotient of one, and 30 random graphs."""
+    graphs = []
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        g = load_graph(path)
+        graphs += [(g.vertices, g.quotient(removed)) for removed in g.enumerate_hereditary()]
+    rng = random.Random(426)
+    for _ in range(30):
+        g = random_amplified_dag(rng, rng.randint(1, 9), rng.choice((0.2, 0.5, 0.8)))
+        graphs.append((g.vertices, g))
+    pairs = 0
+    for labels, g in graphs:
+        for sink in g.classify().sinks:
+            stars = valid_stars_oracle(g, sink)
+            for v in (*labels, "nowhere"):
+                assert is_star(g, sink, v) == (v in stars), (g, sink, v)
+                pairs += 1
+    assert len(graphs) > 70 and pairs > 700
 
 
 def test_families_at_reads_the_families_touching_a_subset():

@@ -4,13 +4,17 @@ A map keeps the images it moves in ``.vertex_patch`` and ``.family_patch``
 and builds its full tables ``.vertex_images`` and ``.edge_images`` on
 access, and the table-level helpers that look up, compose and push maps
 work on that layout.  Every other module goes through the
-functions ``algebra`` provides for it, and none multiplies words itself, so
-the layout can change in one module.
+functions ``algebra`` provides for it, and only :mod:`ampgraph.words`
+multiplies words, so the layout can change in one module.
 
 Likewise a graph is its shared tables under a mask of the vertices it
 keeps, and only :mod:`ampgraph.graphs` reads them: every other module asks
 ``v in g``, ``len(g)``, ``index``, ``multiplicity``, ``has_family`` or
 ``lacks``.
+
+And no module a command loads imports :mod:`dataclasses` or the
+:mod:`inspect` it pulls in: a cold command would pay about 11 ms for them.
+Only :mod:`ampgraph.words`, which no command loads, may.
 """
 
 import ast
@@ -28,6 +32,7 @@ STORAGE = {
     "_t", "_keep", "_Tables", "_on", "_at", "_mask", "_labels", "_kept", "_flags", "_shape",
     "_index", "_mult",
 }
+SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 
 def _uses(tree: ast.AST, names: set[str]) -> list[str]:
@@ -40,6 +45,20 @@ def _uses(tree: ast.AST, names: set[str]) -> list[str]:
                 f"line {node.lineno}: imports {alias.name}"
                 for alias in node.names if alias.name in names
             ]
+    return found
+
+
+def _imports(tree: ast.AST, modules: set[str]) -> list[str]:
+    """Every import of one of ``modules`` in ``tree``, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                f"line {node.lineno}: imports {alias.name}"
+                for alias in node.names if alias.name.split(".")[0] in modules
+            ]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in modules:
+            found.append(f"line {node.lineno}: imports from {node.module}")
     return found
 
 
@@ -57,6 +76,11 @@ def test_only_algebra_reads_a_maps_layout(path):
 @_modules_but("graphs.py")
 def test_only_graphs_reads_a_graphs_storage(path):
     assert _uses(ast.parse(path.read_text(), str(path)), STORAGE) == []
+
+
+@_modules_but("words.py")
+def test_no_module_a_command_loads_imports_dataclasses_or_inspect(path):
+    assert _imports(ast.parse(path.read_text(), str(path)), SLOW_IMPORTS) == []
 
 
 def test_the_layout_scan_sees_reads_and_imports():
@@ -84,4 +108,19 @@ def test_the_storage_scan_sees_reads_and_imports():
         "line 2: reads ._index",
         "line 3: reads ._keep",
         "line 3: reads ._keep",
+    ]
+
+
+def test_the_import_scan_sees_both_forms_at_any_depth():
+    source = (
+        "import inspect\n"
+        "from dataclasses import dataclass, field\n"
+        "from .words import CKElement\n"
+        "def f():\n"
+        "    import json, dataclasses as dc\n"
+    )
+    assert _imports(ast.parse(source), SLOW_IMPORTS) == [
+        "line 1: imports inspect",
+        "line 2: imports from dataclasses",
+        "line 5: imports dataclasses",
     ]

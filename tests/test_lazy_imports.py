@@ -48,7 +48,8 @@ from ampgraph.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(sys.argv[1:])
 print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("ampgraph."))]))
-assert "numpy" not in sys.modules
+loaded = {"numpy", "dataclasses", "inspect", "ampgraph.words"} & set(sys.modules)
+assert not loaded, loaded
 """
 
 
@@ -72,13 +73,23 @@ def test_subcommand_loads_only_its_layers(argv, status, layers):
 
 def test_bare_import_loads_no_submodule():
     code = ("import ampgraph, sys; print(sorted(m for m in sys.modules if m.startswith('ampgraph')));"
-            "print(ampgraph.cw.__name__, sorted(m for m in sys.modules if m.startswith('ampgraph.')))")
+            "print(ampgraph.cw.__name__, sorted(m for m in sys.modules if m.startswith('ampgraph.')));"
+            "print('ampgraph.words' in sys.modules, 'dataclasses' in sys.modules)")
     assert _fresh(code).splitlines() == [
         "['ampgraph']",
         # a submodule is still an attribute of the package, loaded on first use
         "ampgraph.cw ['ampgraph.algebra', 'ampgraph.coxeter', 'ampgraph.cw', 'ampgraph.graphs', "
         "'ampgraph.ktheory', 'ampgraph.splitting']",
+        "False False",
     ]
+
+
+def test_word_names_resolve_from_algebra_on_first_access():
+    code = ("import sys, ampgraph.algebra as a; print('ampgraph.words' in sys.modules);"
+            "from ampgraph.algebra import CKElement; import ampgraph.words as w;"
+            "print(CKElement is w.CKElement, a.word_mul is w.word_mul, a.EdgeRef is w.EdgeRef);"
+            "print(hasattr(a, 'no_such_name'))")
+    assert _fresh(code).splitlines() == ["False", "True True True", "False"]
 
 
 @pytest.mark.parametrize("name", ampgraph.__all__)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 
@@ -486,8 +485,8 @@ def test_composites_match_oracle_on_corrupted_chains():
             continue
         trials += 1
         steps = list(chain.steps)
-        steps[at] = dataclasses.replace(steps[at], sigma=rng.choice(damaged))
-        bad = dataclasses.replace(chain, steps=tuple(steps))
+        steps[at] = steps[at]._replace(sigma=rng.choice(damaged))
+        bad = chain._replace(steps=tuple(steps))
         verdicts.add(_assert_composites_match_oracle(bad))
     # the damage reaches both checks, and the CK check alone
     assert {(False, False), (False, True)} <= verdicts, verdicts
@@ -673,6 +672,28 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
     for chain, quotients in runs:
         assert len(quotients) == len(chain.steps) * (3 if chain.augmented else 2)
     assert {bool(chain.augmented) for chain, _ in runs} == {False, True}
+
+
+def test_a_step_lists_its_valid_stars_at_most_once(monkeypatch):
+    """A chosen star is decided on its in-neighbours; only a policy that
+    picks a star lists them, once per step."""
+    calls = []
+    monkeypatch.setattr(splitting, "valid_stars", lambda g, sink: calls.append(sink) or valid_stars(g, sink))
+    steps = 0
+
+    def assert_listed_at_most_once(build):
+        nonlocal steps
+        calls.clear()
+        chain = build()
+        assert len(calls) <= len(chain.steps)
+        steps += len(chain.steps)
+
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        for policy in (first_sink_first_star, prefer_source_star):
+            assert_listed_at_most_once(lambda: kk_chain(load_graph(path), policy))
+    for spec in CW_LADDER:
+        assert_listed_at_most_once(lambda: cw_kk_summary(spec).chain)
+    assert steps > 100
 
 
 def _listed(g: AmpGraph) -> bool:
