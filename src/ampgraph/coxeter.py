@@ -35,7 +35,7 @@ from math import factorial, prod
 from typing import NamedTuple
 
 from . import MAX_RANK, _Frozen
-from .graphs import AmpGraph
+from .graphs import OMEGA, AmpGraph
 
 Perm = tuple[int, ...]
 
@@ -92,7 +92,9 @@ def canonical_reduced_word(p: Perm) -> tuple[int, ...]:
     adjacent positions of ``p^-1`` at its first descent, which is an
     insertion sort of ``p^-1``.  Inserting its entry at position k + 1 past
     the ``d`` earlier entries larger than it takes the letters ``k, k-1, ..,
-    k-d+1``, so the word's length is the inversion count of ``p``:
+    k-d+1``, so the word's length is the inversion count of ``p``.  No entry
+    is moved: ``d`` is one bit count, of the bits above entry k + 1 in a
+    mask of the earlier entries:
 
     >>> canonical_reduced_word((3, 2, 1))
     (1, 2, 1)
@@ -103,9 +105,11 @@ def canonical_reduced_word(p: Perm) -> tuple[int, ...]:
     for pos, x in enumerate(p):
         inv[x - 1] = pos
     word: list[int] = []
-    for k in range(1, len(p)):
-        d = sum(1 for x in inv[:k] if x > inv[k])
+    seen = 0
+    for k, x in enumerate(inv):
+        d = (seen >> x).bit_count()
         word.extend(range(k, k - d, -1))
+        seen |= 1 << x
     return tuple(word)
 
 
@@ -191,10 +195,13 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
     permutations it turns into by swapping its entries in positions i < j,
     where ``w(i) > w(j)`` and no position between holds a value between
     them; by their Theorem 2.5.5 the representatives are graded, so their
-    covers are the covers of the group that join two of them.  Before the
-    graph is assembled, the vertices are checked to be the
-    descent-characterised set: distinct permutations, each with right
-    descents among the tagged nodes, as many as the multinomial count.
+    covers are the covers of the group that join two of them.  The scan
+    from position i stops once it meets ``w(i) - 1``: no later value lies
+    strictly between it and ``w(i)``.  Each cover is found once, so the
+    families go straight to the constructor, which still refuses a pair
+    given twice.  Before the graph is assembled, the vertices are checked
+    to be the descent-characterised set: distinct permutations, each with
+    right descents among the tagged nodes, as many as the multinomial count.
     """
     reps = minimal_coset_reps(spec)
     labels = {r.element: word_label(r.word) for r in reps}
@@ -217,5 +224,7 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
                     floor = b
                     u = w[:i] + (b,) + w[i + 1 : j] + (a,) + w[j + 1 :]
                     if u in labels:
-                        edges.append((labels[u], label))
-    return AmpGraph.from_edges(labels.values(), edges)
+                        edges.append((labels[u], label, OMEGA))
+                    if b == a - 1:
+                        break
+    return AmpGraph(labels.values(), edges)

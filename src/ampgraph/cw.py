@@ -39,23 +39,27 @@ class Filtration(NamedTuple):
 def skeleton_filtration(spec: DynkinSpec) -> Filtration:
     """All skeleta of the flag graph, each a verified quotient sharing its tables.
 
-    Level k keeps the representatives of length at most k.  Hereditariness
-    of the discarded set is checked by the quotient itself, not assumed.
-    Lengths are read off the graph: the vertices are sorted by length from
-    ``e``, and every family goes up exactly one length, so a row-major pass
-    over the families meets each source after its own length is known.
+    Level k keeps the representatives of length at most k.  Lengths are read
+    off the graph: the vertices are sorted by length from ``e``, and every
+    family goes up exactly one length, so a row-major pass over the families
+    meets each source after its own length is known.  The levels are cut
+    top-down: the top level views the whole flag graph, and level k is level
+    k + 1 less its length-(k + 1) vertices, so each label is cut once.  That
+    class is hereditary in level k + 1, whose longest vertices it holds, and
+    each cut checks so itself, reading only that class's successor masks.
     """
     full = flag_graph(spec)
     found = {full.vertices[0]: 0}
     for src, dst, _ in full.families():
         found[dst] = found[src] + 1
     lengths = {v: found[v] for v in full.vertices}
-    top = max(lengths.values())
-    levels = []
-    for k in range(top + 1):
-        removed = tuple(v for v in full.vertices if lengths[v] > k)
-        levels.append(full.quotient(removed))
-    return Filtration(spec=spec, full=full, levels=tuple(levels), lengths=dict(lengths))
+    by_length: list[list[str]] = [[] for _ in range(max(lengths.values()) + 1)]
+    for v, k in lengths.items():
+        by_length[k].append(v)
+    levels = [full.quotient(())]
+    for cls in reversed(by_length[1:]):
+        levels.append(levels[-1].quotient(cls))
+    return Filtration(spec=spec, full=full, levels=tuple(reversed(levels)), lengths=lengths)
 
 
 class CWRecord(NamedTuple):

@@ -32,6 +32,7 @@ GRAPHS = "src/ampgraph/graphs.py"
 SPLITTING = "src/ampgraph/splitting.py"
 GRAPHIO = "src/ampgraph/graphio.py"
 COXETER = "src/ampgraph/coxeter.py"
+CWMOD = "src/ampgraph/cw.py"
 WORDS = "src/ampgraph/words.py"
 PACKAGE = "src/ampgraph/__init__.py"
 
@@ -42,6 +43,7 @@ ALG = "tests/test_algebra.py::"
 SPLIT = "tests/test_splitting.py::"
 GRAPH = "tests/test_graphs.py::"
 COX = "tests/test_coxeter.py::"
+CW = "tests/test_cw.py::"
 RECORDS = "tests/test_records.py::"
 
 #: id -> (file, snippet, replacement, test node ids that must fail)
@@ -262,6 +264,26 @@ MUTANTS = {
         "        word.extend(range(k - d + 1, k + 1))\n",
         [COX + "test_canonical_reduced_word_is_the_descent_peeling_word",
          COX + "test_canonical_reduced_word_is_lex_least"],
+    ),
+    # -- a filtration costs what its flag graph has ------------------------------
+    "word-bit-count-reads-below-the-entry": (
+        COXETER,
+        "        d = (seen >> x).bit_count()\n",
+        "        d = (seen & (1 << x) - 1).bit_count()\n",
+        [COX + "test_canonical_reduced_word_is_the_descent_peeling_word",
+         COX + "test_canonical_reduced_word_is_lex_least"],
+    ),
+    "cover-scan-stops-one-value-too-soon": (
+        COXETER,
+        "                    if b == a - 1:\n",
+        "                    if b == a - 2:\n",
+        [COX + "test_flag_graph_edges_are_graded"],
+    ),
+    "level-cut-removes-the-wrong-length-class": (
+        CWMOD,
+        "    for cls in reversed(by_length[1:]):\n",
+        "    for cls in reversed(by_length[:-1]):\n",
+        [CW + "test_every_level_equals_the_fresh_graph_and_the_dense_model"],
     ),
     "coset-rep-length-is-not-the-word-length": (
         COXETER,

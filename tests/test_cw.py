@@ -69,8 +69,6 @@ def test_a_filtration_searches_no_reach_mask(monkeypatch):
     monkeypatch.undo()
     # the level below the top drops one vertex
     assert len(filt.levels[-2].vertices) == len(filt.full.vertices) - 1
-    for level in filt.levels:
-        _assert_tables_fresh(level)
 
 
 def test_filtration_levels_share_the_flag_graphs_tables():
@@ -83,6 +81,26 @@ def test_filtration_levels_share_the_flag_graphs_tables():
         assert level.edges == tuple(
             e for e in filt.full.edges if filt.lengths[e[1]] <= k
         )
+
+
+def test_a_filtration_cuts_each_label_once(monkeypatch):
+    """Level k is level k + 1 cut by the length-(k + 1) class, so the cuts
+    look up each removed label once: at most one lookup per vertex."""
+    at = AmpGraph._at
+    looked_up = []
+
+    def counted_at(self, v):
+        looked_up.append(v)
+        return at(self, v)
+
+    monkeypatch.setattr(AmpGraph, "_at", counted_at)
+    filt = skeleton_filtration(DynkinSpec(7, frozenset({2, 5})))
+    monkeypatch.undo()
+    assert len(filt.full) == 560
+    assert sorted(looked_up) == sorted(v for v, n in filt.lengths.items() if n > 0)
+    for k in range(filt.top):
+        cls = tuple(v for v, n in filt.lengths.items() if n == k + 1)
+        assert filt.levels[k + 1].lacks(filt.levels[k])[0] == cls
 
 
 def test_a_summary_lists_only_the_step_graphs_it_reads():
@@ -99,11 +117,19 @@ def test_a_summary_lists_only_the_step_graphs_it_reads():
     assert id(chain.terminal) in read
 
 
-@pytest.mark.parametrize("spec", all_specs(5), ids=str)
+#: The specs of the flag-filtration benchmark workload, up to 560 vertices.
+FILTRATION_SPECS = [DynkinSpec(7, frozenset(t)) for t in ({4}, {1, 7}, {2, 5})]
+
+
+@pytest.mark.parametrize("spec", all_specs(5) + FILTRATION_SPECS, ids=str)
 def test_every_level_equals_the_fresh_graph_and_the_dense_model(spec):
+    """Level k keeps the vertices of length at most k, in vertex order."""
     filt = skeleton_filtration(spec)
+    assert list(filt.lengths) == list(filt.full.vertices)
+    assert filt.top == max(filt.lengths.values())
     full = DenseGraph(filt.full.vertices, filt.full.edges) if spec.rank <= 4 else None
     for k, level in enumerate(filt.levels):
+        assert level.vertices == tuple(v for v, n in filt.lengths.items() if n <= k)
         _assert_tables_fresh(level)
         if full is not None:
             removed = [v for v in full.vertices if filt.lengths[v] > k]
