@@ -132,7 +132,7 @@ def _cmd_stars(ns) -> tuple[bool, dict]:
 
 def _cmd_split(ns) -> tuple[bool, dict]:
     from .graphio import load_graph
-    from .graphs import valid_stars
+    from .graphs import first_star
     from .splitting import build_splitting, verify_split_exact
 
     g = load_graph(ns.file)
@@ -141,8 +141,7 @@ def _cmd_split(ns) -> tuple[bool, dict]:
     elif ns.star is not None:
         star = ns.star
     else:
-        found = valid_stars(g, ns.sink)
-        star = found[0] if found else None
+        star = first_star(g, ns.sink)
     sd = build_splitting(g, ns.sink, star)
     result = {
         "sink": sd.sink,

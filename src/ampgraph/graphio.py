@@ -71,7 +71,7 @@ def graph_from_dict(data: Any) -> AmpGraph:
         seen.add((src, dst))
         where = f"edge #{i} ({src!r} -> {dst!r})"
         edges.append((src, dst, _mult_from_json(item.get("mult", "inf"), where)))
-    return AmpGraph.from_edges(tuple(raw_vertices), edges)
+    return AmpGraph(raw_vertices, edges)
 
 
 def load_graph(path: str) -> AmpGraph:

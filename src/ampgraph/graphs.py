@@ -140,20 +140,23 @@ class _Tables:
         return self._pred
 
     def reach(self) -> tuple[int, ...]:
-        """Bit ``j`` of entry ``i``: a directed path of length >= 1 from i to j."""
+        """Bit ``j`` of entry ``i``: a directed path of length >= 1 from i to j.
+
+        The least fixpoint of ``reach[i] = succ[i] | reach[j]`` over the bits j
+        of ``succ[i]``, folded in place by sweeps from the last position down
+        until one changes nothing: two on a flag graph, whose families all go
+        to later positions.
+        """
         if self._reach is None:
-            succ = self.succ
-            reach: list[int] = []
-            for i in range(len(self.labels)):
-                seen = 0
-                frontier = succ[i]
-                while frontier:
-                    seen |= frontier
-                    step = 0
-                    for j in _bits(frontier):
-                        step |= succ[j]
-                    frontier = step & ~seen
-                reach.append(seen)
+            succ, reach, changed = self.succ, list(self.succ), True
+            while changed:
+                changed = False
+                for i in range(len(reach) - 1, -1, -1):
+                    folded = reach[i]
+                    for j in _bits(succ[i]):
+                        folded |= reach[j]
+                    if folded != reach[i]:
+                        reach[i], changed = folded, True
             self._reach = tuple(reach)
         return self._reach
 
@@ -233,14 +236,10 @@ class AmpGraph:
 
     # -- the kept vertices and families, built when read -------------------
 
-    def _flags(self, mask: int) -> bytes:
-        """Byte ``i`` is 1 when bit ``i`` of ``mask`` is set, else 0."""
-        return f"{mask:0{len(self._t.labels)}b}"[::-1].encode().translate(_ZERO_ONE)
-
     @_built
     def _kept_bytes(self) -> bytes:
-        """Byte ``i`` is 1 when position ``i`` is kept."""
-        return self._flags(self._keep)
+        """Byte ``i`` is 1 when position ``i`` is kept, else 0."""
+        return f"{self._keep:0{len(self._t.labels)}b}"[::-1].encode().translate(_ZERO_ONE)
 
     def _kept(self) -> Iterator[int]:
         """The kept positions, in vertex order."""
@@ -474,28 +473,27 @@ class AmpGraph:
         return AmpGraph._on(t.plus(i, j), self._keep, _shape=self.classify())
 
 
-def valid_stars(g: AmpGraph, sink: str) -> list[str]:
-    """All admissible star vertices for splitting off ``sink``.
-
-    A vertex ``v != sink`` qualifies when it is a source, or when every
-    vertex with an edge family into it also has a path to ``sink``.  The
-    vertices it rules out are the successors of the vertices whose reach
-    misses ``sink``, read as one OR of their successor masks.
-    """
-    cls = g.classify()
-    if sink not in cls.sinks:
+def _star_scan(g: AmpGraph, sink: str) -> Iterator[str]:
+    """The vertices :func:`is_star` accepts for the sink ``sink``, in vertex order, found lazily."""
+    if sink not in g.classify().sinks:
         raise ValueError(f"{sink!r} is not a sink")
-    t, reach = g._t, g._t.reach()
-    bit = 1 << t.pos[sink]
-    blocked = bit
-    for i in g._kept():
-        if not reach[i] & bit:
-            blocked |= t.succ[i]
-    return list(compress(t.labels, g._flags(g._keep & ~blocked)))
+    for v in map(g._t.labels.__getitem__, _bits(g._keep)):
+        if is_star(g, sink, v):
+            yield v
+
+
+def valid_stars(g: AmpGraph, sink: str) -> list[str]:
+    """All admissible star vertices for splitting off ``sink``: those :func:`is_star` accepts."""
+    return list(_star_scan(g, sink))
+
+
+def first_star(g: AmpGraph, sink: str) -> str | None:
+    """The first of :func:`valid_stars`, or ``None``; the scan stops there, at ``e`` on a flag graph."""
+    return next(_star_scan(g, sink), None)
 
 
 def is_star(g: AmpGraph, sink: str, v: str) -> bool:
-    """Whether ``v`` is one of :func:`valid_stars` for the sink ``sink``, read off ``v``'s in-neighbours.
+    """Whether ``v`` is an admissible star for splitting off the sink ``sink``, read off ``v``'s in-neighbours.
 
     ``v`` qualifies when it is a vertex other than ``sink`` whose every
     in-neighbour reaches ``sink``; a source qualifies vacuously.

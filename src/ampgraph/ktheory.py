@@ -222,12 +222,13 @@ class K0ChainCheck(_Frozen):
     equivalence onto a sum of scalars.  The dense matrices are built from
     their sparse ``columns`` and row counts ``rows`` when first read; two
     checks are equal when their forward, backward and report are.
+    ``uncertified`` holds, in step order, the sinks whose certificate fails.
     """
 
     _fields = ("forward", "backward", "report")
 
-    def __init__(self, report: VerificationReport, columns: tuple[Columns, Columns], rows: tuple[int, int]) -> None:
-        super().__init__(report=report, columns=columns, rows=rows)
+    def __init__(self, report: VerificationReport, columns: tuple[Columns, Columns], rows: tuple[int, int], uncertified: tuple[str, ...]) -> None:
+        super().__init__(report=report, columns=columns, rows=rows, uncertified=uncertified)
 
     @cached_property
     def forward(self) -> Matrix:
@@ -244,8 +245,9 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     Step i contributes the column ``S_1 ... S_(i-1) e_sink`` of ``backward``
     and the row ``N_i[0] Q_(i-1) ... Q_1`` of ``forward``, where ``N_i[0]``
     is the first row of the step's left-inverse certificate.  A step without
-    a certificate fails ``k0-step-unimodular``; the chain is still assembled
-    from the same formula and checked.
+    a certificate fails ``k0-step-unimodular``, named after the first, and
+    lists its sink in ``uncertified``; the chain is still assembled from
+    the same formula and checked.
 
     The prefixes are held as columns ``S_1 ... S_i e_v`` and rows
     ``e_v Q_i ... Q_1``, keyed by the label ``v`` of the current graph and
@@ -258,18 +260,21 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     rows = dict(cols)
     forward: list[Column] = []
     backward: list[Column] = []
+    uncertified: list[str] = []
     failure = None
     for sd in chain.steps:
         q, s, section_ok, killed = _step_certificate(sd)
-        if not (section_ok and killed) and failure is None:
-            what = ["Q S is not the identity"] if not section_ok else []
-            if not killed:
-                what.append("Q does not kill the sink class")
-            failure = Check(
-                "k0-step-unimodular",
-                False,
-                f"step at {sd.sink!r}: no left inverse certifies [e_sink | S]: {' and '.join(what)}",
-            )
+        if not (section_ok and killed):
+            if not uncertified:
+                what = ["Q S is not the identity"] if not section_ok else []
+                if not killed:
+                    what.append("Q does not kill the sink class")
+                failure = Check(
+                    "k0-step-unimodular",
+                    False,
+                    f"step at {sd.sink!r}: no left inverse certifies [e_sink | S]: {' and '.join(what)}",
+                )
+            uncertified.append(sd.sink)
         # the rows of Q, by label: the moved classes transposed, plus 1 on
         # the diagonal at each unmoved label
         q_rows: dict[str, dict[str, int]] = {}
@@ -333,7 +338,7 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     if failure is not None:
         checks = (failure,) + checks
     columns = (tuple(forward_cols.get(c, {}) for c in range(n)), tuple(backward))
-    return K0ChainCheck(VerificationReport(checks), columns, (len(forward), n))
+    return K0ChainCheck(VerificationReport(checks), columns, (len(forward), n), tuple(uncertified))
 
 
 def smith_normal_form(a: Matrix, cols: int) -> tuple[Matrix, Matrix, Matrix]:

@@ -50,7 +50,7 @@ from .algebra import (
     compose_tables,
     verify_ck_family,
 )
-from .graphs import AmpGraph, is_star, valid_stars
+from .graphs import AmpGraph, first_star, is_star, valid_stars
 
 
 class VerificationFailure(RuntimeError):
@@ -206,24 +206,23 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
 StarPolicy = Callable[[AmpGraph, tuple[str, ...]], tuple[str, str | None]]
 
 
-def _stars(g: AmpGraph, sink: str) -> list[str]:
-    """:func:`valid_stars`, raising when there is none."""
-    stars = valid_stars(g, sink)
-    if not stars:
+def _star(g: AmpGraph, sink: str) -> str:
+    """:func:`~ampgraph.graphs.first_star`, raising when there is none."""
+    star = first_star(g, sink)
+    if star is None:
         raise ValueError(f"no valid star exists for sink {sink!r}")
-    return stars
+    return star
 
 
 def first_sink_first_star(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | None]:
     """Default policy: first sink in vertex order, first valid star."""
-    return sinks[0], _stars(g, sinks[0])[0]
+    return sinks[0], _star(g, sinks[0])
 
 
 def prefer_source_star(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | None]:
-    """Like the default, but picks a source vertex as the star when one exists."""
-    stars = _stars(g, sinks[0])
-    sources = set(g.classify().sources)
-    return sinks[0], next((v for v in stars if v in sources), stars[0])
+    """Like the default, but picks the first source other than the sink, a star vacuously, when one exists."""
+    source = next((v for v in g.classify().sources if v != sinks[0]), None)
+    return sinks[0], _star(g, sinks[0]) if source is None else source
 
 
 def explicit_steps(pairs: Sequence[tuple[str, str | None]]) -> StarPolicy:
@@ -412,7 +411,7 @@ def multi_sink_splitting(
         i = n - len(current)
         if sinks[i] not in avail:
             raise ValueError(f"{sinks[i]!r} is not a sink of the remaining graph")
-        return sinks[i], _stars(current, sinks[i])[0] if stars is None else stars[i]
+        return sinks[i], _star(current, sinks[i]) if stars is None else stars[i]
 
     chain = _run_chain(g, listed, len(sinks))
     if chain.steps:

@@ -1054,6 +1054,15 @@ def valid_stars_oracle(g: AmpGraph, sink: str) -> list[str]:
     return [v for v in g.vertices if v != sink and v not in blocked]
 
 
+def prefer_source_star_oracle(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str]:
+    """The source policy by listing: the first source among the valid stars, else the first star."""
+    stars = valid_stars_oracle(g, sinks[0])
+    if not stars:
+        raise ValueError(f"no valid star exists for sink {sinks[0]!r}")
+    sources = g.classify().sources
+    return sinks[0], next((v for v in stars if v in sources), stars[0])
+
+
 def hereditary_subsets_oracle(g: AmpGraph) -> set[tuple[str, ...]]:
     fams = [(a, b) for a, b, _ in g.families()]
     out = set()

@@ -152,8 +152,8 @@ MUTANTS = {
     ),
     "valid-stars-admit-the-sink": (
         GRAPHS,
-        "    blocked = bit\n",
-        "    blocked = 0\n",
+        "        if is_star(g, sink, v):\n",
+        "        if v == sink or is_star(g, sink, v):\n",
         ["tests/test_graphs.py::test_valid_stars_on_masks_matches_the_family_scan"],
     ),
     "families-at-misses-families-out": (
@@ -397,8 +397,8 @@ MUTANTS = {
     ),
     "chain-check-builds-dense-matrices-for-its-report": (
         KTHEORY,
-        "    return K0ChainCheck(VerificationReport(checks), columns, (len(forward), n))\n",
-        "    res = K0ChainCheck(VerificationReport(checks), columns, (len(forward), n))\n"
+        "    return K0ChainCheck(VerificationReport(checks), columns, (len(forward), n), tuple(uncertified))\n",
+        "    res = K0ChainCheck(VerificationReport(checks), columns, (len(forward), n), tuple(uncertified))\n"
         "    res.forward, res.backward\n    return res\n",
         [KT + "test_a_chain_check_read_for_its_report_builds_no_dense_matrix"],
     ),
@@ -419,6 +419,33 @@ MUTANTS = {
         "        raise AttributeError(f\"cannot assign to field {name!r}\")\n",
         "        object.__setattr__(self, name, value)\n",
         [RECORDS + "test_a_record_is_frozen_and_compares_by_its_fields"],
+    ),
+    # -- one owner per chain decision: the lazy star scan, one K_0 verdict, the reach fold
+    "star-scan-skips-the-star-query": (
+        GRAPHS,
+        "        if is_star(g, sink, v):\n",
+        "        if v != sink:\n",
+        [GRAPH + "test_valid_stars_on_masks_matches_the_family_scan",
+         GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it"],
+    ),
+    "source-policy-admits-a-source-sink": (
+        SPLITTING,
+        "    source = next((v for v in g.classify().sources if v != sinks[0]), None)\n",
+        "    source = next(iter(g.classify().sources), None)\n",
+        [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it",
+         SPLIT + "test_no_valid_star_is_reported_by_every_policy"],
+    ),
+    "chain-check-keeps-only-the-first-uncertified-sink": (
+        KTHEORY,
+        "            uncertified.append(sd.sink)\n",
+        "            uncertified[:] = uncertified[:1] or [sd.sink]\n",
+        [CW + "test_two_corrupted_steps_give_two_k0_step_rows"],
+    ),
+    "reach-fold-stops-after-one-sweep": (
+        GRAPHS,
+        "                        reach[i], changed = folded, True\n",
+        "                        reach[i] = folded\n",
+        [GRAPH + "test_graph_matches_dense_model"],
     ),
 }
 

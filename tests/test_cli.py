@@ -177,6 +177,17 @@ def test_non_string_edge_endpoint_is_exit_1(tmp_path, capsys, doc):
     assert not report["ok"] and "must be strings" in report["error"]
 
 
+def test_split_at_a_sink_without_a_star_takes_the_embedding(tmp_path, capsys):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"vertices": ["v"], "edges": []}))
+    assert main(["split", str(point), "--sink", "v", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["result"]["star"] is None
+    assert report["result"]["quotient_vertices"] == []
+    refused = run_command(["split", EXAMPLE, "--sink", "v2"])
+    assert refused.exit_code == 1 and refused.error == "'v2' is not a sink"
+
+
 def test_non_hereditary_quotient_is_exit_1():
     report = run_command(["quotient", EXAMPLE, "--remove", "v2"])
     assert report.exit_code == 1

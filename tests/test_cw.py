@@ -271,6 +271,30 @@ def test_k0_step_negative_control_with_the_section_intact(monkeypatch):
     assert report.check("k0-step").detail == f"K_0 split check failed at sink {first_sink!r}"
 
 
+def test_two_corrupted_steps_give_two_k0_step_rows(monkeypatch):
+    # steps 1 and 3 get the corrupted quotient map of the K_0 chain control;
+    # the chain check keeps both sinks, in step order, and the summary
+    # names each in its own row
+    def corrupt(sd):
+        m = sd.quotient_map
+        images = dict(m.vertex_images, e={})
+        return sd._replace(quotient_map=GeneratorMap(m.source, m.target, images, m.edge_images))
+
+    def corrupted(*args):
+        chain = multi_sink_splitting(*args)
+        steps = list(chain.steps)
+        steps[0], steps[2] = corrupt(steps[0]), corrupt(steps[2])
+        return chain._replace(steps=tuple(steps))
+
+    monkeypatch.setattr(cw, "multi_sink_splitting", corrupted)
+    summary = cw_kk_summary(GR)
+    sinks = (summary.chain.steps[0].sink, summary.chain.steps[2].sink)
+    assert check_chain_k0(summary.chain).uncertified == sinks
+    rows = [c.detail for c in summary.report.checks if c.name == "k0-step"]
+    assert rows == [f"K_0 split check failed at sink {sink!r}" for sink in sinks]
+    assert not any(c.passed for c in summary.report.checks if c.name == "k0-step")
+
+
 def test_single_point_tower():
     point = AmpGraph.from_edges(("pt",))
     summary = summarize_filtration(point, (point,))

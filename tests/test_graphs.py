@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from ampgraph import OMEGA, AmpGraph, load_graph, valid_stars
-from ampgraph.graphs import is_star
+from ampgraph import OMEGA, AmpGraph, load_graph, prefer_source_star, valid_stars
+from ampgraph.graphs import first_star, is_star
 
 from helpers import (
     ROOT,
     DenseGraph,
     example_graph,
     hereditary_subsets_oracle,
+    prefer_source_star_oracle,
     random_amplified_dag,
     random_edge_list,
     valid_stars_oracle,
@@ -498,7 +499,8 @@ def test_valid_stars_on_masks_matches_the_family_scan():
 
 def test_is_star_decides_each_vertex_as_the_oracle_lists_it():
     """Every sink and every label (and one unknown label) of every fixture,
-    every quotient of one, and 30 random graphs."""
+    every quotient of one, and 30 random graphs.  The first star and the
+    source policy's pick agree with the listed stars on every sink."""
     graphs = []
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         g = load_graph(path)
@@ -514,6 +516,10 @@ def test_is_star_decides_each_vertex_as_the_oracle_lists_it():
             for v in (*labels, "nowhere"):
                 assert is_star(g, sink, v) == (v in stars), (g, sink, v)
                 pairs += 1
+            assert first_star(g, sink) == (stars or [None])[0], (g, sink)
+            sinks = (sink, *g.classify().sinks)
+            want = _error(prefer_source_star_oracle, g, sinks) or prefer_source_star_oracle(g, sinks)
+            assert (_error(prefer_source_star, g, sinks) or prefer_source_star(g, sinks)) == want, (g, sink)
     assert len(graphs) > 70 and pairs > 700
 
 

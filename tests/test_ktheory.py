@@ -211,10 +211,10 @@ def test_cw_kk_summary_reads_each_step_patch_once_and_extracts_no_column(monkeyp
         seen.clear()
         summary = cw_kk_summary(spec)
         assert summary.report.ok
-        # a step keeps no K_0 state: each of the two readers (the summary's
-        # step rows and the chain check) reads the step's two patches once,
-        # and neither builds a full column
-        assert len(seen) == 4 * len(summary.chain.steps)
+        # a step keeps no K_0 state: the chain check decides each step's
+        # certificate once, reading its two patches, and the summary's step
+        # rows read that verdict; no full column is built
+        assert len(seen) == 2 * len(summary.chain.steps)
         assert columns == []
 
 

@@ -25,9 +25,9 @@ from ampgraph import (
     verify_ck_family,
     verify_split_exact,
 )
-from ampgraph import algebra, splitting
+from ampgraph import algebra, graphs, splitting
 from ampgraph.algebra import word_mul
-from ampgraph.graphs import _Tables
+from ampgraph.graphs import _Tables, is_star
 from ampgraph.ktheory import check_chain_k0, check_split_exact_k0, induced_k0
 
 from helpers import (
@@ -675,24 +675,39 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
 
 
 def test_a_step_lists_its_valid_stars_at_most_once(monkeypatch):
-    """A chosen star is decided on its in-neighbours; only a policy that
-    picks a star lists them, once per step."""
-    calls = []
+    """A chosen star is decided on its in-neighbours and a default one is
+    the first the lazy scan accepts, so no shipped chain lists the stars.
+    On a flag graph the scan stops at ``e``, a source at position 0, and
+    the step's check decides that star once more."""
+    calls, decided = [], []
     monkeypatch.setattr(splitting, "valid_stars", lambda g, sink: calls.append(sink) or valid_stars(g, sink))
+
+    def counted(g, sink, v):
+        decided.append(v)
+        return is_star(g, sink, v)
+
+    monkeypatch.setattr(graphs, "is_star", counted)
+    monkeypatch.setattr(splitting, "is_star", counted)
     steps = 0
 
     def assert_listed_at_most_once(build):
         nonlocal steps
         calls.clear()
+        decided.clear()
         chain = build()
-        assert len(calls) <= len(chain.steps)
+        assert calls == []
         steps += len(chain.steps)
+        return chain
 
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         for policy in (first_sink_first_star, prefer_source_star):
             assert_listed_at_most_once(lambda: kk_chain(load_graph(path), policy))
+        g = load_graph(path)
+        assert_listed_at_most_once(lambda: multi_sink_splitting(g, kk_chain(g).sinks))
     for spec in CW_LADDER:
-        assert_listed_at_most_once(lambda: cw_kk_summary(spec).chain)
+        chain = assert_listed_at_most_once(lambda: cw_kk_summary(spec).chain)
+        assert {sd.star for sd in chain.steps} == set(decided) == {"e"}
+        assert len(decided) <= 2 * len(chain.steps)
     assert steps > 100
 
 
