@@ -30,7 +30,8 @@ value set for each block, and there are ``(n+1)! / prod(size!)`` of them:
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_left
+from itertools import accumulate, chain, combinations
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -38,6 +39,11 @@ from . import MAX_RANK, _Frozen
 from .graphs import OMEGA, AmpGraph
 
 Perm = tuple[int, ...]
+
+#: ``_RUN[k][d]`` is the run of letters ``k, k-1, .., k-d+1``.
+_RUN = tuple(tuple(tuple(range(k, k - d, -1)) for d in range(k + 1)) for k in range(MAX_RANK + 1))
+#: ``_NAME[i]`` is the label of the letter ``s_i``.
+_NAME = tuple(f"s{i}" for i in range(MAX_RANK + 1))
 
 
 class DynkinSpec(_Frozen):
@@ -91,10 +97,12 @@ def canonical_reduced_word(p: Perm) -> tuple[int, ...]:
     Peeling the smallest left descent of ``p`` at each step swaps two
     adjacent positions of ``p^-1`` at its first descent, which is an
     insertion sort of ``p^-1``.  Inserting its entry at position k + 1 past
-    the ``d`` earlier entries larger than it takes the letters ``k, k-1, ..,
-    k-d+1``, so the word's length is the inversion count of ``p``.  No entry
-    is moved: ``d`` is one bit count, of the bits above entry k + 1 in a
-    mask of the earlier entries:
+    the ``d`` earlier entries larger than it takes the run of letters ``k,
+    k-1, .., k-d+1``, so the word's length is the inversion count of ``p``.
+    No entry is moved: ``d`` is one bit count, of the bits above entry k + 1
+    in a mask of the earlier entries, and the word concatenates the
+    precomputed runs ``_RUN[k][d]``, so ``p`` has at most ``MAX_RANK + 1``
+    entries:
 
     >>> canonical_reduced_word((3, 2, 1))
     (1, 2, 1)
@@ -104,13 +112,12 @@ def canonical_reduced_word(p: Perm) -> tuple[int, ...]:
     inv = [0] * len(p)
     for pos, x in enumerate(p):
         inv[x - 1] = pos
-    word: list[int] = []
+    word: tuple[int, ...] = ()
     seen = 0
     for k, x in enumerate(inv):
-        d = (seen >> x).bit_count()
-        word.extend(range(k, k - d, -1))
+        word += _RUN[k][(seen >> x).bit_count()]
         seen |= 1 << x
-    return tuple(word)
+    return word
 
 
 def weyl_group(rank: int) -> list[tuple[Perm, int]]:
@@ -177,12 +184,14 @@ def minimal_coset_reps(spec: DynkinSpec) -> list[CosetRep]:
 
 
 def word_label(word: tuple[int, ...]) -> str:
-    """Vertex label of a reduced word; the identity is ``e``.
+    """Vertex label of a reduced word, its letters' precomputed names joined; the identity is ``e``.
+
+    Letters run from 1 to ``MAX_RANK``.
 
     >>> word_label((2, 1, 3, 2))
     's2s1s3s2'
     """
-    return "".join(f"s{i}" for i in word) or "e"
+    return "".join([_NAME[i] for i in word]) or "e"
 
 
 def flag_graph(spec: DynkinSpec) -> AmpGraph:
@@ -195,36 +204,53 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
     permutations it turns into by swapping its entries in positions i < j,
     where ``w(i) > w(j)`` and no position between holds a value between
     them; by their Theorem 2.5.5 the representatives are graded, so their
-    covers are the covers of the group that join two of them.  The scan
-    from position i stops once it meets ``w(i) - 1``: no later value lies
-    strictly between it and ``w(i)``.  Each cover is found once, so the
-    families go straight to the constructor, which still refuses a pair
-    given twice.  Before the graph is assembled, the vertices are checked
-    to be the descent-characterised set: distinct permutations, each with
-    right descents among the tagged nodes, as many as the multinomial count.
+    covers are the covers of the group that join two of them.
+
+    The scan is by block (see the module docstring).  A representative
+    increases inside each block, so swapping ``a = w(i)`` into a later
+    block leaves a representative only for that block's largest value
+    ``b < a``, one bisection away, and only when ``b`` exceeds the floor:
+    ``w(i - 1)`` inside i's block, else 0, raised to each kept ``b``, since
+    a kept value lies between ``a`` and any smaller candidate further on.
+    The scan from i stops at ``b = a - 1``.  So only covers are built, and
+    each is looked up unconditionally: a non-representative would raise
+    ``KeyError``.  Walking the representatives in vertex order appends each
+    cover to its source's row, so the families come out row-major, each
+    found once; the constructor's sort is then one linear pass, and it
+    still refuses a pair given twice.  Before the scan, the vertices are
+    checked to be the descent-characterised set: distinct permutations,
+    each with right descents among the tagged nodes, as many as the
+    multinomial count.
     """
     reps = minimal_coset_reps(spec)
-    labels = {r.element: word_label(r.word) for r in reps}
+    labels = [word_label(r.word) for r in reps]
+    pos = {r.element: k for k, r in enumerate(reps)}
     ident = identity_perm(spec.rank)
-    count = factorial(spec.rank + 1) // prod(factorial(k) for k in _block_sizes(spec))
-    if len(labels) != len(reps) or len(reps) != count or any(
+    sizes = _block_sizes(spec)
+    count = factorial(spec.rank + 1) // prod(factorial(k) for k in sizes)
+    if len(pos) != len(reps) or len(reps) != count or any(
         tuple(sorted(p)) != ident or not right_descents(p) <= spec.tagged
-        for p in labels
+        for p in pos
     ):
         raise RuntimeError(
             "flag vertex characterisations disagree; this is a bug"
         )
-    edges = []
-    for w, label in labels.items():
-        for i, a in enumerate(w):
-            floor = 0
-            for j in range(i + 1, len(w)):
-                b = w[j]
-                if floor < b < a:
-                    floor = b
-                    u = w[:i] + (b,) + w[i + 1 : j] + (a,) + w[j + 1 :]
-                    if u in labels:
-                        edges.append((labels[u], label, OMEGA))
-                    if b == a - 1:
-                        break
-    return AmpGraph(labels.values(), edges)
+    # (position, whether it starts a block, the later blocks' (start, end))
+    ends = list(accumulate(sizes))
+    blocks = list(zip([0, *ends], ends))
+    scan = [(i, i == s, blocks[k + 1:]) for k, (s, e) in enumerate(blocks) for i in range(s, e)]
+    rows: list[list[tuple]] = [[] for _ in reps]
+    for w, label in zip(pos, labels):
+        for i, first, later in scan:
+            a = w[i]
+            floor = 0 if first else w[i - 1]
+            for s, e in later:
+                j = bisect_left(w, a, s, e) - 1
+                if j < s or w[j] <= floor:
+                    continue
+                b = floor = w[j]
+                k = pos[w[:i] + (b,) + w[i + 1 : j] + (a,) + w[j + 1 :]]
+                rows[k].append((labels[k], label, OMEGA))
+                if b == a - 1:
+                    break
+    return AmpGraph(labels, chain.from_iterable(rows))

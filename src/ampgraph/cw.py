@@ -105,7 +105,8 @@ def summarize_filtration(full: AmpGraph, levels: tuple[AmpGraph, ...],
     )
     # The graph remaining after each level's sinks must be that skeleton,
     # except for families the chain added toward sinks it has yet to remove;
-    # those are path-preserving and disappear when their sink goes.
+    # those are path-preserving and disappear when their sink goes.  A chain
+    # graph is amplified, so equal multiplicities ask the skeleton to be too.
     added = set(chain.augmented)
     removed = 0
     records: list[CWRecord] = []
@@ -113,11 +114,11 @@ def summarize_filtration(full: AmpGraph, levels: tuple[AmpGraph, ...],
         removed += len(level)
         current = chain.steps[removed - 1].quotient_graph if removed else chain.ambient
         skel = levels[k - 1]
-        ours, theirs = set(current.families()), set(skel.families())
         match = (
             current.vertices == skel.vertices
-            and theirs <= ours
-            and all((a, b) in added for a, b, _ in ours - theirs)
+            and not skel.lacks(current)[1]
+            and all(fam in added for fam in current.lacks(skel)[1])
+            and skel.is_amplified
         )
         checks.append(
             Check(

@@ -105,15 +105,16 @@ class _Tables:
 
     __slots__ = ("labels", "pos", "edges", "mult", "heads", "succ", "finite", "_pred", "_reach")
 
-    def __init__(self, labels: tuple[str, ...], pos: dict[str, int], edges: tuple, mult: dict) -> None:
-        succ, heads, finite = [0] * len(labels), [], 0
-        for src, dst, m in edges:
-            j = pos[dst]
+    def __init__(self, labels: tuple[str, ...], pos: dict[str, int], keyed: list, mult: dict) -> None:
+        """``keyed`` lists ``(i, j, family)`` in row-major order, i and j the family's end positions."""
+        edges, succ, heads, finite = [], [0] * len(labels), [], 0
+        for i, j, fam in keyed:
+            edges.append(fam)
             heads.append(j)
-            succ[pos[src]] |= 1 << j
-            if m is not OMEGA:
+            succ[i] |= 1 << j
+            if fam[2] is not OMEGA:
                 finite |= 1 << j
-        self.labels, self.pos, self.edges, self.mult, self.heads = labels, pos, edges, mult, tuple(heads)
+        self.labels, self.pos, self.edges, self.mult, self.heads = labels, pos, tuple(edges), mult, tuple(heads)
         self.succ, self.finite = tuple(succ), finite
         self._pred = self._reach = None
 
@@ -169,12 +170,14 @@ class AmpGraph:
     of ``dst``.  A pair it does not list has multiplicity 0.  The constructor
     accepts the families in any order, drops those of multiplicity 0 and
     rejects unknown endpoints, invalid multiplicities and a pair given twice,
-    so equal graphs compare and hash equal.
+    so equal graphs compare and hash equal.  Its one validation pass looks up
+    each family's two end positions, and the families are sorted by them,
+    a linear pass when they come row-major, as a flag graph hands them over.
 
     A constructed graph keeps every vertex of its tables, a quotient fewer.
     Every lookup (``v in g``, ``len``, ``index``, ``multiplicity``,
-    ``has_family``, ``lacks``) reads the tables under the mask; ``vertices``
-    and ``edges`` are built only when read.
+    ``has_family``, ``is_amplified``, ``lacks``) reads the tables under the
+    mask; ``vertices`` and ``edges`` are built only when read.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Mult]]) -> None:
@@ -186,21 +189,30 @@ class AmpGraph:
             if v in index:
                 raise ValueError(f"duplicate vertex label {v!r}")
             index[v] = len(index)
-        given: dict[tuple[str, str], Mult] = {}
-        for src, dst, m in edges:
-            if src not in index:
+        mult: dict[tuple[str, str], Mult] = {}
+        zeros: set[tuple[str, str]] = set()
+        keyed: list[tuple[int, int, tuple[str, str, Mult]]] = []
+        for e in edges:
+            src, dst, m = e
+            i = index.get(src)
+            if i is None:
                 raise ValueError(f"unknown edge source {src!r}")
-            if dst not in index:
+            j = index.get(dst)
+            if j is None:
                 raise ValueError(f"unknown edge range {dst!r}")
             _check_mult(m)
-            if (src, dst) in given:
+            fam = (src, dst)
+            if fam in mult or fam in zeros:
                 raise ValueError(f"repeated edge family {src!r} -> {dst!r}")
-            given[(src, dst)] = m
-        mult = {fam: m for fam, m in given.items() if m != 0}
-        fams = tuple(sorted(((src, dst, m) for (src, dst), m in mult.items()),
-                            key=lambda e: (index[e[0]], index[e[1]])))
-        self.__dict__.update(_t=_Tables(verts, index, fams, mult), _keep=(1 << len(verts)) - 1,
-                             vertices=verts, edges=fams)
+            if m == 0:
+                zeros.add(fam)
+            else:
+                mult[fam] = m
+                # a given tuple is kept as it is: it holds the validated values
+                keyed.append((i, j, e if type(e) is tuple else (src, dst, m)))
+        keyed.sort()
+        t = _Tables(verts, index, keyed, mult)
+        self.__dict__.update(_t=t, _keep=(1 << len(verts)) - 1, vertices=verts, edges=t.edges)
 
     @classmethod
     def from_edges(cls, vertices: Iterable[str], edges: Iterable[tuple] = ()) -> "AmpGraph":
@@ -336,7 +348,8 @@ class AmpGraph:
 
     @property
     def is_amplified(self) -> bool:
-        return self.classify().amplified
+        """No kept vertex is the range of a finite family: one mask test, no shape walk."""
+        return not self._t.finite & self._keep
 
     # -- path structure --------------------------------------------------
 
@@ -353,7 +366,7 @@ class AmpGraph:
         kept = list(self._kept())
         pred, reach = t.pred(), t.reach()
         return GraphClass(
-            amplified=not t.finite & keep,
+            amplified=self.is_amplified,
             acyclic=not any(reach[i] >> i & 1 for i in kept),
             sinks=tuple(t.labels[i] for i in kept if not t.succ[i] & keep),
             sources=tuple(t.labels[i] for i in kept if not pred[i] & keep),

@@ -26,7 +26,9 @@ from ampgraph import (
     first_sink_first_star,
     kk_chain,
     load_graph,
+    minimal_coset_reps,
     prefer_source_star,
+    word_label,
 )
 from ampgraph.algebra import (
     Check,
@@ -1304,3 +1306,29 @@ def bruhat_leq(u: tuple[int, ...], w: tuple[int, ...]) -> bool:
             if a > b:
                 return False
     return True
+
+
+def flag_graph_oracle(spec) -> AmpGraph:
+    """The flag graph by a scan of every candidate swap, kept when it is a representative.
+
+    From each position i of each representative ``w``, every later position
+    j whose value ``b`` lies between a running floor and ``w(i)`` is a
+    Bruhat cover (Björner–Brenti, Lemma 2.1.4); its one-line form is built
+    and kept when it is among the representatives.
+    """
+    reps = minimal_coset_reps(spec)
+    labels = {r.element: word_label(r.word) for r in reps}
+    edges = []
+    for w, label in labels.items():
+        for i, a in enumerate(w):
+            floor = 0
+            for j in range(i + 1, len(w)):
+                b = w[j]
+                if floor < b < a:
+                    floor = b
+                    u = w[:i] + (b,) + w[i + 1 : j] + (a,) + w[j + 1 :]
+                    if u in labels:
+                        edges.append((labels[u], label, OMEGA))
+                    if b == a - 1:
+                        break
+    return AmpGraph(labels.values(), edges)

@@ -254,36 +254,86 @@ MUTANTS = {
     # -- flag graphs from one-line permutations -----------------------------------
     "cover-scan-skips-the-between-test": (
         COXETER,
-        "                    floor = b\n",
-        "",
-        [COX + "test_flag_graph_edges_are_graded"],
+        "                if j < s or w[j] <= floor:\n",
+        "                if j < s:\n",
+        [COX + "test_flag_graph_matches_the_candidate_scan_oracle"],
     ),
     "insertion-emits-increasing-letters": (
         COXETER,
-        "        word.extend(range(k, k - d, -1))\n",
-        "        word.extend(range(k - d + 1, k + 1))\n",
+        "_RUN = tuple(tuple(tuple(range(k, k - d, -1)) for d in range(k + 1)) for k in range(MAX_RANK + 1))\n",
+        "_RUN = tuple(tuple(tuple(range(k - d + 1, k + 1)) for d in range(k + 1)) for k in range(MAX_RANK + 1))\n",
         [COX + "test_canonical_reduced_word_is_the_descent_peeling_word",
          COX + "test_canonical_reduced_word_is_lex_least"],
     ),
     # -- a filtration costs what its flag graph has ------------------------------
     "word-bit-count-reads-below-the-entry": (
         COXETER,
-        "        d = (seen >> x).bit_count()\n",
-        "        d = (seen & (1 << x) - 1).bit_count()\n",
+        "        word += _RUN[k][(seen >> x).bit_count()]\n",
+        "        word += _RUN[k][(seen & (1 << x) - 1).bit_count()]\n",
         [COX + "test_canonical_reduced_word_is_the_descent_peeling_word",
          COX + "test_canonical_reduced_word_is_lex_least"],
     ),
     "cover-scan-stops-one-value-too-soon": (
         COXETER,
-        "                    if b == a - 1:\n",
-        "                    if b == a - 2:\n",
-        [COX + "test_flag_graph_edges_are_graded"],
+        "                if b == a - 1:\n",
+        "                if b == a - 2:\n",
+        [COX + "test_flag_graph_matches_the_candidate_scan_oracle"],
     ),
     "level-cut-removes-the-wrong-length-class": (
         CWMOD,
         "    for cls in reversed(by_length[1:]):\n",
         "    for cls in reversed(by_length[:-1]):\n",
         [CW + "test_every_level_equals_the_fresh_graph_and_the_dense_model"],
+    ),
+    # -- a flag graph built in positions ------------------------------------------
+    "cover-floor-reads-two-positions-back": (
+        COXETER,
+        "            floor = 0 if first else w[i - 1]\n",
+        "            floor = 0 if first else w[i - 2]\n",
+        [COX + "test_flag_graph_matches_the_candidate_scan_oracle"],
+    ),
+    "cover-scan-reads-one-block-end-short": (
+        COXETER,
+        "                j = bisect_left(w, a, s, e) - 1\n",
+        "                j = bisect_left(w, a, s, e - 1) - 1\n",
+        [COX + "test_flag_graph_matches_the_candidate_scan_oracle"],
+    ),
+    "cover-floor-not-raised-after-a-kept-swap": (
+        COXETER,
+        "                b = floor = w[j]\n",
+        "                b = w[j]\n",
+        [COX + "test_flag_graph_matches_the_candidate_scan_oracle"],
+    ),
+    "cover-row-emitted-out-of-order": (
+        COXETER,
+        "                rows[k].append((labels[k], label, OMEGA))\n",
+        "                rows[k].insert(0, (labels[k], label, OMEGA))\n",
+        [COX + "test_flag_graph_hands_the_constructor_its_families_row_major"],
+    ),
+    "constructor-keeps-the-input-order": (
+        GRAPHS,
+        "        keyed.sort()\n",
+        "",
+        [GRAPH + "test_constructor_builds_one_graph_from_any_order_of_its_families",
+         GRAPH + "test_constructor_sorts_families_and_drops_zeros"],
+    ),
+    "constructor-keeps-a-family-given-as-a-list": (
+        GRAPHS,
+        "                keyed.append((i, j, e if type(e) is tuple else (src, dst, m)))\n",
+        "                keyed.append((i, j, e))\n",
+        [GRAPH + "test_constructor_builds_one_graph_from_any_order_of_its_families"],
+    ),
+    "is-amplified-ignores-the-mask": (
+        GRAPHS,
+        "        return not self._t.finite & self._keep\n",
+        "        return not self._t.finite\n",
+        [GRAPH + "test_quotients_equal_fresh_graphs"],
+    ),
+    "skeleton-match-ignores-multiplicities": (
+        CWMOD,
+        "            and skel.is_amplified\n",
+        "",
+        [CW + "test_skeleton_match_negative_control"],
     ),
     "coset-rep-length-is-not-the-word-length": (
         COXETER,

@@ -10,7 +10,7 @@ from ampgraph import (
     minimal_coset_reps,
     word_label,
 )
-from ampgraph import coxeter
+from ampgraph import AmpGraph, coxeter
 from ampgraph.coxeter import (
     CosetRep,
     identity_perm,
@@ -24,6 +24,7 @@ from helpers import (
     bruhat_leq,
     bruhat_leq_oracle,
     coset_reps_oracle,
+    flag_graph_oracle,
     flag_vertices_alt,
     left_descents_oracle,
     left_mult_oracle,
@@ -186,6 +187,38 @@ def test_flag_graph_edges_are_graded(spec):
     cls = g.classify()
     assert cls.amplified and cls.acyclic
     assert cls.sources == ("e",)
+
+
+ORACLE_SPECS = all_specs(6) + [
+    DynkinSpec(7, frozenset(tags)) for tags in ({4}, {1, 7}, {2, 5}, {2, 4, 6})
+] + [DynkinSpec(8, frozenset({4}))]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+def test_flag_graph_matches_the_candidate_scan_oracle(spec):
+    # the block scan builds no candidate it drops: a non-representative
+    # would raise KeyError here rather than lose a cover
+    g, want = flag_graph(spec), flag_graph_oracle(spec)
+    assert g.vertices == want.vertices
+    assert g.edges == want.edges
+
+
+@pytest.mark.parametrize("tags, families", [({2, 5}, 1932), ({2, 4, 6}, 12180)])
+def test_flag_graph_family_counts_at_rank_7(tags, families):
+    assert len(flag_graph(DynkinSpec(7, frozenset(tags))).edges) == families
+
+
+@pytest.mark.parametrize("spec", all_specs(4) + [DynkinSpec(7, frozenset({2, 5}))], ids=str)
+def test_flag_graph_hands_the_constructor_its_families_row_major(monkeypatch, spec):
+    given = []
+
+    def record(vertices, edges):
+        given.append(list(edges))
+        return AmpGraph(vertices, given[-1])
+
+    monkeypatch.setattr(coxeter, "AmpGraph", record)
+    g = flag_graph(spec)
+    assert given == [list(g.edges)]
 
 
 def test_flag_graph_gr_4_9():

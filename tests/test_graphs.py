@@ -79,6 +79,39 @@ def test_constructor_rejects_unknown_endpoints_and_repeated_pairs():
         AmpGraph(("a", "b"), (("a", "b", 0), ("a", "b", 2)))
 
 
+def test_constructor_builds_one_graph_from_any_order_of_its_families():
+    rng = random.Random(22)
+    vertices = tuple(f"v{k}" for k in range(9))
+    for _ in range(40):
+        # one multiplicity per pair: a repeated pair is refused, tested below
+        last = {e[:2]: e[2] if len(e) == 3 else OMEGA for e in random_edge_list(rng, vertices, 30)}
+        fams = [(a, b, m) for (a, b), m in last.items()]
+        g = AmpGraph(vertices, fams)
+        row_major = sorted((e for e in fams if e[2] != 0),
+                           key=lambda e: (vertices.index(e[0]), vertices.index(e[1])))
+        assert g.edges == tuple(row_major)
+        shuffled = fams[:]
+        rng.shuffle(shuffled)
+        for order in (shuffled, fams[::-1], row_major, [list(e) for e in shuffled]):
+            h = AmpGraph(vertices, order)
+            assert h == g and hash(h) == hash(g)
+            assert h.edges == g.edges
+            assert all(type(e) is tuple for e in h.edges)
+            assert h.successors("v0") == g.successors("v0")
+            assert h.is_amplified == g.is_amplified
+        # a bad family is named, in whatever order the others come
+        for bad, text in ((("v1", "z", OMEGA), "unknown edge range 'z'"),
+                          (("z", "v1", OMEGA), "unknown edge source 'z'")):
+            for order in (shuffled, fams[::-1], row_major):
+                with pytest.raises(ValueError, match=text):
+                    AmpGraph(vertices, [*order[:3], bad, *order[3:]])
+        if row_major:
+            a, b, _ = row_major[-1]
+            for order in (shuffled, fams[::-1], row_major):
+                with pytest.raises(ValueError, match=f"repeated edge family '{a}' -> '{b}'"):
+                    AmpGraph(vertices, [*order, (a, b, 0)])
+
+
 def test_constructor_sorts_families_and_drops_zeros():
     g = AmpGraph(("a", "b"), (("b", "a", 2), ("a", "b", 0), ("a", "a", OMEGA)))
     assert g.edges == (("a", "a", OMEGA), ("b", "a", 2))
