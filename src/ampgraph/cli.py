@@ -9,9 +9,15 @@ derived from the same structure and never carries extra information.
 Exit status: 0 when every check passed, 1 for input errors (bad files, bad
 flags, precondition violations), 2 when a mathematical verification failed.
 
-Each handler imports the layers it runs, inside its own body, and nothing at
-the top of this module loads one: a fresh process pays only for the modules
-its subcommand uses.
+Each subcommand is declared once, as its row of the ``_COMMANDS`` table:
+help text, input (a graph file, or the flag spec built from ``--rank/--tag``),
+handler, renderer and options.  ``build_parser``, ``run_command`` and
+``Report.render`` read that table; ``run_command`` reads the graph file or
+builds the flag spec once and hands it to the handler.
+
+The input readers and the handlers import the layers they run inside their
+own bodies, and nothing at the top of this module loads one: a fresh
+process pays only for the modules its subcommand uses.
 
 * ``classify``, ``hereditary``, ``quotient``, ``stars`` and ``ktheory``
   load :mod:`~ampgraph.graphs` and :mod:`~ampgraph.graphio`;
@@ -24,7 +30,7 @@ its subcommand uses.
 No subcommand loads :mod:`~ampgraph.words`, nor :mod:`dataclasses` and the
 :mod:`inspect` it imports: the package's records are named tuples or small
 classes.  The imports bind at call time, so a wrapper installed on a module
-attribute is what the handler calls.
+attribute is what the reader or handler calls.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from . import MAX_RANK
 if TYPE_CHECKING:
     from .algebra import VerificationReport
     from .coxeter import DynkinSpec
+    from .graphs import AmpGraph
 
 DEFAULT_HEREDITARY_BOUND = 20
 BOUND_ENV = "CK_SPLIT_MAX_VERTICES"
@@ -80,21 +87,16 @@ def _checks_json(report: VerificationReport) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (ok, result dict)
+# subcommand handlers: each takes its input and the parsed options and
+# returns (ok, result dict)
 
 
-def _cmd_classify(ns) -> tuple[bool, dict]:
-    from .graphio import load_graph
-
-    g = load_graph(ns.file)
+def _cmd_classify(g: AmpGraph, ns) -> tuple[bool, dict]:
     cls = g.classify()
     return True, dict(cls._asdict(), sinks=list(cls.sinks), sources=list(cls.sources))
 
 
-def _cmd_hereditary(ns) -> tuple[bool, dict]:
-    from .graphio import load_graph
-
-    g = load_graph(ns.file)
+def _cmd_hereditary(g: AmpGraph, ns) -> tuple[bool, dict]:
     if ns.closure is not None:
         given = _split_labels(ns.closure)
         return True, {
@@ -110,10 +112,9 @@ def _cmd_hereditary(ns) -> tuple[bool, dict]:
     }
 
 
-def _cmd_quotient(ns) -> tuple[bool, dict]:
-    from .graphio import graph_to_dict, load_graph
+def _cmd_quotient(g: AmpGraph, ns) -> tuple[bool, dict]:
+    from .graphio import graph_to_dict
 
-    g = load_graph(ns.file)
     removed = _split_labels(ns.remove)
     q = g.quotient(removed)
     return True, {
@@ -122,20 +123,16 @@ def _cmd_quotient(ns) -> tuple[bool, dict]:
     }
 
 
-def _cmd_stars(ns) -> tuple[bool, dict]:
-    from .graphio import load_graph
+def _cmd_stars(g: AmpGraph, ns) -> tuple[bool, dict]:
     from .graphs import valid_stars
 
-    g = load_graph(ns.file)
     return True, {"sink": ns.sink, "stars": list(valid_stars(g, ns.sink))}
 
 
-def _cmd_split(ns) -> tuple[bool, dict]:
-    from .graphio import load_graph
+def _cmd_split(g: AmpGraph, ns) -> tuple[bool, dict]:
     from .graphs import first_star
     from .splitting import build_splitting, verify_split_exact
 
-    g = load_graph(ns.file)
     if ns.embed:
         star = None
     elif ns.star is not None:
@@ -167,12 +164,10 @@ def _cmd_split(ns) -> tuple[bool, dict]:
     return True, result
 
 
-def _cmd_chain(ns) -> tuple[bool, dict]:
+def _cmd_chain(g: AmpGraph, ns) -> tuple[bool, dict]:
     from . import splitting
-    from .graphio import load_graph
     from .ktheory import check_chain_k0
 
-    g = load_graph(ns.file)
     chain = splitting.kk_chain(g, policy=getattr(splitting, _POLICIES[ns.policy]))
     k0 = check_chain_k0(chain)
     result = {
@@ -198,10 +193,7 @@ def _cmd_chain(ns) -> tuple[bool, dict]:
     return bool(k0.report.ok), result
 
 
-def _cmd_ktheory(ns) -> tuple[bool, dict]:
-    from .graphio import load_graph
-
-    g = load_graph(ns.file)
+def _cmd_ktheory(g: AmpGraph, ns) -> tuple[bool, dict]:
     cls = g.classify()
     if not cls.amplified:
         raise ValueError("ktheory requires an amplified graph")
@@ -214,24 +206,29 @@ def _cmd_ktheory(ns) -> tuple[bool, dict]:
     }
 
 
+def _read_graph(ns) -> AmpGraph:
+    from .graphio import load_graph
+
+    return load_graph(ns.file)
+
+
 def _flag_spec(ns) -> DynkinSpec:
     from .coxeter import DynkinSpec
 
     return DynkinSpec(rank=ns.rank, tagged=_parse_tags(ns.tag))
 
 
-def _cmd_flag(ns) -> tuple[bool, dict]:
+def _cmd_flag(spec: DynkinSpec, ns) -> tuple[bool, dict]:
     from .coxeter import flag_graph
     from .graphio import graph_to_dict
 
-    g = flag_graph(_flag_spec(ns))
-    return True, graph_to_dict(g)
+    return True, graph_to_dict(flag_graph(spec))
 
 
-def _cmd_cw(ns) -> tuple[bool, dict]:
+def _cmd_cw(spec: DynkinSpec, ns) -> tuple[bool, dict]:
     from .cw import cw_kk_summary
 
-    summary = cw_kk_summary(_flag_spec(ns))
+    summary = cw_kk_summary(spec)
     result = {
         "summary": str(summary),
         "records": [dict(r._asdict(), vertices=list(r.vertices)) for r in summary.records],
@@ -350,28 +347,71 @@ def _render_cw(result: dict) -> list[str]:
     return lines
 
 
-_RENDERERS: dict[str, Callable[[dict], list[str]]] = {
-    "classify": _render_classify,
-    "hereditary": _render_hereditary,
-    "quotient": _render_quotient,
-    "stars": _render_stars,
-    "split": _render_split,
-    "chain": _render_chain,
-    "ktheory": _render_ktheory,
-    "flag": _render_graph_dict,
-    "cw": _render_cw,
-}
+# ---------------------------------------------------------------------------
+# the command table: the one place each subcommand is declared
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "hereditary": _cmd_hereditary,
-    "quotient": _cmd_quotient,
-    "stars": _cmd_stars,
-    "split": _cmd_split,
-    "chain": _cmd_chain,
-    "ktheory": _cmd_ktheory,
-    "flag": _cmd_flag,
-    "cw": _cmd_cw,
+
+def _opt(*flags: str, **kw: Any) -> tuple:
+    """A group of one argument, ``add_argument(*flags, **kw)``.
+
+    Groups add up: ``_opt(a) + _opt(b)`` is one group of two arguments that
+    exclude each other.
+    """
+    return ((flags, kw),)
+
+
+class _Input(NamedTuple):
+    """A command's input: the arguments naming it, ``--json`` in its place, and its reader."""
+
+    arguments: tuple
+    read: Callable[[argparse.Namespace], Any]
+
+
+_JSON = _opt("--json", action="store_true", help="emit the report as canonical JSON")
+_FILE = _Input((_opt("file", help="graph JSON file"), _JSON), _read_graph)
+_SPEC = _Input((_JSON, _opt("--rank", type=int, required=True, metavar="N",
+                            help=f"rank of the A-series diagram (1..{MAX_RANK})"),
+                _opt("--tag", required=True, metavar="I,J,...", help="tagged node indices")),
+               _flag_spec)
+
+
+class _Command(NamedTuple):
+    """A subcommand: help line, input, handler, renderer and its own argument groups."""
+
+    help: str
+    input: _Input
+    run: Callable[[Any, argparse.Namespace], tuple[bool, dict]]
+    render: Callable[[dict], list[str]]
+    options: tuple = ()
+
+
+#: Every subcommand, in ``--help`` order.
+_COMMANDS = {
+    "classify": _Command("report amplified/acyclic flags, sinks and sources", _FILE,
+                         _cmd_classify, _render_classify),
+    "hereditary": _Command("list hereditary vertex sets, or close a given set", _FILE,
+                           _cmd_hereditary, _render_hereditary, (
+        _opt("--closure", metavar="V1,V2,...", help="hereditary closure of these vertices"),)),
+    "quotient": _Command("quotient by a hereditary vertex set", _FILE, _cmd_quotient,
+                         _render_quotient, (
+        _opt("--remove", required=True, metavar="V1,V2,...", help="vertices to remove"),)),
+    "stars": _Command("valid star vertices for a splitting at the given sink", _FILE, _cmd_stars,
+                      _render_stars, (_opt("--sink", required=True, help="sink vertex"),)),
+    "split": _Command("build one split sink-removal extension", _FILE, _cmd_split,
+                      _render_split, (
+        _opt("--sink", required=True, help="sink vertex to remove"),
+        _opt("--star", help="star vertex receiving the sink's class") + _opt(
+            "--embed", action="store_true", help="use the non-unital embedding instead of a star"),
+        _opt("--verify", action="store_true", help="include the full checklist"))),
+    "chain": _Command("iterate split removals down to a single vertex", _FILE, _cmd_chain,
+                      _render_chain, (_opt("--policy", choices=sorted(_POLICIES), default="first",
+                                           help="sink/star choice per step (default: first)"),)),
+    "ktheory": _Command("K-groups of an acyclic amplified graph algebra", _FILE,
+                        _cmd_ktheory, _render_ktheory),
+    "flag": _Command("flag graph of a tagged A-series diagram", _SPEC, _cmd_flag,
+                     _render_graph_dict),
+    "cw": _Command("skeleton filtration chain summary of a flag graph", _SPEC, _cmd_cw,
+                   _render_cw),
 }
 
 
@@ -402,8 +442,7 @@ class Report(NamedTuple):
     def render(self) -> str:
         if self.error is not None:
             return f"error: {self.error}"
-        lines = _RENDERERS[self.command[0]](self.result)
-        return "\n".join(lines)
+        return "\n".join(_COMMANDS[self.command[0]].render(self.result))
 
 
 class _UsageError(ValueError):
@@ -435,49 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and verify splittings of amplified graph algebras.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
-
-    def add(name: str, help_text: str, *, file: bool = True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        if file:
-            p.add_argument("file", help="graph JSON file")
-        p.add_argument("--json", action="store_true", help="emit the report as canonical JSON")
-        return p
-
-    add("classify", "report amplified/acyclic flags, sinks and sources")
-
-    p = add("hereditary", "list hereditary vertex sets, or close a given set")
-    p.add_argument("--closure", metavar="V1,V2,...", help="hereditary closure of these vertices")
-
-    p = add("quotient", "quotient by a hereditary vertex set")
-    p.add_argument("--remove", required=True, metavar="V1,V2,...", help="vertices to remove")
-
-    p = add("stars", "valid star vertices for a splitting at the given sink")
-    p.add_argument("--sink", required=True, help="sink vertex")
-
-    p = add("split", "build one split sink-removal extension")
-    p.add_argument("--sink", required=True, help="sink vertex to remove")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--star", help="star vertex receiving the sink's class")
-    mode.add_argument("--embed", action="store_true",
-                      help="use the non-unital embedding instead of a star")
-    p.add_argument("--verify", action="store_true", help="include the full checklist")
-
-    p = add("chain", "iterate split removals down to a single vertex")
-    p.add_argument("--policy", choices=sorted(_POLICIES), default="first",
-                   help="sink/star choice per step (default: first)")
-
-    add("ktheory", "K-groups of an acyclic amplified graph algebra")
-
-    p = add("flag", "flag graph of a tagged A-series diagram", file=False)
-    p.add_argument("--rank", type=int, required=True, metavar="N",
-                   help=f"rank of the A-series diagram (1..{MAX_RANK})")
-    p.add_argument("--tag", required=True, metavar="I,J,...", help="tagged node indices")
-
-    p = add("cw", "skeleton filtration chain summary of a flag graph", file=False)
-    p.add_argument("--rank", type=int, required=True, metavar="N",
-                   help=f"rank of the A-series diagram (1..{MAX_RANK})")
-    p.add_argument("--tag", required=True, metavar="I,J,...", help="tagged node indices")
-
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for group in cmd.input.arguments + cmd.options:
+            into = p.add_mutually_exclusive_group() if len(group) > 1 else p
+            for flags, kw in group:
+                into.add_argument(*flags, **kw)
     return parser
 
 
@@ -501,20 +503,17 @@ def run_command(argv: list[str]) -> Report:
     try:
         ns = build_parser().parse_args(argv)
     except _UsageError as exc:
-        return Report(command=command, ok=False, result=None, error=str(exc),
-                      exit_code=1, as_json=_json_requested(argv))
+        return Report(command, False, None, str(exc), 1, _json_requested(argv))
+    cmd = _COMMANDS[ns.cmd]
     try:
-        ok, result = _HANDLERS[ns.cmd](ns)
+        ok, result = cmd.run(cmd.input.read(ns), ns)
     except (ValueError, OSError) as exc:
-        return Report(command=command, ok=False, result=None, error=str(exc),
-                      exit_code=1, as_json=ns.json)
+        return Report(command, False, None, str(exc), 1, ns.json)
     except RuntimeError as exc:
         if not _is_verification_failure(exc):
             raise
-        return Report(command=command, ok=False, result=None, error=str(exc),
-                      exit_code=2, as_json=ns.json)
-    return Report(command=command, ok=ok, result=result, error=None,
-                  exit_code=0 if ok else 2, as_json=ns.json)
+        return Report(command, False, None, str(exc), 2, ns.json)
+    return Report(command, ok, result, None, 0 if ok else 2, ns.json)
 
 
 def main(argv: list[str] | None = None) -> int:

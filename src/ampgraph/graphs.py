@@ -410,7 +410,9 @@ class AmpGraph:
         For an amplified graph this list is in bijection with the ideal
         lattice of the associated algebra.  The enumeration walks a binary
         decision tree with closure propagation, so the cost is proportional
-        to the output size rather than 2^N; the bound guards memory.
+        to the output size rather than 2^N; the bound guards memory.  The
+        walk keeps its open branches on an explicit stack, so no recursion
+        limit caps the vertex count.
         """
         t, keep = self._t, self._keep
         kept = list(self._kept())
@@ -423,21 +425,20 @@ class AmpGraph:
             for j in _bits(reach[i] & keep):
                 up[j] |= 1 << i
         found: list[int] = []
-
-        def walk(decided: int, included: int) -> None:
+        stack = [(0, 0)]
+        while stack:
+            decided, included = stack.pop()
             rest = keep & ~decided
             if not rest:
                 found.append(included)
-                return
+                continue
             b = (rest & -rest).bit_length() - 1
             # Excluding b forces out everything that reaches b.
             if not (up[b] & included):
-                walk(decided | up[b], included)
+                stack.append((decided | up[b], included))
             # Including b drags in everything b reaches.
             if not (down[b] & decided & ~included):
-                walk(decided | down[b], included | down[b])
-
-        walk(0, 0)
+                stack.append((decided | down[b], included | down[b]))
         keyed = sorted((mask.bit_count(), tuple(_bits(mask))) for mask in found)
         return [tuple(t.labels[j] for j in idxs) for _, idxs in keyed]
 

@@ -35,6 +35,7 @@ COXETER = "src/ampgraph/coxeter.py"
 CWMOD = "src/ampgraph/cw.py"
 WORDS = "src/ampgraph/words.py"
 PACKAGE = "src/ampgraph/__init__.py"
+CLI = "src/ampgraph/cli.py"
 
 PATCH = "tests/test_patch.py::"
 RELATIONS = "tests/test_relations.py::"
@@ -45,6 +46,7 @@ GRAPH = "tests/test_graphs.py::"
 COX = "tests/test_coxeter.py::"
 CW = "tests/test_cw.py::"
 RECORDS = "tests/test_records.py::"
+TEXT = "tests/test_golden_reports.py::test_printed_text_matches_golden_digests"
 
 #: id -> (file, snippet, replacement, test node ids that must fail)
 MUTANTS = {
@@ -496,6 +498,46 @@ MUTANTS = {
         "                        reach[i], changed = folded, True\n",
         "                        reach[i] = folded\n",
         [GRAPH + "test_graph_matches_dense_model"],
+    ),
+    # -- one record per subcommand, and a hereditary walk on an explicit stack
+    "rank-and-tag-declared-before-json": (
+        CLI,
+        "_SPEC = _Input((_JSON, _opt(\"--rank\", type=int, required=True, metavar=\"N\",\n"
+        "                            help=f\"rank of the A-series diagram (1..{MAX_RANK})\"),\n"
+        "                _opt(\"--tag\", required=True, metavar=\"I,J,...\", help=\"tagged node indices\")),\n",
+        "_SPEC = _Input((_opt(\"--rank\", type=int, required=True, metavar=\"N\",\n"
+        "                     help=f\"rank of the A-series diagram (1..{MAX_RANK})\"),\n"
+        "                _opt(\"--tag\", required=True, metavar=\"I,J,...\", help=\"tagged node indices\"),\n"
+        "                _JSON),\n",
+        [TEXT],
+    ),
+    "flag-reads-a-graph-file": (
+        CLI,
+        "    \"flag\": _Command(\"flag graph of a tagged A-series diagram\", _SPEC,",
+        "    \"flag\": _Command(\"flag graph of a tagged A-series diagram\", _FILE,",
+        [TEXT],
+    ),
+    "ktheory-and-flag-renderers-swapped": (
+        CLI,
+        "                        _cmd_ktheory, _render_ktheory),\n"
+        "    \"flag\": _Command(\"flag graph of a tagged A-series diagram\", _SPEC, _cmd_flag,\n"
+        "                     _render_graph_dict),\n",
+        "                        _cmd_ktheory, _render_graph_dict),\n"
+        "    \"flag\": _Command(\"flag graph of a tagged A-series diagram\", _SPEC, _cmd_flag,\n"
+        "                     _render_ktheory),\n",
+        [TEXT],
+    ),
+    "hereditary-walk-drops-the-exclude-branch": (
+        GRAPHS,
+        "                stack.append((decided | up[b], included))\n",
+        "                pass\n",
+        [GRAPH + "test_enumerate_hereditary_matches_brute_force"],
+    ),
+    "hereditary-walk-includes-with-the-up-set-decided": (
+        GRAPHS,
+        "                stack.append((decided | down[b], included | down[b]))\n",
+        "                stack.append((decided | up[b], included | down[b]))\n",
+        [GRAPH + "test_enumerate_hereditary_matches_brute_force"],
     ),
 }
 

@@ -378,6 +378,20 @@ def test_hereditary_bound_env(monkeypatch):
     assert cli.BOUND_ENV in report.error
 
 
+def test_hereditary_enumerates_a_long_path_at_a_raised_bound(tmp_path, monkeypatch):
+    # one decision per vertex, deeper than Python's recursion limit
+    n = 1500
+    doc = {"vertices": [f"v{i}" for i in range(n)],
+           "edges": [{"src": f"v{i}", "dst": f"v{i + 1}", "mult": "inf"} for i in range(n - 1)]}
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv(cli.BOUND_ENV, "2000")
+    report = run_command(["hereditary", str(path), "--json"])
+    assert report.exit_code == 0
+    assert report.result["count"] == n + 1
+    assert report.result["sets"][:2] == [[], [f"v{n - 1}"]]
+
+
 def test_hereditary_closure_does_not_consult_bound(monkeypatch):
     monkeypatch.setenv(cli.BOUND_ENV, "1")
     report = run_command(["hereditary", EXAMPLE, "--closure", "v2"])

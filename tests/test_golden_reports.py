@@ -10,26 +10,55 @@ spec of rank at most 5 and on the large specs the benchmark times, and
 are relative to the repository root, which the test makes the working
 directory, so the echoed command is the same on every machine.
 
+``golden_text.json`` does the same for what ``main`` prints, stdout and
+stderr together, with the exit code: the human rendering of every command
+line of that mix run without ``--json``, ``ampgraph --help`` and each
+subcommand's ``--help``, and usage errors with and without ``--json``.
+Help and usage texts are argparse's, printed at a fixed width of 80
+columns, so those digests hold for the Python minor version they were
+written with.
+
 To regenerate the digests after a deliberate change of report contents::
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
 import hashlib
+import io
 import json
 import os
 import pathlib
+from contextlib import redirect_stderr, redirect_stdout
 
-from ampgraph.cli import BOUND_ENV, run_command
+from ampgraph.cli import BOUND_ENV, main, run_command
 
 from helpers import forbid_smith_normal_form
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_reports.json"
+GOLDEN_TEXT = GOLDEN.with_name("golden_text.json")
 
 CW_SPECS = [("3", "2"), ("4", "2"), ("5", "3"), ("3", "1,2,3"), ("4", "1,3"),
             ("4", "1,2,3,4")]
 LARGE_FLAG_SPECS = [("7", "4"), ("7", "1,7"), ("7", "2,5"), ("8", "4")]
+
+SUBCOMMANDS = ["classify", "hereditary", "quotient", "stars", "split", "chain", "ktheory",
+               "flag", "cw"]
+EXAMPLE = "fixtures/example.json"
+# each is run as it stands and with --json appended
+USAGE_ERRORS = [
+    [],
+    ["frobnicate"],
+    *([name] for name in SUBCOMMANDS),
+    ["quotient", EXAMPLE],
+    ["stars", EXAMPLE],
+    ["split", EXAMPLE],
+    ["flag", "--rank", "3"],
+    ["cw", "--tag", "2"],
+    ["flag", "--rank", "three", "--tag", "2"],
+    ["split", EXAMPLE, "--sink", "v4", "--star", "v2", "--embed"],
+    ["classify", EXAMPLE, "extra"],
+]
 
 
 def _fixture_commands(path: str) -> list[list[str]]:
@@ -81,6 +110,26 @@ def digests() -> dict:
     return out
 
 
+def text_commands() -> list[list[str]]:
+    cmds = [cmd[:-1] for cmd in commands()]
+    cmds += [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+    for argv in USAGE_ERRORS:
+        cmds += [argv, argv + ["--json"]]
+    return cmds
+
+
+def text_digests() -> dict:
+    """Command line -> [sha256 of what ``main`` prints to stdout and stderr, exit code]."""
+    out = {}
+    for argv in text_commands():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            status = main(argv)
+        printed = json.dumps([stdout.getvalue(), stderr.getvalue()]).encode()
+        out[" ".join(argv)] = [hashlib.sha256(printed).hexdigest(), status]
+    return out
+
+
 def test_reports_match_golden_digests(monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv(BOUND_ENV, raising=False)
@@ -93,7 +142,20 @@ def test_reports_match_golden_digests(monkeypatch):
     assert not changed, f"{len(changed)} reports differ, first: {changed[:5]}"
 
 
+def test_printed_text_matches_golden_digests(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv(BOUND_ENV, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads(GOLDEN_TEXT.read_text())
+    actual = text_digests()
+    assert actual.keys() == golden.keys()
+    changed = [cmd for cmd in golden if actual[cmd] != golden[cmd]]
+    assert not changed, f"{len(changed)} printed texts differ, first: {changed[:5]}"
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     os.environ.pop(BOUND_ENV, None)
+    os.environ["COLUMNS"] = "80"
     GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    GOLDEN_TEXT.write_text(json.dumps(text_digests(), indent=1, sort_keys=True) + "\n")

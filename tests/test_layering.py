@@ -15,6 +15,10 @@ keeps, and only :mod:`ampgraph.graphs` reads them: every other module asks
 And no module a command loads imports :mod:`dataclasses` or the
 :mod:`inspect` it pulls in: a cold command would pay about 11 ms for them.
 Only :mod:`ampgraph.words`, which no command loads, may.
+
+The command line reads graph files in one place: :mod:`ampgraph.cli` calls
+``load_graph`` at one site, and no subcommand handler (``_cmd_*``) imports
+it; each handler is given the graph.
 """
 
 import ast
@@ -123,4 +127,46 @@ def test_the_import_scan_sees_both_forms_at_any_depth():
         "line 1: imports inspect",
         "line 2: imports from dataclasses",
         "line 5: imports dataclasses",
+    ]
+
+
+def _graph_reads(tree: ast.AST) -> list[str]:
+    """Calls of ``load_graph`` anywhere, and imports of it inside a handler."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "load_graph":
+                found.append(f"line {node.lineno}: calls load_graph")
+        elif isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"):
+            found += [
+                f"line {inner.lineno}: {node.name} imports load_graph"
+                for inner in ast.walk(node) if isinstance(inner, ast.ImportFrom)
+                and any(alias.name == "load_graph" for alias in inner.names)
+            ]
+    return found
+
+
+def test_the_cli_reads_graph_files_at_one_site():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert sum(name.startswith("_cmd_") for name in names) == 9  # the scan sees every handler
+    reads = _graph_reads(tree)
+    assert len(reads) == 1 and reads[0].endswith("calls load_graph"), reads
+
+
+def test_the_graph_read_scan_sees_calls_and_handler_imports():
+    source = (
+        "def _cmd_a(ns):\n"
+        "    from .graphio import graph_to_dict, load_graph\n"
+        "    return load_graph(ns.file)\n"
+        "def _read(ns):\n"
+        "    from .graphio import load_graph\n"
+        "    return graphio.load_graph(ns.file)\n"
+    )
+    assert sorted(_graph_reads(ast.parse(source))) == [
+        "line 2: _cmd_a imports load_graph",
+        "line 3: calls load_graph",
+        "line 6: calls load_graph",
     ]
