@@ -519,16 +519,24 @@ def run_command(argv: list[str]) -> Report:
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
-        report = run_command(args)
-    except SystemExit as exc:  # --help printed its text
-        return 1 if exc.code else 0
-    if report.as_json:
-        print(report.dumps())
-    elif report.error is not None:
-        print(report.render(), file=sys.stderr)
-    else:
-        print(report.render())
-    return report.exit_code
+        try:
+            report = run_command(args)
+        except SystemExit as exc:  # --help printed its text
+            code = 1 if exc.code else 0
+        else:
+            code = report.exit_code
+            if report.as_json:
+                print(report.dumps())
+            elif report.error is not None:
+                print(report.render(), file=sys.stderr)
+            else:
+                print(report.render())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: the exit code still says how the run went, and
+        # stdout goes to devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

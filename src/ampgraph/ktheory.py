@@ -23,7 +23,9 @@ the sink's.  A step keeps no K_0 state: each check reads those columns off
 the two patches, as K_0 classes keyed by label, and decides the step's
 certificate on them.  The chain check keeps the prefix products
 ``S_1 ... S_i`` as columns and ``Q_i ... Q_1`` as rows keyed by the labels
-of the current graph, and a step updates only the entries its maps move.
+of the current graph; a step updates only what its maps move, pulling
+each moved column from the columns its class names and pushing each moved
+row into the rows its class names.
 Sparse columns and rows are dicts from an index to the nonzero entries.
 Reports expose dense matrices, tuples of rows of Python ints, which
 serialise to JSON as they are; a step's dense Q and S, and a chain's
@@ -46,11 +48,11 @@ Column = dict[int, int]
 Columns = tuple[Column, ...]
 
 
-def _combine(vectors, coeffs: dict) -> dict:
-    """``sum_x c_x vectors[x]`` for the coefficients ``coeffs``; a vector ``vectors`` lacks is zero."""
+def _sum(terms) -> dict:
+    """The sparse vector ``sum c v`` over the pairs ``(c, v)`` of ``terms``, its zero entries dropped."""
     out: dict = {}
-    for x, c in coeffs.items():
-        for i, y in vectors.get(x, {}).items():
+    for c, v in terms:
+        for i, y in v.items():
             out[i] = out.get(i, 0) + c * y
     return {i: y for i, y in out.items() if y}
 
@@ -65,7 +67,7 @@ def _dense(cols: Columns, rows: int) -> Matrix:
 
 def _is_left_inverse(a: dict, b: Columns) -> bool:
     """Whether ``A B`` is the identity with as many columns as ``B``; ``a`` maps a column index to its column."""
-    return all(_combine(a, col) == {j: 1} for j, col in enumerate(b))
+    return all(_sum((c, a.get(x, {})) for x, c in col.items()) == {j: 1} for j, col in enumerate(b))
 
 
 def _rank(cols: Columns) -> int:
@@ -102,7 +104,7 @@ def _section_holds(target: AmpGraph, source: AmpGraph, q: dict, s: dict) -> bool
         return False
     for u in (*s, *(x for x in q if x in source and x not in s)):
         col = s.get(u, {u: 1})
-        if _combine({x: q.get(x, {x: 1}) for x in col}, col) != {u: 1}:
+        if _sum((c, q.get(x, {x: 1})) for x, c in col.items()) != {u: 1}:
             return False
     return True
 
@@ -251,9 +253,13 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
 
     The prefixes are held as columns ``S_1 ... S_i e_v`` and rows
     ``e_v Q_i ... Q_1``, keyed by the label ``v`` of the current graph and
-    indexed by the ambient vertices.  A step recomputes only the columns of
-    the vertices its section moves and the rows its quotient map moves or
-    names, and drops the sink's; every other column and row carries over.
+    indexed by the ambient vertices.  A step updates only what its maps
+    move: each column its section moves is pulled from the columns its
+    class names, and each row its quotient map moves, the sink's included,
+    is dropped and pushed, times its coefficients, into the rows its class
+    names.  The forward row is ``e_sink Q_(i-1) ... Q_1 - S[sink, :] Q_i
+    ... Q_1``, read off the rows before and after that update; every other
+    column and row carries over.
     """
     n = len(chain.ambient.vertices)
     cols = {v: {i: 1} for i, v in enumerate(chain.ambient.vertices)}
@@ -275,39 +281,19 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
                     f"step at {sd.sink!r}: no left inverse certifies [e_sink | S]: {' and '.join(what)}",
                 )
             uncertified.append(sd.sink)
-        # the rows of Q, by label: the moved classes transposed, plus 1 on
-        # the diagonal at each unmoved label
-        q_rows: dict[str, dict[str, int]] = {}
-        for x, table in q.items():
-            for y, d in table.items():
-                q_rows.setdefault(y, {})[x] = d
-
-        def q_row(u: str) -> dict[str, int]:
-            row = dict(q_rows.get(u, {}))
-            if u not in q and u in sd.working:
-                row[u] = row.get(u, 0) + 1
-            return row
-
-        # N[0] = e_sink - S[sink, :] Q, then times Q_(i-1) ... Q_1
-        first = {sd.sink: 1}
-        for u, table in s.items():
-            if c := table.get(sd.sink):
-                for x, d in q_row(u).items():
-                    first[x] = first.get(x, 0) - c * d
-        forward.append(_combine(rows, first))
         backward.append(cols[sd.sink])
-        moved_cols = {u: _combine(cols, table) for u, table in s.items()}
+        sink_row = rows.get(sd.sink, {})
+        moved_cols = {u: _sum((c, cols.get(x, {})) for x, c in table.items()) for u, table in s.items()}
         if sd.sink not in sd.sigma.source:
             del cols[sd.sink]
         cols.update(moved_cols)
-        target = sd.quotient_map.target
-        moved_rows = {
-            y: _combine(rows, q_row(y))
-            for y in (*q_rows, *(x for x in q if x in target))
-        }
-        for x in q:
-            rows.pop(x, None)
-        rows.update(moved_rows)
+        moved_rows = {x: rows.pop(x, {}) for x in q}
+        for x, table in q.items():
+            for y, d in table.items():
+                rows[y] = _sum(((1, rows.get(y, {})), (d, moved_rows[x])))
+        # N[0] Q_(i-1) ... Q_1 = e_sink Q_(i-1) ... Q_1 - S[sink, :] Q_i ... Q_1
+        s_row = [(-table[sd.sink], rows.get(u, {})) for u, table in s.items() if sd.sink in table]
+        forward.append(_sum([(1, sink_row), *s_row]))
     terminal = chain.terminal.vertices
     forward += [rows.get(v, {}) for v in terminal]
     backward += [cols[v] for v in terminal]

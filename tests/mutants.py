@@ -40,6 +40,7 @@ CLI = "src/ampgraph/cli.py"
 PATCH = "tests/test_patch.py::"
 RELATIONS = "tests/test_relations.py::"
 KT = "tests/test_ktheory.py::"
+K0CHAIN = "tests/test_k0_chain.py::"
 ALG = "tests/test_algebra.py::"
 SPLIT = "tests/test_splitting.py::"
 GRAPH = "tests/test_graphs.py::"
@@ -127,21 +128,40 @@ MUTANTS = {
     ),
     "prefix-rows-skip-moved-rows": (
         KTHEORY,
-        "        rows.update(moved_rows)\n",
-        "",
+        "                rows[y] = _sum(((1, rows.get(y, {})), (d, moved_rows[x])))\n",
+        "                pass\n",
         [PATCH + "test_chain_k0_matches_full_tables_on_corrupted_chains"],
+    ),
+    "moved-row-pushed-to-its-own-label": (
+        KTHEORY,
+        "                rows[y] = _sum(((1, rows.get(y, {})), (d, moved_rows[x])))\n",
+        "                rows[x] = _sum(((1, rows.get(x, {})), (d, moved_rows[x])))\n",
+        [PATCH + "test_chain_k0_matches_full_tables_on_corrupted_chains"],
+    ),
+    "pushed-row-drops-its-coefficient": (
+        KTHEORY,
+        "                rows[y] = _sum(((1, rows.get(y, {})), (d, moved_rows[x])))\n",
+        "                rows[y] = _sum(((1, rows.get(y, {})), (1, moved_rows[x])))\n",
+        [K0CHAIN + "test_chain_k0_matches_full_tables_on_scaled_classes"],
     ),
     "forward-row-drops-s-row-times-q": (
         KTHEORY,
-        "                    first[x] = first.get(x, 0) - c * d\n",
-        "                    first[x] = first.get(x, 0)\n",
+        "        forward.append(_sum([(1, sink_row), *s_row]))\n",
+        "        forward.append(_sum([(1, sink_row)]))\n",
+        [PATCH + "test_patch_checks_match_full_tables_on_golden_mix",
+         KT + "test_check_chain_k0_products_are_identities"],
+    ),
+    "forward-row-reads-the-sink-row-after-the-update": (
+        KTHEORY,
+        "        forward.append(_sum([(1, sink_row), *s_row]))\n",
+        "        forward.append(_sum([(1, rows.get(sd.sink, {})), *s_row]))\n",
         [PATCH + "test_patch_checks_match_full_tables_on_golden_mix",
          KT + "test_check_chain_k0_products_are_identities"],
     ),
     "certificate-ignores-q-patch": (
         KTHEORY,
-        "        if _combine({x: q.get(x, {x: 1}) for x in col}, col) != {u: 1}:\n",
-        "        if _combine({x: {x: 1} for x in col}, col) != {u: 1}:\n",
+        "        if _sum((c, q.get(x, {x: 1})) for x, c in col.items()) != {u: 1}:\n",
+        "        if _sum((c, {x: 1}) for x, c in col.items()) != {u: 1}:\n",
         [KT + "test_the_kept_certificate_decides_the_step_check",
          KT + "test_k0_kernel_detail_counts_the_kernel"],
     ),
@@ -538,6 +558,13 @@ MUTANTS = {
         "                stack.append((decided | down[b], included | down[b]))\n",
         "                stack.append((decided | up[b], included | down[b]))\n",
         [GRAPH + "test_enumerate_hereditary_matches_brute_force"],
+    ),
+    # -- a closed stdout keeps the exit code
+    "closed-stdout-fails-again-at-exit": (
+        CLI,
+        "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+        "        pass\n",
+        ["tests/test_cli.py::test_a_closed_stdout_keeps_the_exit_code"],
     ),
 }
 

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -209,6 +212,32 @@ def test_help_exits_0(capsys):
     assert "COMMAND" in capsys.readouterr().out
     assert main(["split", "--help", "--json"]) == 0
     assert "--sink" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", EXAMPLE, "--json"], 0),
+        (["classify", EXAMPLE], 0),
+        (["split", EXAMPLE, "--sink", "v2", "--json"], 1),
+        (["classify", "--help"], 0),
+    ],
+)
+def test_a_closed_stdout_keeps_the_exit_code(argv, code):
+    read, write = os.pipe()
+    os.close(read)
+    # stdout block-buffered, as in a shell, so what is left in its buffer is
+    # flushed again at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ampgraph", *argv], stdout=write, stderr=subprocess.PIPE,
+            cwd=ROOT, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, b"")
 
 
 def test_json_mode_comes_from_the_parsed_flag(capsys):
