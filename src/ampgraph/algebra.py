@@ -55,9 +55,13 @@ with the same multiplicity.  So a check can fail only at
 
 Unitality is a count: every unmoved label adds 1 at its own target vertex,
 the moved tables add their sums, and the total must be 1 on exactly as many
-vertices as the target has.  Composition and the section identity work on
-patches too: a composite moves only what its inner map moves and what its
-outer map moves among the inner map's labels.
+vertices as the target has.  :func:`verify_ck_family` reads each of these
+once: one pass over the moved tables, one over the moved templates, one
+over the unmoved families at a moved vertex the target keeps (at a vertex
+the target lacks every family is moved, or the map is refused), then the
+users of each target vertex and family.  Composition and the section
+identity work on patches too: a composite moves only what its inner map
+moves and what its outer map moves among the inner map's labels.
 """
 
 from __future__ import annotations
@@ -122,9 +126,13 @@ def _vertex_table(target: AmpGraph, v: str, img) -> VertexTable:
 
 
 def _check_template(target: AmpGraph, fam: tuple[str, str], tpl: EdgeTemplate) -> None:
-    """Refuse a template of ``fam`` that uses a family ``target`` lacks."""
+    """Refuse a template of ``fam`` that uses a family ``target`` lacks.
+
+    A family ``target`` keeps is OMEGA, the graph being amplified; a missing
+    one is looked up again, so an unknown end is named first.
+    """
     for _, (src, dst) in tpl:
-        if target.multiplicity(src, dst) is not OMEGA:
+        if not target.has_family(src, dst) and target.multiplicity(src, dst) is not OMEGA:
             raise ValueError(
                 f"template for {fam} uses missing target family "
                 f"{src!r} -> {dst!r}"
@@ -237,30 +245,33 @@ def _render_sum(terms: Iterable[tuple[int, str]]) -> str:
     return text.replace("+ -", "- ") if text else "0"
 
 
-def _label_map(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -> GeneratorMap:
+def _label_map(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict,
+               lacked: tuple | None = None) -> GeneratorMap:
     """The map sending each generator of ``source`` to the same-label one of ``target``.
 
     ``vertices`` and ``families`` give the vertex images and family
-    templates of the generators it moves instead.
+    templates of the generators it moves instead; ``lacked``, when given,
+    is ``source.lacks(target)``, already in hand.
     """
     m = object.__new__(GeneratorMap)
-    _fill(m, source, target, *_patch(source, target, vertices, families))
+    _fill(m, source, target, *_patch(source, target, vertices, families, lacked))
     return m
 
 
-def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -> tuple[dict, dict]:
+def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict,
+           lacked: tuple | None = None) -> tuple[dict, dict]:
     """The validated patch of the images ``vertices`` and ``families``, the rest fixed.
 
     The images given are validated one by one, and the unmoved labels by
     the vertices and families of ``source`` that ``target`` lacks, a mask
-    difference when the two graphs share their tables.  A refusal names the
-    first offending vertex in vertex order, or else the first offending
-    family in row-major order.  Images that equal the same-label generator
-    are left out of the patch.
+    difference when the two graphs share their tables (``lacked``, when the
+    caller has listed them).  A refusal names the first offending vertex in
+    vertex order, or else the first offending family in row-major order.
+    Images that equal the same-label generator are left out of the patch.
     """
     if not source.is_amplified or not target.is_amplified:
         raise ValueError("generator maps require amplified graphs")
-    gone, lost = source.lacks(target)
+    gone, lost = source.lacks(target) if lacked is None else lacked
     errors: dict = {v: ValueError(f"image of p[{v}] names unknown vertex {v!r}")
                     for v in gone if v not in vertices}
     tables = {}
@@ -273,7 +284,7 @@ def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -
         raise errors[min(errors, key=lambda v: source.index(v) if v in source else len(source))]
     if not all(map(source.__contains__, tables)):
         raise ValueError("vertex images must cover exactly the source vertices")
-    templates = {fam: _normalize_template(tpl) for fam, tpl in families.items()}
+    templates = {fam: _normalize_template(tpl) if tpl else () for fam, tpl in families.items()}
     if not all(source.has_family(*fam) for fam in templates):
         raise ValueError("edge templates must cover exactly the source families")
     unmoved = {fam: ((1, fam),) for fam in lost if fam not in templates}
@@ -282,11 +293,12 @@ def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -
             _check_template(target, fam, tpl)
         except ValueError as exc:
             errors[fam] = exc
-    row_major = lambda fam: (source.index(fam[0]), source.index(fam[1]))  # noqa: E731
+    at = source.vertex_order
+    row_major = lambda fam: (at(fam[0]), at(fam[1]))  # noqa: E731
     if errors:
         raise errors[min(errors, key=row_major)]
     return (
-        {v: tables[v] for v in sorted(tables, key=source.index) if tables[v] != {v: 1}},
+        {v: tables[v] for v in sorted(tables, key=at) if tables[v] != {v: 1}},
         {
             fam: templates[fam]
             for fam in sorted(templates, key=row_major)
@@ -298,15 +310,15 @@ def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -
 def _quotient_onto(graph: AmpGraph, target: AmpGraph, removed: Iterable[str]) -> GeneratorMap:
     """:meth:`GeneratorMap.quotient` onto ``target``, the quotient graph already cut.
 
-    The families at the removed vertices are read off their neighbours.
+    The families at the removed vertices are read off their neighbours, by
+    the one listing of what ``target`` lacks when that is the removed set,
+    and the validation is handed that listing.
     """
     removed = tuple(removed)
-    return _label_map(
-        graph,
-        target,
-        {v: {} for v in removed},
-        dict.fromkeys(graph.families_at(removed), ()),
-    )
+    lacked = gone, lost = graph.lacks(target)
+    if set(gone) != set(removed):
+        lost = graph.families_at(removed)
+    return _label_map(graph, target, {v: {} for v in removed}, dict.fromkeys(lost, ()), lacked)
 
 
 class _Patch(NamedTuple):
@@ -434,10 +446,11 @@ def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str 
     if quot.target != src:
         return f"p[{src.vertices[0]}]" if src.vertices else None
     moved = compose_tables(quot, section)
+    at = src.vertex_order
     if moved.vertex_patch:
-        return f"p[{min(moved.vertex_patch, key=src.index)}]"
+        return f"p[{min(moved.vertex_patch, key=at)}]"
     if moved.family_patch:
-        a, b = min(moved.family_patch, key=lambda fam: (src.index(fam[0]), src.index(fam[1])))
+        a, b = min(moved.family_patch, key=lambda fam: (at(fam[0]), at(fam[1])))
         return f"s[{a}>{b}#0]"
     return None
 
@@ -496,90 +509,6 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _orthogonality_defect(m: GeneratorMap) -> tuple[str, str] | None:
-    """The least pair ``(v, w)``, ``v`` before ``w``, with ``m(p_v) m(p_w) != 0``.
-
-    Two sums of vertex projections multiply to zero exactly when no
-    projection occurs in both.  Unmoved vertices go to distinct
-    projections, so a failing pair shares a target vertex ``x`` that some
-    moved table names; the users of ``x`` are those moved vertices and the
-    unmoved vertex of label ``x``, if there is one.  For each ``x`` the
-    first two users are the least.
-    """
-    src, patch = m.source, m.vertex_patch
-    users: dict[str, list[int]] = {}
-    for v, table in patch.items():
-        for x in table:
-            users.setdefault(x, []).append(src.index(v))
-    failing = []
-    for x, us in users.items():
-        if x in src and x not in patch:
-            us.append(src.index(x))
-        if len(us) > 1:
-            failing.append(tuple(sorted(us)[:2]))
-    if not failing:
-        return None
-    a, b = min(failing)
-    return src.vertices[a], src.vertices[b]
-
-
-def _range_sums(tpl: EdgeTemplate) -> dict[str, int]:
-    """``m(s_f^i)* m(s_f^i)`` as vertex -> coefficient: ``c_t^2`` summed over ``r(t)``."""
-    out: dict[str, int] = {}
-    for c, (_, dst) in tpl:
-        out[dst] = out.get(dst, 0) + c * c
-    return out
-
-
-def _ck1_defect(
-    m: GeneratorMap, sums: dict, into_moved: list
-) -> tuple[tuple[str, str], tuple[str, str]] | None:
-    """The least pair ``(f, g)`` with ``m(s_f^i)* m(s_g^i) != delta_fg m(p_r(f))``.
-
-    ``sums`` holds the range sums of the moved templates, and
-    ``into_moved`` the unmoved families into a moved vertex.
-    ``m(s_f^i)* m(s_f^i)`` is the sum of vertex projections ``sums[f]``, so
-    it equals ``m(p_r(f))`` exactly when that table has the same
-    coefficients; an unmoved family has range sum ``p_r(f)``, so it fails
-    exactly when its range vertex is moved.  A pair of distinct families
-    can only fail when both templates use some target family, which two
-    unmoved families never do.  An inverted index from each target family
-    a moved template names to its users, the moved templates and the
-    unmoved family of the same label, finds every candidate; its defect is
-    a coefficient per range vertex.
-    """
-    failing = [(f, f) for f, got in sums.items() if got != _vertex_image(m, f[1])]
-    failing += [(f, f) for f in into_moved]
-    fpatch = m.family_patch
-    users: dict[tuple[str, str], list[tuple[tuple[str, str], int]]] = {}
-    for f, tpl in fpatch.items():
-        for c, t in tpl:
-            users.setdefault(t, []).append((f, c))
-    cross: dict[tuple, dict[str, int]] = {}
-    for t, fs in users.items():
-        if m.source.has_family(*t) and t not in fpatch:
-            fs.append((t, 1))
-        # sorted, so each pair below has f < g
-        fs.sort()
-        for (f, cf), (g, cg) in combinations(fs, 2):
-            acc = cross.setdefault((f, g), {})
-            acc[t[1]] = acc.get(t[1], 0) + cf * cg
-    failing += [pair for pair, acc in cross.items() if any(acc.values())]
-    return min(failing, default=None)
-
-
-def _range_under(m: GeneratorMap, fam: tuple[str, str]) -> bool:
-    """``m(p_src) m(s) m(s)* == m(s) m(s)*`` for the family ``fam = (src, dst)``.
-
-    For ``m(p_src) = sum_x d_x p_x`` each term ``s_t s_u*`` of
-    ``m(s) m(s)*`` is multiplied by ``d_{s(t)}``, so the identity holds
-    exactly when ``d_{s(t)} = 1`` for every target family ``t`` of the
-    template.
-    """
-    table = _vertex_image(m, fam[0])
-    return all(table.get(t[0]) == 1 for _, t in _family_image(m, fam))
-
-
 def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> VerificationReport:
     """Check that generator images satisfy the Cuntz-Krieger relations.
 
@@ -601,107 +530,114 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     A vertex image ``sum_x d_x p_x`` is decided on its table of the
     ``d_x``: it is a projection when every ``d_x`` is 1, two images are
     orthogonal when no ``p_x`` occurs in both, CK1 compares the range sums
-    of a family with the table of its range vertex, and the map is unital
-    when the tables sum to 1 on every target vertex and 0 elsewhere.  No
-    gauge check is made: a table has degree 0 and a template degree 1, so
-    every map that can be written down is gauge-equivariant.
+    ``sum c_t^2 p_r(t)`` of a family with the table of its range vertex,
+    CK2 asks the table of its source vertex for coefficient 1 at the source
+    of each ``t``, and the map is unital when the tables sum to 1 on every
+    target vertex and 0 elsewhere.  No gauge check is made: a table has
+    degree 0 and a template degree 1, so every map that can be written
+    down is gauge-equivariant.
 
     Only the generators that can fail are examined (see the module
-    docstring): the patch, the unmoved families at a moved vertex, and the
-    unmoved generators whose labels the patch names.  Each detail names the
+    docstring), each once.  One pass over the moved tables collects the
+    projection defect, the users of each target vertex and the unit sums;
+    one pass over the moved templates collects the range sums, the
+    isometry, CK1 and CK2 defects and the users of each target family; one
+    pass over the unmoved families at a moved vertex the target keeps adds
+    their CK1 and CK2 defects (a vertex the target lacks has every family
+    moved, or the map would have been refused).  The users then give the
+    orthogonality, cross CK1 and unital verdicts.  Each detail names the
     same least pair or first generator in sorted order as a check of every
-    generator would.
+    generator would: the orthogonality pair in vertex order, the others by
+    label.
     """
-    checks: list[Check] = []
-    src = m.source
+    src, target = m.source, m.target
     vpatch, fpatch = m.vertex_patch, m.family_patch
+    at = src.vertex_order
 
-    bad = next((v for v, table in vpatch.items() if any(c != 1 for c in table.values())), None)
-    checks.append(
-        Check(
-            "vertex-projections",
-            bad is None,
-            "" if bad is None else f"image of p[{bad}] is not a projection",
-        )
-    )
+    not_projection = None
+    # target vertex -> the (position, label) of each moved table naming it, and its sum
+    users: dict[str, list[tuple[int, str]]] = {}
+    sums_at: dict[str, int] = {}
+    for v, table in vpatch.items():
+        user = (at(v), v)
+        for x, c in table.items():
+            if c != 1 and not_projection is None:
+                not_projection = v
+            users.setdefault(x, []).append(user)
+            sums_at[x] = sums_at.get(x, 0) + c
 
-    bad_pair = _orthogonality_defect(m)
-    checks.append(
-        Check(
-            "vertex-orthogonality",
-            bad_pair is None,
-            "" if bad_pair is None else
-            f"images of p[{bad_pair[0]}] and p[{bad_pair[1]}] are not orthogonal",
-        )
-    )
+    not_isometry, ck1, ck2 = [], [], []
+    # target family -> the (family, coefficient) of each moved template naming it
+    fam_users: dict[tuple[str, str], list[tuple[tuple[str, str], int]]] = {}
+    for f, tpl in fpatch.items():
+        # the range sums, and whether the source table holds each source with 1
+        ranges: dict[str, int] = {}
+        under, held = vpatch.get(f[0], {f[0]: 1}), True
+        for c, t in tpl:
+            ranges[t[1]] = ranges.get(t[1], 0) + c * c
+            held = held and under.get(t[0]) == 1
+            fam_users.setdefault(t, []).append((f, c))
+        isometry = set(ranges.values()) <= {1}
+        if not isometry:
+            not_isometry.append(f)
+        if ranges != vpatch.get(f[1], {f[1]: 1}):
+            ck1.append((f, f))
+        # m(s) m(s)* is a projection exactly when m(s) is a partial isometry
+        if not (isometry and held):
+            ck2.append(f)
 
-    sums = {fam: _range_sums(tpl) for fam, tpl in fpatch.items()}
-    isometry = {fam: all(c == 1 for c in s.values()) for fam, s in sums.items()}
+    # an unmoved family goes to itself: CK1 fails into a moved vertex, CK2
+    # out of one whose table lacks its own projection
+    for f in src.families_at([v for v in vpatch if v in target]):
+        if f not in fpatch:
+            if f[1] in vpatch:
+                ck1.append((f, f))
+            if f[0] in vpatch and vpatch[f[0]].get(f[0]) != 1:
+                ck2.append(f)
 
-    bad_fam = min((fam for fam, ok in isometry.items() if not ok), default=None)
-    checks.append(
-        Check(
-            "adjoint-compatibility",
-            bad_fam is None,
-            "" if bad_fam is None else
-            f"image of s[{bad_fam[0]}>{bad_fam[1]}#i] is not a partial isometry",
-        )
-    )
-
-    # the unmoved families at a moved vertex, each of which CK1 or CK2 may fail
-    around = [fam for fam in src.families_at(vpatch) if fam not in fpatch]
-    ck1_fail = _ck1_defect(m, sums, [fam for fam in around if fam[1] in vpatch])
-    checks.append(
-        Check(
-            "ck1",
-            ck1_fail is None,
-            "" if ck1_fail is None else
-            f"m(s)* m(s') defect for families {ck1_fail[0]} , {ck1_fail[1]} "
-            "(same index)",
-        )
-    )
-
-    # m(s) m(s)* is a projection exactly when m(s) is a partial isometry.
-    ck2_fail = min(
-        (
-            fam
-            for fam in (*fpatch, *around)
-            if not isometry.get(fam, True) or not _range_under(m, fam)
-        ),
-        default=None,
-    )
-    checks.append(
-        Check(
-            "ck2",
-            ck2_fail is None,
-            "" if ck2_fail is None else
-            f"m(s) m(s)* not under m(p[{ck2_fail[0]}]) for family {ck2_fail}",
-        )
-    )
+    cross: dict[tuple, dict[str, int]] = {}
+    for t, fs in fam_users.items():
+        if t not in fpatch and src.has_family(*t):
+            fs.append((t, 1))
+        # sorted, so each pair below has f < g
+        for (f, cf), (g, cg) in combinations(sorted(fs), 2):
+            acc = cross.setdefault((f, g), {})
+            acc[t[1]] = acc.get(t[1], 0) + cf * cg
+    ck1 += [pair for pair, acc in cross.items() if any(acc.values())]
 
     # each unmoved vertex adds 1 at its own label, which the target has
-    sums_at: dict[str, int] = {}
-    for table in vpatch.values():
-        for x, c in table.items():
-            sums_at[x] = sums_at.get(x, 0) + c
+    collided = []
     ones = len(src) - len(vpatch)
     unital = True
-    for x, c in sums_at.items():
+    for x, us in users.items():
+        c = sums_at[x]
         if x in src and x not in vpatch:
+            us.append((at(x), x))
             ones -= 1
             c += 1
+        if len(us) > 1:
+            collided.append(sorted(us)[:2])
         if c == 1:
             ones += 1
         elif c:
             unital = False
-    unital = unital and ones == len(m.target)
-    checks.append(
-        Check(
-            "unital",
-            unital,
-            "" if unital else "vertex images do not sum to the target unit",
-            required=require_unital,
-        )
-    )
+    unital = unital and ones == len(target)
 
-    return VerificationReport(tuple(checks))
+    pair = min(collided, default=None)
+    bad_fam = min(not_isometry, default=None)
+    ck1_fail = min(ck1, default=None)
+    ck2_fail = min(ck2, default=None)
+    return VerificationReport((
+        Check("vertex-projections", not_projection is None, "" if not_projection is None else
+              f"image of p[{not_projection}] is not a projection"),
+        Check("vertex-orthogonality", pair is None, "" if pair is None else
+              f"images of p[{pair[0][1]}] and p[{pair[1][1]}] are not orthogonal"),
+        Check("adjoint-compatibility", bad_fam is None, "" if bad_fam is None else
+              f"image of s[{bad_fam[0]}>{bad_fam[1]}#i] is not a partial isometry"),
+        Check("ck1", ck1_fail is None, "" if ck1_fail is None else
+              f"m(s)* m(s') defect for families {ck1_fail[0]} , {ck1_fail[1]} (same index)"),
+        Check("ck2", ck2_fail is None, "" if ck2_fail is None else
+              f"m(s) m(s)* not under m(p[{ck2_fail[0]}]) for family {ck2_fail}"),
+        Check("unital", unital, "" if unital else "vertex images do not sum to the target unit",
+              required=require_unital),
+    ))

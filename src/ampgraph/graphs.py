@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Mapping
 from itertools import compress
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 
 class _Omega:
@@ -106,14 +106,24 @@ class _Tables:
     __slots__ = ("labels", "pos", "edges", "mult", "heads", "succ", "finite", "_pred", "_reach")
 
     def __init__(self, labels: tuple[str, ...], pos: dict[str, int], keyed: list, mult: dict) -> None:
-        """``keyed`` lists ``(i, j, family)`` in row-major order, i and j the family's end positions."""
+        """``keyed`` lists ``(i, j, family)`` in row-major order, i and j the family's end positions.
+
+        Each row's successor mask is built once, from the offsets of its
+        positions past the row's first: no per-family int as wide as the row.
+        """
         edges, succ, heads, finite = [], [0] * len(labels), [], 0
+        row = lo = bits = 0
         for i, j, fam in keyed:
+            if i != row:
+                succ[row] = bits << lo
+                row, lo, bits = i, j, 0
+            bits |= 1 << j - lo
             edges.append(fam)
             heads.append(j)
-            succ[i] |= 1 << j
             if fam[2] is not OMEGA:
                 finite |= 1 << j
+        if keyed:
+            succ[row] = bits << lo
         self.labels, self.pos, self.edges, self.mult, self.heads = labels, pos, tuple(edges), mult, tuple(heads)
         self.succ, self.finite = tuple(succ), finite
         self._pred = self._reach = None
@@ -299,6 +309,11 @@ class AmpGraph:
         """The position of ``v`` among the kept vertices: the kept bits below its own."""
         return (self._keep & (1 << self._at(v)) - 1).bit_count()
 
+    @property
+    def vertex_order(self) -> Callable[[str], int]:
+        """A sort key putting kept vertices in vertex order, as ``index`` does: their table positions, no bit count."""
+        return self._t.pos.__getitem__
+
     def multiplicity(self, src: str, dst: str) -> Mult:
         self._at(src)
         self._at(dst)
@@ -335,6 +350,8 @@ class AmpGraph:
         member's kept successors, and the bits of ``subset`` in each row into it."""
         t, keep = self._t, self._keep
         mask = self._mask(subset)
+        if not mask:
+            return []
         pred = t.pred()
         rows = mask
         for j in _bits(mask):
@@ -356,13 +373,29 @@ class AmpGraph:
     def classify(self) -> GraphClass:
         """Classify the graph: amplification, acyclicity, sinks and sources.
 
-        Computed once per graph; every later call returns the same value.
+        Computed once per graph, or derived from its parent's by a one-sink
+        cut (see :meth:`quotient`); every later call returns the same value.
         """
         return self._shape
 
     @_built
     def _shape(self) -> GraphClass:
         t, keep = self._t, self._keep
+        cut = self.__dict__.get("_cut")
+        if cut is not None:
+            # the parent's facts less one sink at position i: no family left
+            # it, so no source and no cycle changes, and the new sinks are
+            # its in-neighbours with no kept successor
+            parent, i = cut
+            v = t.labels[i]
+            new = [t.labels[u] for u in _bits(t.pred()[i] & keep) if not t.succ[u] & keep]
+            sinks = tuple(s for s in parent.sinks if s != v)
+            if new:
+                sinks = tuple(sorted((*sinks, *new), key=t.pos.__getitem__))
+            sources = parent.sources
+            if v in sources:
+                sources = tuple(s for s in sources if s != v)
+            return GraphClass(self.is_amplified, parent.acyclic, sinks, sources)
         kept = list(self._kept())
         pred, reach = t.pred(), t.reach()
         return GraphClass(
@@ -451,12 +484,26 @@ class AmpGraph:
         The quotient reads this graph's tables through its mask less the
         bits of ``removed``; nothing is copied.  That is exact because
         nothing leaves a hereditary set (see the module docstring).
+
+        A cut of one sink (no kept family out, a self-loop included) from a
+        graph whose shape facts are read, or carried, carries them: the
+        quotient records its parent's :class:`GraphClass` and the sink, and
+        derives its own when first read, in the sink's in-degree.  Removing
+        a sink creates no source and no cycle; its in-neighbours with no
+        other kept successor become sinks.  A carried parent not yet read is
+        derived first, so no derivation recurses.  Every other cut walks its
+        kept vertices when its facts are read.
         """
         removed = tuple(removed)
         drop = self._mask(removed)
         if not self._closed(drop):
             raise ValueError(f"{sorted(removed)!r} is not hereditary: not a valid ideal")
-        return AmpGraph._on(self._t, self._keep & ~drop)
+        keep, i = self._keep & ~drop, drop.bit_length() - 1
+        known = self.__dict__
+        if drop.bit_count() == 1 and not self._t.succ[i] & self._keep and (
+                "_shape" in known or "_cut" in known):
+            return AmpGraph._on(self._t, keep, _cut=(self._shape, i))
+        return AmpGraph._on(self._t, keep)
 
     # -- path-preserving edge addition ------------------------------------
 
@@ -517,3 +564,13 @@ def is_star(g: AmpGraph, sink: str, v: str) -> bool:
     t = g._t
     bit, reach = 1 << t.pos[sink], t.reach()
     return all(reach[i] & bit for i in _bits(t.pred()[t.pos[v]] & g._keep))
+
+
+def missing_families(g: AmpGraph, sink: str, star: str) -> list[tuple[str, str]]:
+    """The families ``v -> sink`` the section at ``(sink, star)`` needs and ``g`` lacks.
+
+    One for each in-neighbour ``v`` of ``star`` without a family into
+    ``sink``, in vertex order: one difference of predecessor masks.
+    """
+    pred = g._t.pred()
+    return [(v, sink) for v in g._labels(pred[g._at(star)] & ~pred[g._at(sink)] & g._keep)]

@@ -50,7 +50,7 @@ from .algebra import (
     compose_tables,
     verify_ck_family,
 )
-from .graphs import AmpGraph, first_star, is_star, valid_stars
+from .graphs import AmpGraph, first_star, is_star, missing_families, valid_stars
 
 
 class VerificationFailure(RuntimeError):
@@ -100,17 +100,6 @@ def _splitting_map(working: AmpGraph, source: AmpGraph, sink: str,
     )
 
 
-def _missing_families(g: AmpGraph, sink: str, star: str) -> list[tuple[str, str]]:
-    """The families ``v -> sink`` the section at ``(sink, star)`` needs and ``g`` lacks.
-
-    One for each in-neighbour ``v`` of ``star`` without a family into
-    ``sink``, in vertex order.
-    """
-    into_star = g.predecessors(star)
-    into_sink = set(g.predecessors(sink))
-    return [(v, sink) for v in into_star if v not in into_sink]
-
-
 def build_splitting(g: AmpGraph, sink: str, star: str | None) -> SplitData:
     """Construct and verify the splitting of the extension that removes ``sink``.
 
@@ -145,7 +134,7 @@ def _check_step(g: AmpGraph, sink: str, star: str | None) -> None:
 
 def _split(original: AmpGraph, working: AmpGraph, quotient_graph: AmpGraph, sink: str, star: str | None, augmented: tuple) -> SplitData:
     """Build and verify the two maps of a checked step on its stabilised graph."""
-    if star is not None and (missing := _missing_families(working, sink, star)):
+    if star is not None and (missing := missing_families(working, sink, star)):
         raise VerificationFailure(
             f"ambient graph not stabilised: step {sink!r} still added {tuple(missing)}"
         )
@@ -328,6 +317,11 @@ def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int) -> tuple[list[tuple[str
     mask, hence no sink, and no source.  Nor does it rule out a star: ``w``
     is ruled out for a sink ``t`` by ``v`` only if ``v`` misses ``t``, and
     then so does ``u``, which ``v`` reaches and which already rules ``w`` out.
+
+    Each graph is a one-sink cut of the last, whose shape facts the planner
+    has read, so it carries them (:meth:`~ampgraph.graphs.AmpGraph.quotient`):
+    its sinks are derived in the removed sink's in-degree, and only ``g``
+    is walked.  The stabilised chain's graphs carry them the same way.
     """
     plan: list[tuple[str, str | None]] = []
     graphs = [g]
@@ -366,7 +360,7 @@ def _stabilize(g: AmpGraph, plan: Sequence[tuple[str, str | None]]) -> tuple[Amp
         wanted: list[tuple[str, str]] = []
         for sink, star in plan:
             if star is not None:
-                for pair in _missing_families(ambient, sink, star):
+                for pair in missing_families(ambient, sink, star):
                     if pair not in wanted:
                         wanted.append(pair)
         if not wanted:

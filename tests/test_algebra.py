@@ -186,6 +186,16 @@ def test_inclusion_refuses_a_subgraph_the_graph_lacks():
         GeneratorMap.inclusion(backward, g)
 
 
+def test_inclusion_refuses_a_quotient_that_lacks_a_vertex():
+    # on shared tables the missing vertex is read off the masks, and named
+    # before the families at it
+    g = example_graph()
+    with pytest.raises(ValueError, match=r"^image of p\[v5\] names unknown vertex 'v5'$"):
+        GeneratorMap.inclusion(g, g.quotient(("v5",)))
+    with pytest.raises(ValueError, match=r"^image of p\[v4\] names unknown vertex 'v4'$"):
+        GeneratorMap.inclusion(g, g.quotient(("v4", "v5")))
+
+
 @pytest.mark.parametrize("build", [
     lambda g, w: CKElement.projection(g, "zzz"),
     lambda g, w: CKElement.word(g, w),

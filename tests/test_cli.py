@@ -240,6 +240,35 @@ def test_a_closed_stdout_keeps_the_exit_code(argv, code):
     assert (done.returncode, done.stderr) == (code, b"")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["split", EXAMPLE, "--sink", "v2"], 1),
+        (["classify", EXAMPLE], 0),
+        (["classify", "--help"], 0),
+    ],
+    ids=["plain-refusal", "plain-report", "help"],
+)
+def test_a_closed_stderr_keeps_the_exit_code(argv, code):
+    read, write = os.pipe()
+    os.close(read)
+    # stderr buffered as in a shell, so a refusal left in its buffer is
+    # flushed again at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ampgraph", *argv], stdout=subprocess.PIPE, stderr=write,
+            cwd=ROOT, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == code
+    assert done.stdout == subprocess.run(
+        [sys.executable, "-m", "ampgraph", *argv], capture_output=True, cwd=ROOT, env=env, timeout=60,
+    ).stdout
+
+
 def test_json_mode_comes_from_the_parsed_flag(capsys):
     # argparse accepts the unambiguous prefix --js for --json
     assert main(["stars", EXAMPLE, "--sink", "v4", "--js"]) == 0

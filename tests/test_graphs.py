@@ -440,6 +440,63 @@ def test_quotient_derivation_covers_every_kind_of_parent():
     assert _peel(empty, DenseGraph((), ()), rng) == 0
 
 
+def _carried(g: AmpGraph) -> bool:
+    """Whether ``g`` derives its shape facts from its parent's rather than walking itself."""
+    return "_cut" in g.__dict__
+
+
+def _assert_one_sink_cuts_carry(g: AmpGraph, model: DenseGraph) -> int:
+    """Every one-vertex cut of ``g``, and every one-vertex cut of such a cut
+    before its own facts are read, classify as the dense model does; a cut
+    carries its parent's facts exactly when it removes a sink.  Returns how
+    many cuts carried."""
+    carried = 0
+    g.classify()
+    for v in [v for v in g.vertices if g.is_hereditary((v,))]:
+        q, mq = g.quotient((v,)), model.quotient((v,))
+        assert _carried(q) == (v in g.classify().sinks)
+        carried += _carried(q)
+        for w in [w for w in q.vertices if q.is_hereditary((w,))]:
+            twice = q.quotient((w,))
+            # a cut of a carried cut is carried when it removes a sink, which
+            # the model says, not the unread parent
+            assert _carried(twice) == (_carried(q) and w in mq.classify()[2])
+            _assert_matches_model(twice, mq.quotient((w,)))
+            carried += _carried(twice)
+        _assert_matches_model(q, mq)
+    return carried
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_one_sink_cuts_carry_the_dense_models_shape_facts(seed):
+    # random DAGs, and graphs with loops, cycles and finite families
+    rng = random.Random(9600 + seed)
+    dag = random_amplified_dag(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
+    carried = _assert_one_sink_cuts_carry(dag, DenseGraph(dag.vertices, dag.edges))
+    assert carried >= 1
+    labels = tuple(f"u{i}" for i in range(rng.randint(1, 8)))
+    edges = random_edge_list(rng, labels, rng.randint(0, 24))
+    _assert_one_sink_cuts_carry(AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges))
+
+
+def test_a_self_loop_singleton_is_cut_by_a_walk():
+    # {b} is hereditary but b is no sink: its cut leaves an acyclic graph,
+    # which a carried acyclic flag would miss
+    g = AmpGraph.from_edges(("a", "b", "c"), [("a", "b"), ("b", "b"), ("c", "a")])
+    assert g.classify() == (True, False, (), ("c",))
+    q = g.quotient(("b",))
+    assert not _carried(q)
+    assert q.classify() == (True, True, ("a",), ("c",))
+    assert _assert_one_sink_cuts_carry(g, DenseGraph(g.vertices, g.edges)) == 0
+    # a sink that is also a source, and the new sinks it leaves
+    iso = AmpGraph.from_edges(("x", "y", "z", "s"), [("x", "z"), ("y", "z")])
+    iso.classify()
+    q = iso.quotient(("s",))
+    assert _carried(q) and q.classify() == (True, True, ("z",), ("x", "y"))
+    q2 = q.quotient(("z",))
+    assert _carried(q2) and q2.classify() == (True, True, ("x", "y"), ("x", "y"))
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_quotients_compare_by_the_vertices_they_keep(seed):
     # two quotients of one graph are equal exactly when they remove the same

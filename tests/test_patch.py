@@ -205,6 +205,43 @@ def test_refusals_name_the_first_offender_as_the_full_tables_do():
         algebra._label_map(g, small, {"v2": {"zz": 1}}, {})
 
 
+def test_a_quotient_map_hands_its_one_listing_to_the_validator():
+    # onto the quotient by the removed set: the families at it are killed
+    g = example_graph()
+    q = algebra._quotient_onto(g, g.quotient(("v4",)), ("v4",))
+    assert (q.vertex_patch, q.family_patch) == ({"v4": {}}, {("v2", "v4"): ()})
+    # onto a graph that lacks more: the validator still sees the extra vertex
+    with pytest.raises(ValueError, match=r"image of p\[v5\] names unknown vertex 'v5'"):
+        algebra._quotient_onto(g, g.quotient(("v4", "v5")), ("v4",))
+    # onto a graph that keeps the removed vertex: its families are listed anew
+    kept = algebra._quotient_onto(g, g, ("v4",))
+    assert (kept.vertex_patch, kept.family_patch) == ({"v4": {}}, {("v2", "v4"): ()})
+    assert verify_ck_family(kept).check("unital").passed is False
+
+
+def test_each_step_lists_the_families_at_its_sink_once(monkeypatch):
+    """The quotient map lists the families into its sink once, for its
+    templates and its validation, and its relation check, whose moved
+    vertex the target lacks, lists none."""
+    listed = []
+    families_at = AmpGraph.families_at
+
+    def counted(self, subset):
+        subset = tuple(subset)
+        listed.append(subset)
+        return families_at(self, subset)
+
+    monkeypatch.setattr(AmpGraph, "families_at", counted)
+    chains = [c for c in golden_chains() if c.steps]
+    rng = random.Random(20261026)
+    chains += [random_chain(rng) for _ in range(40)]
+    for chain in chains:
+        for sd in chain.steps:
+            listed.clear()
+            splitting._split(sd.working, sd.working, sd.quotient_graph, sd.sink, sd.star, ())
+            assert [s for s in listed if sd.sink in s] == [(sd.sink,)]
+
+
 # ---------------------------------------------------------------------------
 # what a step examines
 

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 
@@ -672,6 +673,34 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
     for chain, quotients in runs:
         assert len(quotients) == len(chain.steps) * (3 if chain.augmented else 2)
     assert {bool(chain.augmented) for chain, _ in runs} == {False, True}
+
+
+def test_a_chain_walks_one_graph_for_its_shape_facts(monkeypatch):
+    """The planner reads every step graph's sinks, the steps their sinks and
+    sources, but a one-sink cut derives its facts from its parent's, and an
+    amplification keeps them: a chain walks its input graph, and no other,
+    whether stabilising adds families or not."""
+    shape = AmpGraph.__dict__["_shape"]
+    build, walked = shape.build, []
+
+    @functools.wraps(build)
+    def counted(g):
+        if "_cut" not in g.__dict__:
+            walked.append(g)
+        return build(g)
+
+    monkeypatch.setattr(shape, "build", counted)
+    chains = [kk_chain(flag_graph(DynkinSpec(4, frozenset({1, 2, 3, 4}))))]
+    rng = random.Random(20261026)
+    chains += [_random_policy_chain(rng)[1] for _ in range(40)]
+    assert [id(g) for g in walked] == [id(chain.graph) for chain in chains]
+    assert len(chains[0].steps) == 119
+    assert any(chain.augmented for chain in chains)
+    # and the carried facts are the ones a walk finds
+    for chain in chains:
+        for sd in chain.steps:
+            fresh = AmpGraph(sd.quotient_graph.vertices, sd.quotient_graph.edges)
+            assert sd.quotient_graph.classify() == fresh.classify()
 
 
 def test_a_step_lists_its_valid_stars_at_most_once(monkeypatch):
