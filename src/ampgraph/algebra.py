@@ -61,13 +61,15 @@ over the unmoved families at a moved vertex the target keeps (at a vertex
 the target lacks every family is moved, or the map is refused), then the
 users of each target vertex and family.  Composition and the section
 identity work on patches too: a composite moves only what its inner map
-moves and what its outer map moves among the inner map's labels.
+moves and what its outer map moves among the inner map's labels.  A
+removal chain's prefix composites are one fold over its sections'
+patches, updated in place (:func:`_prefix_fold`).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import _EXPORTS, _Frozen
 from .graphs import OMEGA, AmpGraph
@@ -430,6 +432,77 @@ def compose(outer: GeneratorMap, inner: GeneratorMap) -> GeneratorMap:
     return _label_map(*compose_tables(outer, inner))
 
 
+def _add_into(acc: dict, c: int, table: dict) -> None:
+    """Add ``c`` times ``table`` into ``acc`` in place, dropping the entries that cancel."""
+    for y, d in table.items():
+        z = acc.get(y, 0) + c * d
+        if z:
+            acc[y] = z
+        else:
+            del acc[y]
+
+
+def _fold_into(prefix: dict, moved: dict, sink=None) -> None:
+    """Replace each moved ``prefix[u]`` by ``sum c prefix[x]`` over the terms ``{x: c}`` of ``moved[u]``.
+
+    A label the prefix does not hold stands for ``{x: 1}``.  A held table
+    was built here, so it is added into in place when its terms name ``u``
+    with coefficient 1, no moved table names another moved label and
+    ``sink`` is not moved.  Any other moved label gets a new table, written
+    only after every table has been read.
+    """
+    closed = sink not in moved and (
+        len(moved) < 2 or all(x == u or x not in moved for u, terms in moved.items() for x in terms))
+    fresh = {}
+    for u, terms in moved.items():
+        acc = prefix.get(u)
+        in_place = closed and acc is not None and terms.get(u) == 1
+        if not in_place:
+            fresh[u] = acc = {}
+        for x, c in terms.items():
+            if x != u or not in_place:
+                table = prefix.get(x)
+                _add_into(acc, c, {x: 1} if table is None else table)
+    if fresh:
+        prefix.update(fresh)
+
+
+def _section_step(sink: str, section, quot) -> tuple:
+    """The step of :func:`_prefix_fold` for ``section``: its patch, then ``sink`` and the families at it, which ``quot`` kills."""
+    return sink, section.vertex_patch, section.family_patch, [f for f in quot.family_patch if sink in f]
+
+
+def _prefix_fold(steps: Iterable[tuple]) -> Iterator:
+    """The prefix composites ``P_i = m_1 . ... . m_i`` of a chain of maps, folded in place.
+
+    Each step is ``(sink, tables, templates, lost)``: the vertex ``m_i``
+    removes, the vertex tables and family templates ``m_i`` moves, keyed by
+    labels of its source, and the families at ``sink``, which its source
+    lacks too.  For each step the fold yields the table of ``P_(i-1)`` at
+    ``sink``, read before the step; last, the vertex tables and templates
+    of the final prefix, identity entries included, each template as its
+    ``(coefficient, family)`` pairs for :func:`_label_map` to normalise.
+    A label the prefix does not hold goes to itself.  A step that moves one
+    vertex, naming itself with coefficient 1 as every section's star does,
+    adds the tables its other terms name into the star's in place, so it
+    moves the entries of the tables it drops and never the star's growing
+    one.  Only tables built here are added into: no step's table, and no
+    yielded table afterwards.
+    """
+    tables: dict = {}
+    templates: dict = {}
+    for sink, vmoved, fmoved, lost in steps:
+        held = tables.get(sink)
+        yield {sink: 1} if held is None else held
+        _fold_into(tables, vmoved, sink)
+        if fmoved:
+            _fold_into(templates, {f: {t: c for c, t in tpl} for f, tpl in fmoved.items()})
+        tables.pop(sink, None)
+        for f in lost:
+            templates.pop(f, None)
+    yield tables, {f: [(c, t) for t, c in tpl.items()] for f, tpl in templates.items()}
+
+
 def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str | None:
     """The first generator of ``section.source`` that ``quot . section`` moves.
 
@@ -548,7 +621,8 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     orthogonality, cross CK1 and unital verdicts.  Each detail names the
     same least pair or first generator in sorted order as a check of every
     generator would: the orthogonality pair in vertex order, the others by
-    label.
+    label.  A map that passes all six gets the one shared report for its
+    ``require_unital``, built once by the function that builds the others.
     """
     src, target = m.source, m.target
     vpatch, fpatch = m.vertex_patch, m.family_patch
@@ -623,10 +697,14 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
             unital = False
     unital = unital and ones == len(target)
 
-    pair = min(collided, default=None)
-    bad_fam = min(not_isometry, default=None)
-    ck1_fail = min(ck1, default=None)
-    ck2_fail = min(ck2, default=None)
+    verdict = (not_projection, min(collided, default=None), min(not_isometry, default=None),
+               min(ck1, default=None), min(ck2, default=None), unital)
+    return _PASSED[require_unital] if verdict == _CLEAN else _ck_report(*verdict, require_unital)
+
+
+def _ck_report(not_projection, pair, bad_fam, ck1_fail, ck2_fail, unital: bool,
+               require_unital: bool) -> VerificationReport:
+    """The six checks of :func:`verify_ck_family`, from the first offender of each (``None`` for none)."""
     return VerificationReport((
         Check("vertex-projections", not_projection is None, "" if not_projection is None else
               f"image of p[{not_projection}] is not a projection"),
@@ -641,3 +719,9 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
         Check("unital", unital, "" if unital else "vertex images do not sum to the target unit",
               required=require_unital),
     ))
+
+
+#: The verdict of a map with no offender, and its report for each ``require_unital``:
+#: a report is immutable, so every passing check returns the same one.
+_CLEAN = (None, None, None, None, None, True)
+_PASSED = {unital: _ck_report(*_CLEAN, unital) for unital in (False, True)}

@@ -21,11 +21,13 @@ so its K_0 matrix is the identity on labels except in the columns of the
 vertices it moves: a step's S differs from it in the star's column and Q in
 the sink's.  A step keeps no K_0 state: each check reads those columns off
 the two patches, as K_0 classes keyed by label, and decides the step's
-certificate on them.  The chain check keeps the prefix products
-``S_1 ... S_i`` as columns and ``Q_i ... Q_1`` as rows keyed by the labels
-of the current graph; a step updates only what its maps move, pulling
-each moved column from the columns its class names and pushing each moved
-row into the rows its class names.
+certificate on them.  The chain check reads the columns of the prefix
+products ``S_1 ... S_i`` off :mod:`ampgraph.algebra`'s one prefix fold,
+which it feeds the sections' classes: the fold holds each moved column as
+a table keyed by label, adds the sink's column into the star's in place,
+and hands out each sink's column before that step.  It keeps
+``Q_i ... Q_1`` as rows keyed by the labels of the current graph and
+pushes each row its quotient map moves into the rows its class names.
 Sparse columns and rows are dicts from an index to the nonzero entries.
 Reports expose dense matrices, tuples of rows of Python ints, which
 serialise to JSON as they are; a step's dense Q and S, and a chain's
@@ -39,7 +41,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import _Frozen
-from .algebra import Check, GeneratorMap, VerificationReport, _range_counts
+from .algebra import Check, GeneratorMap, VerificationReport, _prefix_fold, _range_counts
 from .graphs import AmpGraph
 from .splitting import KKChain, SplitData
 
@@ -251,25 +253,28 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     lists its sink in ``uncertified``; the chain is still assembled from
     the same formula and checked.
 
-    The prefixes are held as columns ``S_1 ... S_i e_v`` and rows
-    ``e_v Q_i ... Q_1``, keyed by the label ``v`` of the current graph and
-    indexed by the ambient vertices.  A step updates only what its maps
-    move: each column its section moves is pulled from the columns its
-    class names, and each row its quotient map moves, the sink's included,
-    is dropped and pushed, times its coefficients, into the rows its class
-    names.  The forward row is ``e_sink Q_(i-1) ... Q_1 - S[sink, :] Q_i
-    ... Q_1``, read off the rows before and after that update; every other
-    column and row carries over.
+    The columns ``S_1 ... S_i e_v`` come from the prefix fold
+    (:func:`~ampgraph.algebra._prefix_fold`) fed each step's sink and the
+    classes of the vertices its section moves: it yields the column at each
+    sink before the step, and the columns at the terminal vertices last,
+    keyed by ambient label.  The rows ``e_v Q_i ... Q_1`` are keyed by the
+    label ``v`` of the current graph and indexed by the ambient vertices:
+    each row the quotient map moves, the sink's included, is dropped and
+    pushed, times its coefficients, into the rows its class names.  The
+    forward row is ``e_sink Q_(i-1) ... Q_1 - S[sink, :] Q_i ... Q_1``,
+    read off the rows before and after that update; every other row
+    carries over.
     """
-    n = len(chain.ambient.vertices)
-    cols = {v: {i: 1} for i, v in enumerate(chain.ambient.vertices)}
-    rows = dict(cols)
+    position = {v: i for i, v in enumerate(chain.ambient.vertices)}
+    n = len(position)
+    rows = {v: {i: 1} for v, i in position.items()}
     forward: list[Column] = []
     backward: list[Column] = []
     uncertified: list[str] = []
     failure = None
-    for sd in chain.steps:
-        q, s, section_ok, killed = _step_certificate(sd)
+    certificates = [_step_certificate(sd) for sd in chain.steps]
+    prefix = _prefix_fold((sd.sink, s, {}, ()) for sd, (_, s, _, _) in zip(chain.steps, certificates))
+    for sd, (q, s, section_ok, killed), at_sink in zip(chain.steps, certificates, prefix):
         if not (section_ok and killed):
             if not uncertified:
                 what = ["Q S is not the identity"] if not section_ok else []
@@ -281,12 +286,8 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
                     f"step at {sd.sink!r}: no left inverse certifies [e_sink | S]: {' and '.join(what)}",
                 )
             uncertified.append(sd.sink)
-        backward.append(cols[sd.sink])
+        backward.append({position[x]: c for x, c in at_sink.items()})
         sink_row = rows.get(sd.sink, {})
-        moved_cols = {u: _sum((c, cols.get(x, {})) for x, c in table.items()) for u, table in s.items()}
-        if sd.sink not in sd.sigma.source:
-            del cols[sd.sink]
-        cols.update(moved_cols)
         moved_rows = {x: rows.pop(x, {}) for x in q}
         for x, table in q.items():
             for y, d in table.items():
@@ -295,8 +296,9 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
         s_row = [(-table[sd.sink], rows.get(u, {})) for u, table in s.items() if sd.sink in table]
         forward.append(_sum([(1, sink_row), *s_row]))
     terminal = chain.terminal.vertices
+    tables, _ = next(prefix)
     forward += [rows.get(v, {}) for v in terminal]
-    backward += [cols[v] for v in terminal]
+    backward += [{position[x]: c for x, c in tables.get(v, {v: 1}).items()} for v in terminal]
     forward_cols: dict[int, Column] = {}
     for i, row in enumerate(forward):
         for c, x in row.items():

@@ -37,7 +37,6 @@ once more from the ambient graph's tables.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
@@ -45,9 +44,10 @@ from .algebra import (
     GeneratorMap,
     VerificationReport,
     _label_map,
+    _prefix_fold,
     _quotient_onto,
     _section_identity_failure,
-    compose_tables,
+    _section_step,
     verify_ck_family,
 )
 from .graphs import AmpGraph, first_star, is_star, missing_families, valid_stars
@@ -261,15 +261,16 @@ class KKChain(NamedTuple):
     def composite_section(self) -> GeneratorMap:
         """``sigma_1 . sigma_2 . ...`` from the terminal algebra upward.
 
-        The steps' sections are composed on their patches, left to right,
-        and only the result is validated into a map; a one-step chain's
-        composite is its section.
+        One prefix fold (:func:`~ampgraph.algebra._prefix_fold`) pushes each
+        section's patch through the sections before it, adding into the
+        tables it holds in place, and drops each sink and the families its
+        quotient map kills; only the last prefix is validated into a map.
+        No steps fold to the identity on ``ambient``, one to its section.
         """
-        if not self.steps:
-            return GeneratorMap.identity(self.ambient)
-        if len(self.steps) == 1:
-            return self.steps[0].sigma
-        return _label_map(*reduce(compose_tables, (sd.sigma for sd in self.steps)))
+        *_, (tables, templates) = _prefix_fold(
+            _section_step(sd.sink, sd.sigma, sd.quotient_map) for sd in self.steps
+        )
+        return _label_map(self.terminal, self.ambient, tables, templates)
 
     def composite_quotient(self) -> GeneratorMap:
         """``q_k . ... . q_1`` from the ambient algebra down to the terminal.

@@ -124,11 +124,58 @@ MUTANTS = {
          PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
     ),
     "prefix-skips-the-star-column": (
-        KTHEORY,
-        "        cols.update(moved_cols)\n",
+        ALGEBRA,
+        "        _fold_into(tables, vmoved, sink)\n",
         "",
         [PATCH + "test_patch_checks_match_full_tables_on_golden_mix",
          KT + "test_check_chain_k0_products_are_identities"],
+    ),
+    "backward-reads-the-prefix-one-step-late": (
+        ALGEBRA,
+        "        held = tables.get(sink)\n        yield {sink: 1} if held is None else held\n"
+        "        _fold_into(tables, vmoved, sink)\n",
+        "        _fold_into(tables, vmoved, sink)\n        tables.pop(sink, None)\n"
+        "        held = tables.get(sink)\n        yield {sink: 1} if held is None else held\n",
+        [PATCH + "test_chain_k0_matches_full_tables_on_corrupted_chains",
+         PATCH + "test_the_fold_yields_each_prefix_at_its_sink_and_changes_no_patch"],
+    ),
+    # small-to-large merging into the larger table, which may be the sink's, handed out
+    "fold-mutates-a-column-it-has-handed-out": (
+        ALGEBRA,
+        "                _add_into(acc, c, {x: 1} if table is None else table)\n",
+        "                if in_place and c == 1 and table is not None and len(table) > len(acc):\n"
+        "                    acc, table = table, acc\n"
+        "                    prefix[u] = acc\n"
+        "                _add_into(acc, c, {x: 1} if table is None else table)\n",
+        [PATCH + "test_the_fold_matches_fresh_tables_on_random_feeds",
+         PATCH + "test_the_fold_yields_each_prefix_at_its_sink_and_changes_no_patch"],
+    ),
+    "fold-keeps-a-cancelled-entrys-zero": (
+        ALGEBRA,
+        "        else:\n            del acc[y]\n",
+        "        else:\n            acc[y] = z\n",
+        [PATCH + "test_the_fold_matches_fresh_tables_on_random_feeds"],
+    ),
+    "in-place-add-on-a-step-that-moves-two-vertices": (
+        ALGEBRA,
+        "    closed = sink not in moved and (\n",
+        "    closed = sink not in moved or (\n",
+        [PATCH + "test_the_fold_matches_fresh_tables_on_random_feeds",
+         PATCH + "test_chain_k0_matches_full_tables_on_corrupted_chains",
+         SPLIT + "test_composites_match_oracle_on_corrupted_chains"],
+    ),
+    "fresh-tables-written-before-every-table-is-read": (
+        ALGEBRA,
+        "            fresh[u] = acc = {}\n",
+        "            prefix[u] = acc = {}\n",
+        [PATCH + "test_the_fold_matches_fresh_tables_on_random_feeds"],
+    ),
+    "shared-report-returned-for-a-non-unital-map": (
+        ALGEBRA,
+        "if verdict == _CLEAN else",
+        "if verdict[:5] == _CLEAN[:5] else",
+        [PATCH + "test_a_passing_check_returns_the_shared_report_and_a_failing_one_never_does",
+         PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
     ),
     "prefix-rows-skip-moved-rows": (
         KTHEORY,

@@ -19,6 +19,8 @@ from ampgraph import (
     GeneratorMap,
     check_chain_k0,
     cw_kk_summary,
+    flag_graph,
+    kk_chain,
     verify_ck_family,
 )
 from ampgraph import algebra, splitting
@@ -314,3 +316,228 @@ def test_each_step_examines_only_its_patches_and_their_neighbours(monkeypatch):
     assert len(summary.chain.steps) == 119
     assert generators > 60_000
     assert examined < generators / 10
+
+
+
+# ---------------------------------------------------------------------------
+# the prefix fold
+
+
+def _reference_fold(steps, cancelled: list):
+    """``algebra._prefix_fold`` with every prefix table rebuilt as a new dict at every step.
+
+    Each entry that sums to zero is appended to ``cancelled``.
+    """
+    def push(prefix, moved):
+        out = {}
+        for u, terms in moved.items():
+            acc = {}
+            for x, c in terms.items():
+                for y, d in prefix.get(x, {x: 1}).items():
+                    acc[y] = acc.get(y, 0) + c * d
+            cancelled.extend(y for y, c in acc.items() if not c)
+            out[u] = {y: c for y, c in acc.items() if c}
+        return {**prefix, **out}
+
+    tables, templates = {}, {}
+    for sink, vmoved, fmoved, lost in steps:
+        yield dict(tables.get(sink, {sink: 1}))
+        tables = push(tables, vmoved)
+        templates = push(templates, {f: {t: c for c, t in tpl} for f, tpl in fmoved.items()})
+        tables.pop(sink, None)
+        templates = {f: tpl for f, tpl in templates.items() if f not in lost}
+    yield tables, templates
+
+
+def _random_feed(rng: random.Random) -> list:
+    """Steps over labels ``a``, ``b``, ... with random integer tables and templates.
+
+    Each step names labels still present and moves one to three of those
+    it keeps, each often naming itself with coefficient 1 and sometimes
+    another moved label; it drops its sink and the families at it.
+    """
+    labels = [chr(ord("a") + i) for i in range(rng.randint(2, 7))]
+    steps = []
+    while len(labels) > 1:
+        sink = rng.choice(labels)
+        kept = [v for v in labels if v != sink]
+        fams = [(x, y) for x in labels for y in labels if x != y]
+
+        def terms(own, pool):
+            out = {own: 1} if rng.random() < 0.8 else {}
+            for x in rng.sample(pool, min(len(pool), rng.randint(0, 3))):
+                out[x] = out.get(x, 0) + rng.choice((-2, -1, 1, 1, 2))
+            return {x: c for x, c in out.items() if c}
+
+        vmoved = {u: terms(u, labels) for u in rng.sample(kept, rng.randint(1, min(3, len(kept))))}
+        live = [f for f in fams if sink not in f]
+        fmoved = {
+            f: tuple((c, t) for t, c in sorted(terms(f, fams).items()))
+            for f in rng.sample(live, min(len(live), rng.randint(0, 3)))
+        }
+        steps.append((sink, vmoved, fmoved, [f for f in fams if sink in f]))
+        labels = kept
+    return steps
+
+
+def test_the_fold_matches_fresh_tables_on_random_feeds():
+    """The in-place fold against the rebuilding one, on random integer steps.
+
+    The steps move several labels, some naming each other, with
+    coefficients that cancel, so every path of the fold runs: a table
+    added into in place, a step built fresh, an entry that cancels.  No
+    yielded table and no step's table changes afterwards.
+    """
+    rng = random.Random(20261019)
+    cancelled, crossed = [], 0
+    for _ in range(300):
+        steps = _random_feed(rng)
+        before = repr(steps)
+        held, copies = [], []
+        fold = algebra._prefix_fold(iter(steps))
+        for _ in steps:
+            table = next(fold)
+            held.append(table)
+            copies.append(dict(table))
+        tables, templates = next(fold)
+        *want, (want_tables, want_templates) = _reference_fold(steps, cancelled)
+        assert held == copies == want
+        assert tables == want_tables
+        assert {f: dict((t, c) for c, t in tpl) for f, tpl in templates.items()} == want_templates
+        assert repr(steps) == before
+        crossed += any(x in vmoved and x != u for _, vmoved, _, _ in steps
+                       for u, terms in vmoved.items() for x in terms)
+    assert crossed > 50 and len(cancelled) > 50
+
+
+def _section_feed(chain):
+    return (algebra._section_step(sd.sink, sd.sigma, sd.quotient_map) for sd in chain.steps)
+
+
+def _section_prefixes(chain):
+    """``sigma_1 . ... . sigma_i`` for i = 0, 1, ..., each composed on full tables."""
+    prefix = GeneratorMap.identity(chain.ambient)
+    yield prefix
+    for sd in chain.steps:
+        prefix = GeneratorMap(*compose_tables_oracle(prefix, sd.sigma))
+        yield prefix
+
+
+def _damaged_section_chains(rng: random.Random, count: int) -> list:
+    """Random chains of two steps or more, one section replaced by a ``map_corruptions`` variant."""
+    out = []
+    while len(out) < count:
+        chain = random_chain(rng)
+        if len(chain.steps) < 2:
+            continue
+        at = rng.randrange(len(chain.steps))
+        damaged = map_corruptions(chain.steps[at].sigma, rng)
+        if damaged:
+            steps = list(chain.steps)
+            steps[at] = steps[at]._replace(sigma=rng.choice(damaged))
+            out.append(chain._replace(steps=tuple(steps)))
+    return out
+
+
+def test_the_fold_yields_each_prefix_at_its_sink_and_changes_no_patch():
+    """On the golden chains and damaged sections, step by step against full-table composites."""
+    for chain in golden_chains() + _damaged_section_chains(random.Random(27), 120):
+        patches = repr([(sd.sigma.vertex_patch, sd.sigma.family_patch) for sd in chain.steps])
+        fold = algebra._prefix_fold(_section_feed(chain))
+        prefixes = list(_section_prefixes(chain))
+        held, copies = [], []
+        for sd, prefix in zip(chain.steps, prefixes):
+            table = next(fold)
+            assert table == prefix.vertex_images[sd.sink]
+            held.append(table)
+            copies.append(dict(table))
+        tables, templates = next(fold)
+        assert held == copies
+        assert algebra._label_map(chain.terminal, chain.ambient, tables, templates) == prefixes[-1]
+        assert repr([(sd.sigma.vertex_patch, sd.sigma.family_patch) for sd in chain.steps]) == patches
+
+
+def _count_moves(monkeypatch) -> list:
+    """The entries ``algebra._add_into`` moves, by kind: vertex tables, then templates."""
+    moved = [0, 0]
+    add_into = algebra._add_into
+
+    def counted(acc, c, table):
+        for y in table:
+            moved[isinstance(y, tuple)] += 1
+        add_into(acc, c, table)
+
+    monkeypatch.setattr(algebra, "_add_into", counted)
+    return moved
+
+
+def test_the_fold_moves_what_its_steps_drop(monkeypatch):
+    """A step moves at most the entries of the tables it drops, the sink's
+    and its families', plus one per label it moves, and a fold moves at
+    most as many vertex entries as it yields nonzeros, fed by either
+    reader.  The accumulators it replaced pushed the star's whole table
+    again at every step."""
+    moved = _count_moves(monkeypatch)
+    rng = random.Random(20261027)
+    chains = [kk_chain(flag_graph(DynkinSpec(4, frozenset({1, 2, 3, 4}))))]
+    chains += [random_chain(rng) for _ in range(40)]
+    assert any(sd.sigma.family_patch for chain in chains for sd in chain.steps)
+    for chain in chains:
+        moved[:] = [0, 0]
+        fold = algebra._prefix_fold(_section_feed(chain))
+        yielded = len(next(fold)) if chain.steps else 0
+        for sd, prefix in zip(chain.steps, _section_prefixes(chain)):
+            before = sum(moved)
+            out = next(fold)  # runs the step, then yields the next sink's table or the last prefix
+            fams = sd.working.families_at([sd.sink])
+            dropped = len(prefix.vertex_images[sd.sink]) + sum(len(prefix.edge_images[f]) for f in fams)
+            labels = len(sd.sigma.vertex_patch) + len(sd.sigma.family_patch)
+            assert sum(moved) - before <= dropped + labels
+            yielded += len(out) if sd is not chain.steps[-1] else sum(map(len, out[0].values()))
+        assert moved[0] <= yielded
+        moved[:] = [0, 0]
+        backward = check_chain_k0(chain).columns[1]
+        assert moved[1] == 0 and moved[0] <= sum(map(len, backward))
+
+
+def test_the_fold_moves_one_entry_per_step_on_full_a5(monkeypatch):
+    """Full A5's star is the source ``e`` at every step, so each step moves
+    the sink's one-entry table into the star's: 720 entries over 719 steps,
+    the first building the star's table from its own entry too.  The
+    composite's fold of ``compose_tables`` this replaced pushed 259,557."""
+    chain = cw_kk_summary(DynkinSpec(5, frozenset({1, 2, 3, 4, 5}))).chain
+    moved = _count_moves(monkeypatch)
+    chain.composite_section()
+    assert moved == [720, 0]
+    moved[:] = [0, 0]
+    check_chain_k0(chain)
+    assert moved == [720, 0]
+
+
+# ---------------------------------------------------------------------------
+# the shared passing report
+
+
+def test_the_relation_check_matches_full_tables_on_every_step_map():
+    """Every step map of the golden and corrupted chains, both unital settings."""
+    chains = [*golden_chains(), *corrupted_chains()]
+    for m in {id(m): m for chain in chains for m in _step_maps(chain)}.values():
+        _assert_map_matches(m)
+
+
+def test_a_passing_check_returns_the_shared_report_and_a_failing_one_never_does():
+    """The step maps of the golden and corrupted chains, and each variant of the first 60 of the latter."""
+    passed = failed = 0
+    rng = random.Random(2027)
+    maps = [m for chain in golden_chains() for m in _step_maps(chain)]
+    for i, chain in enumerate(corrupted_chains()):
+        maps += [v for m in _step_maps(chain) for v in (m, *(map_corruptions(m, rng) if i < 60 else ()))]
+    for m in maps:
+        for unital in (True, False):
+            report = verify_ck_family(m, unital)
+            assert report == verify_ck_family_tables_oracle(m, unital)
+            shared = report is algebra._PASSED[unital]
+            assert shared == all(c.passed for c in report.checks)
+            passed += shared
+            failed += not shared
+    assert passed > 1000 and failed > 1000

@@ -223,6 +223,21 @@ def test_composite_section_splits_composite_quotient():
         assert compose(quot, section) == GeneratorMap.identity(chain.terminal)
 
 
+def test_the_composite_of_no_step_or_one_step_is_the_identity_or_the_section():
+    """One fold builds every composite: no steps give the identity on the
+    ambient graph, one step gives that step's section."""
+    rng = random.Random(27)
+    chains = golden_chains() + [_random_policy_chain(rng)[1] for _ in range(40)]
+    for chain in chains:
+        assert chain._replace(steps=()).composite_section() == GeneratorMap.identity(chain.ambient)
+        if chain.steps:
+            assert chain._replace(steps=chain.steps[:1]).composite_section() == chain.steps[0].sigma
+    assert any(not chain.steps for chain in chains)
+    assert multi_sink_splitting(example_graph(), []).composite_section() == (
+        GeneratorMap.identity(example_graph())
+    )
+
+
 def test_multi_sink_splitting_with_explicit_stars():
     g = example_graph()
     chain = multi_sink_splitting(g, ["v4", "v5"], ["v2", "v3"])
