@@ -100,7 +100,7 @@ _EXPORTS = {
         "skeleton_filtration",
         "summarize_filtration",
     ),
-    "graphio": ("dump_graph", "dumps_graph", "graph_from_dict", "graph_to_dict", "load_graph"),
+    "graphio": ("dumps_graph", "graph_from_dict", "graph_to_dict", "load_graph"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

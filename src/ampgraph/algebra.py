@@ -15,11 +15,16 @@ they are checked on the templates, without multiplying words.
 
 A vertex image is a table ``{target vertex: coefficient}``, the integer sum
 ``sum_x d_x p_x`` of vertex projections: every section and quotient map of
-a sink removal sends a vertex projection to such a sum.  Only this module
-reads those tables.  The relation checks, the section identity and each
-image's K_0 class are decided on them.  Only :meth:`GeneratorMap.apply`
-turns a table back into an element, when a word is pushed through the map;
-it alone loads the word arithmetic of :mod:`ampgraph.words`.
+a sink removal sends a vertex projection to such a sum.  A family template
+is the same kind of table, ``{target family: coefficient}``, so one lookup
+and one push serve both; only the :class:`GeneratorMap` constructor, which
+takes each template as ``(coefficient, family)`` pairs, and
+``edge_images``, which returns them sorted by family, use pairs.  Only
+this module reads those tables.  The relation checks, the section identity
+and each image's K_0 class are decided on them.  Only
+:meth:`GeneratorMap.apply` turns a table back into an element, when a word
+is pushed through the map; it alone loads the word arithmetic of
+:mod:`ampgraph.words`.
 A table has gauge degree 0 and a template gauge degree 1, so every map
 that can be written down commutes with the gauge action, and no check for
 it could fail.
@@ -91,25 +96,18 @@ def __getattr__(name: str):
 # generator maps
 
 
-#: A family template: formal sum of target family symbols, all carrying the
-#: same symbolic parallel-edge index as the input edge.
-EdgeTemplate = tuple[tuple[int, tuple[str, str]], ...]
-
-
-def _normalize_template(entries: Iterable[tuple[int, tuple[str, str]]]) -> EdgeTemplate:
-    """Sum repeated families, drop zero coefficients and sort by family."""
-    acc: dict[tuple[str, str], int] = {}
-    for coeff, fam in entries:
-        fam = (fam[0], fam[1])
-        acc[fam] = acc.get(fam, 0) + coeff
-    return tuple(
-        (c, fam) for fam, c in sorted(acc.items()) if c != 0
-    )
-
-
 #: A vertex image: the target vertices of ``sum_x d_x p_x`` with their
-#: nonzero coefficients ``d_x``.
+#: nonzero coefficients ``d_x``.  A family template is the same kind of table,
+#: ``{target family: c_t}`` for ``sum_t c_t s_t^i``.
 VertexTable = dict[str, int]
+
+
+def _template_table(entries: Iterable[tuple[int, tuple[str, str]]]) -> dict:
+    """The ``(coefficient, family)`` pairs of a template as its table: repeats summed, zeros dropped."""
+    acc: dict[tuple[str, str], int] = {}
+    for coeff, (src, dst) in entries:
+        acc[src, dst] = acc.get((src, dst), 0) + coeff
+    return {t: c for t, c in acc.items() if c != 0}
 
 
 def _vertex_table(target: AmpGraph, v: str, img) -> VertexTable:
@@ -127,18 +125,18 @@ def _vertex_table(target: AmpGraph, v: str, img) -> VertexTable:
     return {x: c for x, c in img.items() if c}
 
 
-def _check_template(target: AmpGraph, fam: tuple[str, str], tpl: EdgeTemplate) -> None:
+def _check_template(target: AmpGraph, fam: tuple[str, str], tpl: dict) -> None:
     """Refuse a template of ``fam`` that uses a family ``target`` lacks.
 
-    A family ``target`` keeps is OMEGA, the graph being amplified; a missing
-    one is looked up again, so an unknown end is named first.
+    A family ``target`` keeps is OMEGA, the graph being amplified; the first
+    missing one in label order is looked up again, so an unknown end is
+    named first.
     """
-    for _, (src, dst) in tpl:
-        if not target.has_family(src, dst) and target.multiplicity(src, dst) is not OMEGA:
-            raise ValueError(
-                f"template for {fam} uses missing target family "
-                f"{src!r} -> {dst!r}"
-            )
+    for src, dst in tpl:
+        if not target.has_family(src, dst):
+            src, dst = min(t for t in tpl if not target.has_family(*t))
+            if target.multiplicity(src, dst) is not OMEGA:
+                raise ValueError(f"template for {fam} uses missing target family {src!r} -> {dst!r}")
 
 
 class GeneratorMap(_Frozen):
@@ -147,15 +145,17 @@ class GeneratorMap(_Frozen):
     The constructor takes ``vertex_images``, sending each source vertex to
     its table ``{target vertex: coefficient}``, the sum of target vertex
     projections its projection maps to, and ``edge_images``, sending each
-    source edge family to a template, instantiated index-uniformly.  The map
-    keeps only its *patch*: ``vertex_patch`` and ``family_patch`` hold the
-    images that differ from the same-label generator of the target, in
-    vertex and row-major family order, and every other generator goes to
-    the generator of its own label.  ``vertex_images`` and ``edge_images``
-    build the full tables on each access.  Nothing here promises the data
-    is an actual homomorphism; :func:`verify_ck_family` checks that.
-    Maps are equal when their graphs and patches are; a map is immutable
-    and, holding dicts, unhashable.
+    source edge family to a template, instantiated index-uniformly, given
+    as ``(coefficient, target family)`` pairs.  The map keeps only its
+    *patch*: ``vertex_patch`` and ``family_patch`` hold the images that
+    differ from the same-label generator of the target, in vertex and
+    row-major family order, each as a table, ``{target family: coefficient}``
+    for a template, and every other generator goes to the generator of its
+    own label.  ``vertex_images`` and ``edge_images`` build the full tables
+    on each access, each template as its pairs sorted by family.  Nothing
+    here promises the data is an actual homomorphism;
+    :func:`verify_ck_family` checks that.  Maps are equal when their graphs
+    and patches are; a map is immutable and, holding dicts, unhashable.
     """
 
     __slots__ = _fields = ("source", "target", "vertex_patch", "family_patch")
@@ -166,17 +166,21 @@ class GeneratorMap(_Frozen):
             raise ValueError("vertex images must cover exactly the source vertices")
         if eimgs.keys() != {(a, b) for a, b, _ in source.edges}:
             raise ValueError("edge templates must cover exactly the source families")
-        _fill(self, source, target, *_patch(source, target, vimgs, eimgs))
+        tables = {fam: _template_table(tpl) for fam, tpl in eimgs.items()}
+        _fill(self, source, target, *_patch(source, target, vimgs, tables))
 
     @property
     def vertex_images(self) -> dict:
         """Every source vertex's table, the patch's or the same-label ``{v: 1}``."""
-        return {v: _vertex_image(self, v) for v in self.source.vertices}
+        return {v: _image(self.vertex_patch, v) for v in self.source.vertices}
 
     @property
     def edge_images(self) -> dict:
-        """Every source family's template, the patch's or the same-label family."""
-        return {(a, b): _family_image(self, (a, b)) for a, b, _ in self.source.edges}
+        """Every source family's template as ``(coefficient, family)`` pairs, sorted by family."""
+        images = {(a, b): ((1, (a, b)),) for a, b, _ in self.source.edges}
+        for fam, tpl in self.family_patch.items():
+            images[fam] = tuple((c, t) for t, c in sorted(tpl.items()))
+        return images
 
     # -- canned maps ---------------------------------------------------------
 
@@ -211,11 +215,11 @@ class GeneratorMap(_Frozen):
         """Generator-by-generator rendering, symbolic in the family index."""
         rows: dict[str, str] = {}
         for v in self.source.vertices:
-            table = sorted(_vertex_image(self, v).items())
+            table = sorted(_image(self.vertex_patch, v).items())
             rows[f"p[{v}]"] = _render_sum((c, f"p[{x}]") for x, c in table)
         for src, dst, _ in self.source.families():
-            tpl = _family_image(self, (src, dst))
-            rows[f"s[{src}>{dst}#i]"] = _render_sum((c, f"s[{a}>{b}#i]") for c, (a, b) in tpl)
+            tpl = sorted(_image(self.family_patch, (src, dst)).items())
+            rows[f"s[{src}>{dst}#i]"] = _render_sum((c, f"s[{a}>{b}#i]") for (a, b), c in tpl)
         return rows
 
 
@@ -224,16 +228,10 @@ def _fill(m: GeneratorMap, source: AmpGraph, target: AmpGraph, vertex_patch: dic
     _Frozen.__init__(m, source=source, target=target, vertex_patch=vertex_patch, family_patch=family_patch)
 
 
-def _vertex_image(m, v: str) -> VertexTable:
-    """The table of ``m(p_v)``: the patch's, or ``{v: 1}`` when ``m`` does not move ``v``."""
-    table = m.vertex_patch.get(v)
-    return {v: 1} if table is None else table
-
-
-def _family_image(m, fam: tuple[str, str]) -> EdgeTemplate:
-    """The template of ``fam`` under ``m``: the patch's, or the family itself."""
-    tpl = m.family_patch.get(fam)
-    return ((1, fam),) if tpl is None else tpl
+def _image(patch: dict, label) -> dict:
+    """The table of the generator ``label`` under a map with ``patch``: the patch's, or ``{label: 1}``."""
+    table = patch.get(label)
+    return {label: 1} if table is None else table
 
 
 def _render_sum(terms: Iterable[tuple[int, str]]) -> str:
@@ -251,8 +249,8 @@ def _label_map(source: AmpGraph, target: AmpGraph, vertices: dict, families: dic
                lacked: tuple | None = None) -> GeneratorMap:
     """The map sending each generator of ``source`` to the same-label one of ``target``.
 
-    ``vertices`` and ``families`` give the vertex images and family
-    templates of the generators it moves instead; ``lacked``, when given,
+    ``vertices`` and ``families`` give the vertex tables and template
+    tables of the generators it moves instead; ``lacked``, when given,
     is ``source.lacks(target)``, already in hand.
     """
     m = object.__new__(GeneratorMap)
@@ -286,11 +284,10 @@ def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict,
         raise errors[min(errors, key=lambda v: source.index(v) if v in source else len(source))]
     if not all(map(source.__contains__, tables)):
         raise ValueError("vertex images must cover exactly the source vertices")
-    templates = {fam: _normalize_template(tpl) if tpl else () for fam, tpl in families.items()}
-    if not all(source.has_family(*fam) for fam in templates):
+    if not all(source.has_family(*fam) for fam in families):
         raise ValueError("edge templates must cover exactly the source families")
-    unmoved = {fam: ((1, fam),) for fam in lost if fam not in templates}
-    for fam, tpl in (*unmoved.items(), *templates.items()):
+    unmoved = {fam: {fam: 1} for fam in lost if fam not in families}
+    for fam, tpl in (*unmoved.items(), *families.items()):
         try:
             _check_template(target, fam, tpl)
         except ValueError as exc:
@@ -301,11 +298,7 @@ def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict,
         raise errors[min(errors, key=row_major)]
     return (
         {v: tables[v] for v in sorted(tables, key=at) if tables[v] != {v: 1}},
-        {
-            fam: templates[fam]
-            for fam in sorted(templates, key=row_major)
-            if templates[fam] != ((1, fam),)
-        },
+        {fam: families[fam] for fam in sorted(families, key=row_major) if families[fam] != {fam: 1}},
     )
 
 
@@ -320,20 +313,7 @@ def _quotient_onto(graph: AmpGraph, target: AmpGraph, removed: Iterable[str]) ->
     lacked = gone, lost = graph.lacks(target)
     if set(gone) != set(removed):
         lost = graph.families_at(removed)
-    return _label_map(graph, target, {v: {} for v in removed}, dict.fromkeys(lost, ()), lacked)
-
-
-class _Patch(NamedTuple):
-    """A map's graphs and patch, in :class:`GeneratorMap`'s field order.
-
-    What :func:`compose_tables` returns; ``_label_map(*patch)`` validates
-    it into a map.
-    """
-
-    source: AmpGraph
-    target: AmpGraph
-    vertex_patch: dict
-    family_patch: dict
+    return _label_map(graph, target, {v: {} for v in removed}, {f: {} for f in lost}, lacked)
 
 
 def _edge_image(m, e: EdgeRef) -> CKElement:
@@ -346,13 +326,13 @@ def _edge_image(m, e: EdgeRef) -> CKElement:
     if e.index < 0:
         raise ValueError(f"negative edge index in {e!r}")
     acc: dict[CKWord, int] = {}
-    for coeff, (src, dst) in _family_image(m, fam):
+    for (src, dst), coeff in _image(m.family_patch, fam).items():
         acc[CKWord(Path(src, (EdgeRef(src, dst, e.index),)), Path(dst))] = coeff
     return CKElement._make(m.target, acc)
 
 
 def _push(m, terms: Iterable[tuple[CKWord, int]]) -> CKElement:
-    """``sum c m(w)`` over ``terms``, for the map or patch ``m``.
+    """``sum c m(w)`` over ``terms``, for the map ``m``.
 
     A vertex word goes to the element of its table; any other word to the
     product of its letter images.
@@ -362,7 +342,7 @@ def _push(m, terms: Iterable[tuple[CKWord, int]]) -> CKElement:
     acc: dict[CKWord, int] = {}
     for w, c in terms:
         if w.is_vertex:
-            for x, d in _vertex_image(m, w.alpha.base).items():
+            for x, d in _image(m.vertex_patch, w.alpha.base).items():
                 wz = projection_word(x)
                 acc[wz] = acc.get(wz, 0) + d * c
             continue
@@ -376,22 +356,13 @@ def _push(m, terms: Iterable[tuple[CKWord, int]]) -> CKElement:
     return CKElement._make(m.target, acc)
 
 
-def _push_table(m, table: VertexTable) -> VertexTable:
-    """``sum_x d_x m(p_x)`` as a table, for the table ``table`` of the ``d_x``; zeros dropped."""
-    acc: dict[str, int] = {}
+def _pull(patch: dict, table: dict) -> dict:
+    """``sum_x c_x m(x)`` as a table, zeros dropped, for ``table = {x: c_x}`` and the map ``m`` with ``patch``."""
+    acc: dict = {}
     for x, c in table.items():
-        for y, d in _vertex_image(m, x).items():
+        for y, d in _image(patch, x).items():
             acc[y] = acc.get(y, 0) + c * d
     return {y: c for y, c in acc.items() if c}
-
-
-def _compose_template(outer, tpl: EdgeTemplate) -> EdgeTemplate:
-    """The template ``tpl`` with each target family replaced by its ``outer`` template."""
-    return _normalize_template(
-        (coeff * c2, out_fam)
-        for coeff, mid in tpl
-        for c2, out_fam in _family_image(outer, mid)
-    )
 
 
 def _check_composable(outer, inner) -> None:
@@ -399,37 +370,39 @@ def _check_composable(outer, inner) -> None:
         raise ValueError("maps do not compose: inner target differs from outer source")
 
 
-def compose_tables(outer, inner) -> _Patch:
-    """The patch of ``outer . inner``, built without a map.
+def _composed(outer: dict, inner: dict, kept) -> dict:
+    """One half of the patch of a composite, from that half of ``outer``'s and ``inner``'s.
 
-    ``outer`` and ``inner`` are generator maps or patches.  A generator
-    ``inner`` does not move goes where ``outer`` sends its label, so the
-    composite moves at most the generators ``inner`` moves, each pushed
-    through ``outer``, and those ``outer`` moves among the labels of
-    ``inner.source``.  Entries that come back to the same-label generator
-    are dropped.  The result is valid whenever both inputs are.
+    ``kept`` tells which labels the inner map's source has.
     """
-    _check_composable(outer, inner)
+    moved = {u: _pull(outer, table) for u, table in inner.items()}
+    for u, table in outer.items():
+        if u not in moved and kept(u):
+            moved[u] = table
+    return {u: table for u, table in moved.items() if table != {u: 1}}
+
+
+def compose_tables(outer: GeneratorMap, inner: GeneratorMap) -> tuple[dict, dict]:
+    """The vertex and family patches of ``outer . inner``, built without a map.
+
+    A generator ``inner`` does not move goes where ``outer`` sends its
+    label, so the composite moves at most the generators ``inner`` moves,
+    each pushed through ``outer``, and those ``outer`` moves among the
+    labels of ``inner.source``; vertex tables and templates alike.  Entries
+    that come back to the same-label generator are dropped.  The maps are
+    taken to compose; the result is valid whenever both are.
+    """
     src = inner.source
-    vpatch = {v: _push_table(outer, table) for v, table in inner.vertex_patch.items()}
-    for v, table in outer.vertex_patch.items():
-        if v not in vpatch and v in src:
-            vpatch[v] = table
-    fpatch = {fam: _compose_template(outer, tpl) for fam, tpl in inner.family_patch.items()}
-    for fam, tpl in outer.family_patch.items():
-        if fam not in fpatch and src.has_family(*fam):
-            fpatch[fam] = tpl
-    return _Patch(
-        src,
-        outer.target,
-        {v: table for v, table in vpatch.items() if table != {v: 1}},
-        {fam: tpl for fam, tpl in fpatch.items() if tpl != ((1, fam),)},
+    return (
+        _composed(outer.vertex_patch, inner.vertex_patch, src.__contains__),
+        _composed(outer.family_patch, inner.family_patch, lambda fam: src.has_family(*fam)),
     )
 
 
 def compose(outer: GeneratorMap, inner: GeneratorMap) -> GeneratorMap:
     """The composite ``outer . inner`` as a single generator map."""
-    return _label_map(*compose_tables(outer, inner))
+    _check_composable(outer, inner)
+    return _label_map(inner.source, outer.target, *compose_tables(outer, inner))
 
 
 def _add_into(acc: dict, c: int, table: dict) -> None:
@@ -442,7 +415,7 @@ def _add_into(acc: dict, c: int, table: dict) -> None:
             del acc[y]
 
 
-def _fold_into(prefix: dict, moved: dict, sink=None) -> None:
+def _fold_into(prefix: dict, moved: dict, sink) -> None:
     """Replace each moved ``prefix[u]`` by ``sum c prefix[x]`` over the terms ``{x: c}`` of ``moved[u]``.
 
     A label the prefix does not hold stands for ``{x: 1}``.  A held table
@@ -479,9 +452,9 @@ def _prefix_fold(steps: Iterable[tuple]) -> Iterator:
     removes, the vertex tables and family templates ``m_i`` moves, keyed by
     labels of its source, and the families at ``sink``, which its source
     lacks too.  For each step the fold yields the table of ``P_(i-1)`` at
-    ``sink``, read before the step; last, the vertex tables and templates
-    of the final prefix, identity entries included, each template as its
-    ``(coefficient, family)`` pairs for :func:`_label_map` to normalise.
+    ``sink``, read before the step; last, the vertex tables and template
+    tables of the final prefix, identity entries included, for
+    :func:`_label_map`.
     A label the prefix does not hold goes to itself.  A step that moves one
     vertex, naming itself with coefficient 1 as every section's star does,
     adds the tables its other terms name into the star's in place, so it
@@ -496,11 +469,11 @@ def _prefix_fold(steps: Iterable[tuple]) -> Iterator:
         yield {sink: 1} if held is None else held
         _fold_into(tables, vmoved, sink)
         if fmoved:
-            _fold_into(templates, {f: {t: c for c, t in tpl} for f, tpl in fmoved.items()})
+            _fold_into(templates, fmoved, sink)
         tables.pop(sink, None)
         for f in lost:
             templates.pop(f, None)
-    yield tables, {f: [(c, t) for t, c in tpl.items()] for f, tpl in templates.items()}
+    yield tables, templates
 
 
 def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str | None:
@@ -518,12 +491,12 @@ def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str 
     src = section.source
     if quot.target != src:
         return f"p[{src.vertices[0]}]" if src.vertices else None
-    moved = compose_tables(quot, section)
+    vpatch, fpatch = compose_tables(quot, section)
     at = src.vertex_order
-    if moved.vertex_patch:
-        return f"p[{min(moved.vertex_patch, key=at)}]"
-    if moved.family_patch:
-        a, b = min(moved.family_patch, key=lambda fam: (at(fam[0]), at(fam[1])))
+    if vpatch:
+        return f"p[{min(vpatch, key=at)}]"
+    if fpatch:
+        a, b = min(fpatch, key=lambda fam: (at(fam[0]), at(fam[1])))
         return f"s[{a}>{b}#0]"
     return None
 
@@ -647,7 +620,7 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
         # the range sums, and whether the source table holds each source with 1
         ranges: dict[str, int] = {}
         under, held = vpatch.get(f[0], {f[0]: 1}), True
-        for c, t in tpl:
+        for t, c in tpl.items():
             ranges[t[1]] = ranges.get(t[1], 0) + c * c
             held = held and under.get(t[0]) == 1
             fam_users.setdefault(t, []).append((f, c))

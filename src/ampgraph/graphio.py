@@ -84,11 +84,5 @@ def load_graph(path: str) -> AmpGraph:
     return graph_from_dict(data)
 
 
-def dump_graph(g: AmpGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_graph(g))
-        fh.write("\n")
-
-
 def dumps_graph(g: AmpGraph) -> str:
     return json.dumps(graph_to_dict(g), sort_keys=True, separators=(",", ":"), ensure_ascii=True)

@@ -96,7 +96,7 @@ def _splitting_map(working: AmpGraph, source: AmpGraph, sink: str,
         source,
         working,
         {star: {star: 1, sink: 1}},
-        {(v, star): ((1, (v, star)), (1, (v, sink))) for v in source.predecessors(star)},
+        {(v, star): {(v, star): 1, (v, sink): 1} for v in source.predecessors(star)},
     )
 
 

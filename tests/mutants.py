@@ -99,9 +99,15 @@ MUTANTS = {
     ),
     "unmoved-family-set-check-dropped": (
         ALGEBRA,
-        "    unmoved = {fam: ((1, fam),) for fam in lost if fam not in templates}\n",
+        "    unmoved = {fam: {fam: 1} for fam in lost if fam not in families}\n",
         "    unmoved = {}\n",
         [PATCH + "test_an_unmoved_family_the_target_lacks_is_refused"],
+    ),
+    "template-pairs-keep-zero-coefficients": (
+        ALGEBRA,
+        "    return {t: c for t, c in acc.items() if c != 0}\n",
+        "    return acc\n",
+        [PATCH + "test_a_template_given_as_pairs_sums_repeats_and_drops_zeros"],
     ),
     "patch-keeps-identity-entries": (
         ALGEBRA,
@@ -111,15 +117,15 @@ MUTANTS = {
     ),
     "composite-drops-outer-vertex-moves": (
         ALGEBRA,
-        "        if v not in vpatch and v in src:\n",
-        "        if False:\n",
+        "        _composed(outer.vertex_patch, inner.vertex_patch, src.__contains__),\n",
+        "        _composed(outer.vertex_patch, inner.vertex_patch, lambda v: False),\n",
         [PATCH + "test_patch_checks_match_full_tables_on_random_chains",
          PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
     ),
     "composite-drops-outer-family-moves": (
         ALGEBRA,
-        "        if fam not in fpatch and src.has_family(*fam):\n",
-        "        if False:\n",
+        "        _composed(outer.family_patch, inner.family_patch, lambda fam: src.has_family(*fam)),\n",
+        "        _composed(outer.family_patch, inner.family_patch, lambda fam: False),\n",
         [PATCH + "test_patch_checks_match_full_tables_on_random_chains",
          PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
     ),
@@ -273,9 +279,16 @@ MUTANTS = {
     ),
     "render-table-keeps-table-order": (
         ALGEBRA,
-        "            table = sorted(_vertex_image(self, v).items())\n",
-        "            table = _vertex_image(self, v).items()\n",
+        "            table = sorted(_image(self.vertex_patch, v).items())\n",
+        "            table = _image(self.vertex_patch, v).items()\n",
         [ALG + "test_render_table_rows_match_element_rendering"],
+    ),
+    "render-table-keeps-template-order": (
+        ALGEBRA,
+        "            tpl = sorted(_image(self.family_patch, (src, dst)).items())\n",
+        "            tpl = _image(self.family_patch, (src, dst)).items()\n",
+        [ALG + "test_render_table_rows_match_element_rendering",
+         "tests/test_golden_reports.py::test_reports_match_golden_digests", TEXT],
     ),
     # -- one path from a chosen (sink, star) to a verified step ------------------
     "planner-skips-check-step": (
@@ -641,8 +654,8 @@ MUTANTS = {
     ),
     "lost-handed-over-when-the-target-lacks-more": (
         ALGEBRA,
-        "dict.fromkeys(lost, ()), lacked)\n",
-        "dict.fromkeys(lost, ()), (removed, lost))\n",
+        "{f: {} for f in lost}, lacked)\n",
+        "{f: {} for f in lost}, (removed, lost))\n",
         [PATCH + "test_a_quotient_map_hands_its_one_listing_to_the_validator"],
     ),
     "lacked-families-kept-when-the-target-keeps-the-removed-set": (

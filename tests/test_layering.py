@@ -30,7 +30,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ampgraph"
 LAYOUT = {
     "vertex_images", "edge_images", "vertex_patch", "family_patch", "_vertex_image",
     "_family_image", "_push", "_push_table", "_compose_template", "_check_composable",
-    "word_mul",
+    "word_mul", "_image", "_pull",
 }
 STORAGE = {
     "_t", "_keep", "_Tables", "_on", "_at", "_mask", "_labels", "_kept", "_flags", "_shape",

@@ -133,9 +133,9 @@ def test_chain_k0_matches_full_tables_on_corrupted_chains():
 def test_canned_maps_keep_only_what_they_move():
     sd = splitting.build_splitting(example_graph(), "v4", "v2")
     assert sd.sigma.vertex_patch == {"v2": {"v2": 1, "v4": 1}}
-    assert sd.sigma.family_patch == {("v1", "v2"): ((1, ("v1", "v2")), (1, ("v1", "v4")))}
+    assert sd.sigma.family_patch == {("v1", "v2"): {("v1", "v2"): 1, ("v1", "v4"): 1}}
     assert sd.quotient_map.vertex_patch == {"v4": {}}
-    assert sd.quotient_map.family_patch == {("v1", "v4"): (), ("v2", "v4"): ()}
+    assert sd.quotient_map.family_patch == {("v1", "v4"): {}, ("v2", "v4"): {}}
     g = example_graph()
     ident = GeneratorMap.identity(g)
     assert (ident.vertex_patch, ident.family_patch) == ({}, {})
@@ -167,6 +167,22 @@ def test_an_override_of_an_unmoved_generator_joins_the_patch():
     assert with_images(bad, vimgs={"v3": {"v3": 1, "v5": 0}}) == sd.sigma
 
 
+def test_a_template_given_as_pairs_sums_repeats_and_drops_zeros():
+    sd = splitting.build_splitting(example_graph(), "v4", "v2")
+    f, t, u = ("v1", "v2"), ("v1", "v4"), ("v3", "v5")
+    # a repeated family and a cancelling pair build the same map as the reduced table
+    pairs = ((2, t), (1, u), (1, f), (-1, t), (-1, u))
+    m = with_images(sd.sigma, eimgs={f: pairs})
+    assert m.family_patch == {f: {f: 1, t: 1}}
+    assert m == sd.sigma
+    # a template that reduces to its own family leaves the patch
+    ident = GeneratorMap.identity(example_graph())
+    back = with_images(ident, eimgs={("v1", "v3"): ((1, ("v1", "v3")), (1, u), (-1, u))})
+    assert back.family_patch == {}
+    assert back == ident
+    assert verify_ck_family(back).ok
+
+
 def _without(g: AmpGraph, fam) -> AmpGraph:
     return AmpGraph(g.vertices, tuple(e for e in g.edges if e[:2] != fam))
 
@@ -194,7 +210,7 @@ def test_refusals_name_the_first_offender_as_the_full_tables_do():
     with pytest.raises(ValueError) as full:
         GeneratorMap(g, h, ident.vertex_images, {**ident.edge_images, **fams})
     with pytest.raises(ValueError) as patched:
-        algebra._label_map(g, h, {}, fams)
+        algebra._label_map(g, h, {}, {("v2", "v4"): {("v2", "v4"): 1, ("v1", "v3"): 1}})
     assert str(full.value) == str(patched.value) == (
         "template for ('v1', 'v3') uses missing target family 'v1' -> 'v3'"
     )
@@ -211,13 +227,13 @@ def test_a_quotient_map_hands_its_one_listing_to_the_validator():
     # onto the quotient by the removed set: the families at it are killed
     g = example_graph()
     q = algebra._quotient_onto(g, g.quotient(("v4",)), ("v4",))
-    assert (q.vertex_patch, q.family_patch) == ({"v4": {}}, {("v2", "v4"): ()})
+    assert (q.vertex_patch, q.family_patch) == ({"v4": {}}, {("v2", "v4"): {}})
     # onto a graph that lacks more: the validator still sees the extra vertex
     with pytest.raises(ValueError, match=r"image of p\[v5\] names unknown vertex 'v5'"):
         algebra._quotient_onto(g, g.quotient(("v4", "v5")), ("v4",))
     # onto a graph that keeps the removed vertex: its families are listed anew
     kept = algebra._quotient_onto(g, g, ("v4",))
-    assert (kept.vertex_patch, kept.family_patch) == ({"v4": {}}, {("v2", "v4"): ()})
+    assert (kept.vertex_patch, kept.family_patch) == ({"v4": {}}, {("v2", "v4"): {}})
     assert verify_ck_family(kept).check("unital").passed is False
 
 
@@ -275,7 +291,7 @@ def _neighbourhood(maps) -> set:
     for m in maps:
         vpatch, fpatch = m.vertex_patch, m.family_patch
         out |= set(vpatch) | {x for table in vpatch.values() for x in table}
-        out |= set(fpatch) | {t for tpl in fpatch.values() for _, t in tpl}
+        out |= set(fpatch) | {t for tpl in fpatch.values() for t in tpl}
         out |= set(m.source.families_at(vpatch))
     return out | {v for fam in out if isinstance(fam, tuple) for v in fam}
 
@@ -343,7 +359,7 @@ def _reference_fold(steps, cancelled: list):
     for sink, vmoved, fmoved, lost in steps:
         yield dict(tables.get(sink, {sink: 1}))
         tables = push(tables, vmoved)
-        templates = push(templates, {f: {t: c for c, t in tpl} for f, tpl in fmoved.items()})
+        templates = push(templates, fmoved)
         tables.pop(sink, None)
         templates = {f: tpl for f, tpl in templates.items() if f not in lost}
     yield tables, templates
@@ -371,10 +387,7 @@ def _random_feed(rng: random.Random) -> list:
 
         vmoved = {u: terms(u, labels) for u in rng.sample(kept, rng.randint(1, min(3, len(kept))))}
         live = [f for f in fams if sink not in f]
-        fmoved = {
-            f: tuple((c, t) for t, c in sorted(terms(f, fams).items()))
-            for f in rng.sample(live, min(len(live), rng.randint(0, 3)))
-        }
+        fmoved = {f: terms(f, fams) for f in rng.sample(live, min(len(live), rng.randint(0, 3)))}
         steps.append((sink, vmoved, fmoved, [f for f in fams if sink in f]))
         labels = kept
     return steps
@@ -403,7 +416,7 @@ def test_the_fold_matches_fresh_tables_on_random_feeds():
         *want, (want_tables, want_templates) = _reference_fold(steps, cancelled)
         assert held == copies == want
         assert tables == want_tables
-        assert {f: dict((t, c) for c, t in tpl) for f, tpl in templates.items()} == want_templates
+        assert templates == want_templates
         assert repr(steps) == before
         crossed += any(x in vmoved and x != u for _, vmoved, _, _ in steps
                        for u, terms in vmoved.items() for x in terms)
