@@ -31,12 +31,12 @@ value set for each block, and there are ``(n+1)! / prod(size!)`` of them:
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from math import factorial, prod
 from typing import NamedTuple
 
 from . import MAX_RANK, _Frozen
-from .graphs import OMEGA, AmpGraph
+from .graphs import AmpGraph
 
 Perm = tuple[int, ...]
 
@@ -194,6 +194,15 @@ def word_label(word: tuple[int, ...]) -> str:
     return "".join([_NAME[i] for i in word]) or "e"
 
 
+def _word_length(label: str) -> int:
+    """The length of the reduced word a vertex label spells: its letter count (see :func:`word_label`).
+
+    >>> _word_length("s2s1s3s2"), _word_length("e")
+    (4, 0)
+    """
+    return label.count("s")
+
+
 def flag_graph(spec: DynkinSpec) -> AmpGraph:
     """The amplified graph of the flag manifold cut out by ``spec``.
 
@@ -215,12 +224,13 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
     The scan from i stops at ``b = a - 1``.  So only covers are built, and
     each is looked up unconditionally: a non-representative would raise
     ``KeyError``.  Walking the representatives in vertex order appends each
-    cover to its source's row, so the families come out row-major, each
-    found once; the constructor's sort is then one linear pass, and it
-    still refuses a pair given twice.  Before the scan, the vertices are
-    checked to be the descent-characterised set: distinct permutations,
-    each with right descents among the tagged nodes, as many as the
-    multinomial count.
+    cover's position to its source's row, so every row comes out strictly
+    increasing, each cover found once, and the rows go to the graph's
+    tables as they are (``AmpGraph._from_rows``): no family triple is built
+    until ``edges`` is read, and the tables still refuse a position given
+    twice.  Before the scan, the vertices are checked to be the
+    descent-characterised set: distinct permutations, each with right
+    descents among the tagged nodes, as many as the multinomial count.
     """
     reps = minimal_coset_reps(spec)
     labels = [word_label(r.word) for r in reps]
@@ -239,8 +249,8 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
     ends = list(accumulate(sizes))
     blocks = list(zip([0, *ends], ends))
     scan = [(i, i == s, blocks[k + 1:]) for k, (s, e) in enumerate(blocks) for i in range(s, e)]
-    rows: list[list[tuple]] = [[] for _ in reps]
-    for w, label in zip(pos, labels):
+    rows: list[list[int]] = [[] for _ in reps]
+    for p, w in enumerate(pos):
         for i, first, later in scan:
             a = w[i]
             floor = 0 if first else w[i - 1]
@@ -250,7 +260,7 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
                     continue
                 b = floor = w[j]
                 k = pos[w[:i] + (b,) + w[i + 1 : j] + (a,) + w[j + 1 :]]
-                rows[k].append((labels[k], label, OMEGA))
+                rows[k].append(p)
                 if b == a - 1:
                     break
-    return AmpGraph(labels, chain.from_iterable(rows))
+    return AmpGraph._from_rows(labels, rows)

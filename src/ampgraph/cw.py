@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coxeter import DynkinSpec, flag_graph
+from .coxeter import DynkinSpec, _word_length, flag_graph
 from .graphs import AmpGraph
 from .ktheory import check_chain_k0
 from .splitting import KKChain, multi_sink_splitting
@@ -40,19 +40,15 @@ def skeleton_filtration(spec: DynkinSpec) -> Filtration:
     """All skeleta of the flag graph, each a verified quotient sharing its tables.
 
     Level k keeps the representatives of length at most k.  Lengths are read
-    off the graph: the vertices are sorted by length from ``e``, and every
-    family goes up exactly one length, so a row-major pass over the families
-    meets each source after its own length is known.  The levels are cut
-    top-down: the top level views the whole flag graph, and level k is level
-    k + 1 less its length-(k + 1) vertices, so each label is cut once.  That
+    off the vertex labels, each the letter count of the reduced word it
+    spells, so no family triple is built.  The levels are cut top-down: the
+    top level views the whole flag graph, and level k is level k + 1 less
+    its length-(k + 1) vertices, so each label is cut once.  That
     class is hereditary in level k + 1, whose longest vertices it holds, and
     each cut checks so itself, reading only that class's successor masks.
     """
     full = flag_graph(spec)
-    found = {full.vertices[0]: 0}
-    for src, dst, _ in full.families():
-        found[dst] = found[src] + 1
-    lengths = {v: found[v] for v in full.vertices}
+    lengths = {v: _word_length(v) for v in full.vertices}
     by_length: list[list[str]] = [[] for _ in range(max(lengths.values()) + 1)]
     for v, k in lengths.items():
         by_length[k].append(v)

@@ -10,6 +10,12 @@ vertex count.  A graph is *amplified* when every family has multiplicity
 input and rejects anything else.
 
 A graph is validated tables read through a mask of the vertices it keeps.
+The tables hold a graph's families as positions: each vertex's row of range
+positions and a successor mask, with only the finite multiplicities in a
+map.  They keep no object per family, so a large graph gives the cyclic
+garbage collector nothing to walk; the ``(src, dst, mult)`` triples are
+built when ``edges`` is first read, unless the constructor was given them.
+A flag graph hands its rows straight to the tables (``AmpGraph._from_rows``).
 A quotient by a hereditary set shares its parent's tables and clears the
 set's bits, so a removal chain or a skeleton filtration copies no table.
 That is exact: nothing leaves a hereditary set, so a family, a path or an
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping
-from itertools import compress
+from itertools import accumulate, chain, compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 
@@ -94,59 +100,101 @@ class GraphClass(NamedTuple):
     sources: tuple[str, ...]
 
 
-class _Tables:
-    """The validated tables of one vertex list and row-major family list.
+def _positions(vertices: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The vertex labels and each one's position, refusing an empty, non-string or repeated label."""
+    verts = tuple(vertices)
+    index: dict[str, int] = {}
+    for v in verts:
+        if not isinstance(v, str) or not v:
+            raise ValueError(f"vertex labels must be nonempty strings, got {v!r}")
+        if v in index:
+            raise ValueError(f"duplicate vertex label {v!r}")
+        index[v] = len(index)
+    return verts, index
 
-    ``mult`` maps each family ``(src, dst)`` to its multiplicity;
-    ``heads[k]`` is the position of family ``k``'s range; ``finite`` has the
-    range bit of each family that is not OMEGA; bit ``j`` of ``succ[i]`` is a
-    family from i to j.  Predecessor and reach masks are built on first use.
+
+class _Tables:
+    """The validated tables of one vertex list and its families, held as positions.
+
+    Row i's families are ``heads[starts[i]:starts[i + 1]]``, the positions of
+    their ranges, strictly increasing, so ``heads`` lists every family's range
+    in row-major order; ``counts`` maps ``(i, j)`` to the multiplicity of each
+    finite family, every other family being OMEGA; ``finite`` has the range
+    bit of each finite family; bit ``j`` of ``succ[i]`` is a family from i to
+    j.  No object is kept per family, so the cyclic collector walks none: the
+    ``(src, dst, mult)`` triples of :attr:`edges`, and the predecessor and
+    reach masks, are built on first use.
     """
 
-    __slots__ = ("labels", "pos", "edges", "mult", "heads", "succ", "finite", "_pred", "_reach")
+    __slots__ = ("labels", "pos", "heads", "starts", "counts", "succ", "finite", "_edges", "_pred", "_reach")
 
-    def __init__(self, labels: tuple[str, ...], pos: dict[str, int], keyed: list, mult: dict) -> None:
-        """``keyed`` lists ``(i, j, family)`` in row-major order, i and j the family's end positions.
+    def __init__(self, labels: tuple[str, ...], pos: dict[str, int], rows: list[list[int]],
+                 counts: dict[tuple[int, int], int], edges: tuple | None = None) -> None:
+        """``rows[i]`` lists the range positions of row i, strictly increasing; ``edges``, when given, their triples.
 
-        Each row's successor mask is built once, from the offsets of its
-        positions past the row's first: no per-family int as wide as the row.
+        A row count other than the vertex count, or a position repeated in
+        its row, out of order or out of range, is refused.  Each row's
+        successor mask is built once, from the offsets of its positions past
+        the row's first: no per-family int as wide as the row.
         """
-        edges, succ, heads, finite = [], [0] * len(labels), [], 0
-        row = lo = bits = 0
-        for i, j, fam in keyed:
-            if i != row:
-                succ[row] = bits << lo
-                row, lo, bits = i, j, 0
-            bits |= 1 << j - lo
-            edges.append(fam)
-            heads.append(j)
-            if fam[2] is not OMEGA:
-                finite |= 1 << j
-        if keyed:
-            succ[row] = bits << lo
-        self.labels, self.pos, self.edges, self.mult, self.heads = labels, pos, tuple(edges), mult, tuple(heads)
-        self.succ, self.finite = tuple(succ), finite
+        n = len(labels)
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} rows of families for {n} vertices")
+        succ = [0] * n
+        for i, row in enumerate(rows):
+            if not row:
+                continue
+            bits, lo, last = 0, row[0], -1
+            for j in row:
+                if not last < j < n:
+                    if 0 <= j == last:
+                        raise ValueError(f"repeated edge family {labels[i]!r} -> {labels[j]!r}")
+                    raise ValueError(f"edge range position {j} out of order or out of range in row {i}")
+                bits |= 1 << j - lo
+                last = j
+            succ[i] = bits << lo
+        finite = 0
+        for _, j in counts:
+            finite |= 1 << j
+        self.labels, self.pos, self.counts, self.succ, self.finite = labels, pos, counts, tuple(succ), finite
+        self.heads = tuple(chain.from_iterable(rows))
+        self.starts = tuple(accumulate(map(len, rows), initial=0))
+        self._edges = edges
         self._pred = self._reach = None
 
+    @property
+    def edges(self) -> tuple[tuple[str, str, Mult], ...]:
+        """The ``(src, dst, mult)`` triple of every family, in row-major order, built on first read."""
+        if self._edges is None:
+            labels, heads, starts, counts = self.labels, self.heads, self.starts, self.counts
+            edges: list[tuple[str, str, Mult]] = []
+            for i, src in enumerate(labels):
+                edges += [(src, labels[j], counts.get((i, j), OMEGA)) for j in heads[starts[i]:starts[i + 1]]]
+            self._edges = tuple(edges)
+        return self._edges
+
     def plus(self, i: int, j: int) -> "_Tables":
-        """These tables plus an OMEGA family from i to j, sharing the reach masks."""
-        pos, src, dst = self.pos, self.labels[i], self.labels[j]
-        at = bisect_left(self.edges, (i, j), key=lambda e: (pos[e[0]], pos[e[1]]))
+        """These tables plus an OMEGA family from i to j, sharing the reach masks and the finite multiplicities."""
+        at = bisect_left(self.heads, j, self.starts[i], self.starts[i + 1])
         t = object.__new__(_Tables)
-        t.labels, t.pos, t.finite, t._reach = self.labels, pos, self.finite, self._reach
-        t.edges = self.edges[:at] + ((src, dst, OMEGA),) + self.edges[at:]
-        t.mult = {**self.mult, (src, dst): OMEGA}
+        t.labels, t.pos, t.counts, t.finite, t._reach = self.labels, self.pos, self.counts, self.finite, self._reach
         t.heads = self.heads[:at] + (j,) + self.heads[at:]
+        t.starts = self.starts[:i + 1] + tuple(map((1).__add__, self.starts[i + 1:]))
         t.succ = self.succ[:i] + (self.succ[i] | 1 << j,) + self.succ[i + 1:]
+        edges = self._edges
+        t._edges = None if edges is None else edges[:at] + ((self.labels[i], self.labels[j], OMEGA),) + edges[at:]
         t._pred = self._pred and self._pred[:j] + (self._pred[j] | 1 << i,) + self._pred[j + 1:]
         return t
 
     def pred(self) -> tuple[int, ...]:
         """Bit ``i`` of entry ``j``: a family from i to j."""
         if self._pred is None:
+            heads, starts = self.heads, self.starts
             pred = [0] * len(self.labels)
-            for (src, _, _), j in zip(self.edges, self.heads):
-                pred[j] |= 1 << self.pos[src]
+            for i in range(len(pred)):
+                bit = 1 << i
+                for j in heads[starts[i]:starts[i + 1]]:
+                    pred[j] |= bit
             self._pred = tuple(pred)
         return self._pred
 
@@ -181,8 +229,9 @@ class AmpGraph:
     accepts the families in any order, drops those of multiplicity 0 and
     rejects unknown endpoints, invalid multiplicities and a pair given twice,
     so equal graphs compare and hash equal.  Its one validation pass looks up
-    each family's two end positions, and the families are sorted by them,
-    a linear pass when they come row-major, as a flag graph hands them over.
+    each family's two end positions; the families, sorted by them, go to the
+    tables as rows of range positions, and the triples it was given are
+    kept as ``edges``.
 
     A constructed graph keeps every vertex of its tables, a quotient fewer.
     Every lookup (``v in g``, ``len``, ``index``, ``multiplicity``,
@@ -191,16 +240,9 @@ class AmpGraph:
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Mult]]) -> None:
-        verts = tuple(vertices)
-        index: dict[str, int] = {}
-        for v in verts:
-            if not isinstance(v, str) or not v:
-                raise ValueError(f"vertex labels must be nonempty strings, got {v!r}")
-            if v in index:
-                raise ValueError(f"duplicate vertex label {v!r}")
-            index[v] = len(index)
-        mult: dict[tuple[str, str], Mult] = {}
-        zeros: set[tuple[str, str]] = set()
+        verts, index = _positions(vertices)
+        seen: set[tuple[int, int]] = set()
+        counts: dict[tuple[int, int], int] = {}
         keyed: list[tuple[int, int, tuple[str, str, Mult]]] = []
         for e in edges:
             src, dst, m = e
@@ -210,19 +252,37 @@ class AmpGraph:
             j = index.get(dst)
             if j is None:
                 raise ValueError(f"unknown edge range {dst!r}")
-            _check_mult(m)
-            fam = (src, dst)
-            if fam in mult or fam in zeros:
+            finite = m is not OMEGA
+            if finite:
+                _check_mult(m)
+            at = (i, j)
+            if at in seen:
                 raise ValueError(f"repeated edge family {src!r} -> {dst!r}")
-            if m == 0:
-                zeros.add(fam)
-            else:
-                mult[fam] = m
-                # a given tuple is kept as it is: it holds the validated values
-                keyed.append((i, j, e if type(e) is tuple else (src, dst, m)))
+            seen.add(at)
+            if finite:
+                if m == 0:
+                    continue
+                counts[at] = m
+            # a given tuple is kept as it is: it holds the validated values
+            keyed.append((i, j, e if type(e) is tuple else (src, dst, m)))
         keyed.sort()
-        t = _Tables(verts, index, keyed, mult)
+        rows: list[list[int]] = [[] for _ in verts]
+        for i, j, _ in keyed:
+            rows[i].append(j)
+        t = _Tables(verts, index, rows, counts, tuple([fam for _, _, fam in keyed]))
         self.__dict__.update(_t=t, _keep=(1 << len(verts)) - 1, vertices=verts, edges=t.edges)
+
+    @staticmethod
+    def _from_rows(vertices: Iterable[str], rows: list[list[int]]) -> "AmpGraph":
+        """The amplified graph whose ``rows[i]`` lists the range positions of vertex i's families.
+
+        The rows go to the tables as they are, so they must come strictly
+        increasing, as a flag graph builds them; the tables refuse a
+        repeated, out-of-order or out-of-range position.  No family triple is
+        built until ``edges`` is read.
+        """
+        verts, index = _positions(vertices)
+        return AmpGraph._on(_Tables(verts, index, rows, {}), (1 << len(verts)) - 1, vertices=verts)
 
     @classmethod
     def from_edges(cls, vertices: Iterable[str], edges: Iterable[tuple] = ()) -> "AmpGraph":
@@ -315,13 +375,18 @@ class AmpGraph:
         return self._t.pos.__getitem__
 
     def multiplicity(self, src: str, dst: str) -> Mult:
-        self._at(src)
-        self._at(dst)
-        return self._t.mult.get((src, dst), 0)
+        i, j = self._at(src), self._at(dst)
+        t = self._t
+        return t.counts.get((i, j), OMEGA) if t.succ[i] >> j & 1 else 0
 
     def has_family(self, src: str, dst: str) -> bool:
         # a family is kept exactly when its range is
-        return (src, dst) in self._t.mult and dst in self
+        t = self._t
+        try:
+            i, j = t.pos[src], t.pos[dst]
+        except KeyError:
+            return False
+        return bool(t.succ[i] >> j & self._keep >> j & 1)
 
     def lacks(self, other: "AmpGraph") -> tuple[tuple[str, ...], list[tuple[str, str]]]:
         """The vertices of this graph that ``other`` lacks, then its families ``other`` lacks.
@@ -557,13 +622,15 @@ def is_star(g: AmpGraph, sink: str, v: str) -> bool:
     """Whether ``v`` is an admissible star for splitting off the sink ``sink``, read off ``v``'s in-neighbours.
 
     ``v`` qualifies when it is a vertex other than ``sink`` whose every
-    in-neighbour reaches ``sink``; a source qualifies vacuously.
+    in-neighbour reaches ``sink``; a source qualifies vacuously.  A ``sink``
+    the graph does not keep, unknown or cut away, has no star.
     """
-    if v == sink or v not in g:
+    t, keep = g._t, g._keep
+    i, s = t.pos.get(v), t.pos.get(sink)
+    if i is None or s is None or i == s or not (keep >> i & 1 and keep >> s & 1):
         return False
-    t = g._t
-    bit, reach = 1 << t.pos[sink], t.reach()
-    return all(reach[i] & bit for i in _bits(t.pred()[t.pos[v]] & g._keep))
+    bit, reach = 1 << s, t.reach()
+    return all(reach[u] & bit for u in _bits(t.pred()[i] & keep))
 
 
 def missing_families(g: AmpGraph, sink: str, star: str) -> list[tuple[str, str]]:

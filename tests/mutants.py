@@ -391,8 +391,8 @@ MUTANTS = {
     ),
     "cover-row-emitted-out-of-order": (
         COXETER,
-        "                rows[k].append((labels[k], label, OMEGA))\n",
-        "                rows[k].insert(0, (labels[k], label, OMEGA))\n",
+        "                rows[k].append(p)\n",
+        "                rows[k].insert(0, p)\n",
         [COX + "test_flag_graph_hands_the_constructor_its_families_row_major"],
     ),
     "constructor-keeps-the-input-order": (
@@ -404,8 +404,8 @@ MUTANTS = {
     ),
     "constructor-keeps-a-family-given-as-a-list": (
         GRAPHS,
-        "                keyed.append((i, j, e if type(e) is tuple else (src, dst, m)))\n",
-        "                keyed.append((i, j, e))\n",
+        "            keyed.append((i, j, e if type(e) is tuple else (src, dst, m)))\n",
+        "            keyed.append((i, j, e))\n",
         [GRAPH + "test_constructor_builds_one_graph_from_any_order_of_its_families"],
     ),
     "is-amplified-ignores-the-mask": (
@@ -487,14 +487,14 @@ MUTANTS = {
     ),
     "has-family-ignores-the-mask": (
         GRAPHS,
-        "        return (src, dst) in self._t.mult and dst in self\n",
-        "        return (src, dst) in self._t.mult\n",
+        "        return bool(t.succ[i] >> j & self._keep >> j & 1)\n",
+        "        return bool(t.succ[i] >> j & 1)\n",
         [GRAPH + "test_quotients_equal_fresh_graphs"],
     ),
     "plus-leaves-the-new-family-out-of-mult": (
         GRAPHS,
-        "        t.mult = {**self.mult, (src, dst): OMEGA}\n",
-        "        t.mult = self.mult\n",
+        "        t.heads = self.heads[:at] + (j,) + self.heads[at:]\n",
+        "        t.heads = self.heads\n",
         [GRAPH + "test_amplifications_equal_fresh_graphs"],
     ),
     "section-holds-lists-the-same-graph": (
@@ -513,14 +513,14 @@ MUTANTS = {
     # -- one star query per step, lazy chain matrices, records without dataclasses
     "star-query-admits-the-sink": (
         GRAPHS,
-        "    if v == sink or v not in g:\n",
-        "    if v not in g:\n",
+        "    if i is None or s is None or i == s or not (keep >> i & 1 and keep >> s & 1):\n",
+        "    if i is None or s is None or not (keep >> i & 1 and keep >> s & 1):\n",
         [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it"],
     ),
     "star-query-ignores-the-sink-bit": (
         GRAPHS,
-        "    return all(reach[i] & bit for i in _bits(t.pred()[t.pos[v]] & g._keep))\n",
-        "    return all(reach[i] for i in _bits(t.pred()[t.pos[v]] & g._keep))\n",
+        "    return all(reach[u] & bit for u in _bits(t.pred()[i] & keep))\n",
+        "    return all(reach[u] for u in _bits(t.pred()[i] & keep))\n",
         [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it",
          SPLIT + "test_every_path_names_a_bad_star_before_stabilising"],
     ),
@@ -673,8 +673,8 @@ MUTANTS = {
     ),
     "successor-mask-misses-a-rows-last-family": (
         GRAPHS,
-        "                succ[row] = bits << lo\n",
-        "                succ[row] = (bits & ~(1 << bits.bit_length() >> 1)) << lo\n",
+        "            succ[i] = bits << lo\n",
+        "            succ[i] = (bits & ~(1 << bits.bit_length() >> 1)) << lo\n",
         [GRAPH + "test_graph_matches_dense_model",
          GRAPH + "test_quotients_equal_fresh_graphs"],
     ),
@@ -683,6 +683,59 @@ MUTANTS = {
         "        os.dup2(devnull, sys.stderr.fileno())\n",
         "        pass\n",
         ["tests/test_cli.py::test_a_closed_stderr_keeps_the_exit_code"],
+    ),
+    # -- a graph's families are positions; triples are built when read ----------
+    "tables-admit-a-repeated-position": (
+        GRAPHS,
+        "                if not last < j < n:\n",
+        "                if not last <= j < n:\n",
+        [GRAPH + "test_the_tables_refuse_a_repeated_or_out_of_range_position"],
+    ),
+    "tables-admit-a-position-past-the-last-vertex": (
+        GRAPHS,
+        "                if not last < j < n:\n",
+        "                if not last < j:\n",
+        [GRAPH + "test_the_tables_refuse_a_repeated_or_out_of_range_position"],
+    ),
+    "constructor-keeps-a-zero-family": (
+        GRAPHS,
+        "                if m == 0:\n                    continue\n",
+        "",
+        [GRAPH + "test_constructor_sorts_families_and_drops_zeros",
+         GRAPH + "test_graph_matches_dense_model"],
+    ),
+    "lazy-edges-give-omega-to-a-finite-family": (
+        GRAPHS,
+        "(src, labels[j], counts.get((i, j), OMEGA))",
+        "(src, labels[j], OMEGA)",
+        [GRAPH + "test_edges_built_on_read_equal_the_triples_handed_over"],
+    ),
+    "pred-reads-the-previous-rows-positions": (
+        GRAPHS,
+        "                for j in heads[starts[i]:starts[i + 1]]:\n",
+        "                for j in heads[starts[i - 1]:starts[i]]:\n",
+        [GRAPH + "test_graph_matches_dense_model",
+         GRAPH + "test_edges_built_on_read_equal_the_triples_handed_over"],
+    ),
+    "multiplicity-reads-a-missing-family-as-omega": (
+        GRAPHS,
+        "        return t.counts.get((i, j), OMEGA) if t.succ[i] >> j & 1 else 0\n",
+        "        return t.counts.get((i, j), OMEGA)\n",
+        [GRAPH + "test_graph_matches_dense_model",
+         GRAPH + "test_quotients_equal_fresh_graphs"],
+    ),
+    "star-query-admits-a-cut-sink": (
+        GRAPHS,
+        "    if i is None or s is None or i == s or not (keep >> i & 1 and keep >> s & 1):\n",
+        "    if i is None or i == s or not keep >> i & 1:\n",
+        [GRAPH + "test_is_star_answers_false_for_a_sink_the_graph_does_not_keep"],
+    ),
+    "word-length-counts-one-letter": (
+        COXETER,
+        '    return label.count("s")\n',
+        '    return label.count("s2")\n',
+        [CW + "test_filtration_builds_representatives_once",
+         CW + "test_every_level_equals_the_fresh_graph_and_the_dense_model"],
     ),
 }
 

@@ -210,15 +210,25 @@ def test_flag_graph_family_counts_at_rank_7(tags, families):
 
 @pytest.mark.parametrize("spec", all_specs(4) + [DynkinSpec(7, frozenset({2, 5}))], ids=str)
 def test_flag_graph_hands_the_constructor_its_families_row_major(monkeypatch, spec):
+    """The flag graph hands the tables one row of range positions per vertex,
+    each strictly increasing, and no family triple: ``edges`` is built when
+    read, in the rows' order."""
     given = []
+    from_rows = AmpGraph._from_rows
 
-    def record(vertices, edges):
-        given.append(list(edges))
-        return AmpGraph(vertices, given[-1])
+    def record(vertices, rows):
+        given.append([list(row) for row in rows])
+        return from_rows(vertices, rows)
 
-    monkeypatch.setattr(coxeter, "AmpGraph", record)
+    monkeypatch.setattr(AmpGraph, "_from_rows", staticmethod(record))
     g = flag_graph(spec)
-    assert given == [list(g.edges)]
+    monkeypatch.undo()
+    [rows] = given
+    assert "edges" not in vars(g) and g._t._edges is None
+    assert len(rows) == len(g)
+    assert all(a < b for row in rows for a, b in zip(row, row[1:]))
+    assert [(i, j) for i, row in enumerate(rows) for j in row] == [
+        (g.index(a), g.index(b)) for a, b, _ in g.edges]
 
 
 def test_flag_graph_gr_4_9():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ampgraph import OMEGA, AmpGraph, load_graph, prefer_source_star, valid_stars
-from ampgraph.graphs import first_star, is_star
+from ampgraph.graphs import _Tables, first_star, is_star
 
 from helpers import (
     ROOT,
@@ -110,6 +110,42 @@ def test_constructor_builds_one_graph_from_any_order_of_its_families():
             for order in (shuffled, fams[::-1], row_major):
                 with pytest.raises(ValueError, match=f"repeated edge family '{a}' -> '{b}'"):
                     AmpGraph(vertices, [*order, (a, b, 0)])
+
+
+def test_the_tables_refuse_a_repeated_or_out_of_range_position():
+    # the rows a flag graph hands over go to the tables as they are, unsorted
+    labels = ("a", "b", "c")
+    g = AmpGraph._from_rows(labels, [[1, 2], [2], []])
+    assert g == AmpGraph.from_edges(labels, [("a", "b"), ("a", "c"), ("b", "c")])
+    with pytest.raises(ValueError, match="repeated edge family 'a' -> 'b'"):
+        AmpGraph._from_rows(labels, [[1, 1], [], []])
+    with pytest.raises(ValueError, match="repeated edge family 'b' -> 'c'"):
+        AmpGraph._from_rows(labels, [[0, 1, 2], [0, 2, 2], []])
+    for rows in ([[2, 1], [], []], [[], [3], []], [[], [], [-1]]):
+        with pytest.raises(ValueError, match="out of order or out of range"):
+            AmpGraph._from_rows(labels, rows)
+    for rows in ([[], []], [[], [], [], []]):
+        with pytest.raises(ValueError, match=f"{len(rows)} rows of families for 3 vertices"):
+            AmpGraph._from_rows(labels, rows)
+    with pytest.raises(ValueError, match="duplicate vertex label"):
+        AmpGraph._from_rows(("a", "a"), [[], []])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_edges_built_on_read_equal_the_triples_handed_over(seed):
+    # the tables of a graph built anew from its rows and finite
+    # multiplicities, with no triple handed over, read the same families
+    rng = random.Random(9900 + seed)
+    labels = tuple(f"u{i}" for i in range(rng.randint(1, 8)))
+    g = AmpGraph.from_edges(labels, random_edge_list(rng, labels, rng.randint(0, 24)))
+    t = g._t
+    rows = [list(t.heads[a:b]) for a, b in zip(t.starts, t.starts[1:])]
+    lazy = _Tables(t.labels, t.pos, rows, t.counts)
+    assert lazy._edges is None
+    assert lazy.edges == g.edges and lazy.pred() == t.pred() and lazy.succ == t.succ
+    h = AmpGraph._on(lazy, g._keep, vertices=g.vertices)
+    assert h == g and hash(h) == hash(g)
+    _assert_matches_model(h, DenseGraph(labels, g.edges))
 
 
 def test_constructor_sorts_families_and_drops_zeros():
@@ -392,6 +428,9 @@ def _assert_tables_fresh(g: AmpGraph) -> None:
     pairs = [(a, b) for a in labels for b in labels] if len(labels) <= 40 else [
         pair for a, b, _ in g._t.edges for pair in ((a, b), (b, a))]
     assert [g.has_family(*pair) for pair in pairs] == [fresh.has_family(*pair) for pair in pairs]
+    # a label the tables lack has no family
+    assert not any(graph.has_family(*pair) for graph in (g, fresh)
+                   for v in labels[:1] for pair in (("nowhere", v), (v, "nowhere")))
     kept = [(a, b) for a, b in pairs if a in fresh and b in fresh]
     assert [g.multiplicity(*pair) for pair in kept] == [fresh.multiplicity(*pair) for pair in kept]
 
@@ -611,6 +650,15 @@ def test_is_star_decides_each_vertex_as_the_oracle_lists_it():
             want = _error(prefer_source_star_oracle, g, sinks) or prefer_source_star_oracle(g, sinks)
             assert (_error(prefer_source_star, g, sinks) or prefer_source_star(g, sinks)) == want, (g, sink)
     assert len(graphs) > 70 and pairs > 700
+
+
+def test_is_star_answers_false_for_a_sink_the_graph_does_not_keep():
+    g = example_graph()
+    q = g.quotient(["v4"])
+    assert is_star(g, "v4", "v1")
+    for v in g.vertices:
+        assert not is_star(q, "v4", v)
+        assert not is_star(g, "nowhere", v)
 
 
 def test_families_at_reads_the_families_touching_a_subset():

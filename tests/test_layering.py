@@ -10,7 +10,9 @@ multiplies words, so the layout can change in one module.
 Likewise a graph is its shared tables under a mask of the vertices it
 keeps, and only :mod:`ampgraph.graphs` reads them: every other module asks
 ``v in g``, ``len(g)``, ``index``, ``multiplicity``, ``has_family`` or
-``lacks``.
+``lacks``, and the flag graph hands its rows of positions to
+``AmpGraph._from_rows``.  Every guarded name is defined in the module that
+owns it, so no guard is left over from a rename.
 
 And no module a command loads imports :mod:`dataclasses` or the
 :mod:`inspect` it pulls in: a cold command would pay about 11 ms for them.
@@ -28,14 +30,14 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ampgraph"
 LAYOUT = {
-    "vertex_images", "edge_images", "vertex_patch", "family_patch", "_vertex_image",
-    "_family_image", "_push", "_push_table", "_compose_template", "_check_composable",
-    "word_mul", "_image", "_pull",
+    "vertex_images", "edge_images", "vertex_patch", "family_patch", "_push",
+    "_check_composable", "word_mul", "_image", "_pull",
 }
-STORAGE = {
-    "_t", "_keep", "_Tables", "_on", "_at", "_mask", "_labels", "_kept", "_flags", "_shape",
-    "_index", "_mult",
-}
+STORAGE = {"_t", "_keep", "_Tables", "_on", "_at", "_mask", "_labels", "_kept", "_shape"}
+#: The module that defines each guarded name: a map's layout is algebra's,
+#: but words are multiplied in words.
+OWNERS = {name: "algebra.py" for name in LAYOUT} | {"word_mul": "words.py"} | {
+    name: "graphs.py" for name in STORAGE}
 SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 
@@ -50,6 +52,25 @@ def _uses(tree: ast.AST, names: set[str]) -> list[str]:
                 for alias in node.names if alias.name in names
             ]
     return found
+
+
+def _defined(tree: ast.AST) -> set[str]:
+    """The names ``tree`` defines: functions, classes, assigned names and
+    attributes, keyword-set attributes and ``__slots__`` entries."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            names |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return names
 
 
 def _imports(tree: ast.AST, modules: set[str]) -> list[str]:
@@ -87,14 +108,35 @@ def test_no_module_a_command_loads_imports_dataclasses_or_inspect(path):
     assert _imports(ast.parse(path.read_text(), str(path)), SLOW_IMPORTS) == []
 
 
+@pytest.mark.parametrize("module", sorted(set(OWNERS.values())))
+def test_every_guarded_name_is_defined_in_the_module_that_owns_it(module):
+    # a name no module defines guards nothing: it is left over from a rename
+    owned = {name for name, owner in OWNERS.items() if owner == module}
+    assert owned - _defined(ast.parse((PACKAGE / module).read_text())) == set()
+
+
+def test_the_definition_scan_sees_each_form():
+    source = (
+        "class _Tables:\n"
+        "    __slots__ = ('labels', 'succ')\n"
+        "def _pull(patch, table): pass\n"
+        "_push = _pull\n"
+        "g.__dict__.update(_t=t, _keep=keep)\n"
+        "self._shape = None\n"
+        "print(_flags, g._index)\n"
+    )
+    assert _defined(ast.parse(source)) == {
+        "_Tables", "__slots__", "labels", "succ", "_pull", "_push", "_t", "_keep", "_shape"}
+
+
 def test_the_layout_scan_sees_reads_and_imports():
     source = (
-        "from .algebra import _push_table, verify_ck_family\n"
+        "from .algebra import _pull, verify_ck_family\n"
         "x = m.vertex_images[v]\n"
         "t = m.edge_images[f]\n"
     )
     assert _uses(ast.parse(source), LAYOUT) == [
-        "line 1: imports _push_table",
+        "line 1: imports _pull",
         "line 2: reads .vertex_images",
         "line 3: reads .edge_images",
     ]
@@ -103,13 +145,13 @@ def test_the_layout_scan_sees_reads_and_imports():
 def test_the_storage_scan_sees_reads_and_imports():
     source = (
         "from .graphs import _Tables, AmpGraph\n"
-        "i = g._index[v]\n"
+        "i = g._at(v)\n"
         "keep = g._keep & ~h._keep\n"
         "ok = v in g and g.has_family(v, w)\n"
     )
     assert _uses(ast.parse(source), STORAGE) == [
         "line 1: imports _Tables",
-        "line 2: reads ._index",
+        "line 2: reads ._at",
         "line 3: reads ._keep",
         "line 3: reads ._keep",
     ]
