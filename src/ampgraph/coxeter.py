@@ -17,12 +17,15 @@ are the minimal-length coset representatives, i.e. the elements with no
 untagged right descent; a representative of length k plays the role of a
 2k-cell.  Edges connect representatives one letter apart in the subword
 (Bruhat) order, so the graph is graded by word length.  Everything is read
-off one-line forms; no word is evaluated.
+off one-line forms; no word is evaluated.  The flag graph keys each
+representative by one int, its one-line form read as base-256 digits, so
+swapping two entries changes the key by one product (see :func:`flag_graph`).
 
 The tagged nodes cut the positions ``1 .. n+1`` into blocks, position i
 ending a block when node i is tagged.  Having no untagged right descent
 means increasing inside every block, so a representative is a choice of
-value set for each block, and there are ``(n+1)! / prod(size!)`` of them:
+value set for each block but the last, which takes the values left, and
+there are ``(n+1)! / prod(size!)`` of them:
 
 >>> [r.element for r in minimal_coset_reps(DynkinSpec(2, frozenset({1})))]
 [(1, 2, 3), (2, 1, 3), (3, 1, 2)]
@@ -33,6 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate, combinations
 from math import factorial, prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import MAX_RANK, _Frozen
@@ -84,11 +88,6 @@ def right_mult(p: Perm, i: int) -> Perm:
     q = list(p)
     q[i - 1], q[i] = q[i], q[i - 1]
     return tuple(q)
-
-
-def right_descents(p: Perm) -> frozenset[int]:
-    """Generators ``s_i`` with ``len(p * s_i) < len(p)``: descents of one-line form."""
-    return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
 
 
 def canonical_reduced_word(p: Perm) -> tuple[int, ...]:
@@ -169,18 +168,22 @@ def minimal_coset_reps(spec: DynkinSpec) -> list[CosetRep]:
     An element represents its coset minimally exactly when it has no
     untagged right descent, i.e. its one-line form increases inside each
     block of positions between tagged nodes.  Choosing the value set of
-    every block yields each representative once, so the work is
-    proportional to the output.  Sorted by length then lexicographic
-    canonical word.
+    every block but the last yields each representative once, the last
+    block taking the values left, so the work is proportional to the
+    output.  Sorted in place by length then lexicographic canonical word.
     """
     # (one-line prefix, values not yet placed), one block at a time
     forms: list[tuple[Perm, Perm]] = [((), identity_perm(spec.rank))]
-    for size in _block_sizes(spec):
+    for size in _block_sizes(spec)[:-1]:
         forms = [(head + block, tuple(v for v in rest if v not in block))
                  for head, rest in forms for block in combinations(rest, size)]
-    words = [(p, canonical_reduced_word(p)) for p, _ in forms]
-    reps = [CosetRep(p, len(word), word) for p, word in words]
-    return sorted(reps, key=lambda r: (r.length, r.word))
+    reps = []
+    for head, rest in forms:
+        p = head + rest
+        word = canonical_reduced_word(p)
+        reps.append(CosetRep(p, len(word), word))
+    reps.sort(key=itemgetter(1, 2))
+    return reps
 
 
 def word_label(word: tuple[int, ...]) -> str:
@@ -221,37 +224,50 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
     ``b < a``, one bisection away, and only when ``b`` exceeds the floor:
     ``w(i - 1)`` inside i's block, else 0, raised to each kept ``b``, since
     a kept value lies between ``a`` and any smaller candidate further on.
-    The scan from i stops at ``b = a - 1``.  So only covers are built, and
-    each is looked up unconditionally: a non-representative would raise
-    ``KeyError``.  Walking the representatives in vertex order appends each
-    cover's position to its source's row, so every row comes out strictly
-    increasing, each cover found once, and the rows go to the graph's
-    tables as they are (``AmpGraph._from_rows``): no family triple is built
-    until ``edges`` is read, and the tables still refuse a position given
-    twice.  Before the scan, the vertices are checked to be the
-    descent-characterised set: distinct permutations, each with right
-    descents among the tagged nodes, as many as the multinomial count.
+    The scan from i stops at ``b = a - 1``.  So only covers are found.
+
+    Each representative is keyed by one int, its one-line form read as
+    big-endian base-256 digits (``int.from_bytes``; entries are at most
+    ``MAX_RANK + 1``), so the key is injective and each position weighs a
+    power of 256, the last one 1.  Swapping ``a`` at i with ``b`` at j adds
+    ``(b - a) * (weight(i) - weight(j))`` to the key, so each cover is one
+    addition and one lookup, made unconditionally: a non-representative
+    would raise ``KeyError``.  Walking the representatives in vertex order
+    appends each cover's position to its source's row, so every row comes
+    out strictly increasing, each cover found once, and the rows go to the
+    graph's tables as they are (``AmpGraph._from_rows``): no family triple
+    is built until ``edges`` is read, and the tables still refuse a
+    position given twice.  Before the scan, the vertices are checked to be
+    the descent-characterised set, with no tuple or set built per vertex:
+    distinct (as many keys as vertices), as many as the multinomial count,
+    permutations (each sorted equals the identity's list), and with no
+    right descent at an untagged node.
     """
     reps = minimal_coset_reps(spec)
     labels = [word_label(r.word) for r in reps]
-    pos = {r.element: k for k, r in enumerate(reps)}
-    ident = identity_perm(spec.rank)
+    elements = [r.element for r in reps]
+    n = spec.rank + 1
+    ident = list(range(1, n + 1))
     sizes = _block_sizes(spec)
-    count = factorial(spec.rank + 1) // prod(factorial(k) for k in sizes)
-    if len(pos) != len(reps) or len(reps) != count or any(
-        tuple(sorted(p)) != ident or not right_descents(p) <= spec.tagged
-        for p in pos
+    count = factorial(n) // prod(factorial(k) for k in sizes)
+    pos = {int.from_bytes(bytes(p), "big"): k for k, p in enumerate(elements)}
+    if len(pos) != len(reps) or len(reps) != count or any(sorted(p) != ident for p in elements) or any(
+        p[i - 1] > p[i] for i in sorted(spec.untagged) for p in elements
     ):
         raise RuntimeError(
             "flag vertex characterisations disagree; this is a bug"
         )
-    # (position, whether it starts a block, the later blocks' (start, end))
+    weight = [256 ** (n - 1 - i) for i in range(n)]
+    # (position, whether it starts a block, the later blocks' (start, end),
+    # the key's change per unit of value swapped to each position)
     ends = list(accumulate(sizes))
     blocks = list(zip([0, *ends], ends))
-    scan = [(i, i == s, blocks[k + 1:]) for k, (s, e) in enumerate(blocks) for i in range(s, e)]
+    scan = [(i, i == s, blocks[k + 1:], [weight[i] - x for x in weight])
+            for k, (s, e) in enumerate(blocks) for i in range(s, e)]
     rows: list[list[int]] = [[] for _ in reps]
-    for p, w in enumerate(pos):
-        for i, first, later in scan:
+    # pos holds the keys in vertex order, one per vertex
+    for p, (w, c) in enumerate(zip(elements, pos)):
+        for i, first, later, step in scan:
             a = w[i]
             floor = 0 if first else w[i - 1]
             for s, e in later:
@@ -259,8 +275,7 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
                 if j < s or w[j] <= floor:
                     continue
                 b = floor = w[j]
-                k = pos[w[:i] + (b,) + w[i + 1 : j] + (a,) + w[j + 1 :]]
-                rows[k].append(p)
+                rows[pos[c + (b - a) * step[j]]].append(p)
                 if b == a - 1:
                     break
     return AmpGraph._from_rows(labels, rows)

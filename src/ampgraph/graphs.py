@@ -30,7 +30,7 @@ sorted in vertex order so that reports are reproducible bit for bit.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import Mapping
 from itertools import accumulate, chain, compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
@@ -201,21 +201,28 @@ class _Tables:
     def reach(self) -> tuple[int, ...]:
         """Bit ``j`` of entry ``i``: a directed path of length >= 1 from i to j.
 
-        The least fixpoint of ``reach[i] = succ[i] | reach[j]`` over the bits j
-        of ``succ[i]``, folded in place by sweeps from the last position down
-        until one changes nothing: two on a flag graph, whose families all go
-        to later positions.
+        The least fixpoint of ``reach[i] = succ[i] | reach[j]`` over the range
+        positions j of row i, folded in place by sweeps from the last
+        position down until one changes nothing.  A row whose families go
+        to no earlier position reads only itself and rows the sweep has
+        already folded, so when no row has a family to an earlier position
+        the first sweep is the fixpoint and the only one: one sweep on a
+        flag graph, whose families all go to later positions.
         """
         if self._reach is None:
-            succ, reach, changed = self.succ, list(self.succ), True
+            succ, heads, starts = self.succ, self.heads, self.starts
+            reach = list(succ)
+            back = any(heads[starts[i]] < i for i in range(len(reach)) if starts[i] < starts[i + 1])
+            changed = True
             while changed:
                 changed = False
                 for i in range(len(reach) - 1, -1, -1):
                     folded = reach[i]
-                    for j in _bits(succ[i]):
+                    for j in heads[starts[i]:starts[i + 1]]:
                         folded |= reach[j]
                     if folded != reach[i]:
                         reach[i], changed = folded, True
+                changed &= back
             self._reach = tuple(reach)
         return self._reach
 
@@ -450,17 +457,19 @@ class AmpGraph:
         if cut is not None:
             # the parent's facts less one sink at position i: no family left
             # it, so no source and no cycle changes, and the new sinks are
-            # its in-neighbours with no kept successor
+            # its in-neighbours with no kept successor, each inserted in
+            # vertex order by one bisection
             parent, i = cut
             v = t.labels[i]
-            new = [t.labels[u] for u in _bits(t.pred()[i] & keep) if not t.succ[u] & keep]
-            sinks = tuple(s for s in parent.sinks if s != v)
-            if new:
-                sinks = tuple(sorted((*sinks, *new), key=t.pos.__getitem__))
+            sinks = list(parent.sinks)
+            sinks.remove(v)
+            for u in _bits(t.pred()[i] & keep):
+                if not t.succ[u] & keep:
+                    insort(sinks, t.labels[u], key=t.pos.__getitem__)
             sources = parent.sources
             if v in sources:
                 sources = tuple(s for s in sources if s != v)
-            return GraphClass(self.is_amplified, parent.acyclic, sinks, sources)
+            return GraphClass(self.is_amplified, parent.acyclic, tuple(sinks), sources)
         kept = list(self._kept())
         pred, reach = t.pred(), t.reach()
         return GraphClass(

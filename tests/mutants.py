@@ -391,8 +391,8 @@ MUTANTS = {
     ),
     "cover-row-emitted-out-of-order": (
         COXETER,
-        "                rows[k].append(p)\n",
-        "                rows[k].insert(0, p)\n",
+        "step[j]]].append(p)\n",
+        "step[j]]].insert(0, p)\n",
         [COX + "test_flag_graph_hands_the_constructor_its_families_row_major"],
     ),
     "constructor-keeps-the-input-order": (
@@ -422,8 +422,8 @@ MUTANTS = {
     ),
     "coset-rep-length-is-not-the-word-length": (
         COXETER,
-        "    reps = [CosetRep(p, len(word), word) for p, word in words]\n",
-        "    reps = [CosetRep(p, len(set(word)), word) for p, word in words]\n",
+        "        reps.append(CosetRep(p, len(word), word))\n",
+        "        reps.append(CosetRep(p, len(set(word)), word))\n",
         [COX + "test_minimal_coset_reps_match_brute_force"],
     ),
     "is-hereditary-skips-the-last-vertex": (
@@ -632,8 +632,8 @@ MUTANTS = {
     # -- a chain step pays once for what it moves
     "carried-sinks-miss-a-new-sink": (
         GRAPHS,
-        "                sinks = tuple(sorted((*sinks, *new), key=t.pos.__getitem__))\n",
-        "                pass\n",
+        "                    insort(sinks, t.labels[u], key=t.pos.__getitem__)\n",
+        "                    pass\n",
         [GRAPH + "test_one_sink_cuts_carry_the_dense_models_shape_facts",
          GRAPH + "test_a_self_loop_singleton_is_cut_by_a_walk",
          SPLIT + "test_a_chain_walks_one_graph_for_its_shape_facts"],
@@ -651,6 +651,13 @@ MUTANTS = {
         "        if drop.bit_count() == 1 and (",
         [GRAPH + "test_one_sink_cuts_carry_the_dense_models_shape_facts",
          GRAPH + "test_a_self_loop_singleton_is_cut_by_a_walk"],
+    ),
+    "carried-sinks-keep-the-cut-sink": (
+        GRAPHS,
+        "            sinks.remove(v)\n",
+        "",
+        [GRAPH + "test_one_sink_cuts_carry_the_dense_models_shape_facts",
+         SPLIT + "test_a_chain_walks_one_graph_for_its_shape_facts"],
     ),
     "lost-handed-over-when-the-target-lacks-more": (
         ALGEBRA,
@@ -712,8 +719,8 @@ MUTANTS = {
     ),
     "pred-reads-the-previous-rows-positions": (
         GRAPHS,
-        "                for j in heads[starts[i]:starts[i + 1]]:\n",
-        "                for j in heads[starts[i - 1]:starts[i]]:\n",
+        "                for j in heads[starts[i]:starts[i + 1]]:\n                    pred[j] |= bit\n",
+        "                for j in heads[starts[i - 1]:starts[i]]:\n                    pred[j] |= bit\n",
         [GRAPH + "test_graph_matches_dense_model",
          GRAPH + "test_edges_built_on_read_equal_the_triples_handed_over"],
     ),
@@ -736,6 +743,44 @@ MUTANTS = {
         '    return label.count("s2")\n',
         [CW + "test_filtration_builds_representatives_once",
          CW + "test_every_level_equals_the_fresh_graph_and_the_dense_model"],
+    ),
+    # -- a representative is one int, and one sweep folds a forward graph's reach
+    "cover-key-reads-the-previous-positions-weight": (
+        COXETER,
+        "                rows[pos[c + (b - a) * step[j]]].append(p)\n",
+        "                rows[pos[c + (b - a) * step[j - 1]]].append(p)\n",
+        [COX + "test_flag_graph_matches_the_candidate_scan_oracle"],
+    ),
+    "last-block-one-value-short": (
+        COXETER,
+        "        p = head + rest\n",
+        "        p = head + rest[:-1]\n",
+        [COX + "test_minimal_coset_reps_match_brute_force"],
+    ),
+    "vertex-self-check-skips-the-permutation-test": (
+        COXETER,
+        " or any(sorted(p) != ident for p in elements)",
+        "",
+        [COX + "test_flag_graph_rejects_a_wrong_vertex_set"],
+    ),
+    "reach-stops-after-one-sweep-regardless": (
+        GRAPHS,
+        "                changed &= back\n",
+        "                changed = False\n",
+        [GRAPH + "test_reach_matches_a_path_search_with_backward_families_and_cycles"],
+    ),
+    "reach-folds-the-previous-rows-positions": (
+        GRAPHS,
+        "                    for j in heads[starts[i]:starts[i + 1]]:\n",
+        "                    for j in heads[starts[i - 1]:starts[i]]:\n",
+        [GRAPH + "test_reach_matches_a_path_search_with_backward_families_and_cycles",
+         GRAPH + "test_graph_matches_dense_model"],
+    ),
+    "reach-back-test-reads-each-rows-last-family": (
+        GRAPHS,
+        "heads[starts[i]] < i for i",
+        "heads[starts[i + 1] - 1] < i for i",
+        [GRAPH + "test_reach_matches_a_path_search_with_backward_families_and_cycles"],
     ),
 }
 

@@ -14,7 +14,6 @@ from ampgraph import AmpGraph, coxeter
 from ampgraph.coxeter import (
     CosetRep,
     identity_perm,
-    right_descents,
     right_mult,
     weyl_group,
 )
@@ -74,7 +73,8 @@ def test_generator_algebra():
 
 def test_inversions_and_descents_against_enumeration():
     for p in permutations(range(1, 5)):
-        assert right_descents(p) == frozenset(
+        # the right descents flag_graph's self-check reads off the one-line form
+        assert frozenset(i for i in range(1, 4) if p[i - 1] > p[i]) == frozenset(
             i for i in range(1, 4) if _inv_count(right_mult(p, i)) < _inv_count(p)
         )
         assert left_descents_oracle(p) == frozenset(
@@ -243,6 +243,8 @@ def test_flag_graph_gr_4_9():
     pytest.param(lambda reps: reps + reps[-1:], id="duplicate"),
     # s1 is an untagged right descent of (2, 1, 3, 4)
     pytest.param(lambda reps: reps[:-1] + [CosetRep((2, 1, 3, 4), 1, (1,))], id="replace"),
+    # no untagged right descent, but 4 twice and no 3
+    pytest.param(lambda reps: reps[:-1] + [CosetRep((1, 2, 4, 4), 4, (2, 1, 3, 2))], id="not-a-permutation"),
 ])
 def test_flag_graph_rejects_a_wrong_vertex_set(monkeypatch, corrupt):
     spec = DynkinSpec(3, frozenset({2}))

@@ -220,6 +220,23 @@ def test_reachability_and_closure():
     assert not g.is_hereditary(("v2",))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_reach_matches_a_path_search_with_backward_families_and_cycles(seed):
+    """Every vertex reaches what a path search in the dense model reaches:
+    on random graphs with loops, backward families and a cycle through a
+    random vertex sample, whose first sweep need not be the fixpoint, and on
+    their forward families alone, whose first sweep is."""
+    rng = random.Random(9800 + seed)
+    labels = tuple(f"u{i}" for i in range(rng.randint(2, 10)))
+    pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 2 * len(labels)))]
+    cycle = rng.sample(labels, rng.randint(2, len(labels)))
+    pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    forward = [(a, b) for a, b in pairs if labels.index(a) < labels.index(b)]
+    for edges in (pairs, forward):
+        g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+        assert [g.reachable_set(v) for v in labels] == [model.reachable_set(v) for v in labels]
+
+
 def test_enumerate_hereditary_example():
     g = example_graph()
     sets = g.enumerate_hereditary()
