@@ -34,11 +34,11 @@ tables and family templates that differ from the same-label generator of
 the target.  The section of a sink removal moves only the star and the
 families into it, and the quotient map only the sink and the families into
 it, so a patch is a few entries where the map has hundreds of generators.
-The canned maps are built from their patch alone, and the constructor
-diffs full tables into one; either way one validator checks the images
-given entry by entry and the unmoved labels by what the target lacks of
-the source: on a removal chain, whose graphs share their tables, the bits
-of the removed vertices and the families at them.
+The constructor diffs full tables into one, and a validator checks the
+images a caller gives and the unmoved labels by what the target lacks of
+the source.  A map derived from its graphs is built as it stands
+(:func:`_from_patch`): a quotient map kills what its target lacks, and a
+step's section is filled once the families it names are checked.
 
 The relation checks read only the patch and its neighbours.  An amplified
 graph has no finite emitter, so no relation sums over a vertex's families:
@@ -196,8 +196,7 @@ class GeneratorMap(_Frozen):
     @classmethod
     def quotient(cls, graph: AmpGraph, removed: Iterable[str]) -> "GeneratorMap":
         """The quotient map killing every generator that touches ``removed``."""
-        removed = tuple(removed)
-        return _quotient_onto(graph, graph.quotient(removed), removed)
+        return _quotient_onto(graph, graph.quotient(removed))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -228,6 +227,13 @@ def _fill(m: GeneratorMap, source: AmpGraph, target: AmpGraph, vertex_patch: dic
     _Frozen.__init__(m, source=source, target=target, vertex_patch=vertex_patch, family_patch=family_patch)
 
 
+def _from_patch(source: AmpGraph, target: AmpGraph, vertex_patch: dict, family_patch: dict) -> GeneratorMap:
+    """The map with this patch, taken as valid: vertex and row-major family order, no identity entry."""
+    m = object.__new__(GeneratorMap)
+    _fill(m, source, target, vertex_patch, family_patch)
+    return m
+
+
 def _image(patch: dict, label) -> dict:
     """The table of the generator ``label`` under a map with ``patch``: the patch's, or ``{label: 1}``."""
     table = patch.get(label)
@@ -245,33 +251,28 @@ def _render_sum(terms: Iterable[tuple[int, str]]) -> str:
     return text.replace("+ -", "- ") if text else "0"
 
 
-def _label_map(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict,
-               lacked: tuple | None = None) -> GeneratorMap:
+def _label_map(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -> GeneratorMap:
     """The map sending each generator of ``source`` to the same-label one of ``target``.
 
     ``vertices`` and ``families`` give the vertex tables and template
-    tables of the generators it moves instead; ``lacked``, when given,
-    is ``source.lacks(target)``, already in hand.
+    tables of the generators it moves instead; :func:`_patch` validates them.
     """
-    m = object.__new__(GeneratorMap)
-    _fill(m, source, target, *_patch(source, target, vertices, families, lacked))
-    return m
+    return _from_patch(source, target, *_patch(source, target, vertices, families))
 
 
-def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict,
-           lacked: tuple | None = None) -> tuple[dict, dict]:
+def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -> tuple[dict, dict]:
     """The validated patch of the images ``vertices`` and ``families``, the rest fixed.
 
     The images given are validated one by one, and the unmoved labels by
     the vertices and families of ``source`` that ``target`` lacks, a mask
-    difference when the two graphs share their tables (``lacked``, when the
-    caller has listed them).  A refusal names the first offending vertex in
-    vertex order, or else the first offending family in row-major order.
-    Images that equal the same-label generator are left out of the patch.
+    difference when the two graphs share their tables.  A refusal names
+    the first offending vertex in vertex order, or else the first offending
+    family in row-major order.  Images that equal the same-label generator
+    are left out of the patch.
     """
     if not source.is_amplified or not target.is_amplified:
         raise ValueError("generator maps require amplified graphs")
-    gone, lost = source.lacks(target) if lacked is None else lacked
+    gone, lost = source.lacks(target)
     errors: dict = {v: ValueError(f"image of p[{v}] names unknown vertex {v!r}")
                     for v in gone if v not in vertices}
     tables = {}
@@ -302,18 +303,17 @@ def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict,
     )
 
 
-def _quotient_onto(graph: AmpGraph, target: AmpGraph, removed: Iterable[str]) -> GeneratorMap:
-    """:meth:`GeneratorMap.quotient` onto ``target``, the quotient graph already cut.
+def _quotient_onto(graph: AmpGraph, target: AmpGraph) -> GeneratorMap:
+    """:meth:`GeneratorMap.quotient` onto ``target``, a quotient of ``graph`` already cut.
 
-    The families at the removed vertices are read off their neighbours, by
-    the one listing of what ``target`` lacks when that is the removed set,
-    and the validation is handed that listing.
+    The map kills every vertex and family ``target`` lacks and fixes the
+    rest, so it is valid as built: ``lacks`` lists them in vertex and
+    row-major order, and their zero tables are the patch.
     """
-    removed = tuple(removed)
-    lacked = gone, lost = graph.lacks(target)
-    if set(gone) != set(removed):
-        lost = graph.families_at(removed)
-    return _label_map(graph, target, {v: {} for v in removed}, {f: {} for f in lost}, lacked)
+    if not graph.is_amplified:
+        raise ValueError("generator maps require amplified graphs")
+    gone, lost = graph.lacks(target)
+    return _from_patch(graph, target, {v: {} for v in gone}, {f: {} for f in lost})
 
 
 def _edge_image(m, e: EdgeRef) -> CKElement:

@@ -43,6 +43,7 @@ from .algebra import (
     Check,
     GeneratorMap,
     VerificationReport,
+    _from_patch,
     _label_map,
     _prefix_fold,
     _quotient_onto,
@@ -87,17 +88,13 @@ class SplitData(NamedTuple):
         return f"[iota_{self.sink}]"
 
 
-def _splitting_map(working: AmpGraph, source: AmpGraph, sink: str,
-                   star: str | None) -> GeneratorMap:
-    """The section out of ``source``, the quotient of ``working`` by ``sink``."""
+def _splitting_map(working: AmpGraph, source: AmpGraph, sink: str, star: str | None) -> GeneratorMap:
+    """The section out of ``source``, the cut of ``working`` by ``sink``, built as it stands:
+    :func:`_split` has refused a ``working`` without a family ``v -> sink`` it names."""
     if star is None:
-        return GeneratorMap.inclusion(source, working)
-    return _label_map(
-        source,
-        working,
-        {star: {star: 1, sink: 1}},
-        {(v, star): {(v, star): 1, (v, sink): 1} for v in source.predecessors(star)},
-    )
+        return _from_patch(source, working, {}, {})
+    return _from_patch(source, working, {star: {star: 1, sink: 1}},
+                       {(v, star): {(v, star): 1, (v, sink): 1} for v in source.predecessors(star)})
 
 
 def build_splitting(g: AmpGraph, sink: str, star: str | None) -> SplitData:
@@ -144,7 +141,7 @@ def _split(original: AmpGraph, working: AmpGraph, quotient_graph: AmpGraph, sink
         sink=sink,
         star=star,
         sigma=_splitting_map(working, quotient_graph, sink, star),
-        quotient_map=_quotient_onto(working, quotient_graph, (sink,)),
+        quotient_map=_quotient_onto(working, quotient_graph),
         augmented=augmented,
     )
     report = verify_split_exact(sd)
@@ -277,10 +274,10 @@ class KKChain(NamedTuple):
 
         Each step's quotient map is the quotient by its sink, so the
         composite is the quotient by every removed sink at once, built as
-        one map onto the terminal graph; the sinks of a chain form a
-        hereditary set.
+        one map onto the terminal graph, which lacks exactly those sinks;
+        the sinks of a chain form a hereditary set.
         """
-        return _quotient_onto(self.ambient, self.terminal, self.sinks)
+        return _quotient_onto(self.ambient, self.terminal)
 
     @property
     def iota_terms(self) -> tuple[str, ...]:

@@ -38,6 +38,7 @@ from ampgraph.algebra import (
     GeneratorMap,
     Path,
     VerificationReport,
+    _label_map,
     compose,
     projection_word,
 )
@@ -925,6 +926,27 @@ def composite_quotient_oracle(chain) -> GeneratorMap:
     for sd in chain.steps[1:]:
         out = compose(sd.quotient_map, out)
     return out
+
+
+def quotient_onto_oracle(graph: AmpGraph, target: AmpGraph, removed) -> GeneratorMap:
+    """The quotient map onto ``target`` killing ``removed``, run through the validator.
+
+    The families at ``removed`` are what ``target`` lacks when that is the
+    removed set, else they are listed anew; every image is validated.
+    """
+    removed = tuple(removed)
+    gone, lost = graph.lacks(target)
+    if set(gone) != set(removed):
+        lost = graph.families_at(removed)
+    return _label_map(graph, target, {v: {} for v in removed}, {f: {} for f in lost})
+
+
+def splitting_map_oracle(working: AmpGraph, source: AmpGraph, sink: str, star) -> GeneratorMap:
+    """A removal step's section out of ``source``, run through the validator."""
+    moved = {} if star is None else {star: {star: 1, sink: 1}}
+    families = {} if star is None else {
+        (v, star): {(v, star): 1, (v, sink): 1} for v in source.predecessors(star)}
+    return _label_map(source, working, moved, families)
 
 
 def section_identity_failure_oracle(section: GeneratorMap, quot: GeneratorMap) -> str | None:

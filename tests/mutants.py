@@ -659,17 +659,38 @@ MUTANTS = {
         [GRAPH + "test_one_sink_cuts_carry_the_dense_models_shape_facts",
          SPLIT + "test_a_chain_walks_one_graph_for_its_shape_facts"],
     ),
-    "lost-handed-over-when-the-target-lacks-more": (
+    "quotient-map-reads-what-the-target-has-of-the-graph": (
         ALGEBRA,
-        "{f: {} for f in lost}, lacked)\n",
-        "{f: {} for f in lost}, (removed, lost))\n",
-        [PATCH + "test_a_quotient_map_hands_its_one_listing_to_the_validator"],
+        "    gone, lost = graph.lacks(target)\n",
+        "    gone, lost = target.lacks(graph)\n",
+        [PATCH + "test_a_quotient_map_is_what_its_target_lacks",
+         SPLIT + "test_build_splitting_all_stars_verify"],
     ),
-    "lacked-families-kept-when-the-target-keeps-the-removed-set": (
+    "quotient-map-admits-a-graph-that-is-not-amplified": (
         ALGEBRA,
-        "    if set(gone) != set(removed):\n",
+        "    if not graph.is_amplified:\n",
         "    if False:\n",
-        [PATCH + "test_a_quotient_map_hands_its_one_listing_to_the_validator"],
+        [PATCH + "test_a_quotient_map_is_what_its_target_lacks"],
+    ),
+    "quotient-map-drops-a-lost-family": (
+        ALGEBRA,
+        "{f: {} for f in lost})\n",
+        "{f: {} for f in lost[1:]})\n",
+        [PATCH + "test_a_quotient_map_is_what_its_target_lacks",
+         PATCH + "test_canned_maps_keep_only_what_they_move"],
+    ),
+    "section-template-drops-its-sink-term": (
+        SPLITTING,
+        "{(v, star): {(v, star): 1, (v, sink): 1} for v in source.predecessors(star)}",
+        "{(v, star): {(v, star): 1} for v in source.predecessors(star)}",
+        [PATCH + "test_canned_maps_keep_only_what_they_move",
+         SPLIT + "test_build_splitting_all_stars_verify"],
+    ),
+    "split-skips-the-missing-families-refusal": (
+        SPLITTING,
+        "    if star is not None and (missing := missing_families(working, sink, star)):\n",
+        "    if False and (missing := missing_families(working, sink, star)):\n",
+        [SPLIT + "test_unstabilised_ambient_graph_is_reported"],
     ),
     "missing-families-ignore-the-sinks-in-neighbours": (
         GRAPHS,

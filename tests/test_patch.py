@@ -10,6 +10,7 @@ neighbours.
 """
 
 import random
+import re
 
 import pytest
 
@@ -32,8 +33,10 @@ from helpers import (
     example_graph,
     golden_chains,
     map_corruptions,
+    quotient_onto_oracle,
     random_chain,
     section_identity_failure_tables_oracle,
+    splitting_map_oracle,
     verify_ck_family_tables_oracle,
     with_images,
 )
@@ -145,6 +148,19 @@ def test_canned_maps_keep_only_what_they_move():
         assert GeneratorMap(m.source, m.target, m.vertex_images, m.edge_images) == m
     assert ident.vertex_images == {v: {v: 1} for v in g.vertices}
     assert ident.edge_images == {(a, b): ((1, (a, b)),) for a, b, _ in g.families()}
+    # every map a chain builds as it stands is the validated one, in the same order
+    rng = random.Random(20261019)
+    chains = golden_chains() + [random_chain(rng) for _ in range(40)]
+    for chain in chains:
+        built = [(chain.composite_quotient(),
+                  quotient_onto_oracle(chain.ambient, chain.terminal, chain.sinks))]
+        for sd in chain.steps:
+            built.append((sd.sigma, splitting_map_oracle(sd.working, sd.quotient_graph, sd.sink, sd.star)))
+            built.append((sd.quotient_map, quotient_onto_oracle(sd.working, sd.quotient_graph, (sd.sink,))))
+        for m, oracle in built:
+            assert m == oracle == GeneratorMap(m.source, m.target, m.vertex_images, m.edge_images)
+            assert (list(m.vertex_patch), list(m.family_patch)) == (
+                list(oracle.vertex_patch), list(oracle.family_patch))
 
 
 def test_an_override_of_an_unmoved_generator_joins_the_patch():
@@ -223,24 +239,36 @@ def test_refusals_name_the_first_offender_as_the_full_tables_do():
         algebra._label_map(g, small, {"v2": {"zz": 1}}, {})
 
 
-def test_a_quotient_map_hands_its_one_listing_to_the_validator():
-    # onto the quotient by the removed set: the families at it are killed
+def test_a_quotient_map_is_what_its_target_lacks():
+    # every vertex and family the target lacks is killed, the rest fixed,
+    # as the validated map does it
     g = example_graph()
-    q = algebra._quotient_onto(g, g.quotient(("v4",)), ("v4",))
-    assert (q.vertex_patch, q.family_patch) == ({"v4": {}}, {("v2", "v4"): {}})
-    # onto a graph that lacks more: the validator still sees the extra vertex
-    with pytest.raises(ValueError, match=r"image of p\[v5\] names unknown vertex 'v5'"):
-        algebra._quotient_onto(g, g.quotient(("v4", "v5")), ("v4",))
-    # onto a graph that keeps the removed vertex: its families are listed anew
-    kept = algebra._quotient_onto(g, g, ("v4",))
-    assert (kept.vertex_patch, kept.family_patch) == ({"v4": {}}, {("v2", "v4"): {}})
-    assert verify_ck_family(kept).check("unital").passed is False
+    cases = [
+        (("v4",), {"v4": {}}, {("v2", "v4"): {}}),
+        (("v4", "v5"), {"v4": {}, "v5": {}}, {("v2", "v4"): {}, ("v3", "v5"): {}}),
+        ((), {}, {}),
+    ]
+    for removed, vpatch, fpatch in cases:
+        target = g.quotient(removed)
+        q = algebra._quotient_onto(g, target)
+        assert (q.vertex_patch, q.family_patch) == (vpatch, fpatch)
+        assert q == quotient_onto_oracle(g, target, removed) == GeneratorMap.quotient(g, removed)
+        assert verify_ck_family(q).ok
+    assert algebra._quotient_onto(g, g) == GeneratorMap.identity(g)
+    # the quotient graph still refuses a set that names no ideal
+    with pytest.raises(ValueError, match=re.escape("['v2'] is not hereditary: not a valid ideal")):
+        GeneratorMap.quotient(g, ("v2",))
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        GeneratorMap.quotient(g, ("zz",))
+    finite = AmpGraph.from_edges(("a", "b"), [("a", "b", 2)])
+    with pytest.raises(ValueError, match="generator maps require amplified graphs"):
+        GeneratorMap.quotient(finite, ("b",))
 
 
 def test_each_step_lists_the_families_at_its_sink_once(monkeypatch):
     """The quotient map lists the families into its sink once, for its
-    templates and its validation, and its relation check, whose moved
-    vertex the target lacks, lists none."""
+    patch, and its relation check, whose moved vertex the target lacks,
+    lists none."""
     listed = []
     families_at = AmpGraph.families_at
 

@@ -377,19 +377,30 @@ def test_multi_sink_splitting_builds_two_maps_per_step_and_two_composites(
     spec = DynkinSpec(rank, frozenset(tags))
     g = flag_graph(spec)
     sinks = list(cw_kk_summary(spec).chain.sinks)
-    original = algebra._fill
-    built = []
+    original, validate = algebra._fill, algebra._patch
+    built, validated = [], []
 
     def counted(m, *patch):
         built.append(m)
         original(m, *patch)
 
+    def checked(*images):
+        validated.append(images)
+        return validate(*images)
+
     monkeypatch.setattr(algebra, "_fill", counted)
+    monkeypatch.setattr(algebra, "_patch", checked)
     chain = multi_sink_splitting(g, sinks)
     steps = len(chain.steps)
     assert steps == len(sinks) > 1
     # a section and a quotient map per step, then each composite once
     assert len(built) == 2 * steps + 2
+    # only the composite section is validated: the steps' maps and the
+    # composite quotient are built as they stand
+    assert len(validated) == 1
+    validated.clear()
+    assert kk_chain(g).steps
+    assert validated == []
 
 
 # ---------------------------------------------------------------------------
