@@ -37,8 +37,10 @@ it, so a patch is a few entries where the map has hundreds of generators.
 The constructor diffs full tables into one, and a validator checks the
 images a caller gives and the unmoved labels by what the target lacks of
 the source.  A map derived from its graphs is built as it stands
-(:func:`_from_patch`): a quotient map kills what its target lacks, and a
-step's section is filled once the families it names are checked.
+(:func:`_from_patch`): a step's section is filled once the families it
+names are checked, and a quotient map kills what its target lacks, so it
+stores only its two graphs and lists its patch when first read; the
+section identity asks its target what it keeps instead.
 
 The relation checks read only the patch and its neighbours.  An amplified
 graph has no finite emitter, so no relation sums over a vertex's families:
@@ -154,11 +156,14 @@ class GeneratorMap(_Frozen):
     own label.  ``vertex_images`` and ``edge_images`` build the full tables
     on each access, each template as its pairs sorted by family.  Nothing
     here promises the data is an actual homomorphism;
-    :func:`verify_ck_family` checks that.  Maps are equal when their graphs
-    and patches are; a map is immutable and, holding dicts, unhashable.
+    :func:`verify_ck_family` checks that.  A quotient map builds its patch
+    when first read.  Maps are equal when their graphs and patches are; a
+    map is immutable and, holding dicts, unhashable.
     """
 
-    __slots__ = _fields = ("source", "target", "vertex_patch", "family_patch")
+    _fields = ("source", "target", "vertex_patch", "family_patch")
+    #: ``_quotient``: whether the map kills what its target lacks of its source and fixes the rest
+    __slots__ = _fields + ("_quotient",)
 
     def __init__(self, source: AmpGraph, target: AmpGraph, vertex_images: dict, edge_images: dict) -> None:
         vimgs, eimgs = dict(vertex_images), dict(edge_images)
@@ -168,6 +173,14 @@ class GeneratorMap(_Frozen):
             raise ValueError("edge templates must cover exactly the source families")
         tables = {fam: _template_table(tpl) for fam, tpl in eimgs.items()}
         _fill(self, source, target, *_patch(source, target, vimgs, tables))
+
+    def __getattr__(self, name: str):
+        """A quotient map's patch, built on first read from what its target lacks."""
+        if name not in _PATCH or not self._quotient:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        gone, lost = self.source.lacks(self.target)
+        _Frozen.__init__(self, vertex_patch=dict.fromkeys(gone, _KILLED), family_patch=dict.fromkeys(lost, _KILLED))
+        return getattr(self, name)
 
     @property
     def vertex_images(self) -> dict:
@@ -222,9 +235,16 @@ class GeneratorMap(_Frozen):
         return rows
 
 
+_PATCH = ("vertex_patch", "family_patch")
+#: The zero table of every generator a quotient map kills, one shared dict: a
+#: patch's tables are read and never written, as composites share them too.
+_KILLED: dict = {}
+
+
 def _fill(m: GeneratorMap, source: AmpGraph, target: AmpGraph, vertex_patch: dict, family_patch: dict) -> None:
-    """Store a validated patch on ``m``; every map is made through here."""
-    _Frozen.__init__(m, source=source, target=target, vertex_patch=vertex_patch, family_patch=family_patch)
+    """Store a validated patch on ``m``; every map but a quotient map is made through here."""
+    _Frozen.__init__(m, source=source, target=target, vertex_patch=vertex_patch, family_patch=family_patch,
+                     _quotient=False)
 
 
 def _from_patch(source: AmpGraph, target: AmpGraph, vertex_patch: dict, family_patch: dict) -> GeneratorMap:
@@ -307,13 +327,16 @@ def _quotient_onto(graph: AmpGraph, target: AmpGraph) -> GeneratorMap:
     """:meth:`GeneratorMap.quotient` onto ``target``, a quotient of ``graph`` already cut.
 
     The map kills every vertex and family ``target`` lacks and fixes the
-    rest, so it is valid as built: ``lacks`` lists them in vertex and
-    row-major order, and their zero tables are the patch.
+    rest, so the two graphs determine it and it is valid as built.  It
+    stores only them: its patch, the zero tables of what
+    ``graph.lacks(target)`` lists in vertex and row-major order, is built
+    when first read, and :func:`_section_identity_failure` reads none of it.
     """
     if not graph.is_amplified:
         raise ValueError("generator maps require amplified graphs")
-    gone, lost = graph.lacks(target)
-    return _from_patch(graph, target, {v: {} for v in gone}, {f: {} for f in lost})
+    m = object.__new__(GeneratorMap)
+    _Frozen.__init__(m, source=graph, target=target, _quotient=True)
+    return m
 
 
 def _edge_image(m, e: EdgeRef) -> CKElement:
@@ -486,12 +509,25 @@ def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str 
     one comparison covers every index.  When ``quot`` maps onto another
     graph the first source vertex is reported.  ``None`` when every
     generator is fixed.
+
+    A quotient map (:func:`_quotient_onto`) kills the labels its source has
+    and ``section.source`` lacks, and fixes the rest, so ``x`` is fixed
+    exactly when its table under ``section``, those entries dropped, is
+    ``{x: 1}``: ``quot``'s patch is never built, and a label ``quot``'s
+    source lacks still fails.  Any other ``quot`` is composed patch by patch.
     """
     _check_composable(quot, section)
     src = section.source
     if quot.target != src:
         return f"p[{src.vertices[0]}]" if src.vertices else None
-    vpatch, fpatch = compose_tables(quot, section)
+    if quot._quotient:
+        whole = quot.source
+        vpatch = [v for v, table in section.vertex_patch.items() if table.get(v) != 1 or any(
+            x != v and (x in src or x not in whole) for x in table)]
+        fpatch = [f for f, tpl in section.family_patch.items() if tpl.get(f) != 1 or any(
+            t != f and (src.has_family(*t) or not whole.has_family(*t)) for t in tpl)]
+    else:
+        vpatch, fpatch = compose_tables(quot, section)
     at = src.vertex_order
     if vpatch:
         return f"p[{min(vpatch, key=at)}]"
@@ -566,7 +602,8 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
 
     * vertex images are projections and mutually orthogonal,
     * family images are partial isometries compatible with the adjoint:
-      for each ``t`` in a template, the ``c_u^2`` with ``r(u) = r(t)`` sum to 1,
+      every ``t`` in a template is a family of the target, and for each the
+      ``c_u^2`` with ``r(u) = r(t)`` sum to 1,
     * ``m(s)* m(s') = delta . m(p_range)``  (CK1, including distinct-index
       and distinct-family orthogonality); only families that share a
       target family can fail the distinct-family case,
@@ -617,14 +654,23 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     # target family -> the (family, coefficient) of each moved template naming it
     fam_users: dict[tuple[str, str], list[tuple[tuple[str, str], int]]] = {}
     for f, tpl in fpatch.items():
+        if not tpl:
+            # zero, as a quotient map sends a family it kills: a partial
+            # isometry, whose range sum is its range vertex's table only when
+            # that table is zero too
+            if f[1] not in vpatch or vpatch[f[1]]:
+                ck1.append((f, f))
+            continue
         # the range sums, and whether the source table holds each source with 1
         ranges: dict[str, int] = {}
-        under, held = vpatch.get(f[0], {f[0]: 1}), True
+        under, held, present = vpatch.get(f[0], {f[0]: 1}), True, True
         for t, c in tpl.items():
             ranges[t[1]] = ranges.get(t[1], 0) + c * c
             held = held and under.get(t[0]) == 1
+            present = present and target.has_family(*t)
             fam_users.setdefault(t, []).append((f, c))
-        isometry = set(ranges.values()) <= {1}
+        # a family the target lacks is no partial isometry of it
+        isometry = present and set(ranges.values()) <= {1}
         if not isometry:
             not_isometry.append(f)
         if ranges != vpatch.get(f[1], {f[1]: 1}):
@@ -635,7 +681,8 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
 
     # an unmoved family goes to itself: CK1 fails into a moved vertex, CK2
     # out of one whose table lacks its own projection
-    for f in src.families_at([v for v in vpatch if v in target]):
+    kept = [v for v in vpatch if v in target]
+    for f in src.families_at(kept) if kept else ():
         if f not in fpatch:
             if f[1] in vpatch:
                 ck1.append((f, f))
@@ -670,9 +717,10 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
             unital = False
     unital = unital and ones == len(target)
 
-    verdict = (not_projection, min(collided, default=None), min(not_isometry, default=None),
-               min(ck1, default=None), min(ck2, default=None), unital)
-    return _PASSED[require_unital] if verdict == _CLEAN else _ck_report(*verdict, require_unital)
+    if unital and not_projection is None and not (collided or not_isometry or ck1 or ck2):
+        return _PASSED[require_unital]
+    return _ck_report(not_projection, min(collided, default=None), min(not_isometry, default=None),
+                      min(ck1, default=None), min(ck2, default=None), unital, require_unital)
 
 
 def _ck_report(not_projection, pair, bad_fam, ck1_fail, ck2_fail, unital: bool,
@@ -694,7 +742,6 @@ def _ck_report(not_projection, pair, bad_fam, ck1_fail, ck2_fail, unital: bool,
     ))
 
 
-#: The verdict of a map with no offender, and its report for each ``require_unital``:
-#: a report is immutable, so every passing check returns the same one.
-_CLEAN = (None, None, None, None, None, True)
-_PASSED = {unital: _ck_report(*_CLEAN, unital) for unital in (False, True)}
+#: The report of a map with no offender, for each ``require_unital``: a report
+#: is immutable, so every passing check returns the same one.
+_PASSED = {unital: _ck_report(None, None, None, None, None, True, unital) for unital in (False, True)}

@@ -400,12 +400,42 @@ class AmpGraph:
 
         On shared tables they are the bits this mask keeps and ``other``'s
         does not, and the families at them; otherwise labels are compared.
+        When ``other`` lacks one vertex, as a step's quotient lacks its sink,
+        one XOR of the masks finds it and its predecessor row lists its
+        families in row-major order: both masks are closed under families,
+        so no kept family leaves it but a self-loop, and that is in the row.
         """
         if self._t is other._t:
-            gone = self._labels(self._keep & ~other._keep)
+            t, keep = self._t, self._keep
+            gone = keep ^ other._keep
+            i = gone.bit_length() - 1
+            if i >= 0 and gone == 1 << i and keep >> i & 1:
+                v = t.labels[i]
+                return (v,), [(u, v) for u in self._labels(t.pred()[i] & keep)]
+            gone = self._labels(keep & ~other._keep)
             return gone, self.families_at(gone)
         return (tuple(v for v in self.vertices if v not in other),
                 [(a, b) for a, b, _ in self.edges if not other.has_family(a, b)])
+
+    def is_sink(self, v: str) -> bool:
+        """Whether ``v`` is a kept vertex with no kept successor: its row under the mask."""
+        i = self._t.pos.get(v)
+        return i is not None and bool(self._keep >> i & 1) and not self._t.succ[i] & self._keep
+
+    def is_source(self, v: str) -> bool:
+        """Whether ``v`` is a kept vertex with no kept predecessor: its predecessor row under the mask."""
+        i = self._t.pos.get(v)
+        return i is not None and bool(self._keep >> i & 1) and not self._t.pred()[i] & self._keep
+
+    def is_cut(self, v: str, other: "AmpGraph") -> bool:
+        """Whether ``other`` is this graph's quotient by its sink ``v``.
+
+        On shared tables one mask comparison: ``other`` keeps this graph's
+        bits less ``v``'s.  Otherwise the quotient is cut and compared.
+        """
+        if self._t is other._t:
+            return other._keep == self._keep & ~(1 << self._at(v))
+        return other == self.quotient((v,))
 
     def families(self) -> Iterator[tuple[str, str, Mult]]:
         """Yield the nonzero edge families in row-major (vertex) order."""
@@ -610,7 +640,7 @@ class AmpGraph:
 
 def _star_scan(g: AmpGraph, sink: str) -> Iterator[str]:
     """The vertices :func:`is_star` accepts for the sink ``sink``, in vertex order, found lazily."""
-    if sink not in g.classify().sinks:
+    if not g.is_sink(sink):
         raise ValueError(f"{sink!r} is not a sink")
     for v in map(g._t.labels.__getitem__, _bits(g._keep)):
         if is_star(g, sink, v):

@@ -81,7 +81,7 @@ class SplitData(NamedTuple):
     @property
     def ideal_kind(self) -> str:
         """``"K"`` for the compacts, ``"C"`` when the sink is also a source."""
-        return "C" if self.sink in self.working.classify().sources else "K"
+        return "C" if self.working.is_source(self.sink) else "K"
 
     @property
     def iota_class(self) -> str:
@@ -114,13 +114,12 @@ def build_splitting(g: AmpGraph, sink: str, star: str | None) -> SplitData:
 def _check_step(g: AmpGraph, sink: str, star: str | None) -> None:
     """Refuse a ``(sink, star)`` that ``g`` cannot split: ``g`` not amplified, ``sink`` no sink, or a bad star.
 
-    The star is decided on its own in-neighbours; the valid stars are
-    listed only to name them in a refusal.
+    The sink and the star are each decided on their own rows; the valid
+    stars are listed only to name them in a refusal.
     """
-    cls = g.classify()
-    if not cls.amplified:
+    if not g.is_amplified:
         raise ValueError("splitting requires an amplified graph")
-    if sink not in cls.sinks:
+    if not g.is_sink(sink):
         raise ValueError(f"{sink!r} is not a sink")
     if star is not None and not is_star(g, sink, star):
         raise ValueError(
@@ -160,7 +159,9 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
     identity on every generator, and checks that the ideal is the one of a
     sink: ``sink`` is a sink of the working graph and the quotient graph is
     the working graph's quotient by ``sink``, which keeps every other vertex
-    and every family not into ``sink``.
+    and every family not into ``sink``.  The section identity asks the
+    quotient graph what it keeps, and the ideal check reads the sink's row
+    and, on shared tables, compares two masks; no quotient is cut.
     """
     report = verify_ck_family(sd.sigma, require_unital=sd.star is not None)
     checks = list(report.checks)
@@ -171,9 +172,9 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
     checks.append(Check("section-identity", moved is None, moved_at))
     kind = sd.ideal_kind
     what = "the compacts" if kind == "K" else "C (sink is an isolated vertex)"
-    if sd.sink not in sd.working.classify().sinks:
+    if not sd.working.is_sink(sd.sink):
         failure = f"{sd.sink} is not a sink of the working graph"
-    elif sd.quotient_graph != sd.working.quotient((sd.sink,)):
+    elif not sd.working.is_cut(sd.sink, sd.quotient_graph):
         failure = f"the quotient graph is not the working graph without {sd.sink}"
     else:
         failure = None
@@ -273,9 +274,10 @@ class KKChain(NamedTuple):
         """``q_k . ... . q_1`` from the ambient algebra down to the terminal.
 
         Each step's quotient map is the quotient by its sink, so the
-        composite is the quotient by every removed sink at once, built as
-        one map onto the terminal graph, which lacks exactly those sinks;
-        the sinks of a chain form a hereditary set.
+        composite is the quotient by every removed sink at once, one map
+        onto the terminal graph, which lacks exactly those sinks; the sinks
+        of a chain form a hereditary set.  Its patch, every family at those
+        sinks, is built only when read, and the section identity reads none.
         """
         return _quotient_onto(self.ambient, self.terminal)
 
@@ -399,9 +401,9 @@ def multi_sink_splitting(
         raise ValueError("sinks and stars must have equal length")
     n = len(g)
 
-    def listed(current: AmpGraph, avail: tuple[str, ...]) -> tuple[str, str | None]:
+    def listed(current: AmpGraph, _sinks: tuple[str, ...]) -> tuple[str, str | None]:
         i = n - len(current)
-        if sinks[i] not in avail:
+        if not current.is_sink(sinks[i]):
             raise ValueError(f"{sinks[i]!r} is not a sink of the remaining graph")
         return sinks[i], _star(current, sinks[i]) if stars is None else stars[i]
 

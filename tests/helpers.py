@@ -40,6 +40,7 @@ from ampgraph.algebra import (
     VerificationReport,
     _label_map,
     compose,
+    compose_tables,
     projection_word,
 )
 from ampgraph.ktheory import induced_k0, smith_normal_form
@@ -931,14 +932,11 @@ def composite_quotient_oracle(chain) -> GeneratorMap:
 def quotient_onto_oracle(graph: AmpGraph, target: AmpGraph, removed) -> GeneratorMap:
     """The quotient map onto ``target`` killing ``removed``, run through the validator.
 
-    The families at ``removed`` are what ``target`` lacks when that is the
-    removed set, else they are listed anew; every image is validated.
+    The families at ``removed`` are listed by the generic walk
+    ``families_at``, never by ``lacks``; every image is validated.
     """
     removed = tuple(removed)
-    gone, lost = graph.lacks(target)
-    if set(gone) != set(removed):
-        lost = graph.families_at(removed)
-    return _label_map(graph, target, {v: {} for v in removed}, {f: {} for f in lost})
+    return _label_map(graph, target, {v: {} for v in removed}, {f: {} for f in graph.families_at(removed)})
 
 
 def splitting_map_oracle(working: AmpGraph, source: AmpGraph, sink: str, star) -> GeneratorMap:
@@ -947,6 +945,28 @@ def splitting_map_oracle(working: AmpGraph, source: AmpGraph, sink: str, star) -
     families = {} if star is None else {
         (v, star): {(v, star): 1, (v, sink): 1} for v in source.predecessors(star)}
     return _label_map(source, working, moved, families)
+
+
+def section_identity_failure_patch_oracle(section: GeneratorMap, quot: GeneratorMap) -> str | None:
+    """The first generator of ``section.source`` that ``quot . section`` moves, composed patch by patch.
+
+    The section identity as it read before a quotient map was asked what
+    its target keeps: ``compose_tables`` reads ``quot``'s patch, building a
+    quotient map's.
+    """
+    if section.target != quot.source:
+        raise ValueError("maps do not compose: inner target differs from outer source")
+    src = section.source
+    if quot.target != src:
+        return f"p[{src.vertices[0]}]" if src.vertices else None
+    vpatch, fpatch = compose_tables(quot, section)
+    at = src.vertex_order
+    if vpatch:
+        return f"p[{min(vpatch, key=at)}]"
+    if fpatch:
+        a, b = min(fpatch, key=lambda fam: (at(fam[0]), at(fam[1])))
+        return f"s[{a}>{b}#0]"
+    return None
 
 
 def section_identity_failure_oracle(section: GeneratorMap, quot: GeneratorMap) -> str | None:

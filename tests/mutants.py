@@ -178,8 +178,8 @@ MUTANTS = {
     ),
     "shared-report-returned-for-a-non-unital-map": (
         ALGEBRA,
-        "if verdict == _CLEAN else",
-        "if verdict[:5] == _CLEAN[:5] else",
+        "    if unital and not_projection is None and not (",
+        "    if not_projection is None and not (",
         [PATCH + "test_a_passing_check_returns_the_shared_report_and_a_failing_one_never_does",
          PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
     ),
@@ -462,15 +462,15 @@ MUTANTS = {
     # -- one way to look up a graph: its tables under its mask -------------------
     "lacks-by-masks-swaps-the-graphs": (
         GRAPHS,
-        "            gone = self._labels(self._keep & ~other._keep)\n",
-        "            gone = self._labels(other._keep & ~self._keep)\n",
+        "            gone = self._labels(keep & ~other._keep)\n",
+        "            gone = self._labels(other._keep & ~keep)\n",
         [GRAPH + "test_lacks_by_masks_matches_lacks_by_labels",
          ALG + "test_inclusion_refuses_a_quotient_that_lacks_a_vertex"],
     ),
     "lacks-compares-labels-on-shared-tables": (
         GRAPHS,
-        "        if self._t is other._t:\n            gone = ",
-        "        if False:\n            gone = ",
+        "        if self._t is other._t:\n            t, keep = self._t, self._keep\n",
+        "        if False:\n            t, keep = self._t, self._keep\n",
         [SPLIT + "test_chains_and_their_k0_checks_list_no_step_graph"],
     ),
     "contains-ignores-the-mask": (
@@ -661,8 +661,8 @@ MUTANTS = {
     ),
     "quotient-map-reads-what-the-target-has-of-the-graph": (
         ALGEBRA,
-        "    gone, lost = graph.lacks(target)\n",
-        "    gone, lost = target.lacks(graph)\n",
+        "        gone, lost = self.source.lacks(self.target)\n",
+        "        gone, lost = self.target.lacks(self.source)\n",
         [PATCH + "test_a_quotient_map_is_what_its_target_lacks",
          SPLIT + "test_build_splitting_all_stars_verify"],
     ),
@@ -674,8 +674,8 @@ MUTANTS = {
     ),
     "quotient-map-drops-a-lost-family": (
         ALGEBRA,
-        "{f: {} for f in lost})\n",
-        "{f: {} for f in lost[1:]})\n",
+        "family_patch=dict.fromkeys(lost, _KILLED))\n",
+        "family_patch=dict.fromkeys(lost[1:], _KILLED))\n",
         [PATCH + "test_a_quotient_map_is_what_its_target_lacks",
          PATCH + "test_canned_maps_keep_only_what_they_move"],
     ),
@@ -691,6 +691,87 @@ MUTANTS = {
         "    if star is not None and (missing := missing_families(working, sink, star)):\n",
         "    if False and (missing := missing_families(working, sink, star)):\n",
         [SPLIT + "test_unstabilised_ambient_graph_is_reported"],
+    ),
+    # -- a quotient map is what its target lacks, read when asked -----------------
+    "one-sink-row-misses-a-predecessor": (
+        GRAPHS,
+        "                return (v,), [(u, v) for u in self._labels(t.pred()[i] & keep)]\n",
+        "                return (v,), [(u, v) for u in self._labels(t.pred()[i] & keep)][1:]\n",
+        [GRAPH + "test_lacks_by_masks_matches_lacks_by_labels",
+         PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read",
+         PATCH + "test_each_step_lists_the_families_at_its_sink_once"],
+    ),
+    "one-sink-row-drops-a-kept-self-loop": (
+        GRAPHS,
+        "self._labels(t.pred()[i] & keep)]",
+        "self._labels(t.pred()[i] & keep & ~gone)]",
+        [GRAPH + "test_lacks_by_masks_matches_lacks_by_labels",
+         PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read"],
+    ),
+    "quotient-patch-leaves-out-a-removed-vertex": (
+        ALGEBRA,
+        "vertex_patch=dict.fromkeys(gone, _KILLED)",
+        "vertex_patch=dict.fromkeys(gone[1:], _KILLED)",
+        [PATCH + "test_canned_maps_keep_only_what_they_move",
+         PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read"],
+    ),
+    "identity-keeps-an-entry-at-a-killed-vertex": (
+        ALGEBRA,
+        "x != v and (x in src or x not in whole) for x in table)]",
+        "x != v for x in table)]",
+        [PATCH + "test_the_section_identity_asks_the_target_as_the_composing_oracle_answers",
+         SPLIT + "test_build_splitting_all_stars_verify"],
+    ),
+    "identity-keeps-an-entry-at-a-killed-family": (
+        ALGEBRA,
+        "t != f and (src.has_family(*t) or not whole.has_family(*t)) for t in tpl)]",
+        "t != f for t in tpl)]",
+        [PATCH + "test_the_section_identity_asks_the_target_as_the_composing_oracle_answers",
+         SPLIT + "test_build_splitting_all_stars_verify"],
+    ),
+    "identity-kills-a-vertex-the-quotient-source-lacks": (
+        ALGEBRA,
+        "(x in src or x not in whole)",
+        "x in src",
+        [PATCH + "test_the_section_identity_asks_the_target_as_the_composing_oracle_answers"],
+    ),
+    "identity-kills-a-family-the-quotient-source-lacks": (
+        ALGEBRA,
+        "(src.has_family(*t) or not whole.has_family(*t))",
+        "src.has_family(*t)",
+        [PATCH + "test_the_section_identity_asks_the_target_as_the_composing_oracle_answers",
+         SPLIT + "test_a_section_naming_a_family_its_target_lacks_is_no_partial_isometry"],
+    ),
+    "absent-family-passes-as-a-partial-isometry": (
+        ALGEBRA,
+        "            present = present and target.has_family(*t)\n",
+        "            pass\n",
+        [SPLIT + "test_a_section_naming_a_family_its_target_lacks_is_no_partial_isometry"],
+    ),
+    "zero-template-skips-its-ck1-test": (
+        ALGEBRA,
+        "            if f[1] not in vpatch or vpatch[f[1]]:\n",
+        "            if False:\n",
+        [PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
+    ),
+    "ideal-mask-test-accepts-another-graphs-tables": (
+        GRAPHS,
+        "        if self._t is other._t:\n            return other._keep ==",
+        "        if True:\n            return other._keep ==",
+        [GRAPH + "test_a_cut_on_other_tables_is_compared_as_a_graph",
+         SPLIT + "test_the_ideal_check_reads_masks_on_shared_tables_and_compares_other_graphs"],
+    ),
+    "sink-row-ignores-the-mask": (
+        GRAPHS,
+        "bool(self._keep >> i & 1) and not self._t.succ[i] & self._keep\n",
+        "bool(self._keep >> i & 1) and not self._t.succ[i]\n",
+        [GRAPH + "test_sink_source_and_cut_rows_match_the_dense_model"],
+    ),
+    "listed-policy-skips-its-sink-test": (
+        SPLITTING,
+        "        if not current.is_sink(sinks[i]):\n",
+        "        if False:\n",
+        [SPLIT + "test_multi_sink_splitting_rejects_unknown_sink"],
     ),
     "missing-families-ignore-the-sinks-in-neighbours": (
         GRAPHS,

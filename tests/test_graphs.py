@@ -554,6 +554,37 @@ def test_a_self_loop_singleton_is_cut_by_a_walk():
 
 
 @pytest.mark.parametrize("seed", range(30))
+def test_sink_source_and_cut_rows_match_the_dense_model(seed):
+    """``is_sink``, ``is_source`` and ``is_cut`` on every hereditary quotient
+    of a graph with loops, cycles and finite families: the model's sinks and
+    sources, no label the graph does not keep, and a cut by each sink equal
+    to the model's quotient, on the shared tables or built anew."""
+    rng = random.Random(9700 + seed)
+    labels = tuple(f"u{i}" for i in range(rng.randint(1, 7)))
+    edges = random_edge_list(rng, labels, rng.randint(0, 20))
+    g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+    for subset in sorted(hereditary_subsets_oracle(g)):
+        q, mq = g.quotient(subset), model.quotient(subset)
+        _, _, sinks, sources = mq.classify()
+        assert tuple(v for v in (*labels, "nowhere") if q.is_sink(v)) == sinks
+        assert tuple(v for v in (*labels, "nowhere") if q.is_source(v)) == sources
+        for v in sinks:
+            cut = q.quotient((v,))
+            assert q.is_cut(v, cut) and q.is_cut(v, AmpGraph(cut.vertices, cut.edges))
+            assert not q.is_cut(v, q)
+            assert not any(q.is_cut(v, q.quotient((w,))) for w in sinks if w != v)
+
+
+def test_a_cut_on_other_tables_is_compared_as_a_graph():
+    # the same positions kept, but a family fewer: equal masks, another graph
+    g = example_graph()
+    thinner = AmpGraph(g.vertices, [e for e in g.edges if e[:2] != ("v1", "v3")])
+    assert g.is_cut("v4", g.quotient(("v4",)))
+    assert not g.is_cut("v4", thinner.quotient(("v4",)))
+    assert thinner.is_cut("v4", AmpGraph.from_edges(("v1", "v2", "v3", "v5"), [("v1", "v2"), ("v3", "v5")]))
+
+
+@pytest.mark.parametrize("seed", range(30))
 def test_quotients_compare_by_the_vertices_they_keep(seed):
     # two quotients of one graph are equal exactly when they remove the same
     # set, and each compares and hashes equal to the graph built anew

@@ -18,10 +18,12 @@ from ampgraph import (
     AmpGraph,
     DynkinSpec,
     GeneratorMap,
+    KKChain,
     check_chain_k0,
     cw_kk_summary,
     flag_graph,
     kk_chain,
+    multi_sink_splitting,
     verify_ck_family,
 )
 from ampgraph import algebra, splitting
@@ -32,9 +34,11 @@ from helpers import (
     corrupted_chains,
     example_graph,
     golden_chains,
+    hereditary_subsets_oracle,
     map_corruptions,
     quotient_onto_oracle,
     random_chain,
+    section_identity_failure_patch_oracle,
     section_identity_failure_tables_oracle,
     splitting_map_oracle,
     verify_ck_family_tables_oracle,
@@ -265,27 +269,171 @@ def test_a_quotient_map_is_what_its_target_lacks():
         GeneratorMap.quotient(finite, ("b",))
 
 
+def _omega_graph(rng: random.Random) -> AmpGraph:
+    """A random amplified graph on up to seven vertices: self-loops, cycles and sinks all occur."""
+    labels = tuple(f"u{i}" for i in range(rng.randint(1, 7)))
+    return AmpGraph.from_edges(labels, [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 14))])
+
+
+def test_a_quotient_map_builds_the_oracles_patch_when_first_read(monkeypatch):
+    """Quotient maps between hereditary quotients of random amplified graphs
+    against the validating oracle, patch for patch and in order.
+
+    Each quotient is cut again by every one-vertex hereditary set, a sink's
+    or a self-loop's, and by two random hereditary sets.  A map lists what
+    its target lacks once, on first read, and keeps it."""
+    lacks, lacked = AmpGraph.lacks, []
+
+    def counted(self, other):
+        lacked.append(self)
+        return lacks(self, other)
+
+    monkeypatch.setattr(AmpGraph, "lacks", counted)
+    rng = random.Random(20261032)
+    singles = loops = 0
+    for _ in range(60):
+        g = _omega_graph(rng)
+        for first in sorted(hereditary_subsets_oracle(g)):
+            q = g.quotient(first)
+            subsets = sorted(hereditary_subsets_oracle(q))
+            ones = [s for s in subsets if len(s) == 1]
+            for second in ones + rng.sample(subsets, min(2, len(subsets))):
+                target = q.quotient(second)
+                m = algebra._quotient_onto(q, target)
+                lacked.clear()
+                patch = (list(m.vertex_patch.items()), list(m.family_patch.items()))
+                oracle = quotient_onto_oracle(q, target, second)
+                assert patch == (list(oracle.vertex_patch.items()), list(oracle.family_patch.items()))
+                assert m.vertex_patch is m.vertex_patch and m.family_patch is m.family_patch
+                assert lacked[:1] == [q]
+                assert m == oracle
+                singles += len(second) == 1
+                loops += len(second) == 1 and q.has_family(second[0], second[0])
+    assert singles > 500 and loops > 50
+
+
+def _identity_cases(section, quot, rng: random.Random) -> list:
+    """``(section, quot)``, then sections and quotients damaged around it.
+
+    The section's table at a random vertex, or its template at a random
+    family, gains an entry at a label the quotient kills, a label its
+    target lacks, or a label the quotient keeps; the quotient is made anew
+    from the section's target built afresh (other tables), onto another
+    graph, or as a validated map with the same patch.
+    """
+    src, whole = section.source, section.target
+    vpatch, fpatch = section.vertex_patch, section.family_patch
+    cases = [(section, quot)]
+
+    def damaged(vertices=None, families=None):
+        return algebra._from_patch(src, whole, {**vpatch, **(vertices or {})}, {**fpatch, **(families or {})})
+
+    if src.vertices:
+        x = rng.choice(src.vertices)
+        table = vpatch.get(x, {x: 1})
+        killed = [v for v in whole.vertices if v not in src]
+        for extra in ([rng.choice(killed)] if killed else []) + ["nowhere", rng.choice(src.vertices)]:
+            cases.append((damaged(vertices={x: {**table, extra: table.get(extra, 0) + 2}}), quot))
+    fams = [(a, b) for a, b, _ in src.edges]
+    if fams:
+        f = rng.choice(fams)
+        tpl = fpatch.get(f, {f: 1})
+        killed = [(a, b) for a, b, _ in whole.edges if not src.has_family(a, b)]
+        absent = (f[1], f[0]) if not whole.has_family(f[1], f[0]) else (f[0], "nowhere")
+        for extra in ([rng.choice(killed)] if killed else []) + [absent, rng.choice(fams)]:
+            cases.append((damaged(families={f: {**tpl, extra: tpl.get(extra, 0) + 2}}), quot))
+    fresh = AmpGraph(whole.vertices, whole.edges)
+    cases.append((section, algebra._quotient_onto(fresh, src)))
+    cases.append((section, algebra._quotient_onto(whole, whole)))
+    cases.append((section, GeneratorMap(quot.source, quot.target, quot.vertex_images, quot.edge_images)))
+    return cases
+
+
+def test_the_section_identity_asks_the_target_as_the_composing_oracle_answers():
+    """The section identity against the composing one it replaced, on every
+    step and composite of the golden chains and 40 seeded random chains,
+    and on damaged sections and foreign quotients around each: an entry at
+    a killed label, which leaves the identity as it was, and a label the
+    section's target lacks or the quotient keeps, which breaks it."""
+    rng = random.Random(20261033)
+    chains = golden_chains() + [random_chain(rng) for _ in range(40)]
+    outcomes = {"fixed": 0, "moved": 0}
+    for chain in chains:
+        pairs = [(sd.sigma, sd.quotient_map) for sd in chain.steps]
+        if chain.steps:
+            pairs.append((chain.composite_section(), chain.composite_quotient()))
+        for section, quot in pairs:
+            assert quot._quotient
+            for s, q in _identity_cases(section, quot, rng):
+                got = splitting._section_identity_failure(s, q)
+                assert got == section_identity_failure_patch_oracle(s, q), (s, q)
+                outcomes["fixed" if got is None else "moved"] += 1
+    assert min(outcomes.values()) > 1000
+
+
+def test_the_composite_quotient_builds_its_patch_only_when_read(monkeypatch):
+    """On full A4 and 40 random chains run through ``multi_sink_splitting``,
+    the composite quotient's patch, every family at the removed sinks, is
+    never built: the composite section identity asks the terminal graph
+    what it keeps.  Read afterwards, it is the oracle's."""
+    build, composite = GeneratorMap.__getattr__, KKChain.composite_quotient
+    built, made = [], []
+
+    def counted_build(m, name):
+        built.append(m)
+        return build(m, name)
+
+    def counted_composite(chain):
+        made.append(composite(chain))
+        return made[-1]
+
+    monkeypatch.setattr(GeneratorMap, "__getattr__", counted_build)
+    monkeypatch.setattr(KKChain, "composite_quotient", counted_composite)
+    rng = random.Random(20261034)
+    chains = [cw_kk_summary(DynkinSpec(4, frozenset({1, 2, 3, 4}))).chain]
+    for _ in range(40):
+        chain = random_chain(rng)
+        chains.append(multi_sink_splitting(chain.graph, chain.sinks, [sd.star for sd in chain.steps]))
+    assert len(made) == sum(1 for chain in chains if chain.steps) > 30
+    assert not any(m is quot for m in built for quot in made)
+    for chain, quot in zip([c for c in chains if c.steps], made):
+        assert quot == quotient_onto_oracle(chain.ambient, chain.terminal, chain.sinks)
+        assert built[-1] is quot
+
+
 def test_each_step_lists_the_families_at_its_sink_once(monkeypatch):
     """The quotient map lists the families into its sink once, for its
-    patch, and its relation check, whose moved vertex the target lacks,
-    lists none."""
-    listed = []
-    families_at = AmpGraph.families_at
+    patch, off the sink's predecessor row: one ``lacks`` of the working
+    graph against the quotient graph, and no ``families_at`` naming the
+    sink.  Its relation check, whose moved vertex the target lacks, lists
+    none, and the section identity reads no patch of it."""
+    listed, lacked = [], []
+    families_at, lacks = AmpGraph.families_at, AmpGraph.lacks
 
     def counted(self, subset):
         subset = tuple(subset)
         listed.append(subset)
         return families_at(self, subset)
 
+    def counted_lacks(self, other):
+        got = lacks(self, other)
+        lacked.append((self, other, got))
+        return got
+
     monkeypatch.setattr(AmpGraph, "families_at", counted)
+    monkeypatch.setattr(AmpGraph, "lacks", counted_lacks)
     chains = [c for c in golden_chains() if c.steps]
     rng = random.Random(20261026)
     chains += [random_chain(rng) for _ in range(40)]
     for chain in chains:
         for sd in chain.steps:
             listed.clear()
+            lacked.clear()
             splitting._split(sd.working, sd.working, sd.quotient_graph, sd.sink, sd.star, ())
-            assert [s for s in listed if sd.sink in s] == [(sd.sink,)]
+            assert [s for s in listed if sd.sink in s] == []
+            [(graph, target, got)] = lacked
+            assert graph is sd.working and target is sd.quotient_graph
+            assert got == ((sd.sink,), families_at(sd.working, (sd.sink,)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,39 +476,56 @@ def test_each_step_examines_only_its_patches_and_their_neighbours(monkeypatch):
     """Count the generators each map is asked about on full A4.
 
     Every lookup of a label in a map's patch, by any check, composite or K_0
-    step, is recorded; no map's full tables are built.  Per step, the
-    labels asked about lie in the neighbourhood of the step's two patches
-    and of the next step's, whose section the composite pushes through this
-    one; there are a few lookups per label, and a whole chain asks about a
-    small share of its maps' generators.
+    step, is recorded: a section's patch is watched from when it is filled,
+    a quotient map's from when it is built on first read.  No map's full
+    tables are built.  Per step, the labels asked about lie in the
+    neighbourhood of the step's two patches and of the next step's, whose
+    section the composite pushes through this one; there are a few lookups
+    per label, and a whole chain asks about a small share of its maps'
+    generators.  Each step's quotient map builds its patch once, and the
+    composite quotient never does.  The section identity looks up no label
+    in either patch: it reads the section's tables and asks the quotient
+    graph what it keeps.
     """
-    fill = algebra._fill
+    fill, build = algebra._fill, GeneratorMap.__getattr__
+    built = []
 
     def watched(m, source, target, vpatch, fpatch):
         fill(m, source, target, _Watched(vpatch, []), _Watched(fpatch, []))
+
+    def watched_build(m, name):
+        build(m, name)
+        built.append(m)
+        for half in ("vertex_patch", "family_patch"):
+            object.__setattr__(m, half, _Watched(object.__getattribute__(m, half), []))
+        return getattr(m, name)
 
     def refuse(self):
         raise AssertionError("a full table was built")
 
     monkeypatch.setattr(algebra, "_fill", watched)
+    monkeypatch.setattr(GeneratorMap, "__getattr__", watched_build)
     monkeypatch.setattr(GeneratorMap, "vertex_images", property(refuse))
     monkeypatch.setattr(GeneratorMap, "edge_images", property(refuse))
     summary = cw_kk_summary(DynkinSpec(4, frozenset({1, 2, 3, 4})))
     assert summary.report.ok
-    examined = generators = 0
     steps = summary.chain.steps
+    assert [id(m) for m in built] == [id(sd.quotient_map) for sd in steps]
+    examined = generators = 0
     for sd, after in zip(steps, steps[1:] + steps[-1:]):
         maps = (sd.sigma, sd.quotient_map)
-        seen = [x for m in maps for patch in (m.vertex_patch, m.family_patch) for x in patch.seen]
+        patches = [patch for m in maps for patch in (m.vertex_patch, m.family_patch)]
+        seen = [x for patch in patches for x in patch.seen]
         near = _neighbourhood(maps + (after.sigma, after.quotient_map))
         assert set(seen) <= near, set(seen) - near
         assert len(seen) <= 8 * len(near)
+        assert splitting._section_identity_failure(*maps) is None
+        assert sum(len(patch.seen) for patch in patches) == len(seen)
         examined += len(seen)
         generators += sum(len(m.source.vertices) + len(m.source.edges) for m in maps)
-    assert len(summary.chain.steps) == 119
+    assert len(built) == len(steps) == 119
     assert generators > 60_000
     assert examined < generators / 10
-
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from helpers import (
     random_amplified_dag,
     random_chain,
     section_identity_failure_oracle,
+    section_identity_failure_patch_oracle,
     stabilize_oracle,
 )
 from test_graphs import _assert_matches_model, _assert_tables_fresh
@@ -200,6 +201,47 @@ def test_unstabilised_ambient_graph_is_reported(monkeypatch):
     message = "ambient graph not stabilised: step 's2' still added (('x', 's2'),)"
     with pytest.raises(VerificationFailure, match=re.escape(message)):
         kk_chain(*_later_step_needs_a_family())
+
+
+def test_a_section_naming_a_family_its_target_lacks_is_no_partial_isometry():
+    """The section of step ``s2`` built as it stands on the unstabilised
+    graph names ``x -> s2``, which the graph lacks (``_split`` refuses that
+    step before it builds anything).  The relation check fails
+    ``adjoint-compatibility`` at the least such template, and the section
+    identity there: the quotient map kills no family its source lacks."""
+    g = AmpGraph.from_edges(("x", "y", "w", "s2"), [("x", "w"), ("y", "w"), ("w", "s2")])
+
+    def section(working):
+        return algebra._from_patch(working.quotient(("s2",)), working, {"w": {"w": 1, "s2": 1}}, {
+            (v, "w"): {(v, "w"): 1, (v, "s2"): 1} for v in ("x", "y")})
+
+    for working, first in ((g, "x"), (g.amplify_transitive_edges("x", "s2"), "y")):
+        sigma = section(working)
+        report = verify_ck_family(sigma)
+        assert not report.ok
+        assert report.check("adjoint-compatibility").detail == f"image of s[{first}>w#i] is not a partial isometry"
+        quot = algebra._quotient_onto(working, sigma.source)
+        assert splitting._section_identity_failure(sigma, quot) == f"s[{first}>w#0]"
+        assert section_identity_failure_patch_oracle(sigma, quot) == f"s[{first}>w#0]"
+    stable = g.amplify_transitive_edges("x", "s2").amplify_transitive_edges("y", "s2")
+    assert verify_ck_family(section(stable)) is algebra._PASSED[True]
+
+
+def test_the_ideal_check_reads_masks_on_shared_tables_and_compares_other_graphs():
+    """The ``ideal`` check on a step's own quotient graph compares two masks;
+    a quotient graph on other tables is compared as a graph, so one built
+    anew passes, and one whose vertices sit at the same positions but whose
+    families differ fails with today's text."""
+    g = example_graph()
+    sd = build_splitting(g, "v4", None)
+    assert verify_split_exact(sd).check("ideal").passed
+    fresh = AmpGraph(sd.quotient_graph.vertices, sd.quotient_graph.edges)
+    thinner = AmpGraph(g.vertices, [e for e in g.edges if e[:2] != ("v1", "v3")]).quotient(("v4",))
+    for source, passed in ((fresh, True), (thinner, False)):
+        check = verify_split_exact(sd._replace(sigma=GeneratorMap.inclusion(source, sd.working))).check("ideal")
+        assert check.passed is passed
+        assert check.detail == ("ideal at v4 is the compacts" if passed else
+                                "the quotient graph is not the working graph without v4")
 
 
 def test_no_valid_star_is_reported_by_every_policy():
@@ -378,7 +420,8 @@ def test_multi_sink_splitting_builds_two_maps_per_step_and_two_composites(
     g = flag_graph(spec)
     sinks = list(cw_kk_summary(spec).chain.sinks)
     original, validate = algebra._fill, algebra._patch
-    built, validated = [], []
+    quotient_onto, build = algebra._quotient_onto, GeneratorMap.__getattr__
+    built, validated, quotients, read = [], [], [], []
 
     def counted(m, *patch):
         built.append(m)
@@ -388,13 +431,27 @@ def test_multi_sink_splitting_builds_two_maps_per_step_and_two_composites(
         validated.append(images)
         return validate(*images)
 
+    def counted_quotient(graph, target):
+        quotients.append(quotient_onto(graph, target))
+        return quotients[-1]
+
+    def counted_build(m, name):
+        read.append(m)
+        return build(m, name)
+
     monkeypatch.setattr(algebra, "_fill", counted)
     monkeypatch.setattr(algebra, "_patch", checked)
+    monkeypatch.setattr(splitting, "_quotient_onto", counted_quotient)
+    monkeypatch.setattr(GeneratorMap, "__getattr__", counted_build)
     chain = multi_sink_splitting(g, sinks)
     steps = len(chain.steps)
     assert steps == len(sinks) > 1
-    # a section and a quotient map per step, then each composite once
-    assert len(built) == 2 * steps + 2
+    # a section per step, then the composite section, each filled once
+    assert len(built) == steps + 1
+    # a quotient map per step, then the composite quotient, each made once;
+    # a step's builds its patch on first read, the composite's is never read
+    assert len(quotients) == steps + 1
+    assert [id(m) for m in read] == [id(sd.quotient_map) for sd in chain.steps]
     # only the composite section is validated: the steps' maps and the
     # composite quotient are built as they stand
     assert len(validated) == 1
@@ -635,10 +692,11 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
     ``_stabilize`` builds no quotient.  A chain whose stabilising adds
     nothing builds one quotient per step, the planner's, and runs its steps
     on them; one that adds families cuts its chain once more from the
-    ambient graph, two per step.  Each step's ``ideal`` check cuts one
-    more, to compare with its quotient graph.  Every graph of a chain reads the input
-    graph's tables or the stabilised ones, which share its reach masks, so
-    a chain searches for reach masks once, on the input graph's tables.
+    ambient graph, two per step.  Each step's ``ideal`` check compares its
+    quotient graph's mask with the working graph's and cuts none.  Every
+    graph of a chain reads the input graph's tables or the stabilised ones,
+    which share its reach masks, so a chain searches for reach masks once,
+    on the input graph's tables.
     """
     quotient, reach, stabilize, run_chain = (
         AmpGraph.quotient, _Tables.reach, splitting._stabilize, splitting._run_chain
@@ -697,7 +755,7 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
         assert_searched_once(summary.chain)
     assert made and not any(made)
     for chain, quotients in runs:
-        assert len(quotients) == len(chain.steps) * (3 if chain.augmented else 2)
+        assert len(quotients) == len(chain.steps) * (2 if chain.augmented else 1)
     assert {bool(chain.augmented) for chain, _ in runs} == {False, True}
 
 
