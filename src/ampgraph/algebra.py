@@ -39,8 +39,9 @@ images a caller gives and the unmoved labels by what the target lacks of
 the source.  A map derived from its graphs is built as it stands
 (:func:`_from_patch`): a step's section is filled once the families it
 names are checked, and a quotient map kills what its target lacks, so it
-stores only its two graphs and lists its patch when first read; the
-section identity asks its target what it keeps instead.
+stores only its two graphs and builds each half of its patch when first
+read; its relation check passes a hereditary cut on one mask test, and the
+section identity asks its target what it keeps.
 
 The relation checks read only the patch and its neighbours.  An amplified
 graph has no finite emitter, so no relation sums over a vertex's families:
@@ -156,9 +157,9 @@ class GeneratorMap(_Frozen):
     own label.  ``vertex_images`` and ``edge_images`` build the full tables
     on each access, each template as its pairs sorted by family.  Nothing
     here promises the data is an actual homomorphism;
-    :func:`verify_ck_family` checks that.  A quotient map builds its patch
-    when first read.  Maps are equal when their graphs and patches are; a
-    map is immutable and, holding dicts, unhashable.
+    :func:`verify_ck_family` checks that.  A quotient map builds each half
+    of its patch when first read.  Maps are equal when their graphs and
+    patches are; a map is immutable and, holding dicts, unhashable.
     """
 
     _fields = ("source", "target", "vertex_patch", "family_patch")
@@ -175,12 +176,14 @@ class GeneratorMap(_Frozen):
         _fill(self, source, target, *_patch(source, target, vimgs, tables))
 
     def __getattr__(self, name: str):
-        """A quotient map's patch, built on first read from what its target lacks."""
+        """A half of a quotient map's patch, built on first read from what its target lacks:
+        the killed vertices by a mask test where one decides, the killed families by a listing."""
         if name not in _PATCH or not self._quotient:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        gone, lost = self.source.lacks(self.target)
-        _Frozen.__init__(self, vertex_patch=dict.fromkeys(gone, _KILLED), family_patch=dict.fromkeys(lost, _KILLED))
-        return getattr(self, name)
+        cut = self.source.hereditary_cut(self.target) if name == "vertex_patch" else None
+        half = dict.fromkeys(self.source.lacks(self.target)[_PATCH.index(name)] if cut is None else cut, _KILLED)
+        _Frozen.__init__(self, **{name: half})
+        return half
 
     @property
     def vertex_images(self) -> dict:
@@ -330,7 +333,9 @@ def _quotient_onto(graph: AmpGraph, target: AmpGraph) -> GeneratorMap:
     rest, so the two graphs determine it and it is valid as built.  It
     stores only them: its patch, the zero tables of what
     ``graph.lacks(target)`` lists in vertex and row-major order, is built
-    when first read, and :func:`_section_identity_failure` reads none of it.
+    half by half when first read, the vertices by one mask test; neither
+    :func:`verify_ck_family` on a hereditary cut nor
+    :func:`_section_identity_failure` reads it.
     """
     if not graph.is_amplified:
         raise ValueError("generator maps require amplified graphs")
@@ -544,7 +549,8 @@ def _range_counts(m: GeneratorMap) -> dict[str, VertexTable]:
     An image ``sum_x d_x p_x`` is a sum of distinct, hence orthogonal,
     vertex projections exactly when every ``d_x`` is 1; its class is then
     its table.  Any other coefficient is refused, at the first such vertex
-    in vertex order, naming its first such term in label order.
+    in vertex order, naming its first such term in label order.  The patch
+    itself is returned, not a copy: the K_0 checks only read it.
     """
     for v, table in m.vertex_patch.items():
         bad = [x for x, c in table.items() if c != 1]
@@ -554,7 +560,7 @@ def _range_counts(m: GeneratorMap) -> dict[str, VertexTable]:
                 f"image of p[{v}] is not an orthogonal sum of path "
                 f"projections: term {_render_sum([(table[x], f'p[{x}]')])}"
             )
-    return dict(m.vertex_patch)
+    return m.vertex_patch
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +581,7 @@ class VerificationReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks if c.required)
+        return not [c for c in self.checks if not c.passed and c.required]
 
     def check(self, name: str) -> Check:
         for c in self.checks:
@@ -633,8 +639,13 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     generator would: the orthogonality pair in vertex order, the others by
     label.  A map that passes all six gets the one shared report for its
     ``require_unital``, built once by the function that builds the others.
+    A quotient map onto a hereditary cut of its source gets it without
+    reading its patch: every family it kills ends at a killed vertex (CK1),
+    and it fixes all its target has (unital).  Any other map is walked.
     """
     src, target = m.source, m.target
+    if m._quotient and src.hereditary_cut(target) is not None:
+        return _PASSED[require_unital]
     vpatch, fpatch = m.vertex_patch, m.family_patch
     at = src.vertex_order
 

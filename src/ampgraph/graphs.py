@@ -400,16 +400,16 @@ class AmpGraph:
 
         On shared tables they are the bits this mask keeps and ``other``'s
         does not, and the families at them; otherwise labels are compared.
-        When ``other`` lacks one vertex, as a step's quotient lacks its sink,
-        one XOR of the masks finds it and its predecessor row lists its
-        families in row-major order: both masks are closed under families,
-        so no kept family leaves it but a self-loop, and that is in the row.
+        When ``other`` lacks one vertex with no family to a vertex ``other``
+        keeps, as a step's quotient lacks its sink, one XOR of the masks
+        finds it and its predecessor row lists its families in row-major
+        order: no kept family leaves it but a self-loop, which is in the row.
         """
         if self._t is other._t:
             t, keep = self._t, self._keep
             gone = keep ^ other._keep
             i = gone.bit_length() - 1
-            if i >= 0 and gone == 1 << i and keep >> i & 1:
+            if i >= 0 and gone == 1 << i and keep >> i & 1 and not t.succ[i] & other._keep:
                 v = t.labels[i]
                 return (v,), [(u, v) for u in self._labels(t.pred()[i] & keep)]
             gone = self._labels(keep & ~other._keep)
@@ -436,6 +436,14 @@ class AmpGraph:
         if self._t is other._t:
             return other._keep == self._keep & ~(1 << self._at(v))
         return other == self.quotient((v,))
+
+    def hereditary_cut(self, other: "AmpGraph") -> tuple[str, ...] | None:
+        """The vertices ``other`` lacks when, on shared tables, it keeps only this graph's
+        bits less a hereditary set, else ``None``: one mask test, no family listed."""
+        if self._t is not other._t or other._keep & ~self._keep:
+            return None
+        gone = self._keep ^ other._keep
+        return self._labels(gone) if self._closed(gone) else None
 
     def families(self) -> Iterator[tuple[str, str, Mult]]:
         """Yield the nonzero edge families in row-major (vertex) order."""

@@ -28,7 +28,8 @@ a table keyed by label, adds the sink's column into the star's in place,
 and hands out each sink's column before that step.  It keeps
 ``Q_i ... Q_1`` as rows keyed by the labels of the current graph and
 pushes each row its quotient map moves into the rows its class names.
-Sparse columns and rows are dicts from an index to the nonzero entries.
+Sparse columns and rows are dicts from an index to the nonzero entries;
+each sum is added into one in place, by the prefix fold's ``_add_into``.
 Reports expose dense matrices, tuples of rows of Python ints, which
 serialise to JSON as they are; a step's dense Q and S, and a chain's
 forward and backward, are built only when read, so a caller that reads
@@ -41,22 +42,13 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import _Frozen
-from .algebra import Check, GeneratorMap, VerificationReport, _prefix_fold, _range_counts
+from .algebra import Check, GeneratorMap, VerificationReport, _add_into, _prefix_fold, _range_counts
 from .graphs import AmpGraph
 from .splitting import KKChain, SplitData
 
 Matrix = tuple[tuple[int, ...], ...]
 Column = dict[int, int]
 Columns = tuple[Column, ...]
-
-
-def _sum(terms) -> dict:
-    """The sparse vector ``sum c v`` over the pairs ``(c, v)`` of ``terms``, its zero entries dropped."""
-    out: dict = {}
-    for c, v in terms:
-        for i, y in v.items():
-            out[i] = out.get(i, 0) + c * y
-    return {i: y for i, y in out.items() if y}
 
 
 def _dense(cols: Columns, rows: int) -> Matrix:
@@ -69,7 +61,13 @@ def _dense(cols: Columns, rows: int) -> Matrix:
 
 def _is_left_inverse(a: dict, b: Columns) -> bool:
     """Whether ``A B`` is the identity with as many columns as ``B``; ``a`` maps a column index to its column."""
-    return all(_sum((c, a.get(x, {})) for x, c in col.items()) == {j: 1} for j, col in enumerate(b))
+    for j, col in enumerate(b):
+        acc: dict = {}
+        for x, c in col.items():
+            _add_into(acc, c, a.get(x, {}))
+        if acc != {j: 1}:
+            return False
+    return True
 
 
 def _rank(cols: Columns) -> int:
@@ -105,8 +103,10 @@ def _section_holds(target: AmpGraph, source: AmpGraph, q: dict, s: dict) -> bool
     if target is not source and target.vertices != source.vertices:
         return False
     for u in (*s, *(x for x in q if x in source and x not in s)):
-        col = s.get(u, {u: 1})
-        if _sum((c, q.get(x, {x: 1})) for x, c in col.items()) != {u: 1}:
+        acc: dict = {}
+        for x, c in s.get(u, {u: 1}).items():
+            _add_into(acc, c, q.get(x, {x: 1}))
+        if acc != {u: 1}:
             return False
     return True
 
@@ -181,40 +181,29 @@ def check_split_exact_k0(sd: SplitData) -> K0SplitCheck:
     The dense Q and S are built from the classes certified when first read.
     """
     q_moved, s_moved, section_ok, killed = _step_certificate(sd)
-    n = len(sd.working)
-    nullity = 1 if section_ok and killed else n - _rank(_columns(sd.quotient_map, q_moved))
-    kernel_ok = killed and nullity == 1
-    checks = (
-        Check(
-            "k0-section",
-            section_ok,
-            "Q S = identity on the quotient K_0"
-            if section_ok
-            else "Q S is not the identity on the quotient K_0",
-        ),
-        Check(
-            "k0-ideal-killed",
-            killed,
-            "Q annihilates the ideal class"
-            if killed
-            else "Q does not annihilate the ideal class",
-        ),
-        Check(
-            "k0-kernel",
-            kernel_ok,
-            "ker Q is the copy of Z at the sink"
-            if kernel_ok
-            else f"kernel rank {nullity}, expected the sink line",
-        ),
-        Check(
-            "k0-decomposition",
-            section_ok and kernel_ok,
-            f"K_0 = Z^{n} splits as Z (+) Z^{n - 1}"
-            if section_ok and kernel_ok
-            else "needs k0-section and k0-kernel",
-        ),
-    )
-    return K0SplitCheck(sd.sink, VerificationReport(checks), sd, (q_moved, s_moved))
+    n, certified = len(sd.working), section_ok and killed
+    report = _K0_PASSED.get(n) if certified else None
+    if report is None:
+        nullity = 1 if certified else n - _rank(_columns(sd.quotient_map, q_moved))
+        kernel_ok = killed and nullity == 1
+        report = VerificationReport((
+            Check("k0-section", section_ok, "Q S = identity on the quotient K_0" if section_ok
+                  else "Q S is not the identity on the quotient K_0"),
+            Check("k0-ideal-killed", killed, "Q annihilates the ideal class" if killed
+                  else "Q does not annihilate the ideal class"),
+            Check("k0-kernel", kernel_ok, "ker Q is the copy of Z at the sink" if kernel_ok
+                  else f"kernel rank {nullity}, expected the sink line"),
+            Check("k0-decomposition", section_ok and kernel_ok, f"K_0 = Z^{n} splits as Z (+) Z^{n - 1}"
+                  if section_ok and kernel_ok else "needs k0-section and k0-kernel"),
+        ))
+        if certified:
+            _K0_PASSED[n] = report
+    return K0SplitCheck(sd.sink, report, sd, (q_moved, s_moved))
+
+
+#: The report of a certified step, by vertex count: a report is immutable,
+#: so every certified step of that size gets the same one.
+_K0_PASSED: dict[int, VerificationReport] = {}
 
 
 class K0ChainCheck(_Frozen):
@@ -287,14 +276,16 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
                 )
             uncertified.append(sd.sink)
         backward.append({position[x]: c for x, c in at_sink.items()})
-        sink_row = rows.get(sd.sink, {})
+        # N[0] Q_(i-1) ... Q_1 = e_sink Q_(i-1) ... Q_1 - S[sink, :] Q_i ... Q_1
+        row = dict(rows.get(sd.sink, {}))
         moved_rows = {x: rows.pop(x, {}) for x in q}
         for x, table in q.items():
             for y, d in table.items():
-                rows[y] = _sum(((1, rows.get(y, {})), (d, moved_rows[x])))
-        # N[0] Q_(i-1) ... Q_1 = e_sink Q_(i-1) ... Q_1 - S[sink, :] Q_i ... Q_1
-        s_row = [(-table[sd.sink], rows.get(u, {})) for u, table in s.items() if sd.sink in table]
-        forward.append(_sum([(1, sink_row), *s_row]))
+                _add_into(rows.setdefault(y, {}), d, moved_rows[x])
+        for u, table in s.items():
+            if sd.sink in table:
+                _add_into(row, -table[sd.sink], rows.get(u, {}))
+        forward.append(row)
     terminal = chain.terminal.vertices
     tables, _ = next(prefix)
     forward += [rows.get(v, {}) for v in terminal]

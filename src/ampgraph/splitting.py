@@ -43,6 +43,7 @@ from .algebra import (
     Check,
     GeneratorMap,
     VerificationReport,
+    _PASSED,
     _from_patch,
     _label_map,
     _prefix_fold,
@@ -166,7 +167,8 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
     report = verify_ck_family(sd.sigma, require_unital=sd.star is not None)
     checks = list(report.checks)
     q_report = verify_ck_family(sd.quotient_map, require_unital=True)
-    checks.append(Check("quotient-map", q_report.ok, "" if q_report.ok else q_report.render()))
+    q_ok = q_report is _PASSED[True]  # a passing check's one shared report
+    checks.append(Check("quotient-map", q_ok, "" if q_ok else q_report.render()))
     moved = _section_identity_failure(sd.sigma, sd.quotient_map)
     moved_at = "" if moved is None else f"q(sigma({moved})) != {moved}"
     checks.append(Check("section-identity", moved is None, moved_at))

@@ -39,10 +39,13 @@ from ampgraph.algebra import (
     Path,
     VerificationReport,
     _label_map,
+    _prefix_fold,
     compose,
     compose_tables,
     projection_word,
+    verify_ck_family,
 )
+from ampgraph import ktheory
 from ampgraph.ktheory import induced_k0, smith_normal_form
 
 
@@ -506,6 +509,96 @@ def check_chain_k0_tables_oracle(chain) -> K0ChainRecord:
 
 
 # ---------------------------------------------------------------------------
+# summing K_0 oracles: the K_0 checks as they read before they added into one
+# dict in place, every sum a new sparse vector
+
+
+def sum_vectors(terms) -> dict:
+    """The sparse vector ``sum c v`` over the pairs ``(c, v)`` of ``terms``, a new dict, its zero entries dropped."""
+    out: dict = {}
+    for c, v in terms:
+        for i, y in v.items():
+            out[i] = out.get(i, 0) + c * y
+    return {i: y for i, y in out.items() if y}
+
+
+def section_holds_sum_oracle(target: AmpGraph, source: AmpGraph, q: dict, s: dict) -> bool:
+    """``ktheory._section_holds`` as it read before the K_0 checks added in place: a new vector per column."""
+    if target is not source and target.vertices != source.vertices:
+        return False
+    for u in (*s, *(x for x in q if x in source and x not in s)):
+        col = s.get(u, {u: 1})
+        if sum_vectors((c, q.get(x, {x: 1})) for x, c in col.items()) != {u: 1}:
+            return False
+    return True
+
+
+def is_left_inverse_sum_oracle(a: dict, b) -> bool:
+    """``ktheory._is_left_inverse`` as it read before: a new vector per column of ``A B``."""
+    return all(sum_vectors((c, a.get(x, {})) for x, c in col.items()) == {j: 1} for j, col in enumerate(b))
+
+
+def check_chain_k0_sum_oracle(chain):
+    """``check_chain_k0`` as it read before the K_0 checks added in place.
+
+    Every pushed row and every forward row is a new vector, summed from the
+    rows it reads; a step's certificate is :func:`section_holds_sum_oracle`
+    on the classes ``ktheory._range_counts`` gives, read at call time.
+    """
+    position = {v: i for i, v in enumerate(chain.ambient.vertices)}
+    n = len(position)
+    rows = {v: {i: 1} for v, i in position.items()}
+    forward, backward, uncertified = [], [], []
+    failure = None
+    certificates = []
+    for sd in chain.steps:
+        q, s = ktheory._range_counts(sd.quotient_map), ktheory._range_counts(sd.sigma)
+        certificates.append((q, s, section_holds_sum_oracle(sd.quotient_map.target, sd.sigma.source, q, s),
+                             sd.sink in q and not q[sd.sink]))
+    prefix = _prefix_fold((sd.sink, s, {}, ()) for sd, (_, s, _, _) in zip(chain.steps, certificates))
+    for sd, (q, s, section_ok, killed), at_sink in zip(chain.steps, certificates, prefix):
+        if not (section_ok and killed):
+            if not uncertified:
+                what = ["Q S is not the identity"] if not section_ok else []
+                if not killed:
+                    what.append("Q does not kill the sink class")
+                failure = Check(
+                    "k0-step-unimodular", False,
+                    f"step at {sd.sink!r}: no left inverse certifies [e_sink | S]: {' and '.join(what)}",
+                )
+            uncertified.append(sd.sink)
+        backward.append({position[x]: c for x, c in at_sink.items()})
+        sink_row = rows.get(sd.sink, {})
+        moved_rows = {x: rows.pop(x, {}) for x in q}
+        for x, table in q.items():
+            for y, d in table.items():
+                rows[y] = sum_vectors(((1, rows.get(y, {})), (d, moved_rows[x])))
+        s_row = [(-table[sd.sink], rows.get(u, {})) for u, table in s.items() if sd.sink in table]
+        forward.append(sum_vectors([(1, sink_row), *s_row]))
+    terminal = chain.terminal.vertices
+    tables, _ = next(prefix)
+    forward += [rows.get(v, {}) for v in terminal]
+    backward += [{position[x]: c for x, c in tables.get(v, {v: 1}).items()} for v in terminal]
+    forward_cols: dict = {}
+    for i, row in enumerate(forward):
+        for c, x in row.items():
+            forward_cols.setdefault(c, {})[i] = x
+    cls = chain.ambient.classify()
+    free = cls.amplified and cls.acyclic
+    inverse = len(forward) == n and is_left_inverse_sum_oracle(forward_cols, tuple(backward))
+    checks = (
+        Check("k0-chain-inverse", inverse,
+              "forward and backward are mutually inverse" if inverse
+              else "the product forward backward is not the identity"),
+        Check("k0-rank", free, f"K_0 = Z^{n}, K_1 = 0" if free else "ambient graph is not acyclic and amplified"),
+    )
+    if failure is not None:
+        checks = (failure,) + checks
+    columns = (tuple(forward_cols.get(c, {}) for c in range(n)), tuple(backward))
+    return ktheory.K0ChainCheck(VerificationReport(checks), columns, (len(forward), n), tuple(uncertified))
+
+
+# ---------------------------------------------------------------------------
 # exact linear algebra oracles
 #
 # The library holds a matrix as a tuple of integer rows; one with no rows is
@@ -937,6 +1030,17 @@ def quotient_onto_oracle(graph: AmpGraph, target: AmpGraph, removed) -> Generato
     """
     removed = tuple(removed)
     return _label_map(graph, target, {v: {} for v in removed}, {f: {} for f in graph.families_at(removed)})
+
+
+def quotient_relation_check_oracle(graph: AmpGraph, target: AmpGraph, removed,
+                                   require_unital: bool = True) -> VerificationReport:
+    """The relation check of the quotient map onto ``target`` as it ran before a cut passed on one mask test.
+
+    ``verify_ck_family`` walks the validated map of
+    :func:`quotient_onto_oracle`, zero template by zero template; that map is
+    not marked as a quotient map, so no mask test is made.
+    """
+    return verify_ck_family(quotient_onto_oracle(graph, target, removed), require_unital)
 
 
 def splitting_map_oracle(working: AmpGraph, source: AmpGraph, sink: str, star) -> GeneratorMap:

@@ -185,40 +185,40 @@ MUTANTS = {
     ),
     "prefix-rows-skip-moved-rows": (
         KTHEORY,
-        "                rows[y] = _sum(((1, rows.get(y, {})), (d, moved_rows[x])))\n",
+        "                _add_into(rows.setdefault(y, {}), d, moved_rows[x])\n",
         "                pass\n",
         [PATCH + "test_chain_k0_matches_full_tables_on_corrupted_chains"],
     ),
     "moved-row-pushed-to-its-own-label": (
         KTHEORY,
-        "                rows[y] = _sum(((1, rows.get(y, {})), (d, moved_rows[x])))\n",
-        "                rows[x] = _sum(((1, rows.get(x, {})), (d, moved_rows[x])))\n",
+        "                _add_into(rows.setdefault(y, {}), d, moved_rows[x])\n",
+        "                _add_into(rows.setdefault(x, {}), d, moved_rows[x])\n",
         [PATCH + "test_chain_k0_matches_full_tables_on_corrupted_chains"],
     ),
     "pushed-row-drops-its-coefficient": (
         KTHEORY,
-        "                rows[y] = _sum(((1, rows.get(y, {})), (d, moved_rows[x])))\n",
-        "                rows[y] = _sum(((1, rows.get(y, {})), (1, moved_rows[x])))\n",
+        "                _add_into(rows.setdefault(y, {}), d, moved_rows[x])\n",
+        "                _add_into(rows.setdefault(y, {}), 1, moved_rows[x])\n",
         [K0CHAIN + "test_chain_k0_matches_full_tables_on_scaled_classes"],
     ),
     "forward-row-drops-s-row-times-q": (
         KTHEORY,
-        "        forward.append(_sum([(1, sink_row), *s_row]))\n",
-        "        forward.append(_sum([(1, sink_row)]))\n",
+        "                _add_into(row, -table[sd.sink], rows.get(u, {}))\n",
+        "                pass\n",
         [PATCH + "test_patch_checks_match_full_tables_on_golden_mix",
          KT + "test_check_chain_k0_products_are_identities"],
     ),
     "forward-row-reads-the-sink-row-after-the-update": (
         KTHEORY,
-        "        forward.append(_sum([(1, sink_row), *s_row]))\n",
-        "        forward.append(_sum([(1, rows.get(sd.sink, {})), *s_row]))\n",
+        "        row = dict(rows.get(sd.sink, {}))\n        moved_rows = {x: rows.pop(x, {}) for x in q}\n",
+        "        moved_rows = {x: rows.pop(x, {}) for x in q}\n        row = dict(rows.get(sd.sink, {}))\n",
         [PATCH + "test_patch_checks_match_full_tables_on_golden_mix",
          KT + "test_check_chain_k0_products_are_identities"],
     ),
     "certificate-ignores-q-patch": (
         KTHEORY,
-        "        if _sum((c, q.get(x, {x: 1})) for x, c in col.items()) != {u: 1}:\n",
-        "        if _sum((c, {x: 1}) for x, c in col.items()) != {u: 1}:\n",
+        "            _add_into(acc, c, q.get(x, {x: 1}))\n",
+        "            _add_into(acc, c, {x: 1})\n",
         [KT + "test_the_kept_certificate_decides_the_step_check"],
     ),
     "certificate-skips-columns-only-q-moves": (
@@ -471,7 +471,7 @@ MUTANTS = {
         GRAPHS,
         "        if self._t is other._t:\n            t, keep = self._t, self._keep\n",
         "        if False:\n            t, keep = self._t, self._keep\n",
-        [SPLIT + "test_chains_and_their_k0_checks_list_no_step_graph"],
+        [PATCH + "test_a_chain_and_its_k0_checks_build_no_step_family_patch"],
     ),
     "contains-ignores-the-mask": (
         GRAPHS,
@@ -505,8 +505,8 @@ MUTANTS = {
     ),
     "split-check-builds-dense-matrices-for-its-report": (
         KTHEORY,
-        "    return K0SplitCheck(sd.sink, VerificationReport(checks), sd, (q_moved, s_moved))\n",
-        "    res = K0SplitCheck(sd.sink, VerificationReport(checks), sd, (q_moved, s_moved))\n"
+        "    return K0SplitCheck(sd.sink, report, sd, (q_moved, s_moved))\n",
+        "    res = K0SplitCheck(sd.sink, report, sd, (q_moved, s_moved))\n"
         "    res.q, res.s\n    return res\n",
         [KT + "test_a_split_check_read_for_its_report_builds_no_dense_matrix"],
     ),
@@ -661,10 +661,10 @@ MUTANTS = {
     ),
     "quotient-map-reads-what-the-target-has-of-the-graph": (
         ALGEBRA,
-        "        gone, lost = self.source.lacks(self.target)\n",
-        "        gone, lost = self.target.lacks(self.source)\n",
+        "self.source.lacks(self.target)[",
+        "self.target.lacks(self.source)[",
         [PATCH + "test_a_quotient_map_is_what_its_target_lacks",
-         SPLIT + "test_build_splitting_all_stars_verify"],
+         PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read"],
     ),
     "quotient-map-admits-a-graph-that-is-not-amplified": (
         ALGEBRA,
@@ -674,8 +674,8 @@ MUTANTS = {
     ),
     "quotient-map-drops-a-lost-family": (
         ALGEBRA,
-        "family_patch=dict.fromkeys(lost, _KILLED))\n",
-        "family_patch=dict.fromkeys(lost[1:], _KILLED))\n",
+        "[_PATCH.index(name)] if cut is None",
+        "[_PATCH.index(name)][1:] if cut is None",
         [PATCH + "test_a_quotient_map_is_what_its_target_lacks",
          PATCH + "test_canned_maps_keep_only_what_they_move"],
     ),
@@ -710,8 +710,8 @@ MUTANTS = {
     ),
     "quotient-patch-leaves-out-a-removed-vertex": (
         ALGEBRA,
-        "vertex_patch=dict.fromkeys(gone, _KILLED)",
-        "vertex_patch=dict.fromkeys(gone[1:], _KILLED)",
+        " if cut is None else cut, _KILLED)",
+        " if cut is None else cut[1:], _KILLED)",
         [PATCH + "test_canned_maps_keep_only_what_they_move",
          PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read"],
     ),
@@ -877,6 +877,57 @@ MUTANTS = {
         "                    for j in heads[starts[i - 1]:starts[i]]:\n",
         [GRAPH + "test_reach_matches_a_path_search_with_backward_families_and_cycles",
          GRAPH + "test_graph_matches_dense_model"],
+    ),
+    # -- a step's checks read its cut: one mask test, K_0 sums added in place -------
+    "quotient-pass-skips-the-subset-half": (
+        GRAPHS,
+        "        if self._t is not other._t or other._keep & ~self._keep:\n",
+        "        if self._t is not other._t:\n",
+        [PATCH + "test_a_quotient_map_passes_its_relations_on_its_cut_as_the_oracle_decides"],
+    ),
+    "quotient-pass-skips-the-closed-half": (
+        GRAPHS,
+        "        return self._labels(gone) if self._closed(gone) else None\n",
+        "        return self._labels(gone)\n",
+        [PATCH + "test_a_quotient_map_passes_its_relations_on_its_cut_as_the_oracle_decides"],
+    ),
+    "quotient-pass-ignores-the-cut": (
+        ALGEBRA,
+        "    if m._quotient and src.hereditary_cut(target) is not None:\n",
+        "    if m._quotient:\n",
+        [PATCH + "test_a_quotient_map_passes_its_relations_on_its_cut_as_the_oracle_decides"],
+    ),
+    "vertex-patch-lists-a-kept-vertex": (
+        GRAPHS,
+        "        return self._labels(gone) if self._closed(gone) else None\n",
+        "        return self._labels(gone | other._keep & -other._keep) if self._closed(gone) else None\n",
+        [PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read",
+         KT + "test_k0_checks_leave_the_step_certificate_unchanged"],
+    ),
+    "one-sink-row-lists-a-vertex-with-a-kept-successor": (
+        GRAPHS,
+        " and keep >> i & 1 and not t.succ[i] & other._keep:\n",
+        " and keep >> i & 1:\n",
+        [PATCH + "test_a_quotient_map_passes_its_relations_on_its_cut_as_the_oracle_decides"],
+    ),
+    "forward-row-adds-into-the-sink-row-uncopied": (
+        KTHEORY,
+        "        row = dict(rows.get(sd.sink, {}))\n",
+        "        row = rows.get(sd.sink, {})\n",
+        [K0CHAIN + "test_in_place_k0_checks_match_the_summing_oracles"],
+    ),
+    "shared-k0-report-for-an-uncertified-step": (
+        KTHEORY,
+        "    report = _K0_PASSED.get(n) if certified else None\n",
+        "    report = _K0_PASSED.get(n)\n",
+        [K0CHAIN + "test_a_certified_step_shares_its_report_and_an_uncertified_one_never_does",
+         K0CHAIN + "test_uncertified_lists_the_steps_whose_split_check_fails"],
+    ),
+    "quotient-map-verdict-always-passes": (
+        SPLITTING,
+        "    q_ok = q_report is _PASSED[True]",
+        "    q_ok = True",
+        [RELATIONS + "test_relation_check_fails_on_corrupted_input"],
     ),
     "reach-back-test-reads-each-rows-last-family": (
         GRAPHS,

@@ -20,6 +20,7 @@ from ampgraph import (
     GeneratorMap,
     KKChain,
     check_chain_k0,
+    check_split_exact_k0,
     cw_kk_summary,
     flag_graph,
     kk_chain,
@@ -29,6 +30,7 @@ from ampgraph import (
 from ampgraph import algebra, splitting
 
 from helpers import (
+    CW_LADDER,
     compose_tables_oracle,
     check_chain_k0_tables_oracle,
     corrupted_chains,
@@ -37,6 +39,7 @@ from helpers import (
     hereditary_subsets_oracle,
     map_corruptions,
     quotient_onto_oracle,
+    quotient_relation_check_oracle,
     random_chain,
     section_identity_failure_patch_oracle,
     section_identity_failure_tables_oracle,
@@ -312,6 +315,76 @@ def test_a_quotient_map_builds_the_oracles_patch_when_first_read(monkeypatch):
     assert singles > 500 and loops > 50
 
 
+def _halves_built(m) -> list[str]:
+    """The halves of ``m``'s patch already built, read off their slots without building one."""
+    built = []
+    for half in ("vertex_patch", "family_patch"):
+        try:
+            getattr(GeneratorMap, half).__get__(m)
+        except AttributeError:
+            continue
+        built.append(half)
+    return built
+
+
+def _cut_targets(q: AmpGraph, rng: random.Random) -> list:
+    """``(target, removed)`` pairs on ``q``'s tables, for the quotient map out of ``q``.
+
+    ``q`` cut by every one-vertex hereditary set and by two random ones;
+    masks that drop a set that is not hereditary; and masks that keep a bit
+    of the tables ``q`` lacks, with or without a hereditary set dropped.
+    The last two are built with ``AmpGraph._on``, as no cut builds them.
+    """
+    subsets = sorted(hereditary_subsets_oracle(q))
+    ones = [s for s in subsets if len(s) == 1]
+    cases = [(q.quotient(s), s) for s in ones + rng.sample(subsets, min(2, len(subsets)))]
+    t, keep = q._t, q._keep
+    bit = {v: 1 << t.pos[v] for v in t.labels}
+    for _ in range(3):
+        picked = tuple(v for v in q.vertices if rng.random() < 0.4)
+        if picked and not q.is_hereditary(picked):
+            cases.append((AmpGraph._on(t, keep & ~sum(bit[v] for v in picked)), picked))
+    extra = [v for v in t.labels if v not in q]
+    if extra:
+        for dropped in ((), rng.choice(subsets)):
+            mask = keep & ~sum(bit[v] for v in dropped) | bit[rng.choice(extra)]
+            cases.append((AmpGraph._on(t, mask), dropped))
+    return cases
+
+
+def test_a_quotient_map_passes_its_relations_on_its_cut_as_the_oracle_decides():
+    """The relation check of quotient maps out of the hereditary quotients of
+    60 random amplified graphs with self-loops and cycles, against the walk
+    of the validated map it replaced (``quotient_relation_check_oracle``).
+
+    Where the oracle passes, the check returns the very same shared report
+    and builds neither half of the patch; where it fails, it returns an
+    equal report.  Targets whose masks drop a set that is not hereditary, or
+    keep a bit the source lacks, fail the mask test and are walked."""
+    rng = random.Random(20261035)
+    outcomes = {"passed": 0, "open": 0, "superset": 0}
+    for _ in range(60):
+        g = _omega_graph(rng)
+        for first in sorted(hereditary_subsets_oracle(g)):
+            q = g.quotient(first)
+            for target, removed in _cut_targets(q, rng):
+                for unital in (True, False):
+                    m = algebra._quotient_onto(q, target)
+                    got = verify_ck_family(m, unital)
+                    want = quotient_relation_check_oracle(q, target, removed, unital)
+                    assert got == want, (q, target, removed)
+                    shared = algebra._PASSED[unital]
+                    assert (got is shared) == (want is shared)
+                    if got is shared:
+                        assert _halves_built(m) == []
+                        outcomes["passed"] += 1
+                    elif not target._keep & ~q._keep:
+                        outcomes["open"] += 1
+                    else:
+                        outcomes["superset"] += 1
+    assert min(outcomes.values()) > 200, outcomes
+
+
 def _identity_cases(section, quot, rng: random.Random) -> list:
     """``(section, quot)``, then sections and quotients damaged around it.
 
@@ -402,11 +475,14 @@ def test_the_composite_quotient_builds_its_patch_only_when_read(monkeypatch):
 
 
 def test_each_step_lists_the_families_at_its_sink_once(monkeypatch):
-    """The quotient map lists the families into its sink once, for its
-    patch, off the sink's predecessor row: one ``lacks`` of the working
-    graph against the quotient graph, and no ``families_at`` naming the
-    sink.  Its relation check, whose moved vertex the target lacks, lists
-    none, and the section identity reads no patch of it."""
+    """A step's checks list no family at its sink: the quotient map passes
+    its relation check on one mask test and the section identity reads no
+    patch of it, so ``_split`` calls neither ``lacks`` nor a ``families_at``
+    naming the sink.  The composite fold's step (``_section_step``) lists
+    them once, for the quotient map's ``family_patch``, off the sink's
+    predecessor row: one ``lacks`` of the working graph against the quotient
+    graph, and no ``families_at`` naming the sink; a second read lists
+    nothing."""
     listed, lacked = [], []
     families_at, lacks = AmpGraph.families_at, AmpGraph.lacks
 
@@ -429,11 +505,56 @@ def test_each_step_lists_the_families_at_its_sink_once(monkeypatch):
         for sd in chain.steps:
             listed.clear()
             lacked.clear()
-            splitting._split(sd.working, sd.working, sd.quotient_graph, sd.sink, sd.star, ())
+            redo = splitting._split(sd.working, sd.working, sd.quotient_graph, sd.sink, sd.star, ())
+            assert [s for s in listed if sd.sink in s] == [] and lacked == []
+            for _ in range(2):
+                algebra._section_step(sd.sink, redo.sigma, redo.quotient_map)
             assert [s for s in listed if sd.sink in s] == []
             [(graph, target, got)] = lacked
             assert graph is sd.working and target is sd.quotient_graph
             assert got == ((sd.sink,), families_at(sd.working, (sd.sink,)))
+
+
+def test_a_chain_and_its_k0_checks_build_no_step_family_patch(monkeypatch):
+    """``kk_chain`` and both K_0 checks on 40 random chains build each step
+    quotient map's ``vertex_patch`` once and its ``family_patch`` never,
+    which, read afterwards, lists no step graph's vertices or families;
+    ``cw_kk_summary`` on the first three ladder specs, whose composite fold
+    reads the families at each sink, builds each step's ``family_patch``
+    exactly once, and the composite quotient's never."""
+    build = GeneratorMap.__getattr__
+    built = []
+
+    def counted(m, name):
+        built.append((id(m), name))
+        return build(m, name)
+
+    monkeypatch.setattr(GeneratorMap, "__getattr__", counted)
+    rng = random.Random(20261038)
+    steps = 0
+    for _ in range(40):
+        built.clear()
+        chain = random_chain(rng)
+        check_chain_k0(chain)
+        for sd in chain.steps:
+            check_split_exact_k0(sd)
+        assert sorted(built) == sorted((id(sd.quotient_map), "vertex_patch") for sd in chain.steps)
+        steps += len(chain.steps)
+        # read afterwards, as the composite fold reads them, the killed
+        # families are listed off the masks: no step graph lists itself
+        for sd in chain.steps:
+            assert sd.quotient_map.family_patch == dict.fromkeys(sd.working.families_at((sd.sink,)), {})
+        inner = {id(g): g for sd in chain.steps for g in (sd.working, sd.quotient_graph)}
+        for g in (chain.graph, chain.ambient, chain.terminal):
+            inner.pop(id(g), None)
+        assert not [g for g in inner.values() if "vertices" in g.__dict__ or "edges" in g.__dict__]
+    assert steps > 100
+    for spec in CW_LADDER[:3]:
+        built.clear()
+        summary = cw_kk_summary(spec)
+        assert summary.report.ok
+        fams = [m for m, half in built if half == "family_patch"]
+        assert sorted(fams) == sorted(id(sd.quotient_map) for sd in summary.chain.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +598,14 @@ def test_each_step_examines_only_its_patches_and_their_neighbours(monkeypatch):
 
     Every lookup of a label in a map's patch, by any check, composite or K_0
     step, is recorded: a section's patch is watched from when it is filled,
-    a quotient map's from when it is built on first read.  No map's full
+    a quotient map's halves each from when it is built on first read.  No map's full
     tables are built.  Per step, the labels asked about lie in the
     neighbourhood of the step's two patches and of the next step's, whose
     section the composite pushes through this one; there are a few lookups
     per label, and a whole chain asks about a small share of its maps'
-    generators.  Each step's quotient map builds its patch once, and the
-    composite quotient never does.  The section identity looks up no label
+    generators.  Each step's quotient map builds each half of its patch
+    once, its killed vertices for the K_0 checks and its killed families
+    for the composite fold, and the composite quotient never does.  The section identity looks up no label
     in either patch: it reads the section's tables and asks the quotient
     graph what it keeps.
     """
@@ -494,11 +616,10 @@ def test_each_step_examines_only_its_patches_and_their_neighbours(monkeypatch):
         fill(m, source, target, _Watched(vpatch, []), _Watched(fpatch, []))
 
     def watched_build(m, name):
-        build(m, name)
-        built.append(m)
-        for half in ("vertex_patch", "family_patch"):
-            object.__setattr__(m, half, _Watched(object.__getattribute__(m, half), []))
-        return getattr(m, name)
+        half = _Watched(build(m, name), [])
+        object.__setattr__(m, name, half)
+        built.append((id(m), name))
+        return half
 
     def refuse(self):
         raise AssertionError("a full table was built")
@@ -510,7 +631,7 @@ def test_each_step_examines_only_its_patches_and_their_neighbours(monkeypatch):
     summary = cw_kk_summary(DynkinSpec(4, frozenset({1, 2, 3, 4})))
     assert summary.report.ok
     steps = summary.chain.steps
-    assert [id(m) for m in built] == [id(sd.quotient_map) for sd in steps]
+    assert sorted(built) == sorted((id(sd.quotient_map), half) for sd in steps for half in algebra._PATCH)
     examined = generators = 0
     for sd, after in zip(steps, steps[1:] + steps[-1:]):
         maps = (sd.sigma, sd.quotient_map)
@@ -523,7 +644,7 @@ def test_each_step_examines_only_its_patches_and_their_neighbours(monkeypatch):
         assert sum(len(patch.seen) for patch in patches) == len(seen)
         examined += len(seen)
         generators += sum(len(m.source.vertices) + len(m.source.edges) for m in maps)
-    assert len(built) == len(steps) == 119
+    assert len(built) == 2 * len(steps) == 238
     assert generators > 60_000
     assert examined < generators / 10
 
