@@ -71,7 +71,8 @@ users of each target vertex and family.  Composition and the section
 identity work on patches too: a composite moves only what its inner map
 moves and what its outer map moves among the inner map's labels.  A
 removal chain's prefix composites are one fold over its sections'
-patches, updated in place (:func:`_prefix_fold`).
+patches, updated in place (:func:`_prefix_fold`); at each sink it drops
+the templates it holds there, so no step's quotient map lists a family.
 """
 
 from __future__ import annotations
@@ -468,19 +469,14 @@ def _fold_into(prefix: dict, moved: dict, sink) -> None:
         prefix.update(fresh)
 
 
-def _section_step(sink: str, section, quot) -> tuple:
-    """The step of :func:`_prefix_fold` for ``section``: its patch, then ``sink`` and the families at it, which ``quot`` kills."""
-    return sink, section.vertex_patch, section.family_patch, [f for f in quot.family_patch if sink in f]
-
-
 def _prefix_fold(steps: Iterable[tuple]) -> Iterator:
     """The prefix composites ``P_i = m_1 . ... . m_i`` of a chain of maps, folded in place.
 
-    Each step is ``(sink, tables, templates, lost)``: the vertex ``m_i``
-    removes, the vertex tables and family templates ``m_i`` moves, keyed by
-    labels of its source, and the families at ``sink``, which its source
-    lacks too.  For each step the fold yields the table of ``P_(i-1)`` at
-    ``sink``, read before the step; last, the vertex tables and template
+    Each step is ``(sink, tables, templates)``: the vertex ``m_i`` removes,
+    a sink of its source, and the vertex tables and family templates ``m_i``
+    moves, keyed by labels of its source, which lacks the sink and every
+    family into it.  For each step the fold yields the table of ``P_(i-1)``
+    at ``sink``, read before the step; last, the vertex tables and template
     tables of the final prefix, identity entries included, for
     :func:`_label_map`.
     A label the prefix does not hold goes to itself.  A step that moves one
@@ -488,20 +484,30 @@ def _prefix_fold(steps: Iterable[tuple]) -> Iterator:
     adds the tables its other terms name into the star's in place, so it
     moves the entries of the tables it drops and never the star's growing
     one.  Only tables built here are added into: no step's table, and no
-    yielded table afterwards.
+    yielded table afterwards.  At each sink it drops the sink's table and the
+    templates it holds into the sink, indexed by range vertex as written.
     """
     tables: dict = {}
     templates: dict = {}
-    for sink, vmoved, fmoved, lost in steps:
+    into: dict = {}  # range vertex -> the families of the templates held into it
+    for sink, vmoved, fmoved in steps:
         held = tables.get(sink)
         yield {sink: 1} if held is None else held
         _fold_into(tables, vmoved, sink)
         if fmoved:
+            for f in fmoved.keys() - templates.keys():
+                into.setdefault(f[1], []).append(f)
             _fold_into(templates, fmoved, sink)
         tables.pop(sink, None)
-        for f in lost:
-            templates.pop(f, None)
+        for f in into.pop(sink, ()):
+            del templates[f]
     yield tables, templates
+
+
+def _fold_sections(source: AmpGraph, target: AmpGraph, steps: Iterable[tuple]) -> GeneratorMap:
+    """The composite ``m_1 . m_2 . ...`` of the sections of the steps ``(sink, m_i)``, by :func:`_prefix_fold`."""
+    *_, (tables, templates) = _prefix_fold((sink, m.vertex_patch, m.family_patch) for sink, m in steps)
+    return _label_map(source, target, tables, templates)
 
 
 def _section_identity_failure(section: GeneratorMap, quot: GeneratorMap) -> str | None:

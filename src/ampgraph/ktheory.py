@@ -262,7 +262,7 @@ def check_chain_k0(chain: KKChain) -> K0ChainCheck:
     uncertified: list[str] = []
     failure = None
     certificates = [_step_certificate(sd) for sd in chain.steps]
-    prefix = _prefix_fold((sd.sink, s, {}, ()) for sd, (_, s, _, _) in zip(chain.steps, certificates))
+    prefix = _prefix_fold((sd.sink, s, {}) for sd, (_, s, _, _) in zip(chain.steps, certificates))
     for sd, (q, s, section_ok, killed), at_sink in zip(chain.steps, certificates, prefix):
         if not (section_ok and killed):
             if not uncertified:

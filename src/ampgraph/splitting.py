@@ -44,12 +44,10 @@ from .algebra import (
     GeneratorMap,
     VerificationReport,
     _PASSED,
+    _fold_sections,
     _from_patch,
-    _label_map,
-    _prefix_fold,
     _quotient_onto,
     _section_identity_failure,
-    _section_step,
     verify_ck_family,
 )
 from .graphs import AmpGraph, first_star, is_star, missing_families, valid_stars
@@ -104,8 +102,8 @@ def build_splitting(g: AmpGraph, sink: str, star: str | None) -> SplitData:
     With a star vertex the section is unital and the working graph gains the
     edge families the section formula needs; with ``star=None`` the working
     graph is ``g`` itself and the section is the non-unital embedding.
-    Every construction runs :func:`verify_split_exact`; a failure signals an
-    implementation bug and raises :class:`VerificationFailure`.
+    Every construction runs the checks of :func:`verify_split_exact`; a
+    failure signals an implementation bug and raises :class:`VerificationFailure`.
     """
     _check_step(g, sink, star)
     working, augmented = _stabilize(g, ((sink, star),))
@@ -144,12 +142,37 @@ def _split(original: AmpGraph, working: AmpGraph, quotient_graph: AmpGraph, sink
         quotient_map=_quotient_onto(working, quotient_graph),
         augmented=augmented,
     )
-    report = verify_split_exact(sd)
-    if not report.ok:
+    section, quot, moved, failure = checks = _step_checks(sd)
+    if not (section.ok and quot is _PASSED[True] and moved is None and failure is None):
         raise VerificationFailure(
-            "splitting construction failed verification:\n" + report.render()
+            "splitting construction failed verification:\n" + _split_report(sd, *checks).render()
         )
     return sd
+
+
+def _step_checks(sd: SplitData) -> tuple:
+    """:func:`verify_split_exact`'s checks, run in its order, as they come: the section's and the
+    quotient map's relation reports, the first generator the section identity moves, the ideal failure."""
+    section = verify_ck_family(sd.sigma, require_unital=sd.star is not None)
+    quot = verify_ck_family(sd.quotient_map, require_unital=True)
+    moved = _section_identity_failure(sd.sigma, sd.quotient_map)
+    if not sd.working.is_sink(sd.sink):
+        failure = f"{sd.sink} is not a sink of the working graph"
+    elif not sd.working.is_cut(sd.sink, sd.quotient_graph):
+        failure = f"the quotient graph is not the working graph without {sd.sink}"
+    else:
+        failure = None
+    return section, quot, moved, failure
+
+
+def _split_report(sd: SplitData, report, q_report, moved, failure) -> VerificationReport:
+    """:func:`verify_split_exact`'s report, from the results of :func:`_step_checks`."""
+    q_ok = q_report is _PASSED[True]  # a passing check's one shared report
+    what = "the compacts" if sd.ideal_kind == "K" else "C (sink is an isolated vertex)"
+    moved_at = "" if moved is None else f"q(sigma({moved})) != {moved}"
+    return VerificationReport((*report.checks, Check("quotient-map", q_ok, "" if q_ok else q_report.render()),
+                               Check("section-identity", moved is None, moved_at),
+                               Check("ideal", failure is None, failure or f"ideal at {sd.sink} is {what}")))
 
 
 def verify_split_exact(sd: SplitData) -> VerificationReport:
@@ -162,28 +185,10 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
     the working graph's quotient by ``sink``, which keeps every other vertex
     and every family not into ``sink``.  The section identity asks the
     quotient graph what it keeps, and the ideal check reads the sink's row
-    and, on shared tables, compares two masks; no quotient is cut.
+    and, on shared tables, compares two masks; no quotient is cut.  A chain
+    step runs the same checks and builds this report only to refuse.
     """
-    report = verify_ck_family(sd.sigma, require_unital=sd.star is not None)
-    checks = list(report.checks)
-    q_report = verify_ck_family(sd.quotient_map, require_unital=True)
-    q_ok = q_report is _PASSED[True]  # a passing check's one shared report
-    checks.append(Check("quotient-map", q_ok, "" if q_ok else q_report.render()))
-    moved = _section_identity_failure(sd.sigma, sd.quotient_map)
-    moved_at = "" if moved is None else f"q(sigma({moved})) != {moved}"
-    checks.append(Check("section-identity", moved is None, moved_at))
-    kind = sd.ideal_kind
-    what = "the compacts" if kind == "K" else "C (sink is an isolated vertex)"
-    if not sd.working.is_sink(sd.sink):
-        failure = f"{sd.sink} is not a sink of the working graph"
-    elif not sd.working.is_cut(sd.sink, sd.quotient_graph):
-        failure = f"the quotient graph is not the working graph without {sd.sink}"
-    else:
-        failure = None
-    checks.append(
-        Check("ideal", failure is None, failure or f"ideal at {sd.sink} is {what}")
-    )
-    return VerificationReport(tuple(checks))
+    return _split_report(sd, *_step_checks(sd))
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +266,14 @@ class KKChain(NamedTuple):
     def composite_section(self) -> GeneratorMap:
         """``sigma_1 . sigma_2 . ...`` from the terminal algebra upward.
 
-        One prefix fold (:func:`~ampgraph.algebra._prefix_fold`) pushes each
-        section's patch through the sections before it, adding into the
-        tables it holds in place, and drops each sink and the families its
-        quotient map kills; only the last prefix is validated into a map.
+        One prefix fold (:func:`~ampgraph.algebra._fold_sections`) pushes
+        each section's patch through the sections before it, adding into the
+        tables it holds in place, and drops each sink's table and the
+        templates it holds into the sink; no quotient map is read, and only
+        the last prefix is validated into a map.
         No steps fold to the identity on ``ambient``, one to its section.
         """
-        *_, (tables, templates) = _prefix_fold(
-            _section_step(sd.sink, sd.sigma, sd.quotient_map) for sd in self.steps
-        )
-        return _label_map(self.terminal, self.ambient, tables, templates)
+        return _fold_sections(self.terminal, self.ambient, ((sd.sink, sd.sigma) for sd in self.steps))
 
     def composite_quotient(self) -> GeneratorMap:
         """``q_k . ... . q_1`` from the ambient algebra down to the terminal.

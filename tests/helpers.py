@@ -38,6 +38,7 @@ from ampgraph.algebra import (
     GeneratorMap,
     Path,
     VerificationReport,
+    _fold_into,
     _label_map,
     _prefix_fold,
     compose,
@@ -555,7 +556,7 @@ def check_chain_k0_sum_oracle(chain):
         q, s = ktheory._range_counts(sd.quotient_map), ktheory._range_counts(sd.sigma)
         certificates.append((q, s, section_holds_sum_oracle(sd.quotient_map.target, sd.sigma.source, q, s),
                              sd.sink in q and not q[sd.sink]))
-    prefix = _prefix_fold((sd.sink, s, {}, ()) for sd, (_, s, _, _) in zip(chain.steps, certificates))
+    prefix = _prefix_fold((sd.sink, s, {}) for sd, (_, s, _, _) in zip(chain.steps, certificates))
     for sd, (q, s, section_ok, killed), at_sink in zip(chain.steps, certificates, prefix):
         if not (section_ok and killed):
             if not uncertified:
@@ -1020,6 +1021,43 @@ def composite_quotient_oracle(chain) -> GeneratorMap:
     for sd in chain.steps[1:]:
         out = compose(sd.quotient_map, out)
     return out
+
+
+def section_step_listing_oracle(sink: str, section: GeneratorMap, quot: GeneratorMap) -> tuple:
+    """A step of :func:`prefix_fold_listing_oracle`: ``section``'s patch, then
+    ``sink`` and the families at it, listed from ``quot``'s ``family_patch``."""
+    return sink, section.vertex_patch, section.family_patch, [f for f in quot.family_patch if sink in f]
+
+
+def prefix_fold_listing_oracle(steps, dropped: list | None = None):
+    """``algebra._prefix_fold`` as it ran when each step listed the families at its sink.
+
+    Each step is ``(sink, tables, templates, lost)``; after the step the
+    sink's table and every listed family's template are popped, a miss when
+    the fold holds none.  Each family whose template a pop removes is
+    appended to ``dropped``.
+    """
+    tables: dict = {}
+    templates: dict = {}
+    for sink, vmoved, fmoved, lost in steps:
+        held = tables.get(sink)
+        yield {sink: 1} if held is None else held
+        _fold_into(tables, vmoved, sink)
+        if fmoved:
+            _fold_into(templates, fmoved, sink)
+        tables.pop(sink, None)
+        for f in lost:
+            if templates.pop(f, None) is not None and dropped is not None:
+                dropped.append(f)
+    yield tables, templates
+
+
+def composite_section_listing_oracle(chain, dropped: list | None = None) -> GeneratorMap:
+    """``sigma_1 . sigma_2 . ...`` folded by :func:`prefix_fold_listing_oracle`,
+    each step's quotient map listing the families at its sink."""
+    *_, (tables, templates) = prefix_fold_listing_oracle(
+        (section_step_listing_oracle(sd.sink, sd.sigma, sd.quotient_map) for sd in chain.steps), dropped)
+    return _label_map(chain.terminal, chain.ambient, tables, templates)
 
 
 def quotient_onto_oracle(graph: AmpGraph, target: AmpGraph, removed) -> GeneratorMap:

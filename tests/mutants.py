@@ -698,8 +698,7 @@ MUTANTS = {
         "                return (v,), [(u, v) for u in self._labels(t.pred()[i] & keep)]\n",
         "                return (v,), [(u, v) for u in self._labels(t.pred()[i] & keep)][1:]\n",
         [GRAPH + "test_lacks_by_masks_matches_lacks_by_labels",
-         PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read",
-         PATCH + "test_each_step_lists_the_families_at_its_sink_once"],
+         PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read"],
     ),
     "one-sink-row-drops-a-kept-self-loop": (
         GRAPHS,
@@ -928,6 +927,40 @@ MUTANTS = {
         "    q_ok = q_report is _PASSED[True]",
         "    q_ok = True",
         [RELATIONS + "test_relation_check_fails_on_corrupted_input"],
+    ),
+    # -- a chain step builds only what it reads ------------------------------------
+    "fold-keeps-a-held-template-at-a-removed-sink": (
+        ALGEBRA,
+        "        for f in into.pop(sink, ()):\n            del templates[f]\n",
+        "        into.pop(sink, ())\n",
+        [PATCH + "test_the_fold_drops_what_it_holds_as_the_listing_fold_does",
+         PATCH + "test_the_fold_matches_fresh_tables_on_random_feeds"],
+    ),
+    "fold-drops-at-the-star-instead-of-the-sink": (
+        ALGEBRA,
+        "into.pop(sink, ())",
+        "into.pop(next(iter(vmoved), sink), ())",
+        [PATCH + "test_the_fold_drops_what_it_holds_as_the_listing_fold_does",
+         PATCH + "test_the_fold_matches_fresh_tables_on_random_feeds"],
+    ),
+    "split-ignores-a-failing-quotient-map-verdict": (
+        SPLITTING,
+        "quot is _PASSED[True] and ",
+        "",
+        [SPLIT + "test_a_step_refuses_exactly_when_its_report_fails"],
+    ),
+    "split-ignores-a-moved-section-identity-generator": (
+        SPLITTING,
+        " and moved is None",
+        "",
+        [SPLIT + "test_a_step_refuses_exactly_when_its_report_fails"],
+    ),
+    "split-demands-the-shared-report-of-a-non-unital-section": (
+        SPLITTING,
+        "section.ok and ",
+        "section is _PASSED[sd.star is not None] and ",
+        [SPLIT + "test_a_step_refuses_exactly_when_its_report_fails",
+         SPLIT + "test_embedding_section_is_inclusion"],
     ),
     "reach-back-test-reads-each-rows-last-family": (
         GRAPHS,

@@ -32,6 +32,7 @@ from ampgraph import algebra, splitting
 from helpers import (
     CW_LADDER,
     compose_tables_oracle,
+    composite_section_listing_oracle,
     check_chain_k0_tables_oracle,
     corrupted_chains,
     example_graph,
@@ -474,15 +475,17 @@ def test_the_composite_quotient_builds_its_patch_only_when_read(monkeypatch):
         assert built[-1] is quot
 
 
-def test_each_step_lists_the_families_at_its_sink_once(monkeypatch):
-    """A step's checks list no family at its sink: the quotient map passes
-    its relation check on one mask test and the section identity reads no
-    patch of it, so ``_split`` calls neither ``lacks`` nor a ``families_at``
-    naming the sink.  The composite fold's step (``_section_step``) lists
-    them once, for the quotient map's ``family_patch``, off the sink's
-    predecessor row: one ``lacks`` of the working graph against the quotient
-    graph, and no ``families_at`` naming the sink; a second read lists
-    nothing."""
+def test_a_step_and_the_composite_fold_list_no_family_at_its_sink(monkeypatch):
+    """No family at a sink is listed, by a step or by the composite fold.
+
+    A step's checks list none: the quotient map passes its relation check
+    on one mask test and the section identity reads no patch of it, so
+    ``_split`` calls neither ``lacks`` nor a ``families_at`` naming the
+    sink.  The composite fold drops the templates it holds at each sink
+    and reads no quotient map, so ``composite_section`` names no removed
+    sink either: its one ``lacks`` is the validator's, of the terminal
+    graph against the ambient one, which lacks nothing.
+    """
     listed, lacked = [], []
     families_at, lacks = AmpGraph.families_at, AmpGraph.lacks
 
@@ -505,23 +508,22 @@ def test_each_step_lists_the_families_at_its_sink_once(monkeypatch):
         for sd in chain.steps:
             listed.clear()
             lacked.clear()
-            redo = splitting._split(sd.working, sd.working, sd.quotient_graph, sd.sink, sd.star, ())
+            splitting._split(sd.working, sd.working, sd.quotient_graph, sd.sink, sd.star, ())
             assert [s for s in listed if sd.sink in s] == [] and lacked == []
-            for _ in range(2):
-                algebra._section_step(sd.sink, redo.sigma, redo.quotient_map)
-            assert [s for s in listed if sd.sink in s] == []
-            [(graph, target, got)] = lacked
-            assert graph is sd.working and target is sd.quotient_graph
-            assert got == ((sd.sink,), families_at(sd.working, (sd.sink,)))
+        listed.clear()
+        lacked.clear()
+        chain.composite_section()
+        assert [s for s in listed if set(s) & set(chain.sinks)] == []
+        assert lacked == [(chain.terminal, chain.ambient, ((), []))]
 
 
 def test_a_chain_and_its_k0_checks_build_no_step_family_patch(monkeypatch):
     """``kk_chain`` and both K_0 checks on 40 random chains build each step
     quotient map's ``vertex_patch`` once and its ``family_patch`` never,
     which, read afterwards, lists no step graph's vertices or families;
-    ``cw_kk_summary`` on the first three ladder specs, whose composite fold
-    reads the families at each sink, builds each step's ``family_patch``
-    exactly once, and the composite quotient's never."""
+    ``cw_kk_summary`` on Gr(2,4), full A3 and A4 {1,3}, whose composite
+    fold drops what it holds at each sink, builds no ``family_patch`` at
+    all, of a step or of the composite quotient."""
     build = GeneratorMap.__getattr__
     built = []
 
@@ -549,12 +551,11 @@ def test_a_chain_and_its_k0_checks_build_no_step_family_patch(monkeypatch):
             inner.pop(id(g), None)
         assert not [g for g in inner.values() if "vertices" in g.__dict__ or "edges" in g.__dict__]
     assert steps > 100
-    for spec in CW_LADDER[:3]:
+    for spec in (CW_LADDER[0], CW_LADDER[4], CW_LADDER[5]):
         built.clear()
         summary = cw_kk_summary(spec)
-        assert summary.report.ok
-        fams = [m for m, half in built if half == "family_patch"]
-        assert sorted(fams) == sorted(id(sd.quotient_map) for sd in summary.chain.steps)
+        assert summary.report.ok and summary.chain.steps
+        assert [m for m, half in built if half == "family_patch"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +604,11 @@ def test_each_step_examines_only_its_patches_and_their_neighbours(monkeypatch):
     neighbourhood of the step's two patches and of the next step's, whose
     section the composite pushes through this one; there are a few lookups
     per label, and a whole chain asks about a small share of its maps'
-    generators.  Each step's quotient map builds each half of its patch
-    once, its killed vertices for the K_0 checks and its killed families
-    for the composite fold, and the composite quotient never does.  The section identity looks up no label
-    in either patch: it reads the section's tables and asks the quotient
-    graph what it keeps.
+    generators.  Each step's quotient map builds its killed vertices once,
+    for the K_0 checks, and its killed families never: the composite fold
+    drops what it holds at each sink.  The composite quotient builds
+    neither.  The section identity looks up no label in either patch: it
+    reads the section's tables and asks the quotient graph what it keeps.
     """
     fill, build = algebra._fill, GeneratorMap.__getattr__
     built = []
@@ -631,7 +632,8 @@ def test_each_step_examines_only_its_patches_and_their_neighbours(monkeypatch):
     summary = cw_kk_summary(DynkinSpec(4, frozenset({1, 2, 3, 4})))
     assert summary.report.ok
     steps = summary.chain.steps
-    assert sorted(built) == sorted((id(sd.quotient_map), half) for sd in steps for half in algebra._PATCH)
+    assert sorted(built) == sorted((id(sd.quotient_map), "vertex_patch") for sd in steps)
+    assert len(built) == len(steps) == 119
     examined = generators = 0
     for sd, after in zip(steps, steps[1:] + steps[-1:]):
         maps = (sd.sigma, sd.quotient_map)
@@ -644,7 +646,6 @@ def test_each_step_examines_only_its_patches_and_their_neighbours(monkeypatch):
         assert sum(len(patch.seen) for patch in patches) == len(seen)
         examined += len(seen)
         generators += sum(len(m.source.vertices) + len(m.source.edges) for m in maps)
-    assert len(built) == 2 * len(steps) == 238
     assert generators > 60_000
     assert examined < generators / 10
 
@@ -670,28 +671,32 @@ def _reference_fold(steps, cancelled: list):
         return {**prefix, **out}
 
     tables, templates = {}, {}
-    for sink, vmoved, fmoved, lost in steps:
+    for sink, vmoved, fmoved in steps:
         yield dict(tables.get(sink, {sink: 1}))
         tables = push(tables, vmoved)
         templates = push(templates, fmoved)
         tables.pop(sink, None)
-        templates = {f: tpl for f, tpl in templates.items() if f not in lost}
+        templates = {f: tpl for f, tpl in templates.items() if sink not in f}
     yield tables, templates
 
 
 def _random_feed(rng: random.Random) -> list:
     """Steps over labels ``a``, ``b``, ... with random integer tables and templates.
 
+    The labels are removed in a random order, and a family ``x -> y`` exists
+    when ``y`` goes before ``x``, so each step's sink has no family out.
     Each step names labels still present and moves one to three of those
     it keeps, each often naming itself with coefficient 1 and sometimes
-    another moved label; it drops its sink and the families at it.
+    another moved label, and some families it keeps; it drops its sink and
+    the families at it.
     """
     labels = [chr(ord("a") + i) for i in range(rng.randint(2, 7))]
+    rank = {v: rng.random() for v in labels}
     steps = []
     while len(labels) > 1:
-        sink = rng.choice(labels)
+        sink = min(labels, key=rank.get)
         kept = [v for v in labels if v != sink]
-        fams = [(x, y) for x in labels for y in labels if x != y]
+        fams = [(x, y) for x in labels for y in labels if rank[y] < rank[x]]
 
         def terms(own, pool):
             out = {own: 1} if rng.random() < 0.8 else {}
@@ -702,7 +707,7 @@ def _random_feed(rng: random.Random) -> list:
         vmoved = {u: terms(u, labels) for u in rng.sample(kept, rng.randint(1, min(3, len(kept))))}
         live = [f for f in fams if sink not in f]
         fmoved = {f: terms(f, fams) for f in rng.sample(live, min(len(live), rng.randint(0, 3)))}
-        steps.append((sink, vmoved, fmoved, [f for f in fams if sink in f]))
+        steps.append((sink, vmoved, fmoved))
         labels = kept
     return steps
 
@@ -712,11 +717,12 @@ def test_the_fold_matches_fresh_tables_on_random_feeds():
 
     The steps move several labels, some naming each other, with
     coefficients that cancel, so every path of the fold runs: a table
-    added into in place, a step built fresh, an entry that cancels.  No
-    yielded table and no step's table changes afterwards.
+    added into in place, a step built fresh, an entry that cancels, a
+    template dropped at its range sink.  No yielded table and no step's
+    table changes afterwards.
     """
     rng = random.Random(20261019)
-    cancelled, crossed = [], 0
+    cancelled, crossed, dropped = [], 0, 0
     for _ in range(300):
         steps = _random_feed(rng)
         before = repr(steps)
@@ -732,13 +738,14 @@ def test_the_fold_matches_fresh_tables_on_random_feeds():
         assert tables == want_tables
         assert templates == want_templates
         assert repr(steps) == before
-        crossed += any(x in vmoved and x != u for _, vmoved, _, _ in steps
+        crossed += any(x in vmoved and x != u for _, vmoved, _ in steps
                        for u, terms in vmoved.items() for x in terms)
-    assert crossed > 50 and len(cancelled) > 50
+        dropped += len(want_templates) < len({f for _, _, fmoved in steps for f in fmoved})
+    assert crossed > 50 and len(cancelled) > 50 and dropped > 50
 
 
 def _section_feed(chain):
-    return (algebra._section_step(sd.sink, sd.sigma, sd.quotient_map) for sd in chain.steps)
+    return ((sd.sink, sd.sigma.vertex_patch, sd.sigma.family_patch) for sd in chain.steps)
 
 
 def _section_prefixes(chain):
@@ -782,6 +789,36 @@ def test_the_fold_yields_each_prefix_at_its_sink_and_changes_no_patch():
         assert held == copies
         assert algebra._label_map(chain.terminal, chain.ambient, tables, templates) == prefixes[-1]
         assert repr([(sd.sigma.vertex_patch, sd.sigma.family_patch) for sd in chain.steps]) == patches
+
+
+def test_the_fold_drops_what_it_holds_as_the_listing_fold_does(monkeypatch):
+    """The composite section against the fold that listed the families at each sink.
+
+    On the golden chains, the corrupted chains and 150 random chains,
+    ``composite_section`` equals the listing fold's map, which pops every
+    family each step's quotient map kills, a miss unless the fold holds it;
+    on some random chains a pop removes a template.  The composite section
+    builds no quotient map's ``family_patch``.
+    """
+    build = GeneratorMap.__getattr__
+    built = []
+
+    def counted(m, name):
+        built.append(name)
+        return build(m, name)
+
+    monkeypatch.setattr(GeneratorMap, "__getattr__", counted)
+    rng = random.Random(20261034)
+    randoms = [random_chain(rng) for _ in range(150)]
+    drops = []
+    for chain in golden_chains() + list(corrupted_chains()) + randoms:
+        built.clear()
+        got = chain.composite_section()
+        assert "family_patch" not in built
+        dropped = []
+        assert got == composite_section_listing_oracle(chain, dropped)
+        drops.append(bool(dropped))
+    assert sum(drops[-len(randoms):]) >= 20
 
 
 def _count_moves(monkeypatch) -> list:

@@ -244,6 +244,54 @@ def test_the_ideal_check_reads_masks_on_shared_tables_and_compares_other_graphs(
                                 "the quotient graph is not the working graph without v4")
 
 
+def _split_outcome(monkeypatch, sd):
+    """``_split`` run on ``sd``'s graphs with ``sd``'s two maps in hand: the step it returns, or its refusal."""
+    monkeypatch.setattr(splitting, "_splitting_map", lambda *_: sd.sigma)
+    monkeypatch.setattr(splitting, "_quotient_onto", lambda *_: sd.quotient_map)
+    try:
+        return splitting._split(sd.original, sd.working, sd.quotient_graph, sd.sink, sd.star, sd.augmented)
+    except VerificationFailure as exc:
+        return str(exc)
+
+
+def test_a_step_refuses_exactly_when_its_report_fails(monkeypatch):
+    """``_split``'s verdict against ``verify_split_exact``'s report.
+
+    On every step of the golden chains and of 40 random chains, run with
+    both policies and with some stars dropped for the embedding section,
+    and on each ``map_corruptions`` variant of every step's ``sigma`` and
+    ``quotient_map``: ``_split`` refuses exactly when the report is not
+    ``ok``, with the report's text, and otherwise returns the step.  Every
+    way a step can pass or fail alone occurs: an embedding whose ``unital``
+    check warns, and a failing quotient map or section identity with every
+    other check passing.
+    """
+    rng = random.Random(20261034)
+    chains = golden_chains()
+    for _ in range(40):
+        chain = random_chain(rng)
+        stars = [None if rng.random() < 0.5 else sd.star for sd in chain.steps]
+        chains += [chain, multi_sink_splitting(chain.graph, chain.sinks, stars)]
+    seen = set()
+    for chain in chains:
+        for sd in chain.steps:
+            variants = [sd]
+            variants += [sd._replace(sigma=m) for m in map_corruptions(sd.sigma, rng)]
+            variants += [sd._replace(quotient_map=m) for m in map_corruptions(sd.quotient_map, rng)]
+            for step in variants:
+                report = verify_split_exact(step)
+                got = _split_outcome(monkeypatch, step)
+                if report.ok:
+                    assert got == step
+                else:
+                    assert got == "splitting construction failed verification:\n" + report.render()
+                failed = [c for c in report.checks if not c.passed]
+                seen.add(tuple((c.name, c.required) for c in failed))
+    assert (("unital", False),) in seen  # an embedding passes with a warning
+    assert (("quotient-map", True),) in seen
+    assert (("section-identity", True),) in seen
+
+
 def test_no_valid_star_is_reported_by_every_policy():
     point = AmpGraph.from_edges(("v",))
     message = "no valid star exists for sink 'v'"
@@ -449,9 +497,9 @@ def test_multi_sink_splitting_builds_two_maps_per_step_and_two_composites(
     # a section per step, then the composite section, each filled once
     assert len(built) == steps + 1
     # a quotient map per step, then the composite quotient, each made once;
-    # a step's builds its patch on first read, the composite's is never read
+    # no patch of either is read: the composite fold drops what it holds
     assert len(quotients) == steps + 1
-    assert [id(m) for m in read] == [id(sd.quotient_map) for sd in chain.steps]
+    assert read == []
     # only the composite section is validated: the steps' maps and the
     # composite quotient are built as they stand
     assert len(validated) == 1
