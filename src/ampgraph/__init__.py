@@ -54,6 +54,11 @@ class _Frozen:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
 
+    def __setstate__(self, state) -> None:
+        """Restore a pickled or copied record from its dict, or its dict (or ``None``) and set slots."""
+        for attrs in state if isinstance(state, tuple) else (state,):
+            _Frozen.__init__(self, **attrs or {})
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 

@@ -671,13 +671,6 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     # target family -> the (family, coefficient) of each moved template naming it
     fam_users: dict[tuple[str, str], list[tuple[tuple[str, str], int]]] = {}
     for f, tpl in fpatch.items():
-        if not tpl:
-            # zero, as a quotient map sends a family it kills: a partial
-            # isometry, whose range sum is its range vertex's table only when
-            # that table is zero too
-            if f[1] not in vpatch or vpatch[f[1]]:
-                ck1.append((f, f))
-            continue
         # the range sums, and whether the source table holds each source with 1
         ranges: dict[str, int] = {}
         under, held, present = vpatch.get(f[0], {f[0]: 1}), True, True

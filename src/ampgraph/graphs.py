@@ -61,11 +61,8 @@ Mult = Union[int, _Omega]
 
 
 def _check_mult(m: Mult) -> None:
-    if m is OMEGA:
-        return
-    if isinstance(m, int) and not isinstance(m, bool) and m >= 0:
-        return
-    raise ValueError(f"invalid multiplicity {m!r}: expected 0, a positive integer, or OMEGA")
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise ValueError(f"invalid multiplicity {m!r}: expected 0, a positive integer, or OMEGA")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -400,19 +397,9 @@ class AmpGraph:
 
         On shared tables they are the bits this mask keeps and ``other``'s
         does not, and the families at them; otherwise labels are compared.
-        When ``other`` lacks one vertex with no family to a vertex ``other``
-        keeps, as a step's quotient lacks its sink, one XOR of the masks
-        finds it and its predecessor row lists its families in row-major
-        order: no kept family leaves it but a self-loop, which is in the row.
         """
         if self._t is other._t:
-            t, keep = self._t, self._keep
-            gone = keep ^ other._keep
-            i = gone.bit_length() - 1
-            if i >= 0 and gone == 1 << i and keep >> i & 1 and not t.succ[i] & other._keep:
-                v = t.labels[i]
-                return (v,), [(u, v) for u in self._labels(t.pred()[i] & keep)]
-            gone = self._labels(keep & ~other._keep)
+            gone = self._labels(self._keep & ~other._keep)
             return gone, self.families_at(gone)
         return (tuple(v for v in self.vertices if v not in other),
                 [(a, b) for a, b, _ in self.edges if not other.has_family(a, b)])

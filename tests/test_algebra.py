@@ -285,8 +285,12 @@ def test_generator_map_validates_coverage():
     ident = GeneratorMap.identity(g)
     images = dict(ident.vertex_images)
     del images[g.vertices[0]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex images must cover exactly the source vertices$"):
         GeneratorMap(g, g, images, ident.edge_images)
+    templates = dict(ident.edge_images)
+    del templates[g.edges[0][:2]]
+    with pytest.raises(ValueError, match="^edge templates must cover exactly the source families$"):
+        GeneratorMap(g, g, ident.vertex_images, templates)
 
 
 @pytest.mark.parametrize("image, message", [

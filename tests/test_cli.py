@@ -84,11 +84,17 @@ def test_stars_human_output(capsys):
     assert out.err == ""
 
 
-def test_stars_without_candidates(capsys):
+def test_stars_without_candidates(tmp_path, capsys):
     assert main(["stars", EXAMPLE, "--sink", "v5"]) == 0
-    # v5 has valid stars; build a sink nothing reaches instead
+    # v5 has valid stars; a cycle feeding nothing into the isolated sink s leaves none
     report = run_command(["stars", EXAMPLE, "--sink", "v5"])
     assert report.result["stars"] == ["v1", "v2", "v3"]
+    capsys.readouterr()
+    cycle = tmp_path / "cycle.json"
+    edges = [{"src": "a", "dst": "b"}, {"src": "b", "dst": "a"}]
+    cycle.write_text(json.dumps({"vertices": ["a", "b", "s"], "edges": edges}))
+    assert main(["stars", str(cycle), "--sink", "s"]) == 0
+    assert capsys.readouterr().out == "(no valid star; only the non-unital embedding applies)\n"
 
 
 def test_classify_human_output(capsys):
@@ -195,6 +201,8 @@ def test_non_hereditary_quotient_is_exit_1():
     report = run_command(["quotient", EXAMPLE, "--remove", "v2"])
     assert report.exit_code == 1
     assert "hereditary" in report.error
+    empty = run_command(["quotient", EXAMPLE, "--remove", ","])
+    assert empty.exit_code == 1 and empty.error == "expected a comma-separated vertex list, got ','"
 
 
 def test_unknown_subcommand_maps_to_1(capsys):

@@ -1,0 +1,60 @@
+"""No private helper outlives its callers.
+
+A private (``_name``, not dunder) function, method or class that the
+package defines must be referred to by some other code of the package: a
+name, an attribute or an imported name anywhere outside its own body.  A
+deletion that leaves a helper with no caller fails here, not in review.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ampgraph"
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(tree: ast.AST) -> list[str]:
+    """Every name ``tree`` refers to: loaded or stored names, attributes and imported names."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name)
+    return out
+
+
+def orphans(root: pathlib.Path) -> list[str]:
+    """``file:line name`` of each private definition under ``root`` that no other code refers to."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(root.glob("*.py"))}
+    refs: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _names(tree):
+            refs[name] = refs.get(name, 0) + 1
+    out = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            name = getattr(node, "name", "")
+            if not isinstance(node, _DEFS) or not name.startswith("_") or name.endswith("__"):
+                continue
+            if refs.get(name, 0) == _names(node).count(name):
+                out.append(f"{path.name}:{node.lineno} {name}")
+    return out
+
+
+def test_every_private_helper_has_a_caller():
+    assert orphans(SRC) == []
+
+
+def test_the_guard_sees_a_helper_left_behind(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n    return 1\n\n"
+        "def _left():\n    return _used()\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+        "class _Box:\n    def _unread(self):\n        return self\n\n    def __repr__(self):\n        return ''\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import _Box\n")
+    assert orphans(tmp_path) == ["a.py:4 _left", "a.py:7 _recursive", "a.py:11 _unread"]

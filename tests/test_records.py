@@ -2,10 +2,15 @@
 
 The records are named tuples, or small classes on one frozen base where a
 record validates its input, has its own constructor or builds attributes
-when first read.  Each is checked the same way: two records built from
-equal inputs are equal (with equal hashes, where hashable), a record built
-from other inputs is not, and no attribute can be assigned.
+when first read; a graph is checked with them.  Each is checked the same
+way: two records built from equal inputs are equal (with equal hashes,
+where hashable), a record built from other inputs is not, nor is a value of
+another type, and no attribute can be assigned.  Each round-trips equal
+through ``pickle``, ``copy.copy`` and ``copy.deepcopy``.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -22,6 +27,7 @@ from ampgraph import (
     minimal_coset_reps,
     skeleton_filtration,
 )
+from ampgraph.algebra import _quotient_onto
 from ampgraph.cli import run_command
 
 from helpers import ROOT, example_graph
@@ -65,6 +71,7 @@ RECORDS = {
     "K0SplitCheck": lambda other: check_split_exact_k0(_split(other)),
     "K0ChainCheck": lambda other: check_chain_k0(_chain(other)),
     "Report": lambda other: run_command(["ktheory" if other else "classify", EXAMPLE]),
+    "AmpGraph": lambda other: example_graph().quotient(("v4",) if other else ()),
 }
 
 
@@ -73,17 +80,48 @@ def test_a_record_is_frozen_and_compares_by_its_fields(name):
     a, b, c = RECORDS[name](False), RECORDS[name](False), RECORDS[name](True)
     assert type(a).__name__ == name
     assert a is not b and a == b and not a != b
-    assert a != c
+    assert a != c and a != "a record"
     try:
         hashes = hash(a), hash(b)
     except TypeError:
         pass  # a record holding a dict
     else:
         assert hashes[0] == hashes[1]
-    for attr in (a._fields[0], "unknown"):
+    # a graph has no ``_fields``; its vertices come first
+    for attr in (getattr(a, "_fields", ("vertices",))[0], "unknown"):
         with pytest.raises(AttributeError):
             setattr(a, attr, None)
     assert a == b
+
+
+#: one copy of a record through each route that restores its state
+ROUND_TRIPS = {
+    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_record_round_trips_equal_and_stays_frozen(name, route):
+    # a graph's families compare OMEGA by identity, so its copy must restore the singleton
+    a = RECORDS[name](False)
+    b = ROUND_TRIPS[route](a)
+    assert type(b) is type(a) and b == a and b != RECORDS[name](True)
+    with pytest.raises(AttributeError):
+        setattr(b, "unknown", None)
+
+
+@pytest.mark.parametrize("route", sorted(ROUND_TRIPS))
+def test_a_quotient_map_round_trips_with_its_killed_generators(route):
+    # a quotient map stores only its graphs; reading its state builds each half of its patch
+    g = example_graph()
+    h = g.quotient(("v4",))
+    m = ROUND_TRIPS[route](_quotient_onto(g, h))
+    assert m._quotient and m.source == g and m.target == h
+    assert m.vertex_patch == {"v4": {}} and m.family_patch == {("v2", "v4"): {}}
+    assert m == _quotient_onto(g, h)
 
 
 def test_the_repr_names_every_field():
