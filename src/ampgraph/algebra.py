@@ -186,6 +186,12 @@ class GeneratorMap(_Frozen):
         _Frozen.__init__(self, **{name: half})
         return half
 
+    def __getstate__(self) -> tuple:
+        """What :meth:`_Frozen.__setstate__` restores: a quotient map's two graphs and
+        ``_quotient``, so copying one builds no patch on it, or else every slot."""
+        names = ("source", "target", "_quotient") if self._quotient else self.__slots__
+        return None, {name: getattr(self, name) for name in names}
+
     @property
     def vertex_images(self) -> dict:
         """Every source vertex's table, the patch's or the same-label ``{v: 1}``."""
@@ -307,10 +313,6 @@ def _patch(source: AmpGraph, target: AmpGraph, vertices: dict, families: dict) -
             errors[v] = exc
     if errors:
         raise errors[min(errors, key=lambda v: source.index(v) if v in source else len(source))]
-    if not all(map(source.__contains__, tables)):
-        raise ValueError("vertex images must cover exactly the source vertices")
-    if not all(source.has_family(*fam) for fam in families):
-        raise ValueError("edge templates must cover exactly the source families")
     unmoved = {fam: {fam: 1} for fam in lost if fam not in families}
     for fam, tpl in (*unmoved.items(), *families.items()):
         try:

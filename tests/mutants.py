@@ -700,6 +700,12 @@ MUTANTS = {
         [PATCH + "test_canned_maps_keep_only_what_they_move",
          PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read"],
     ),
+    "quotient-map-state-reads-every-slot": (
+        ALGEBRA,
+        '        names = ("source", "target", "_quotient") if self._quotient else self.__slots__\n',
+        "        names = self.__slots__\n",
+        [RECORDS + "test_copying_a_quotient_map_builds_no_patch_on_the_original"],
+    ),
     "identity-keeps-an-entry-at-a-killed-vertex": (
         ALGEBRA,
         "x != v and (x in src or x not in whole) for x in table)]",

@@ -52,6 +52,11 @@ def test_edge_requires_infinite_family():
         CKElement.edge(line_graph(), "a", "c")
     with pytest.raises(ValueError):
         CKElement.edge(line_graph(), "a", "b", -1)
+    m = GeneratorMap.identity(line_graph())
+    with pytest.raises(ValueError, match="no source family 'a' -> 'c'"):
+        m.edge_image(EdgeRef("a", "c", 0))
+    with pytest.raises(ValueError, match="negative edge index"):
+        m.edge_image(EdgeRef("a", "b", -1))
 
 
 def test_word_mul_matches_rewriting_oracle_exhaustively():
@@ -260,6 +265,8 @@ def test_apply_multiplies_the_letter_images_of_a_word():
             assert m.apply(CKElement.word(m.source, w, 3)) == 3 * reduce(operator.mul, letters)
             words += 1
     assert words > 100
+    with pytest.raises(ValueError, match="element does not live over the map's source graph"):
+        maps[0].apply(CKElement.projection(g, "v1"))
 
 
 def test_maps_refuse_graphs_that_are_not_amplified():
