@@ -25,22 +25,35 @@ import importlib
 MAX_RANK = 8
 
 
+class _built:
+    """An attribute built on first read by ``build``, named after it, then kept in the instance dict."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __get__(self, obj, owner: type):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.build.__name__] = self.build(obj)
+        return value
+
+
 class _Frozen:
     """An immutable record compared, hashed and shown by the attributes :attr:`_fields` names.
 
-    A subclass stores its attributes once, through ``__init__``; assigning
-    or deleting one later raises AttributeError.  Two records are equal
-    when they are of one class and their ``_fields`` are equal.  Defined
-    here, not in a layer, so every layer's records share it without loading
-    another layer, or :mod:`dataclasses`.
+    A subclass keeps its state in its instance dict, stored through
+    ``__init__`` or by a :class:`_built` attribute; assigning or deleting
+    one later raises AttributeError, and a copy restores the dict as it is.
+    Two records are equal when they are of one class and their ``_fields``
+    are equal.  Defined here, not in a layer, so every layer's records share
+    it without loading another layer, or :mod:`dataclasses`.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init__(self, **attrs) -> None:
-        for name, value in attrs.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(attrs)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -53,11 +66,6 @@ class _Frozen:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
-
-    def __setstate__(self, state) -> None:
-        """Restore a pickled or copied record from its dict, or its dict (or ``None``) and set slots."""
-        for attrs in state if isinstance(state, tuple) else (state,):
-            _Frozen.__init__(self, **attrs or {})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

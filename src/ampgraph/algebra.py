@@ -80,8 +80,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from . import _EXPORTS, _Frozen
-from .graphs import OMEGA, AmpGraph
+from . import _EXPORTS, _Frozen, _built
+from .graphs import AmpGraph
 
 if TYPE_CHECKING:
     from .words import CKElement, CKWord, EdgeRef
@@ -132,15 +132,14 @@ def _vertex_table(target: AmpGraph, v: str, img) -> VertexTable:
 def _check_template(target: AmpGraph, fam: tuple[str, str], tpl: dict) -> None:
     """Refuse a template of ``fam`` that uses a family ``target`` lacks.
 
-    A family ``target`` keeps is OMEGA, the graph being amplified; the first
-    missing one in label order is looked up again, so an unknown end is
-    named first.
+    The first missing one in label order is looked up again, so an unknown
+    end is named first.
     """
     for src, dst in tpl:
         if not target.has_family(src, dst):
             src, dst = min(t for t in tpl if not target.has_family(*t))
-            if target.multiplicity(src, dst) is not OMEGA:
-                raise ValueError(f"template for {fam} uses missing target family {src!r} -> {dst!r}")
+            target.multiplicity(src, dst)
+            raise ValueError(f"template for {fam} uses missing target family {src!r} -> {dst!r}")
 
 
 class GeneratorMap(_Frozen):
@@ -163,9 +162,8 @@ class GeneratorMap(_Frozen):
     patches are; a map is immutable and, holding dicts, unhashable.
     """
 
+    #: and ``_quotient``: whether the map kills what its target lacks and fixes the rest
     _fields = ("source", "target", "vertex_patch", "family_patch")
-    #: ``_quotient``: whether the map kills what its target lacks of its source and fixes the rest
-    __slots__ = _fields + ("_quotient",)
 
     def __init__(self, source: AmpGraph, target: AmpGraph, vertex_images: dict, edge_images: dict) -> None:
         vimgs, eimgs = dict(vertex_images), dict(edge_images)
@@ -176,21 +174,17 @@ class GeneratorMap(_Frozen):
         tables = {fam: _template_table(tpl) for fam, tpl in eimgs.items()}
         _fill(self, source, target, *_patch(source, target, vimgs, tables))
 
-    def __getattr__(self, name: str):
-        """A half of a quotient map's patch, built on first read from what its target lacks:
-        the killed vertices by a mask test where one decides, the killed families by a listing."""
-        if name not in _PATCH or not self._quotient:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        cut = self.source.hereditary_cut(self.target) if name == "vertex_patch" else None
-        half = dict.fromkeys(self.source.lacks(self.target)[_PATCH.index(name)] if cut is None else cut, _KILLED)
-        _Frozen.__init__(self, **{name: half})
-        return half
+    @_built
+    def vertex_patch(self) -> dict:
+        """A quotient map's killed vertices, by a mask test where one decides, else by a listing;
+        every other map stores both halves of its patch, which shadow these."""
+        cut = self.source.hereditary_cut(self.target)
+        return dict.fromkeys(self.source.lacks(self.target)[0] if cut is None else cut, _KILLED)
 
-    def __getstate__(self) -> tuple:
-        """What :meth:`_Frozen.__setstate__` restores: a quotient map's two graphs and
-        ``_quotient``, so copying one builds no patch on it, or else every slot."""
-        names = ("source", "target", "_quotient") if self._quotient else self.__slots__
-        return None, {name: getattr(self, name) for name in names}
+    @_built
+    def family_patch(self) -> dict:
+        """A quotient map's killed families, by a listing."""
+        return dict.fromkeys(self.source.lacks(self.target)[1], _KILLED)
 
     @property
     def vertex_images(self) -> dict:
@@ -245,7 +239,6 @@ class GeneratorMap(_Frozen):
         return rows
 
 
-_PATCH = ("vertex_patch", "family_patch")
 #: The zero table of every generator a quotient map kills, one shared dict: a
 #: patch's tables are read and never written, as composites share them too.
 _KILLED: dict = {}

@@ -53,10 +53,12 @@ _NAME = tuple(f"s{i}" for i in range(MAX_RANK + 1))
 class DynkinSpec(_Frozen):
     """A series-A diagram of the given rank with a nonempty tagged node set."""
 
-    __slots__ = _fields = ("rank", "tagged")
+    _fields = ("rank", "tagged")
 
     def __init__(self, rank: int, tagged: frozenset[int]) -> None:
         tagged = frozenset(tagged)
+        if any(type(value) is not int for value in (rank, *tagged)):  # a bool or a float too
+            raise ValueError(f"rank and tagged nodes must be ints, got {rank!r} and {set(tagged)!r}")
         if not 1 <= rank <= MAX_RANK:
             raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {rank}")
         if not tagged:

@@ -35,23 +35,20 @@ from collections.abc import Mapping
 from itertools import accumulate, chain, compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
+from . import _Frozen, _built
+
 
 class _Omega:
     """Multiplicity of a countably infinite family of parallel edges."""
 
     __slots__ = ()
-    _instance: "_Omega | None" = None
-
-    def __new__(cls) -> "_Omega":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "OMEGA"
 
-    def __reduce__(self):
-        return (_Omega, ())
+    def __reduce__(self) -> str:
+        # a global's name: pickle stores the singleton by it, and copy returns it as itself
+        return "OMEGA"
 
 
 #: Singleton marker for countably infinite edge multiplicity.
@@ -73,19 +70,6 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
-
-
-class _built:
-    """An attribute built on first read, then kept in the instance dict."""
-
-    def __init__(self, build) -> None:
-        self.build = build
-
-    def __get__(self, g: "AmpGraph | None", owner: type):
-        if g is None:
-            return self
-        value = g.__dict__[self.build.__name__] = self.build(g)
-        return value
 
 
 class GraphClass(NamedTuple):
@@ -224,7 +208,7 @@ class _Tables:
         return self._reach
 
 
-class AmpGraph:
+class AmpGraph(_Frozen):
     """A finite directed graph with family-level edge multiplicities.
 
     ``edges`` lists the edge families ``(src, dst, mult)`` of nonzero
@@ -242,6 +226,8 @@ class AmpGraph:
     ``has_family``, ``is_amplified``, ``lacks``) reads the tables under the
     mask; ``vertices`` and ``edges`` are built only when read.
     """
+
+    _fields = ("vertices", "edges")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Mult]]) -> None:
         verts, index = _positions(vertices)
@@ -316,9 +302,6 @@ class AmpGraph:
         g = object.__new__(AmpGraph)
         g.__dict__.update(_t=t, _keep=keep, **known)
         return g
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"AmpGraph is immutable: cannot set {name!r}")
 
     # -- the kept vertices and families, built when read -------------------
 

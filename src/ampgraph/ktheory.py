@@ -39,9 +39,7 @@ and does not record its column count.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from . import _Frozen
+from . import _Frozen, _built
 from .algebra import Check, GeneratorMap, VerificationReport, _add_into, _prefix_fold, _range_counts
 from .graphs import AmpGraph
 from .splitting import KKChain, SplitData
@@ -153,15 +151,15 @@ class K0SplitCheck(_Frozen):
     def __init__(self, sink: str, report: VerificationReport, step: SplitData, classes: tuple[dict, dict]) -> None:
         super().__init__(sink=sink, report=report, step=step, classes=classes)
 
-    @cached_property
+    @_built
     def q(self) -> Matrix:
         return _dense(_columns(self.step.quotient_map, self.classes[0]), len(self.step.quotient_map.target))
 
-    @cached_property
+    @_built
     def s(self) -> Matrix:
         return _dense(_columns(self.step.sigma, self.classes[1]), len(self.step.working))
 
-    @cached_property
+    @_built
     def inclusion(self) -> Matrix:
         k = self.step.working.index(self.sink)
         return tuple((int(i == k),) for i in range(len(self.step.working)))
@@ -223,11 +221,11 @@ class K0ChainCheck(_Frozen):
     def __init__(self, report: VerificationReport, columns: tuple[Columns, Columns], rows: tuple[int, int], uncertified: tuple[str, ...]) -> None:
         super().__init__(report=report, columns=columns, rows=rows, uncertified=uncertified)
 
-    @cached_property
+    @_built
     def forward(self) -> Matrix:
         return _dense(self.columns[0], self.rows[0])
 
-    @cached_property
+    @_built
     def backward(self) -> Matrix:
         return _dense(self.columns[1], self.rows[1])
 

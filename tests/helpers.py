@@ -10,6 +10,7 @@ with the fast implementations under test, so agreement is meaningful.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pathlib
 import random
 import sys
@@ -917,6 +918,23 @@ def forbid_smith_normal_form(monkeypatch) -> None:
             for attr, value in list(vars(module).items()):
                 if value is smith_normal_form:
                     monkeypatch.setattr(module, attr, refuse)
+
+
+def watch_patch_builds(monkeypatch, seen) -> None:
+    """Route each half of a quotient map's patch, when it is built on first
+    read, through ``seen(m, half, value)``, whose return is the value kept.
+
+    The attribute's ``build`` is wrapped with :func:`functools.wraps`, so its
+    ``__name__``, the key the value is stored under, stays the half's.
+    """
+    for half in ("vertex_patch", "family_patch"):
+        built = getattr(GeneratorMap, half)
+
+        @functools.wraps(built.build)
+        def watched(m, build=built.build, half=half):
+            return seen(m, half, build(m))
+
+        monkeypatch.setattr(built, "build", watched)
 
 
 # ---------------------------------------------------------------------------

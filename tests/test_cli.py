@@ -347,6 +347,18 @@ def test_verification_failure_maps_to_2(monkeypatch, capsys, argv, target, as_js
         assert out.err == "error: section-identity: forced failure\n"
 
 
+@pytest.mark.parametrize("argv, target", VERIFYING_COMMANDS)
+def test_a_runtime_error_that_is_no_verification_failure_propagates(monkeypatch, argv, target):
+    # a fault in the program is raised out of ``run_command``, not reported as a failed check
+    def boom(*args, **kwargs):
+        raise RuntimeError("forced fault")
+
+    monkeypatch.setattr(target, boom)
+    with pytest.raises(RuntimeError, match="forced fault") as caught:
+        run_command(argv + ["--json"])
+    assert type(caught.value) is RuntimeError
+
+
 def test_split_default_star_is_first_valid():
     report = run_command(["split", EXAMPLE, "--sink", "v4"])
     assert report.result["star"] == "v1"

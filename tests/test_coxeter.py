@@ -54,6 +54,10 @@ def test_dynkin_spec_validation():
         DynkinSpec(2, frozenset())
     with pytest.raises(ValueError):
         DynkinSpec(2, frozenset({3}))
+    # a rank or tag that is not an int is refused, a bool or a float equal to one included
+    for rank, tagged in ((True, {1}), (2.0, {1}), ("2", {1}), (2, {1.0}), (2, {True}), (2, {1, "2"})):
+        with pytest.raises(ValueError, match="rank and tagged nodes must be ints"):
+            DynkinSpec(rank, tagged)
 
 
 def test_generator_algebra():

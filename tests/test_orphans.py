@@ -1,9 +1,14 @@
-"""No private helper outlives its callers.
+"""No private helper outlives its callers, and records share one model.
 
 A private (``_name``, not dunder) function, method or class that the
 package defines must be referred to by some other code of the package: a
 name, an attribute or an imported name anywhere outside its own body.  A
 deletion that leaves a helper with no caller fails here, not in review.
+
+Every record keeps its state in its instance dict: ``_Frozen`` alone
+refuses assignment and deletion and restores a copy, and ``_built`` alone
+builds an attribute on first read.  A class that defines one of those hooks
+itself, by ``def`` or by assignment, fails here.
 """
 
 import ast
@@ -58,3 +63,53 @@ def test_the_guard_sees_a_helper_left_behind(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import _Box\n")
     assert orphans(tmp_path) == ["a.py:4 _left", "a.py:7 _recursive", "a.py:11 _unread"]
+
+
+#: each hook of a record -> the one class that may define it
+_HOOKS = {
+    **dict.fromkeys(("__setattr__", "__delattr__", "__getattr__", "__getstate__", "__setstate__"), "_Frozen"),
+    "__get__": "_built",
+}
+
+
+def _defined(item: ast.stmt) -> list[str]:
+    """The names a statement of a class body defines, by ``def``, ``class`` or assignment."""
+    if isinstance(item, _DEFS):
+        return [item.name]
+    if isinstance(item, ast.Assign):
+        return [target.id for target in item.targets if isinstance(target, ast.Name)]
+    return []
+
+
+def stray_hooks(root: pathlib.Path) -> list[str]:
+    """``file:line Class.hook`` of each record hook a class under ``root`` defines but does not own."""
+    out = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    out += [f"{path.name}:{item.lineno} {node.name}.{name}" for name in _defined(item)
+                            if _HOOKS.get(name, node.name) != node.name]
+    return out
+
+
+def test_only_the_frozen_base_and_the_built_attribute_define_record_hooks():
+    assert stray_hooks(SRC) == []
+
+
+def test_the_guard_sees_a_record_hook_defined_elsewhere(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def __getattr__(name):\n    raise AttributeError(name)\n\n"
+        "class _Frozen:\n    def __setattr__(self, name, value):\n        raise AttributeError(name)\n\n"
+        "class _built:\n    def __get__(self, obj, owner):\n        return self\n\n"
+        "class Graph(_Frozen):\n    def __setattr__(self, name, value):\n        raise AttributeError(name)\n\n"
+        "    def __getstate__(self):\n        return {}\n\n"
+        "    __delattr__ = _Frozen.__setattr__\n"
+    )
+    (tmp_path / "b.py").write_text("class Lazy:\n    def __get__(self, obj, owner):\n        return 1\n")
+    assert stray_hooks(tmp_path) == [
+        "a.py:13 Graph.__setattr__",
+        "a.py:16 Graph.__getstate__",
+        "a.py:19 Graph.__delattr__",
+        "b.py:2 Lazy.__get__",
+    ]

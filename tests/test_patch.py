@@ -46,6 +46,7 @@ from helpers import (
     section_identity_failure_tables_oracle,
     splitting_map_oracle,
     verify_ck_family_tables_oracle,
+    watch_patch_builds,
     with_images,
 )
 
@@ -317,15 +318,8 @@ def test_a_quotient_map_builds_the_oracles_patch_when_first_read(monkeypatch):
 
 
 def _halves_built(m) -> list[str]:
-    """The halves of ``m``'s patch already built, read off their slots without building one."""
-    built = []
-    for half in ("vertex_patch", "family_patch"):
-        try:
-            getattr(GeneratorMap, half).__get__(m)
-        except AttributeError:
-            continue
-        built.append(half)
-    return built
+    """The halves of ``m``'s patch already built, read off its dict without building one."""
+    return [half for half in ("vertex_patch", "family_patch") if half in vars(m)]
 
 
 def _cut_targets(q: AmpGraph, rng: random.Random) -> list:
@@ -450,18 +444,18 @@ def test_the_composite_quotient_builds_its_patch_only_when_read(monkeypatch):
     the composite quotient's patch, every family at the removed sinks, is
     never built: the composite section identity asks the terminal graph
     what it keeps.  Read afterwards, it is the oracle's."""
-    build, composite = GeneratorMap.__getattr__, KKChain.composite_quotient
+    composite = KKChain.composite_quotient
     built, made = [], []
 
-    def counted_build(m, name):
+    def counted_build(m, half, value):
         built.append(m)
-        return build(m, name)
+        return value
 
     def counted_composite(chain):
         made.append(composite(chain))
         return made[-1]
 
-    monkeypatch.setattr(GeneratorMap, "__getattr__", counted_build)
+    watch_patch_builds(monkeypatch, counted_build)
     monkeypatch.setattr(KKChain, "composite_quotient", counted_composite)
     rng = random.Random(20261034)
     chains = [cw_kk_summary(DynkinSpec(4, frozenset({1, 2, 3, 4}))).chain]
@@ -524,14 +518,13 @@ def test_a_chain_and_its_k0_checks_build_no_step_family_patch(monkeypatch):
     ``cw_kk_summary`` on Gr(2,4), full A3 and A4 {1,3}, whose composite
     fold drops what it holds at each sink, builds no ``family_patch`` at
     all, of a step or of the composite quotient."""
-    build = GeneratorMap.__getattr__
     built = []
 
-    def counted(m, name):
-        built.append((id(m), name))
-        return build(m, name)
+    def counted(m, half, value):
+        built.append((id(m), half))
+        return value
 
-    monkeypatch.setattr(GeneratorMap, "__getattr__", counted)
+    watch_patch_builds(monkeypatch, counted)
     rng = random.Random(20261038)
     steps = 0
     for _ in range(40):
@@ -610,23 +603,21 @@ def test_each_step_examines_only_its_patches_and_their_neighbours(monkeypatch):
     neither.  The section identity looks up no label in either patch: it
     reads the section's tables and asks the quotient graph what it keeps.
     """
-    fill, build = algebra._fill, GeneratorMap.__getattr__
+    fill = algebra._fill
     built = []
 
     def watched(m, source, target, vpatch, fpatch):
         fill(m, source, target, _Watched(vpatch, []), _Watched(fpatch, []))
 
-    def watched_build(m, name):
-        half = _Watched(build(m, name), [])
-        object.__setattr__(m, name, half)
-        built.append((id(m), name))
-        return half
+    def watched_build(m, half, value):
+        built.append((id(m), half))
+        return _Watched(value, [])
 
     def refuse(self):
         raise AssertionError("a full table was built")
 
     monkeypatch.setattr(algebra, "_fill", watched)
-    monkeypatch.setattr(GeneratorMap, "__getattr__", watched_build)
+    watch_patch_builds(monkeypatch, watched_build)
     monkeypatch.setattr(GeneratorMap, "vertex_images", property(refuse))
     monkeypatch.setattr(GeneratorMap, "edge_images", property(refuse))
     summary = cw_kk_summary(DynkinSpec(4, frozenset({1, 2, 3, 4})))
@@ -800,14 +791,13 @@ def test_the_fold_drops_what_it_holds_as_the_listing_fold_does(monkeypatch):
     on some random chains a pop removes a template.  The composite section
     builds no quotient map's ``family_patch``.
     """
-    build = GeneratorMap.__getattr__
     built = []
 
-    def counted(m, name):
-        built.append(name)
-        return build(m, name)
+    def counted(m, half, value):
+        built.append(half)
+        return value
 
-    monkeypatch.setattr(GeneratorMap, "__getattr__", counted)
+    watch_patch_builds(monkeypatch, counted)
     rng = random.Random(20261034)
     randoms = [random_chain(rng) for _ in range(150)]
     drops = []

@@ -2,12 +2,12 @@
 
 The records are named tuples, or small classes on one frozen base where a
 record validates its input, has its own constructor or builds attributes
-when first read; a graph is checked with them.  Each is checked the same
-way: two records built from equal inputs are equal (with equal hashes,
-where hashable), a record built from other inputs is not, nor is a value of
+when first read, a graph among them.  Each is checked the same way: two
+records built from equal inputs are equal (with equal hashes, where
+hashable), a record built from other inputs is not, nor is a value of
 another type, no attribute can be assigned, and no field of a record can be
 deleted.  Each round-trips equal through ``pickle``, ``copy.copy`` and
-``copy.deepcopy``.
+``copy.deepcopy``, and shows itself by the same repr before and after.
 """
 
 import copy
@@ -16,6 +16,7 @@ import pickle
 import pytest
 
 from ampgraph import (
+    OMEGA,
     Check,
     DynkinSpec,
     GeneratorMap,
@@ -88,13 +89,11 @@ def test_a_record_is_frozen_and_compares_by_its_fields(name):
         pass  # a record holding a dict
     else:
         assert hashes[0] == hashes[1]
-    # a graph has no ``_fields``; its vertices come first
-    for attr in (getattr(a, "_fields", ("vertices",))[0], "unknown"):
+    for attr in (a._fields[0], "unknown"):
         with pytest.raises(AttributeError):
             setattr(a, attr, None)
-        if hasattr(a, "_fields"):  # a graph refuses assignment only
-            with pytest.raises(AttributeError):
-                delattr(a, attr)
+        with pytest.raises(AttributeError):
+            delattr(a, attr)
     assert a == b
 
 
@@ -134,10 +133,21 @@ def test_copying_a_quotient_map_builds_no_patch_on_the_original(route):
     g = example_graph()
     m = _quotient_onto(g, g.quotient(("v4",)))
     c = ROUND_TRIPS[route](m)
-    for name in ("vertex_patch", "family_patch"):
-        with pytest.raises(AttributeError):
-            object.__getattribute__(m, name)
+    assert "vertex_patch" not in vars(m) and "family_patch" not in vars(m)
     assert c.vertex_patch == m.vertex_patch and c.family_patch == m.family_patch
+
+
+@pytest.mark.parametrize("route", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_record_shows_itself_the_same_before_and_after_a_copy(name, route):
+    a, b = RECORDS[name](False), RECORDS[name](False)
+    assert repr(a) == repr(b) and repr(a).startswith(f"{name}(")
+    assert repr(ROUND_TRIPS[route](a)) == repr(a)
+
+
+@pytest.mark.parametrize("route", sorted(ROUND_TRIPS))
+def test_omega_is_one_value_through_every_copy(route):
+    assert ROUND_TRIPS[route](OMEGA) is OMEGA and repr(OMEGA) == "OMEGA"
 
 
 def test_the_repr_names_every_field():
@@ -146,6 +156,12 @@ def test_the_repr_names_every_field():
     assert repr(example_graph().classify()) == (
         "GraphClass(amplified=True, acyclic=True, sinks=('v4', 'v5'), sources=('v1',))"
     )
+    assert repr(example_graph().quotient(("v4", "v5"))) == "AmpGraph(['v1', 'v2', 'v3'], 2 families)"
+    check = check_split_exact_k0(_split(False))
+    assert repr(check) == f"K0SplitCheck(sink='v4', report={check.report!r})"
+    summary = cw_kk_summary(_spec(False))
+    assert [str(r) for r in summary.records] == [r.text for r in summary.records]
+    assert str(summary) == "  ->  ".join(r.text for r in summary.records)
 
 
 def test_a_spec_refuses_what_it_refused_before():

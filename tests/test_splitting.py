@@ -45,6 +45,7 @@ from helpers import (
     section_identity_failure_oracle,
     section_identity_failure_patch_oracle,
     stabilize_oracle,
+    watch_patch_builds,
 )
 from test_graphs import _assert_matches_model, _assert_tables_fresh
 
@@ -468,7 +469,7 @@ def test_multi_sink_splitting_builds_two_maps_per_step_and_two_composites(
     g = flag_graph(spec)
     sinks = list(cw_kk_summary(spec).chain.sinks)
     original, validate = algebra._fill, algebra._patch
-    quotient_onto, build = algebra._quotient_onto, GeneratorMap.__getattr__
+    quotient_onto = algebra._quotient_onto
     built, validated, quotients, read = [], [], [], []
 
     def counted(m, *patch):
@@ -483,14 +484,14 @@ def test_multi_sink_splitting_builds_two_maps_per_step_and_two_composites(
         quotients.append(quotient_onto(graph, target))
         return quotients[-1]
 
-    def counted_build(m, name):
+    def counted_build(m, half, value):
         read.append(m)
-        return build(m, name)
+        return value
 
     monkeypatch.setattr(algebra, "_fill", counted)
     monkeypatch.setattr(algebra, "_patch", checked)
     monkeypatch.setattr(splitting, "_quotient_onto", counted_quotient)
-    monkeypatch.setattr(GeneratorMap, "__getattr__", counted_build)
+    watch_patch_builds(monkeypatch, counted_build)
     chain = multi_sink_splitting(g, sinks)
     steps = len(chain.steps)
     assert steps == len(sinks) > 1
