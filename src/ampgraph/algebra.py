@@ -69,10 +69,11 @@ over the unmoved families at a moved vertex the target keeps (at a vertex
 the target lacks every family is moved, or the map is refused), then the
 users of each target vertex and family.  Composition and the section
 identity work on patches too: a composite moves only what its inner map
-moves and what its outer map moves among the inner map's labels.  A
-removal chain's prefix composites are one fold over its sections'
-patches, updated in place (:func:`_prefix_fold`); at each sink it drops
-the templates it holds there, so no step's quotient map lists a family.
+moves and what its outer map moves among the inner map's labels.  Every
+composite, :func:`compose`'s included, is folded by :func:`_fold_into`; a
+removal chain's prefix composites are one fold over its sections' patches,
+updated in place (:func:`_prefix_fold`); at each sink it drops the
+templates it holds there, so no step's quotient map lists a family.
 """
 
 from __future__ import annotations
@@ -380,46 +381,29 @@ def _push(m, terms: Iterable[tuple[CKWord, int]]) -> CKElement:
     return CKElement._make(m.target, acc)
 
 
-def _pull(patch: dict, table: dict) -> dict:
-    """``sum_x c_x m(x)`` as a table, zeros dropped, for ``table = {x: c_x}`` and the map ``m`` with ``patch``."""
-    acc: dict = {}
-    for x, c in table.items():
-        for y, d in _image(patch, x).items():
-            acc[y] = acc.get(y, 0) + c * d
-    return {y: c for y, c in acc.items() if c}
-
-
 def _check_composable(outer, inner) -> None:
     if inner.target != outer.source:
         raise ValueError("maps do not compose: inner target differs from outer source")
 
 
-def _composed(outer: dict, inner: dict, kept) -> dict:
-    """One half of the patch of a composite, from that half of ``outer``'s and ``inner``'s.
-
-    ``kept`` tells which labels the inner map's source has.
-    """
-    moved = {u: _pull(outer, table) for u, table in inner.items()}
-    for u, table in outer.items():
-        if u not in moved and kept(u):
-            moved[u] = table
-    return {u: table for u, table in moved.items() if table != {u: 1}}
-
-
 def compose_tables(outer: GeneratorMap, inner: GeneratorMap) -> tuple[dict, dict]:
     """The vertex and family patches of ``outer . inner``, built without a map.
 
-    A generator ``inner`` does not move goes where ``outer`` sends its
-    label, so the composite moves at most the generators ``inner`` moves,
-    each pushed through ``outer``, and those ``outer`` moves among the
-    labels of ``inner.source``; vertex tables and templates alike.  Entries
-    that come back to the same-label generator are dropped.  The maps are
-    taken to compose; the result is valid whenever both are.
+    :func:`_fold_into` folds ``outer``'s patch and then ``inner``'s into new
+    tables with no sink, vertex tables and templates alike: a generator
+    ``inner`` does not move keeps ``outer``'s table of its label, and one it
+    moves gets its table pushed through ``outer``.  Labels ``inner.source``
+    lacks and entries that equal the same-label generator are dropped.  The
+    maps are taken to compose; the result is valid whenever both are.
     """
-    src = inner.source
+    tables: dict = {}
+    templates: dict = {}
+    for m in (outer, inner):
+        _fold_into(tables, m.vertex_patch, None)
+        _fold_into(templates, m.family_patch, None)
     return (
-        _composed(outer.vertex_patch, inner.vertex_patch, src.__contains__),
-        _composed(outer.family_patch, inner.family_patch, lambda fam: src.has_family(*fam)),
+        {v: table for v, table in tables.items() if v in inner.source and table != {v: 1}},
+        {f: tpl for f, tpl in templates.items() if inner.source.has_family(*f) and tpl != {f: 1}},
     )
 
 
@@ -445,8 +429,9 @@ def _fold_into(prefix: dict, moved: dict, sink) -> None:
     A label the prefix does not hold stands for ``{x: 1}``.  A held table
     was built here, so it is added into in place when its terms name ``u``
     with coefficient 1, no moved table names another moved label and
-    ``sink`` is not moved.  Any other moved label gets a new table, written
-    only after every table has been read.
+    ``sink``, the vertex the map removes or ``None`` if it removes none, is
+    not moved.  Any other moved label gets a new table, written only after
+    every table has been read.
     """
     closed = sink not in moved and (
         len(moved) < 2 or all(x == u or x not in moved for u, terms in moved.items() for x in terms))

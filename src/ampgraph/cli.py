@@ -118,7 +118,7 @@ def _cmd_quotient(g: AmpGraph, ns) -> tuple[bool, dict]:
     removed = _split_labels(ns.remove)
     q = g.quotient(removed)
     return True, {
-        "removed": sorted(removed),
+        "removed": sorted(set(removed)),
         "graph": graph_to_dict(q),
     }
 
@@ -233,10 +233,10 @@ def _cmd_cw(spec: DynkinSpec, ns) -> tuple[bool, dict]:
         "summary": str(summary),
         "records": [dict(r._asdict(), vertices=list(r.vertices)) for r in summary.records],
         "sinks": list(summary.chain.sinks),
-        "iota": list(summary.chain.iota_terms),
-        "pi": list(summary.chain.pi_terms),
         "checks": _checks_json(summary.report),
     }
+    if ns.json:
+        result.update(iota=list(summary.chain.iota_terms), pi=list(summary.chain.pi_terms))
     return bool(summary.report.ok), result
 
 

@@ -42,7 +42,6 @@ from ampgraph.algebra import (
     _fold_into,
     _label_map,
     _prefix_fold,
-    compose,
     compose_tables,
     projection_word,
     verify_ck_family,
@@ -940,10 +939,12 @@ def watch_patch_builds(monkeypatch, seen) -> None:
 # ---------------------------------------------------------------------------
 # chain corpora and composite oracles
 #
-# The composite oracles fold validated maps, one ``compose`` per step, where
-# ``KKChain`` folds generator tables and builds one map.  They share the
-# element arithmetic of ``compose``; what they check independently is the
-# fold, and the quotient by every sink at once against the steps' quotients.
+# The composite oracles fold validated maps, one per step, each composed on
+# full tables by ``compose_tables_oracle``, where ``KKChain`` folds generator
+# tables with ``_fold_into`` and builds one map.  ``compose`` folds with
+# ``_fold_into`` too, so it is not used here: what the oracles check
+# independently is the fold, and the quotient by every sink at once against
+# the steps' quotients.
 
 
 #: Gr(2,4), Gr(2,5), Gr(3,6), Gr(3,7), full A3 and A4 {1,3}: the benchmark's cw ladder
@@ -1022,22 +1023,23 @@ def corrupted_chains(seed: int = 6, trials: int = 400):
 
 
 def composite_section_oracle(chain) -> GeneratorMap:
-    """``sigma_1 . sigma_2 . ...``, one validated map per step."""
+    """``sigma_1 . sigma_2 . ...``, one validated map per step, composed on full tables
+    (:func:`compose_tables_oracle`), not by the fold ``compose`` shares with the chain."""
     if not chain.steps:
         return GeneratorMap.identity(chain.ambient)
     out = chain.steps[0].sigma
     for sd in chain.steps[1:]:
-        out = compose(out, sd.sigma)
+        out = GeneratorMap(*compose_tables_oracle(out, sd.sigma))
     return out
 
 
 def composite_quotient_oracle(chain) -> GeneratorMap:
-    """``q_k . ... . q_1``, one validated map per step."""
+    """``q_k . ... . q_1``, one validated map per step, composed on full tables."""
     if not chain.steps:
         return GeneratorMap.identity(chain.ambient)
     out = chain.steps[0].quotient_map
     for sd in chain.steps[1:]:
-        out = compose(sd.quotient_map, out)
+        out = GeneratorMap(*compose_tables_oracle(sd.quotient_map, out))
     return out
 
 

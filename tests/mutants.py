@@ -117,17 +117,29 @@ MUTANTS = {
     ),
     "composite-drops-outer-vertex-moves": (
         ALGEBRA,
-        "        _composed(outer.vertex_patch, inner.vertex_patch, src.__contains__),\n",
-        "        _composed(outer.vertex_patch, inner.vertex_patch, lambda v: False),\n",
+        "        {v: table for v, table in tables.items() if v in inner.source and table != {v: 1}},\n",
+        "        {v: table for v, table in tables.items() if v in inner.vertex_patch and table != {v: 1}},\n",
         [PATCH + "test_patch_checks_match_full_tables_on_random_chains",
          PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
     ),
     "composite-drops-outer-family-moves": (
         ALGEBRA,
-        "        _composed(outer.family_patch, inner.family_patch, lambda fam: src.has_family(*fam)),\n",
-        "        _composed(outer.family_patch, inner.family_patch, lambda fam: False),\n",
+        "        {f: tpl for f, tpl in templates.items() if inner.source.has_family(*f) and tpl != {f: 1}},\n",
+        "        {f: tpl for f, tpl in templates.items() if f in inner.family_patch and tpl != {f: 1}},\n",
         [PATCH + "test_patch_checks_match_full_tables_on_random_chains",
          PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
+    ),
+    "composite-keeps-a-fixed-vertex": (
+        ALGEBRA,
+        "        {v: table for v, table in tables.items() if v in inner.source and table != {v: 1}},\n",
+        "        {v: table for v, table in tables.items() if v in inner.source},\n",
+        [PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
+    ),
+    "composite-keeps-a-fixed-family": (
+        ALGEBRA,
+        "        {f: tpl for f, tpl in templates.items() if inner.source.has_family(*f) and tpl != {f: 1}},\n",
+        "        {f: tpl for f, tpl in templates.items() if inner.source.has_family(*f)},\n",
+        [PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map"],
     ),
     "prefix-skips-the-star-column": (
         ALGEBRA,
@@ -267,8 +279,8 @@ MUTANTS = {
     ),
     "push-table-drops-coefficient-product": (
         ALGEBRA,
-        "            acc[y] = acc.get(y, 0) + c * d\n",
-        "            acc[y] = acc.get(y, 0) + d\n",
+        "        z = acc.get(y, 0) + c * d\n",
+        "        z = acc.get(y, 0) + d\n",
         [ALG + "test_compose_matches_pointwise_application"],
     ),
     "range-counts-accepts-minus-one": (

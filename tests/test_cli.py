@@ -205,6 +205,18 @@ def test_non_hereditary_quotient_is_exit_1():
     assert empty.exit_code == 1 and empty.error == "expected a comma-separated vertex list, got ','"
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_quotient_names_a_repeated_vertex_once(capsys, as_json):
+    outputs = []
+    for remove in ("v4,v5,v4", "v4,v5"):
+        argv = ["quotient", EXAMPLE, "--remove", remove] + (["--json"] if as_json else [])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        outputs.append(json.loads(out)["result"] if as_json else out)
+    # the --json reports differ only in the echoed command
+    assert outputs[0] == outputs[1]
+
+
 def test_unknown_subcommand_maps_to_1(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
@@ -437,6 +449,27 @@ def test_cw_summary_matches_library():
     report = run_command(["cw", "--rank", "3", "--tag", "2"])
     assert report.result["summary"] == str(cw_kk_summary(DynkinSpec(3, frozenset({2}))))
     assert report.exit_code == 0
+
+
+def test_plain_cw_builds_no_summand(monkeypatch, capsys):
+    # the plain rendering prints no summand, so only --json builds the lists
+    from ampgraph import DynkinSpec, KKChain, cw_kk_summary
+
+    def boom(chain):
+        raise AssertionError("a summand list was built")
+
+    argv = ["cw", "--rank", "4", "--tag", "1,2,3,4"]
+    monkeypatch.setattr(KKChain, "iota_terms", property(boom))
+    monkeypatch.setattr(KKChain, "pi_terms", property(boom))
+    assert main(argv) == 0
+    assert "sinks removed:" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="a summand list was built"):
+        run_command(argv + ["--json"])
+    monkeypatch.undo()
+    report = run_command(argv + ["--json"])
+    chain = cw_kk_summary(DynkinSpec(4, frozenset({1, 2, 3, 4}))).chain
+    assert report.exit_code == 0
+    assert (report.result["iota"], report.result["pi"]) == (list(chain.iota_terms), list(chain.pi_terms))
 
 
 def test_hereditary_bound_env(monkeypatch):

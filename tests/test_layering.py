@@ -31,7 +31,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ampgraph"
 LAYOUT = {
     "vertex_images", "edge_images", "vertex_patch", "family_patch", "_push",
-    "_check_composable", "word_mul", "_image", "_pull",
+    "_check_composable", "word_mul", "_image",
 }
 STORAGE = {"_t", "_keep", "_Tables", "_on", "_at", "_mask", "_labels", "_kept", "_shape"}
 #: The module that defines each guarded name: a map's layout is algebra's,
@@ -131,12 +131,12 @@ def test_the_definition_scan_sees_each_form():
 
 def test_the_layout_scan_sees_reads_and_imports():
     source = (
-        "from .algebra import _pull, verify_ck_family\n"
+        "from .algebra import _image, verify_ck_family\n"
         "x = m.vertex_images[v]\n"
         "t = m.edge_images[f]\n"
     )
     assert _uses(ast.parse(source), LAYOUT) == [
-        "line 1: imports _pull",
+        "line 1: imports _image",
         "line 2: reads .vertex_images",
         "line 3: reads .edge_images",
     ]

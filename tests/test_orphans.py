@@ -4,6 +4,9 @@ A private (``_name``, not dunder) function, method or class that the
 package defines must be referred to by some other code of the package: a
 name, an attribute or an imported name anywhere outside its own body.  A
 deletion that leaves a helper with no caller fails here, not in review.
+A public module-level function must be exported in ``ampgraph.__all__`` or
+be referred to the same way, unless :data:`KEPT_PUBLIC` gives the reason it
+stays.
 
 Every record keeps its state in its instance dict: ``_Frozen`` alone
 refuses assignment and deletion and restores a copy, and ``_built`` alone
@@ -13,6 +16,8 @@ itself, by ``def`` or by assignment, fails here.
 
 import ast
 import pathlib
+
+import ampgraph
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ampgraph"
 
@@ -32,13 +37,19 @@ def _names(tree: ast.AST) -> list[str]:
     return out
 
 
-def orphans(root: pathlib.Path) -> list[str]:
-    """``file:line name`` of each private definition under ``root`` that no other code refers to."""
+def _parsed(root: pathlib.Path) -> tuple[dict, dict[str, int]]:
+    """The tree of each module under ``root``, and how often each name is referred to across them."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(root.glob("*.py"))}
     refs: dict[str, int] = {}
     for tree in trees.values():
         for name in _names(tree):
             refs[name] = refs.get(name, 0) + 1
+    return trees, refs
+
+
+def orphans(root: pathlib.Path) -> list[str]:
+    """``file:line name`` of each private definition under ``root`` that no other code refers to."""
+    trees, refs = _parsed(root)
     out = []
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -47,6 +58,20 @@ def orphans(root: pathlib.Path) -> list[str]:
                 continue
             if refs.get(name, 0) == _names(node).count(name):
                 out.append(f"{path.name}:{node.lineno} {name}")
+    return out
+
+
+def public_orphans(root: pathlib.Path, exported) -> list[str]:
+    """``file:line name`` of each public module-level function under ``root`` that is not in
+    ``exported`` and that no other code refers to."""
+    trees, refs = _parsed(root)
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in exported and refs.get(node.name, 0) == _names(node).count(node.name):
+                out.append(f"{path.name}:{node.lineno} {node.name}")
     return out
 
 
@@ -63,6 +88,31 @@ def test_the_guard_sees_a_helper_left_behind(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import _Box\n")
     assert orphans(tmp_path) == ["a.py:4 _left", "a.py:7 _recursive", "a.py:11 _unread"]
+
+
+#: each public function kept with no caller and no export -> why it stays
+KEPT_PUBLIC = {
+    "weyl_group": "perfbench/spans.py wraps it; it leaves src/ with the brute-force references (ROADMAP item 3)",
+    "smith_normal_form": "perfbench/spans.py wraps it; it leaves src/ with the brute-force references (ROADMAP item 3)",
+}
+
+
+def test_every_public_function_is_exported_or_called():
+    """The allowlist names exactly the public orphans, so an entry that gains a caller leaves it too."""
+    found = public_orphans(SRC, set(ampgraph.__all__))
+    assert sorted(entry.split()[1] for entry in found) == sorted(KEPT_PUBLIC), found
+
+
+def test_the_guard_sees_a_public_function_left_behind(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def exported():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def left(n):\n    return left(n - 1) if n else 0\n\n"
+        "def _private():\n    return 0\n\n"
+        "class Box:\n    def unread(self):\n        return self\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Box, _private\n\ndef stray():\n    return Box()\n")
+    assert public_orphans(tmp_path, {"exported"}) == ["a.py:7 left", "b.py:3 stray"]
 
 
 #: each hook of a record -> the one class that may define it
