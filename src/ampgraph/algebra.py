@@ -65,9 +65,10 @@ Unitality is a count: every unmoved label adds 1 at its own target vertex,
 the moved tables add their sums, and the total must be 1 on exactly as many
 vertices as the target has.  :func:`verify_ck_family` reads each of these
 once: one pass over the moved tables, one over the moved templates, one
-over the unmoved families at a moved vertex the target keeps (at a vertex
-the target lacks every family is moved, or the map is refused), then the
-users of each target vertex and family.  Composition and the section
+over the rows of the moved vertices the target keeps, which name the
+unmoved families there that fail and no other (at a vertex the target
+lacks every family is moved, or the map is refused), then the users of
+each target vertex and family.  Composition and the section
 identity work on patches too: a composite moves only what its inner map
 moves and what its outer map moves among the inner map's labels.  Every
 composite, :func:`compose`'s included, is folded by :func:`_fold_into`; a
@@ -617,8 +618,9 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     projection defect, the users of each target vertex and the unit sums;
     one pass over the moved templates collects the range sums, the
     isometry, CK1 and CK2 defects and the users of each target family; one
-    pass over the unmoved families at a moved vertex the target keeps adds
-    their CK1 and CK2 defects (a vertex the target lacks has every family
+    pass over the rows of the moved vertices the target keeps adds the CK1
+    and CK2 defects of the unmoved families there, listing no other
+    (:func:`_unmoved_defects`; a vertex the target lacks has every family
     moved, or the map would have been refused).  The users then give the
     orthogonality, cross CK1 and unital verdicts.  Each detail names the
     same least pair or first generator in sorted order as a check of every
@@ -669,15 +671,9 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
         if not (isometry and held):
             ck2.append(f)
 
-    # an unmoved family goes to itself: CK1 fails into a moved vertex, CK2
-    # out of one whose table lacks its own projection
-    kept = [v for v in vpatch if v in target]
-    for f in src.families_at(kept) if kept else ():
-        if f not in fpatch:
-            if f[1] in vpatch:
-                ck1.append((f, f))
-            if f[0] in vpatch and vpatch[f[0]].get(f[0]) != 1:
-                ck2.append(f)
+    unmoved = _unmoved_defects(src, target, vpatch, fpatch)
+    ck1 += unmoved[0]
+    ck2 += unmoved[1]
 
     cross: dict[tuple, dict[str, int]] = {}
     for t, fs in fam_users.items():
@@ -711,6 +707,39 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
         return _PASSED[require_unital]
     return _ck_report(not_projection, min(collided, default=None), min(not_isometry, default=None),
                       min(ck1, default=None), min(ck2, default=None), unital, require_unital)
+
+
+def _unmoved_defects(src: AmpGraph, target: AmpGraph, vpatch: dict, fpatch: dict) -> tuple[list, list]:
+    """The CK1 pairs and CK2 families at which the unmoved families fail, read off rows.
+
+    An unmoved family goes to itself, so CK1 fails into a moved vertex and
+    CK2 out of one whose table lacks its own projection.  Each has an end at
+    a moved vertex the target keeps: it is that vertex's in-neighbour, or
+    its successor, less the other ends of the templates moved there.  The
+    rows are read under the mask, and only failing families are listed.
+    """
+    ck1, ck2 = [], []
+    kept = [v for v in vpatch if v in target]
+    if not kept:
+        return ck1, ck2
+    into: dict[str, list[str]] = {}
+    for a, b in fpatch:
+        into.setdefault(b, []).append(a)
+    for v in kept:
+        for u in src._neighbours_less(v, into.get(v, ()), True):
+            ck1.append(((u, v), (u, v)))
+            if u in vpatch and vpatch[u].get(u) != 1:
+                ck2.append((u, v))
+    short = [v for v in kept if vpatch[v].get(v) != 1]
+    if short:
+        out_of: dict[str, list[str]] = {}
+        for a, b in fpatch:
+            out_of.setdefault(a, []).append(b)
+        # a successor that is kept and moved was counted at its range
+        counted = set(kept)
+        for v in short:
+            ck2 += [(v, w) for w in src._neighbours_less(v, out_of.get(v, ()), False) if w not in counted]
+    return ck1, ck2
 
 
 def _ck_report(not_projection, pair, bad_fam, ck1_fail, ck2_fail, unital: bool,

@@ -23,6 +23,14 @@ in-neighbour of a kept vertex stays among the kept vertices.  Every lookup
 reads the tables under the mask, so a quotient builds its vertex and family
 lists only when they are read.
 
+A removal chain reads what decides each step and no more.  A graph whose
+families all go to later positions is acyclic, its positions being a
+topological order, so the shape walk of a flag graph reads no reach mask,
+nor does a star test at a source: a flag chain, whose every star is the
+source ``e``, builds none.  A cut of one sink records the last shape facts
+read above it and derives its own only when they are read, so a chain
+whose steps name their sinks builds no sink tuple past its input's.
+
 All values are immutable and all operations are pure: they return new graphs
 and never mutate shared state.  Vertex-set results are emitted as tuples
 sorted in vertex order so that reports are reproducible bit for bit.
@@ -30,7 +38,7 @@ sorted in vertex order so that reports are reproducible bit for bit.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import Mapping
 from itertools import accumulate, chain, compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
@@ -179,21 +187,31 @@ class _Tables:
             self._pred = tuple(pred)
         return self._pred
 
+    def behind(self) -> list[int]:
+        """The rows with a family to a position at or below their own, in order.
+
+        A row's first range position is its least, so each row is read once.
+        With no such row every family goes to a later position, and the
+        positions are a topological order.
+        """
+        heads, starts = self.heads, self.starts
+        return [i for i in range(len(self.succ)) if starts[i] < starts[i + 1] and heads[starts[i]] <= i]
+
     def reach(self) -> tuple[int, ...]:
         """Bit ``j`` of entry ``i``: a directed path of length >= 1 from i to j.
 
         The least fixpoint of ``reach[i] = succ[i] | reach[j]`` over the range
         positions j of row i, folded in place by sweeps from the last
         position down until one changes nothing.  A row whose families go
-        to no earlier position reads only itself and rows the sweep has
-        already folded, so when no row has a family to an earlier position
-        the first sweep is the fixpoint and the only one: one sweep on a
-        flag graph, whose families all go to later positions.
+        to later positions reads only rows the sweep has already folded, so
+        when no row is :meth:`behind` the first sweep is the fixpoint and the
+        only one.  A flag chain reads none of it: its families all go to
+        later positions, which decides acyclicity, and its stars are sources.
         """
         if self._reach is None:
             succ, heads, starts = self.succ, self.heads, self.starts
             reach = list(succ)
-            back = any(heads[starts[i]] < i for i in range(len(reach)) if starts[i] < starts[i + 1])
+            back = bool(self.behind())
             changed = True
             while changed:
                 changed = False
@@ -443,6 +461,18 @@ class AmpGraph(_Frozen):
             out += [(src, t.labels[j]) for j in _bits(hit)]
         return out
 
+    def _neighbours_less(self, v: str, ends: Iterable[str], into: bool) -> tuple[str, ...]:
+        """The kept in-neighbours of ``v`` (``into``) or its kept successors, less the labels
+        ``ends``, in vertex order: one row under the mask, the bits of ``ends`` cleared."""
+        t = self._t
+        i = self._at(v)
+        row = (t.pred()[i] if into else t.succ[i]) & self._keep
+        for u in ends:
+            j = t.pos.get(u)
+            if j is not None:
+                row &= ~(1 << j)
+        return self._labels(row) if row else ()
+
     @property
     def is_amplified(self) -> bool:
         """No kept vertex is the range of a finite family: one mask test, no shape walk."""
@@ -453,8 +483,10 @@ class AmpGraph(_Frozen):
     def classify(self) -> GraphClass:
         """Classify the graph: amplification, acyclicity, sinks and sources.
 
-        Computed once per graph, or derived from its parent's by a one-sink
-        cut (see :meth:`quotient`); every later call returns the same value.
+        Computed once per graph, or derived by a one-sink cut from the last
+        facts read above it (see :meth:`quotient`); every later call returns
+        the same value.  Acyclicity reads no reach mask when every kept
+        vertex's families go to later positions.
         """
         return self._shape
 
@@ -463,26 +495,32 @@ class AmpGraph(_Frozen):
         t, keep = self._t, self._keep
         cut = self.__dict__.get("_cut")
         if cut is not None:
-            # the parent's facts less one sink at position i: no family left
-            # it, so no source and no cycle changes, and the new sinks are
-            # its in-neighbours with no kept successor, each inserted in
-            # vertex order by one bisection
-            parent, i = cut
-            v = t.labels[i]
-            sinks = list(parent.sinks)
-            sinks.remove(v)
-            for u in _bits(t.pred()[i] & keep):
-                if not t.succ[u] & keep:
-                    insort(sinks, t.labels[u], key=t.pos.__getitem__)
-            sources = parent.sources
-            if v in sources:
-                sources = tuple(s for s in sources if s != v)
-            return GraphClass(self.is_amplified, parent.acyclic, tuple(sinks), sources)
-        kept = list(self._kept())
-        pred, reach = t.pred(), t.reach()
+            # the facts of a graph this one was cut from one sink at a time:
+            # no family left a removed sink, so no source and no cycle
+            # changes, and the new sinks are the removed sinks' kept
+            # in-neighbours with no kept successor
+            base, base_keep = cut
+            gone = list(_bits(base_keep & ~keep))
+            pred, succ, labels = t.pred(), t.succ, t.labels
+            cut_away = {labels[j] for j in gone}
+            new = {labels[u] for j in gone for u in _bits(pred[j] & keep) if not succ[u] & keep}
+            sinks = [v for v in base.sinks if v not in cut_away]
+            if new:
+                sinks = sorted(sinks + list(new), key=t.pos.__getitem__)
+            sources = base.sources
+            if not cut_away.isdisjoint(sources):
+                sources = tuple(s for s in sources if s not in cut_away)
+            return GraphClass(self.is_amplified, base.acyclic, tuple(sinks), sources)
+        kept, pred = list(self._kept()), t.pred()
+        # no kept row is behind: the positions are a topological order, and
+        # no reach mask is read
+        acyclic = not any(keep >> i & 1 for i in t.behind())
+        if not acyclic:
+            reach = t.reach()
+            acyclic = not any(reach[i] >> i & 1 for i in kept)
         return GraphClass(
             amplified=self.is_amplified,
-            acyclic=not any(reach[i] >> i & 1 for i in kept),
+            acyclic=acyclic,
             sinks=tuple(t.labels[i] for i in kept if not t.succ[i] & keep),
             sources=tuple(t.labels[i] for i in kept if not pred[i] & keep),
         )
@@ -569,12 +607,14 @@ class AmpGraph(_Frozen):
 
         A cut of one sink (no kept family out, a self-loop included) from a
         graph whose shape facts are read, or carried, carries them: the
-        quotient records its parent's :class:`GraphClass` and the sink, and
-        derives its own when first read, in the sink's in-degree.  Removing
-        a sink creates no source and no cycle; its in-neighbours with no
-        other kept successor become sinks.  A carried parent not yet read is
-        derived first, so no derivation recurses.  Every other cut walks its
-        kept vertices when its facts are read.
+        quotient records the :class:`GraphClass` of the last graph above it
+        whose facts were read, with that graph's mask, and derives its own
+        only when first read, in the in-degrees of the sinks removed since.
+        Removing a sink creates no source and no cycle; its in-neighbours
+        with no other kept successor become sinks.  A carried parent is not
+        read, so a chain of cuts builds no sink tuple until one is asked
+        for, and no derivation recurses.  Every other cut walks its kept
+        vertices when its facts are read.
         """
         removed = tuple(removed)
         drop = self._mask(removed)
@@ -582,9 +622,9 @@ class AmpGraph(_Frozen):
             raise ValueError(f"{sorted(removed)!r} is not hereditary: not a valid ideal")
         keep, i = self._keep & ~drop, drop.bit_length() - 1
         known = self.__dict__
-        if drop.bit_count() == 1 and not self._t.succ[i] & self._keep and (
-                "_shape" in known or "_cut" in known):
-            return AmpGraph._on(self._t, keep, _cut=(self._shape, i))
+        base = (known["_shape"], self._keep) if "_shape" in known else known.get("_cut")
+        if base is not None and drop.bit_count() == 1 and not self._t.succ[i] & self._keep:
+            return AmpGraph._on(self._t, keep, _cut=base)
         return AmpGraph._on(self._t, keep)
 
     # -- path-preserving edge addition ------------------------------------
@@ -639,15 +679,20 @@ def is_star(g: AmpGraph, sink: str, v: str) -> bool:
     """Whether ``v`` is an admissible star for splitting off the sink ``sink``, read off ``v``'s in-neighbours.
 
     ``v`` qualifies when it is a vertex other than ``sink`` whose every
-    in-neighbour reaches ``sink``; a source qualifies vacuously.  A ``sink``
-    the graph does not keep, unknown or cut away, has no star.
+    in-neighbour reaches ``sink``; a source qualifies vacuously, with no
+    reach mask read, so the masks are searched only for a candidate with an
+    in-neighbour.  A ``sink`` the graph does not keep, unknown or cut away,
+    has no star.
     """
     t, keep = g._t, g._keep
     i, s = t.pos.get(v), t.pos.get(sink)
     if i is None or s is None or i == s or not (keep >> i & 1 and keep >> s & 1):
         return False
+    into = t.pred()[i] & keep
+    if not into:
+        return True
     bit, reach = 1 << s, t.reach()
-    return all(reach[u] & bit for u in _bits(t.pred()[i] & keep))
+    return all(reach[u] & bit for u in _bits(into))
 
 
 def missing_families(g: AmpGraph, sink: str, star: str) -> list[tuple[str, str]]:

@@ -33,6 +33,13 @@ tables under a smaller mask, and validates the step on it, a verdict
 stabilising cannot change (:func:`_plan` has the argument); the steps run
 on those graphs unless stabilising adds families, when the chain is cut
 once more from the ambient graph's tables.
+
+Each step reads only what decides it.  The planner knows a sink exists
+from the input: a cut of an acyclic graph with a vertex left has one, so
+only a cyclic input has its step graphs' sinks read, and a policy is
+handed them; :func:`multi_sink_splitting` names each sink and reads its
+row.  The families a step's section needs, which stabilising has just
+shown present, are listed again only to name a failing step.
 """
 
 from __future__ import annotations
@@ -88,8 +95,9 @@ class SplitData(NamedTuple):
 
 
 def _splitting_map(working: AmpGraph, source: AmpGraph, sink: str, star: str | None) -> GeneratorMap:
-    """The section out of ``source``, the cut of ``working`` by ``sink``, built as it stands:
-    :func:`_split` has refused a ``working`` without a family ``v -> sink`` it names."""
+    """The section out of ``source``, the cut of ``working`` by ``sink``, built as it stands: a
+    family ``v -> sink`` it names and ``working`` lacks fails its relation check, and :func:`_split`
+    then names the families missing."""
     if star is None:
         return _from_patch(source, working, {}, {})
     return _from_patch(source, working, {star: {star: 1, sink: 1}},
@@ -128,11 +136,12 @@ def _check_step(g: AmpGraph, sink: str, star: str | None) -> None:
 
 
 def _split(original: AmpGraph, working: AmpGraph, quotient_graph: AmpGraph, sink: str, star: str | None, augmented: tuple) -> SplitData:
-    """Build and verify the two maps of a checked step on its stabilised graph."""
-    if star is not None and (missing := missing_families(working, sink, star)):
-        raise VerificationFailure(
-            f"ambient graph not stabilised: step {sink!r} still added {tuple(missing)}"
-        )
+    """Build and verify the two maps of a checked step on its stabilised graph.
+
+    The families the section needs are listed only to name a refusal: each
+    one ``working`` lacks is named by a template of the section, which then
+    is no partial isometry of ``working``, so the step fails its checks.
+    """
     sd = SplitData(
         original=original,
         working=working,
@@ -144,6 +153,10 @@ def _split(original: AmpGraph, working: AmpGraph, quotient_graph: AmpGraph, sink
     )
     section, quot, moved, failure = checks = _step_checks(sd)
     if not (section.ok and quot is _PASSED[True] and moved is None and failure is None):
+        if star is not None and (missing := missing_families(working, sink, star)):
+            raise VerificationFailure(
+                f"ambient graph not stabilised: step {sink!r} still added {tuple(missing)}"
+            )
         raise VerificationFailure(
             "splitting construction failed verification:\n" + _split_report(sd, *checks).render()
         )
@@ -196,7 +209,8 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
 
 
 #: A policy picks ``(sink, star)`` for the current graph; ``sinks`` is the
-#: tuple of available sinks in vertex order.
+#: tuple of available sinks in vertex order, read off the graph's
+#: :meth:`~ampgraph.graphs.AmpGraph.classify` for each call.
 StarPolicy = Callable[[AmpGraph, tuple[str, ...]], tuple[str, str | None]]
 
 
@@ -310,8 +324,12 @@ class KKChain(NamedTuple):
         return tuple(names)
 
 
-def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int) -> tuple[list[tuple[str, str | None]], list[AmpGraph]]:
-    """The policy's ``(sink, star)`` for each step, and the graphs it cuts.
+#: The planner's pick for the current graph: the step's sink and star.
+_Pick = Callable[[AmpGraph], tuple[str, str | None]]
+
+
+def _plan(g: AmpGraph, pick: _Pick, n_steps: int) -> tuple[list[tuple[str, str | None]], list[AmpGraph]]:
+    """The ``(sink, star)`` ``pick`` makes for each step, and the graphs it cuts.
 
     ``graphs[i]`` is ``g`` without the first ``i`` sinks, ``g``'s tables
     under a mask; :func:`_check_step` refuses there each step it cannot
@@ -323,19 +341,21 @@ def _plan(g: AmpGraph, policy: StarPolicy, n_steps: int) -> tuple[list[tuple[str
     is ruled out for a sink ``t`` by ``v`` only if ``v`` misses ``t``, and
     then so does ``u``, which ``v`` reaches and which already rules ``w`` out.
 
-    Each graph is a one-sink cut of the last, whose shape facts the planner
-    has read, so it carries them (:meth:`~ampgraph.graphs.AmpGraph.quotient`):
-    its sinks are derived in the removed sink's in-degree, and only ``g``
-    is walked.  The stabilised chain's graphs carry them the same way.
+    A graph with a vertex left, cut from an acyclic ``g``, is acyclic and
+    so has a sink; only a graph cut from a cyclic ``g``, or emptied, has its
+    sinks read to know it has one.  Each graph is a one-sink cut of the
+    last, so when its facts are read it derives them from the last facts
+    read (:meth:`~ampgraph.graphs.AmpGraph.quotient`), and only ``g`` is
+    walked.
     """
     plan: list[tuple[str, str | None]] = []
     graphs = [g]
+    acyclic, size = g.classify().acyclic, len(g)
     for step in range(1, n_steps + 1):
         current = graphs[-1]
-        sinks = current.classify().sinks
-        if not sinks:
+        if not (acyclic and step <= size) and not current.classify().sinks:
             raise ValueError("graph has no sink: removal chain cannot proceed")
-        sink, star = policy(current, sinks)
+        sink, star = pick(current)
         if star is not None and star not in current:
             raise ValueError(
                 f"star {star!r} of step {step} (sink {sink!r}) is not "
@@ -375,9 +395,9 @@ def _stabilize(g: AmpGraph, plan: Sequence[tuple[str, str | None]]) -> tuple[Amp
             added.append((v, w))
 
 
-def _run_chain(g: AmpGraph, policy: StarPolicy, n_steps: int) -> KKChain:
-    """Plan ``n_steps`` removals, stabilise, then split each step."""
-    plan, graphs = _plan(g, policy, n_steps)
+def _run_chain(g: AmpGraph, pick: _Pick, n_steps: int) -> KKChain:
+    """Plan ``n_steps`` removals as ``pick`` makes them (see :func:`_plan`), stabilise, then split each step."""
+    plan, graphs = _plan(g, pick, n_steps)
     ambient, added = _stabilize(g, plan)
     if added:
         graphs = [ambient]
@@ -399,14 +419,15 @@ def multi_sink_splitting(
 
     Each listed vertex must be a sink of the graph remaining at its step.
     ``stars[i]`` may be ``None`` for the embedding section; with ``stars``
-    omitted the first valid star is chosen at every step.  It plans as
-    :func:`kk_chain` does, with a policy reading step ``i`` off the lists.
+    omitted the first valid star is chosen at every step.  It plans with
+    :func:`kk_chain`'s planner, picking step ``i`` off the lists by the
+    listed sink's row, so no step graph's sinks are read.
     """
     if stars is not None and len(stars) != len(sinks):
         raise ValueError("sinks and stars must have equal length")
     n = len(g)
 
-    def listed(current: AmpGraph, _sinks: tuple[str, ...]) -> tuple[str, str | None]:
+    def listed(current: AmpGraph) -> tuple[str, str | None]:
         i = n - len(current)
         if not current.is_sink(sinks[i]):
             raise ValueError(f"{sinks[i]!r} is not a sink of the remaining graph")
@@ -442,4 +463,5 @@ def kk_chain(g: AmpGraph, policy: StarPolicy = first_sink_first_star) -> KKChain
         raise ValueError("kk_chain requires an acyclic graph")
     if not len(g):
         raise ValueError("kk_chain requires at least one vertex")
-    return _run_chain(g, policy, len(g) - 1)
+
+    return _run_chain(g, lambda current: policy(current, current.classify().sinks), len(g) - 1)

@@ -1176,6 +1176,21 @@ def stabilize_oracle(g: AmpGraph, plan) -> tuple[AmpGraph, tuple[tuple[str, str]
             added.append((v, w))
 
 
+def unmoved_defects_listing_oracle(src: AmpGraph, target: AmpGraph, vpatch: dict, fpatch: dict) -> tuple[list, list]:
+    """The CK1 pairs and CK2 families at which the unmoved families fail, as
+    ``verify_ck_family`` found them before it read rows: every family with an
+    end at a moved vertex the target keeps is listed and tested."""
+    kept = [v for v in vpatch if v in target]
+    ck1, ck2 = [], []
+    for f in src.families_at(kept) if kept else ():
+        if f not in fpatch:
+            if f[1] in vpatch:
+                ck1.append((f, f))
+            if f[0] in vpatch and vpatch[f[0]].get(f[0]) != 1:
+                ck2.append(f)
+    return ck1, ck2
+
+
 def with_images(m: GeneratorMap, vimgs=None, eimgs=None) -> GeneratorMap:
     return GeneratorMap(
         m.source,

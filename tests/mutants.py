@@ -65,7 +65,7 @@ MUTANTS = {
     ),
     "ck1-skips-unmoved-families-into-moved-vertex": (
         ALGEBRA,
-        "            if f[1] in vpatch:\n                ck1.append((f, f))\n",
+        "            ck1.append(((u, v), (u, v)))\n",
         "",
         [PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map",
          RELATIONS + "test_template_checker_matches_word_level_oracle"],
@@ -79,8 +79,8 @@ MUTANTS = {
     ),
     "ck2-skips-families-out-of-moved-vertex": (
         ALGEBRA,
-        "            if f[0] in vpatch and vpatch[f[0]].get(f[0]) != 1:\n                ck2.append(f)\n",
-        "",
+        "            ck2 += [(v, w) for w in src._neighbours_less(v, out_of.get(v, ()), False) if w not in counted]\n",
+        "            pass\n",
         [PATCH + "test_patch_checks_match_full_tables_on_every_corrupted_map",
          RELATIONS + "test_template_checker_matches_word_level_oracle"],
     ),
@@ -503,6 +503,12 @@ MUTANTS = {
         "        return bool(t.succ[i] >> j & 1)\n",
         [GRAPH + "test_quotients_equal_fresh_graphs"],
     ),
+    "plus-drops-the-reach-masks": (
+        GRAPHS,
+        "t.finite, t._reach = self.labels, self.pos, self.counts, self.finite, self._reach\n",
+        "t.finite, t._reach = self.labels, self.pos, self.counts, self.finite, None\n",
+        [SPLIT + "test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks"],
+    ),
     "plus-leaves-the-new-family-out-of-mult": (
         GRAPHS,
         "        t.heads = self.heads[:at] + (j,) + self.heads[at:]\n",
@@ -531,8 +537,8 @@ MUTANTS = {
     ),
     "star-query-ignores-the-sink-bit": (
         GRAPHS,
-        "    return all(reach[u] & bit for u in _bits(t.pred()[i] & keep))\n",
-        "    return all(reach[u] for u in _bits(t.pred()[i] & keep))\n",
+        "    return all(reach[u] & bit for u in _bits(into))\n",
+        "    return all(reach[u] for u in _bits(into))\n",
         [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it",
          SPLIT + "test_every_path_names_a_bad_star_before_stabilising"],
     ),
@@ -663,30 +669,30 @@ MUTANTS = {
     # -- a chain step pays once for what it moves
     "carried-sinks-miss-a-new-sink": (
         GRAPHS,
-        "                    insort(sinks, t.labels[u], key=t.pos.__getitem__)\n",
-        "                    pass\n",
+        "                sinks = sorted(sinks + list(new), key=t.pos.__getitem__)\n",
+        "                pass\n",
         [GRAPH + "test_one_sink_cuts_carry_the_dense_models_shape_facts",
          GRAPH + "test_a_self_loop_singleton_is_cut_by_a_walk",
          SPLIT + "test_a_chain_walks_one_graph_for_its_shape_facts"],
     ),
     "carried-sources-keep-the-cut-sink": (
         GRAPHS,
-        "                sources = tuple(s for s in sources if s != v)\n",
+        "                sources = tuple(s for s in sources if s not in cut_away)\n",
         "                pass\n",
         [GRAPH + "test_one_sink_cuts_carry_the_dense_models_shape_facts",
          GRAPH + "test_a_self_loop_singleton_is_cut_by_a_walk"],
     ),
     "carry-applied-to-a-non-sink-singleton": (
         GRAPHS,
-        "        if drop.bit_count() == 1 and not self._t.succ[i] & self._keep and (",
-        "        if drop.bit_count() == 1 and (",
+        "        if base is not None and drop.bit_count() == 1 and not self._t.succ[i] & self._keep:\n",
+        "        if base is not None and drop.bit_count() == 1:\n",
         [GRAPH + "test_one_sink_cuts_carry_the_dense_models_shape_facts",
          GRAPH + "test_a_self_loop_singleton_is_cut_by_a_walk"],
     ),
     "carried-sinks-keep-the-cut-sink": (
         GRAPHS,
-        "            sinks.remove(v)\n",
-        "",
+        "            sinks = [v for v in base.sinks if v not in cut_away]\n",
+        "            sinks = list(base.sinks)\n",
         [GRAPH + "test_one_sink_cuts_carry_the_dense_models_shape_facts",
          SPLIT + "test_a_chain_walks_one_graph_for_its_shape_facts"],
     ),
@@ -719,8 +725,8 @@ MUTANTS = {
     ),
     "split-skips-the-missing-families-refusal": (
         SPLITTING,
-        "    if star is not None and (missing := missing_families(working, sink, star)):\n",
-        "    if False and (missing := missing_families(working, sink, star)):\n",
+        "        if star is not None and (missing := missing_families(working, sink, star)):\n",
+        "        if False and (missing := missing_families(working, sink, star)):\n",
         [SPLIT + "test_unstabilised_ambient_graph_is_reported"],
     ),
     # -- a quotient map is what its target lacks, read when asked -----------------
@@ -975,9 +981,69 @@ MUTANTS = {
     ),
     "reach-back-test-reads-each-rows-last-family": (
         GRAPHS,
-        "heads[starts[i]] < i for i",
-        "heads[starts[i + 1] - 1] < i for i",
-        [GRAPH + "test_reach_matches_a_path_search_with_backward_families_and_cycles"],
+        "starts[i + 1] and heads[starts[i]] <= i]",
+        "starts[i + 1] and heads[starts[i + 1] - 1] <= i]",
+        [GRAPH + "test_the_forward_test_decides_acyclicity_as_the_dense_model_does"],
+    ),
+    # -- a chain step reads only what decides it ------------------------------------
+    "forward-test-admits-a-self-loop": (
+        GRAPHS,
+        "heads[starts[i]] <= i]",
+        "heads[starts[i]] < i]",
+        [GRAPH + "test_the_forward_test_decides_acyclicity_as_the_dense_model_does",
+         GRAPH + "test_graph_matches_dense_model"],
+    ),
+    "forward-test-reads-the-rows-a-quotient-drops": (
+        GRAPHS,
+        "        acyclic = not any(keep >> i & 1 for i in t.behind())\n",
+        "        acyclic = not any(True for i in t.behind())\n",
+        [GRAPH + "test_the_forward_test_decides_acyclicity_as_the_dense_model_does"],
+    ),
+    "is-star-skips-reach-when-the-candidate-has-in-neighbours": (
+        GRAPHS,
+        "    if not into:\n        return True\n",
+        "    if True:\n        return True\n",
+        [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it",
+         SPLIT + "test_every_path_names_a_bad_star_before_stabilising"],
+    ),
+    "lazy-sink-tuple-misses-a-new-sink-of-an-earlier-cut": (
+        GRAPHS,
+        "{labels[u] for j in gone for u",
+        "{labels[u] for j in gone[-1:] for u",
+        [GRAPH + "test_one_sink_cuts_carry_the_dense_models_shape_facts",
+         SPLIT + "test_unread_step_graphs_derive_the_facts_a_walk_finds"],
+    ),
+    "no-sink-refusal-skipped-on-a-cyclic-graph": (
+        SPLITTING,
+        "        if not (acyclic and step <= size) and not current.classify().sinks:\n",
+        "        if not step <= size and not current.classify().sinks:\n",
+        [SPLIT + "test_a_graph_without_a_sink_cannot_start_a_chain",
+         SPLIT + "test_a_chain_without_a_sink_is_refused_before_its_step_is_read"],
+    ),
+    "planner-skips-the-star-test": (
+        SPLITTING,
+        "_check_step(current, sink, star)",
+        "_check_step(current, sink, None)",
+        [SPLIT + "test_every_path_names_a_bad_star_before_stabilising"],
+    ),
+    "mask-pass-ignores-an-unmoved-family-into-a-moved-vertex": (
+        ALGEBRA,
+        "        for u in src._neighbours_less(v, into.get(v, ()), True):\n",
+        "        for u in src._neighbours_less(v, into.get(v, ()), True)[1:]:\n",
+        [PATCH + "test_the_unmoved_pass_reads_rows_as_the_listing_decides",
+         PATCH + "test_a_template_keyed_by_a_pair_the_source_lacks_hides_no_unmoved_family"],
+    ),
+    "mask-pass-counts-a-template-keyed-by-a-pair-the-source-lacks": (
+        GRAPHS,
+        "                row &= ~(1 << j)\n",
+        "                row &= row - 1\n",
+        [PATCH + "test_a_template_keyed_by_a_pair_the_source_lacks_hides_no_unmoved_family"],
+    ),
+    "mask-pass-skips-a-family-out-of-a-moved-vertex-into-a-kept-one": (
+        ALGEBRA,
+        "                ck2.append((u, v))\n",
+        "                pass\n",
+        [PATCH + "test_the_unmoved_pass_reads_rows_as_the_listing_decides"],
     ),
 }
 

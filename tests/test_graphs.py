@@ -237,6 +237,37 @@ def test_reach_matches_a_path_search_with_backward_families_and_cycles(seed):
         assert [g.reachable_set(v) for v in labels] == [model.reachable_set(v) for v in labels]
 
 
+def test_the_forward_test_decides_acyclicity_as_the_dense_model_does():
+    """Random graphs with self-loops, backward families and a cycle, their
+    forward families alone, and every hereditary quotient of each: the
+    acyclic flag is the model's.  A graph reads no reach mask for it exactly
+    when every kept vertex's families in the tables go to later positions,
+    so a self-loop, and a quotient whose mask drops the range of a backward
+    family, are decided by the reach masks."""
+    rng = random.Random(9900)
+    seen = set()
+    for _ in range(60):
+        labels = tuple(f"u{i}" for i in range(rng.randint(2, 8)))
+        pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 2 * len(labels)))]
+        cycle = rng.sample(labels, rng.randint(1, len(labels)))
+        pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+        at = labels.index
+        for edges in (pairs, [(a, b) for a, b in pairs if at(a) < at(b)]):
+            model = DenseGraph(labels, edges)
+            for subset in sorted(hereditary_subsets_oracle(AmpGraph.from_edges(labels, edges))):
+                q, mq = AmpGraph.from_edges(labels, edges).quotient(subset), model.quotient(subset)
+                acyclic = q.classify().acyclic
+                assert acyclic == mq.classify()[1], (edges, subset)
+                goes_forward = all(at(a) < at(b) for a, b in edges if a in q)
+                assert (q._t._reach is None) == goes_forward, (edges, subset)
+                dropped = any(b not in q for a, b in edges if a in q and at(b) <= at(a))
+                loop = any(a == b for a, b in edges if a in q)
+                seen.add((goes_forward, acyclic, dropped, loop))
+    # forward; a kept loop; a cycle; a dropped backward range, alone or with another backward family
+    assert {(True, True, False, False), (False, False, False, True), (False, False, False, False),
+            (False, True, True, False), (False, True, False, False)} <= seen
+
+
 def test_enumerate_hereditary_example():
     g = example_graph()
     sets = g.enumerate_hereditary()

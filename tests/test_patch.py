@@ -45,6 +45,7 @@ from helpers import (
     section_identity_failure_patch_oracle,
     section_identity_failure_tables_oracle,
     splitting_map_oracle,
+    unmoved_defects_listing_oracle,
     verify_ck_family_tables_oracle,
     watch_patch_builds,
     with_images,
@@ -877,6 +878,45 @@ def test_the_relation_check_matches_full_tables_on_every_step_map():
     chains = [*golden_chains(), *corrupted_chains()]
     for m in {id(m): m for chain in chains for m in _step_maps(chain)}.values():
         _assert_map_matches(m)
+
+
+def test_the_unmoved_pass_reads_rows_as_the_listing_decides(monkeypatch):
+    """Every step map of the golden chains and of 40 random ones, and every
+    ``map_corruptions`` variant of each: the unmoved families that fail are
+    the ones the listing finds, and the reports, for both unital settings,
+    are the ones the listing pass gives."""
+    rng = random.Random(2039)
+    maps = [m for chain in golden_chains() + [random_chain(rng) for _ in range(40)] for m in _step_maps(chain)]
+    maps += [bad for m in list(maps) for bad in map_corruptions(m, rng)]
+    flagged = 0
+    for m in maps:
+        args = (m.source, m.target, m.vertex_patch, m.family_patch)
+        got, want = algebra._unmoved_defects(*args), unmoved_defects_listing_oracle(*args)
+        assert [sorted(set(half)) for half in got] == [sorted(set(half)) for half in want]
+        flagged += bool(want[0] or want[1])
+    reports = [verify_ck_family(m, unital) for m in maps for unital in (False, True)]
+    monkeypatch.setattr(algebra, "_unmoved_defects", unmoved_defects_listing_oracle)
+    assert [verify_ck_family(m, unital) for m in maps for unital in (False, True)] == reports
+    assert len(maps) > 3000 and flagged > 500
+
+
+def test_a_template_keyed_by_a_pair_the_source_lacks_hides_no_unmoved_family():
+    """A section built as it stands whose family patch carries ``z -> w``,
+    no family of its source, beside ``x -> w``, while ``y -> w`` stays
+    unmoved: CK1 fails first at the unmoved family into the star, which the
+    stray key does not stand in for."""
+    working = AmpGraph.from_edges(("x", "y", "z", "w", "s"),
+                                  [("x", "w"), ("y", "w"), ("w", "s"), ("x", "s"), ("y", "s")])
+    source = working.quotient(("s",))
+    moved = {("x", "w"): {("x", "w"): 1, ("x", "s"): 1}}
+    honest = algebra._from_patch(source, working, {"w": {"w": 1, "s": 1}},
+                                 {**moved, ("y", "w"): {("y", "w"): 1, ("y", "s"): 1}})
+    assert verify_ck_family(honest) is algebra._PASSED[True]
+    stray = algebra._from_patch(source, working, {"w": {"w": 1, "s": 1}}, {**moved, ("z", "w"): {}})
+    report = verify_ck_family(stray)
+    assert not report.check("ck1").passed
+    assert report.check("ck1").detail == "m(s)* m(s') defect for families ('y', 'w') , ('y', 'w') (same index)"
+    assert report == verify_ck_family_tables_oracle(stray)
 
 
 def test_a_passing_check_returns_the_shared_report_and_a_failing_one_never_does():

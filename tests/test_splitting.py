@@ -392,6 +392,23 @@ def test_a_graph_without_a_sink_cannot_start_a_chain():
         multi_sink_splitting(cycle, ["a"])
 
 
+def test_a_chain_without_a_sink_is_refused_before_its_step_is_read():
+    """A cyclic graph has its sinks read at each step, even when a sink and
+    star are listed, and the refusal comes before the listed sink is
+    checked; here the cycle shows only after the first cut."""
+    two_cycle = AmpGraph.from_edges(("a", "b"), [("a", "b"), ("b", "a")])
+    looped = AmpGraph.from_edges(("a", "b"), [("a", "a"), ("b", "a")])
+    later = AmpGraph.from_edges(("a", "b", "s"), [("a", "b"), ("b", "a"), ("a", "s")])
+    message = re.escape("graph has no sink: removal chain cannot proceed")
+    for g, sinks, stars in ((two_cycle, ["a"], None), (two_cycle, ["a"], ["b"]), (looped, ["a"], None),
+                            (later, ["s", "a"], [None, None])):
+        with pytest.raises(ValueError, match=message):
+            multi_sink_splitting(g, sinks, stars)
+    # an acyclic graph emptied before the list ends
+    with pytest.raises(ValueError, match=message):
+        multi_sink_splitting(AmpGraph.from_edges(("a",)), ["a", "a"], [None, None])
+
+
 def test_every_path_names_a_bad_star_before_stabilising():
     # c has a family into b but no path to s, so b is no star for s; adding
     # the family c -> s that b would need is impossible
@@ -744,8 +761,13 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
     ambient graph, two per step.  Each step's ``ideal`` check compares its
     quotient graph's mask with the working graph's and cuts none.  Every
     graph of a chain reads the input graph's tables or the stabilised ones,
-    which share its reach masks, so a chain searches for reach masks once,
-    on the input graph's tables.
+    which share its reach masks, so a chain searches for them at most once,
+    on the input graph's tables.  It searches exactly when its input is not
+    numbered in a topological order (the acyclicity test) or a star is
+    decided at a vertex with an in-neighbour: never on a flag chain, nor
+    under a shipped policy on such a numbering, whose stars are sources.
+    A random policy lists every step's stars, so it searches when a step
+    graph has a vertex other than its sink with an in-neighbour.
     """
     quotient, reach, stabilize, run_chain = (
         AmpGraph.quotient, _Tables.reach, splitting._stabilize, splitting._run_chain
@@ -781,27 +803,47 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
     monkeypatch.setattr(splitting, "_stabilize", counted_stabilize)
     monkeypatch.setattr(splitting, "_run_chain", counted_run)
 
-    def assert_searched_once(chain):
-        assert searched == [chain.graph._t]
-        assert chain.ambient._t.reach() is chain.graph._t.reach()
+    def searches(build):
+        """What ``build`` returns, a chain or a cw summary, and the searches it made."""
+        searched.clear()
+        out = build()
+        chain = getattr(out, "chain", out)
+        assert searched in ([], [chain.graph._t])
+        assert chain.ambient._t._reach is chain.graph._t._reach
         for sd in chain.steps:
             assert sd.working._t is sd.quotient_graph._t is chain.ambient._t
+        return out, len(searched)
+
+    def forward(g):
+        return all(g.index(a) < g.index(b) for a, b, _ in g.edges)
+
+    def sources_only(chain):
+        return all(sd.star is None or sd.working.is_source(sd.star) for sd in chain.steps)
 
     for policy in (first_sink_first_star, prefer_source_star):
         for path in sorted((ROOT / "fixtures").glob("*.json")):
-            searched.clear()
-            assert_searched_once(kk_chain(load_graph(path), policy))
-    kk_chain(*_later_step_needs_a_family())
+            chain, times = searches(lambda: kk_chain(load_graph(path), policy))
+            assert (times, forward(chain.graph), sources_only(chain)) == (0, True, True)
+    chain, times = searches(lambda: kk_chain(*_later_step_needs_a_family()))
+    assert (times, bool(chain.augmented), sources_only(chain)) == (1, True, False)
     rng = random.Random(20261021)
+    counts = [0, 0]
     for _ in range(40):
-        searched.clear()
-        _, chain = _random_policy_chain(rng)
-        assert_searched_once(chain)
+        g = random_amplified_dag(rng, rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7, 0.9)))
+        for policy in (first_sink_first_star, prefer_source_star, _random_star_policy(rng)):
+            chain, times = searches(lambda: kk_chain(AmpGraph(g.vertices, g.edges), policy))
+            if policy in (first_sink_first_star, prefer_source_star):
+                assert sources_only(chain) or not forward(g)
+                assert times == (0 if forward(g) else 1)
+            else:
+                listed = any(sd.working.predecessors(v) for sd in chain.steps
+                             for v in sd.working.vertices if v != sd.sink)
+                assert times == (0 if forward(g) and not listed else 1)
+            counts[times] += 1
+    assert min(counts) > 10
     for spec in CW_LADDER:
-        searched.clear()
-        summary = cw_kk_summary(spec)
-        assert summary.report.ok
-        assert_searched_once(summary.chain)
+        summary, times = searches(lambda: cw_kk_summary(spec))
+        assert (times, summary.report.ok, sources_only(summary.chain)) == (0, True, True)
     assert made and not any(made)
     for chain, quotients in runs:
         assert len(quotients) == len(chain.steps) * (2 if chain.augmented else 1)
@@ -870,6 +912,66 @@ def test_a_step_lists_its_valid_stars_at_most_once(monkeypatch):
         chain = assert_listed_at_most_once(lambda: cw_kk_summary(spec).chain)
         assert {sd.star for sd in chain.steps} == set(decided) == {"e"}
         assert len(decided) <= 2 * len(chain.steps)
+    assert steps > 100
+
+
+def test_a_flag_chain_reads_no_reach_mask_and_no_step_graphs_sinks(monkeypatch):
+    """Full A5, 720 vertices: the flag graph's families all go forward and
+    every star is ``e``, a source, so no reach mask is searched; the listed
+    sinks are read by their rows, so only the input graph's shape facts are
+    built, and no step graph derives a sink tuple."""
+    shape = AmpGraph.__dict__["_shape"]
+    build, built = shape.build, []
+
+    @functools.wraps(build)
+    def counted(g):
+        built.append(g)
+        return build(g)
+
+    def searched(self):
+        raise AssertionError("a reach mask was searched")
+
+    monkeypatch.setattr(shape, "build", counted)
+    monkeypatch.setattr(_Tables, "reach", searched)
+    summary = cw_kk_summary(DynkinSpec(5, frozenset({1, 2, 3, 4, 5})))
+    assert summary.report.ok and len(summary.chain.steps) == 719
+    assert [id(g) for g in built] == [id(summary.chain.graph)]
+
+
+def test_a_flag_chain_lists_each_steps_missing_families_once(monkeypatch):
+    """``_stabilize``'s one round lists each step's missing families, none
+    on a flag chain, and a step that passes does not list them again."""
+    listed = []
+
+    def counted(g, sink, star):
+        listed.append(star)
+        return graphs.missing_families(g, sink, star)
+
+    monkeypatch.setattr(splitting, "missing_families", counted)
+    for spec in CW_LADDER:
+        listed.clear()
+        chain = cw_kk_summary(spec).chain
+        assert listed == ["e"] * len(chain.steps)
+
+
+def test_unread_step_graphs_derive_the_facts_a_walk_finds():
+    """A listed chain reads no step graph's facts.  Read afterwards, last
+    first, each derives them from the input graph's over every sink removed
+    since, as a fresh walk finds them, and returns them on every call."""
+    rng = random.Random(20261027)
+    graphs_ = [load_graph(path) for path in sorted((ROOT / "fixtures").glob("*.json"))]
+    graphs_ += [flag_graph(spec) for spec in CW_LADDER[:3]]
+    graphs_ += [random_amplified_dag(rng, rng.randint(2, 8), rng.choice((0.3, 0.6))) for _ in range(30)]
+    steps = 0
+    for g in graphs_:
+        chain = multi_sink_splitting(g, kk_chain(g).sinks)
+        cut = [sd.quotient_graph for sd in chain.steps]
+        assert all("_cut" in q.__dict__ and "_shape" not in q.__dict__ for q in cut)
+        for q in reversed(cut):
+            facts = q.classify()
+            assert facts == AmpGraph(q.vertices, q.edges).classify()
+            assert q.classify() is facts
+        steps += len(cut)
     assert steps > 100
 
 
