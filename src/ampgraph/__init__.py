@@ -43,14 +43,17 @@ class _Frozen:
 
     A subclass keeps its state in its instance dict, stored through
     ``__init__`` or by a :class:`_built` attribute; assigning or deleting
-    one later raises AttributeError, and a copy restores the dict as it is.
-    Two records are equal when they are of one class and their ``_fields``
-    are equal.  Defined here, not in a layer, so every layer's records share
-    it without loading another layer, or :mod:`dataclasses`.
+    one later raises AttributeError, and a copy restores the dict as it is,
+    less the keys :attr:`_transient` names.  Two records are equal when
+    they are of one class and their ``_fields`` are equal.  Defined here,
+    not in a layer, so every layer's records share it without loading
+    another layer, or :mod:`dataclasses`.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    #: instance-dict keys a copy leaves out: links to other records kept only to save work
+    _transient: tuple[str, ...] = ()
 
     def __init__(self, **attrs) -> None:
         self.__dict__.update(attrs)
@@ -66,6 +69,9 @@ class _Frozen:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in self._transient}
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -40,8 +40,9 @@ the source.  A map derived from its graphs is built as it stands
 (:func:`_from_patch`): a step's section is filled once the families it
 names are checked, and a quotient map kills what its target lacks, so it
 stores only its two graphs and builds each half of its patch when first
-read; its relation check passes a hereditary cut on one mask test, and the
-section identity asks its target what it keeps.
+read; it decides once whether its target is a hereditary cut of its source,
+and its relation check passes such a cut on that verdict, which its patch
+also reads; the section identity asks its target what it keeps.
 
 The relation checks read only the patch and its neighbours.  An amplified
 graph has no finite emitter, so no relation sums over a vertex's families:
@@ -177,10 +178,16 @@ class GeneratorMap(_Frozen):
         _fill(self, source, target, *_patch(source, target, vimgs, tables))
 
     @_built
+    def _cut(self) -> tuple[str, ...] | None:
+        """A quotient map's killed vertices when its target is a hereditary cut of its source,
+        else ``None``: decided once per map, for its relation check and its patch."""
+        return self.source.hereditary_cut(self.target)
+
+    @_built
     def vertex_patch(self) -> dict:
-        """A quotient map's killed vertices, by a mask test where one decides, else by a listing;
+        """A quotient map's killed vertices, by its cut where one decides, else by a listing;
         every other map stores both halves of its patch, which shadow these."""
-        cut = self.source.hereditary_cut(self.target)
+        cut = self._cut
         return dict.fromkeys(self.source.lacks(self.target)[0] if cut is None else cut, _KILLED)
 
     @_built
@@ -331,8 +338,8 @@ def _quotient_onto(graph: AmpGraph, target: AmpGraph) -> GeneratorMap:
     rest, so the two graphs determine it and it is valid as built.  It
     stores only them: its patch, the zero tables of what
     ``graph.lacks(target)`` lists in vertex and row-major order, is built
-    half by half when first read, the vertices by one mask test; neither
-    :func:`verify_ck_family` on a hereditary cut nor
+    half by half when first read, the vertices from the map's cut where it
+    is hereditary; neither :func:`verify_ck_family` on a hereditary cut nor
     :func:`_section_identity_failure` reads it.
     """
     if not graph.is_amplified:
@@ -627,12 +634,13 @@ def verify_ck_family(m: GeneratorMap, require_unital: bool = True) -> Verificati
     generator would: the orthogonality pair in vertex order, the others by
     label.  A map that passes all six gets the one shared report for its
     ``require_unital``, built once by the function that builds the others.
-    A quotient map onto a hereditary cut of its source gets it without
-    reading its patch: every family it kills ends at a killed vertex (CK1),
-    and it fixes all its target has (unital).  Any other map is walked.
+    A quotient map onto a hereditary cut of its source, which the map
+    decides once, gets it without reading its patch: every family it kills
+    ends at a killed vertex (CK1), and it fixes all its target has
+    (unital).  Any other map is walked.
     """
     src, target = m.source, m.target
-    if m._quotient and src.hereditary_cut(target) is not None:
+    if m._quotient and m._cut is not None:
         return _PASSED[require_unital]
     vpatch, fpatch = m.vertex_patch, m.family_patch
     at = src.vertex_order

@@ -83,9 +83,11 @@ class CWSummary(NamedTuple):
 def summarize_filtration(full: AmpGraph, levels: tuple[AmpGraph, ...],
                          spec: DynkinSpec | None = None) -> CWSummary:
     """Chain summary for an explicit skeleton tower; see :func:`cw_kk_summary`."""
-    # each level's sinks, from the top level down
+    # each level's sinks, from the top level down, in label order: read off
+    # the cut where the level below is one on shared tables
     tops = range(len(levels) - 1, 0, -1)
-    removals = [sorted(set(levels[k].vertices) - set(levels[k - 1].vertices)) for k in tops]
+    removals = [sorted(levels[k].hereditary_cut(levels[k - 1])
+                       or set(levels[k].vertices) - set(levels[k - 1].vertices)) for k in tops]
     chain = multi_sink_splitting(full, [v for level in removals for v in level])
     # check_split_exact_k0 passes exactly when the chain check certifies the step
     chain_k0 = check_chain_k0(chain)

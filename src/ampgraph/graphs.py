@@ -27,9 +27,16 @@ A removal chain reads what decides each step and no more.  A graph whose
 families all go to later positions is acyclic, its positions being a
 topological order, so the shape walk of a flag graph reads no reach mask,
 nor does a star test at a source: a flag chain, whose every star is the
-source ``e``, builds none.  A cut of one sink records the last shape facts
-read above it and derives its own only when they are read, so a chain
-whose steps name their sinks builds no sink tuple past its input's.
+source ``e``, builds none.  A cut of one vertex is decided by that vertex's
+row and carries what it knows: its kept count, and its parent with the
+position it removed, so counting its vertices, or asking which vertices it
+lacks beside its parent, reads no int as wide as the graph.  A cut of one
+sink also records the last shape facts read above it and derives its own
+only when they are read, from its parent's when those have been read since,
+so a chain whose steps name their sinks builds no sink tuple past its
+input's, and reading its step graphs in order costs one sink's in-degree a
+step.  A kept-vertex test ANDs the mask with one bit; shifting the mask
+would copy it.
 
 All values are immutable and all operations are pure: they return new graphs
 and never mutate shared state.  Vertex-set results are emitted as tuples
@@ -71,10 +78,19 @@ def _check_mult(m: Mult) -> None:
 
 
 def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first.
+
+    Each step shifts the bits already listed out of the mask, so after the
+    first the ints read are only as wide as the span of the bits left: a
+    row of in-neighbours near the top of a wide mask is read once at its
+    width, not once per bit.
+    """
+    at = -1
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        step = (mask & -mask).bit_length()
+        at += step
+        yield at
+        mask >>= step
 
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
@@ -246,6 +262,9 @@ class AmpGraph(_Frozen):
     """
 
     _fields = ("vertices", "edges")
+    # a copy of a one-vertex cut would copy every graph above it, past the
+    # recursion limit on a long chain
+    _transient = ("_parent",)
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Mult]]) -> None:
         verts, index = _positions(vertices)
@@ -347,6 +366,8 @@ class AmpGraph(_Frozen):
         return f"AmpGraph({list(self.vertices)!r}, {len(self.edges)} families)"
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, AmpGraph):
             return NotImplemented
         if self._t is other._t:
@@ -357,16 +378,22 @@ class AmpGraph(_Frozen):
         return hash((self.vertices, self.edges))
 
     def __len__(self) -> int:
+        """The kept vertex count: a one-vertex cut carries it, one less than its parent's; any
+        other graph counts its mask's bits once."""
+        return self._len
+
+    @_built
+    def _len(self) -> int:
         return self._keep.bit_count()
 
     def __contains__(self, v: str) -> bool:
         i = self._t.pos.get(v)
-        return i is not None and bool(self._keep >> i & 1)
+        return i is not None and bool(self._keep & 1 << i)
 
     def _at(self, v: str) -> int:
         """The table position of the kept vertex ``v``."""
         i = self._t.pos.get(v)
-        if i is None or not self._keep >> i & 1:
+        if i is None or not self._keep & 1 << i:
             raise ValueError(f"unknown vertex {v!r}")
         return i
 
@@ -391,7 +418,8 @@ class AmpGraph(_Frozen):
             i, j = t.pos[src], t.pos[dst]
         except KeyError:
             return False
-        return bool(t.succ[i] >> j & self._keep >> j & 1)
+        bit = 1 << j
+        return bool(t.succ[i] & bit and self._keep & bit)
 
     def lacks(self, other: "AmpGraph") -> tuple[tuple[str, ...], list[tuple[str, str]]]:
         """The vertices of this graph that ``other`` lacks, then its families ``other`` lacks.
@@ -408,27 +436,45 @@ class AmpGraph(_Frozen):
     def is_sink(self, v: str) -> bool:
         """Whether ``v`` is a kept vertex with no kept successor: its row under the mask."""
         i = self._t.pos.get(v)
-        return i is not None and bool(self._keep >> i & 1) and not self._t.succ[i] & self._keep
+        return i is not None and bool(self._keep & 1 << i) and not self._t.succ[i] & self._keep
 
     def is_source(self, v: str) -> bool:
         """Whether ``v`` is a kept vertex with no kept predecessor: its predecessor row under the mask."""
         i = self._t.pos.get(v)
-        return i is not None and bool(self._keep >> i & 1) and not self._t.pred()[i] & self._keep
+        return i is not None and bool(self._keep & 1 << i) and not self._t.pred()[i] & self._keep
+
+    def _cut_at(self, other: "AmpGraph") -> int | None:
+        """The position ``other`` was cut from this graph at, when it is this graph's
+        one-vertex :meth:`quotient`, read off the parent it records; else ``None``."""
+        known = other.__dict__
+        return known["_removed"] if known.get("_parent") is self else None
 
     def is_cut(self, v: str, other: "AmpGraph") -> bool:
         """Whether ``other`` is this graph's quotient by its sink ``v``.
 
-        On shared tables one mask comparison: ``other`` keeps this graph's
-        bits less ``v``'s.  Otherwise the quotient is cut and compared.
+        On shared tables ``other`` keeps this graph's bits less ``v``'s: a
+        one-vertex cut of this graph records so, any other graph compares
+        its mask.  Otherwise the quotient is cut and compared.
         """
         if self._t is other._t:
-            return other._keep == self._keep & ~(1 << self._at(v))
+            i = self._at(v)
+            return self._cut_at(other) == i or other._keep == self._keep ^ 1 << i
         return other == self.quotient((v,))
 
     def hereditary_cut(self, other: "AmpGraph") -> tuple[str, ...] | None:
         """The vertices ``other`` lacks when, on shared tables, it keeps only this graph's
-        bits less a hereditary set, else ``None``: one mask test, no family listed."""
-        if self._t is not other._t or other._keep & ~self._keep:
+        bits less a hereditary set, else ``None``.
+
+        A one-vertex cut of this graph is decided by that vertex's row under
+        ``other``'s mask alone; any other graph by one mask test, with no
+        family listed.
+        """
+        if self._t is not other._t:
+            return None
+        i = self._cut_at(other)
+        if i is not None:
+            return None if self._t.succ[i] & other._keep else (self._t.labels[i],)
+        if other._keep & ~self._keep:
             return None
         gone = self._keep ^ other._keep
         return self._labels(gone) if self._closed(gone) else None
@@ -456,7 +502,7 @@ class AmpGraph(_Frozen):
             rows |= pred[j]
         out: list[tuple[str, str]] = []
         for i in _bits(rows):
-            hit = t.succ[i] & (keep if mask >> i & 1 else mask)
+            hit = t.succ[i] & (keep if mask & 1 << i else mask)
             src = t.labels[i]
             out += [(src, t.labels[j]) for j in _bits(hit)]
         return out
@@ -492,15 +538,20 @@ class AmpGraph(_Frozen):
 
     @_built
     def _shape(self) -> GraphClass:
-        t, keep = self._t, self._keep
-        cut = self.__dict__.get("_cut")
+        t, keep, known = self._t, self._keep, self.__dict__
+        cut = known.get("_cut")
         if cut is not None:
-            # the facts of a graph this one was cut from one sink at a time:
-            # no family left a removed sink, so no source and no cycle
-            # changes, and the new sinks are the removed sinks' kept
-            # in-neighbours with no kept successor
-            base, base_keep = cut
-            gone = list(_bits(base_keep & ~keep))
+            # the facts of a graph this one was cut from one sink at a time,
+            # its parent's when they have been read since the cut: no family
+            # left a removed sink, so no source and no cycle changes, and the
+            # new sinks are the removed sinks' kept in-neighbours with no kept
+            # successor
+            up = known.get("_parent")
+            if up is not None and "_shape" in up.__dict__:
+                base, gone = up._shape, [known["_removed"]]
+            else:
+                base, base_keep = cut
+                gone = list(_bits(base_keep & ~keep))
             pred, succ, labels = t.pred(), t.succ, t.labels
             cut_away = {labels[j] for j in gone}
             new = {labels[u] for j in gone for u in _bits(pred[j] & keep) if not succ[u] & keep}
@@ -514,7 +565,7 @@ class AmpGraph(_Frozen):
         kept, pred = list(self._kept()), t.pred()
         # no kept row is behind: the positions are a topological order, and
         # no reach mask is read
-        acyclic = not any(keep >> i & 1 for i in t.behind())
+        acyclic = not any(keep & 1 << i for i in t.behind())
         if not acyclic:
             reach = t.reach()
             acyclic = not any(reach[i] >> i & 1 for i in kept)
@@ -605,27 +656,38 @@ class AmpGraph(_Frozen):
         bits of ``removed``; nothing is copied.  That is exact because
         nothing leaves a hereditary set (see the module docstring).
 
-        A cut of one sink (no kept family out, a self-loop included) from a
-        graph whose shape facts are read, or carried, carries them: the
-        quotient records the :class:`GraphClass` of the last graph above it
-        whose facts were read, with that graph's mask, and derives its own
-        only when first read, in the in-degrees of the sinks removed since.
-        Removing a sink creates no source and no cycle; its in-neighbours
-        with no other kept successor become sinks.  A carried parent is not
-        read, so a chain of cuts builds no sink tuple until one is asked
-        for, and no derivation recurses.  Every other cut walks its kept
-        vertices when its facts are read.
+        A cut of one vertex is decided by its row under the mask: no kept
+        family may leave it but a self-loop.  It carries its kept count, one
+        less than this graph's, and records this graph as its parent with the
+        position it removed, so :meth:`hereditary_cut` and :meth:`is_cut` read
+        the cut off it, with no mask op but that row's.  A cut of one sink (no
+        kept family out, a self-loop included) from a graph whose shape facts
+        are read, or carried, also carries them: the quotient records the
+        :class:`GraphClass` of the last graph above it whose facts were read,
+        with that graph's mask, and derives its own only when first read, in
+        the in-degrees of the sinks removed since, or of its own sink alone
+        when its parent's facts have been read since the cut.  Removing a sink
+        creates no source and no cycle; its in-neighbours with no other kept
+        successor become sinks.  A carried parent is not read, so a chain of
+        cuts builds no sink tuple until one is asked for, and no derivation
+        recurses.  Every other cut walks its kept vertices when its facts are
+        read.
         """
         removed = tuple(removed)
+        if len(removed) == 1:
+            i = self._at(removed[0])
+            bit, keep = 1 << i, self._keep
+            row = self._t.succ[i] & keep
+            if row and row != bit:
+                raise ValueError(f"{sorted(removed)!r} is not hereditary: not a valid ideal")
+            known = self.__dict__
+            base = (known["_shape"], keep) if "_shape" in known else known.get("_cut")
+            carried = {} if row or base is None else {"_cut": base}
+            return AmpGraph._on(self._t, keep ^ bit, _len=self._len - 1, _parent=self, _removed=i, **carried)
         drop = self._mask(removed)
         if not self._closed(drop):
             raise ValueError(f"{sorted(removed)!r} is not hereditary: not a valid ideal")
-        keep, i = self._keep & ~drop, drop.bit_length() - 1
-        known = self.__dict__
-        base = (known["_shape"], self._keep) if "_shape" in known else known.get("_cut")
-        if base is not None and drop.bit_count() == 1 and not self._t.succ[i] & self._keep:
-            return AmpGraph._on(self._t, keep, _cut=base)
-        return AmpGraph._on(self._t, keep)
+        return AmpGraph._on(self._t, self._keep & ~drop)
 
     # -- path-preserving edge addition ------------------------------------
 
@@ -686,7 +748,7 @@ def is_star(g: AmpGraph, sink: str, v: str) -> bool:
     """
     t, keep = g._t, g._keep
     i, s = t.pos.get(v), t.pos.get(sink)
-    if i is None or s is None or i == s or not (keep >> i & 1 and keep >> s & 1):
+    if i is None or s is None or i == s or not (keep & 1 << i and keep & 1 << s):
         return False
     into = t.pred()[i] & keep
     if not into:
@@ -699,7 +761,10 @@ def missing_families(g: AmpGraph, sink: str, star: str) -> list[tuple[str, str]]
     """The families ``v -> sink`` the section at ``(sink, star)`` needs and ``g`` lacks.
 
     One for each in-neighbour ``v`` of ``star`` without a family into
-    ``sink``, in vertex order: one difference of predecessor masks.
+    ``sink``, in vertex order: one difference of predecessor masks, taken
+    by an AND and an XOR no wider than the star's row, where a complement
+    would be as wide as the sink's.
     """
     pred = g._t.pred()
-    return [(v, sink) for v in g._labels(pred[g._at(star)] & ~pred[g._at(sink)] & g._keep)]
+    into = pred[g._at(star)] & g._keep
+    return [(v, sink) for v in g._labels(into ^ into & pred[g._at(sink)])]

@@ -324,12 +324,12 @@ class KKChain(NamedTuple):
         return tuple(names)
 
 
-#: The planner's pick for the current graph: the step's sink and star.
-_Pick = Callable[[AmpGraph], tuple[str, str | None]]
+#: The planner's pick for the current graph and the step's index from 0: the step's sink and star.
+_Pick = Callable[[AmpGraph, int], tuple[str, str | None]]
 
 
 def _plan(g: AmpGraph, pick: _Pick, n_steps: int) -> tuple[list[tuple[str, str | None]], list[AmpGraph]]:
-    """The ``(sink, star)`` ``pick`` makes for each step, and the graphs it cuts.
+    """The ``(sink, star)`` ``pick`` makes for each step, given its index, and the graphs it cuts.
 
     ``graphs[i]`` is ``g`` without the first ``i`` sinks, ``g``'s tables
     under a mask; :func:`_check_step` refuses there each step it cannot
@@ -355,7 +355,7 @@ def _plan(g: AmpGraph, pick: _Pick, n_steps: int) -> tuple[list[tuple[str, str |
         current = graphs[-1]
         if not (acyclic and step <= size) and not current.classify().sinks:
             raise ValueError("graph has no sink: removal chain cannot proceed")
-        sink, star = pick(current)
+        sink, star = pick(current, step - 1)
         if star is not None and star not in current:
             raise ValueError(
                 f"star {star!r} of step {step} (sink {sink!r}) is not "
@@ -425,10 +425,8 @@ def multi_sink_splitting(
     """
     if stars is not None and len(stars) != len(sinks):
         raise ValueError("sinks and stars must have equal length")
-    n = len(g)
 
-    def listed(current: AmpGraph) -> tuple[str, str | None]:
-        i = n - len(current)
+    def listed(current: AmpGraph, i: int) -> tuple[str, str | None]:
         if not current.is_sink(sinks[i]):
             raise ValueError(f"{sinks[i]!r} is not a sink of the remaining graph")
         return sinks[i], _star(current, sinks[i]) if stars is None else stars[i]
@@ -464,4 +462,4 @@ def kk_chain(g: AmpGraph, policy: StarPolicy = first_sink_first_star) -> KKChain
     if not len(g):
         raise ValueError("kk_chain requires at least one vertex")
 
-    return _run_chain(g, lambda current: policy(current, current.classify().sinks), len(g) - 1)
+    return _run_chain(g, lambda current, _: policy(current, current.classify().sinks), len(g) - 1)

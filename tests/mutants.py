@@ -248,7 +248,7 @@ MUTANTS = {
     ),
     "families-at-misses-families-out": (
         GRAPHS,
-        "            hit = t.succ[i] & (keep if mask >> i & 1 else mask)\n",
+        "            hit = t.succ[i] & (keep if mask & 1 << i else mask)\n",
         "            hit = t.succ[i] & mask\n",
         ["tests/test_graphs.py::test_families_at_reads_the_families_touching_a_subset"],
     ),
@@ -447,8 +447,8 @@ MUTANTS = {
     # -- a quotient is its parent's tables plus a kept-vertex mask ---------------
     "quotient-keeps-a-removed-bit": (
         GRAPHS,
-        "        keep, i = self._keep & ~drop, drop.bit_length() - 1\n",
-        "        keep, i = self._keep & ~drop | drop & -drop, drop.bit_length() - 1\n",
+        "        return AmpGraph._on(self._t, self._keep & ~drop)\n",
+        "        return AmpGraph._on(self._t, self._keep & ~drop | drop & -drop)\n",
         [GRAPH + "test_quotients_equal_fresh_graphs",
          GRAPH + "test_a_quotient_of_a_quotient_is_one_quotient_by_the_union"],
     ),
@@ -487,7 +487,7 @@ MUTANTS = {
     ),
     "contains-ignores-the-mask": (
         GRAPHS,
-        "        return i is not None and bool(self._keep >> i & 1)\n",
+        "        return i is not None and bool(self._keep & 1 << i)\n",
         "        return i is not None\n",
         [GRAPH + "test_quotients_equal_fresh_graphs"],
     ),
@@ -499,8 +499,8 @@ MUTANTS = {
     ),
     "has-family-ignores-the-mask": (
         GRAPHS,
-        "        return bool(t.succ[i] >> j & self._keep >> j & 1)\n",
-        "        return bool(t.succ[i] >> j & 1)\n",
+        "        return bool(t.succ[i] & bit and self._keep & bit)\n",
+        "        return bool(t.succ[i] & bit)\n",
         [GRAPH + "test_quotients_equal_fresh_graphs"],
     ),
     "plus-drops-the-reach-masks": (
@@ -531,8 +531,8 @@ MUTANTS = {
     # -- one star query per step, lazy chain matrices, records without dataclasses
     "star-query-admits-the-sink": (
         GRAPHS,
-        "    if i is None or s is None or i == s or not (keep >> i & 1 and keep >> s & 1):\n",
-        "    if i is None or s is None or not (keep >> i & 1 and keep >> s & 1):\n",
+        "    if i is None or s is None or i == s or not (keep & 1 << i and keep & 1 << s):\n",
+        "    if i is None or s is None or not (keep & 1 << i and keep & 1 << s):\n",
         [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it"],
     ),
     "star-query-ignores-the-sink-bit": (
@@ -684,8 +684,8 @@ MUTANTS = {
     ),
     "carry-applied-to-a-non-sink-singleton": (
         GRAPHS,
-        "        if base is not None and drop.bit_count() == 1 and not self._t.succ[i] & self._keep:\n",
-        "        if base is not None and drop.bit_count() == 1:\n",
+        "            carried = {} if row or base is None else {\"_cut\": base}\n",
+        "            carried = {} if base is None else {\"_cut\": base}\n",
         [GRAPH + "test_one_sink_cuts_carry_the_dense_models_shape_facts",
          GRAPH + "test_a_self_loop_singleton_is_cut_by_a_walk"],
     ),
@@ -778,15 +778,15 @@ MUTANTS = {
     ),
     "ideal-mask-test-accepts-another-graphs-tables": (
         GRAPHS,
-        "        if self._t is other._t:\n            return other._keep ==",
-        "        if True:\n            return other._keep ==",
+        "        if self._t is other._t:\n            i = self._at(v)\n",
+        "        if True:\n            i = self._at(v)\n",
         [GRAPH + "test_a_cut_on_other_tables_is_compared_as_a_graph",
          SPLIT + "test_the_ideal_check_reads_masks_on_shared_tables_and_compares_other_graphs"],
     ),
     "sink-row-ignores-the-mask": (
         GRAPHS,
-        "bool(self._keep >> i & 1) and not self._t.succ[i] & self._keep\n",
-        "bool(self._keep >> i & 1) and not self._t.succ[i]\n",
+        "bool(self._keep & 1 << i) and not self._t.succ[i] & self._keep\n",
+        "bool(self._keep & 1 << i) and not self._t.succ[i]\n",
         [GRAPH + "test_sink_source_and_cut_rows_match_the_dense_model"],
     ),
     "listed-policy-skips-its-sink-test": (
@@ -797,8 +797,8 @@ MUTANTS = {
     ),
     "missing-families-ignore-the-sinks-in-neighbours": (
         GRAPHS,
-        "pred[g._at(star)] & ~pred[g._at(sink)] & g._keep",
-        "pred[g._at(star)] & g._keep",
+        "into ^ into & pred[g._at(sink)]",
+        "into",
         [SPLIT + "test_build_splitting_all_stars_verify",
          SPLIT + "test_stabilize_matches_quotient_chain_oracle_on_random_chains"],
     ),
@@ -857,8 +857,8 @@ MUTANTS = {
     ),
     "star-query-admits-a-cut-sink": (
         GRAPHS,
-        "    if i is None or s is None or i == s or not (keep >> i & 1 and keep >> s & 1):\n",
-        "    if i is None or i == s or not keep >> i & 1:\n",
+        "    if i is None or s is None or i == s or not (keep & 1 << i and keep & 1 << s):\n",
+        "    if i is None or i == s or not keep & 1 << i:\n",
         [GRAPH + "test_is_star_answers_false_for_a_sink_the_graph_does_not_keep"],
     ),
     "word-length-counts-one-letter": (
@@ -903,8 +903,8 @@ MUTANTS = {
     # -- a step's checks read its cut: one mask test, K_0 sums added in place -------
     "quotient-pass-skips-the-subset-half": (
         GRAPHS,
-        "        if self._t is not other._t or other._keep & ~self._keep:\n",
-        "        if self._t is not other._t:\n",
+        "        if other._keep & ~self._keep:\n            return None\n",
+        "",
         [PATCH + "test_a_quotient_map_passes_its_relations_on_its_cut_as_the_oracle_decides"],
     ),
     "quotient-pass-skips-the-closed-half": (
@@ -915,7 +915,7 @@ MUTANTS = {
     ),
     "quotient-pass-ignores-the-cut": (
         ALGEBRA,
-        "    if m._quotient and src.hereditary_cut(target) is not None:\n",
+        "    if m._quotient and m._cut is not None:\n",
         "    if m._quotient:\n",
         [PATCH + "test_a_quotient_map_passes_its_relations_on_its_cut_as_the_oracle_decides"],
     ),
@@ -995,7 +995,7 @@ MUTANTS = {
     ),
     "forward-test-reads-the-rows-a-quotient-drops": (
         GRAPHS,
-        "        acyclic = not any(keep >> i & 1 for i in t.behind())\n",
+        "        acyclic = not any(keep & 1 << i for i in t.behind())\n",
         "        acyclic = not any(True for i in t.behind())\n",
         [GRAPH + "test_the_forward_test_decides_acyclicity_as_the_dense_model_does"],
     ),
@@ -1044,6 +1044,66 @@ MUTANTS = {
         "                ck2.append((u, v))\n",
         "                pass\n",
         [PATCH + "test_the_unmoved_pass_reads_rows_as_the_listing_decides"],
+    ),
+    # -- a one-vertex cut: decided by its row, carrying what it knows ---------------
+    "carried-count-off-by-one": (
+        GRAPHS,
+        "_len=self._len - 1, _parent=self",
+        "_len=self._len, _parent=self",
+        [GRAPH + "test_quotients_equal_fresh_graphs",
+         GRAPH + "test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says"],
+    ),
+    "one-vertex-cut-tests-the-row-without-the-mask": (
+        GRAPHS,
+        "            row = self._t.succ[i] & keep\n",
+        "            row = self._t.succ[i]\n",
+        [GRAPH + "test_quotients_equal_fresh_graphs",
+         GRAPH + "test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says"],
+    ),
+    "one-vertex-hereditary-cut-reads-the-parents-mask": (
+        GRAPHS,
+        "return None if self._t.succ[i] & other._keep else",
+        "return None if self._t.succ[i] & self._keep else",
+        [GRAPH + "test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says",
+         GRAPH + "test_a_self_loop_singleton_is_cut_by_a_walk"],
+    ),
+    "kept-bit-test-drops-the-mask": (
+        GRAPHS,
+        "        if i is None or not self._keep & 1 << i:\n",
+        "        if i is None or not 1 << i:\n",
+        [GRAPH + "test_kept_bit_tests_read_the_lowest_and_highest_positions",
+         GRAPH + "test_quotients_equal_fresh_graphs"],
+    ),
+    "bits-listed-highest-first": (
+        GRAPHS,
+        "        step = (mask & -mask).bit_length()\n        at += step\n        yield at\n        mask >>= step\n",
+        "        yield from reversed([i for i in range(mask.bit_length()) if mask >> i & 1])\n        return\n",
+        [GRAPH + "test_bits_lists_the_set_bits_lowest_first",
+         GRAPH + "test_graph_matches_dense_model"],
+    ),
+    "quotient-map-reads-another-maps-cut": (
+        ALGEBRA,
+        "        cut = self._cut\n",
+        "        cut = _quotient_onto(self.source, self.source)._cut\n",
+        [PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read"],
+    ),
+    "rebased-derivation-lists-no-sink": (
+        GRAPHS,
+        "                base, gone = up._shape, [known[\"_removed\"]]\n",
+        "                base, gone = up._shape, []\n",
+        [SPLIT + "test_step_graphs_read_in_order_each_derive_from_their_parent"],
+    ),
+    "is-cut-accepts-any-recorded-cut": (
+        GRAPHS,
+        "return self._cut_at(other) == i or",
+        "return self._cut_at(other) is not None or",
+        [GRAPH + "test_sink_source_and_cut_rows_match_the_dense_model"],
+    ),
+    "copy-keeps-the-parent-record": (
+        GRAPHS,
+        '    _transient = ("_parent",)\n',
+        "    _transient = ()\n",
+        [RECORDS + "test_a_cut_deep_in_a_chain_copies_without_the_graphs_above_it"],
     ),
 }
 

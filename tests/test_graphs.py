@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ampgraph import OMEGA, AmpGraph, load_graph, prefer_source_star, valid_stars
-from ampgraph.graphs import _Tables, first_star, is_star
+from ampgraph.graphs import _Tables, _bits, first_star, is_star
 
 from helpers import (
     ROOT,
@@ -484,7 +484,9 @@ def _assert_tables_fresh(g: AmpGraph) -> None:
 
 
 def _peel(g: AmpGraph, model: DenseGraph, rng: random.Random) -> int:
-    """Remove one vertex at a time while one is hereditary; return how many."""
+    """Remove one vertex at a time while one is hereditary; return how many.
+
+    Each cut carries its vertex count, which is its mask's popcount."""
     peeled = 0
     while True:
         alone = [v for v in g.vertices if g.is_hereditary((v,))]
@@ -492,6 +494,7 @@ def _peel(g: AmpGraph, model: DenseGraph, rng: random.Random) -> int:
             return peeled
         v = rng.choice(alone)
         g, model = g.quotient((v,)), model.quotient((v,))
+        assert "_len" in g.__dict__ and len(g) == g._keep.bit_count() == len(model.vertices)
         _assert_tables_fresh(g)
         _assert_matches_model(g, model)
         peeled += 1
@@ -572,7 +575,7 @@ def test_a_self_loop_singleton_is_cut_by_a_walk():
     g = AmpGraph.from_edges(("a", "b", "c"), [("a", "b"), ("b", "b"), ("c", "a")])
     assert g.classify() == (True, False, (), ("c",))
     q = g.quotient(("b",))
-    assert not _carried(q)
+    assert not _carried(q) and g.hereditary_cut(q) == ("b",) and g.is_cut("b", q)
     assert q.classify() == (True, True, ("a",), ("c",))
     assert _assert_one_sink_cuts_carry(g, DenseGraph(g.vertices, g.edges)) == 0
     # a sink that is also a source, and the new sinks it leaves
@@ -613,6 +616,79 @@ def test_a_cut_on_other_tables_is_compared_as_a_graph():
     assert g.is_cut("v4", g.quotient(("v4",)))
     assert not g.is_cut("v4", thinner.quotient(("v4",)))
     assert thinner.is_cut("v4", AmpGraph.from_edges(("v1", "v2", "v3", "v5"), [("v1", "v2"), ("v3", "v5")]))
+
+
+def test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says():
+    """Each kept vertex of each hereditary quotient of a graph with
+    self-loops, cycles and finite families, cut alone.  Where the model
+    has no family out of it but a self-loop, the cut is the model's
+    quotient, carries one vertex fewer and its parent's facts exactly when
+    it removes a sink, and lacks that vertex beside its parent by its row;
+    elsewhere the cut is refused with the one text a refusal gives.  The
+    same mask built without the parent's record is decided by a mask test,
+    and a forged record naming a refused vertex by its row."""
+    rng = random.Random(9800)
+    outcomes = {"sink": 0, "loop": 0, "refused": 0}
+    for _ in range(30):
+        labels = tuple(f"u{i}" for i in range(rng.randint(1, 7)))
+        edges = random_edge_list(rng, labels, rng.randint(0, 24))
+        g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+        for subset in sorted(hereditary_subsets_oracle(g)):
+            _cut_each_vertex_alone(g.quotient(subset), model.quotient(subset), outcomes)
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def _cut_each_vertex_alone(q: AmpGraph, mq: DenseGraph, outcomes: dict) -> None:
+    """Cut each kept vertex of ``q`` alone and check it against the model ``mq``, counting each outcome."""
+    q.classify()
+    for v in q.vertices:
+        i = q._t.pos[v]
+        bare = AmpGraph._on(q._t, q._keep & ~(1 << i))
+        if [w for w in mq.successors(v) if w != v]:
+            assert _error(q.quotient, (v,)) == f"{[v]!r} is not hereditary: not a valid ideal"
+            assert q.hereditary_cut(bare) is None
+            assert q.hereditary_cut(AmpGraph._on(q._t, bare._keep, _parent=q, _removed=i)) is None
+            outcomes["refused"] += 1
+            continue
+        cut = q.quotient((v,))
+        _assert_matches_model(cut, mq.quotient((v,)))
+        assert len(cut) == len(q) - 1 == cut._keep.bit_count()
+        assert _carried(cut) == (not mq.successors(v))
+        assert q.hereditary_cut(cut) == q.hereditary_cut(bare) == (v,)
+        assert q.is_cut(v, cut) and q.is_cut(v, bare)
+        outcomes["loop" if mq.successors(v) else "sink"] += 1
+
+
+def test_kept_bit_tests_read_the_lowest_and_highest_positions():
+    """On a graph five 30-bit digits wide, ``v in g``, ``index`` and
+    ``has_family`` at the first and last positions, kept and cut, answer as
+    the dense model does: the last vertex has a self-loop, the first none."""
+    rng = random.Random(20261040)
+    labels = tuple(f"u{i}" for i in range(130))
+    ends, middle = (labels[0], labels[-1]), labels[1:-1]
+    edges = [(a, b, rng.choice((1, 3, OMEGA))) for k, a in enumerate(middle) for b in middle[k + 1:]
+             if rng.random() < 0.03]
+    edges += [(v, end) for v in middle for end in ends if rng.random() < 0.2] + [(labels[-1], labels[-1])]
+    g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+    pairs = [pair for v in labels for end in ends for pair in ((v, end), (end, v))]
+    for removed in ((), ends[:1], ends[1:], ends):
+        q, mq = g, model
+        for v in removed:
+            q, mq = q.quotient((v,)), mq.quotient((v,))
+        assert [v in q for v in labels] == [v in mq.vertices for v in labels]
+        assert [q.index(v) for v in mq.vertices] == list(range(len(mq.vertices)))
+        assert [_error(q.index, v) for v in removed] == [f"unknown vertex {v!r}" for v in removed]
+        assert [q.has_family(*pair) for pair in pairs] == [
+            a in mq.vertices and b in mq.vertices and mq.multiplicity(a, b) != 0 for a, b in pairs]
+
+
+def test_bits_lists_the_set_bits_lowest_first():
+    rng = random.Random(20261041)
+    masks = [0, 1, 1 << 200, (1 << 300) - 1, (1 << 40319) | (1 << 40310) | 5]
+    masks += [rng.getrandbits(rng.choice((8, 64, 400))) for _ in range(200)]
+    masks += [rng.getrandbits(30) << rng.randrange(2000) for _ in range(50)]
+    for mask in masks:
+        assert list(_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -17,6 +17,7 @@ import pytest
 
 from ampgraph import (
     OMEGA,
+    AmpGraph,
     Check,
     DynkinSpec,
     GeneratorMap,
@@ -135,6 +136,21 @@ def test_copying_a_quotient_map_builds_no_patch_on_the_original(route):
     c = ROUND_TRIPS[route](m)
     assert "vertex_patch" not in vars(m) and "family_patch" not in vars(m)
     assert c.vertex_patch == m.vertex_patch and c.family_patch == m.family_patch
+
+
+@pytest.mark.parametrize("route", sorted(ROUND_TRIPS))
+def test_a_cut_deep_in_a_chain_copies_without_the_graphs_above_it(route):
+    # a one-vertex cut records its parent only to skip mask work, and a copy
+    # leaves the record out: copying it would recurse through every graph
+    # above, 2,000 here
+    labels = tuple(f"v{i}" for i in range(2001))
+    g = AmpGraph.from_edges(labels, [(a, b) for a, b in zip(labels, labels[1:])])
+    g.classify()
+    for v in reversed(labels[1:]):
+        g = g.quotient((v,))
+    c = ROUND_TRIPS[route](g)
+    assert "_parent" in vars(g) and "_parent" not in vars(c)
+    assert c == g and len(c) == 1 and c.classify() == g.classify() == (True, True, ("v0",), ("v0",))
 
 
 @pytest.mark.parametrize("route", sorted(ROUND_TRIPS))

@@ -975,6 +975,58 @@ def test_unread_step_graphs_derive_the_facts_a_walk_finds():
     assert steps > 100
 
 
+def test_step_graphs_read_in_order_each_derive_from_their_parent(monkeypatch):
+    """Each step graph of a listed chain derives its facts from its parent's
+    once those are read: read in order, step k lists the in-neighbours of
+    its own sink alone, not of the k sinks removed since the input.  On
+    full A4 (120 vertices) every step's facts are the dense model's; on
+    full A5, 719 steps, every 40th is compared with a fresh walk."""
+    rows = []
+    bits = graphs._bits
+
+    def listed(mask):
+        rows.append(mask)
+        return bits(mask)
+
+    for spec, every in ((DynkinSpec(4, frozenset({1, 2, 3, 4})), 1), (DynkinSpec(5, frozenset(range(1, 6))), 40)):
+        g = flag_graph(spec)
+        chain = multi_sink_splitting(g, kk_chain(g).sinks)
+        model = DenseGraph(g.vertices, g.edges) if every == 1 else None
+        monkeypatch.setattr(graphs, "_bits", listed)
+        for k, sd in enumerate(chain.steps):
+            q = sd.quotient_graph
+            rows.clear()
+            facts = q.classify()
+            # one row listed: the cut sink's in-neighbours under the mask
+            assert rows == [q._t.pred()[q._t.pos[sd.sink]] & q._keep]
+            if model is not None:
+                model = model.quotient((sd.sink,))
+                assert tuple(facts) == model.classify()
+            elif k % every == 0:
+                assert facts == AmpGraph(q.vertices, q.edges).classify()
+        monkeypatch.setattr(graphs, "_bits", bits)
+        assert len(chain.steps) == len(g) - 1
+
+
+def test_a_flag_chain_decides_each_steps_cut_once(monkeypatch):
+    """Full A4, 120 vertices: the quotient map of each step decides its cut
+    once, for its relation check, its patch and the K_0 checks alike; the
+    summary cuts each skeleton level from the one above once more."""
+    calls = []
+    cut = AmpGraph.hereditary_cut
+
+    def counted(g, other):
+        calls.append(other)
+        return cut(g, other)
+
+    monkeypatch.setattr(AmpGraph, "hereditary_cut", counted)
+    summary = cw_kk_summary(DynkinSpec(4, frozenset({1, 2, 3, 4})))
+    steps = summary.chain.steps
+    levels = [r.level for r in summary.records if r.level is not None]
+    assert summary.report.ok and len(steps) == 119 and len(levels) == 10
+    assert sorted(map(id, calls[len(levels):])) == sorted(id(sd.quotient_graph) for sd in steps)
+
+
 def _listed(g: AmpGraph) -> bool:
     """Whether ``g`` has built its vertex or family list."""
     return "vertices" in g.__dict__ or "edges" in g.__dict__
