@@ -7,7 +7,8 @@ so identical invocations are byte identical; the human-readable rendering is
 derived from the same structure and never carries extra information.
 
 Exit status: 0 when every check passed, 1 for input errors (bad files, bad
-flags, precondition violations), 2 when a mathematical verification failed.
+flags, precondition violations) and for a command that ran out of memory,
+2 when a mathematical verification failed.
 
 Each subcommand is declared once, as its row of the ``_COMMANDS`` table:
 help text, input (a graph file, or the flag spec built from ``--rank/--tag``),
@@ -496,8 +497,9 @@ def _is_verification_failure(exc: BaseException) -> bool:
 def run_command(argv: list[str]) -> Report:
     """Execute one command line and return its report without printing.
 
-    A malformed command line gives an error report with exit status 1;
-    only ``--help`` prints (the help text) and raises ``SystemExit(0)``.
+    A malformed command line gives an error report with exit status 1, as
+    does a handler that raises ``MemoryError``; only ``--help`` prints (the
+    help text) and raises ``SystemExit(0)``.
     """
     command = tuple(argv)
     try:
@@ -513,7 +515,21 @@ def run_command(argv: list[str]) -> Report:
         if not _is_verification_failure(exc):
             raise
         return Report(command, False, None, str(exc), 2, ns.json)
-    return Report(command, ok, result, None, 0 if ok else 2, ns.json)
+    except MemoryError:
+        # reported past the clause, which then lets go of the frames that ran out
+        pass
+    else:
+        return Report(command, ok, result, None, 0 if ok else 2, ns.json)
+    return Report(command, False, None, _out_of_memory(ns), 1, ns.json)
+
+
+def _out_of_memory(ns) -> str:
+    """The error of a command that ran out of memory: its name and, for a flag spec, its cell count."""
+    if _COMMANDS[ns.cmd].input is not _SPEC:
+        return f"{ns.cmd} ran out of memory"
+    from .coxeter import _cell_count
+
+    return f"{ns.cmd} ran out of memory on {_cell_count(_flag_spec(ns))} cells"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -164,6 +164,11 @@ def _block_sizes(spec: DynkinSpec) -> list[int]:
     return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
+def _cell_count(spec: DynkinSpec) -> int:
+    """The number of minimal coset representatives, the multinomial of the block sizes: known before any is listed."""
+    return factorial(spec.rank + 1) // prod(factorial(k) for k in _block_sizes(spec))
+
+
 def minimal_coset_reps(spec: DynkinSpec) -> list[CosetRep]:
     """Minimal-length representatives of the parabolic cosets, block by block.
 
@@ -251,9 +256,8 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
     n = spec.rank + 1
     ident = list(range(1, n + 1))
     sizes = _block_sizes(spec)
-    count = factorial(n) // prod(factorial(k) for k in sizes)
     pos = {int.from_bytes(bytes(p), "big"): k for k, p in enumerate(elements)}
-    if len(pos) != len(reps) or len(reps) != count or any(sorted(p) != ident for p in elements) or any(
+    if len(pos) != len(reps) or len(reps) != _cell_count(spec) or any(sorted(p) != ident for p in elements) or any(
         p[i - 1] > p[i] for i in sorted(spec.untagged) for p in elements
     ):
         raise RuntimeError(

@@ -14,8 +14,8 @@ The tables hold a graph's families as positions: each vertex's row of range
 positions and a successor mask, with only the finite multiplicities in a
 map.  They keep no object per family, so a large graph gives the cyclic
 garbage collector nothing to walk; the ``(src, dst, mult)`` triples are
-built when ``edges`` is first read, unless the constructor was given them.
-A flag graph hands its rows straight to the tables (``AmpGraph._from_rows``).
+built from the rows when ``edges`` is first read, whether the constructor
+listed the rows or a flag graph handed them over (``AmpGraph._from_rows``).
 A quotient by a hereditary set shares its parent's tables and clears the
 set's bits, so a removal chain or a skeleton filtration copies no table.
 That is exact: nothing leaves a hereditary set, so a family, a path or an
@@ -30,13 +30,14 @@ nor does a star test at a source: a flag chain, whose every star is the
 source ``e``, builds none.  A cut of one vertex is decided by that vertex's
 row and carries what it knows: its kept count, and its parent with the
 position it removed, so counting its vertices, or asking which vertices it
-lacks beside its parent, reads no int as wide as the graph.  A cut of one
-sink also records the last shape facts read above it and derives its own
-only when they are read, from its parent's when those have been read since,
-so a chain whose steps name their sinks builds no sink tuple past its
-input's, and reading its step graphs in order costs one sink's in-degree a
-step.  A kept-vertex test ANDs the mask with one bit; shifting the mask
-would copy it.
+lacks beside its parent, reads no int as wide as the graph.  Its shape
+facts have one rule: when its parent's have been read and the vertex was
+the parent's sink, they are the parent's less that sink, with the sink's
+in-neighbours that have no kept successor left as new sinks; otherwise
+they are walked.  So a chain whose steps name their sinks builds no sink
+tuple past its input's, and reading its step graphs in order walks its
+input alone and costs one sink's in-degree a step.  A kept-vertex test
+ANDs the mask with one bit; shifting the mask would copy it.
 
 All values are immutable and all operations are pure: they return new graphs
 and never mutate shared state.  Vertex-set results are emitted as tuples
@@ -134,8 +135,8 @@ class _Tables:
     __slots__ = ("labels", "pos", "heads", "starts", "counts", "succ", "finite", "_edges", "_pred", "_reach")
 
     def __init__(self, labels: tuple[str, ...], pos: dict[str, int], rows: list[list[int]],
-                 counts: dict[tuple[int, int], int], edges: tuple | None = None) -> None:
-        """``rows[i]`` lists the range positions of row i, strictly increasing; ``edges``, when given, their triples.
+                 counts: dict[tuple[int, int], int]) -> None:
+        """``rows[i]`` lists the range positions of row i, strictly increasing.
 
         A row count other than the vertex count, or a position repeated in
         its row, out of order or out of range, is refused.  Each row's
@@ -164,8 +165,7 @@ class _Tables:
         self.labels, self.pos, self.counts, self.succ, self.finite = labels, pos, counts, tuple(succ), finite
         self.heads = tuple(chain.from_iterable(rows))
         self.starts = tuple(accumulate(map(len, rows), initial=0))
-        self._edges = edges
-        self._pred = self._reach = None
+        self._edges = self._pred = self._reach = None
 
     @property
     def edges(self) -> tuple[tuple[str, str, Mult], ...]:
@@ -186,8 +186,7 @@ class _Tables:
         t.heads = self.heads[:at] + (j,) + self.heads[at:]
         t.starts = self.starts[:i + 1] + tuple(map((1).__add__, self.starts[i + 1:]))
         t.succ = self.succ[:i] + (self.succ[i] | 1 << j,) + self.succ[i + 1:]
-        edges = self._edges
-        t._edges = None if edges is None else edges[:at] + ((self.labels[i], self.labels[j], OMEGA),) + edges[at:]
+        t._edges = None
         t._pred = self._pred and self._pred[:j] + (self._pred[j] | 1 << i,) + self._pred[j + 1:]
         return t
 
@@ -252,8 +251,8 @@ class AmpGraph(_Frozen):
     rejects unknown endpoints, invalid multiplicities and a pair given twice,
     so equal graphs compare and hash equal.  Its one validation pass looks up
     each family's two end positions; the families, sorted by them, go to the
-    tables as rows of range positions, and the triples it was given are
-    kept as ``edges``.
+    tables as rows of range positions, from which ``edges`` is built when
+    read.
 
     A constructed graph keeps every vertex of its tables, a quotient fewer.
     Every lookup (``v in g``, ``len``, ``index``, ``multiplicity``,
@@ -270,9 +269,8 @@ class AmpGraph(_Frozen):
         verts, index = _positions(vertices)
         seen: set[tuple[int, int]] = set()
         counts: dict[tuple[int, int], int] = {}
-        keyed: list[tuple[int, int, tuple[str, str, Mult]]] = []
-        for e in edges:
-            src, dst, m = e
+        keyed: list[tuple[int, int]] = []
+        for src, dst, m in edges:
             i = index.get(src)
             if i is None:
                 raise ValueError(f"unknown edge source {src!r}")
@@ -290,14 +288,13 @@ class AmpGraph(_Frozen):
                 if m == 0:
                     continue
                 counts[at] = m
-            # a given tuple is kept as it is: it holds the validated values
-            keyed.append((i, j, e if type(e) is tuple else (src, dst, m)))
+            keyed.append(at)
         keyed.sort()
         rows: list[list[int]] = [[] for _ in verts]
-        for i, j, _ in keyed:
+        for i, j in keyed:
             rows[i].append(j)
-        t = _Tables(verts, index, rows, counts, tuple([fam for _, _, fam in keyed]))
-        self.__dict__.update(_t=t, _keep=(1 << len(verts)) - 1, vertices=verts, edges=t.edges)
+        t = _Tables(verts, index, rows, counts)
+        self.__dict__.update(_t=t, _keep=(1 << len(verts)) - 1, vertices=verts)
 
     @staticmethod
     def _from_rows(vertices: Iterable[str], rows: list[list[int]]) -> "AmpGraph":
@@ -529,38 +526,29 @@ class AmpGraph(_Frozen):
     def classify(self) -> GraphClass:
         """Classify the graph: amplification, acyclicity, sinks and sources.
 
-        Computed once per graph, or derived by a one-sink cut from the last
-        facts read above it (see :meth:`quotient`); every later call returns
-        the same value.  Acyclicity reads no reach mask when every kept
-        vertex's families go to later positions.
+        Computed once per graph, on first call; every later call returns
+        the same value.  A one-vertex cut derives them from its parent's
+        when those have been read and the vertex was the parent's sink (see
+        :meth:`quotient`); any other graph walks its kept vertices, and
+        acyclicity reads no reach mask when every kept vertex's families go
+        to later positions.
         """
         return self._shape
 
     @_built
     def _shape(self) -> GraphClass:
         t, keep, known = self._t, self._keep, self.__dict__
-        cut = known.get("_cut")
-        if cut is not None:
-            # the facts of a graph this one was cut from one sink at a time,
-            # its parent's when they have been read since the cut: no family
-            # left a removed sink, so no source and no cycle changes, and the
-            # new sinks are the removed sinks' kept in-neighbours with no kept
-            # successor
-            up = known.get("_parent")
-            if up is not None and "_shape" in up.__dict__:
-                base, gone = up._shape, [known["_removed"]]
-            else:
-                base, base_keep = cut
-                gone = list(_bits(base_keep & ~keep))
-            pred, succ, labels = t.pred(), t.succ, t.labels
-            cut_away = {labels[j] for j in gone}
-            new = {labels[u] for j in gone for u in _bits(pred[j] & keep) if not succ[u] & keep}
-            sinks = [v for v in base.sinks if v not in cut_away]
+        up, i = known.get("_parent"), known.get("_removed")
+        if up is not None and "_shape" in up.__dict__ and not t.succ[i] & up._keep:
+            # the parent's facts less its sink: no family left the sink, so
+            # no source and no cycle changes, and the new sinks are its kept
+            # in-neighbours with no kept successor
+            base, gone = up._shape, t.labels[i]
+            new = [t.labels[u] for u in _bits(t.pred()[i] & keep) if not t.succ[u] & keep]
+            sinks = [v for v in base.sinks if v != gone]
             if new:
-                sinks = sorted(sinks + list(new), key=t.pos.__getitem__)
-            sources = base.sources
-            if not cut_away.isdisjoint(sources):
-                sources = tuple(s for s in sources if s not in cut_away)
+                sinks = sorted(sinks + new, key=t.pos.__getitem__)
+            sources = tuple(s for s in base.sources if s != gone)
             return GraphClass(self.is_amplified, base.acyclic, tuple(sinks), sources)
         kept, pred = list(self._kept()), t.pred()
         # no kept row is behind: the positions are a topological order, and
@@ -660,18 +648,14 @@ class AmpGraph(_Frozen):
         family may leave it but a self-loop.  It carries its kept count, one
         less than this graph's, and records this graph as its parent with the
         position it removed, so :meth:`hereditary_cut` and :meth:`is_cut` read
-        the cut off it, with no mask op but that row's.  A cut of one sink (no
-        kept family out, a self-loop included) from a graph whose shape facts
-        are read, or carried, also carries them: the quotient records the
-        :class:`GraphClass` of the last graph above it whose facts were read,
-        with that graph's mask, and derives its own only when first read, in
-        the in-degrees of the sinks removed since, or of its own sink alone
-        when its parent's facts have been read since the cut.  Removing a sink
-        creates no source and no cycle; its in-neighbours with no other kept
-        successor become sinks.  A carried parent is not read, so a chain of
-        cuts builds no sink tuple until one is asked for, and no derivation
-        recurses.  Every other cut walks its kept vertices when its facts are
-        read.
+        the cut off it, with no mask op but that row's.  It records nothing
+        else.  When its shape facts are first read, and this graph's have
+        been read and the vertex is a sink here (no kept family out, not
+        even a self-loop), they are derived from this graph's in the
+        sink's in-degree: removing a sink creates no source and no cycle,
+        and its in-neighbours with no other kept successor become sinks.
+        An unread parent is not read, so no derivation recurses; every
+        other cut, a self-loop's included, walks its kept vertices.
         """
         removed = tuple(removed)
         if len(removed) == 1:
@@ -680,10 +664,7 @@ class AmpGraph(_Frozen):
             row = self._t.succ[i] & keep
             if row and row != bit:
                 raise ValueError(f"{sorted(removed)!r} is not hereditary: not a valid ideal")
-            known = self.__dict__
-            base = (known["_shape"], keep) if "_shape" in known else known.get("_cut")
-            carried = {} if row or base is None else {"_cut": base}
-            return AmpGraph._on(self._t, keep ^ bit, _len=self._len - 1, _parent=self, _removed=i, **carried)
+            return AmpGraph._on(self._t, keep ^ bit, _len=self._len - 1, _parent=self, _removed=i)
         drop = self._mask(removed)
         if not self._closed(drop):
             raise ValueError(f"{sorted(removed)!r} is not hereditary: not a valid ideal")

@@ -344,9 +344,9 @@ def _plan(g: AmpGraph, pick: _Pick, n_steps: int) -> tuple[list[tuple[str, str |
     A graph with a vertex left, cut from an acyclic ``g``, is acyclic and
     so has a sink; only a graph cut from a cyclic ``g``, or emptied, has its
     sinks read to know it has one.  Each graph is a one-sink cut of the
-    last, so when its facts are read it derives them from the last facts
-    read (:meth:`~ampgraph.graphs.AmpGraph.quotient`), and only ``g`` is
-    walked.
+    last, and the graphs are read in order, so each whose facts are read
+    derives them from its parent's, read just before
+    (:meth:`~ampgraph.graphs.AmpGraph.quotient`), and only ``g`` is walked.
     """
     plan: list[tuple[str, str | None]] = []
     graphs = [g]

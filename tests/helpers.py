@@ -53,6 +53,14 @@ from ampgraph.ktheory import induced_k0, smith_normal_form
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+def walked_graphs(monkeypatch) -> list[AmpGraph]:
+    """The graphs that list their kept positions from here on: a shape walk does, a derivation does not."""
+    walked: list[AmpGraph] = []
+    kept = AmpGraph._kept
+    monkeypatch.setattr(AmpGraph, "_kept", lambda g: walked.append(g) or kept(g))
+    return walked
+
+
 def example_graph() -> AmpGraph:
     """Five vertices, four infinite families, sinks v4 and v5."""
     return AmpGraph.from_edges(

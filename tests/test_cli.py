@@ -371,6 +371,40 @@ def test_a_runtime_error_that_is_no_verification_failure_propagates(monkeypatch,
     assert type(caught.value) is RuntimeError
 
 
+def _run_out_of_memory(monkeypatch, name: str) -> None:
+    def exhausted(data, ns):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, name, cli._COMMANDS[name]._replace(run=exhausted))
+
+
+OUT_OF_MEMORY = [
+    pytest.param(["flag", "--rank", "3", "--tag", "1,2,3"], "flag ran out of memory on 24 cells", id="flag"),
+    pytest.param(["cw", "--rank", "3", "--tag", "2"], "cw ran out of memory on 6 cells", id="cw"),
+    pytest.param(["chain", EXAMPLE], "chain ran out of memory", id="chain"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_MEMORY)
+def test_a_command_out_of_memory_prints_a_json_report(monkeypatch, capsys, argv, message):
+    _run_out_of_memory(monkeypatch, argv[0])
+    assert main(argv + ["--json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    doc = json.loads(out.out)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc == {"command": argv + ["--json"], "ok": False, "error": message}
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_MEMORY)
+def test_a_command_out_of_memory_without_json_tells_stderr(monkeypatch, capsys, argv, message):
+    _run_out_of_memory(monkeypatch, argv[0])
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
 def test_split_default_star_is_first_valid():
     report = run_command(["split", EXAMPLE, "--sink", "v4"])
     assert report.result["star"] == "v1"

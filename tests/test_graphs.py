@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ampgraph import OMEGA, AmpGraph, load_graph, prefer_source_star, valid_stars
+from ampgraph import OMEGA, AmpGraph, GraphClass, load_graph, prefer_source_star, valid_stars
 from ampgraph.graphs import _Tables, _bits, first_star, is_star
 
 from helpers import (
@@ -14,6 +14,7 @@ from helpers import (
     random_amplified_dag,
     random_edge_list,
     valid_stars_oracle,
+    walked_graphs,
 )
 
 
@@ -530,61 +531,120 @@ def test_quotient_derivation_covers_every_kind_of_parent():
     assert _peel(empty, DenseGraph((), ()), rng) == 0
 
 
-def _carried(g: AmpGraph) -> bool:
-    """Whether ``g`` derives its shape facts from its parent's rather than walking itself."""
-    return "_cut" in g.__dict__
-
-
-def _assert_one_sink_cuts_carry(g: AmpGraph, model: DenseGraph) -> int:
-    """Every one-vertex cut of ``g``, and every one-vertex cut of such a cut
-    before its own facts are read, classify as the dense model does; a cut
-    carries its parent's facts exactly when it removes a sink.  Returns how
-    many cuts carried."""
-    carried = 0
+def _derives(g: AmpGraph, walked: list[AmpGraph]) -> bool:
+    """Read ``g``'s shape facts: whether it derived them, walking nothing."""
+    walked.clear()
     g.classify()
+    assert walked in ([], [g])
+    return not walked
+
+
+def _assert_one_sink_cuts_carry(g: AmpGraph, model: DenseGraph, walked: list[AmpGraph]) -> int:
+    """Every one-vertex cut of ``g``, and every one-vertex cut of such a cut,
+    classify as the dense model does.  A cut derives its facts exactly when
+    its parent's have been read and it removes the parent's sink, as the
+    model says; else it walks.  Each cut's own cuts are read once before
+    its facts, and cut and read again after.  Returns how many derived."""
+    derived = 0
+    g.classify()
+    _, _, sinks, _ = model.classify()
     for v in [v for v in g.vertices if g.is_hereditary((v,))]:
         q, mq = g.quotient((v,)), model.quotient((v,))
-        assert _carried(q) == (v in g.classify().sinks)
-        carried += _carried(q)
-        for w in [w for w in q.vertices if q.is_hereditary((w,))]:
+        alone = [w for w in q.vertices if q.is_hereditary((w,))]
+        for w in alone:
+            # its parent unread: a walk, whatever it removes
+            early = q.quotient((w,))
+            assert not _derives(early, walked)
+            _assert_matches_model(early, mq.quotient((w,)))
+        assert _derives(q, walked) == (v in sinks)
+        derived += v in sinks
+        for w in alone:
             twice = q.quotient((w,))
-            # a cut of a carried cut is carried when it removes a sink, which
-            # the model says, not the unread parent
-            assert _carried(twice) == (_carried(q) and w in mq.classify()[2])
+            assert _derives(twice, walked) == (w in mq.classify()[2])
+            derived += w in mq.classify()[2]
             _assert_matches_model(twice, mq.quotient((w,)))
-            carried += _carried(twice)
         _assert_matches_model(q, mq)
-    return carried
+    return derived
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_one_sink_cuts_carry_the_dense_models_shape_facts(seed):
+def test_one_sink_cuts_carry_the_dense_models_shape_facts(seed, monkeypatch):
     # random DAGs, and graphs with loops, cycles and finite families
+    walked = walked_graphs(monkeypatch)
     rng = random.Random(9600 + seed)
     dag = random_amplified_dag(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
-    carried = _assert_one_sink_cuts_carry(dag, DenseGraph(dag.vertices, dag.edges))
-    assert carried >= 1
+    derived = _assert_one_sink_cuts_carry(dag, DenseGraph(dag.vertices, dag.edges), walked)
+    assert derived >= 1
     labels = tuple(f"u{i}" for i in range(rng.randint(1, 8)))
     edges = random_edge_list(rng, labels, rng.randint(0, 24))
-    _assert_one_sink_cuts_carry(AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges))
+    _assert_one_sink_cuts_carry(AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges), walked)
 
 
-def test_a_self_loop_singleton_is_cut_by_a_walk():
+def test_a_self_loop_singleton_is_cut_by_a_walk(monkeypatch):
     # {b} is hereditary but b is no sink: its cut leaves an acyclic graph,
-    # which a carried acyclic flag would miss
+    # which a derived acyclic flag would miss
+    walked = walked_graphs(monkeypatch)
     g = AmpGraph.from_edges(("a", "b", "c"), [("a", "b"), ("b", "b"), ("c", "a")])
     assert g.classify() == (True, False, (), ("c",))
     q = g.quotient(("b",))
-    assert not _carried(q) and g.hereditary_cut(q) == ("b",) and g.is_cut("b", q)
-    assert q.classify() == (True, True, ("a",), ("c",))
-    assert _assert_one_sink_cuts_carry(g, DenseGraph(g.vertices, g.edges)) == 0
+    assert g.hereditary_cut(q) == ("b",) and g.is_cut("b", q)
+    assert not _derives(q, walked) and q.classify() == (True, True, ("a",), ("c",))
+    # no cut of g derives; the one that does is the cut of q by its sink a
+    assert _assert_one_sink_cuts_carry(g, DenseGraph(g.vertices, g.edges), walked) == 1
     # a sink that is also a source, and the new sinks it leaves
     iso = AmpGraph.from_edges(("x", "y", "z", "s"), [("x", "z"), ("y", "z")])
     iso.classify()
     q = iso.quotient(("s",))
-    assert _carried(q) and q.classify() == (True, True, ("z",), ("x", "y"))
+    assert _derives(q, walked) and q.classify() == (True, True, ("z",), ("x", "y"))
     q2 = q.quotient(("z",))
-    assert _carried(q2) and q2.classify() == (True, True, ("x", "y"), ("x", "y"))
+    assert _derives(q2, walked) and q2.classify() == (True, True, ("x", "y"), ("x", "y"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cuts_read_in_any_order_find_the_facts_a_walk_finds(seed, monkeypatch):
+    """Graphs with cycles, self-loops and finite families, cut one vertex at
+    a time along random branching sequences, then every graph read in a
+    random order, some twice.  Each read equals the dense model's facts,
+    and derives exactly when the parent's facts have been read and the cut
+    vertex was the parent's sink."""
+    walked = walked_graphs(monkeypatch)
+    rng = random.Random(20261100 + seed)
+    reads = derived = 0
+    for _ in range(30):
+        labels = tuple(f"u{i}" for i in range(rng.randint(1, 8)))
+        edges = random_edge_list(rng, labels, rng.randint(0, 24))
+        g = AmpGraph.from_edges(labels, edges)
+        models = {id(g): DenseGraph(labels, edges)}
+        up: dict[int, tuple[AmpGraph, str]] = {}
+        graphs = [g]
+        for _ in range(rng.randint(1, 3)):
+            h = rng.choice(graphs)
+            while rng.random() < 0.85:
+                alone = [v for v in h.vertices if h.is_hereditary((v,))]
+                if not alone:
+                    break
+                v = rng.choice(alone)
+                cut = h.quotient((v,))
+                models[id(cut)] = models[id(h)].quotient((v,))
+                up[id(cut)] = (h, v)
+                graphs.append(cut)
+                h = cut
+        read: dict[int, GraphClass] = {}
+        order = graphs + rng.sample(graphs, len(graphs) // 3)
+        rng.shuffle(order)
+        for h in order:
+            if id(h) in read:
+                assert h.classify() is read[id(h)]
+                continue
+            parent, v = up.get(id(h), (None, None))
+            expect = parent is not None and id(parent) in read and v in models[id(parent)].classify()[2]
+            assert _derives(h, walked) == expect
+            read[id(h)] = h.classify()
+            assert tuple(read[id(h)]) == models[id(h)].classify()
+            derived += expect
+            reads += 1
+    # about 2,200 reads over the 600 graphs, 600 of them derived
+    assert derived >= 10 and reads - derived >= 40, (reads, derived)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -618,15 +678,16 @@ def test_a_cut_on_other_tables_is_compared_as_a_graph():
     assert thinner.is_cut("v4", AmpGraph.from_edges(("v1", "v2", "v3", "v5"), [("v1", "v2"), ("v3", "v5")]))
 
 
-def test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says():
+def test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says(monkeypatch):
     """Each kept vertex of each hereditary quotient of a graph with
     self-loops, cycles and finite families, cut alone.  Where the model
     has no family out of it but a self-loop, the cut is the model's
-    quotient, carries one vertex fewer and its parent's facts exactly when
-    it removes a sink, and lacks that vertex beside its parent by its row;
+    quotient, carries one vertex fewer, derives its facts from its read
+    parent's exactly when it removes a sink, walking otherwise, and lacks that vertex beside its parent by its row;
     elsewhere the cut is refused with the one text a refusal gives.  The
     same mask built without the parent's record is decided by a mask test,
     and a forged record naming a refused vertex by its row."""
+    walked = walked_graphs(monkeypatch)
     rng = random.Random(9800)
     outcomes = {"sink": 0, "loop": 0, "refused": 0}
     for _ in range(30):
@@ -634,11 +695,11 @@ def test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says(
         edges = random_edge_list(rng, labels, rng.randint(0, 24))
         g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
         for subset in sorted(hereditary_subsets_oracle(g)):
-            _cut_each_vertex_alone(g.quotient(subset), model.quotient(subset), outcomes)
+            _cut_each_vertex_alone(g.quotient(subset), model.quotient(subset), outcomes, walked)
     assert min(outcomes.values()) >= 20, outcomes
 
 
-def _cut_each_vertex_alone(q: AmpGraph, mq: DenseGraph, outcomes: dict) -> None:
+def _cut_each_vertex_alone(q: AmpGraph, mq: DenseGraph, outcomes: dict, walked: list[AmpGraph]) -> None:
     """Cut each kept vertex of ``q`` alone and check it against the model ``mq``, counting each outcome."""
     q.classify()
     for v in q.vertices:
@@ -651,9 +712,9 @@ def _cut_each_vertex_alone(q: AmpGraph, mq: DenseGraph, outcomes: dict) -> None:
             outcomes["refused"] += 1
             continue
         cut = q.quotient((v,))
+        assert _derives(cut, walked) == (not mq.successors(v))
         _assert_matches_model(cut, mq.quotient((v,)))
         assert len(cut) == len(q) - 1 == cut._keep.bit_count()
-        assert _carried(cut) == (not mq.successors(v))
         assert q.hereditary_cut(cut) == q.hereditary_cut(bare) == (v,)
         assert q.is_cut(v, cut) and q.is_cut(v, bare)
         outcomes["loop" if mq.successors(v) else "sink"] += 1

@@ -153,6 +153,15 @@ def test_a_cut_deep_in_a_chain_copies_without_the_graphs_above_it(route):
     assert c == g and len(c) == 1 and c.classify() == g.classify() == (True, True, ("v0",), ("v0",))
 
 
+def test_a_one_vertex_cut_records_its_count_parent_and_position_alone():
+    # before any read, whether its parent's shape facts were read or not
+    g = example_graph()
+    read, unread = g.quotient(("v4",)), g.quotient(("v4",))
+    read.classify()
+    for parent in (g, read, unread):
+        assert set(vars(parent.quotient(("v5",)))) == {"_t", "_keep", "_len", "_parent", "_removed"}
+
+
 @pytest.mark.parametrize("route", sorted(ROUND_TRIPS))
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_a_record_shows_itself_the_same_before_and_after_a_copy(name, route):

@@ -45,6 +45,7 @@ from helpers import (
     section_identity_failure_oracle,
     section_identity_failure_patch_oracle,
     stabilize_oracle,
+    walked_graphs,
     watch_patch_builds,
 )
 from test_graphs import _assert_matches_model, _assert_tables_fresh
@@ -852,26 +853,18 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
 
 def test_a_chain_walks_one_graph_for_its_shape_facts(monkeypatch):
     """The planner reads every step graph's sinks, the steps their sinks and
-    sources, but a one-sink cut derives its facts from its parent's, and an
-    amplification keeps them: a chain walks its input graph, and no other,
-    whether stabilising adds families or not."""
-    shape = AmpGraph.__dict__["_shape"]
-    build, walked = shape.build, []
-
-    @functools.wraps(build)
-    def counted(g):
-        if "_cut" not in g.__dict__:
-            walked.append(g)
-        return build(g)
-
-    monkeypatch.setattr(shape, "build", counted)
+    sources, in order; each step graph is a cut of the last by its sink, so
+    it derives its facts from its parent's, and an amplification keeps
+    them: a chain walks its input graph's kept vertices, and no other
+    graph's, whether stabilising adds families or not."""
+    walked = walked_graphs(monkeypatch)
     chains = [kk_chain(flag_graph(DynkinSpec(4, frozenset({1, 2, 3, 4}))))]
     rng = random.Random(20261026)
     chains += [_random_policy_chain(rng)[1] for _ in range(40)]
     assert [id(g) for g in walked] == [id(chain.graph) for chain in chains]
     assert len(chains[0].steps) == 119
     assert any(chain.augmented for chain in chains)
-    # and the carried facts are the ones a walk finds
+    # and the derived facts are the ones a walk finds
     for chain in chains:
         for sd in chain.steps:
             fresh = AmpGraph(sd.quotient_graph.vertices, sd.quotient_graph.edges)
@@ -954,10 +947,13 @@ def test_a_flag_chain_lists_each_steps_missing_families_once(monkeypatch):
         assert listed == ["e"] * len(chain.steps)
 
 
-def test_unread_step_graphs_derive_the_facts_a_walk_finds():
+def test_unread_step_graphs_derive_the_facts_a_walk_finds(monkeypatch):
     """A listed chain reads no step graph's facts.  Read afterwards, last
-    first, each derives them from the input graph's over every sink removed
-    since, as a fresh walk finds them, and returns them on every call."""
+    first, every step graph but the first walks, its parent being unread;
+    the first derives its facts from its parent's, the chain's input or
+    ambient graph, which are read.  Each finds the facts a fresh walk
+    finds, and returns them on every call."""
+    walked = walked_graphs(monkeypatch)
     rng = random.Random(20261027)
     graphs_ = [load_graph(path) for path in sorted((ROOT / "fixtures").glob("*.json"))]
     graphs_ += [flag_graph(spec) for spec in CW_LADDER[:3]]
@@ -966,9 +962,11 @@ def test_unread_step_graphs_derive_the_facts_a_walk_finds():
     for g in graphs_:
         chain = multi_sink_splitting(g, kk_chain(g).sinks)
         cut = [sd.quotient_graph for sd in chain.steps]
-        assert all("_cut" in q.__dict__ and "_shape" not in q.__dict__ for q in cut)
+        assert all("_parent" in q.__dict__ and "_shape" not in q.__dict__ for q in cut)
         for q in reversed(cut):
+            walked.clear()
             facts = q.classify()
+            assert walked == ([] if q is cut[0] else [q])
             assert facts == AmpGraph(q.vertices, q.edges).classify()
             assert q.classify() is facts
         steps += len(cut)
