@@ -109,11 +109,21 @@ def __getattr__(name: str):
 VertexTable = dict[str, int]
 
 
-def _template_table(entries: Iterable[tuple[int, tuple[str, str]]]) -> dict:
-    """The ``(coefficient, family)`` pairs of a template as its table: repeats summed, zeros dropped."""
+def _template_table(fam: tuple[str, str], entries: Iterable[tuple[int, tuple[str, str]]]) -> dict:
+    """The ``(coefficient, family)`` pairs of ``fam``'s template as its table: repeats summed,
+    zeros dropped; an entry that is no such pair, with an int coefficient and a pair of labels, is refused."""
+    if not isinstance(entries, Iterable):
+        raise ValueError(f"template for {fam} must be (coefficient, family) pairs, not {type(entries).__name__}")
     acc: dict[tuple[str, str], int] = {}
-    for coeff, (src, dst) in entries:
-        acc[src, dst] = acc.get((src, dst), 0) + coeff
+    for entry in entries:
+        if not (isinstance(entry, tuple) and len(entry) == 2):
+            raise ValueError(f"template for {fam} has entry {entry!r}, not a (coefficient, family) pair")
+        coeff, t = entry
+        if type(coeff) is not int:
+            raise ValueError(f"template for {fam} has coefficient {coeff!r} at {t!r}, not an int")
+        if not (isinstance(t, tuple) and len(t) == 2 and all(isinstance(x, str) for x in t)):
+            raise ValueError(f"template for {fam} names {t!r}, not a pair of vertex labels")
+        acc[t] = acc.get(t, 0) + coeff
     return {t: c for t, c in acc.items() if c != 0}
 
 
@@ -174,7 +184,7 @@ class GeneratorMap(_Frozen):
             raise ValueError("vertex images must cover exactly the source vertices")
         if eimgs.keys() != {(a, b) for a, b, _ in source.edges}:
             raise ValueError("edge templates must cover exactly the source families")
-        tables = {fam: _template_table(tpl) for fam, tpl in eimgs.items()}
+        tables = {fam: _template_table(fam, tpl) for fam, tpl in eimgs.items()}
         _fill(self, source, target, *_patch(source, target, vimgs, tables))
 
     @_built
@@ -188,17 +198,17 @@ class GeneratorMap(_Frozen):
         """A quotient map's killed vertices, by its cut where one decides, else by a listing;
         every other map stores both halves of its patch, which shadow these."""
         cut = self._cut
-        return dict.fromkeys(self.source.lacks(self.target)[0] if cut is None else cut, _KILLED)
+        return {v: {} for v in (self.source.lacks(self.target)[0] if cut is None else cut)}
 
     @_built
     def family_patch(self) -> dict:
         """A quotient map's killed families, by a listing."""
-        return dict.fromkeys(self.source.lacks(self.target)[1], _KILLED)
+        return {fam: {} for fam in self.source.lacks(self.target)[1]}
 
     @property
     def vertex_images(self) -> dict:
-        """Every source vertex's table, the patch's or the same-label ``{v: 1}``."""
-        return {v: _image(self.vertex_patch, v) for v in self.source.vertices}
+        """Every source vertex's table, a copy of the patch's or the same-label ``{v: 1}``."""
+        return {v: dict(_image(self.vertex_patch, v)) for v in self.source.vertices}
 
     @property
     def edge_images(self) -> dict:
@@ -246,11 +256,6 @@ class GeneratorMap(_Frozen):
             tpl = sorted(_image(self.family_patch, (src, dst)).items())
             rows[f"s[{src}>{dst}#i]"] = _render_sum((c, f"s[{a}>{b}#i]") for (a, b), c in tpl)
         return rows
-
-
-#: The zero table of every generator a quotient map kills, one shared dict: a
-#: patch's tables are read and never written, as composites share them too.
-_KILLED: dict = {}
 
 
 def _fill(m: GeneratorMap, source: AmpGraph, target: AmpGraph, vertex_patch: dict, family_patch: dict) -> None:

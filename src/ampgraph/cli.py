@@ -49,7 +49,6 @@ if TYPE_CHECKING:
     from .coxeter import DynkinSpec
     from .graphs import AmpGraph
 
-DEFAULT_HEREDITARY_BOUND = 20
 BOUND_ENV = "CK_SPLIT_MAX_VERTICES"
 
 #: ``--policy`` value -> the star policy's name in :mod:`ampgraph.splitting`.
@@ -62,7 +61,9 @@ _POLICIES = {
 def _hereditary_bound() -> int:
     raw = os.environ.get(BOUND_ENV)
     if raw is None:
-        return DEFAULT_HEREDITARY_BOUND
+        from .graphs import _HEREDITARY_BOUND
+
+        return _HEREDITARY_BOUND
     try:
         return int(raw)
     except ValueError:

@@ -84,7 +84,7 @@ def summarize_filtration(full: AmpGraph, levels: tuple[AmpGraph, ...],
                          spec: DynkinSpec | None = None) -> CWSummary:
     """Chain summary for an explicit skeleton tower; see :func:`cw_kk_summary`."""
     # each level's sinks, from the top level down, in label order: read off
-    # the cut where the level below is one on shared tables
+    # the cut where the level below is one
     tops = range(len(levels) - 1, 0, -1)
     removals = [sorted(levels[k].hereditary_cut(levels[k - 1])
                        or set(levels[k].vertices) - set(levels[k - 1].vertices)) for k in tops]

@@ -96,6 +96,9 @@ def _bits(mask: int) -> Iterator[int]:
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
+#: The vertex count past which :meth:`AmpGraph.enumerate_hereditary` refuses to enumerate.
+_HEREDITARY_BOUND = 20
+
 
 class GraphClass(NamedTuple):
     """Shape facts that theorem preconditions read off a graph."""
@@ -440,41 +443,26 @@ class AmpGraph(_Frozen):
         i = self._t.pos.get(v)
         return i is not None and bool(self._keep & 1 << i) and not self._t.pred()[i] & self._keep
 
-    def _cut_at(self, other: "AmpGraph") -> int | None:
-        """The position ``other`` was cut from this graph at, when it is this graph's
-        one-vertex :meth:`quotient`, read off the parent it records; else ``None``."""
-        known = other.__dict__
-        return known["_removed"] if known.get("_parent") is self else None
-
-    def is_cut(self, v: str, other: "AmpGraph") -> bool:
-        """Whether ``other`` is this graph's quotient by its sink ``v``.
-
-        On shared tables ``other`` keeps this graph's bits less ``v``'s: a
-        one-vertex cut of this graph records so, any other graph compares
-        its mask.  Otherwise the quotient is cut and compared.
-        """
-        if self._t is other._t:
-            i = self._at(v)
-            return self._cut_at(other) == i or other._keep == self._keep ^ 1 << i
-        return other == self.quotient((v,))
-
     def hereditary_cut(self, other: "AmpGraph") -> tuple[str, ...] | None:
-        """The vertices ``other`` lacks when, on shared tables, it keeps only this graph's
-        bits less a hereditary set, else ``None``.
+        """The vertices of this graph that ``other`` lacks, in vertex order, when ``other`` is
+        this graph's quotient by them, a hereditary set; else ``None``.
 
-        A one-vertex cut of this graph is decided by that vertex's row under
-        ``other``'s mask alone; any other graph by one mask test, with no
-        family listed.
+        A one-vertex cut of this graph is read off the parent and position it
+        records, which :meth:`quotient` admitted by that vertex's row.  Any
+        other graph on shared tables is decided by one mask test, with no
+        family listed; on other tables, by the labels it lacks, cut here
+        and compared as a graph.
         """
-        if self._t is not other._t:
-            return None
-        i = self._cut_at(other)
-        if i is not None:
-            return None if self._t.succ[i] & other._keep else (self._t.labels[i],)
-        if other._keep & ~self._keep:
-            return None
-        gone = self._keep ^ other._keep
-        return self._labels(gone) if self._closed(gone) else None
+        known = other.__dict__
+        if known.get("_parent") is self:
+            return (self._t.labels[known["_removed"]],)
+        if self._t is other._t:
+            if other._keep & ~self._keep:
+                return None
+            gone = self._keep ^ other._keep
+            return self._labels(gone) if self._closed(gone) else None
+        gone = tuple(v for v in self.vertices if v not in other)
+        return gone if self.is_hereditary(gone) and other == self.quotient(gone) else None
 
     def families(self) -> Iterator[tuple[str, str, Mult]]:
         """Yield the nonzero edge families in row-major (vertex) order."""
@@ -596,7 +584,7 @@ class AmpGraph(_Frozen):
         """Whether no path leaves ``subset``: exactly when no family does."""
         return self._closed(self._mask(subset))
 
-    def enumerate_hereditary(self, max_vertices: int = 20) -> list[tuple[str, ...]]:
+    def enumerate_hereditary(self, max_vertices: int = _HEREDITARY_BOUND) -> list[tuple[str, ...]]:
         """All hereditary vertex subsets, sorted by size then vertex order.
 
         For an amplified graph this list is in bijection with the ideal
@@ -647,15 +635,16 @@ class AmpGraph(_Frozen):
         A cut of one vertex is decided by its row under the mask: no kept
         family may leave it but a self-loop.  It carries its kept count, one
         less than this graph's, and records this graph as its parent with the
-        position it removed, so :meth:`hereditary_cut` and :meth:`is_cut` read
-        the cut off it, with no mask op but that row's.  It records nothing
-        else.  When its shape facts are first read, and this graph's have
-        been read and the vertex is a sink here (no kept family out, not
-        even a self-loop), they are derived from this graph's in the
-        sink's in-degree: removing a sink creates no source and no cycle,
-        and its in-neighbours with no other kept successor become sinks.
-        An unread parent is not read, so no derivation recurses; every
-        other cut, a self-loop's included, walks its kept vertices.
+        position it removed, only once that row has admitted it, so
+        :meth:`hereditary_cut` reads the cut off it with no mask op.  It
+        records nothing else.  When its shape facts are first read, and
+        this graph's have been read and the vertex is a sink here (no kept
+        family out, not even a self-loop), they are derived from this
+        graph's in the sink's in-degree: removing a sink creates no source
+        and no cycle, and its in-neighbours with no other kept successor
+        become sinks.  An unread parent is not read, so no derivation
+        recurses; every other cut, a self-loop's included, walks its kept
+        vertices.
         """
         removed = tuple(removed)
         if len(removed) == 1:

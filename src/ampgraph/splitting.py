@@ -171,7 +171,7 @@ def _step_checks(sd: SplitData) -> tuple:
     moved = _section_identity_failure(sd.sigma, sd.quotient_map)
     if not sd.working.is_sink(sd.sink):
         failure = f"{sd.sink} is not a sink of the working graph"
-    elif not sd.working.is_cut(sd.sink, sd.quotient_graph):
+    elif sd.working.hereditary_cut(sd.quotient_graph) != (sd.sink,):
         failure = f"the quotient graph is not the working graph without {sd.sink}"
     else:
         failure = None
@@ -198,7 +198,7 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
     the working graph's quotient by ``sink``, which keeps every other vertex
     and every family not into ``sink``.  The section identity asks the
     quotient graph what it keeps, and the ideal check reads the sink's row
-    and, on shared tables, compares two masks; no quotient is cut.  A chain
+    and asks ``hereditary_cut``, which reads a step's recorded cut.  A chain
     step runs the same checks and builds this report only to refuse.
     """
     return _split_report(sd, *_step_checks(sd))

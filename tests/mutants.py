@@ -289,6 +289,12 @@ MUTANTS = {
         "        bad = [x for x, c in table.items() if c not in (1, -1)]\n",
         [KT + "test_induced_k0_refuses_a_diagonal_coefficient_other_than_one"],
     ),
+    "template-coefficient-accepts-bool": (
+        ALGEBRA,
+        "        if type(coeff) is not int:\n",
+        "        if not isinstance(coeff, int):\n",
+        [ALG + "test_generator_map_refuses_a_template_that_is_not_coefficient_family_pairs"],
+    ),
     "render-table-keeps-table-order": (
         ALGEBRA,
         "            table = sorted(_image(self.vertex_patch, v).items())\n",
@@ -755,8 +761,8 @@ MUTANTS = {
     ),
     "quotient-map-reads-what-the-target-has-of-the-graph": (
         ALGEBRA,
-        "dict.fromkeys(self.source.lacks(self.target)[1]",
-        "dict.fromkeys(self.target.lacks(self.source)[1]",
+        "for fam in self.source.lacks(self.target)[1]}",
+        "for fam in self.target.lacks(self.source)[1]}",
         [PATCH + "test_a_quotient_map_is_what_its_target_lacks",
          PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read"],
     ),
@@ -768,8 +774,8 @@ MUTANTS = {
     ),
     "quotient-map-drops-a-lost-family": (
         ALGEBRA,
-        "self.source.lacks(self.target)[1], _KILLED)",
-        "self.source.lacks(self.target)[1][1:], _KILLED)",
+        "for fam in self.source.lacks(self.target)[1]}",
+        "for fam in self.source.lacks(self.target)[1][1:]}",
         [PATCH + "test_a_quotient_map_is_what_its_target_lacks",
          PATCH + "test_canned_maps_keep_only_what_they_move"],
     ),
@@ -789,10 +795,16 @@ MUTANTS = {
     # -- a quotient map is what its target lacks, read when asked -----------------
     "quotient-patch-leaves-out-a-removed-vertex": (
         ALGEBRA,
-        " if cut is None else cut, _KILLED)",
-        " if cut is None else cut[1:], _KILLED)",
+        " if cut is None else cut)}",
+        " if cut is None else cut[1:])}",
         [PATCH + "test_canned_maps_keep_only_what_they_move",
          PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read"],
+    ),
+    "vertex-images-hand-out-the-patch-tables": (
+        ALGEBRA,
+        "{v: dict(_image(self.vertex_patch, v)) for v",
+        "{v: _image(self.vertex_patch, v) for v",
+        [PATCH + "test_a_quotient_maps_zero_tables_are_its_own_and_handed_out_as_copies"],
     ),
     "identity-keeps-an-entry-at-a-killed-vertex": (
         ALGEBRA,
@@ -835,10 +847,27 @@ MUTANTS = {
     ),
     "ideal-mask-test-accepts-another-graphs-tables": (
         GRAPHS,
-        "        if self._t is other._t:\n            i = self._at(v)\n",
-        "        if True:\n            i = self._at(v)\n",
+        "        if self._t is other._t:\n            if other._keep & ~self._keep:\n",
+        "        if True:\n            if other._keep & ~self._keep:\n",
         [GRAPH + "test_a_cut_on_other_tables_is_compared_as_a_graph",
+         GRAPH + "test_hereditary_cut_matches_the_dense_model_on_random_pairs",
          SPLIT + "test_the_ideal_check_reads_masks_on_shared_tables_and_compares_other_graphs"],
+    ),
+    "unshared-cut-skips-the-graph-comparison": (
+        GRAPHS,
+        "self.is_hereditary(gone) and other == self.quotient(gone) else None",
+        "self.is_hereditary(gone) else None",
+        [GRAPH + "test_a_cut_on_other_tables_is_compared_as_a_graph",
+         GRAPH + "test_a_cut_on_other_tables_is_named_when_it_holds",
+         GRAPH + "test_hereditary_cut_matches_the_dense_model_on_random_pairs"],
+    ),
+    "unshared-cut-skips-the-hereditary-test": (
+        GRAPHS,
+        "return gone if self.is_hereditary(gone) and other ==",
+        "return gone if other ==",
+        [GRAPH + "test_a_cut_on_other_tables_is_named_when_it_holds",
+         GRAPH + "test_hereditary_cut_matches_the_dense_model_on_random_pairs",
+         GRAPH + "test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says"],
     ),
     "sink-row-ignores-the-mask": (
         GRAPHS,
@@ -961,14 +990,14 @@ MUTANTS = {
     # -- a step's checks read its cut: one mask test, K_0 sums added in place -------
     "quotient-pass-skips-the-subset-half": (
         GRAPHS,
-        "        if other._keep & ~self._keep:\n            return None\n",
+        "            if other._keep & ~self._keep:\n                return None\n",
         "",
         [PATCH + "test_a_quotient_map_passes_its_relations_on_its_cut_as_the_oracle_decides"],
     ),
     "quotient-pass-skips-the-closed-half": (
         GRAPHS,
-        "        return self._labels(gone) if self._closed(gone) else None\n",
-        "        return self._labels(gone)\n",
+        "            return self._labels(gone) if self._closed(gone) else None\n",
+        "            return self._labels(gone)\n",
         [PATCH + "test_a_quotient_map_passes_its_relations_on_its_cut_as_the_oracle_decides"],
     ),
     "quotient-pass-ignores-the-cut": (
@@ -1120,13 +1149,6 @@ MUTANTS = {
         [GRAPH + "test_quotients_equal_fresh_graphs",
          GRAPH + "test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says"],
     ),
-    "one-vertex-hereditary-cut-reads-the-parents-mask": (
-        GRAPHS,
-        "return None if self._t.succ[i] & other._keep else",
-        "return None if self._t.succ[i] & self._keep else",
-        [GRAPH + "test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says",
-         GRAPH + "test_a_self_loop_singleton_is_cut_by_a_walk"],
-    ),
     "kept-bit-test-drops-the-mask": (
         GRAPHS,
         "        if i is None or not self._keep & 1 << i:\n",
@@ -1154,11 +1176,11 @@ MUTANTS = {
         [SPLIT + "test_step_graphs_read_in_order_each_derive_from_their_parent",
          GRAPH + "test_cuts_read_in_any_order_find_the_facts_a_walk_finds"],
     ),
-    "is-cut-accepts-any-recorded-cut": (
+    "cut-record-accepted-from-another-parent": (
         GRAPHS,
-        "return self._cut_at(other) == i or",
-        "return self._cut_at(other) is not None or",
-        [GRAPH + "test_sink_source_and_cut_rows_match_the_dense_model"],
+        '        if known.get("_parent") is self:\n',
+        '        if "_parent" in known:\n',
+        [GRAPH + "test_hereditary_cut_matches_the_dense_model_on_random_pairs"],
     ),
     "copy-keeps-the-parent-record": (
         GRAPHS,

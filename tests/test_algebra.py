@@ -315,6 +315,21 @@ def test_generator_map_refuses_an_image_that_is_not_a_vertex_table(image, messag
         GeneratorMap(g, g, images, ident.edge_images)
 
 
+@pytest.mark.parametrize("template, message", [
+    (((True, ("a", "b")),), r"template for \('a', 'b'\) has coefficient True at \('a', 'b'\), not an int"),
+    (((1.0, ("a", "b")),), r"template for \('a', 'b'\) has coefficient 1.0 at \('a', 'b'\), not an int"),
+    ((("x", ("a", "b")),), r"template for \('a', 'b'\) has coefficient 'x' at \('a', 'b'\), not an int"),
+    (((1, "ab"),), r"template for \('a', 'b'\) names 'ab', not a pair of vertex labels"),
+    (((1,),), r"template for \('a', 'b'\) has entry \(1,\), not a \(coefficient, family\) pair"),
+    (5, r"template for \('a', 'b'\) must be \(coefficient, family\) pairs, not int"),
+], ids=["bool", "float", "str", "unpacked-string", "no-family", "no-pairs"])
+def test_generator_map_refuses_a_template_that_is_not_coefficient_family_pairs(template, message):
+    g = line_graph()
+    ident = GeneratorMap.identity(g)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GeneratorMap(g, g, ident.vertex_images, {**ident.edge_images, ("a", "b"): template})
+
+
 def test_generator_map_drops_zero_coefficients():
     g = line_graph()
     ident = GeneratorMap.identity(g)

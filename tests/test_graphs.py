@@ -135,18 +135,24 @@ def test_the_tables_refuse_a_repeated_or_out_of_range_position():
 @pytest.mark.parametrize("seed", range(20))
 def test_edges_built_on_read_equal_the_triples_handed_over(seed):
     # the tables of a graph built anew from its rows and finite
-    # multiplicities, with no triple handed over, read the same families
+    # multiplicities read the families of the input list: each pair's last
+    # multiplicity, zeros dropped, in row-major order
     rng = random.Random(9900 + seed)
     labels = tuple(f"u{i}" for i in range(rng.randint(1, 8)))
-    g = AmpGraph.from_edges(labels, random_edge_list(rng, labels, rng.randint(0, 24)))
+    edges = random_edge_list(rng, labels, rng.randint(0, 24))
+    last = {(src, dst): rest[0] if rest else OMEGA for src, dst, *rest in edges}
+    at = {v: i for i, v in enumerate(labels)}
+    want = tuple((a, b, m) for (a, b), m in sorted(last.items(), key=lambda kv: (at[kv[0][0]], at[kv[0][1]]))
+                 if m != 0)
+    g = AmpGraph.from_edges(labels, edges)
     t = g._t
     rows = [list(t.heads[a:b]) for a, b in zip(t.starts, t.starts[1:])]
     lazy = _Tables(t.labels, t.pos, rows, t.counts)
     assert lazy._edges is None
-    assert lazy.edges == g.edges and lazy.pred() == t.pred() and lazy.succ == t.succ
+    assert lazy.edges == want == g.edges and lazy.pred() == t.pred() and lazy.succ == t.succ
     h = AmpGraph._on(lazy, g._keep, vertices=g.vertices)
     assert h == g and hash(h) == hash(g)
-    _assert_matches_model(h, DenseGraph(labels, g.edges))
+    _assert_matches_model(h, DenseGraph(labels, edges))
 
 
 def test_constructor_sorts_families_and_drops_zeros():
@@ -587,7 +593,7 @@ def test_a_self_loop_singleton_is_cut_by_a_walk(monkeypatch):
     g = AmpGraph.from_edges(("a", "b", "c"), [("a", "b"), ("b", "b"), ("c", "a")])
     assert g.classify() == (True, False, (), ("c",))
     q = g.quotient(("b",))
-    assert g.hereditary_cut(q) == ("b",) and g.is_cut("b", q)
+    assert g.hereditary_cut(q) == g.hereditary_cut(AmpGraph(q.vertices, q.edges)) == ("b",)
     assert not _derives(q, walked) and q.classify() == (True, True, ("a",), ("c",))
     # no cut of g derives; the one that does is the cut of q by its sink a
     assert _assert_one_sink_cuts_carry(g, DenseGraph(g.vertices, g.edges), walked) == 1
@@ -649,7 +655,7 @@ def test_cuts_read_in_any_order_find_the_facts_a_walk_finds(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_sink_source_and_cut_rows_match_the_dense_model(seed):
-    """``is_sink``, ``is_source`` and ``is_cut`` on every hereditary quotient
+    """``is_sink``, ``is_source`` and ``hereditary_cut`` on every hereditary quotient
     of a graph with loops, cycles and finite families: the model's sinks and
     sources, no label the graph does not keep, and a cut by each sink equal
     to the model's quotient, on the shared tables or built anew."""
@@ -664,18 +670,83 @@ def test_sink_source_and_cut_rows_match_the_dense_model(seed):
         assert tuple(v for v in (*labels, "nowhere") if q.is_source(v)) == sources
         for v in sinks:
             cut = q.quotient((v,))
-            assert q.is_cut(v, cut) and q.is_cut(v, AmpGraph(cut.vertices, cut.edges))
-            assert not q.is_cut(v, q)
-            assert not any(q.is_cut(v, q.quotient((w,))) for w in sinks if w != v)
+            assert q.hereditary_cut(cut) == q.hereditary_cut(AmpGraph(cut.vertices, cut.edges)) == (v,)
+            assert q.hereditary_cut(q) != (v,)
+            assert not any(q.hereditary_cut(q.quotient((w,))) == (v,) for w in sinks if w != v)
 
 
 def test_a_cut_on_other_tables_is_compared_as_a_graph():
     # the same positions kept, but a family fewer: equal masks, another graph
     g = example_graph()
     thinner = AmpGraph(g.vertices, [e for e in g.edges if e[:2] != ("v1", "v3")])
-    assert g.is_cut("v4", g.quotient(("v4",)))
-    assert not g.is_cut("v4", thinner.quotient(("v4",)))
-    assert thinner.is_cut("v4", AmpGraph.from_edges(("v1", "v2", "v3", "v5"), [("v1", "v2"), ("v3", "v5")]))
+    assert g.hereditary_cut(g.quotient(("v4",))) == ("v4",)
+    assert g.hereditary_cut(thinner.quotient(("v4",))) is None
+    fresh = AmpGraph.from_edges(("v1", "v2", "v3", "v5"), [("v1", "v2"), ("v3", "v5")])
+    assert thinner.hereditary_cut(fresh) == ("v4",)
+
+
+def test_a_cut_on_other_tables_is_named_when_it_holds():
+    # a -> b and an isolated c: {c} is hereditary, and a fresh a -> b is
+    # the quotient by it; {a} is not, and asking about it raises nothing
+    g = AmpGraph.from_edges(("a", "b", "c"), [("a", "b")])
+    assert g.hereditary_cut(AmpGraph.from_edges(("a", "b"), [("a", "b")])) == ("c",)
+    assert g.hereditary_cut(AmpGraph.from_edges(("b", "c"))) is None
+    assert g.hereditary_cut(g.quotient(("b", "c"))) == ("b", "c")
+    assert g.hereditary_cut(AmpGraph.from_edges(("a",))) == ("b", "c")
+    assert g.hereditary_cut(AmpGraph.from_edges(("b", "a"), [("a", "b")])) is None
+
+
+def _model_cut(model: DenseGraph, other: DenseGraph) -> tuple[str, ...] | None:
+    """The dense model's cut: the labels ``other`` lacks, in vertex order, when they
+    are hereditary and ``other`` is the model's quotient by them; else ``None``."""
+    gone = tuple(v for v in model.vertices if v not in other.pos)
+    if any(w not in gone for v in gone for w in model.successors(v)):
+        return None
+    q = model.quotient(gone)
+    return gone if (q.vertices, q.families()) == (other.vertices, other.families()) else None
+
+
+def test_hereditary_cut_matches_the_dense_model_on_random_pairs():
+    """Graphs with cycles, self-loops and finite families, and their
+    quotients on the shared tables, by one vertex or several and cut again;
+    the same graphs built anew; and graphs on other tables that keep a
+    random run of the labels, less a family or with one multiplicity
+    changed.  Each asked of each: the model's answer, a cut named both on
+    shared tables and on other tables, and no question raising."""
+    rng = random.Random(20261200)
+    named = {True: 0, False: 0}
+    for _ in range(30):
+        labels = tuple(f"u{i}" for i in range(rng.randint(1, 7)))
+        edges = random_edge_list(rng, labels, rng.randint(0, 24))
+        g, model = AmpGraph.from_edges(labels, edges), DenseGraph(labels, edges)
+        pool = [(g, model)]
+        subsets = sorted(hereditary_subsets_oracle(g))
+        for subset in rng.sample(subsets, min(len(subsets), 5)):
+            pool.append((g.quotient(subset), model.quotient(subset)))
+        for _ in range(4):
+            h, mh = rng.choice(pool[:6])
+            alone = [v for v in h.vertices if h.is_hereditary((v,))]
+            if alone:
+                v = rng.choice(alone)
+                pool.append((h.quotient((v,)), mh.quotient((v,))))
+        for h, mh in rng.sample(pool, 3):
+            pool.append((AmpGraph(h.vertices, h.edges), mh))
+        for _ in range(3):
+            keep = [v for v in labels if rng.random() < 0.7]
+            fams = [(a, b, m) for a, b, m in model.families() if a in keep and b in keep]
+            if fams and rng.random() < 0.5:
+                fams.pop(rng.randrange(len(fams)))
+            elif fams:
+                k = rng.randrange(len(fams))
+                fams[k] = (*fams[k][:2], 3 if fams[k][2] is OMEGA else OMEGA)
+            pool.append((AmpGraph.from_edges(keep, fams), DenseGraph(keep, fams)))
+        for a, ma in pool:
+            for b, mb in pool:
+                want = _model_cut(ma, mb)
+                assert a.hereditary_cut(b) == want, (a, b)
+                if want is not None:
+                    named[a._t is b._t] += 1
+    assert min(named.values()) >= 500, named
 
 
 def test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says(monkeypatch):
@@ -686,7 +757,7 @@ def test_one_vertex_cuts_are_decided_by_the_vertexs_row_as_the_dense_model_says(
     parent's exactly when it removes a sink, walking otherwise, and lacks that vertex beside its parent by its row;
     elsewhere the cut is refused with the one text a refusal gives.  The
     same mask built without the parent's record is decided by a mask test,
-    and a forged record naming a refused vertex by its row."""
+    and the same graph built anew by a comparison, refused or not."""
     walked = walked_graphs(monkeypatch)
     rng = random.Random(9800)
     outcomes = {"sink": 0, "loop": 0, "refused": 0}
@@ -708,7 +779,8 @@ def _cut_each_vertex_alone(q: AmpGraph, mq: DenseGraph, outcomes: dict, walked: 
         if [w for w in mq.successors(v) if w != v]:
             assert _error(q.quotient, (v,)) == f"{[v]!r} is not hereditary: not a valid ideal"
             assert q.hereditary_cut(bare) is None
-            assert q.hereditary_cut(AmpGraph._on(q._t, bare._keep, _parent=q, _removed=i)) is None
+            less = mq.quotient((v,))
+            assert q.hereditary_cut(AmpGraph(less.vertices, less.families())) is None
             outcomes["refused"] += 1
             continue
         cut = q.quotient((v,))
@@ -716,7 +788,7 @@ def _cut_each_vertex_alone(q: AmpGraph, mq: DenseGraph, outcomes: dict, walked: 
         _assert_matches_model(cut, mq.quotient((v,)))
         assert len(cut) == len(q) - 1 == cut._keep.bit_count()
         assert q.hereditary_cut(cut) == q.hereditary_cut(bare) == (v,)
-        assert q.is_cut(v, cut) and q.is_cut(v, bare)
+        assert q.hereditary_cut(AmpGraph(cut.vertices, cut.edges)) == (v,)
         outcomes["loop" if mq.successors(v) else "sink"] += 1
 
 

@@ -18,6 +18,10 @@ And no module a command loads imports :mod:`dataclasses` or the
 :mod:`inspect` it pulls in: a cold command would pay about 11 ms for them.
 Only :mod:`ampgraph.words`, which no command loads, may.
 
+A one-vertex cut's record, its ``_parent`` and ``_removed``, is written
+only by ``AmpGraph.quotient``, once that vertex's row has admitted the cut:
+``hereditary_cut`` reads a recorded cut without testing it again.
+
 The command line reads graph files in one place: :mod:`ampgraph.cli` calls
 ``load_graph`` at one site, and no subcommand handler (``_cmd_*``) imports
 it; each handler is given the graph.
@@ -39,6 +43,7 @@ STORAGE = {"_t", "_keep", "_Tables", "_on", "_at", "_mask", "_labels", "_kept", 
 OWNERS = {name: "algebra.py" for name in LAYOUT} | {"word_mul": "words.py"} | {
     name: "graphs.py" for name in STORAGE}
 SLOW_IMPORTS = {"dataclasses", "inspect"}
+RECORD = {"_parent", "_removed"}
 
 
 def _uses(tree: ast.AST, names: set[str]) -> list[str]:
@@ -169,6 +174,76 @@ def test_the_import_scan_sees_both_forms_at_any_depth():
         "line 1: imports inspect",
         "line 2: imports from dataclasses",
         "line 5: imports dataclasses",
+    ]
+
+
+def _names_record(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value in RECORD
+
+
+def _record_write(node: ast.AST) -> str | None:
+    """What ``node`` does to a cut's record, when it writes one: a keyword, an
+    attribute or subscript set, a dict key or a ``setattr`` naming it."""
+    if isinstance(node, ast.keyword) and node.arg in RECORD:
+        return f"passes {node.arg}="
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in RECORD:
+        return f"sets .{node.attr}"
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and _names_record(node.slice):
+        return f"sets [{node.slice.value!r}]"
+    if isinstance(node, ast.Dict) and any(map(_names_record, node.keys)):
+        return "keys a dict by it"
+    if isinstance(node, ast.Call) and any(map(_names_record, node.args)) and (
+            getattr(node.func, "id", None) == "setattr" or getattr(node.func, "attr", None) == "__setattr__"):
+        return "calls setattr on it"
+    return None
+
+
+def _record_writes(tree: ast.AST) -> list[tuple[str, str]]:
+    """Each write of a cut's record in ``tree``, with the dotted name of the class and function it is in."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = f"{where}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else where
+            what = _record_write(child)
+            if what:
+                found.append((inner.lstrip("."), f"line {child.lineno}: {what}"))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_a_one_vertex_quotient_writes_a_cuts_record():
+    writes = {p.name: _record_writes(ast.parse(p.read_text(), str(p))) for p in sorted(PACKAGE.glob("*.py"))}
+    assert [(name, *w) for name, found in writes.items() for w in found if w[0] != "AmpGraph.quotient"] == []
+    # the scan sees the one write there is
+    assert [w[1].split(": ")[1] for w in writes["graphs.py"]] == ["passes _parent=", "passes _removed="]
+
+
+def test_the_record_scan_sees_each_form_of_write():
+    source = (
+        "class AmpGraph:\n"
+        "    def quotient(self):\n"
+        "        return AmpGraph._on(t, k, _parent=self, _removed=i)\n"
+        "    def other(self):\n"
+        "        return AmpGraph._on(t, k, _parent=self)\n"
+        "g._removed = 3\n"
+        "g.__dict__['_parent'] = h\n"
+        "g.__dict__.update({'_removed': 1})\n"
+        "setattr(g, '_parent', h)\n"
+        "object.__setattr__(g, '_removed', 1)\n"
+        "ok = g.__dict__.get('_parent') is h and g._removed\n"
+    )
+    assert _record_writes(ast.parse(source)) == [
+        ("AmpGraph.quotient", "line 3: passes _parent="),
+        ("AmpGraph.quotient", "line 3: passes _removed="),
+        ("AmpGraph.other", "line 5: passes _parent="),
+        ("", "line 6: sets ._removed"),
+        ("", "line 7: sets ['_parent']"),
+        ("", "line 8: keys a dict by it"),
+        ("", "line 9: calls setattr on it"),
+        ("", "line 10: calls setattr on it"),
     ]
 
 

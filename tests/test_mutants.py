@@ -32,4 +32,4 @@ def test_the_snippet_check_sees_an_edited_snippet(tmp_path):
 
 
 def test_the_table_holds_the_patch_and_table_mutants():
-    assert len(MUTANTS) >= 164
+    assert len(MUTANTS) >= 167

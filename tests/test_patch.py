@@ -275,6 +275,20 @@ def test_a_quotient_map_is_what_its_target_lacks():
         GeneratorMap.quotient(finite, ("b",))
 
 
+def test_a_quotient_maps_zero_tables_are_its_own_and_handed_out_as_copies():
+    # a caller writing into a table read off ``vertex_images`` changes no
+    # map: not the one it came from, nor another quotient map's killed tables
+    g = AmpGraph.from_edges(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    m = GeneratorMap.quotient(g, ["c"])
+    m.vertex_images["c"]["b"] = 1
+    m.vertex_images["a"]["b"] = 1
+    assert m.vertex_patch == {"c": {}} and m.vertex_images == {"a": {"a": 1}, "b": {"b": 1}, "c": {}}
+    n = GeneratorMap.quotient(AmpGraph.from_edges(("x", "y", "z"), [("x", "y"), ("z", "y")]), ["y"])
+    assert (n.vertex_patch, n.family_patch) == ({"y": {}}, {("x", "y"): {}, ("z", "y"): {}})
+    tables = [*m.vertex_patch.values(), *m.family_patch.values(), *n.vertex_patch.values(), *n.family_patch.values()]
+    assert len(set(map(id, tables))) == len(tables) == 5
+
+
 def _omega_graph(rng: random.Random) -> AmpGraph:
     """A random amplified graph on up to seven vertices: self-loops, cycles and sinks all occur."""
     labels = tuple(f"u{i}" for i in range(rng.randint(1, 7)))

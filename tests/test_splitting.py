@@ -1007,22 +1007,32 @@ def test_step_graphs_read_in_order_each_derive_from_their_parent(monkeypatch):
 
 
 def test_a_flag_chain_decides_each_steps_cut_once(monkeypatch):
-    """Full A4, 120 vertices: the quotient map of each step decides its cut
-    once, for its relation check, its patch and the K_0 checks alike; the
-    summary cuts each skeleton level from the one above once more."""
-    calls = []
-    cut = AmpGraph.hereditary_cut
+    """Full A4, 120 vertices: every step's cut is asked of its working
+    graph, by its quotient map and its ideal check, and each is read off
+    the cut's record: none reaches the mask test.  The summary's cuts of
+    each skeleton level from the one above take the mask test or a record."""
+    asking, asked, masked = [], [], []
+    cut, closed = AmpGraph.hereditary_cut, AmpGraph._closed
 
     def counted(g, other):
-        calls.append(other)
-        return cut(g, other)
+        asking.append(other)
+        try:
+            return cut(g, other)
+        finally:
+            asked.append(asking.pop())
+
+    def counted_closed(g, mask):
+        masked.extend(asking[-1:])
+        return closed(g, mask)
 
     monkeypatch.setattr(AmpGraph, "hereditary_cut", counted)
+    monkeypatch.setattr(AmpGraph, "_closed", counted_closed)
     summary = cw_kk_summary(DynkinSpec(4, frozenset({1, 2, 3, 4})))
-    steps = summary.chain.steps
+    steps = {id(sd.quotient_graph) for sd in summary.chain.steps}
     levels = [r.level for r in summary.records if r.level is not None]
     assert summary.report.ok and len(steps) == 119 and len(levels) == 10
-    assert sorted(map(id, calls[len(levels):])) == sorted(id(sd.quotient_graph) for sd in steps)
+    assert steps <= set(map(id, asked)) and not steps & set(map(id, masked))
+    assert len(asked) == len(levels) + 2 * len(steps) and 0 < len(masked) < len(levels)
 
 
 def _listed(g: AmpGraph) -> bool:
