@@ -29,12 +29,18 @@ there are ``(n+1)! / prod(size!)`` of them:
 
 >>> [r.element for r in minimal_coset_reps(DynkinSpec(2, frozenset({1})))]
 [(1, 2, 3), (2, 1, 3), (3, 1, 2)]
+
+Equally, a representative is a block word, the block of each value, and
+:func:`minimal_coset_reps` lists them in one depth-first pass that places
+the values 1 .. n+1 in order.  A value placed in block b lies, in ``p^-1``,
+after exactly the earlier values of the later blocks, so the canonical word
+grows by one run of letters fixed by their count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import factorial, prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -46,8 +52,8 @@ Perm = tuple[int, ...]
 
 #: ``_RUN[k][d]`` is the run of letters ``k, k-1, .., k-d+1``.
 _RUN = tuple(tuple(tuple(range(k, k - d, -1)) for d in range(k + 1)) for k in range(MAX_RANK + 1))
-#: ``_NAME[i]`` is the label of the letter ``s_i``.
-_NAME = tuple(f"s{i}" for i in range(MAX_RANK + 1))
+#: ``_NAME[i]`` is the label of the letter ``s_i``, for i in 1 .. ``MAX_RANK``.
+_NAME = {i: f"s{i}" for i in range(1, MAX_RANK + 1)}
 
 
 class DynkinSpec(_Frozen):
@@ -109,7 +115,14 @@ def canonical_reduced_word(p: Perm) -> tuple[int, ...]:
     (1, 2, 1)
     >>> canonical_reduced_word((1, 2, 3))
     ()
+
+    Anything but a tuple of ints permuting 1 .. m, m at most ``MAX_RANK + 1``,
+    is refused with a ``ValueError`` that names it.  The flag graph does not
+    call this (see :func:`minimal_coset_reps`).
     """
+    if not (isinstance(p, tuple) and len(p) <= MAX_RANK + 1 and all(type(x) is int for x in p)
+            and sorted(p) == list(range(1, len(p) + 1))):
+        raise ValueError(f"not a permutation of 1..m with m at most {MAX_RANK + 1}: {p!r}")
     inv = [0] * len(p)
     for pos, x in enumerate(p):
         inv[x - 1] = pos
@@ -170,25 +183,49 @@ def _cell_count(spec: DynkinSpec) -> int:
 
 
 def minimal_coset_reps(spec: DynkinSpec) -> list[CosetRep]:
-    """Minimal-length representatives of the parabolic cosets, block by block.
+    """Minimal-length representatives of the parabolic cosets, in one pass over block words.
 
     An element represents its coset minimally exactly when it has no
     untagged right descent, i.e. its one-line form increases inside each
-    block of positions between tagged nodes.  Choosing the value set of
-    every block but the last yields each representative once, the last
-    block taking the values left, so the work is proportional to the
-    output.  Sorted in place by length then lexicographic canonical word.
+    block of positions between tagged nodes.  So a depth-first pass places
+    the values 1 .. n+1 in order, each into every block still with room, at
+    its next free position, and lists each representative once, when its
+    last value is placed.  The recursion is as deep as the values placed,
+    at most ``MAX_RANK + 1``.
+
+    The canonical word (see :func:`canonical_reduced_word`) grows with the
+    pass.  Value k + 1 goes to position x of block b; the earlier values of
+    b and of the blocks before it sit before x, those of the later blocks
+    after it.  So the ``d`` earlier entries of ``p^-1`` larger than x are
+    the values already in the later blocks, summed as the blocks are walked
+    from the last to the first, and the word grows by ``_RUN[k][d]``.
+    Sorted in place by length then lexicographic canonical word.
     """
-    # (one-line prefix, values not yet placed), one block at a time
-    forms: list[tuple[Perm, Perm]] = [((), identity_perm(spec.rank))]
-    for size in _block_sizes(spec)[:-1]:
-        forms = [(head + block, tuple(v for v in rest if v not in block))
-                 for head, rest in forms for block in combinations(rest, size)]
-    reps = []
-    for head, rest in forms:
-        p = head + rest
-        word = canonical_reduced_word(p)
-        reps.append(CosetRep(p, len(word), word))
+    sizes = _block_sizes(spec)
+    n = spec.rank + 1
+    starts = [0, *accumulate(sizes)]
+    fill = [0] * len(sizes)
+    p = [0] * n
+    reps: list[CosetRep] = []
+    last_to_first = range(len(sizes) - 1, -1, -1)
+
+    def place(k: int, word: tuple[int, ...]) -> None:
+        run = _RUN[k]
+        d = 0
+        for b in last_to_first:
+            f = fill[b]
+            if f < sizes[b]:
+                p[starts[b] + f] = k + 1
+                grown = word + run[d]
+                if k + 1 == n:
+                    reps.append(CosetRep(tuple(p), len(grown), grown))
+                else:
+                    fill[b] = f + 1
+                    place(k + 1, grown)
+                    fill[b] = f
+            d += f
+
+    place(0, ())
     reps.sort(key=itemgetter(1, 2))
     return reps
 
@@ -196,12 +233,17 @@ def minimal_coset_reps(spec: DynkinSpec) -> list[CosetRep]:
 def word_label(word: tuple[int, ...]) -> str:
     """Vertex label of a reduced word, its letters' precomputed names joined; the identity is ``e``.
 
-    Letters run from 1 to ``MAX_RANK``.
+    Letters run from 1 to ``MAX_RANK``; any other letter, or a word that is
+    not a sequence of letters, is refused with a ``ValueError`` that names
+    the word.
 
     >>> word_label((2, 1, 3, 2))
     's2s1s3s2'
     """
-    return "".join([_NAME[i] for i in word]) or "e"
+    try:
+        return "".join([_NAME[i] for i in word]) or "e"
+    except (KeyError, TypeError):
+        raise ValueError(f"not a word in the letters 1..{MAX_RANK}: {word!r}") from None
 
 
 def _word_length(label: str) -> int:
@@ -265,11 +307,12 @@ def flag_graph(spec: DynkinSpec) -> AmpGraph:
         )
     weight = [256 ** (n - 1 - i) for i in range(n)]
     # (position, whether it starts a block, the later blocks' (start, end),
-    # the key's change per unit of value swapped to each position)
+    # the key's change per unit of value swapped to each position), for the
+    # positions before the last block: from there no swap moves a value on
     ends = list(accumulate(sizes))
     blocks = list(zip([0, *ends], ends))
     scan = [(i, i == s, blocks[k + 1:], [weight[i] - x for x in weight])
-            for k, (s, e) in enumerate(blocks) for i in range(s, e)]
+            for k, (s, e) in enumerate(blocks[:-1]) for i in range(s, e)]
     rows: list[list[int]] = [[] for _ in reps]
     # pos holds the keys in vertex order, one per vertex
     for p, (w, c) in enumerate(zip(elements, pos)):

@@ -23,6 +23,7 @@ from ampgraph import (
     OMEGA,
     AmpGraph,
     DynkinSpec,
+    canonical_reduced_word,
     cw_kk_summary,
     first_sink_first_star,
     kk_chain,
@@ -47,6 +48,7 @@ from ampgraph.algebra import (
     verify_ck_family,
 )
 from ampgraph import ktheory
+from ampgraph.coxeter import CosetRep
 from ampgraph.ktheory import induced_k0, smith_normal_form
 
 
@@ -1474,6 +1476,28 @@ def coset_reps_oracle(rank: int, tagged: frozenset[int]) -> set[tuple[int, ...]]
         seen |= coset
         reps.add(min(coset, key=lambda q: (_inv_count(q), q)))
     return reps
+
+
+def coset_reps_by_combinations_oracle(spec) -> list[CosetRep]:
+    """The minimal coset representatives by block value sets, each word from scratch.
+
+    A representative increases inside each block of positions between
+    tagged nodes, so choosing the value set of every block but the last (by
+    ``combinations``) yields each once, the last block taking the values
+    left; its word is :func:`canonical_reduced_word` of its one-line form.
+    Sorted by length then word, as ``minimal_coset_reps`` promises.
+    """
+    cuts = [0, *sorted(spec.tagged), spec.rank + 1]
+    forms = [((), tuple(range(1, spec.rank + 2)))]
+    for size in [b - a for a, b in zip(cuts, cuts[1:])][:-1]:
+        forms = [(head + block, tuple(v for v in rest if v not in block))
+                 for head, rest in forms for block in combinations(rest, size)]
+    reps = []
+    for head, rest in forms:
+        p = head + rest
+        word = canonical_reduced_word(p)
+        reps.append(CosetRep(p, len(word), word))
+    return sorted(reps, key=lambda r: (r.length, r.word))
 
 
 def lex_least_reduced_word_oracle(p: tuple[int, ...]) -> tuple[int, ...]:

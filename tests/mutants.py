@@ -3,8 +3,10 @@
 Each row of :data:`MUTANTS` names a source file, an exact snippet of it, the
 replacement that breaks one check, and the test node ids that must fail on
 the broken copy.  ``tests/test_mutants.py`` (tier 1) only checks that every
-snippet still occurs exactly once in its file, so a refactor that moves the
-code has to update its row.  The full run is slow and stays out of tier 1:
+snippet still occurs exactly once in its file (one that begins with
+whitespace only at that indentation, see :func:`_starts`), so a refactor
+that moves or re-indents the code has to update its row.  The full run is
+slow and stays out of tier 1:
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py ID [ID..]  # the named ones
@@ -441,9 +443,10 @@ MUTANTS = {
     ),
     "coset-rep-length-is-not-the-word-length": (
         COXETER,
-        "        reps.append(CosetRep(p, len(word), word))\n",
-        "        reps.append(CosetRep(p, len(set(word)), word))\n",
-        [COX + "test_minimal_coset_reps_match_brute_force"],
+        "                    reps.append(CosetRep(tuple(p), len(grown), grown))\n",
+        "                    reps.append(CosetRep(tuple(p), len(set(grown)), grown))\n",
+        [COX + "test_minimal_coset_reps_match_brute_force",
+         COX + "test_minimal_coset_reps_match_the_combinations_oracle"],
     ),
     "is-hereditary-skips-the-last-vertex": (
         GRAPHS,
@@ -964,9 +967,50 @@ MUTANTS = {
     ),
     "last-block-one-value-short": (
         COXETER,
-        "        p = head + rest\n",
-        "        p = head + rest[:-1]\n",
-        [COX + "test_minimal_coset_reps_match_brute_force"],
+        "    sizes = _block_sizes(spec)\n    n = spec.rank + 1\n",
+        "    sizes = _block_sizes(spec)\n    sizes[-1] -= 1\n    n = spec.rank + 1\n",
+        [COX + "test_minimal_coset_reps_match_brute_force",
+         COX + "test_minimal_coset_reps_match_the_combinations_oracle"],
+    ),
+    # -- representatives in one pass over block words ------------------------------
+    "coset-pass-walks-the-blocks-first-to-last": (
+        COXETER,
+        "    last_to_first = range(len(sizes) - 1, -1, -1)\n",
+        "    last_to_first = range(len(sizes))\n",
+        [COX + "test_minimal_coset_reps_match_brute_force",
+         COX + "test_minimal_coset_reps_match_the_combinations_oracle"],
+    ),
+    "coset-pass-keeps-a-blocks-count-on-backtrack": (
+        COXETER,
+        "                    place(k + 1, grown)\n                    fill[b] = f\n",
+        "                    place(k + 1, grown)\n",
+        [COX + "test_minimal_coset_reps_match_brute_force",
+         COX + "test_minimal_coset_reps_match_the_combinations_oracle"],
+    ),
+    "coset-run-counts-the-values-of-its-own-block": (
+        COXETER,
+        "                grown = word + run[d]\n",
+        "                grown = word + run[d + f]\n",
+        [COX + "test_minimal_coset_reps_match_brute_force",
+         COX + "test_minimal_coset_reps_match_the_combinations_oracle"],
+    ),
+    "cover-scan-drops-a-position-before-the-last-block": (
+        COXETER,
+        "            for k, (s, e) in enumerate(blocks[:-1]) for i in range(s, e)]\n",
+        "            for k, (s, e) in enumerate(blocks[:-1]) for i in range(s, e - 1)]\n",
+        [COX + "test_flag_graph_matches_the_candidate_scan_oracle"],
+    ),
+    "word-label-names-letter-zero": (
+        COXETER,
+        '_NAME = {i: f"s{i}" for i in range(1, MAX_RANK + 1)}\n',
+        '_NAME = {i: f"s{i}" for i in range(MAX_RANK + 1)}\n',
+        [COX + "test_word_label_refuses_a_letter_outside_the_diagram"],
+    ),
+    "canonical-word-skips-the-permutation-test": (
+        COXETER,
+        "\n            and sorted(p) == list(range(1, len(p) + 1))):\n",
+        "):\n",
+        [COX + "test_canonical_reduced_word_refuses_what_is_not_a_permutation"],
     ),
     "vertex-self-check-skips-the-permutation-test": (
         COXETER,
@@ -1008,8 +1052,8 @@ MUTANTS = {
     ),
     "vertex-patch-lists-a-kept-vertex": (
         GRAPHS,
-        "        return self._labels(gone) if self._closed(gone) else None\n",
-        "        return self._labels(gone | other._keep & -other._keep) if self._closed(gone) else None\n",
+        "            return self._labels(gone) if self._closed(gone) else None\n",
+        "            return self._labels(gone | other._keep & -other._keep) if self._closed(gone) else None\n",
         [PATCH + "test_a_quotient_map_builds_the_oracles_patch_when_first_read",
          KT + "test_k0_checks_leave_the_step_certificate_unchanged"],
     ),
@@ -1191,8 +1235,26 @@ MUTANTS = {
 }
 
 
+def _starts(text: str, snippet: str) -> list[int]:
+    """Where ``snippet`` starts in ``text``.
+
+    A snippet that begins with whitespace is counted where it starts a line
+    or follows code on its line, not where it starts inside a deeper line's
+    indentation: a row written at one indentation names no line indented
+    deeper.
+    """
+    found = []
+    at = text.find(snippet)
+    while at >= 0:
+        before = text[text.rfind("\n", 0, at) + 1:at]
+        if not (snippet[:1].isspace() and before and before.isspace()):
+            found.append(at)
+        at = text.find(snippet, at + 1)
+    return found
+
+
 def occurrences(root: pathlib.Path, file: str, snippet: str) -> int:
-    return (root / file).read_text().count(snippet)
+    return len(_starts((root / file).read_text(), snippet))
 
 
 def _pytest(root: pathlib.Path, tests: list[str]) -> tuple[int, list[str]]:
@@ -1222,11 +1284,13 @@ def run(ids: list[str]) -> int:
         for i in ids:
             file, snippet, replacement, tests = MUTANTS[i]
             text = (copy / file).read_text()
-            if text.count(snippet) != 1:
-                print(f"{i}: snippet occurs {text.count(snippet)} times in {file}")
+            starts = _starts(text, snippet)
+            if len(starts) != 1:
+                print(f"{i}: snippet occurs {len(starts)} times in {file}")
                 survivors.append(i)
                 continue
-            (copy / file).write_text(text.replace(snippet, replacement))
+            [at] = starts
+            (copy / file).write_text(text[:at] + replacement + text[at + len(snippet):])
             try:
                 code, passed = _pytest(copy, tests)
             finally:

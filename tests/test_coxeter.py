@@ -22,6 +22,7 @@ from helpers import (
     _inv_count,
     bruhat_leq,
     bruhat_leq_oracle,
+    coset_reps_by_combinations_oracle,
     coset_reps_oracle,
     flag_graph_oracle,
     flag_vertices_alt,
@@ -128,6 +129,39 @@ def test_minimal_coset_reps_match_brute_force(spec):
         assert word_to_perm_oracle(r.word, spec.rank) == r.element
     order = len(list(permutations(range(1, spec.rank + 2))))
     assert len(reps) == order // len(subgroup_oracle(spec.rank, set(spec.untagged)))
+
+
+#: the flag-filtration benchmark's specs
+FILTRATION_SPECS = [DynkinSpec(7, frozenset(tags)) for tags in ({4}, {1, 7}, {2, 5})]
+
+
+@pytest.mark.parametrize("spec", all_specs(6) + FILTRATION_SPECS, ids=str)
+def test_minimal_coset_reps_match_the_combinations_oracle(spec):
+    # the same records in the same order as the combinations oracle, and
+    # each word the reference one, which the pass does not compute
+    reps = minimal_coset_reps(spec)
+    assert reps == coset_reps_by_combinations_oracle(spec)
+    for r in reps:
+        assert type(r) is CosetRep and type(r.element) is tuple
+        assert r.word == canonical_reduced_word(r.element)
+
+
+def test_canonical_reduced_word_refuses_what_is_not_a_permutation():
+    for p in [(1, 1, 3), (0, 1, 2), (1, 2, 4), (2, 1, "3"), (1.0, 2.0), (True, 2),
+              [2, 1], None, 123, tuple(range(1, 11))]:
+        with pytest.raises(ValueError, match="not a permutation") as err:
+            canonical_reduced_word(p)
+        assert repr(p) in str(err.value)
+    assert canonical_reduced_word(tuple(range(9, 0, -1)))[:3] == (1, 2, 1)
+    assert canonical_reduced_word(()) == canonical_reduced_word((1,)) == ()
+
+
+def test_word_label_refuses_a_letter_outside_the_diagram():
+    for word in [(0,), (-1,), (9,), (1, 9), (1.5,), ("1",), ([1],), None, 3]:
+        with pytest.raises(ValueError, match="not a word in the letters 1..8") as err:
+            word_label(word)
+        assert repr(word) in str(err.value)
+    assert word_label(tuple(range(1, 9))) == "s1s2s3s4s5s6s7s8"
 
 
 @pytest.mark.parametrize("spec", all_specs(5), ids=str)
