@@ -90,7 +90,6 @@ _EXPORTS = {
         "SplitData",
         "VerificationFailure",
         "build_splitting",
-        "explicit_steps",
         "first_sink_first_star",
         "kk_chain",
         "multi_sink_splitting",

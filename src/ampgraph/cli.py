@@ -49,25 +49,11 @@ if TYPE_CHECKING:
     from .coxeter import DynkinSpec
     from .graphs import AmpGraph
 
-BOUND_ENV = "CK_SPLIT_MAX_VERTICES"
-
 #: ``--policy`` value -> the star policy's name in :mod:`ampgraph.splitting`.
 _POLICIES = {
     "first": "first_sink_first_star",
     "source": "prefer_source_star",
 }
-
-
-def _hereditary_bound() -> int:
-    raw = os.environ.get(BOUND_ENV)
-    if raw is None:
-        from .graphs import _HEREDITARY_BOUND
-
-        return _HEREDITARY_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{BOUND_ENV} must be an integer, got {raw!r}") from None
 
 
 def _split_labels(raw: str) -> tuple[str, ...]:
@@ -105,10 +91,11 @@ def _cmd_hereditary(g: AmpGraph, ns) -> tuple[bool, dict]:
             "given": list(given),
             "closure": list(g.hereditary_closure(given)),
         }
-    bound = _hereditary_bound()
-    sets = g.enumerate_hereditary(max_vertices=bound)
+    from .graphs import _HEREDITARY_BOUND
+
+    sets = g.enumerate_hereditary(max_vertices=_HEREDITARY_BOUND)
     return True, {
-        "max_vertices": bound,
+        "max_vertices": _HEREDITARY_BOUND,
         "count": len(sets),
         "sets": [list(s) for s in sets],
     }

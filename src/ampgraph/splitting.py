@@ -36,10 +36,11 @@ once more from the ambient graph's tables.
 
 Each step reads only what decides it.  The planner knows a sink exists
 from the input: a cut of an acyclic graph with a vertex left has one, so
-only a cyclic input has its step graphs' sinks read, and a policy is
-handed them; :func:`multi_sink_splitting` names each sink and reads its
-row.  The families a step's section needs, which stabilising has just
-shown present, are listed again only to name a failing step.
+only a cyclic input has its step graphs' sinks read to know it; a policy
+is handed the step's graph alone, and :func:`multi_sink_splitting`, how a
+chain's steps are listed, names each sink and reads its row.  The families
+a step's section needs, which stabilising has just shown present, are
+listed again only to name a failing step.
 """
 
 from __future__ import annotations
@@ -208,10 +209,9 @@ def verify_split_exact(sd: SplitData) -> VerificationReport:
 # chains of sink removals
 
 
-#: A policy picks ``(sink, star)`` for the current graph; ``sinks`` is the
-#: tuple of available sinks in vertex order, read off the graph's
-#: :meth:`~ampgraph.graphs.AmpGraph.classify` for each call.
-StarPolicy = Callable[[AmpGraph, tuple[str, ...]], tuple[str, str | None]]
+#: A policy picks ``(sink, star)`` for the current graph, which it is handed alone; it reads
+#: the graph's sinks, if it needs them, off :meth:`~ampgraph.graphs.AmpGraph.classify`.
+StarPolicy = Callable[[AmpGraph], tuple[str, str | None]]
 
 
 def _star(g: AmpGraph, sink: str) -> str:
@@ -222,35 +222,18 @@ def _star(g: AmpGraph, sink: str) -> str:
     return star
 
 
-def first_sink_first_star(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | None]:
+def first_sink_first_star(g: AmpGraph) -> tuple[str, str | None]:
     """Default policy: first sink in vertex order, first valid star."""
-    return sinks[0], _star(g, sinks[0])
+    sink = g.classify().sinks[0]
+    return sink, _star(g, sink)
 
 
-def prefer_source_star(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | None]:
+def prefer_source_star(g: AmpGraph) -> tuple[str, str | None]:
     """Like the default, but picks the first source other than the sink, a star vacuously, when one exists."""
-    source = next((v for v in g.classify().sources if v != sinks[0]), None)
-    return sinks[0], _star(g, sinks[0]) if source is None else source
-
-
-def explicit_steps(pairs: Sequence[tuple[str, str | None]]) -> StarPolicy:
-    """A policy that replays a fixed ``(sink, star)`` list.
-
-    Each call takes the first listed pair whose sink is still a vertex of
-    the graph, so the policy keeps no state and can drive any number of
-    chains.
-    """
-    steps = tuple(pairs)
-
-    def policy(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str | None]:
-        for sink, star in steps:
-            if sink in g:
-                if sink not in sinks:
-                    raise ValueError(f"{sink!r} is not a sink of the remaining graph")
-                return sink, star
-        raise ValueError("ran out of prescribed (sink, star) steps")
-
-    return policy
+    cls = g.classify()
+    sink = cls.sinks[0]
+    source = next((v for v in cls.sources if v != sink), None)
+    return sink, _star(g, sink) if source is None else source
 
 
 class KKChain(NamedTuple):
@@ -302,34 +285,19 @@ class KKChain(NamedTuple):
 
     @property
     def iota_terms(self) -> tuple[str, ...]:
-        names = []
-        for k in range(1, len(self.steps) + 1):
-            parts = [f"s_{j}" for j in range(1, k)] + [f"iota_{k}"]
-            names.append("[" + " o ".join(parts) + "]")
-        tail = [f"s_{j}" for j in range(1, len(self.steps) + 1)]
-        names.append("[" + " o ".join(tail) + "]" if tail else "[id]")
-        return tuple(names)
+        s = [f"s_{j}" for j in range(1, len(self.steps) + 1)]
+        terms = ["[" + " o ".join([*s[:k], f"iota_{k + 1}"]) + "]" for k in range(len(s))]
+        return (*terms, "[" + " o ".join(s) + "]" if s else "[id]")
 
     @property
     def pi_terms(self) -> tuple[str, ...]:
-        names = []
-        for k in range(1, len(self.steps) + 1):
-            if k == 1:
-                names.append("[pi_1]")
-            else:
-                qs = " o ".join(f"q_{j}" for j in range(k - 1, 0, -1))
-                names.append(f"[{qs}] * [pi_{k}]")
-        tail = " o ".join(f"q_{j}" for j in range(len(self.steps), 0, -1))
-        names.append(f"[{tail}]" if tail else "[id]")
-        return tuple(names)
+        q = [f"q_{j}" for j in range(len(self.steps), 0, -1)]
+        terms = ["[" + " o ".join(q[-k:]) + f"] * [pi_{k + 1}]" if k else "[pi_1]" for k in range(len(q))]
+        return (*terms, "[" + " o ".join(q) + "]" if q else "[id]")
 
 
-#: The planner's pick for the current graph and the step's index from 0: the step's sink and star.
-_Pick = Callable[[AmpGraph, int], tuple[str, str | None]]
-
-
-def _plan(g: AmpGraph, pick: _Pick, n_steps: int) -> tuple[list[tuple[str, str | None]], list[AmpGraph]]:
-    """The ``(sink, star)`` ``pick`` makes for each step, given its index, and the graphs it cuts.
+def _plan(g: AmpGraph, pick: StarPolicy, n_steps: int) -> tuple[list[tuple[str, str | None]], list[AmpGraph]]:
+    """The ``(sink, star)`` ``pick`` makes for each step, handed the step's graph, and the graphs it cuts.
 
     ``graphs[i]`` is ``g`` without the first ``i`` sinks, ``g``'s tables
     under a mask; :func:`_check_step` refuses there each step it cannot
@@ -355,7 +323,7 @@ def _plan(g: AmpGraph, pick: _Pick, n_steps: int) -> tuple[list[tuple[str, str |
         current = graphs[-1]
         if not (acyclic and step <= size) and not current.classify().sinks:
             raise ValueError("graph has no sink: removal chain cannot proceed")
-        sink, star = pick(current, step - 1)
+        sink, star = pick(current)
         if star is not None and star not in current:
             raise ValueError(
                 f"star {star!r} of step {step} (sink {sink!r}) is not "
@@ -395,7 +363,7 @@ def _stabilize(g: AmpGraph, plan: Sequence[tuple[str, str | None]]) -> tuple[Amp
             added.append((v, w))
 
 
-def _run_chain(g: AmpGraph, pick: _Pick, n_steps: int) -> KKChain:
+def _run_chain(g: AmpGraph, pick: StarPolicy, n_steps: int) -> KKChain:
     """Plan ``n_steps`` removals as ``pick`` makes them (see :func:`_plan`), stabilise, then split each step."""
     plan, graphs = _plan(g, pick, n_steps)
     ambient, added = _stabilize(g, plan)
@@ -420,13 +388,17 @@ def multi_sink_splitting(
     Each listed vertex must be a sink of the graph remaining at its step.
     ``stars[i]`` may be ``None`` for the embedding section; with ``stars``
     omitted the first valid star is chosen at every step.  It plans with
-    :func:`kk_chain`'s planner, picking step ``i`` off the lists by the
-    listed sink's row, so no step graph's sinks are read.
+    :func:`kk_chain`'s planner, reading a step's index off its graph's
+    vertex count and its sink's row, so no step graph's sinks are read.
     """
+    for name, labels in (("sinks", sinks), ("stars", stars)):
+        if isinstance(labels, str):
+            raise ValueError(f"{name} must be a sequence of vertex labels, not the string {labels!r}")
     if stars is not None and len(stars) != len(sinks):
         raise ValueError("sinks and stars must have equal length")
 
-    def listed(current: AmpGraph, i: int) -> tuple[str, str | None]:
+    def listed(current: AmpGraph) -> tuple[str, str | None]:
+        i = len(g) - len(current)
         if not current.is_sink(sinks[i]):
             raise ValueError(f"{sinks[i]!r} is not a sink of the remaining graph")
         return sinks[i], _star(current, sinks[i]) if stars is None else stars[i]
@@ -462,4 +434,4 @@ def kk_chain(g: AmpGraph, policy: StarPolicy = first_sink_first_star) -> KKChain
     if not len(g):
         raise ValueError("kk_chain requires at least one vertex")
 
-    return _run_chain(g, lambda current, _: policy(current, current.classify().sinks), len(g) - 1)
+    return _run_chain(g, policy, len(g) - 1)

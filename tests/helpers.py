@@ -1285,13 +1285,15 @@ def valid_stars_oracle(g: AmpGraph, sink: str) -> list[str]:
     return [v for v in g.vertices if v != sink and v not in blocked]
 
 
-def prefer_source_star_oracle(g: AmpGraph, sinks: tuple[str, ...]) -> tuple[str, str]:
-    """The source policy by listing: the first source among the valid stars, else the first star."""
-    stars = valid_stars_oracle(g, sinks[0])
+def prefer_source_star_oracle(g: AmpGraph) -> tuple[str, str]:
+    """The source policy by listing: the first sink in vertex order, with the first source among
+    its valid stars, else its first star."""
+    cls = g.classify()
+    sink = cls.sinks[0]
+    stars = valid_stars_oracle(g, sink)
     if not stars:
-        raise ValueError(f"no valid star exists for sink {sinks[0]!r}")
-    sources = g.classify().sources
-    return sinks[0], next((v for v in stars if v in sources), stars[0])
+        raise ValueError(f"no valid star exists for sink {sink!r}")
+    return sink, next((v for v in stars if v in cls.sources), stars[0])
 
 
 def hereditary_subsets_oracle(g: AmpGraph) -> set[tuple[str, ...]]:

@@ -612,10 +612,16 @@ MUTANTS = {
     ),
     "source-policy-admits-a-source-sink": (
         SPLITTING,
-        "    source = next((v for v in g.classify().sources if v != sinks[0]), None)\n",
-        "    source = next(iter(g.classify().sources), None)\n",
+        "    source = next((v for v in cls.sources if v != sink), None)\n",
+        "    source = next(iter(cls.sources), None)\n",
         [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it",
          SPLIT + "test_no_valid_star_is_reported_by_every_policy"],
+    ),
+    "first-policy-takes-the-last-sink": (
+        SPLITTING,
+        "    sink = g.classify().sinks[0]\n",
+        "    sink = g.classify().sinks[-1]\n",
+        [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it", TEXT],
     ),
     "chain-check-keeps-only-the-first-uncertified-sink": (
         KTHEORY,
@@ -883,6 +889,19 @@ MUTANTS = {
         "        if not current.is_sink(sinks[i]):\n",
         "        if False:\n",
         [SPLIT + "test_multi_sink_splitting_rejects_unknown_sink"],
+    ),
+    "listed-step-index-off-by-one": (
+        SPLITTING,
+        "        i = len(g) - len(current)\n",
+        "        i = len(g) - len(current) - 1\n",
+        [SPLIT + "test_multi_sink_splitting_with_explicit_stars",
+         SPLIT + "test_a_chain_replayed_from_its_steps_is_rebuilt_twice_alike", TEXT],
+    ),
+    "str-sinks-accepted": (
+        SPLITTING,
+        "        if isinstance(labels, str):\n",
+        "        if False:\n",
+        [SPLIT + "test_a_string_of_sinks_or_stars_is_refused_by_name"],
     ),
     "missing-families-ignore-the-sinks-in-neighbours": (
         GRAPHS,

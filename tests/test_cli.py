@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import ampgraph.cli as cli
-from ampgraph import VerificationFailure, dumps_graph, load_graph
+from ampgraph import VerificationFailure, dumps_graph, graphs, load_graph
 from ampgraph.graphio import graph_from_dict
 from ampgraph.cli import main, run_command
 
@@ -506,39 +506,23 @@ def test_plain_cw_builds_no_summand(monkeypatch, capsys):
     assert (report.result["iota"], report.result["pi"]) == (list(chain.iota_terms), list(chain.pi_terms))
 
 
-def test_hereditary_bound_env(monkeypatch):
-    monkeypatch.setenv(cli.BOUND_ENV, "3")
-    report = run_command(["hereditary", EXAMPLE])
-    assert report.exit_code == 1
-    assert "exceeds enumeration bound 3" in report.error
-
-    monkeypatch.setenv(cli.BOUND_ENV, "30")
-    report = run_command(["hereditary", EXAMPLE])
-    assert report.exit_code == 0
-    assert report.result["max_vertices"] == 30
-
-    monkeypatch.setenv(cli.BOUND_ENV, "plenty")
-    report = run_command(["hereditary", EXAMPLE])
-    assert report.exit_code == 1
-    assert cli.BOUND_ENV in report.error
-
-
-def test_hereditary_enumerates_a_long_path_at_a_raised_bound(tmp_path, monkeypatch):
-    # one decision per vertex, deeper than Python's recursion limit
-    n = 1500
-    doc = {"vertices": [f"v{i}" for i in range(n)],
-           "edges": [{"src": f"v{i}", "dst": f"v{i + 1}", "mult": "inf"} for i in range(n - 1)]}
-    path = tmp_path / "path.json"
-    path.write_text(json.dumps(doc))
-    monkeypatch.setenv(cli.BOUND_ENV, "2000")
-    report = run_command(["hereditary", str(path), "--json"])
-    assert report.exit_code == 0
-    assert report.result["count"] == n + 1
-    assert report.result["sets"][:2] == [[], [f"v{n - 1}"]]
+def test_hereditary_reads_no_environment_variable(monkeypatch, capsys):
+    """The enumeration bound is the library's: a variable that once set it
+    changes no byte of the report."""
+    argv = ["hereditary", EXAMPLE, "--json"]
+    monkeypatch.delenv("CK_SPLIT_MAX_VERTICES", raising=False)
+    assert main(argv) == 0
+    unset = capsys.readouterr()
+    assert json.loads(unset.out)["result"]["max_vertices"] == graphs._HEREDITARY_BOUND
+    for value in ("3", "plenty"):
+        monkeypatch.setenv("CK_SPLIT_MAX_VERTICES", value)
+        assert main(argv) == 0
+        assert capsys.readouterr() == unset
 
 
 def test_hereditary_closure_does_not_consult_bound(monkeypatch):
-    monkeypatch.setenv(cli.BOUND_ENV, "1")
+    monkeypatch.setattr(graphs, "_HEREDITARY_BOUND", 1)
+    assert run_command(["hereditary", EXAMPLE]).exit_code == 1
     report = run_command(["hereditary", EXAMPLE, "--closure", "v2"])
     assert report.exit_code == 0
     assert report.result["closure"] == ["v2", "v4"]

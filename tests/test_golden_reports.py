@@ -30,7 +30,7 @@ import os
 import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 
-from ampgraph.cli import BOUND_ENV, main, run_command
+from ampgraph.cli import main, run_command
 
 from helpers import forbid_smith_normal_form
 
@@ -132,7 +132,6 @@ def text_digests() -> dict:
 
 def test_reports_match_golden_digests(monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv(BOUND_ENV, raising=False)
     # every K_0 check in the mix is certified without a Smith normal form
     forbid_smith_normal_form(monkeypatch)
     golden = json.loads(GOLDEN.read_text())
@@ -144,7 +143,6 @@ def test_reports_match_golden_digests(monkeypatch):
 
 def test_printed_text_matches_golden_digests(monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv(BOUND_ENV, raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     golden = json.loads(GOLDEN_TEXT.read_text())
     actual = text_digests()
@@ -155,7 +153,6 @@ def test_printed_text_matches_golden_digests(monkeypatch):
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    os.environ.pop(BOUND_ENV, None)
     os.environ["COLUMNS"] = "80"
     GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
     GOLDEN_TEXT.write_text(json.dumps(text_digests(), indent=1, sort_keys=True) + "\n")

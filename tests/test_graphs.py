@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from ampgraph import OMEGA, AmpGraph, GraphClass, load_graph, prefer_source_star, valid_stars
+from ampgraph import (
+    OMEGA, AmpGraph, GraphClass, first_sink_first_star, load_graph, prefer_source_star, valid_stars,
+)
 from ampgraph.graphs import _Tables, _bits, first_star, is_star
 
 from helpers import (
@@ -315,6 +317,15 @@ def test_enumerate_hereditary_bound():
     g = random_amplified_dag(random.Random(0), 6)
     with pytest.raises(ValueError, match="enumeration bound"):
         g.enumerate_hereditary(max_vertices=5)
+
+
+def test_hereditary_enumerates_a_long_path_at_a_raised_bound():
+    # one decision per vertex, deeper than Python's recursion limit
+    n = 1500
+    path = AmpGraph.from_edges([f"v{i}" for i in range(n)], [(f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+    sets = path.enumerate_hereditary(max_vertices=2000)
+    assert len(sets) == n + 1
+    assert sets[:2] == [(), (f"v{n - 1}",)]
 
 
 def test_quotient_example():
@@ -916,8 +927,9 @@ def test_valid_stars_on_masks_matches_the_family_scan():
 
 def test_is_star_decides_each_vertex_as_the_oracle_lists_it():
     """Every sink and every label (and one unknown label) of every fixture,
-    every quotient of one, and 30 random graphs.  The first star and the
-    source policy's pick agree with the listed stars on every sink."""
+    every quotient of one, and 30 random graphs.  The first star agrees with
+    the listed stars on every sink, and each shipped policy's pick with its
+    oracle on every graph with a sink."""
     graphs = []
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         g = load_graph(path)
@@ -926,7 +938,7 @@ def test_is_star_decides_each_vertex_as_the_oracle_lists_it():
     for _ in range(30):
         g = random_amplified_dag(rng, rng.randint(1, 9), rng.choice((0.2, 0.5, 0.8)))
         graphs.append((g.vertices, g))
-    pairs = 0
+    pairs = picks = 0
     for labels, g in graphs:
         for sink in g.classify().sinks:
             stars = valid_stars_oracle(g, sink)
@@ -934,10 +946,15 @@ def test_is_star_decides_each_vertex_as_the_oracle_lists_it():
                 assert is_star(g, sink, v) == (v in stars), (g, sink, v)
                 pairs += 1
             assert first_star(g, sink) == (stars or [None])[0], (g, sink)
-            sinks = (sink, *g.classify().sinks)
-            want = _error(prefer_source_star_oracle, g, sinks) or prefer_source_star_oracle(g, sinks)
-            assert (_error(prefer_source_star, g, sinks) or prefer_source_star(g, sinks)) == want, (g, sink)
-    assert len(graphs) > 70 and pairs > 700
+        if g.classify().sinks:
+            sink = g.classify().sinks[0]
+            stars = valid_stars_oracle(g, sink)
+            first = (sink, stars[0]) if stars else f"no valid star exists for sink {sink!r}"
+            assert (_error(first_sink_first_star, g) or first_sink_first_star(g)) == first, g
+            want = _error(prefer_source_star_oracle, g) or prefer_source_star_oracle(g)
+            assert (_error(prefer_source_star, g) or prefer_source_star(g)) == want, g
+            picks += 1
+    assert len(graphs) > 70 and pairs > 700 and picks > 60
 
 
 def test_is_star_answers_false_for_a_sink_the_graph_does_not_keep():

@@ -16,7 +16,6 @@ from ampgraph import (
     build_splitting,
     compose,
     cw_kk_summary,
-    explicit_steps,
     flag_graph,
     kk_chain,
     load_graph,
@@ -187,11 +186,11 @@ def _later_step_needs_a_family():
     g = AmpGraph.from_edges(
         ("x", "w", "s1", "s2"), [("x", "w"), ("w", "s1"), ("w", "s2")]
     )
-    return g, explicit_steps([("s1", None), ("s2", "w"), ("w", "x")])
+    return g, ["s1", "s2", "w"], [None, "w", "x"]
 
 
 def test_chain_augments_ambient_for_later_steps():
-    chain = kk_chain(*_later_step_needs_a_family())
+    chain = multi_sink_splitting(*_later_step_needs_a_family())
     assert chain.augmented == (("x", "s2"),)
     assert chain.ambient.multiplicity("x", "s2") is OMEGA
     assert [sd.sink for sd in chain.steps] == ["s1", "s2", "w"]
@@ -202,7 +201,7 @@ def test_unstabilised_ambient_graph_is_reported(monkeypatch):
     monkeypatch.setattr(splitting, "_stabilize", lambda g, plan: (g, ()))
     message = "ambient graph not stabilised: step 's2' still added (('x', 's2'),)"
     with pytest.raises(VerificationFailure, match=re.escape(message)):
-        kk_chain(*_later_step_needs_a_family())
+        multi_sink_splitting(*_later_step_needs_a_family())
 
 
 def test_a_section_naming_a_family_its_target_lacks_is_no_partial_isometry():
@@ -301,7 +300,7 @@ def test_no_valid_star_is_reported_by_every_policy():
         multi_sink_splitting(point, ["v"])
     for policy in (first_sink_first_star, prefer_source_star):
         with pytest.raises(ValueError, match=message):
-            policy(point, ("v",))
+            policy(point)
 
 
 def test_composite_section_splits_composite_quotient():
@@ -353,6 +352,11 @@ def test_multi_sink_splitting_rejects_unknown_sink():
     for stars in (None, ["v1", "v1"]):
         with pytest.raises(ValueError, match="'v4' is not a sink of the remaining graph"):
             multi_sink_splitting(g, ["v4", "v4"], stars)
+    # v1 is a vertex but no sink, and v3 is one only once v5 is gone
+    with pytest.raises(ValueError, match="'v1' is not a sink of the remaining graph"):
+        multi_sink_splitting(g, ["v1"], ["v2"])
+    with pytest.raises(ValueError, match="'v3' is not a sink of the remaining graph"):
+        multi_sink_splitting(g, ["v4", "v3"], ["v1", None])
 
 
 @pytest.mark.parametrize(
@@ -374,17 +378,21 @@ def test_explicit_star_not_in_the_remaining_graph_is_rejected(monkeypatch, stars
     message = re.escape(message + " is not a vertex of the remaining graph")
     with pytest.raises(ValueError, match=message):
         multi_sink_splitting(g, sinks, stars)
-    with pytest.raises(ValueError, match=message):
-        kk_chain(g, explicit_steps(list(zip(sinks, stars))))
 
 
-def test_explicit_steps_policy_validation():
+def test_a_string_of_sinks_or_stars_is_refused_by_name():
+    """A string is a sequence of its characters: ``"v4"`` would list the
+    sinks ``v`` and ``4``, and on one-letter labels ``"ab"`` would remove
+    ``a`` and then ``b``."""
     g = example_graph()
-    with pytest.raises(ValueError, match="ran out"):
-        kk_chain(g, policy=explicit_steps([("v4", "v1")]))
-    # v1 is still a vertex, but not a sink
-    with pytest.raises(ValueError, match="'v1' is not a sink of the remaining graph"):
-        kk_chain(g, policy=explicit_steps([("v1", "v2")]))
+    letters = AmpGraph.from_edges(("a", "b"), [("b", "a")])
+    assert multi_sink_splitting(letters, ["a", "b"], ["b", None]).sinks == ("a", "b")
+    for args, name, text in (((g, "v4"), "sinks", "v4"), ((g, ["v4", "v5"], "v1"), "stars", "v1"),
+                             ((letters, "ab", ["b", None]), "sinks", "ab"),
+                             ((letters, ["a"], "b"), "stars", "b")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be a sequence of vertex labels, not the string {text!r}")):
+            multi_sink_splitting(*args)
 
 
 def test_a_graph_without_a_sink_cannot_start_a_chain():
@@ -418,20 +426,58 @@ def test_every_path_names_a_bad_star_before_stabilising():
     with pytest.raises(ValueError, match=message):
         build_splitting(g, "s", "b")
     with pytest.raises(ValueError, match=message):
-        kk_chain(g, explicit_steps([("s", "b"), ("b", None), ("a", None)]))
+        multi_sink_splitting(g, ["s", "b", "a"], ["b", None, None])
     with pytest.raises(ValueError, match=message):
         multi_sink_splitting(g, ["s"], ["b"])
 
 
-def test_explicit_steps_policy_is_reusable():
+def test_listed_steps_are_reusable():
     g = example_graph()
-    policy = explicit_steps([("v4", "v1"), ("v5", None), ("v2", "v3"), ("v3", "v1")])
-    first = kk_chain(g, policy)
-    second = kk_chain(g, policy)
+    sinks, stars = ("v4", "v5", "v2", "v3"), ("v1", None, "v3", "v1")
+    first = multi_sink_splitting(g, sinks, stars)
+    second = multi_sink_splitting(g, sinks, stars)
     assert [(sd.sink, sd.star) for sd in first.steps] == [
         ("v4", "v1"), ("v5", None), ("v2", "v3"), ("v3", "v1")
     ]
     assert second == first
+
+
+def test_a_chain_replayed_from_its_steps_is_rebuilt_twice_alike():
+    """Listing a chain's own ``(sink, star)`` pairs rebuilds it, and listing
+    them again rebuilds an equal chain: for every golden chain and for
+    chains under shipped and random policies."""
+    rng = random.Random(44)
+    chains = golden_chains() + [_random_policy_chain(rng)[1] for _ in range(40)]
+    for chain in chains:
+        sinks, stars = chain.sinks, [sd.star for sd in chain.steps]
+        first = multi_sink_splitting(chain.graph, sinks, stars)
+        assert first == chain
+        assert multi_sink_splitting(chain.graph, sinks, stars) == first
+    assert any(chain.augmented for chain in chains)
+    assert any(sd.star is None for chain in chains for sd in chain.steps)
+
+
+def test_a_user_policy_of_one_argument_drives_kk_chain():
+    """A policy is handed the step's graph alone; this one takes the last
+    sink in vertex order and its last valid star, and the chain peels the
+    graph in that order."""
+    calls = []
+
+    def last_sink_last_star(g):
+        calls.append(len(g))
+        sink = g.classify().sinks[-1]
+        return sink, valid_stars(g, sink)[-1]
+
+    g = example_graph()
+    chain = kk_chain(g, last_sink_last_star)
+    assert calls == list(range(len(g), 1, -1))
+    current = g
+    for sd in chain.steps:
+        assert sd.sink == current.classify().sinks[-1]
+        assert sd.star == valid_stars(current, sd.sink)[-1]
+        current = current.quotient((sd.sink,))
+    assert len(chain.terminal) == 1
+    assert check_chain_k0(chain).report.ok
 
 
 def test_composite_section_identity_failure_is_reported(monkeypatch):
@@ -650,8 +696,8 @@ def test_composites_match_oracle_on_corrupted_chains():
 def _random_star_policy(rng: random.Random):
     """A random sink, then a random valid star or the embedding."""
 
-    def policy(g, sinks):
-        sink = rng.choice(sinks)
+    def policy(g):
+        sink = rng.choice(g.classify().sinks)
         return sink, rng.choice(valid_stars(g, sink) + [None])
 
     return policy
@@ -825,7 +871,7 @@ def test_chains_build_no_quotient_to_stabilise_and_derive_reach_masks(monkeypatc
         for path in sorted((ROOT / "fixtures").glob("*.json")):
             chain, times = searches(lambda: kk_chain(load_graph(path), policy))
             assert (times, forward(chain.graph), sources_only(chain)) == (0, True, True)
-    chain, times = searches(lambda: kk_chain(*_later_step_needs_a_family()))
+    chain, times = searches(lambda: multi_sink_splitting(*_later_step_needs_a_family()))
     assert (times, bool(chain.augmented), sources_only(chain)) == (1, True, False)
     rng = random.Random(20261021)
     counts = [0, 0]
