@@ -561,7 +561,7 @@ class AmpGraph(_Frozen):
 
     def _mask(self, subset: Iterable[str]) -> int:
         mask = 0
-        for v in subset:
+        for v in _vertex_set(subset):
             mask |= 1 << self._at(v)
         return mask
 
@@ -646,7 +646,7 @@ class AmpGraph(_Frozen):
         recurses; every other cut, a self-loop's included, walks its kept
         vertices.
         """
-        removed = tuple(removed)
+        removed = tuple(_vertex_set(removed))
         if len(removed) == 1:
             i = self._at(removed[0])
             bit, keep = 1 << i, self._keep
@@ -686,6 +686,13 @@ class AmpGraph(_Frozen):
         if not (via >> j) & 1:
             raise ValueError(f"no path of length >= 2 from {src!r} to {dst!r}")
         return AmpGraph._on(t.plus(i, j), self._keep, _shape=self.classify())
+
+
+def _vertex_set(subset: Iterable[str]) -> Iterable[str]:
+    """``subset``, refused when it is a string, which would be read as the labels of its characters."""
+    if isinstance(subset, str):
+        raise ValueError(f"a vertex set must be a collection of vertex labels, not the string {subset!r}")
+    return subset
 
 
 def _star_scan(g: AmpGraph, sink: str) -> Iterator[str]:

@@ -34,13 +34,12 @@ stabilising cannot change (:func:`_plan` has the argument); the steps run
 on those graphs unless stabilising adds families, when the chain is cut
 once more from the ambient graph's tables.
 
-Each step reads only what decides it.  The planner knows a sink exists
-from the input: a cut of an acyclic graph with a vertex left has one, so
-only a cyclic input has its step graphs' sinks read to know it; a policy
-is handed the step's graph alone, and :func:`multi_sink_splitting`, how a
-chain's steps are listed, names each sink and reads its row.  The families
-a step's section needs, which stabilising has just shown present, are
-listed again only to name a failing step.
+Each step reads only what decides it.  A policy is handed the step's graph
+alone and refuses one with no sink; :func:`multi_sink_splitting`, how a
+chain's steps are listed, names each sink, reads its row and refuses a
+listed star the graph lacks.  A step names as its ``augmented`` the
+families added into its sink, and lists the families its section needs
+only to name a failing step.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .algebra import (
     _section_identity_failure,
     verify_ck_family,
 )
-from .graphs import AmpGraph, first_star, is_star, missing_families, valid_stars
+from .graphs import AmpGraph, GraphClass, first_star, is_star, missing_families, valid_stars
 
 
 class VerificationFailure(RuntimeError):
@@ -69,11 +68,11 @@ class SplitData(NamedTuple):
     """One split sink-removal extension, with both maps in hand.
 
     ``sigma`` maps the quotient-graph algebra into the working-graph algebra
-    (the original graph plus any families added for the splitting), and
-    ``quotient_map`` goes the other way; ``quotient_map . sigma = id``.
+    (the graph at this step plus the families its chain's sections need),
+    and ``quotient_map`` goes the other way; ``quotient_map . sigma = id``.
+    ``augmented`` names the families added into ``sink``.
     """
 
-    original: AmpGraph
     working: AmpGraph
     sink: str
     star: str | None
@@ -106,17 +105,15 @@ def _splitting_map(working: AmpGraph, source: AmpGraph, sink: str, star: str | N
 
 
 def build_splitting(g: AmpGraph, sink: str, star: str | None) -> SplitData:
-    """Construct and verify the splitting of the extension that removes ``sink``.
+    """Construct and verify the splitting of the extension that removes ``sink``, a chain of one step.
 
     With a star vertex the section is unital and the working graph gains the
-    edge families the section formula needs; with ``star=None`` the working
-    graph is ``g`` itself and the section is the non-unital embedding.
-    Every construction runs the checks of :func:`verify_split_exact`; a
-    failure signals an implementation bug and raises :class:`VerificationFailure`.
+    edge families the section formula needs, named by ``augmented``; with
+    ``star=None`` the working graph is ``g`` and the section is the non-unital
+    embedding.  Every construction runs the checks of :func:`verify_split_exact`;
+    a failure signals an implementation bug and raises :class:`VerificationFailure`.
     """
-    _check_step(g, sink, star)
-    working, augmented = _stabilize(g, ((sink, star),))
-    return _split(g, working, working.quotient((sink,)), sink, star, augmented)
+    return _run_chain(g, lambda _: (sink, star), 1).steps[0]
 
 
 def _check_step(g: AmpGraph, sink: str, star: str | None) -> None:
@@ -136,7 +133,7 @@ def _check_step(g: AmpGraph, sink: str, star: str | None) -> None:
         )
 
 
-def _split(original: AmpGraph, working: AmpGraph, quotient_graph: AmpGraph, sink: str, star: str | None, augmented: tuple) -> SplitData:
+def _split(working: AmpGraph, quotient_graph: AmpGraph, sink: str, star: str | None, augmented: tuple) -> SplitData:
     """Build and verify the two maps of a checked step on its stabilised graph.
 
     The families the section needs are listed only to name a refusal: each
@@ -144,7 +141,6 @@ def _split(original: AmpGraph, working: AmpGraph, quotient_graph: AmpGraph, sink
     is no partial isometry of ``working``, so the step fails its checks.
     """
     sd = SplitData(
-        original=original,
         working=working,
         sink=sink,
         star=star,
@@ -222,16 +218,23 @@ def _star(g: AmpGraph, sink: str) -> str:
     return star
 
 
+def _first_sink(cls: GraphClass) -> str:
+    """The first sink in vertex order of a graph classified as ``cls``, raising when there is none."""
+    if not cls.sinks:
+        raise ValueError("graph has no sink: removal chain cannot proceed")
+    return cls.sinks[0]
+
+
 def first_sink_first_star(g: AmpGraph) -> tuple[str, str | None]:
     """Default policy: first sink in vertex order, first valid star."""
-    sink = g.classify().sinks[0]
+    sink = _first_sink(g.classify())
     return sink, _star(g, sink)
 
 
 def prefer_source_star(g: AmpGraph) -> tuple[str, str | None]:
     """Like the default, but picks the first source other than the sink, a star vacuously, when one exists."""
     cls = g.classify()
-    sink = cls.sinks[0]
+    sink = _first_sink(cls)
     source = next((v for v in cls.sources if v != sink), None)
     return sink, _star(g, sink) if source is None else source
 
@@ -300,35 +303,24 @@ def _plan(g: AmpGraph, pick: StarPolicy, n_steps: int) -> tuple[list[tuple[str, 
     """The ``(sink, star)`` ``pick`` makes for each step, handed the step's graph, and the graphs it cuts.
 
     ``graphs[i]`` is ``g`` without the first ``i`` sinks, ``g``'s tables
-    under a mask; :func:`_check_step` refuses there each step it cannot
-    split.  The step runs on ``graphs[i]`` plus the families
-    :func:`_stabilize` adds between its vertices, with the same verdict:
-    each such family ``v -> w`` is OMEGA and shadows a path
+    under a mask; :func:`_check_step`, a step's one check, refuses there
+    each step it cannot split.  The step runs on ``graphs[i]`` plus the
+    families :func:`_stabilize` adds between its vertices, with the same
+    verdict: each such family ``v -> w`` is OMEGA and shadows a path
     ``v -> ... -> u -> w`` that ``graphs[i]`` has, so it changes no reach
     mask, hence no sink, and no source.  Nor does it rule out a star: ``w``
     is ruled out for a sink ``t`` by ``v`` only if ``v`` misses ``t``, and
     then so does ``u``, which ``v`` reaches and which already rules ``w`` out.
 
-    A graph with a vertex left, cut from an acyclic ``g``, is acyclic and
-    so has a sink; only a graph cut from a cyclic ``g``, or emptied, has its
-    sinks read to know it has one.  Each graph is a one-sink cut of the
-    last, and the graphs are read in order, so each whose facts are read
-    derives them from its parent's, read just before
+    Each graph is a one-sink cut of the last, read in order, so each whose
+    facts are read derives them from its parent's, read just before
     (:meth:`~ampgraph.graphs.AmpGraph.quotient`), and only ``g`` is walked.
     """
     plan: list[tuple[str, str | None]] = []
     graphs = [g]
-    acyclic, size = g.classify().acyclic, len(g)
-    for step in range(1, n_steps + 1):
+    for _ in range(n_steps):
         current = graphs[-1]
-        if not (acyclic and step <= size) and not current.classify().sinks:
-            raise ValueError("graph has no sink: removal chain cannot proceed")
         sink, star = pick(current)
-        if star is not None and star not in current:
-            raise ValueError(
-                f"star {star!r} of step {step} (sink {sink!r}) is not "
-                "a vertex of the remaining graph"
-            )
         _check_step(current, sink, star)
         plan.append((sink, star))
         graphs.append(current.quotient((sink,)))
@@ -367,12 +359,15 @@ def _run_chain(g: AmpGraph, pick: StarPolicy, n_steps: int) -> KKChain:
     """Plan ``n_steps`` removals as ``pick`` makes them (see :func:`_plan`), stabilise, then split each step."""
     plan, graphs = _plan(g, pick, n_steps)
     ambient, added = _stabilize(g, plan)
+    into: dict[str, tuple[tuple[str, str], ...]] = {}  # by range: v -> w serves the step removing w
+    for v, w in added:
+        into[w] = (*into.get(w, ()), (v, w))
     if added:
         graphs = [ambient]
         for sink, _ in plan:
             graphs.append(graphs[-1].quotient((sink,)))
     steps = tuple(
-        _split(graphs[i], graphs[i], graphs[i + 1], sink, star, ())
+        _split(graphs[i], graphs[i + 1], sink, star, into.get(sink, ()))
         for i, (sink, star) in enumerate(plan)
     )
     return KKChain(graph=g, ambient=ambient, steps=steps, augmented=added)
@@ -401,7 +396,10 @@ def multi_sink_splitting(
         i = len(g) - len(current)
         if not current.is_sink(sinks[i]):
             raise ValueError(f"{sinks[i]!r} is not a sink of the remaining graph")
-        return sinks[i], _star(current, sinks[i]) if stars is None else stars[i]
+        star = _star(current, sinks[i]) if stars is None else stars[i]
+        if star is not None and star not in current:
+            raise ValueError(f"star {star!r} of step {i + 1} (sink {sinks[i]!r}) is not a vertex of the remaining graph")
+        return sinks[i], star
 
     chain = _run_chain(g, listed, len(sinks))
     if chain.steps:

@@ -317,10 +317,18 @@ MUTANTS = {
         "",
         [SPLIT + "test_every_path_names_a_bad_star_before_stabilising"],
     ),
+    "step-names-none-of-the-chains-added-families": (
+        SPLITTING,
+        "into.get(sink, ())",
+        "()",
+        [SPLIT + "test_build_splitting_all_stars_verify",
+         SPLIT + "test_chain_augments_ambient_for_later_steps",
+         "tests/test_cli.py::test_chain_names_the_families_each_step_added"],
+    ),
     "build-splitting-skips-stabilize": (
         SPLITTING,
-        "    working, augmented = _stabilize(g, ((sink, star),))\n",
-        "    working, augmented = g, ()\n",
+        "    ambient, added = _stabilize(g, plan)\n",
+        "    ambient, added = g, ()\n",
         [SPLIT + "test_build_splitting_all_stars_verify",
          SPLIT + "test_splitting_section_formula_star_v2"],
     ),
@@ -619,8 +627,8 @@ MUTANTS = {
     ),
     "first-policy-takes-the-last-sink": (
         SPLITTING,
-        "    sink = g.classify().sinks[0]\n",
-        "    sink = g.classify().sinks[-1]\n",
+        "    return cls.sinks[0]\n",
+        "    return cls.sinks[-1]\n",
         [GRAPH + "test_is_star_decides_each_vertex_as_the_oracle_lists_it", TEXT],
     ),
     "chain-check-keeps-only-the-first-uncertified-sink": (
@@ -903,6 +911,12 @@ MUTANTS = {
         "        if False:\n",
         [SPLIT + "test_a_string_of_sinks_or_stars_is_refused_by_name"],
     ),
+    "str-vertex-set-accepted": (
+        GRAPHS,
+        "    if isinstance(subset, str):\n",
+        "    if False:\n",
+        [GRAPH + "test_a_string_is_refused_as_a_vertex_set_by_name"],
+    ),
     "missing-families-ignore-the-sinks-in-neighbours": (
         GRAPHS,
         "into ^ into & pred[g._at(sink)]",
@@ -1167,10 +1181,15 @@ MUTANTS = {
     ),
     "no-sink-refusal-skipped-on-a-cyclic-graph": (
         SPLITTING,
-        "        if not (acyclic and step <= size) and not current.classify().sinks:\n",
-        "        if not step <= size and not current.classify().sinks:\n",
-        [SPLIT + "test_a_graph_without_a_sink_cannot_start_a_chain",
-         SPLIT + "test_a_chain_without_a_sink_is_refused_before_its_step_is_read"],
+        "    if not cls.sinks:\n",
+        "    if False:\n",
+        [SPLIT + "test_a_policy_refuses_a_graph_without_a_sink"],
+    ),
+    "listed-step-skips-the-star-membership-check": (
+        SPLITTING,
+        "        if star is not None and star not in current:\n",
+        "        if False:\n",
+        [SPLIT + "test_explicit_star_not_in_the_remaining_graph_is_rejected"],
     ),
     "planner-skips-the-star-test": (
         SPLITTING,

@@ -437,6 +437,20 @@ def test_chain_reports_all_steps():
     assert all(c["passed"] for c in report.result["k0"]["checks"])
 
 
+def test_chain_names_the_families_each_step_added(tmp_path, capsys):
+    """Removing ``w2`` with the star ``w1`` needs ``w4 -> w2`` beside
+    ``w4 -> w1``: the step that removes ``w2`` names it, and no other does."""
+    pairs = [("w1", "w2"), ("w1", "w5"), ("w3", "w5"), ("w3", "w6"),
+             ("w4", "w1"), ("w4", "w5"), ("w5", "w2"), ("w6", "w5")]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [f"w{i}" for i in range(1, 7)],
+                                "edges": [{"src": a, "dst": b, "mult": "inf"} for a, b in pairs]}))
+    assert main(["chain", str(path), "--json"]) == 0
+    steps = json.loads(capsys.readouterr().out)["result"]["steps"]
+    assert [(s["sink"], s["star"]) for s in steps[:1]] == [("w2", "w1")]
+    assert [s["augmented"] for s in steps] == [[["w4", "w2"]], [], [], [], []]
+
+
 @pytest.mark.parametrize(
     "edges, needle",
     [

@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from ampgraph import (
-    OMEGA, AmpGraph, GraphClass, first_sink_first_star, load_graph, prefer_source_star, valid_stars,
+    OMEGA, AmpGraph, GeneratorMap, GraphClass, first_sink_first_star, load_graph, prefer_source_star, valid_stars,
 )
 from ampgraph.graphs import _Tables, _bits, first_star, is_star
 
@@ -345,6 +346,21 @@ def test_quotient_everything_and_nothing():
     g = example_graph()
     assert g.quotient(()) == g
     assert g.quotient(g.vertices).vertices == ()
+
+
+@pytest.mark.parametrize("method", ["quotient", "hereditary_closure", "is_hereditary", "families_at", "map"])
+def test_a_string_is_refused_as_a_vertex_set_by_name(method):
+    """A string is a sequence of its characters: on ``a -> b -> c`` the set
+    ``"bc"`` would be read as ``b`` and ``c``, and ``"v2"`` on the example
+    graph as the unknown labels ``v`` and ``2``."""
+    path = AmpGraph.from_edges(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    call = {"map": lambda g, subset: GeneratorMap.quotient(g, subset)}.get(
+        method, lambda g, subset: getattr(g, method)(subset))
+    assert call(path, ("b", "c")) == call(path, ["b", "c"])
+    for g, subset in ((path, "bc"), (path, "c"), (example_graph(), "v2")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a vertex set must be a collection of vertex labels, not the string {subset!r}")):
+            call(g, subset)
 
 
 def test_amplify_transitive_edges_example():

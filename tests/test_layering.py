@@ -25,6 +25,11 @@ only by ``AmpGraph.quotient``, once that vertex's row has admitted the cut:
 The command line reads graph files in one place: :mod:`ampgraph.cli` calls
 ``load_graph`` at one site, and no subcommand handler (``_cmd_*``) imports
 it; each handler is given the graph.
+
+A chosen ``(sink, star)`` reaches a verified step along one path: the
+validator ``_check_step``, the augmenter ``_stabilize`` and the builder
+``_split`` are each named at one site of the package, so a second path to
+a split cannot come back unnoticed.
 """
 
 import ast
@@ -44,6 +49,7 @@ OWNERS = {name: "algebra.py" for name in LAYOUT} | {"word_mul": "words.py"} | {
     name: "graphs.py" for name in STORAGE}
 SLOW_IMPORTS = {"dataclasses", "inspect"}
 RECORD = {"_parent", "_removed"}
+STEP_STAGES = ("_check_step", "_stabilize", "_split")
 
 
 def _uses(tree: ast.AST, names: set[str]) -> list[str]:
@@ -287,3 +293,28 @@ def test_the_graph_read_scan_sees_calls_and_handler_imports():
         "line 3: calls load_graph",
         "line 6: calls load_graph",
     ]
+
+
+def _sites(paths, names) -> dict[str, list[str]]:
+    """Each read of one of ``names``, called or not, in the modules at ``paths``, as ``file:line``."""
+    found: dict[str, list[str]] = {name: [] for name in names}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in found and isinstance(getattr(node, "ctx", None), ast.Load):
+                found[name].append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_each_stage_of_a_split_is_named_at_one_site():
+    sites = _sites(sorted(PACKAGE.glob("*.py")), STEP_STAGES)
+    assert {name: len(at) for name, at in sites.items()} == dict.fromkeys(STEP_STAGES, 1), sites
+
+
+def test_the_stage_scan_sees_a_second_path(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(g):\n    _check_step(g, s, t)\n    return splitting._split(w, q, s, t, ())\n")
+    (tmp_path / "b.py").write_text(
+        "def _stabilize(g, plan):\n    _check_step(g, s, t)\n    later = _split\n    _stabilize = None\n")
+    assert _sites(sorted(tmp_path.glob("*.py")), STEP_STAGES) == {
+        "_check_step": ["a.py:2", "b.py:2"], "_stabilize": [], "_split": ["a.py:3", "b.py:3"]}

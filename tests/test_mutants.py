@@ -44,4 +44,4 @@ def test_a_snippet_is_not_counted_inside_a_deeper_indentation(tmp_path):
 
 
 def test_the_table_holds_the_patch_and_table_mutants():
-    assert len(MUTANTS) >= 176
+    assert len(MUTANTS) >= 179

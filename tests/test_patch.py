@@ -517,7 +517,7 @@ def test_a_step_and_the_composite_fold_list_no_family_at_its_sink(monkeypatch):
         for sd in chain.steps:
             listed.clear()
             lacked.clear()
-            splitting._split(sd.working, sd.working, sd.quotient_graph, sd.sink, sd.star, ())
+            splitting._split(sd.working, sd.quotient_graph, sd.sink, sd.star, sd.augmented)
             assert [s for s in listed if sd.sink in s] == [] and lacked == []
         listed.clear()
         lacked.clear()

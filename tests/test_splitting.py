@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 import re
 
@@ -104,7 +105,8 @@ def test_build_splitting_rejects_bad_star():
 
 
 def test_splitting_section_formula_star_v2():
-    sd = build_splitting(example_graph(), "v4", "v2")
+    g = example_graph()
+    sd = build_splitting(g, "v4", "v2")
     assert sd.sigma.render_table() == {
         "p[v1]": "p[v1]",
         "p[v2]": "p[v2] + p[v4]",
@@ -115,7 +117,7 @@ def test_splitting_section_formula_star_v2():
         "s[v3>v5#i]": "s[v3>v5#i]",
     }
     assert sd.working.multiplicity("v1", "v4") is OMEGA
-    assert sd.original.multiplicity("v1", "v4") == 0
+    assert g.multiplicity("v1", "v4") == 0
 
 
 def test_embedding_section_is_inclusion():
@@ -127,6 +129,48 @@ def test_embedding_section_is_inclusion():
     assert report.ok
     unital = report.check("unital")
     assert not unital.passed and not unital.required
+
+
+def _golden_split_requests():
+    """The graph, sink and star of every ``split`` command of the golden mix, its star chosen as the command does."""
+    golden = json.loads((ROOT / "tests" / "golden_reports.json").read_text())
+    requests = []
+    for command in sorted({c.replace(" --verify", "") for c in golden if c.startswith("split ")}):
+        words = command.split()
+        g, sink = load_graph(ROOT / words[1]), words[words.index("--sink") + 1]
+        if "--star" in words:
+            star = words[words.index("--star") + 1]
+        else:
+            star = None if "--embed" in words else graphs.first_star(g, sink)
+        requests.append((g, sink, star))
+    return requests
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_a_single_split_is_the_one_step_of_the_chain_that_lists_it():
+    """``build_splitting`` returns the step ``multi_sink_splitting`` builds
+    for the same sink and star, families added included, and refuses what
+    it refuses with the same text: on every golden ``split`` request and on
+    every sink and star choice of random amplified DAGs."""
+    requests = _golden_split_requests()
+    assert len(requests) == 47  # one per golden command, less its --verify twin
+    rng = random.Random(45)
+    for _ in range(60):
+        g = random_amplified_dag(rng, rng.randint(1, 7), rng.choice((0.3, 0.5, 0.7)))
+        requests += [(g, sink, star) for sink in g.classify().sinks for star in (None, *g.vertices)]
+    steps = []
+    for g, sink, star in requests:
+        one = _outcome(build_splitting, g, sink, star)
+        assert one == _outcome(lambda *a: multi_sink_splitting(*a).steps[0], g, [sink], [star]), (sink, star)
+        steps += [] if isinstance(one, str) else [one]
+    assert any(sd.augmented for sd in steps) and any(sd.star is None for sd in steps)
+    assert len(steps) < len(requests)  # refusals are compared too
 
 
 def test_ideal_kind():
@@ -194,7 +238,7 @@ def test_chain_augments_ambient_for_later_steps():
     assert chain.augmented == (("x", "s2"),)
     assert chain.ambient.multiplicity("x", "s2") is OMEGA
     assert [sd.sink for sd in chain.steps] == ["s1", "s2", "w"]
-    assert chain.steps[1].augmented == ()
+    assert chain.steps[1].augmented == (("x", "s2"),)
 
 
 def test_unstabilised_ambient_graph_is_reported(monkeypatch):
@@ -250,7 +294,7 @@ def _split_outcome(monkeypatch, sd):
     monkeypatch.setattr(splitting, "_splitting_map", lambda *_: sd.sigma)
     monkeypatch.setattr(splitting, "_quotient_onto", lambda *_: sd.quotient_map)
     try:
-        return splitting._split(sd.original, sd.working, sd.quotient_graph, sd.sink, sd.star, sd.augmented)
+        return splitting._split(sd.working, sd.quotient_graph, sd.sink, sd.star, sd.augmented)
     except VerificationFailure as exc:
         return str(exc)
 
@@ -397,18 +441,18 @@ def test_a_string_of_sinks_or_stars_is_refused_by_name():
 
 def test_a_graph_without_a_sink_cannot_start_a_chain():
     cycle = AmpGraph.from_edges(("a", "b"), [("a", "b"), ("b", "a")])
-    with pytest.raises(ValueError, match="graph has no sink: removal chain cannot proceed"):
+    with pytest.raises(ValueError, match="'a' is not a sink of the remaining graph"):
         multi_sink_splitting(cycle, ["a"])
 
 
-def test_a_chain_without_a_sink_is_refused_before_its_step_is_read():
-    """A cyclic graph has its sinks read at each step, even when a sink and
-    star are listed, and the refusal comes before the listed sink is
-    checked; here the cycle shows only after the first cut."""
+def test_a_chain_without_a_sink_is_refused_at_its_listed_sink():
+    """A step graph with no sink is refused by its listed sink's row, with
+    or without a listed star, before the star is read; here the cycle shows
+    only after the first cut."""
     two_cycle = AmpGraph.from_edges(("a", "b"), [("a", "b"), ("b", "a")])
     looped = AmpGraph.from_edges(("a", "b"), [("a", "a"), ("b", "a")])
     later = AmpGraph.from_edges(("a", "b", "s"), [("a", "b"), ("b", "a"), ("a", "s")])
-    message = re.escape("graph has no sink: removal chain cannot proceed")
+    message = re.escape("'a' is not a sink of the remaining graph")
     for g, sinks, stars in ((two_cycle, ["a"], None), (two_cycle, ["a"], ["b"]), (looped, ["a"], None),
                             (later, ["s", "a"], [None, None])):
         with pytest.raises(ValueError, match=message):
@@ -416,6 +460,26 @@ def test_a_chain_without_a_sink_is_refused_before_its_step_is_read():
     # an acyclic graph emptied before the list ends
     with pytest.raises(ValueError, match=message):
         multi_sink_splitting(AmpGraph.from_edges(("a",)), ["a", "a"], [None, None])
+
+
+@pytest.mark.parametrize("policy", [first_sink_first_star, prefer_source_star])
+def test_a_policy_refuses_a_graph_without_a_sink(policy):
+    """Each shipped policy, called on a graph with no sink, says so instead
+    of failing to index an empty sink tuple."""
+    two_cycle = AmpGraph.from_edges(("a", "b"), [("a", "b"), ("b", "a")])
+    looped = AmpGraph.from_edges(("a",), [("a", "a")])
+    for g in (two_cycle, looped, AmpGraph((), ())):
+        with pytest.raises(ValueError, match="^graph has no sink: removal chain cannot proceed$"):
+            policy(g)
+
+
+def test_a_user_policy_naming_a_star_the_graph_lacks_gets_the_step_check_text():
+    g = example_graph()
+    message = re.escape("'nope' is not a valid choice of star for sink 'v4'; valid stars: ['v1', 'v2', 'v3']")
+    with pytest.raises(ValueError, match=message):
+        kk_chain(g, lambda current: ("v4", "nope"))
+    with pytest.raises(ValueError, match=message):
+        build_splitting(g, "v4", "nope")
 
 
 def test_every_path_names_a_bad_star_before_stabilising():
@@ -739,7 +803,7 @@ def test_stabilize_matches_quotient_chain_oracle_on_random_chains():
 def _assert_steps_run_on_ambient_quotients(chain):
     """Each step's working graph is the ambient graph without the earlier sinks."""
     for i, sd in enumerate(chain.steps):
-        assert sd.working == sd.original == chain.ambient.quotient(chain.sinks[:i])
+        assert sd.working == chain.ambient.quotient(chain.sinks[:i])
         assert sd.quotient_graph == chain.ambient.quotient(chain.sinks[: i + 1])
 
 
